@@ -1,0 +1,96 @@
+"""Golden reports: refactors must keep the normalised CLI output byte-identical.
+
+Each case runs `villadsen.cli.main` on a fixed invocation and compares the
+SHA-256 of `canonical_json(normalize_report(report))` with a digest
+recorded before the change.  A mismatch means the report changed; if that
+is intended, the new digest must be recorded together with the reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from villadsen.cli import main
+from villadsen.reports import canonical_json, normalize_report
+
+CHERN_SPACE = {"factors": [{"kind": "disk", "d": 1}, {"kind": "s2"}, {"kind": "cp", "n": 3},
+                           {"kind": "s2"}, {"kind": "cp", "n": 2}]}
+
+
+def _line(position: int) -> dict:
+    exps = [0, 0, 0, 0]
+    exps[position] = 1
+    return {"terms": [{"exponents": exps, "coefficient": "1"}]}
+
+
+CHERN_BUNDLE = {"trivial": "0", "summands": [
+    {"line": _line(0), "mult": "1"},
+    {"line": _line(1), "mult": "2"},
+    {"line": _line(2), "mult": "1"},
+    {"line": _line(1), "mult": "1"},
+    {"line": _line(3), "mult": "2"},
+    {"line": _line(2), "mult": "0"},
+]}
+
+VI_CONFIG = {"seed_dim": 6, "steps": [
+    {"proj_mults": {"p1": 2, "p2": 1}, "point_evals": 1},
+    {"proj_mults": {"q1": 1, "q2": 1, "q3": 1}, "point_evals": 0},
+]}
+
+GOLDEN = {
+    "v2 -k 1 -n 3 --rc --trace":
+        "bb866cad3198f5311c2ae9ba7f1d5a08b9234829a6fb62cbcdcf658a4acff4a4",
+    "v2 -k 1 -n 12 --rc --trace":
+        "cc46bca7adbaee4cd0366c1ea01fbfa82c1284ec75b3ad6dbe717fdacf60ae28",
+    "v2 -k 2 -n 3 --rc --trace":
+        "aa7aacd32ca72e4f5f96420098ac3207de9ebe8c082845b9f85ab5a7e156e7f2",
+    "v2 -k 2 -n 12 --rc --trace":
+        "32c6bf72002c4dc4b090ff3ae533fb6d9459070e2564595d715dccd8b07f3af8",
+    "v2 -k inf -n 3 --rc --trace":
+        "06d404b2e1df49725d8a0b130c1622714286a8d8b12551f72c4adf00851fc5e1",
+    "v2 -k inf -n 12 --rc --trace":
+        "7835f9a90e1ac0833bf42c66f5899a8e5c4b173a8850d46492728fc44e56710d",
+    "v2 -k 2 -n 2 --stage 5 --comparability":
+        "02463445388c0ee3479d2c9c50d9fb45ec6b7b37026d8096346f902970feeb9f",
+    "cfp --terms 3":
+        "bef3abefcc86fcced84de4b300130430c956909e1b10c3b70767f82c7407877b",
+    "cfp --terms 4 --stage 40":
+        "68878ed2e9943173d5456becd6ec4aed6396242ce4dc67adfb2f417177fcb334",
+    "chern --space SPACE --bundle BUNDLE":
+        "038d9e7f106e3bd348cace20d6c52f8ecbe513afd16199baed082a027ac7620a",
+    "vi --config CONFIG --witness 2":
+        "a973b434cf2874a31ae41eaca2b7c8a16993b650ff0cd2927483e3ed746ae171",
+}
+
+
+def golden_digest(command: str, workdir, capsys) -> tuple[int, str]:
+    """Run one grid command; return its exit code and report digest.
+
+    SPACE, BUNDLE and CONFIG in the command name input documents, which are
+    written into `workdir` first.  Report input documents hold the file
+    contents, not the paths, so the digest does not depend on `workdir`.
+    """
+    files = {"SPACE": CHERN_SPACE, "BUNDLE": CHERN_BUNDLE, "CONFIG": VI_CONFIG}
+    argv = []
+    for word in command.split():
+        if word in files:
+            path = workdir / f"{word.lower()}.json"
+            path.write_text(json.dumps(files[word]))
+            word = str(path)
+        argv.append(word)
+    capsys.readouterr()
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    text = canonical_json(normalize_report(report))
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_report(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "100000")
+    code, digest = golden_digest(command, tmp_path, capsys)
+    assert code == 0
+    assert digest == GOLDEN[command]
