@@ -1,10 +1,14 @@
 """Formal vector bundles: sums of pulled-back line bundles plus trivial part.
 
 A bundle expression records everything the comparison arguments ever use:
-the base space, a trivial rank, and line summands given by their first Chern
-class (a single pulled-back generator, coefficient one) with big-integer
-multiplicities.  Multiplicities grow factorially along the inductive
-systems, so they are never assumed to fit a machine word.
+the base space, a trivial rank, and line summands with big-integer
+multiplicities.  A line summand's first Chern class is a single generator
+of the base's ring, so a summand is stored as that generator's position in
+the ring presentation (`presentation_of`, built once per space) together
+with its multiplicity.  A `GradedClass` for a line is built only where a
+class is the output: `summands`, `to_json` and the Chern expansion.
+Multiplicities grow factorially along the inductive systems, so they are
+never assumed to fit a machine word.
 
 Equality is normal-form equality (sorted, merged summands); this is the
 working notion of isomorphism, and stable isomorphism is the same with
@@ -14,18 +18,20 @@ trivial ranks added on both sides.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .cohomology import (
     GradedClass,
+    RingPresentation,
     cup,
     homogeneous_component,
     presentation_of,
-    pullback_class,
+    pullback_positions,
 )
 from .errors import BaseMismatchError, GeneratorBudgetExceeded, InvalidLineClassError
-from .spaces import CONSTANT, PROJECTION, SpaceDescriptor, SpaceMap
+from .spaces import CONSTANT, SpaceDescriptor, SpaceMap
 
 DEFAULT_BUDGET = 100_000
 
@@ -58,16 +64,27 @@ def _line_generator_position(line: GradedClass) -> int | None:
 
 
 class BundleExpr:
-    """base, trivial rank, and (line class, multiplicity) summands."""
+    """base, trivial rank, and line summands keyed by generator position.
 
-    __slots__ = ("base", "trivial_rank", "summands")
+    `parts` maps the ring position of each summand's line (see
+    `RingPresentation`) to its multiplicity.  Summands on one line are
+    merged, zero multiplicities dropped, and the order is that of the
+    lines' exponent vectors (descending position), which is the order
+    `summands` and `to_json` list them in.
+
+    The constructor takes (line class, multiplicity) pairs and checks each
+    line; `from_positions` takes (position, multiplicity) pairs and builds
+    no line class at all.
+    """
+
+    __slots__ = ("base", "presentation", "trivial_rank", "parts")
 
     def __init__(self, base: SpaceDescriptor, trivial_rank: int = 0,
                  summands: list[tuple[GradedClass, int]] | None = None):
         if trivial_rank < 0:
             raise ValueError("trivial rank must be >= 0")
         pres = presentation_of(base)
-        merged: dict[tuple, tuple[GradedClass, int]] = {}
+        parts = []
         extra_trivial = 0
         for line, mult in summands or []:
             if mult < 0:
@@ -79,28 +96,53 @@ class BundleExpr:
             pos = _line_generator_position(line)
             if pos is None:
                 extra_trivial += mult
-                continue
-            key = next(iter(line.terms))
-            if key in merged:
-                merged[key] = (line, merged[key][1] + mult)
             else:
-                merged[key] = (line, mult)
+                parts.append((pos, mult))
+        self._fill(base, pres, trivial_rank + extra_trivial, parts)
+
+    @classmethod
+    def from_positions(cls, base: SpaceDescriptor, trivial_rank: int,
+                       parts: Iterable[tuple[int, int]]) -> "BundleExpr":
+        """Bundle from (generator position, multiplicity) pairs."""
+        b = cls.__new__(cls)
+        b._fill(base, presentation_of(base), trivial_rank, parts)
+        return b
+
+    def _fill(self, base, pres, trivial_rank, parts):
+        if trivial_rank < 0:
+            raise ValueError("trivial rank must be >= 0")
+        n = len(pres.generators)
+        merged: dict[int, int] = {}
+        for pos, mult in parts:
+            if mult < 0:
+                raise ValueError("multiplicity must be >= 0")
+            if not 0 <= pos < n:
+                raise InvalidLineClassError(f"no generator at position {pos}")
+            if mult:
+                merged[pos] = merged.get(pos, 0) + mult
         self.base = base
-        self.trivial_rank = trivial_rank + extra_trivial
-        self.summands = tuple(merged[k] for k in sorted(merged))
+        self.presentation = pres
+        self.trivial_rank = trivial_rank
+        self.parts = dict(sorted(merged.items(), reverse=True))
+
+    @property
+    def summands(self) -> tuple[tuple[GradedClass, int], ...]:
+        """(line class, multiplicity) pairs; builds one line class per summand."""
+        return tuple((GradedClass.generator_at(self.presentation, pos), m)
+                     for pos, m in self.parts.items())
 
     @property
     def rank(self) -> int:
-        return self.trivial_rank + sum(m for _, m in self.summands)
+        return self.trivial_rank + sum(self.parts.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BundleExpr)
                 and self.base == other.base
                 and self.trivial_rank == other.trivial_rank
-                and self.summands == other.summands)
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.base, self.trivial_rank, self.summands))
+        return hash((self.base, self.trivial_rank, tuple(self.parts.items())))
 
     def __repr__(self):
         parts = [f"theta_{self.trivial_rank}"] if self.trivial_rank else []
@@ -110,11 +152,12 @@ class BundleExpr:
     def direct_sum(self, other: "BundleExpr") -> "BundleExpr":
         if self.base != other.base:
             raise BaseMismatchError("direct sum needs a common base")
-        return BundleExpr(self.base, self.trivial_rank + other.trivial_rank,
-                          list(self.summands) + list(other.summands))
+        return BundleExpr.from_positions(self.base, self.trivial_rank + other.trivial_rank,
+                                         [*self.parts.items(), *other.parts.items()])
 
     def add_trivial(self, extra: int) -> "BundleExpr":
-        return BundleExpr(self.base, self.trivial_rank + extra, list(self.summands))
+        return BundleExpr.from_positions(self.base, self.trivial_rank + extra,
+                                         self.parts.items())
 
     def to_json(self) -> dict:
         return {
@@ -134,7 +177,7 @@ class BundleExpr:
 
 
 def trivial_bundle(base: SpaceDescriptor, rank: int) -> BundleExpr:
-    return BundleExpr(base, rank, [])
+    return BundleExpr.from_positions(base, rank, ())
 
 
 def generator_line(base: SpaceDescriptor, factor_index: int) -> GradedClass:
@@ -145,19 +188,35 @@ def generator_line(base: SpaceDescriptor, factor_index: int) -> GradedClass:
 def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
              trivial_rank: int = 0) -> BundleExpr:
     """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
-    summands = [(generator_line(base, idx), m) for idx, m in parts]
-    return BundleExpr(base, trivial_rank, summands)
+    pres = presentation_of(base)
+    return BundleExpr.from_positions(
+        base, trivial_rank, [(pres.generator_position(idx), m) for idx, m in parts])
+
+
+def _cost_factors(b: BundleExpr):
+    # each summand's truncated binomial series has min(mult, cap-1)+1 terms
+    caps = b.presentation.caps
+    for pos, mult in b.parts.items():
+        yield min(mult, caps[pos] - 1) + 1
 
 
 def chern_expansion_cost(b: BundleExpr) -> int:
     """Upper bound on the term count of the full Chern class expansion."""
-    caps = {g.factor_index: g.cap for g in presentation_of(b.base).generators}
+    return prod(_cost_factors(b))
+
+
+def expansion_fits(b: BundleExpr, budget: int) -> bool:
+    """Whether chern_expansion_cost(b) <= budget.
+
+    Stops multiplying as soon as the partial product passes the budget; the
+    full product runs to millions of digits on large witness bases.
+    """
     cost = 1
-    for line, mult in b.summands:
-        pos = next(iter(line.terms)).index(1)
-        factor_index = presentation_of(b.base).generators[pos].factor_index
-        cost *= min(mult, caps[factor_index] - 1) + 1
-    return cost
+    for factor in _cost_factors(b):
+        cost *= factor
+        if cost > budget:
+            return False
+    return True
 
 
 def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
@@ -167,30 +226,27 @@ def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
     the expansion would exceed the term budget; budget=None reads the
     environment and budget=0 disables the guard.
     """
-    pres = presentation_of(b.base)
+    pres = b.presentation
     if budget is None:
         budget = expansion_budget()
-    if budget:
-        cost = chern_expansion_cost(b)
-        if cost > budget:
-            raise GeneratorBudgetExceeded(cost, budget, "Chern class expansion")
+    if budget and not expansion_fits(b, budget):
+        raise GeneratorBudgetExceeded(chern_expansion_cost(b), budget,
+                                      "Chern class expansion")
     total = GradedClass.unit(pres)
-    for line, mult in b.summands:
-        total = cup(total, _line_power_series(line, mult))
+    for pos, mult in b.parts.items():
+        total = cup(total, _line_power_series(pres, pos, mult))
     return total
 
 
-def _line_power_series(line: GradedClass, mult: int) -> GradedClass:
+def _line_power_series(pres: RingPresentation, pos: int, mult: int) -> GradedClass:
     # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
-    pres = line.presentation
-    (exps, _), = line.terms.items()
-    pos = exps.index(1)
-    cap = pres.generators[pos].cap
+    cap = pres.caps[pos]
     n = len(pres.generators)
     terms = {}
     for i in range(0, min(mult, cap - 1) + 1):
-        key = tuple(i if j == pos else 0 for j in range(n))
-        terms[key] = comb(mult, i)
+        key = [0] * n
+        key[pos] = i
+        terms[tuple(key)] = comb(mult, i)
     return GradedClass(pres, terms)
 
 
@@ -202,47 +258,50 @@ def euler(b: BundleExpr) -> GradedClass:
     monomial y^multiplicity, dead once the multiplicity reaches the cap, so
     this never needs a full expansion.
     """
-    pres = presentation_of(b.base)
+    pres = b.presentation
     if b.trivial_rank > 0:
         return GradedClass.zero(pres)
-    n = len(pres.generators)
-    key = [0] * n
-    for line, mult in b.summands:
-        (exps, _), = line.terms.items()
-        pos = exps.index(1)
-        if mult >= pres.generators[pos].cap:
+    key = [0] * len(pres.generators)
+    for pos, mult in b.parts.items():
+        if mult >= pres.caps[pos]:
             return GradedClass.zero(pres)
-        key[pos] += mult
-    for pos, e in enumerate(key):
-        if e >= pres.generators[pos].cap:
-            return GradedClass.zero(pres)
+        key[pos] = mult
     return GradedClass(pres, {tuple(key): 1})
 
 
 def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
-    """Pull a bundle back along a map; constants yield trivial bundles."""
+    """Pull a bundle back along a map; constants yield trivial bundles.
+
+    Under a projection each summand moves to the position its generator
+    pulls back to.
+    """
     f = f.normalize()
     if b.base != f.target:
         raise BaseMismatchError("bundle does not live over the map's target")
     if f.kind == CONSTANT:
         return trivial_bundle(f.source, b.rank)
-    assert f.kind == PROJECTION
-    summands = [(pullback_class(f, line), m) for line, m in b.summands]
-    return BundleExpr(f.source, b.trivial_rank, summands)
+    moved = pullback_positions(f)
+    return BundleExpr.from_positions(f.source, b.trivial_rank,
+                                     [(moved[pos], m) for pos, m in b.parts.items()])
 
 
 def tensor_line(b: BundleExpr, carrier: GradedClass) -> BundleExpr:
     """Tensor with the line bundle whose first Chern class is `carrier`.
 
-    First Chern classes add, so each summand's line shifts by the carrier
-    and the trivial part becomes that many copies of the carrier line.
+    First Chern classes add, so the trivial part becomes that many copies
+    of the carrier line.  A line summand would shift to its line plus the
+    carrier, which is no longer a single generator, so only bundles without
+    line summands can be tensored with a nontrivial carrier.
     """
-    if _line_generator_position(carrier) is None:
+    pos = _line_generator_position(carrier)
+    if pos is None:
         return b
-    summands = [(line + carrier, m) for line, m in b.summands]
-    if b.trivial_rank:
-        summands.append((carrier, b.trivial_rank))
-    return BundleExpr(b.base, 0, summands)
+    if carrier.presentation != b.presentation:
+        raise BaseMismatchError("carrier line class lives over a different base")
+    if b.parts:
+        raise InvalidLineClassError("a line summand shifted by the carrier is not "
+                                    "a single generator")
+    return BundleExpr.from_positions(b.base, 0, [(pos, b.trivial_rank)])
 
 
 @dataclass(frozen=True)
@@ -282,15 +341,15 @@ def pushforward_diagonal(b: BundleExpr, slots: list) -> BundleExpr:
             raise BaseMismatchError("all eigenvalue maps must share a source")
         if s.eigenvalue_map.target != b.base:
             raise BaseMismatchError("eigenvalue map target differs from the bundle base")
-    result = trivial_bundle(source, 0)
+    trivial_rank = 0
+    parts = []
     for s in norm_slots:
         piece = pullback_bundle(s.eigenvalue_map, b)
         if s.carrier is not None and not s.carrier.is_zero():
             piece = tensor_line(piece, s.carrier)
-        piece = BundleExpr(source, piece.trivial_rank * s.multiplicity,
-                           [(line, m * s.multiplicity) for line, m in piece.summands])
-        result = result.direct_sum(piece)
-    return result
+        trivial_rank += piece.trivial_rank * s.multiplicity
+        parts.extend((pos, m * s.multiplicity) for pos, m in piece.parts.items())
+    return BundleExpr.from_positions(source, trivial_rank, parts)
 
 
 def euler_nonzero(b: BundleExpr, budget: int | None = None) -> tuple[bool, str]:
@@ -305,8 +364,8 @@ def euler_nonzero(b: BundleExpr, budget: int | None = None) -> tuple[bool, str]:
     route = "factorized"
     if budget is None:
         budget = expansion_budget()
-    if budget and chern_expansion_cost(b) <= budget:
-        full = homogeneous_component(chern(b, budget=budget), 2 * b.rank)
+    if budget and expansion_fits(b, budget):
+        full = homogeneous_component(chern(b, budget=0), 2 * b.rank)
         if full != fast:
             raise AssertionError("factorized Euler class disagrees with full expansion")
         route = "factorized+full"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
@@ -22,17 +23,24 @@ from .growth import INFINITE, cp_dimension, unit_multiplicity
 from .spaces import SpaceDescriptor, cproj
 
 
+# witness stages whose factor dimensions and bases are kept per process
+STAGE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=STAGE_CACHE_SIZE)
 def factor_dimension(s: int) -> int:
     """Complex dimension of the s-th projective factor, s^2 * s!.
 
     This same number caps the multiplicity a line block may reach before its
     Euler factor dies, which is what the whole construction runs on.
+    Computed once per stage: the bookkeeping reads it many times per stage.
     """
     return cp_dimension(INFINITE, s)
 
 
+@lru_cache(maxsize=STAGE_CACHE_SIZE)
 def witness_base(j: int) -> SpaceDescriptor:
-    """Product of the first j projective factors (no disk part)."""
+    """Product of the first j projective factors (no disk part), built once."""
     if j < 1:
         raise ValueError("need at least one factor")
     return SpaceDescriptor(tuple(cproj(factor_dimension(s), label=f"cp{s}")
@@ -332,10 +340,9 @@ def exact_pushed_coefficients(witness: CfpWitness, j: int) -> dict[int, int]:
     arrivals = {t.stage: t.copies for t in witness.terms}
     coeffs = {s: 0 for s in range(1, j + 1)}
     start = witness.terms[0].stage
-    coeffs[start] = arrivals[start]
+    coeffs[start] = total = arrivals[start]
     for t in range(start, j):
-        total = sum(coeffs.values())
-        coeffs[t + 1] += (t + 1) * total
-        if t + 1 in arrivals:
-            coeffs[t + 1] += arrivals[t + 1]
+        added = (t + 1) * total + arrivals.get(t + 1, 0)
+        coeffs[t + 1] += added
+        total += added
     return coeffs

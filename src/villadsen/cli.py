@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import cfp as cfp_mod
@@ -58,6 +59,25 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int->str digit limit while the engine builds its output.
+
+    Ranks such as (n+1)! pass the default 4300 digits near stage 1700, and a
+    correct result must not turn into an error.  Input documents are parsed
+    before this, under the default limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit(report: dict) -> int:
     reports.validate_report(report)
     print(reports.canonical_json(report))
@@ -73,28 +93,29 @@ def _run_chern(args) -> int:
     summands = [(GradedClass.from_json(pres, s["line"]), int(s["mult"]))
                 for s in bundle_doc.get("summands", [])]
     bundle = BundleExpr(base, int(bundle_doc.get("trivial", "0")), summands)
-    checks = []
-    try:
-        total = chern(bundle)
-        components = {}
-        for degree in sorted(total.degree_support()):
-            components[str(degree)] = homogeneous_component(total, degree).to_json()
-        checks.append(reports.check("chern_components", True, {
-            "rank": str(bundle.rank),
-            "components": components,
+    with _unlimited_int_digits():
+        checks = []
+        try:
+            total = chern(bundle)
+            components = {}
+            for degree in sorted(total.degree_support()):
+                components[str(degree)] = homogeneous_component(total, degree).to_json()
+            checks.append(reports.check("chern_components", True, {
+                "rank": str(bundle.rank),
+                "components": components,
+            }))
+        except GeneratorBudgetExceeded as exc:
+            checks.append(reports.refused("chern_components", str(exc), {
+                "required": str(exc.required), "budget": str(exc.budget)}))
+        top = euler(bundle)
+        checks.append(reports.check("euler_class", True, {
+            "degree": str(2 * bundle.rank),
+            "nonzero": not top.is_zero(),
+            "class": top.to_json(),
         }))
-    except GeneratorBudgetExceeded as exc:
-        checks.append(reports.refused("chern_components", str(exc), {
-            "required": str(exc.required), "budget": str(exc.budget)}))
-    top = euler(bundle)
-    checks.append(reports.check("euler_class", True, {
-        "degree": str(2 * bundle.rank),
-        "nonzero": not top.is_zero(),
-        "class": top.to_json(),
-    }))
-    report = reports.assemble("chern", {"space": space_doc, "bundle": bundle_doc},
-                              checks, started)
-    return _emit(report)
+        report = reports.assemble("chern", {"space": space_doc, "bundle": bundle_doc},
+                                  checks, started)
+        return _emit(report)
 
 
 def _run_vi(args) -> int:
@@ -107,98 +128,100 @@ def _run_vi(args) -> int:
     if not 0 <= start <= stop <= len(steps):
         raise ConfigError(f"stage range [{start}, {stop}] out of bounds")
 
-    checks = []
-    stats = stats_over_range(steps, start, stop)
-    checks.append(reports.check("stage_stats", True, {
-        "from_stage": start, "to_stage": stop,
-        **stats.to_json(),
-        "distinct_ratio": reports.fraction_json(stats.distinct_ratio),
-        "projection_ratio": reports.fraction_json(stats.projection_ratio),
-    }))
+    with _unlimited_int_digits():
+        checks = []
+        stats = stats_over_range(steps, start, stop)
+        checks.append(reports.check("stage_stats", True, {
+            "from_stage": start, "to_stage": stop,
+            **stats.to_json(),
+            "distinct_ratio": reports.fraction_json(stats.distinct_ratio),
+            "projection_ratio": reports.fraction_json(stats.projection_ratio),
+        }))
 
-    trajectory = ratio_trajectory(steps, start)[: stop - start]
-    nonincreasing = all(a >= b for a, b in zip(trajectory, trajectory[1:]))
-    checks.append(reports.check("ratio_trajectory", nonincreasing, {
-        "values": [reports.fraction_json(v) for v in trajectory],
-    }))
+        trajectory = ratio_trajectory(steps, start)[: stop - start]
+        nonincreasing = all(a >= b for a, b in zip(trajectory, trajectory[1:]))
+        checks.append(reports.check("ratio_trajectory", nonincreasing, {
+            "values": [reports.fraction_json(v) for v in trajectory],
+        }))
 
-    checks.append(reports.check("projection_ratio_estimate", True, {
-        "value": reports.fraction_json(stats.projection_ratio),
-        "finite_stage": True,
-        "from_stage": start, "to_stage": stop,
-    }))
+        checks.append(reports.check("projection_ratio_estimate", True, {
+            "value": reports.fraction_json(stats.projection_ratio),
+            "finite_stage": True,
+            "from_stage": start, "to_stage": stop,
+        }))
 
-    if args.witness is not None:
-        try:
-            mults = composed_projection_multiplicities(steps, start, stop)
-            if not mults:
-                checks.append(reports.check(
-                    "top_chern_witness", False,
-                    message="no composed coordinate projections in this range"))
-            else:
-                witness = top_chern_witness(args.witness, mults)
-                checks.append(reports.check("top_chern_witness", True, {
-                    **witness.to_json(),
-                    "distinct_projections": str(len(mults)),
-                }))
-        except GeneratorBudgetExceeded as exc:
-            checks.append(reports.refused("top_chern_witness", str(exc)))
-        contradiction = ratio_contradiction_check(args.witness, stats)
-        ok = (not contradiction.hypothesis_holds) or contradiction.contradiction
-        checks.append(reports.check("ratio_contradiction", ok,
-                                    contradiction.to_json()))
+        if args.witness is not None:
+            try:
+                mults = composed_projection_multiplicities(steps, start, stop)
+                if not mults:
+                    checks.append(reports.check(
+                        "top_chern_witness", False,
+                        message="no composed coordinate projections in this range"))
+                else:
+                    witness = top_chern_witness(args.witness, mults)
+                    checks.append(reports.check("top_chern_witness", True, {
+                        **witness.to_json(),
+                        "distinct_projections": str(len(mults)),
+                    }))
+            except GeneratorBudgetExceeded as exc:
+                checks.append(reports.refused("top_chern_witness", str(exc)))
+            contradiction = ratio_contradiction_check(args.witness, stats)
+            ok = (not contradiction.hypothesis_holds) or contradiction.contradiction
+            checks.append(reports.check("ratio_contradiction", ok,
+                                        contradiction.to_json()))
 
-    report = reports.assemble("vi", {"config": config_doc,
-                                     "from": start, "stage": stop,
-                                     "witness": args.witness},
-                              checks, started)
-    return _emit(report)
+        report = reports.assemble("vi", {"config": config_doc,
+                                         "from": start, "stage": stop,
+                                         "witness": args.witness},
+                                  checks, started)
+        return _emit(report)
 
 
 def _run_v2(args) -> int:
     started = time.perf_counter()
     params = SystemParams(parse_family_parameter(args.k))
-    n = args.n
-    want_trace = args.trace or not (args.rc or args.comparability)
-    checks = []
+    with _unlimited_int_digits():
+        n = args.n
+        want_trace = args.trace or not (args.rc or args.comparability)
+        checks = []
 
-    if want_trace:
-        space = stage_space(params, n)
-        unit = unit_bundle(params, n)
-        unit_trace = trace_value(params, n, unit)
-        cert = {
-            "stage": n,
-            "dimension": str(space.real_dimension),
-            "rank": str(unit.rank),
-            "unit_trace": reports.fraction_json(unit_trace),
-            "trivial_line_trace": reports.fraction_json(Fraction(1, unit.rank)),
-        }
-        if n >= 1:
-            cert["witness_sum_trace"] = reports.fraction_json(
-                trace_value(params, n, obstruction_bundle(params, n)))
-        checks.append(reports.check("trace_table", unit_trace == 1, cert))
+        if want_trace:
+            space = stage_space(params, n)
+            unit = unit_bundle(params, n)
+            unit_trace = trace_value(params, n, unit)
+            cert = {
+                "stage": n,
+                "dimension": str(space.real_dimension),
+                "rank": str(unit.rank),
+                "unit_trace": reports.fraction_json(unit_trace),
+                "trivial_line_trace": reports.fraction_json(Fraction(1, unit.rank)),
+            }
+            if n >= 1:
+                cert["witness_sum_trace"] = reports.fraction_json(
+                    trace_value(params, n, obstruction_bundle(params, n)))
+            checks.append(reports.check("trace_table", unit_trace == 1, cert))
 
-    if args.comparability:
-        if n < 1:
-            raise ConfigError("comparability needs a stage >= 1")
-        verify_stage = args.stage if args.stage is not None else n
-        try:
-            triple = comparability_triple(params, n, verify_stage)
-            checks.append(reports.check("comparability_triple", triple.passed,
-                                        triple.to_json()))
-        except GeneratorBudgetExceeded as exc:
-            checks.append(reports.refused("comparability_triple", str(exc)))
+        if args.comparability:
+            if n < 1:
+                raise ConfigError("comparability needs a stage >= 1")
+            verify_stage = args.stage if args.stage is not None else n
+            try:
+                triple = comparability_triple(params, n, verify_stage)
+                checks.append(reports.check("comparability_triple", triple.passed,
+                                            triple.to_json()))
+            except GeneratorBudgetExceeded as exc:
+                checks.append(reports.refused("comparability_triple", str(exc)))
 
-    if args.rc:
-        rc = radius_of_comparison(params, n)
-        checks.append(reports.check("radius_of_comparison", rc.passed, rc.to_json()))
+        if args.rc:
+            rc = radius_of_comparison(params, n)
+            checks.append(reports.check("radius_of_comparison", rc.passed, rc.to_json()))
 
-    report = reports.assemble("v2", {"k": args.k, "n": n, "stage": args.stage,
-                                     "rc": args.rc,
-                                     "comparability": args.comparability,
-                                     "trace": want_trace},
-                              checks, started)
-    return _emit(report)
+        report = reports.assemble("v2", {"k": args.k, "n": n, "stage": args.stage,
+                                         "rc": args.rc,
+                                         "comparability": args.comparability,
+                                         "trace": want_trace},
+                                  checks, started)
+        return _emit(report)
 
 
 def _run_cfp(args) -> int:
@@ -206,29 +229,30 @@ def _run_cfp(args) -> int:
     overrides = None
     if args.override_l:
         overrides = [int(x) for x in args.override_l.split(",") if x.strip()]
-    witness = cfp_mod.build_witness(args.terms, overrides)
-    checks = []
-    construction_cert: dict = {"witness": witness.to_json()}
-    if not witness.overridden:
-        construction_cert["first_stage"] = cfp_mod.first_stage_certificate()
-    checks.append(reports.check("witness_stages", True, construction_cert))
+    with _unlimited_int_digits():
+        witness = cfp_mod.build_witness(args.terms, overrides)
+        checks = []
+        construction_cert: dict = {"witness": witness.to_json()}
+        if not witness.overridden:
+            construction_cert["first_stage"] = cfp_mod.first_stage_certificate()
+        checks.append(reports.check("witness_stages", True, construction_cert))
 
-    for term in witness.terms:
-        verdict = cfp_mod.verify_upper(term)
-        checks.append(reports.check(
-            f"upper_term_{term.index}",
-            verdict.outcome == Outcome.DOMINATES,
-            {"stage": term.stage, "copies": str(term.copies),
-             **verdict.to_json()}))
+        for term in witness.terms:
+            verdict = cfp_mod.verify_upper(term)
+            checks.append(reports.check(
+                f"upper_term_{term.index}",
+                verdict.outcome == Outcome.DOMINATES,
+                {"stage": term.stage, "copies": str(term.copies),
+                 **verdict.to_json()}))
 
-    stage = args.stage if args.stage is not None else witness.terms[-1].stage
-    lower = cfp_mod.verify_lower(witness, stage)
-    checks.append(reports.check("lower_bound", lower.passed, lower.to_json()))
+        stage = args.stage if args.stage is not None else witness.terms[-1].stage
+        lower = cfp_mod.verify_lower(witness, stage)
+        checks.append(reports.check("lower_bound", lower.passed, lower.to_json()))
 
-    report = reports.assemble("cfp", {"terms": args.terms, "stage": stage,
-                                      "override_l": args.override_l},
-                              checks, started)
-    return _emit(report)
+        report = reports.assemble("cfp", {"terms": args.terms, "stage": stage,
+                                          "override_l": args.override_l},
+                                  checks, started)
+        return _emit(report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,10 +11,15 @@ whose exponent reaches its cap is identically zero and is dropped on sight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import PresentationMismatchError
 from .spaces import CONSTANT, PROJECTION, SpaceDescriptor, SpaceMap
+
+# distinct spaces whose rings are kept; a v2 or cfp run walks one stage
+# space per stage, so this covers every stage the CLI reaches in seconds
+PRESENTATION_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -24,25 +29,48 @@ class Generator:
     factor_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingPresentation:
-    """The ring of a space: its degree-2 generators with their power caps."""
+    """The ring of a space: its degree-2 generators with their power caps.
+
+    A generator's position in `generators` is its exponent slot in every
+    class over the ring; `caps` lists the caps by position and `positions`
+    maps a factor index to the position of its generator.
+    """
 
     space: SpaceDescriptor
     generators: tuple[Generator, ...]
+    caps: tuple[int, ...] = field(init=False, repr=False)
+    positions: dict[int, int] = field(init=False, repr=False)
+    all_square_zero: bool = field(init=False, repr=False)
 
-    @property
-    def all_square_zero(self) -> bool:
-        return all(g.cap == 2 for g in self.generators)
+    def __post_init__(self):
+        caps = tuple(g.cap for g in self.generators)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "positions",
+                           {g.factor_index: pos for pos, g in enumerate(self.generators)})
+        object.__setattr__(self, "all_square_zero", all(c == 2 for c in caps))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, RingPresentation):
+            return NotImplemented
+        return self.space == other.space and self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash(self.space)
 
     def generator_position(self, factor_index: int) -> int:
-        for pos, g in enumerate(self.generators):
-            if g.factor_index == factor_index:
-                return pos
-        raise KeyError(f"factor {factor_index} carries no generator")
+        try:
+            return self.positions[factor_index]
+        except KeyError:
+            raise KeyError(f"factor {factor_index} carries no generator") from None
 
 
+@lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
 def presentation_of(space: SpaceDescriptor) -> RingPresentation:
+    """The ring of a space, built once per space and then served from a cache."""
     gens = []
     for idx, atom in enumerate(space.factors):
         cap = atom.generator_cap
@@ -64,7 +92,7 @@ class GradedClass:
     __slots__ = ("presentation", "terms")
 
     def __init__(self, presentation: RingPresentation, terms: dict | None = None):
-        caps = [g.cap for g in presentation.generators]
+        caps = presentation.caps
         clean = {}
         for exps, coeff in (terms or {}).items():
             if coeff == 0:
@@ -93,10 +121,18 @@ class GradedClass:
 
     @staticmethod
     def generator(presentation: RingPresentation, factor_index: int) -> "GradedClass":
-        pos = presentation.generator_position(factor_index)
+        return GradedClass.generator_at(presentation,
+                                        presentation.generator_position(factor_index))
+
+    @staticmethod
+    def generator_at(presentation: RingPresentation, position: int) -> "GradedClass":
+        """The generator in exponent slot `position`, coefficient one."""
         n = len(presentation.generators)
-        exps = tuple(1 if i == pos else 0 for i in range(n))
-        return GradedClass(presentation, {exps: 1})
+        if not 0 <= position < n:
+            raise IndexError(f"no generator at position {position}")
+        exps = [0] * n
+        exps[position] = 1
+        return GradedClass(presentation, {tuple(exps): 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -187,7 +223,7 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
         return GradedClass.zero(pres)
     if pres.all_square_zero:
         return _cup_square_zero(a, b)
-    caps = [g.cap for g in pres.generators]
+    caps = pres.caps
     out: dict = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -251,6 +287,25 @@ def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     return GradedClass(a.presentation, picked)
 
 
+def pullback_positions(f: SpaceMap) -> tuple[int, ...]:
+    """Where a coordinate projection sends each target generator.
+
+    Entry p is the source position of the generator that target position p
+    pulls back to.
+    """
+    f = f.normalize()
+    if f.kind != PROJECTION:
+        raise ValueError("only coordinate projections move generators")
+    source_pres = presentation_of(f.source)
+    out = []
+    for g in presentation_of(f.target).generators:
+        try:
+            out.append(source_pres.generator_position(f.indices[g.factor_index]))
+        except KeyError as exc:  # cannot happen for valid projections
+            raise PresentationMismatchError(f"generator {g.gid} has no image") from exc
+    return tuple(out)
+
+
 def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
     """Pull a class back along a space map; a ring homomorphism.
 
@@ -259,21 +314,13 @@ def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
     degree dies and the constant term survives.
     """
     f = f.normalize()
-    target_pres = presentation_of(f.target)
-    if a.presentation != target_pres:
+    if a.presentation != presentation_of(f.target):
         raise PresentationMismatchError("class does not live over the map's target")
     source_pres = presentation_of(f.source)
     if f.kind == CONSTANT:
         return GradedClass.unit(source_pres, a.constant_term())
-    assert f.kind == PROJECTION
+    position_map = pullback_positions(f)
     n_src = len(source_pres.generators)
-    position_map = []
-    for g in target_pres.generators:
-        src_factor = f.indices[g.factor_index]
-        try:
-            position_map.append(source_pres.generator_position(src_factor))
-        except KeyError as exc:  # cannot happen for valid projections
-            raise PresentationMismatchError(f"generator {g.gid} has no image") from exc
     out: dict = {}
     for exps, coeff in a.terms.items():
         key = [0] * n_src

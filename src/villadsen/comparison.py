@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, field
 
 from .bundles import BundleExpr, euler_nonzero
-from .cohomology import presentation_of
 from .errors import BaseMismatchError
 
 
@@ -106,9 +105,5 @@ def min_rank_stably_equivalent(y: BundleExpr) -> int:
     coefficients, so no cancellation can occur and the top surviving degree
     is the sum over summands of min(multiplicity, cap-1).
     """
-    pres = presentation_of(y.base)
-    total = 0
-    for line, mult in y.summands:
-        pos = next(iter(line.terms)).index(1)
-        total += min(mult, pres.generators[pos].cap - 1)
-    return total
+    caps = y.presentation.caps
+    return sum(min(mult, caps[pos] - 1) for pos, mult in y.parts.items())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -64,11 +65,25 @@ def normalize_report(doc: dict) -> dict:
     return out
 
 
-def load_schema() -> dict:
+@lru_cache(maxsize=1)
+def _report_validator():
+    # read the packaged schema and check it against its metaschema once per
+    # process; every report is then validated with this one validator
     text = resources.files("villadsen.schemas").joinpath("report.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def load_schema() -> dict:
+    """The packaged report schema, read and checked once per process (shared;
+    do not modify it)."""
+    return _report_validator().schema
 
 
 def validate_report(doc: dict) -> None:
     """Raise jsonschema.ValidationError unless the report matches the schema."""
-    jsonschema.validate(doc, load_schema())
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(doc))
+    if error is not None:
+        raise error

@@ -87,19 +87,36 @@ def cproj(n: int, label: str = "") -> SpaceAtom:
     return SpaceAtom(CPROJ, n, label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
     """An ordered finite product of atoms.
 
     Factor order is canonical (stage of introduction, then position within
     the stage) and is preserved by serialization, so factor indices are
     stable identifiers for projections and ring generators.
+
+    Descriptors key the ring and stage caches, so the hash is computed once,
+    when the descriptor is built, and equality compares hashes before
+    factors.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(factors))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SpaceDescriptor):
+            return NotImplemented
+        return self._hash == other._hash and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def real_dimension(self) -> int:

@@ -17,6 +17,7 @@ from functools import reduce
 
 from .cohomology import GradedClass, cup, homogeneous_component, presentation_of
 from .errors import ConfigError, GeneratorBudgetExceeded
+from .reports import fraction_json
 from .spaces import spheres
 
 
@@ -134,7 +135,7 @@ class FiniteStageEstimate:
 
     def to_json(self) -> dict:
         return {
-            "value": {"num": str(self.value.numerator), "den": str(self.value.denominator)},
+            "value": fraction_json(self.value),
             "from_stage": self.from_stage,
             "to_stage": self.to_stage,
             "finite_stage": self.finite_stage,
@@ -244,16 +245,14 @@ class RatioContradiction:
     contradiction: bool
 
     def to_json(self) -> dict:
-        def fr(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
         return {
             "n": self.n,
-            "ratio": fr(self.ratio),
-            "threshold": fr(self.threshold),
+            "ratio": fraction_json(self.ratio),
+            "threshold": fraction_json(self.threshold),
             "hypothesis_holds": self.hypothesis_holds,
             "rank_bound_holds": self.rank_bound_holds,
-            "fixed_point_bound": fr(self.fixed_point_bound),
-            "forced_square": fr(self.forced_square),
+            "fixed_point_bound": fraction_json(self.fixed_point_bound),
+            "forced_square": fraction_json(self.forced_square),
             "strict_drop": self.strict_drop,
             "contradiction": self.contradiction,
         }

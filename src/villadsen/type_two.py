@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .bundles import BundleExpr, DiagonalSlot, pushforward_diagonal, trivial_bundle
+from .bundles import BundleExpr, DiagonalSlot, line_sum, pushforward_diagonal, trivial_bundle
 from .cohomology import GradedClass, presentation_of
 from .comparison import (
     Outcome,
@@ -29,7 +30,12 @@ from .growth import (
     unit_multiplicity,
     unit_rank,
 )
+from .reports import fraction_json
 from .spaces import SpaceDescriptor, SpaceMap, constant, cproj, disk, projection
+
+# stage spaces kept per process; each stage is reused by every bundle,
+# slot and trace at that stage instead of being rebuilt
+STAGE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -56,13 +62,16 @@ def _disk_power(params: SystemParams, n: int) -> int:
     return n * unit_multiplicity(n) ** 2
 
 
+@lru_cache(maxsize=STAGE_CACHE_SIZE)
 def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
-    """The stage-n base space.
+    """The stage-n base space, built once per (params, n) and then cached.
 
     Factors are ordered by stage of introduction.  For the infinite family
     the disk power grows stage by stage, and the increments are kept as
     separate factors so that the map to the previous stage is an exact
-    coordinate projection; the increments total n*sigma(n)^2.
+    coordinate projection; the increments total n*sigma(n)^2.  Disks carry
+    no generator, so the stage-j projective factor carries ring generator
+    position j-1.
     """
     if n < 0:
         raise ValueError("stage must be >= 0")
@@ -75,15 +84,17 @@ def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
     return SpaceDescriptor(tuple(atoms))
 
 
-def cp_factor_indices(space: SpaceDescriptor) -> list[int]:
-    """Indices of the projective factors, in stage order."""
-    return [i for i, a in enumerate(space.factors) if a.kind == "cp"]
-
-
 def cp_line(space: SpaceDescriptor, j: int) -> GradedClass:
-    """First Chern class of the stage-j tautological line pulled to `space`."""
-    idx = cp_factor_indices(space)[j - 1]
-    return GradedClass.generator(presentation_of(space), idx)
+    """First Chern class of the stage-j tautological line pulled to a stage space."""
+    if j < 1:
+        raise ValueError("projective factors start at stage 1")
+    return GradedClass.generator_at(presentation_of(space), j - 1)
+
+
+def _stage_lines(params: SystemParams, n: int, trivial_rank: int, mult) -> BundleExpr:
+    """Stage-n bundle with mult(j) copies of each stage-j line, j = 1..n."""
+    return BundleExpr.from_positions(stage_space(params, n), trivial_rank,
+                                     [(j - 1, mult(j)) for j in range(1, n + 1)])
 
 
 def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
@@ -92,9 +103,7 @@ def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
     Rank is checked two ways: the sum of the block multiplicities and the
     telescoped value (n+1)!.
     """
-    space = stage_space(params, n)
-    summands = [(cp_line(space, j), unit_multiplicity(j)) for j in range(1, n + 1)]
-    bundle = BundleExpr(space, 1, summands)
+    bundle = _stage_lines(params, n, 1, unit_multiplicity)
     direct = 1 + sum(unit_multiplicity(j) for j in range(1, n + 1))
     if bundle.rank != direct or bundle.rank != unit_rank(n):
         raise AssertionError("unit rank bookkeeping is inconsistent")
@@ -150,13 +159,7 @@ def trace_value(params: SystemParams, n: int, bundle: BundleExpr) -> Fraction:
 
 def obstruction_bundle(params: SystemParams, n: int) -> BundleExpr:
     """The stage-n witness sum: cp_dimension(k, i) copies of each stage line."""
-    space = stage_space(params, n)
-    summands = [(cp_line(space, i), cp_dimension(params.k, i)) for i in range(1, n + 1)]
-    return BundleExpr(space, 0, summands)
-
-
-def _fr(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return _stage_lines(params, n, 0, lambda i: cp_dimension(params.k, i))
 
 
 @dataclass(frozen=True)
@@ -224,9 +227,7 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
     for i in range(1, n + 1):
         dim = cp_dimension(params.k, i)
         one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
-        doubled = BundleExpr(one_factor, 0,
-                             [(GradedClass.generator(presentation_of(one_factor), 0),
-                               2 * dim)])
+        doubled = line_sum(one_factor, [(0, 2 * dim)])
         verdict = trivial_line_subbundle_sufficient(doubled)
         line_records.append({"i": i, "cp_dimension": str(dim),
                              "rank": str(doubled.rank),
@@ -234,16 +235,13 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
                              "certificate": verdict.certificate})
 
     chain_records = []
-    current = obstruction_bundle(params, n)
+    start = current = obstruction_bundle(params, n)
     for ell in range(n, j):
         pushed = pushforward_diagonal(current, connecting_slots(params, ell))
         target = obstruction_bundle(params, ell + 1)
-        capacity = {next(iter(line.terms)): m for line, m in target.summands}
-        ok = all(m <= capacity.get(next(iter(line.terms)), 0)
-                 for line, m in pushed.summands)
-        new_key = next(iter(cp_line(stage_space(params, ell + 1), ell + 1).terms))
-        new_coeff = {next(iter(line.terms)): m
-                     for line, m in pushed.summands}.get(new_key, 0)
+        ok = all(m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
+        # the stage-(ell+1) line sits at generator position ell
+        new_coeff = pushed.parts.get(ell, 0)
         chain_records.append({
             "from_stage": ell,
             "to_stage": ell + 1,
@@ -254,17 +252,16 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
         })
         current = target
 
-    witness = obstruction_bundle(params, j)
-    verdict = obstructed_by_euler(trivial_bundle(stage_space(params, j), 1),
-                                  witness, budget=budget)
+    witness = current
+    verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness, budget=budget)
     euler_record = {"outcome": verdict.outcome.value, "certificate": verdict.certificate,
                     "witness_rank": str(witness.rank)}
 
     unit_line_trace = Fraction(1, unit_rank(n))
-    q_sum = trace_value(params, n, obstruction_bundle(params, n))
+    q_sum = trace_value(params, n, start)
     traces: dict = {
-        "unit_line": _fr(unit_line_trace),
-        "q_sum": _fr(q_sum),
+        "unit_line": fraction_json(unit_line_trace),
+        "q_sum": fraction_json(q_sum),
     }
     if params.k is not INFINITE:
         closed = Fraction(params.k * unit_rank(n) - params.k, unit_rank(n))
@@ -279,7 +276,8 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
             lower = Fraction(m * m, m + 1)
             if exact < lower:
                 raise AssertionError("divergence lower bound fails")
-            entries.append({"stage": m, "exact": _fr(exact), "lower_bound": _fr(lower)})
+            entries.append({"stage": m, "exact": fraction_json(exact),
+                            "lower_bound": fraction_json(lower)})
         traces["entries"] = entries
         traces["divergent"] = True
 
@@ -330,38 +328,38 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
     if max_stage < 0:
         raise ValueError("need a stage >= 0")
     stages = []
+    witnesses = []
     previous = None
     for m in range(0, max_stage + 1):
         space = stage_space(params, m)
         rank = unit_rank(m)
         value = Fraction(space.real_dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
-               "value": _fr(value)}
+               "value": fraction_json(value)}
         if params.k is not INFINITE:
             rec["equals_parameter"] = value == params.k
         else:
             rec["nondecreasing"] = previous is None or value >= previous
         stages.append(rec)
         previous = value
+        if m == 0:
+            continue
 
-    witnesses = []
-    for m in range(1, max_stage + 1):
-        tau_e = Fraction(1, unit_rank(m))
-        q_sum = trace_value(params, m, obstruction_bundle(params, m))
-        verdict = obstructed_by_euler(trivial_bundle(stage_space(params, m), 1),
-                                      obstruction_bundle(params, m), budget=0)
+        witness = obstruction_bundle(params, m)
+        q_sum = trace_value(params, m, witness)
+        verdict = obstructed_by_euler(trivial_bundle(space, 1), witness, budget=0)
         rec = {
             "stage": m,
-            "trace_trivial_line": _fr(tau_e),
-            "trace_witness_sum": _fr(q_sum),
+            "trace_trivial_line": fraction_json(Fraction(1, rank)),
+            "trace_witness_sum": fraction_json(q_sum),
             "obstructed": verdict.outcome == Outcome.OBSTRUCTED,
         }
         if params.k is not INFINITE:
-            rec["lower_bound"] = _fr(params.k - Fraction(params.k + 1, unit_rank(m)))
+            rec["lower_bound"] = fraction_json(params.k - Fraction(params.k + 1, rank))
         else:
             # witness traces grow at least like m^2/(m+1), which diverges
             bound = Fraction(m * m, m + 1)
-            rec["divergence_lower_bound"] = _fr(bound)
+            rec["divergence_lower_bound"] = fraction_json(bound)
             rec["bound_holds"] = q_sum >= bound
         witnesses.append(rec)
 

@@ -226,3 +226,21 @@ def test_env_budget_parsing(monkeypatch):
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "-1")
     with pytest.raises(ValueError):
         expansion_budget()
+
+
+def test_position_keyed_construction_matches_checked_lines():
+    space = SpaceDescriptor((cproj(2), *spheres(2).factors))
+    pres = presentation_of(space)
+    lines = [GradedClass.generator_at(pres, pos) for pos in range(3)]
+    checked = BundleExpr(space, 1, [(lines[0], 2), (lines[2], 1), (lines[0], 3)])
+    keyed = BundleExpr.from_positions(space, 1, [(0, 2), (2, 1), (0, 3)])
+    assert keyed == checked and hash(keyed) == hash(checked)
+    assert keyed.parts == {2: 1, 0: 5}
+    # summands and JSON list lines in the order of their exponent vectors
+    assert keyed.summands == ((lines[2], 1), (lines[0], 5))
+    assert [s["line"]["terms"][0]["exponents"] for s in keyed.to_json()["summands"]] \
+        == [[0, 0, 1], [1, 0, 0]]
+    with pytest.raises(InvalidLineClassError):
+        BundleExpr.from_positions(space, 0, [(3, 1)])
+    with pytest.raises(ValueError):
+        BundleExpr.from_positions(space, 0, [(0, -1)])

@@ -1,4 +1,6 @@
 import json
+import sys
+from math import factorial
 
 import pytest
 
@@ -166,3 +168,28 @@ def test_reports_deterministic_and_round_trip(capsys):
     # canonical encoding round-trips byte-identically
     assert canonical_json(doc1) == out1.strip()
     assert canonical_json(json.loads(canonical_json(doc1))) == canonical_json(doc1)
+
+
+def test_v2_rank_beyond_default_digit_limit(capsys):
+    # (n+1)! has more than the 4300 digits Python prints by default
+    n = 1700
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "v2", "-k", "2", "-n", str(n), "--trace")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    rank = json.loads(out)["checks"][0]["certificate"]["rank"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rank == str(factorial(n + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(rank) > 4300
+
+
+def test_input_documents_keep_the_default_digit_limit(tmp_path, capsys):
+    space, bundle = write_sphere_pair(tmp_path)
+    doc = json.loads(open(bundle).read())
+    doc["summands"][0]["mult"] = "9" * (sys.get_int_max_str_digits() + 1)
+    open(bundle, "w").write(json.dumps(doc))
+    code, _ = run_cli(capsys, "chern", "--space", space, "--bundle", bundle)
+    assert code == 1

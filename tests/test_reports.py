@@ -1,0 +1,28 @@
+import json
+from importlib import resources
+
+import jsonschema
+import pytest
+
+from villadsen.reports import load_schema, validate_report
+
+
+def test_packaged_schema_is_a_valid_schema():
+    text = resources.files("villadsen.schemas").joinpath("report.schema.json").read_text()
+    schema = json.loads(text)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert load_schema() == schema
+
+
+def test_schema_is_loaded_once():
+    assert load_schema() is load_schema()
+
+
+def test_every_report_is_still_validated():
+    good = {"command": "v2", "inputs": {}, "checks": [], "ok": True,
+            "engine_version": "x", "wall_time_ms": "3"}
+    validate_report(good)
+    for bad in ({**good, "wall_time_ms": "3.5"}, {**good, "extra": 1},
+                {**good, "checks": [{"name": "c", "outcome": "maybe"}]}):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(bad)
