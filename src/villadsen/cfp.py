@@ -20,36 +20,39 @@ from .bundles import BundleExpr, line_sum, trivial_bundle
 from .comparison import ComparisonVerdict, obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError
 from .growth import INFINITE, cp_dimension, unit_multiplicity
-from .spaces import SpaceDescriptor, cproj
+from .spaces import SPACE_CACHE_SIZE, SpaceDescriptor, cproj
 
 
-# witness stages whose factor dimensions and bases are kept per process
-STAGE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=STAGE_CACHE_SIZE)
 def factor_dimension(s: int) -> int:
     """Complex dimension of the s-th projective factor, s^2 * s!.
 
     This same number caps the multiplicity a line block may reach before its
     Euler factor dies, which is what the whole construction runs on.
-    Computed once per stage: the bookkeeping reads it many times per stage.
     """
     return cp_dimension(INFINITE, s)
 
 
-@lru_cache(maxsize=STAGE_CACHE_SIZE)
+def factor_dimensions(j: int) -> list[int]:
+    """factor_dimension(s) for s = 1..j, from one running factorial."""
+    dims, running = [], 1
+    for s in range(1, j + 1):
+        running *= s
+        dims.append(s * s * running)
+    return dims
+
+
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def witness_base(j: int) -> SpaceDescriptor:
-    """Product of the first j projective factors (no disk part), built once."""
+    """Product of the first j projective factors (no disk part)."""
     if j < 1:
         raise ValueError("need at least one factor")
-    return SpaceDescriptor(tuple(cproj(factor_dimension(s), label=f"cp{s}")
-                                 for s in range(1, j + 1)))
+    return SpaceDescriptor(tuple(cproj(dim, label=f"cp{s}")
+                                 for s, dim in enumerate(factor_dimensions(j), start=1)))
 
 
 def half_dimension_sum(j: int) -> int:
     """Half the real dimension of the first-j-factors base: sum of factor dims."""
-    return sum(factor_dimension(s) for s in range(1, j + 1))
+    return sum(factor_dimensions(j))
 
 
 def unit_over_witness_base(j: int) -> BundleExpr:
@@ -62,7 +65,7 @@ def unit_over_witness_base(j: int) -> BundleExpr:
 def capacity_bundle(j: int) -> BundleExpr:
     """The dominating sum: factor_dimension(s) copies of each line, s <= j."""
     base = witness_base(j)
-    return line_sum(base, [(s - 1, factor_dimension(s)) for s in range(1, j + 1)])
+    return line_sum(base, [(pos, atom.size) for pos, atom in enumerate(base.factors)])
 
 
 # -- choice of witness stages -------------------------------------------------
@@ -256,21 +259,24 @@ def verify_lower(witness: CfpWitness, stage: int | None = None,
     if j < terms[-1].stage:
         raise ValueError("verification stage must reach the last witness stage")
 
+    base = witness_base(j)
+    # dim[s] is the stage-s factor dimension, the cap of the stage-s line
+    dim = [0] + [atom.size for atom in base.factors]
     failures: list[str] = []
     rows = []
     first = terms[0]
-    ok0 = first.copies <= factor_dimension(first.stage)
+    ok0 = first.copies <= dim[first.stage]
     if not ok0:
         failures.append(f"term 1 exceeds its cap at stage {first.stage}")
     rows.append({
         "term": 1, "stage": first.stage,
         "added_copies": str(first.copies),
-        "cap": str(factor_dimension(first.stage)),
+        "cap": str(dim[first.stage]),
         "ok": ok0,
     })
     for term, prev_term in zip(terms[1:], terms):
         prev, cur = prev_term.stage, term.stage
-        dominated_rank = half_dimension_sum(prev)
+        dominated_rank = sum(dim[1:prev + 1])
         fact = factorial(prev + 1)
         intermediate = []
         for t in range(prev + 1, cur + 1):
@@ -279,51 +285,51 @@ def verify_lower(witness: CfpWitness, stage: int | None = None,
                 raise AssertionError("pushforward coefficient is not integral")
             coeff = numerator // fact
             total = coeff + (term.copies if t == cur else 0)
-            ok_t = total <= factor_dimension(t)
+            ok_t = total <= dim[t]
             if not ok_t:
                 failures.append(f"dominating coefficient exceeds cap at stage {t}")
             intermediate.append({"stage": t, "pushed": str(coeff),
                                  "total": str(total),
-                                 "cap": str(factor_dimension(t)), "ok": ok_t})
+                                 "cap": str(dim[t]), "ok": ok_t})
         growth_lhs = dominated_rank * unit_multiplicity(cur) // fact
-        growth_ok = 2 * growth_lhs <= factor_dimension(cur)
+        growth_ok = 2 * growth_lhs <= dim[cur]
         if not growth_ok:
             failures.append(f"growth inequality fails entering stage {cur}")
         rows.append({
             "term": term.index, "from_stage": prev, "to_stage": cur,
             "dominated_rank": str(dominated_rank),
             "growth_lhs": str(growth_lhs),
-            "growth_rhs_half_cap": str(factor_dimension(cur) // 2),
+            "growth_rhs_half_cap": str(dim[cur] // 2),
             "growth_ok": growth_ok,
             "combined": str(growth_lhs + term.copies),
-            "cap": str(factor_dimension(cur)),
-            "combined_ok": growth_lhs + term.copies <= factor_dimension(cur),
+            "cap": str(dim[cur]),
+            "combined_ok": growth_lhs + term.copies <= dim[cur],
             "intermediate": intermediate,
         })
 
     stretch = []
+    rank_t = sum(dim[1:terms[-1].stage + 1])
     for t in range(terms[-1].stage, j):
-        rank_t = half_dimension_sum(t)
         new = (t + 1) * rank_t
-        ok_t = new <= factor_dimension(t + 1)
+        ok_t = new <= dim[t + 1]
         if not ok_t:
             failures.append(f"capacity push fails from stage {t}")
         stretch.append({"from_stage": t, "to_stage": t + 1,
                         "new_multiplicity": str(new),
-                        "cap": str(factor_dimension(t + 1)), "ok": ok_t})
+                        "cap": str(dim[t + 1]), "ok": ok_t})
+        rank_t += dim[t + 1]
 
     pushed = exact_pushed_coefficients(witness, j)
     pushed_table = []
     for s in range(1, j + 1):
-        cap = factor_dimension(s)
+        cap = dim[s]
         ok_s = pushed[s] <= cap
         if not ok_s:
             failures.append(f"exact pushed coefficient exceeds cap at stage {s}")
         pushed_table.append({"stage": s, "coefficient": str(pushed[s]),
                              "cap": str(cap), "ok": ok_s})
 
-    verdict = obstructed_by_euler(trivial_bundle(witness_base(j), 1),
-                                  capacity_bundle(j), budget=budget)
+    verdict = obstructed_by_euler(trivial_bundle(base, 1), capacity_bundle(j), budget=budget)
     euler = {"outcome": verdict.outcome.value, "certificate": verdict.certificate}
     if verdict.outcome.value != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")

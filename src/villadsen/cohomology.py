@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import PresentationMismatchError
-from .spaces import CONSTANT, PROJECTION, SpaceDescriptor, SpaceMap
-
-# distinct spaces whose rings are kept; a v2 or cfp run walks one stage
-# space per stage, so this covers every stage the CLI reaches in seconds
-PRESENTATION_CACHE_SIZE = 1024
+from .spaces import CONSTANT, PROJECTION, SPACE_CACHE_SIZE, SpaceDescriptor, SpaceMap
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,9 @@ class RingPresentation:
             raise KeyError(f"factor {factor_index} carries no generator") from None
 
 
-@lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def presentation_of(space: SpaceDescriptor) -> RingPresentation:
-    """The ring of a space, built once per space and then served from a cache."""
+    """The ring of a space, served from a cache of the last few spaces used."""
     gens = []
     for idx, atom in enumerate(space.factors):
         cap = atom.generator_cap

@@ -17,6 +17,15 @@ DISK = "disk"
 SPHERE2 = "s2"
 CPROJ = "cp"
 
+# Entries kept by each space-keyed cache (rings, stage spaces, witness bases).
+# A CLI call walks its stages in order and touches stage m next to m-1 or
+# m+1.  Measured with cold caches per call, as the benchmark runs them, on
+# all three workloads of `bench/workloads.py` (seeds 201 and 202): every hit
+# is to one of the last 2 distinct keys of its cache, except in at most one
+# lookup per call, where `v2 --rc` or an infinite-family `v2 --comparability`
+# comes back to a stage after a sweep past it and rebuilds it once.
+SPACE_CACHE_SIZE = 2
+
 
 @dataclass(frozen=True)
 class SpaceAtom:

@@ -31,11 +31,15 @@ from .growth import (
     unit_rank,
 )
 from .reports import fraction_json
-from .spaces import SpaceDescriptor, SpaceMap, constant, cproj, disk, projection
-
-# stage spaces kept per process; each stage is reused by every bundle,
-# slot and trace at that stage instead of being rebuilt
-STAGE_CACHE_SIZE = 1024
+from .spaces import (
+    SPACE_CACHE_SIZE,
+    SpaceDescriptor,
+    SpaceMap,
+    constant,
+    cproj,
+    disk,
+    projection,
+)
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,9 @@ def _disk_power(params: SystemParams, n: int) -> int:
     return n * unit_multiplicity(n) ** 2
 
 
-@lru_cache(maxsize=STAGE_CACHE_SIZE)
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
-    """The stage-n base space, built once per (params, n) and then cached.
+    """The stage-n base space, shared by the bundles and slots of a stage.
 
     Factors are ordered by stage of introduction.  For the infinite family
     the disk power grows stage by stage, and the increments are kept as
@@ -236,6 +240,7 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
 
     chain_records = []
     start = current = obstruction_bundle(params, n)
+    q_sum = trace_value(params, n, start)
     for ell in range(n, j):
         pushed = pushforward_diagonal(current, connecting_slots(params, ell))
         target = obstruction_bundle(params, ell + 1)
@@ -258,7 +263,6 @@ def comparability_triple(params: SystemParams, n: int, verify_stage: int | None 
                     "witness_rank": str(witness.rank)}
 
     unit_line_trace = Fraction(1, unit_rank(n))
-    q_sum = trace_value(params, n, start)
     traces: dict = {
         "unit_line": fraction_json(unit_line_trace),
         "q_sum": fraction_json(q_sum),

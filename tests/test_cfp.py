@@ -8,6 +8,7 @@ from villadsen.cfp import (
     build_witness,
     exact_pushed_coefficients,
     factor_dimension,
+    factor_dimensions,
     first_stage_certificate,
     first_witness_stage,
     half_dimension_sum,
@@ -49,6 +50,12 @@ def test_factor_dimension_values():
     assert factor_dimension(1) == 1
     assert factor_dimension(3) == 54
     assert factor_dimension(4) == 384
+
+
+def test_factor_dimension_table_matches_pointwise_values():
+    assert factor_dimensions(0) == []
+    assert factor_dimensions(40) == [factor_dimension(s) for s in range(1, 41)]
+    assert [atom.size for atom in witness_base(40).factors] == factor_dimensions(40)
 
 
 def test_first_stage_matches_oracle():

@@ -1,21 +1,30 @@
-"""Construction counts of the radius-of-comparison sweep.
+"""Construction counts of the radius-of-comparison sweep and of CLI calls.
 
 A stage's ring is built once and a stage's witness is checked with one
 class, so both counts must grow at most linearly with the number of stages.
+The space-keyed caches hold only a few entries, so a CLI call may rebuild
+at most one ring: a stage it looks up again after sweeping past it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from villadsen.cfp import witness_base
+from villadsen.cli import main
 from villadsen.cohomology import GradedClass, RingPresentation, presentation_of
 from villadsen.type_two import SystemParams, radius_of_comparison, stage_space
 
 
 def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
     """Rings built (by space) and classes built during one sweep to stage n."""
-    presentation_of.cache_clear()
-    stage_space.cache_clear()
+    return count_during(monkeypatch, lambda: radius_of_comparison(SystemParams(2), n))
+
+
+def count_during(monkeypatch, action) -> tuple[list, int]:
+    """Rings built (by space) and classes built while `action` runs, caches cold."""
+    for cache in (presentation_of, stage_space, witness_base):
+        cache.cache_clear()
     rings, classes = [], []
     ring_init, class_init = RingPresentation.__init__, GradedClass.__init__
 
@@ -30,7 +39,7 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
     with monkeypatch.context() as patch:
         patch.setattr(RingPresentation, "__init__", counting_ring_init)
         patch.setattr(GradedClass, "__init__", counting_class_init)
-        radius_of_comparison(SystemParams(2), n)
+        action()
     return rings, len(classes)
 
 
@@ -46,3 +55,17 @@ def test_class_constructions_grow_linearly(monkeypatch):
     _, at_40 = count_constructions(monkeypatch, 40)
     assert at_20 <= 2 * 20
     assert at_40 <= 2 * at_20
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "-k", "2", "-n", "20", "--rc", "--trace"],
+    ["v2", "-k", "inf", "-n", "4", "--stage", "12", "--comparability"],
+    ["v2", "-k", "3", "-n", "4", "--stage", "10", "--comparability"],
+    ["cfp", "--terms", "6", "--stage", "140"],
+])
+def test_cli_call_rebuilds_at_most_one_ring(monkeypatch, capsys, argv):
+    codes = []
+    rings, _ = count_during(monkeypatch, lambda: codes.append(main(argv)))
+    err = capsys.readouterr().err
+    assert codes == [0], err
+    assert len(rings) <= len(set(rings)) + 1
