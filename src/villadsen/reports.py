@@ -66,20 +66,21 @@ def normalize_report(doc: dict) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _report_validator():
-    # read the packaged schema and check it against its metaschema once per
-    # process; every report is then validated with this one validator
+def load_schema() -> dict:
+    """The packaged report schema, read once per process (shared; do not
+    modify it)."""
     text = resources.files("villadsen.schemas").joinpath("report.schema.json").read_text()
-    schema = json.loads(text)
+    return json.loads(text)
+
+
+@lru_cache(maxsize=1)
+def _report_validator():
+    # built at the first validation, not at load: checking the schema against
+    # its metaschema costs about 10 ms, which start-up should not pay
+    schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
-
-
-def load_schema() -> dict:
-    """The packaged report schema, read and checked once per process (shared;
-    do not modify it)."""
-    return _report_validator().schema
 
 
 def validate_report(doc: dict) -> None:
