@@ -6,9 +6,11 @@ multiplicities.  A line summand's first Chern class is a single generator
 of the base's ring, so a summand is stored as that generator's position in
 the ring presentation (`presentation_of`, built once per space) together
 with its multiplicity.  A `GradedClass` for a line is built only where a
-class is the output: `summands`, `to_json` and the Chern expansion.
-Multiplicities grow factorially along the inductive systems, so they are
-never assumed to fit a machine word.
+line class is the output: `summands` and `to_json`.  The Chern expansion
+builds no line classes: it hands each summand's truncated binomial series
+to `line_series_product`, which multiplies series on distinct generators
+as one Cartesian product.  Multiplicities grow factorially along the
+inductive systems, so they are never assumed to fit a machine word.
 
 Equality is normal-form equality (sorted, merged summands); this is the
 working notion of isomorphism, and stable isomorphism is the same with
@@ -24,13 +26,17 @@ from math import comb, prod
 
 from .cohomology import (
     GradedClass,
-    RingPresentation,
-    cup,
     homogeneous_component,
+    line_series_product,
     presentation_of,
     pullback_positions,
 )
-from .errors import BaseMismatchError, GeneratorBudgetExceeded, InvalidLineClassError
+from .errors import (
+    BaseMismatchError,
+    CrossCheckDisagreement,
+    GeneratorBudgetExceeded,
+    InvalidLineClassError,
+)
 from .spaces import CONSTANT, SpaceDescriptor, SpaceMap
 
 DEFAULT_BUDGET = 100_000
@@ -201,7 +207,11 @@ def _cost_factors(b: BundleExpr):
 
 
 def chern_expansion_cost(b: BundleExpr) -> int:
-    """Upper bound on the term count of the full Chern class expansion."""
+    """Term count of the full Chern class expansion, exactly.
+
+    Each summand's truncated series has nonzero coefficients on its own
+    generator, so no two choices of powers meet on one term and none cancel.
+    """
     return prod(_cost_factors(b))
 
 
@@ -226,28 +236,16 @@ def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
     the expansion would exceed the term budget; budget=None reads the
     environment and budget=0 disables the guard.
     """
-    pres = b.presentation
     if budget is None:
         budget = expansion_budget()
     if budget and not expansion_fits(b, budget):
         raise GeneratorBudgetExceeded(chern_expansion_cost(b), budget,
                                       "Chern class expansion")
-    total = GradedClass.unit(pres)
-    for pos, mult in b.parts.items():
-        total = cup(total, _line_power_series(pres, pos, mult))
-    return total
-
-
-def _line_power_series(pres: RingPresentation, pos: int, mult: int) -> GradedClass:
     # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
-    cap = pres.caps[pos]
-    n = len(pres.generators)
-    terms = {}
-    for i in range(0, min(mult, cap - 1) + 1):
-        key = [0] * n
-        key[pos] = i
-        terms[tuple(key)] = comb(mult, i)
-    return GradedClass(pres, terms)
+    caps = b.presentation.caps
+    return line_series_product(b.presentation, [
+        (pos, [comb(mult, i) for i in range(min(mult, caps[pos] - 1) + 1)])
+        for pos, mult in b.parts.items()])
 
 
 def euler(b: BundleExpr) -> GradedClass:
@@ -357,8 +355,9 @@ def euler_nonzero(b: BundleExpr, budget: int | None = None) -> tuple[bool, str]:
 
     The factorized route is always available; when the full expansion fits
     the budget the top component of the expanded Chern class is computed as
-    a cross-check and the two must agree.  budget=None reads the
-    environment, budget=0 skips the cross-check.
+    a cross-check, and CrossCheckDisagreement is raised unless the two
+    agree.  budget=None reads the environment, budget=0 skips the
+    cross-check.
     """
     fast = euler(b)
     route = "factorized"
@@ -367,6 +366,8 @@ def euler_nonzero(b: BundleExpr, budget: int | None = None) -> tuple[bool, str]:
     if budget and expansion_fits(b, budget):
         full = homogeneous_component(chern(b, budget=0), 2 * b.rank)
         if full != fast:
-            raise AssertionError("factorized Euler class disagrees with full expansion")
+            raise CrossCheckDisagreement(
+                "factorized Euler class disagrees with the full Chern expansion "
+                f"in degree {2 * b.rank}")
         route = "factorized+full"
     return (not fast.is_zero(), route)

@@ -6,8 +6,8 @@ and witnesses, `v2` the type-II traces, comparability triple and radius of
 comparison, and `cfp` the witness-sequence construction and both halves of
 its verification.  Machine-readable JSON goes to stdout; human diagnostics
 go to stderr.  Exit code 0 means every requested verification succeeded,
-2 means a verification failed or was refused, 1 means a usage or parse
-error.
+2 means a verification failed or was refused (including an internal
+cross-check whose two routes disagree), 1 means a usage or parse error.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from fractions import Fraction
 from . import cfp as cfp_mod
 from . import reports
 from .bundles import BundleExpr, chern, euler
-from .cohomology import GradedClass, homogeneous_component, presentation_of
+from .cohomology import GradedClass, graded_components, presentation_of
 from .comparison import Outcome
-from .errors import ConfigError, GeneratorBudgetExceeded
+from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
 from .spaces import SpaceDescriptor
 from .type_one import (
@@ -56,7 +56,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from None
+
+
+def _parse_document(what: str, path: str, build, doc):
+    """`build(doc)`, with any malformed-input error turned into one
+    ConfigError that names the document."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} document {path} must be a JSON object")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{what} document {path} lacks the key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(f"{what} document {path}: {exc}") from None
 
 
 @contextmanager
@@ -88,18 +104,20 @@ def _run_chern(args) -> int:
     started = time.perf_counter()
     space_doc = _load_json(args.space)
     bundle_doc = _load_json(args.bundle)
-    base = SpaceDescriptor.from_json(space_doc)
-    pres = presentation_of(base)
-    summands = [(GradedClass.from_json(pres, s["line"]), int(s["mult"]))
-                for s in bundle_doc.get("summands", [])]
-    bundle = BundleExpr(base, int(bundle_doc.get("trivial", "0")), summands)
+    base = _parse_document("space", args.space, SpaceDescriptor.from_json, space_doc)
+
+    def build_bundle(doc):
+        pres = presentation_of(base)
+        summands = [(GradedClass.from_json(pres, s["line"]), int(s["mult"]))
+                    for s in doc.get("summands", [])]
+        return BundleExpr(base, int(doc.get("trivial", "0")), summands)
+
+    bundle = _parse_document("bundle", args.bundle, build_bundle, bundle_doc)
     with _unlimited_int_digits():
         checks = []
         try:
-            total = chern(bundle)
-            components = {}
-            for degree in sorted(total.degree_support()):
-                components[str(degree)] = homogeneous_component(total, degree).to_json()
+            components = {str(degree): part.to_json()
+                          for degree, part in graded_components(chern(bundle)).items()}
             checks.append(reports.check("chern_components", True, {
                 "rank": str(bundle.rank),
                 "components": components,
@@ -121,7 +139,7 @@ def _run_chern(args) -> int:
 def _run_vi(args) -> int:
     started = time.perf_counter()
     config_doc = _load_json(args.config)
-    config = SystemConfig.from_json(config_doc)
+    config = _parse_document("config", args.config, SystemConfig.from_json, config_doc)
     steps = list(config.steps)
     start = args.start
     stop = args.stage if args.stage is not None else len(steps)
@@ -164,7 +182,10 @@ def _run_vi(args) -> int:
                         "distinct_projections": str(len(mults)),
                     }))
             except GeneratorBudgetExceeded as exc:
-                checks.append(reports.refused("top_chern_witness", str(exc)))
+                checks.append(reports.refused("top_chern_witness", str(exc), {
+                    "required": str(exc.required), "budget": str(exc.budget)}))
+            except CrossCheckDisagreement as exc:
+                checks.append(reports.check("top_chern_witness", False, message=str(exc)))
             contradiction = ratio_contradiction_check(args.witness, stats)
             ok = (not contradiction.hypothesis_holds) or contradiction.contradiction
             checks.append(reports.check("ratio_contradiction", ok,
@@ -211,6 +232,8 @@ def _run_v2(args) -> int:
                                             triple.to_json()))
             except GeneratorBudgetExceeded as exc:
                 checks.append(reports.refused("comparability_triple", str(exc)))
+            except CrossCheckDisagreement as exc:
+                checks.append(reports.check("comparability_triple", False, message=str(exc)))
 
         if args.rc:
             rc = radius_of_comparison(params, n)
@@ -246,8 +269,11 @@ def _run_cfp(args) -> int:
                  **verdict.to_json()}))
 
         stage = args.stage if args.stage is not None else witness.terms[-1].stage
-        lower = cfp_mod.verify_lower(witness, stage)
-        checks.append(reports.check("lower_bound", lower.passed, lower.to_json()))
+        try:
+            lower = cfp_mod.verify_lower(witness, stage)
+            checks.append(reports.check("lower_bound", lower.passed, lower.to_json()))
+        except CrossCheckDisagreement as exc:
+            checks.append(reports.check("lower_bound", False, message=str(exc)))
 
         report = reports.assemble("cfp", {"terms": args.terms, "stage": stage,
                                           "override_l": args.override_l},

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .errors import PresentationMismatchError
 from .spaces import CONSTANT, PROJECTION, SPACE_CACHE_SIZE, SpaceDescriptor, SpaceMap
@@ -38,14 +40,11 @@ class RingPresentation:
     generators: tuple[Generator, ...]
     caps: tuple[int, ...] = field(init=False, repr=False)
     positions: dict[int, int] = field(init=False, repr=False)
-    all_square_zero: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        caps = tuple(g.cap for g in self.generators)
-        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "caps", tuple(g.cap for g in self.generators))
         object.__setattr__(self, "positions",
                            {g.factor_index: pos for pos, g in enumerate(self.generators)})
-        object.__setattr__(self, "all_square_zero", all(c == 2 for c in caps))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -103,6 +102,15 @@ class GradedClass:
             clean[exps] = clean.get(exps, 0) + coeff
         self.presentation = presentation
         self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def _normal(cls, presentation: RingPresentation, terms: dict) -> "GradedClass":
+        # for kernels whose output is normal by construction: exponent tuples
+        # of the right length, below their caps, each once, coefficients nonzero
+        obj = cls.__new__(cls)
+        obj.presentation = presentation
+        obj.terms = terms
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -174,9 +182,6 @@ class GradedClass:
     def scale(self, factor: int) -> "GradedClass":
         return GradedClass(self.presentation, {e: factor * c for e, c in self.terms.items()})
 
-    def degree_support(self) -> set[int]:
-        return {2 * sum(e) for e in self.terms}
-
     def max_degree(self) -> int:
         """Largest degree with a nonzero component; -1 for the zero class."""
         if not self.terms:
@@ -217,8 +222,6 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
     pres = a.presentation
     if not a.terms or not b.terms:
         return GradedClass.zero(pres)
-    if pres.all_square_zero:
-        return _cup_square_zero(a, b)
     caps = pres.caps
     out: dict = {}
     for e1, c1 in a.terms.items():
@@ -228,36 +231,6 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
                 continue
             out[key] = out.get(key, 0) + c1 * c2
     return GradedClass(pres, out)
-
-
-def _cup_square_zero(a: GradedClass, b: GradedClass) -> GradedClass:
-    # square-zero fast path: exponent vectors are 0/1, so a bitmask join
-    # with an overlap test replaces per-generator cap checks
-    pres = a.presentation
-    n = len(pres.generators)
-
-    def to_mask(exps):
-        m = 0
-        for i, e in enumerate(exps):
-            if e:
-                m |= 1 << i
-        return m
-
-    am = {to_mask(e): c for e, c in a.terms.items()}
-    bm = {to_mask(e): c for e, c in b.terms.items()}
-    out: dict[int, int] = {}
-    for m1, c1 in am.items():
-        for m2, c2 in bm.items():
-            if m1 & m2:
-                continue
-            key = m1 | m2
-            out[key] = out.get(key, 0) + c1 * c2
-    terms = {}
-    for mask, coeff in out.items():
-        if coeff == 0:
-            continue
-        terms[tuple((mask >> i) & 1 for i in range(n))] = coeff
-    return GradedClass(pres, terms)
 
 
 def product_all(classes: list[GradedClass]) -> GradedClass:
@@ -270,6 +243,46 @@ def product_all(classes: list[GradedClass]) -> GradedClass:
     return acc
 
 
+def line_series_product(pres: RingPresentation,
+                        factors: list[tuple[int, list[int]]]) -> GradedClass:
+    """Product of one-generator polynomials on pairwise distinct positions.
+
+    Each factor is (position, [c0, c1, ...]) and stands for the polynomial
+    sum of c_i * g^i in the generator g at that position.  With distinct
+    positions, at most cap coefficients per factor and none of them zero,
+    every choice of one power per factor is a distinct, nonzero term below
+    the caps, so the product is the Cartesian product of the factors with
+    nothing to merge, cap or cancel.  The preconditions are checked once
+    per factor (ValueError if one fails), not once per term.
+    """
+    caps = pres.caps
+    series: dict[int, list[int]] = {}
+    for pos, coeffs in factors:
+        if not 0 <= pos < len(caps):
+            raise ValueError(f"no generator at position {pos}")
+        if pos in series:
+            raise ValueError(f"position {pos} carries two factors")
+        if len(coeffs) > caps[pos]:
+            raise ValueError(f"series at position {pos} reaches its cap {caps[pos]}")
+        if not all(coeffs):
+            raise ValueError(f"series at position {pos} has a zero coefficient")
+        series[pos] = coeffs
+    # itertools.product varies the last position fastest in both products,
+    # so exponent tuples and coefficient choices come out aligned
+    exponents = product(*[range(len(series[p])) if p in series else (0,)
+                          for p in range(len(caps))])
+    choices = product(*[series[p] for p in sorted(series)])
+    return GradedClass._normal(pres, {e: prod(c) for e, c in zip(exponents, choices)})
+
+
+def graded_components(a: GradedClass) -> dict[int, GradedClass]:
+    """The nonzero homogeneous components of a class, by degree, in one pass."""
+    split: dict[int, dict] = {}
+    for exps, coeff in a.terms.items():
+        split.setdefault(2 * sum(exps), {})[exps] = coeff
+    return {d: GradedClass._normal(a.presentation, split[d]) for d in sorted(split)}
+
+
 def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     """Terms of exactly the given (even, nonnegative) degree.
 
@@ -279,8 +292,8 @@ def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     if degree < 0 or degree % 2:
         return GradedClass.zero(a.presentation)
     want = degree // 2
-    picked = {e: c for e, c in a.terms.items() if sum(e) == want}
-    return GradedClass(a.presentation, picked)
+    return GradedClass._normal(a.presentation,
+                               {e: c for e, c in a.terms.items() if sum(e) == want})
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

@@ -29,7 +29,17 @@ class GeneratorBudgetExceeded(RuntimeError):
     def __init__(self, required: int, budget: int, what: str = "expansion"):
         self.required = required
         self.budget = budget
+        # a term count can run to millions of digits, past Python's limit for
+        # printing an int; the message then gives its power of two
+        bits = required.bit_length()
+        shown = required if bits <= 1024 else f"at least 2^{bits - 1}"
         super().__init__(
-            f"{what} needs about {required} terms but the budget is {budget}; "
+            f"{what} needs {shown} terms but the budget is {budget}; "
             f"raise ENGINE_GENERATOR_BUDGET to allow it"
         )
+
+
+class CrossCheckDisagreement(RuntimeError):
+    """Raised when two independent routes to one certified quantity disagree
+    (say, the factorized Euler class and the full Chern expansion); the
+    result cannot be certified either way."""

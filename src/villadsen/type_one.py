@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .cohomology import GradedClass, cup, homogeneous_component, presentation_of
-from .errors import ConfigError, GeneratorBudgetExceeded
+from .bundles import expansion_budget
+from .cohomology import line_series_product, presentation_of
+from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import fraction_json
 from .spaces import spheres
 
@@ -191,8 +192,10 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> TopChernWitness:
     the given multiplicities yields a bundle over a sphere power of size
     n * len(multiplicities) whose top Chern class is the full product of all
     generators with coefficient prod(m^n).  Computed both in closed form and
-    by full sparse expansion; the two must agree and the coefficient is
-    always nonzero.
+    by full sparse expansion; CrossCheckDisagreement is raised unless the
+    two agree on a nonzero coefficient.  The expansion has 2^(n * count)
+    terms and refuses with GeneratorBudgetExceeded past the term budget
+    (ENGINE_GENERATOR_BUDGET).
     """
     if n < 1:
         raise ValueError("witness size n must be >= 1")
@@ -202,25 +205,24 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> TopChernWitness:
         raise ValueError("multiplicities must be positive")
     count = len(multiplicities)
     gens = n * count
+    cost, budget = 2 ** gens, expansion_budget()
+    if cost > budget:
+        raise GeneratorBudgetExceeded(cost, budget,
+                                      f"top Chern witness expansion over {gens} generators")
     closed = 1
     for m in multiplicities:
         closed *= m ** n
 
-    # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count}
-    pres = presentation_of(spheres(gens))
-    product = GradedClass.unit(pres)
-    for l, m in enumerate(multiplicities):
-        for s in range(n):
-            pos = l * n + s
-            exps = tuple(1 if i == pos else 0 for i in range(gens))
-            product = cup(product, GradedClass(pres, {(0,) * gens: 1, exps: m}))
-    top = homogeneous_component(product, 2 * gens)
-    expanded = top.terms.get((1,) * gens, 0) if top.terms else 0
+    # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count};
+    # the top degree of (S^2)^gens holds the single monomial z_1 ... z_gens
+    product = line_series_product(presentation_of(spheres(gens)), [
+        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)])
+    expanded = product.terms.get((1,) * gens, 0)
     if expanded != closed:
-        raise AssertionError(
+        raise CrossCheckDisagreement(
             f"top Chern coefficient mismatch: closed {closed}, expanded {expanded}")
     if closed == 0:
-        raise AssertionError("top Chern coefficient vanished; witness is broken")
+        raise CrossCheckDisagreement("top Chern coefficient vanished; witness is broken")
     return TopChernWitness(gens, n * count, closed)
 
 

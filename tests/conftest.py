@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from villadsen.cohomology import GradedClass, presentation_of
+from villadsen.cohomology import GradedClass, line_series_product, presentation_of
 from villadsen.spaces import SpaceDescriptor, cproj, sphere2
 from villadsen.type_one import StepSpec
 
@@ -93,3 +93,15 @@ def random_step(rng: random.Random, max_projections: int = 3,
     mults = tuple((f"p{i}", rng.randint(1, max_mult)) for i in range(n_proj))
     points = rng.randint(0 if n_proj else 1, max_points)
     return StepSpec(mults, points)
+
+
+def kernel_dropping_top_term(pres, factors):
+    """`line_series_product` with its highest-degree term dropped.
+
+    Patched in for the engine's kernel, it makes every expansion-based
+    cross-check disagree with its closed-form route.
+    """
+    product = line_series_product(pres, factors)
+    if product.terms:
+        del product.terms[max(product.terms, key=sum)]
+    return product

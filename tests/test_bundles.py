@@ -18,11 +18,19 @@ from villadsen.bundles import (
     tensor_line,
     trivial_bundle,
 )
-from villadsen.cohomology import GradedClass, cup, homogeneous_component, presentation_of, pullback_class
-from villadsen.errors import GeneratorBudgetExceeded, InvalidLineClassError
-from villadsen.spaces import SpaceDescriptor, cproj, identity, projection, spheres
+from villadsen.cohomology import (
+    GradedClass,
+    cup,
+    graded_components,
+    homogeneous_component,
+    presentation_of,
+    product_all,
+    pullback_class,
+)
+from villadsen.errors import CrossCheckDisagreement, GeneratorBudgetExceeded, InvalidLineClassError
+from villadsen.spaces import SpaceDescriptor, cproj, disk, identity, projection, sphere2, spheres
 
-from conftest import random_space
+from conftest import kernel_dropping_top_term, random_space
 
 
 def random_bundle(rng: random.Random, space: SpaceDescriptor,
@@ -244,3 +252,48 @@ def test_position_keyed_construction_matches_checked_lines():
         BundleExpr.from_positions(space, 0, [(3, 1)])
     with pytest.raises(ValueError):
         BundleExpr.from_positions(space, 0, [(0, -1)])
+
+
+ATOMS = st.one_of(st.builds(disk, st.integers(0, 3)), st.builds(sphere2),
+                  st.builds(cproj, st.integers(1, 4)))
+
+
+@st.composite
+def split_bundles(draw):
+    """(space, trivial rank, [(line position or None, multiplicity), ...]).
+
+    Positions may repeat (split summands), None is the zero line, and the
+    summand list may be empty.
+    """
+    space = SpaceDescriptor(tuple(draw(st.lists(ATOMS, min_size=1, max_size=5))))
+    positions = st.sampled_from([None, *range(len(presentation_of(space).generators))])
+    summands = draw(st.lists(st.tuples(positions, st.integers(0, 5)), max_size=6))
+    return space, draw(st.integers(0, 2)), summands
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_bundles())
+def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
+    space, trivial, summands = drawn
+    pres = presentation_of(space)
+    lines = [(GradedClass.zero(pres) if pos is None else GradedClass.generator_at(pres, pos), m)
+             for pos, m in summands]
+    b = BundleExpr(space, trivial, lines)
+    # (1 + line)^m for each summand as it was given, by m cups of 1 + line;
+    # the validating constructor drops every power at or past its cap
+    series = [GradedClass.unit(pres) + line for line, m in lines for _ in range(m)]
+    total = chern(b)
+    assert total == product_all([GradedClass.unit(pres), *series])
+    assert len(total.terms) == chern_expansion_cost(b)
+    parts = graded_components(total)
+    for degree in range(0, 2 * sum(pres.caps) + 1):
+        assert parts.get(degree, GradedClass.zero(pres)) == homogeneous_component(total, degree)
+
+
+def test_euler_cross_check_disagreement_is_reported(monkeypatch):
+    space = SpaceDescriptor((cproj(3), cproj(5)))
+    b = line_sum(space, [(0, 3), (1, 5)])
+    monkeypatch.setattr("villadsen.bundles.line_series_product", kernel_dropping_top_term)
+    with pytest.raises(CrossCheckDisagreement):
+        euler_nonzero(b, budget=10 ** 6)
+    assert euler_nonzero(b, budget=0) == (True, "factorized")

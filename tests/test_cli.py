@@ -7,6 +7,8 @@ import pytest
 from villadsen.cli import main
 from villadsen.reports import canonical_json, normalize_report, validate_report
 
+from conftest import kernel_dropping_top_term
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -193,3 +195,91 @@ def test_input_documents_keep_the_default_digit_limit(tmp_path, capsys):
     open(bundle, "w").write(json.dumps(doc))
     code, _ = run_cli(capsys, "chern", "--space", space, "--bundle", bundle)
     assert code == 1
+
+
+def write_chern_docs(tmp_path, space_doc, bundle_doc):
+    space = tmp_path / "space.json"
+    bundle = tmp_path / "bundle.json"
+    space.write_text(json.dumps(space_doc))
+    bundle.write_text(json.dumps(bundle_doc))
+    return str(space), str(bundle)
+
+
+def assert_one_error_line(capsys, code, path):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and path in errors[0]
+    assert captured.out == ""
+
+
+def test_chern_space_with_non_list_factors_is_usage_error(tmp_path, capsys):
+    space, bundle = write_chern_docs(tmp_path, {"factors": 5}, {"trivial": "1"})
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    assert_one_error_line(capsys, code, space)
+
+
+def test_chern_summand_without_mult_is_usage_error(tmp_path, capsys):
+    space, bundle = write_sphere_pair(tmp_path)
+    doc = json.loads(open(bundle).read())
+    del doc["summands"][1]["mult"]
+    open(bundle, "w").write(json.dumps(doc))
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    assert_one_error_line(capsys, code, bundle)
+
+
+def test_chern_bundle_that_is_a_list_is_usage_error(tmp_path, capsys):
+    space, bundle = write_chern_docs(tmp_path, {"factors": [{"kind": "s2"}]}, [])
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    assert_one_error_line(capsys, code, bundle)
+
+
+def test_vi_witness_past_the_budget_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ENGINE_GENERATOR_BUDGET", raising=False)
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 2}, "point_evals": 1}])
+    code, out = run_cli(capsys, "vi", "--config", config, "--witness", "17")
+    assert code == 2
+    doc = json.loads(out)
+    validate_report(doc)
+    witness = [c for c in doc["checks"] if c["name"] == "top_chern_witness"][0]
+    assert witness["outcome"] == "refused"
+    assert "17 generators" in witness["message"]
+    assert "131072" in witness["message"] and "100000" in witness["message"]
+    assert witness["certificate"] == {"required": "131072", "budget": "100000"}
+
+    # 14 generators (16384 terms) stay within the default budget
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 2}, "point_evals": 0}])
+    code, out = run_cli(capsys, "vi", "--config", config, "--witness", "7")
+    assert code == 0
+    witness = [c for c in json.loads(out)["checks"] if c["name"] == "top_chern_witness"][0]
+    assert witness["certificate"]["sphere_power"] == 14
+    assert witness["certificate"]["coefficient"] == str(2 ** 7)
+
+
+@pytest.mark.parametrize("argv, budget, check, patched, message", [
+    (["v2", "-k", "2", "-n", "1", "--comparability", "--stage", "3"], "100000",
+     "comparability_triple", "villadsen.bundles.line_series_product",
+     "factorized Euler class disagrees"),
+    # the stage-4 capacity bundle expands to 381150 terms
+    (["cfp", "--terms", "1"], "400000",
+     "lower_bound", "villadsen.bundles.line_series_product",
+     "factorized Euler class disagrees"),
+    (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
+     "top_chern_witness", "villadsen.type_one.line_series_product",
+     "top Chern coefficient mismatch"),
+])
+def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
+                                            tmp_path, capsys, monkeypatch):
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    argv = [config if word == "CONFIG" else word for word in argv]
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", budget)
+    monkeypatch.setattr(patched, kernel_dropping_top_term)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    validate_report(doc)
+    failed = [c for c in doc["checks"] if c["name"] == check][0]
+    assert failed["outcome"] == "fail" and failed["message"].startswith(message)

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from villadsen.cohomology import (
     GradedClass,
     cup,
+    graded_components,
     homogeneous_component,
     kunneth_product_nonzero,
+    line_series_product,
     presentation_of,
     product_all,
     pullback_class,
 )
 from villadsen.errors import PresentationMismatchError
-from villadsen.spaces import SpaceDescriptor, compose, cproj, projection, spheres
+from villadsen.spaces import SpaceDescriptor, compose, cproj, disk, projection, sphere2, spheres
 
 from conftest import random_class, random_space
 
@@ -215,3 +217,41 @@ def test_constructor_normalizes_caps_and_zeros():
     pres = _pres(spheres(1))
     assert GradedClass(pres, {(5,): 3}).is_zero()
     assert GradedClass(pres, {(1,): 0}).is_zero()
+
+
+def test_line_series_product_is_the_cartesian_product():
+    space = SpaceDescriptor((cproj(3), disk(2), sphere2()))
+    pres = _pres(space)
+    y = GradedClass.generator(pres, 0)
+    z = GradedClass.generator(pres, 2)
+    series_y = GradedClass.unit(pres, 4) + y.scale(-5) + cup(y, y).scale(6)
+    series_z = GradedClass.unit(pres, 2) + z.scale(7)
+    got = line_series_product(pres, [(1, [2, 7]), (0, [4, -5, 6])])
+    assert got == cup(series_y, series_z)
+    assert len(got.terms) == 6
+    assert line_series_product(pres, []) == GradedClass.unit(pres)
+
+
+def test_line_series_product_checks_each_factor():
+    pres = _pres(SpaceDescriptor((cproj(2), sphere2())))
+    with pytest.raises(ValueError, match="two factors"):
+        line_series_product(pres, [(0, [1, 2]), (1, [1, 1]), (0, [1, 3])])
+    with pytest.raises(ValueError, match="zero coefficient"):
+        line_series_product(pres, [(0, [1, 0, 4])])
+    with pytest.raises(ValueError, match="cap"):
+        line_series_product(pres, [(1, [1, 2, 1])])
+    with pytest.raises(ValueError, match="no generator"):
+        line_series_product(pres, [(2, [1])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graded_components_match_homogeneous_components(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    a = random_class(rng, random_space(rng, max_factors=4), max_terms=8)
+    parts = graded_components(a)
+    assert list(parts) == sorted(parts)
+    for degree in range(-1, 2 * sum(g.cap for g in a.presentation.generators) + 1):
+        assert parts.get(degree, GradedClass.zero(a.presentation)) \
+            == homogeneous_component(a, degree)
+    assert all(not part.is_zero() for part in parts.values())

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from villadsen.errors import ConfigError
+from villadsen.errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from villadsen.type_one import (
     IDENTITY_STATS,
     StageStats,
@@ -18,7 +18,12 @@ from villadsen.type_one import (
     trace_extreme_ratio,
 )
 
-from conftest import dict_poly_top_coefficient, enumerate_chain_stats, random_step
+from conftest import (
+    dict_poly_top_coefficient,
+    enumerate_chain_stats,
+    kernel_dropping_top_term,
+    random_step,
+)
 
 
 def test_compose_stats_squares():
@@ -128,6 +133,22 @@ def test_top_chern_witness_against_dict_oracle():
         assert w.sphere_power == gens
         assert w.coefficient == coeff
         assert w.degree == n * len(mults)
+
+
+def test_top_chern_witness_budget(monkeypatch):
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "4096")
+    assert top_chern_witness(4, [2, 3, 1]).coefficient == 6 ** 4  # 2^12 terms
+    with pytest.raises(GeneratorBudgetExceeded) as exc:
+        top_chern_witness(13, [1])
+    assert (exc.value.required, exc.value.budget) == (2 ** 13, 4096)
+    with pytest.raises(GeneratorBudgetExceeded, match="needs at least 2\\^20000 terms"):
+        top_chern_witness(10_000, [1, 1])  # the count has 6021 digits
+
+
+def test_top_chern_witness_disagreement(monkeypatch):
+    monkeypatch.setattr("villadsen.type_one.line_series_product", kernel_dropping_top_term)
+    with pytest.raises(CrossCheckDisagreement, match="closed 9, expanded 0"):
+        top_chern_witness(2, [1, 3])
 
 
 def test_contradiction_at_exact_threshold():
