@@ -46,7 +46,6 @@ from .type_one import (
     ratio_contradiction_check,
     ratio_trajectory,
     top_chern_witness,
-    trace_extreme_ratio,
 )
 from .type_two import (
     SystemParams,

@@ -9,8 +9,10 @@ with its multiplicity.  A `GradedClass` for a line is built only where a
 line class is the output: `summands` and `to_json`.  The Chern expansion
 builds no line classes: it hands each summand's truncated binomial series
 to `line_series_product`, which multiplies series on distinct generators
-as one Cartesian product.  Multiplicities grow factorially along the
-inductive systems, so they are never assumed to fit a machine word.
+as one Cartesian product; `chern_component` multiplies the same series but
+keeps only the terms that can still reach one degree.  Multiplicities grow
+factorially along the inductive systems, so they are never assumed to fit
+a machine word.
 
 Equality is normal-form equality (sorted, merged summands); this is the
 working notion of isomorphism, and stable isomorphism is the same with
@@ -26,7 +28,6 @@ from math import comb, prod
 
 from .cohomology import (
     GradedClass,
-    homogeneous_component,
     line_series_product,
     presentation_of,
     pullback_positions,
@@ -248,6 +249,40 @@ def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
         for pos, mult in b.parts.items()])
 
 
+def chern_component(b: BundleExpr, degree: int) -> GradedClass:
+    """The homogeneous component of chern(b) in one degree, expanded alone.
+
+    Multiplies the summands' truncated series (1 + y)^mult one at a time
+    and prunes every partial term that can no longer reach the degree:
+    one whose power sum already passes degree/2, or that the remaining
+    summands' top powers cannot lift to it.  C(mult, i) is computed only
+    for the powers i that survive.  In the Euler degree 2*rank at most one
+    partial term survives each step, so that component needs no budget.
+    Odd or negative degrees hold nothing and yield the zero class.
+    """
+    pres = b.presentation
+    if degree < 0 or degree % 2:
+        return GradedClass.zero(pres)
+    want = degree // 2
+    caps = pres.caps
+    tops = [(pos, mult, min(mult, caps[pos] - 1)) for pos, mult in b.parts.items()]
+    reach = sum(top for _, _, top in tops)  # what the summands not yet taken can add
+    partial = [((), 0, 1)]  # (powers chosen so far, their sum, coefficient)
+    for pos, mult, top in tops:
+        reach -= top
+        partial = [(powers + (i,), total + i, coeff * comb(mult, i))
+                   for powers, total, coeff in partial
+                   for i in range(max(0, want - total - reach), min(top, want - total) + 1)]
+    terms = {}
+    for powers, total, coeff in partial:
+        if total == want:
+            key = [0] * len(caps)
+            for (pos, _, _), i in zip(tops, powers):
+                key[pos] = i
+            terms[tuple(key)] = coeff
+    return GradedClass._normal(pres, terms)
+
+
 def euler(b: BundleExpr) -> GradedClass:
     """Top Chern class, computed from the factorization over line summands.
 
@@ -273,7 +308,6 @@ def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
     Under a projection each summand moves to the position its generator
     pulls back to.
     """
-    f = f.normalize()
     if b.base != f.target:
         raise BaseMismatchError("bundle does not live over the map's target")
     if f.kind == CONSTANT:
@@ -350,24 +384,17 @@ def pushforward_diagonal(b: BundleExpr, slots: list) -> BundleExpr:
     return BundleExpr.from_positions(source, trivial_rank, parts)
 
 
-def euler_nonzero(b: BundleExpr, budget: int | None = None) -> tuple[bool, str]:
+def euler_nonzero(b: BundleExpr) -> tuple[bool, str]:
     """Whether the Euler class is nonzero, and which route decided it.
 
-    The factorized route is always available; when the full expansion fits
-    the budget the top component of the expanded Chern class is computed as
-    a cross-check, and CrossCheckDisagreement is raised unless the two
-    agree.  budget=None reads the environment, budget=0 skips the
-    cross-check.
+    The factorized class is cross-checked against the degree-2*rank
+    component of the Chern class (`chern_component`), an independent route
+    that needs no budget, so the route is always "factorized+full";
+    CrossCheckDisagreement is raised unless the two agree.
     """
     fast = euler(b)
-    route = "factorized"
-    if budget is None:
-        budget = expansion_budget()
-    if budget and expansion_fits(b, budget):
-        full = homogeneous_component(chern(b, budget=0), 2 * b.rank)
-        if full != fast:
-            raise CrossCheckDisagreement(
-                "factorized Euler class disagrees with the full Chern expansion "
-                f"in degree {2 * b.rank}")
-        route = "factorized+full"
-    return (not fast.is_zero(), route)
+    if chern_component(b, 2 * b.rank) != fast:
+        raise CrossCheckDisagreement(
+            "factorized Euler class disagrees with the Chern class component "
+            f"in degree {2 * b.rank}")
+    return (not fast.is_zero(), "factorized+full")

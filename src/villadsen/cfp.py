@@ -240,8 +240,7 @@ class LowerVerification:
         }
 
 
-def verify_lower(witness: CfpWitness, stage: int | None = None,
-                 budget: int | None = None) -> LowerVerification:
+def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerification:
     """Certify that the pushed witness sum never dominates a trivial line.
 
     Two bookkeeping passes feed the certificate.  The dominating replay
@@ -329,7 +328,7 @@ def verify_lower(witness: CfpWitness, stage: int | None = None,
         pushed_table.append({"stage": s, "coefficient": str(pushed[s]),
                              "cap": str(cap), "ok": ok_s})
 
-    verdict = obstructed_by_euler(trivial_bundle(base, 1), capacity_bundle(j), budget=budget)
+    verdict = obstructed_by_euler(trivial_bundle(base, 1), capacity_bundle(j))
     euler = {"outcome": verdict.outcome.value, "certificate": verdict.certificate}
     if verdict.outcome.value != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")

@@ -7,7 +7,8 @@ comparison, and `cfp` the witness-sequence construction and both halves of
 its verification.  Machine-readable JSON goes to stdout; human diagnostics
 go to stderr.  Exit code 0 means every requested verification succeeded,
 2 means a verification failed or was refused (including an internal
-cross-check whose two routes disagree), 1 means a usage or parse error.
+cross-check whose two routes disagree, and a report that fails its own
+schema), 1 means a usage or parse error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+
+from jsonschema import ValidationError
 
 from . import cfp as cfp_mod
 from . import reports
@@ -95,7 +98,13 @@ def _unlimited_int_digits():
 
 
 def _emit(report: dict) -> int:
-    reports.validate_report(report)
+    try:
+        reports.validate_report(report)
+    except ValidationError as exc:
+        # the engine built a report it cannot stand behind: a failure, not a usage error
+        print(f"error: report fails its schema at {exc.json_path}: {exc.message}",
+              file=sys.stderr)
+        return 2
     print(reports.canonical_json(report))
     return 0 if report["ok"] else 2
 
@@ -230,8 +239,6 @@ def _run_v2(args) -> int:
                 triple = comparability_triple(params, n, verify_stage)
                 checks.append(reports.check("comparability_triple", triple.passed,
                                             triple.to_json()))
-            except GeneratorBudgetExceeded as exc:
-                checks.append(reports.refused("comparability_triple", str(exc)))
             except CrossCheckDisagreement as exc:
                 checks.append(reports.check("comparability_triple", False, message=str(exc)))
 

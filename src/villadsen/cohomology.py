@@ -182,12 +182,6 @@ class GradedClass:
     def scale(self, factor: int) -> "GradedClass":
         return GradedClass(self.presentation, {e: factor * c for e, c in self.terms.items()})
 
-    def max_degree(self) -> int:
-        """Largest degree with a nonzero component; -1 for the zero class."""
-        if not self.terms:
-            return -1
-        return max(2 * sum(e) for e in self.terms)
-
     def support_positions(self) -> set[int]:
         """Generator positions appearing with positive exponent in some term."""
         out: set[int] = set()
@@ -234,7 +228,10 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
 
 
 def product_all(classes: list[GradedClass]) -> GradedClass:
-    """Cup together a list of classes (unit for the empty list)."""
+    """Cup together a nonempty list of classes.
+
+    The empty list raises ValueError: it names no ring to take the unit of.
+    """
     if not classes:
         raise ValueError("need a presentation; pass at least one class")
     acc = GradedClass.unit(classes[0].presentation)
@@ -302,7 +299,6 @@ def pullback_positions(f: SpaceMap) -> tuple[int, ...]:
     Entry p is the source position of the generator that target position p
     pulls back to.
     """
-    f = f.normalize()
     if f.kind != PROJECTION:
         raise ValueError("only coordinate projections move generators")
     source_pres = presentation_of(f.source)
@@ -322,7 +318,6 @@ def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
     generator of the selected factor; under a constant map every positive
     degree dies and the constant term survives.
     """
-    f = f.normalize()
     if a.presentation != presentation_of(f.target):
         raise PresentationMismatchError("class does not live over the map's target")
     source_pres = presentation_of(f.source)

@@ -72,8 +72,7 @@ def trivial_line_subbundle_sufficient(y: BundleExpr) -> ComparisonVerdict:
     return ComparisonVerdict(Outcome.UNKNOWN, cert)
 
 
-def obstructed_by_euler(x: BundleExpr, y: BundleExpr,
-                        budget: int | None = None) -> ComparisonVerdict:
+def obstructed_by_euler(x: BundleExpr, y: BundleExpr) -> ComparisonVerdict:
     """Non-domination by Euler obstruction.
 
     Requires x to contain a trivial summand: a trivial line sub-bundle of y
@@ -84,7 +83,7 @@ def obstructed_by_euler(x: BundleExpr, y: BundleExpr,
         raise BaseMismatchError("comparison needs a common base")
     if x.trivial_rank < 1:
         raise ValueError("obstruction argument needs a trivial summand in x")
-    nonzero, route = euler_nonzero(y, budget=budget)
+    nonzero, route = euler_nonzero(y)
     cert = {
         "rule": "euler-obstruction",
         "euler_degree": str(2 * y.rank),

@@ -41,5 +41,5 @@ class GeneratorBudgetExceeded(RuntimeError):
 
 class CrossCheckDisagreement(RuntimeError):
     """Raised when two independent routes to one certified quantity disagree
-    (say, the factorized Euler class and the full Chern expansion); the
-    result cannot be certified either way."""
+    (say, the factorized Euler class and the Chern class component in its
+    degree); the result cannot be certified either way."""

@@ -2,9 +2,9 @@
 
 A space is an ordered product of atoms: powers of the 2-disk (contractible,
 carrying dimension only), 2-spheres, and complex projective spaces.  Maps
-between such products are coordinate projections, constant maps, or chains
-of those; composition always folds a chain back into one of the two basic
-kinds.  Points are opaque labels, never coordinates.
+between such products are coordinate projections or constant maps, and
+composing two of them folds to one of the two kinds again.  Points are
+opaque labels, never coordinates.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ def spheres(n: int) -> SpaceDescriptor:
 
 PROJECTION = "proj"
 CONSTANT = "const"
-COMPOSITE = "composite"
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,7 @@ class SpaceMap:
 
     A projection selects source factors matching the target's factor list
     exactly (indices are 0-based positions in the source).  A constant map
-    records only an opaque point label.  A composite is a chain evaluated
-    right-to-left; `normalize` folds it to one of the basic kinds.
+    records only an opaque point label; `compose` chains two maps.
     """
 
     source: SpaceDescriptor
@@ -167,7 +165,6 @@ class SpaceMap:
     kind: str
     indices: tuple[int, ...] = ()
     point: str = ""
-    chain: tuple["SpaceMap", ...] = ()
 
     def __post_init__(self):
         if self.kind == PROJECTION:
@@ -185,27 +182,8 @@ class SpaceMap:
         elif self.kind == CONSTANT:
             if not self.point:
                 raise ValueError("constant map needs a point label")
-        elif self.kind == COMPOSITE:
-            if not self.chain:
-                raise ValueError("composite needs at least one map")
-            # chain[-1] is applied first; sources/targets must link up
-            if self.chain[-1].source != self.source or self.chain[0].target != self.target:
-                raise CompositionError("composite endpoints do not match declared source/target")
-            for later, earlier in zip(self.chain, self.chain[1:]):
-                if later.source != earlier.target:
-                    raise CompositionError("composite chain does not link up")
         else:
             raise ValueError(f"unknown map kind {self.kind!r}")
-
-    def normalize(self) -> "SpaceMap":
-        """Fold composites: projection after projection is a projection,
-        and a chain containing a constant is constant.  Idempotent."""
-        if self.kind != COMPOSITE:
-            return self
-        result = self.chain[-1].normalize()
-        for f in reversed(self.chain[:-1]):
-            result = compose(f.normalize(), result)
-        return result
 
     def to_json(self) -> dict:
         doc = {
@@ -215,10 +193,8 @@ class SpaceMap:
         }
         if self.kind == PROJECTION:
             doc["indices"] = list(self.indices)
-        elif self.kind == CONSTANT:
-            doc["point"] = self.point
         else:
-            doc["maps"] = [m.to_json() for m in self.chain]
+            doc["point"] = self.point
         return doc
 
     @staticmethod
@@ -230,9 +206,6 @@ class SpaceMap:
             return projection(src, tgt, tuple(int(i) for i in doc["indices"]))
         if kind == CONSTANT:
             return constant(src, tgt, doc["point"])
-        if kind == COMPOSITE:
-            return SpaceMap(src, tgt, COMPOSITE,
-                            chain=tuple(SpaceMap.from_json(m) for m in doc["maps"]))
         raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -257,8 +230,6 @@ def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
     is constant at f's point; if g is constant the composite is constant at
     the (opaque) image of g's point, which keeps g's label.
     """
-    f = f.normalize()
-    g = g.normalize()
     if g.target != f.source:
         raise CompositionError("maps do not chain: g.target != f.source")
     if f.kind == CONSTANT:

@@ -125,34 +125,6 @@ def ratio_trajectory(steps: list[StepSpec], start: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class FiniteStageEstimate:
-    """A ratio at the last computed stage; never extrapolated to a limit."""
-
-    value: Fraction
-    from_stage: int
-    to_stage: int
-    finite_stage: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "value": fraction_json(self.value),
-            "from_stage": self.from_stage,
-            "to_stage": self.to_stage,
-            "finite_stage": self.finite_stage,
-        }
-
-
-def trace_extreme_ratio(steps: list[StepSpec], start: int) -> FiniteStageEstimate:
-    """Projection-multiplicity share at the last stage, flagged finite-stage.
-
-    Trace behaviour of the limit is governed by whether this tends to zero;
-    only the value at the final available stage is reported.
-    """
-    stats = stats_over_range(steps, start, len(steps))
-    return FiniteStageEstimate(stats.projection_ratio, start, len(steps))
-
-
 def composed_projection_multiplicities(steps: list[StepSpec], start: int, stop: int,
                                        limit: int = 100_000) -> list[int]:
     """Multiplicities of the distinct composed coordinate projections.

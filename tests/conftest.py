@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
+from villadsen.bundles import chern_component
 from villadsen.cohomology import GradedClass, line_series_product, presentation_of
 from villadsen.spaces import SpaceDescriptor, cproj, sphere2
 from villadsen.type_one import StepSpec
@@ -105,3 +106,16 @@ def kernel_dropping_top_term(pres, factors):
     if product.terms:
         del product.terms[max(product.terms, key=sum)]
     return product
+
+
+def component_dropping_top_term(b, degree):
+    """`bundles.chern_component` with one of its terms dropped.
+
+    Patched in for the engine's, it makes the Euler cross-check of every
+    bundle with a nonzero Euler class (a one-term component) disagree with
+    the factorized route.
+    """
+    part = chern_component(b, degree)
+    if part.terms:
+        del part.terms[max(part.terms)]
+    return part

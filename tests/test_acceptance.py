@@ -11,8 +11,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from villadsen.bundles import chern, line_sum, pullback_bundle, trivial_bundle
-from villadsen.cohomology import cup, kunneth_product_nonzero, product_all, pullback_class
+from villadsen.bundles import chern, euler, line_sum, pullback_bundle, trivial_bundle
+from villadsen.cohomology import (
+    cup,
+    homogeneous_component,
+    kunneth_product_nonzero,
+    product_all,
+    pullback_class,
+)
 from villadsen.comparison import Outcome, trivial_line_subbundle_sufficient
 from villadsen.growth import INFINITE, cp_dimension, unit_rank
 from villadsen.reports import validate_report
@@ -126,11 +132,12 @@ def test_criterion_5_comparability_certificates():
                     report = comparability_triple(params, n, j)
                     assert report.passed
                     assert report.euler_obstruction["certificate"]["euler_nonzero"]
-        # one budget-raised full-expansion agreement at the largest stage
-        from villadsen.bundles import euler_nonzero
-        nonzero, route = euler_nonzero(obstruction_bundle(SystemParams(2), 4),
-                                       budget=10 ** 6)
-        assert nonzero and route == "factorized+full"
+                    assert report.euler_obstruction["certificate"]["route"] \
+                        == "factorized+full"
+        # one full-expansion agreement at the largest stage, budget lifted
+        witness = obstruction_bundle(SystemParams(2), 4)
+        top = homogeneous_component(chern(witness, budget=0), 2 * witness.rank)
+        assert top == euler(witness) and not top.is_zero()
 
 
 def test_criterion_6_cfp_witness():

@@ -8,6 +8,7 @@ from villadsen.bundles import (
     BundleExpr,
     DiagonalSlot,
     chern,
+    chern_component,
     chern_expansion_cost,
     euler,
     euler_nonzero,
@@ -30,7 +31,7 @@ from villadsen.cohomology import (
 from villadsen.errors import CrossCheckDisagreement, GeneratorBudgetExceeded, InvalidLineClassError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, identity, projection, sphere2, spheres
 
-from conftest import kernel_dropping_top_term, random_space
+from conftest import component_dropping_top_term, random_space
 
 
 def random_bundle(rng: random.Random, space: SpaceDescriptor,
@@ -201,21 +202,48 @@ def test_normal_form_merges_and_folds():
     assert b.summands == ((z0, 5),)
 
 
-def test_budget_refusal_and_override():
+def test_budget_refusal_and_override(monkeypatch):
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "1000")
     space = SpaceDescriptor((cproj(200), cproj(200), cproj(200)))
     b = line_sum(space, [(0, 200), (1, 200), (2, 200)])
     assert chern_expansion_cost(b) == 201 ** 3
     with pytest.raises(GeneratorBudgetExceeded):
-        chern(b, budget=1000)
-    nonzero, route = euler_nonzero(b, budget=1000)
-    assert nonzero and route == "factorized"
+        chern(b)
+    # the Euler cross-check expands only its own degree, so the budget does not bind
+    nonzero, route = euler_nonzero(b)
+    assert nonzero and route == "factorized+full"
 
 
 def test_euler_nonzero_cross_checks_when_affordable():
     space = SpaceDescriptor((cproj(3), cproj(5)))
     b = line_sum(space, [(0, 3), (1, 5)])
-    nonzero, route = euler_nonzero(b, budget=10 ** 6)
+    nonzero, route = euler_nonzero(b)
     assert nonzero and route == "factorized+full"
+    # a multiplicity at the cap kills the Euler class; both routes agree on zero
+    assert euler_nonzero(line_sum(space, [(0, 4), (1, 5)])) == (False, "factorized+full")
+    assert euler_nonzero(line_sum(space, [(0, 3)], trivial_rank=1)) == (False, "factorized+full")
+
+
+def test_chern_component_examples():
+    space = SpaceDescriptor((cproj(3), *spheres(1).factors))
+    b = line_sum(space, [(0, 5), (1, 2)], trivial_rank=4)
+    # (1 + y)^5 truncated at y^3 times (1 + z)^2 truncated at z: degree 4 is
+    # C(5,2) y^2 + C(5,1) C(2,1) y z
+    assert chern_component(b, 4).terms == {(2, 0): 10, (1, 1): 10}
+    assert chern_component(b, 0) == GradedClass.unit(b.presentation)
+    for degree in (-2, 3, 10, 2 * b.rank):
+        assert chern_component(b, degree).is_zero()
+
+
+def test_chern_component_never_expands_a_huge_multiplicity():
+    big = 10 ** 40
+    space = SpaceDescriptor((cproj(big), cproj(2)))
+    b = line_sum(space, [(0, big), (1, 2)])
+    # the Euler degree keeps one term per step, whatever the cap
+    assert chern_component(b, 2 * b.rank).terms == {(big, 2): 1}
+    assert chern_component(b, 2 * b.rank) == euler(b)
+    assert chern_component(b, 4).terms == {(2, 0): big * (big - 1) // 2,
+                                           (1, 1): 2 * big, (0, 2): 1}
 
 
 def test_bundle_serialization_round_trip():
@@ -288,12 +316,12 @@ def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
     parts = graded_components(total)
     for degree in range(0, 2 * sum(pres.caps) + 1):
         assert parts.get(degree, GradedClass.zero(pres)) == homogeneous_component(total, degree)
+        assert chern_component(b, degree) == homogeneous_component(total, degree)
 
 
 def test_euler_cross_check_disagreement_is_reported(monkeypatch):
     space = SpaceDescriptor((cproj(3), cproj(5)))
     b = line_sum(space, [(0, 3), (1, 5)])
-    monkeypatch.setattr("villadsen.bundles.line_series_product", kernel_dropping_top_term)
+    monkeypatch.setattr("villadsen.bundles.chern_component", component_dropping_top_term)
     with pytest.raises(CrossCheckDisagreement):
-        euler_nonzero(b, budget=10 ** 6)
-    assert euler_nonzero(b, budget=0) == (True, "factorized")
+        euler_nonzero(b)

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from villadsen.cli import main
 from villadsen.reports import canonical_json, normalize_report, validate_report
 
-from conftest import kernel_dropping_top_term
+from conftest import component_dropping_top_term, kernel_dropping_top_term
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,18 @@ def test_vi_subcommand_with_witness(tmp_path, capsys):
                      "top_chern_witness", "ratio_contradiction"]
     contra = doc["checks"][-1]["certificate"]
     assert contra["hypothesis_holds"] and contra["contradiction"]
+
+
+def test_vi_projection_ratio_estimate_flags_finite_stage(tmp_path, capsys):
+    # projection share 3/4 per step
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p": 3}, "point_evals": 1}] * 3)
+    code, out = run_cli(capsys, "vi", "--config", config)
+    assert code == 0
+    estimate = [c for c in json.loads(out)["checks"]
+                if c["name"] == "projection_ratio_estimate"][0]["certificate"]
+    value = Fraction(3, 4) ** 3
+    assert estimate == {"value": {"num": str(value.numerator), "den": str(value.denominator)},
+                        "finite_stage": True, "from_stage": 0, "to_stage": 3}
 
 
 def test_vi_rejects_unknown_config_keys(tmp_path, capsys):
@@ -145,6 +158,38 @@ def test_cfp_override_verification_failure_exits_two(capsys):
     assert doc["ok"] is False
     lower = [c for c in doc["checks"] if c["name"] == "lower_bound"][0]
     assert lower["outcome"] == "fail"
+
+
+def test_every_euler_certificate_is_cross_checked(capsys, monkeypatch):
+    # the full routes of these bundles expand far past a budget of 1000 terms;
+    # the degree-targeted cross-check does not depend on it
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "1000")
+    for k in ("1", "2", "inf"):
+        for stage in range(1, 7):
+            code, out = run_cli(capsys, "v2", "-k", k, "-n", "1", "--stage", str(stage),
+                                "--comparability")
+            assert code == 0
+            triple = json.loads(out)["checks"][0]["certificate"]
+            assert triple["euler_obstruction"]["certificate"]["route"] == "factorized+full"
+    code, out = run_cli(capsys, "cfp", "--terms", "9")
+    assert code == 0
+    lower = [c for c in json.loads(out)["checks"] if c["name"] == "lower_bound"][0]
+    assert lower["certificate"]["stage"] == 1024
+    assert lower["certificate"]["euler"]["certificate"]["route"] == "factorized+full"
+
+
+def test_schema_invalid_report_exits_two(capsys, monkeypatch):
+    def check_with_unknown_outcome(name, ok, certificate=None, message=""):
+        return {"name": name, "outcome": "maybe"}
+
+    monkeypatch.setattr("villadsen.reports.check", check_with_unknown_outcome)
+    code = main(["v2", "-k", "2", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "'maybe'" in captured.err
 
 
 def test_cfp_invalid_override_is_usage_error(capsys):
@@ -257,13 +302,17 @@ def test_vi_witness_past_the_budget_is_refused(tmp_path, capsys, monkeypatch):
     assert witness["certificate"]["coefficient"] == str(2 ** 7)
 
 
+# an engine route with a term dropped, by the name it is patched in under
+DROPPING_TOP_TERM = {"villadsen.bundles.chern_component": component_dropping_top_term,
+                     "villadsen.type_one.line_series_product": kernel_dropping_top_term}
+
+
 @pytest.mark.parametrize("argv, budget, check, patched, message", [
     (["v2", "-k", "2", "-n", "1", "--comparability", "--stage", "3"], "100000",
-     "comparability_triple", "villadsen.bundles.line_series_product",
+     "comparability_triple", "villadsen.bundles.chern_component",
      "factorized Euler class disagrees"),
-    # the stage-4 capacity bundle expands to 381150 terms
-    (["cfp", "--terms", "1"], "400000",
-     "lower_bound", "villadsen.bundles.line_series_product",
+    (["cfp", "--terms", "1"], "100000",
+     "lower_bound", "villadsen.bundles.chern_component",
      "factorized Euler class disagrees"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
      "top_chern_witness", "villadsen.type_one.line_series_product",
@@ -274,7 +323,7 @@ def test_cross_check_disagreement_exits_two(argv, budget, check, patched, messag
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
     argv = [config if word == "CONFIG" else word for word in argv]
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", budget)
-    monkeypatch.setattr(patched, kernel_dropping_top_term)
+    monkeypatch.setattr(patched, DROPPING_TOP_TERM[patched])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

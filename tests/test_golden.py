@@ -53,12 +53,15 @@ GOLDEN = {
         "06d404b2e1df49725d8a0b130c1622714286a8d8b12551f72c4adf00851fc5e1",
     "v2 -k inf -n 12 --rc --trace":
         "7835f9a90e1ac0833bf42c66f5899a8e5c4b173a8850d46492728fc44e56710d",
+    # these three changed only in the Euler certificate's "route", from
+    # "factorized" to "factorized+full": the degree-targeted Chern component
+    # cross-checks the Euler class past the term budget that skipped it before
     "v2 -k 2 -n 2 --stage 5 --comparability":
-        "02463445388c0ee3479d2c9c50d9fb45ec6b7b37026d8096346f902970feeb9f",
+        "8f77096c082abda3c18ee0984b789d19338366656620fa4366273c3472f1ea9a",
     "cfp --terms 3":
-        "bef3abefcc86fcced84de4b300130430c956909e1b10c3b70767f82c7407877b",
+        "65133c6de0414ee034b5acd3794dca77a3d306eda123602998e1a85f24e83dd3",
     "cfp --terms 4 --stage 40":
-        "68878ed2e9943173d5456becd6ec4aed6396242ce4dc67adfb2f417177fcb334",
+        "c53b5c01a376adac11da7ff390624acbac4aa62257b60e2b01bf73319126001c",
     "chern --space SPACE --bundle BUNDLE":
         "038d9e7f106e3bd348cace20d6c52f8ecbe513afd16199baed082a027ac7620a",
     "vi --config CONFIG --witness 2":

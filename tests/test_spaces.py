@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from villadsen.errors import CompositionError
 from villadsen.spaces import (
-    COMPOSITE,
     SpaceAtom,
     SpaceDescriptor,
     SpaceMap,
@@ -114,15 +113,18 @@ def test_compose_associative():
         assert left == right
 
 
-def test_composite_normalization_idempotent():
+def test_compose_folds_random_chains():
     rng = random.Random(13)
     for _ in range(40):
-        chain = _random_chain(rng, 3)
-        composite = SpaceMap(chain[-1].source, chain[0].target, COMPOSITE,
-                             chain=tuple(chain))
-        once = composite.normalize()
-        assert once.normalize() == once
-        assert once.kind in ("proj", "const")
+        chain = _random_chain(rng, 3)  # chain[-1] is applied first
+        folded = chain[-1]
+        for f in reversed(chain[:-1]):
+            folded = compose(f, folded)
+        assert (folded.source, folded.target) == (chain[-1].source, chain[0].target)
+        # a chain holding a constant map is constant, at the point of the one applied last
+        points = [m.point for m in reversed(chain) if m.kind == "const"]
+        assert folded.kind == ("const" if points else "proj")
+        assert folded.point == (points[-1] if points else "")
 
 
 def test_identity_is_neutral():
@@ -145,6 +147,12 @@ def test_map_serialization_round_trip():
     for m in (projection(s3, s1, (2,)), constant(s3, s1, "x0")):
         doc = json.loads(json.dumps(m.to_json()))
         assert SpaceMap.from_json(doc) == m
+    # only the two basic kinds exist; a chain is folded by `compose` instead
+    with pytest.raises(ValueError):
+        SpaceMap.from_json({"kind": "composite", "source": s3.to_json(),
+                            "target": s1.to_json(), "maps": []})
+    with pytest.raises(ValueError):
+        SpaceMap(s3, s1, "composite")
 
 
 @given(st.integers(min_value=0, max_value=30))

@@ -15,7 +15,6 @@ from villadsen.type_one import (
     ratio_trajectory,
     stats_over_range,
     top_chern_witness,
-    trace_extreme_ratio,
 )
 
 from conftest import (
@@ -99,14 +98,6 @@ def test_stats_match_chain_enumeration():
         assert composed.distinct_projections == distinct
         assert composed.projection_multiplicity == with_mult
         assert composed.total_multiplicity == total
-
-
-def test_trace_extreme_ratio_flags_finite_stage():
-    steps = [StepSpec((("p", 3),), 1)] * 3  # projection share 3/4 per step
-    est = trace_extreme_ratio(steps, 0)
-    assert est.value == Fraction(3, 4) ** 3
-    assert est.finite_stage is True
-    assert (est.from_stage, est.to_stage) == (0, 3)
 
 
 def test_composed_multiplicities_outer_product():

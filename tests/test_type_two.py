@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from villadsen.bundles import pushforward_diagonal, trivial_bundle
+from villadsen.bundles import chern_expansion_cost, pushforward_diagonal, trivial_bundle
 from villadsen.comparison import Outcome, obstructed_by_euler
 from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity, unit_rank
 from villadsen.type_two import (
@@ -155,15 +155,11 @@ def test_comparability_rejects_bad_stages():
         comparability_triple(SystemParams(2), 3, 2)
 
 
-def test_comparability_refuses_unaffordable_full_expansion():
-    from villadsen.errors import GeneratorBudgetExceeded
-    with pytest.raises(GeneratorBudgetExceeded) as exc:
-        comparability_triple(SystemParams(2), 2, 4, budget=1000,
-                             require_full_expansion=True)
-    assert exc.value.required > exc.value.budget == 1000
-    # affordable full cross-check still goes through
-    report = comparability_triple(SystemParams(2), 2, 3, budget=10 ** 6,
-                                  require_full_expansion=True)
+def test_comparability_cross_checks_past_the_budget(monkeypatch):
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "1000")
+    witness = obstruction_bundle(SystemParams(2), 4)
+    assert chern_expansion_cost(witness) > 1000
+    report = comparability_triple(SystemParams(2), 2, 4)
     assert report.passed
     assert report.euler_obstruction["certificate"]["route"] == "factorized+full"
 
