@@ -5,12 +5,13 @@ the base space, a trivial rank, and line summands with big-integer
 multiplicities.  A line summand's first Chern class is a single generator
 of the base's ring, so a summand is stored as that generator's position in
 the ring presentation (`presentation_of`, built once per space) together
-with its multiplicity.  A `GradedClass` for a line is built only where a
-line class is the output: `summands` and `to_json`.  The Chern expansion
-builds no line classes: it hands each summand's truncated binomial series
-to `line_series_product`, which multiplies series on distinct generators
-as one Cartesian product; `chern_component` multiplies the same series but
-keeps only the terms that can still reach one degree.  Multiplicities grow
+with its multiplicity, and a diagonal slot's carrier line is a position
+too.  Line classes are read only from a bundle document (`parse_bundle`).
+The Chern expansion builds no line classes either: it hands each
+summand's truncated binomial series to `line_series_product`, which
+multiplies series on distinct generators as one Cartesian product;
+`chern_component` multiplies the same series but keeps only the terms
+that can still reach one degree.  Multiplicities grow
 factorially along the inductive systems, so they are never assumed to fit
 a machine word.
 
@@ -54,70 +55,23 @@ def expansion_budget() -> int:
     return DEFAULT_BUDGET
 
 
-def _line_generator_position(line: GradedClass) -> int | None:
-    """Position of the line's generator, or None for the zero (trivial) line.
-
-    Raises InvalidLineClassError unless the class is zero or a single
-    generator with coefficient one.
-    """
-    if line.is_zero():
-        return None
-    if len(line.terms) != 1:
-        raise InvalidLineClassError("line class must be a single generator or zero")
-    (exps, coeff), = line.terms.items()
-    if coeff != 1 or sum(exps) != 1:
-        raise InvalidLineClassError("line class must be one generator with coefficient 1")
-    return exps.index(1)
-
-
 class BundleExpr:
     """base, trivial rank, and line summands keyed by generator position.
 
     `parts` maps the ring position of each summand's line (see
-    `RingPresentation`) to its multiplicity.  Summands on one line are
-    merged, zero multiplicities dropped, and the order is that of the
-    lines' exponent vectors (descending position), which is the order
-    `summands` and `to_json` list them in.
-
-    The constructor takes (line class, multiplicity) pairs and checks each
-    line; `from_positions` takes (position, multiplicity) pairs and builds
-    no line class at all.
+    `RingPresentation`) to its multiplicity.  The constructor takes
+    (position, multiplicity) pairs: summands on one line are merged, zero
+    multiplicities dropped, and the order is that of the lines' exponent
+    vectors (descending position).
     """
 
     __slots__ = ("base", "presentation", "trivial_rank", "parts")
 
     def __init__(self, base: SpaceDescriptor, trivial_rank: int = 0,
-                 summands: list[tuple[GradedClass, int]] | None = None):
+                 parts: Iterable[tuple[int, int]] = ()):
         if trivial_rank < 0:
             raise ValueError("trivial rank must be >= 0")
         pres = presentation_of(base)
-        parts = []
-        extra_trivial = 0
-        for line, mult in summands or []:
-            if mult < 0:
-                raise ValueError("multiplicity must be >= 0")
-            if mult == 0:
-                continue
-            if line.presentation != pres:
-                raise BaseMismatchError("summand line class lives over a different base")
-            pos = _line_generator_position(line)
-            if pos is None:
-                extra_trivial += mult
-            else:
-                parts.append((pos, mult))
-        self._fill(base, pres, trivial_rank + extra_trivial, parts)
-
-    @classmethod
-    def from_positions(cls, base: SpaceDescriptor, trivial_rank: int,
-                       parts: Iterable[tuple[int, int]]) -> "BundleExpr":
-        """Bundle from (generator position, multiplicity) pairs."""
-        b = cls.__new__(cls)
-        b._fill(base, presentation_of(base), trivial_rank, parts)
-        return b
-
-    def _fill(self, base, pres, trivial_rank, parts):
-        if trivial_rank < 0:
-            raise ValueError("trivial rank must be >= 0")
         n = len(pres.generators)
         merged: dict[int, int] = {}
         for pos, mult in parts:
@@ -133,12 +87,6 @@ class BundleExpr:
         self.parts = dict(sorted(merged.items(), reverse=True))
 
     @property
-    def summands(self) -> tuple[tuple[GradedClass, int], ...]:
-        """(line class, multiplicity) pairs; builds one line class per summand."""
-        return tuple((GradedClass.generator_at(self.presentation, pos), m)
-                     for pos, m in self.parts.items())
-
-    @property
     def rank(self) -> int:
         return self.trivial_rank + sum(self.parts.values())
 
@@ -152,59 +100,71 @@ class BundleExpr:
         return hash((self.base, self.trivial_rank, tuple(self.parts.items())))
 
     def __repr__(self):
+        gens = self.presentation.generators
         parts = [f"theta_{self.trivial_rank}"] if self.trivial_rank else []
-        parts += [f"{m}*({line!r})" for line, m in self.summands]
+        parts += [f"{m}*{gens[pos].gid}" for pos, m in self.parts.items()]
         return "BundleExpr(" + " + ".join(parts or ["0"]) + ")"
 
     def direct_sum(self, other: "BundleExpr") -> "BundleExpr":
         if self.base != other.base:
             raise BaseMismatchError("direct sum needs a common base")
-        return BundleExpr.from_positions(self.base, self.trivial_rank + other.trivial_rank,
-                                         [*self.parts.items(), *other.parts.items()])
+        return BundleExpr(self.base, self.trivial_rank + other.trivial_rank,
+                          [*self.parts.items(), *other.parts.items()])
 
     def add_trivial(self, extra: int) -> "BundleExpr":
-        return BundleExpr.from_positions(self.base, self.trivial_rank + extra,
-                                         self.parts.items())
+        return BundleExpr(self.base, self.trivial_rank + extra, self.parts.items())
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "trivial": str(self.trivial_rank),
-            "summands": [{"line": line.to_json(), "mult": str(m)}
-                         for line, m in self.summands],
-        }
 
-    @staticmethod
-    def from_json(doc: dict) -> "BundleExpr":
-        base = SpaceDescriptor.from_json(doc["base"])
-        pres = presentation_of(base)
-        summands = [(GradedClass.from_json(pres, s["line"]), int(s["mult"]))
-                    for s in doc.get("summands", [])]
-        return BundleExpr(base, int(doc.get("trivial", "0")), summands)
+def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
+    """Bundle from its JSON document (the `chern --bundle` format).
+
+    Each summand's line is a graded class that must be zero or a single
+    generator with coefficient one (InvalidLineClassError otherwise); a
+    zero line adds its multiplicity to the trivial rank.
+    """
+    pres = presentation_of(base)
+    trivial = int(doc.get("trivial", "0"))
+    if trivial < 0:
+        raise ValueError("trivial rank must be >= 0")
+    parts = []
+    for summand in doc.get("summands", []):
+        line = GradedClass.from_json(pres, summand["line"])
+        mult = int(summand["mult"])
+        if mult < 0:
+            raise ValueError("multiplicity must be >= 0")
+        if line.is_zero():
+            trivial += mult
+            continue
+        if len(line.terms) != 1:
+            raise InvalidLineClassError("line class must be a single generator or zero")
+        (exps, coeff), = line.terms.items()
+        if coeff != 1 or sum(exps) != 1:
+            raise InvalidLineClassError("line class must be one generator with coefficient 1")
+        parts.append((exps.index(1), mult))
+    return BundleExpr(base, trivial, parts)
 
 
 def trivial_bundle(base: SpaceDescriptor, rank: int) -> BundleExpr:
-    return BundleExpr.from_positions(base, rank, ())
-
-
-def generator_line(base: SpaceDescriptor, factor_index: int) -> GradedClass:
-    """First Chern class of the tautological/Hopf line on one factor."""
-    return GradedClass.generator(presentation_of(base), factor_index)
+    return BundleExpr(base, rank)
 
 
 def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
              trivial_rank: int = 0) -> BundleExpr:
     """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
     pres = presentation_of(base)
-    return BundleExpr.from_positions(
-        base, trivial_rank, [(pres.generator_position(idx), m) for idx, m in parts])
+    return BundleExpr(base, trivial_rank,
+                      [(pres.generator_position(idx), m) for idx, m in parts])
 
 
-def _cost_factors(b: BundleExpr):
-    # each summand's truncated binomial series has min(mult, cap-1)+1 terms
+def top_powers(b: BundleExpr):
+    """(position, multiplicity, top power) for each line summand.
+
+    The top power of the summand's series (1 + y)^mult, truncated at the
+    generator's cap, is min(mult, cap - 1).
+    """
     caps = b.presentation.caps
     for pos, mult in b.parts.items():
-        yield min(mult, caps[pos] - 1) + 1
+        yield pos, mult, min(mult, caps[pos] - 1)
 
 
 def chern_expansion_cost(b: BundleExpr) -> int:
@@ -213,7 +173,7 @@ def chern_expansion_cost(b: BundleExpr) -> int:
     Each summand's truncated series has nonzero coefficients on its own
     generator, so no two choices of powers meet on one term and none cancel.
     """
-    return prod(_cost_factors(b))
+    return prod(top + 1 for _, _, top in top_powers(b))
 
 
 def expansion_fits(b: BundleExpr, budget: int) -> bool:
@@ -223,8 +183,8 @@ def expansion_fits(b: BundleExpr, budget: int) -> bool:
     full product runs to millions of digits on large witness bases.
     """
     cost = 1
-    for factor in _cost_factors(b):
-        cost *= factor
+    for _, _, top in top_powers(b):
+        cost *= top + 1
         if cost > budget:
             return False
     return True
@@ -243,10 +203,9 @@ def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
         raise GeneratorBudgetExceeded(chern_expansion_cost(b), budget,
                                       "Chern class expansion")
     # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
-    caps = b.presentation.caps
     return line_series_product(b.presentation, [
-        (pos, [comb(mult, i) for i in range(min(mult, caps[pos] - 1) + 1)])
-        for pos, mult in b.parts.items()])
+        (pos, [comb(mult, i) for i in range(top + 1)])
+        for pos, mult, top in top_powers(b)])
 
 
 def chern_component(b: BundleExpr, degree: int) -> GradedClass:
@@ -264,8 +223,7 @@ def chern_component(b: BundleExpr, degree: int) -> GradedClass:
     if degree < 0 or degree % 2:
         return GradedClass.zero(pres)
     want = degree // 2
-    caps = pres.caps
-    tops = [(pos, mult, min(mult, caps[pos] - 1)) for pos, mult in b.parts.items()]
+    tops = list(top_powers(b))
     reach = sum(top for _, _, top in tops)  # what the summands not yet taken can add
     partial = [((), 0, 1)]  # (powers chosen so far, their sum, coefficient)
     for pos, mult, top in tops:
@@ -276,7 +234,7 @@ def chern_component(b: BundleExpr, degree: int) -> GradedClass:
     terms = {}
     for powers, total, coeff in partial:
         if total == want:
-            key = [0] * len(caps)
+            key = [0] * len(pres.caps)
             for (pos, _, _), i in zip(tops, powers):
                 key[pos] = i
             terms[tuple(key)] = coeff
@@ -313,75 +271,63 @@ def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
     if f.kind == CONSTANT:
         return trivial_bundle(f.source, b.rank)
     moved = pullback_positions(f)
-    return BundleExpr.from_positions(f.source, b.trivial_rank,
-                                     [(moved[pos], m) for pos, m in b.parts.items()])
+    return BundleExpr(f.source, b.trivial_rank,
+                      [(moved[pos], m) for pos, m in b.parts.items()])
 
 
-def tensor_line(b: BundleExpr, carrier: GradedClass) -> BundleExpr:
-    """Tensor with the line bundle whose first Chern class is `carrier`.
+def tensor_line(b: BundleExpr, position: int) -> BundleExpr:
+    """Tensor with the line bundle on the generator at `position`.
 
     First Chern classes add, so the trivial part becomes that many copies
-    of the carrier line.  A line summand would shift to its line plus the
-    carrier, which is no longer a single generator, so only bundles without
-    line summands can be tensored with a nontrivial carrier.
+    of the line.  A line summand would shift to its line plus the new one,
+    which is no longer a single generator, so only bundles without line
+    summands can be tensored with a line.
     """
-    pos = _line_generator_position(carrier)
-    if pos is None:
-        return b
-    if carrier.presentation != b.presentation:
-        raise BaseMismatchError("carrier line class lives over a different base")
     if b.parts:
-        raise InvalidLineClassError("a line summand shifted by the carrier is not "
+        raise InvalidLineClassError("a line summand tensored with a line is not "
                                     "a single generator")
-    return BundleExpr.from_positions(b.base, 0, [(pos, b.trivial_rank)])
+    return BundleExpr(b.base, 0, [(position, b.trivial_rank)])
 
 
 @dataclass(frozen=True)
 class DiagonalSlot:
     """One eigenvalue-map slot of a diagonal connecting map.
 
-    The carrier is the line bundle the slot's projection is supported on
-    (None or zero meaning the trivial line); slots of the basic kind just
-    pull back, constant slots convert everything they carry into carrier
-    lines of the appropriate rank.
+    The carrier is the generator position, in the ring of the map's source,
+    of the line bundle the slot's projection is supported on (None meaning
+    the trivial line); slots of the basic kind just pull back, constant
+    slots convert everything they carry into carrier lines of the
+    appropriate rank.
     """
 
     eigenvalue_map: SpaceMap
     multiplicity: int = 1
-    carrier: GradedClass | None = None
+    carrier: int | None = None
 
 
-def pushforward_diagonal(b: BundleExpr, slots: list) -> BundleExpr:
+def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr:
     """Image of a bundle under a diagonal map given by eigenvalue-map slots.
 
-    Accepts DiagonalSlot instances or bare (map, multiplicity) pairs.  All
-    maps must share one source (the next stage space) and target the
+    All maps must share one source (the next stage space) and target the
     bundle's base.
     """
-    norm_slots = []
-    for s in slots:
-        if isinstance(s, DiagonalSlot):
-            norm_slots.append(s)
-        else:
-            m, mult = s
-            norm_slots.append(DiagonalSlot(m, mult))
-    if not norm_slots:
+    if not slots:
         raise ValueError("diagonal map needs at least one slot")
-    source = norm_slots[0].eigenvalue_map.source
-    for s in norm_slots:
+    source = slots[0].eigenvalue_map.source
+    for s in slots:
         if s.eigenvalue_map.source != source:
             raise BaseMismatchError("all eigenvalue maps must share a source")
         if s.eigenvalue_map.target != b.base:
             raise BaseMismatchError("eigenvalue map target differs from the bundle base")
     trivial_rank = 0
     parts = []
-    for s in norm_slots:
+    for s in slots:
         piece = pullback_bundle(s.eigenvalue_map, b)
-        if s.carrier is not None and not s.carrier.is_zero():
+        if s.carrier is not None:
             piece = tensor_line(piece, s.carrier)
         trivial_rank += piece.trivial_rank * s.multiplicity
         parts.extend((pos, m * s.multiplicity) for pos, m in piece.parts.items())
-    return BundleExpr.from_positions(source, trivial_rank, parts)
+    return BundleExpr(source, trivial_rank, parts)
 
 
 def euler_nonzero(b: BundleExpr) -> tuple[bool, str]:

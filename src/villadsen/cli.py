@@ -24,8 +24,8 @@ from jsonschema import ValidationError
 
 from . import cfp as cfp_mod
 from . import reports
-from .bundles import BundleExpr, chern, euler
-from .cohomology import GradedClass, graded_components, presentation_of
+from .bundles import chern, euler, parse_bundle
+from .cohomology import graded_components
 from .comparison import Outcome
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
@@ -58,9 +58,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at `path`; a float literal (1e400, 2.9, NaN) is a
+    ConfigError, since every number the engine reads is an exact integer."""
+    def reject(literal):
+        raise ConfigError(f"{path} holds the non-integer number {literal}; "
+                          "write integers or decimal strings")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=reject, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not JSON: {exc}") from None
 
@@ -114,14 +120,8 @@ def _run_chern(args) -> int:
     space_doc = _load_json(args.space)
     bundle_doc = _load_json(args.bundle)
     base = _parse_document("space", args.space, SpaceDescriptor.from_json, space_doc)
-
-    def build_bundle(doc):
-        pres = presentation_of(base)
-        summands = [(GradedClass.from_json(pres, s["line"]), int(s["mult"]))
-                    for s in doc.get("summands", [])]
-        return BundleExpr(base, int(doc.get("trivial", "0")), summands)
-
-    bundle = _parse_document("bundle", args.bundle, build_bundle, bundle_doc)
+    bundle = _parse_document("bundle", args.bundle,
+                             lambda doc: parse_bundle(base, doc), bundle_doc)
     with _unlimited_int_digits():
         checks = []
         try:

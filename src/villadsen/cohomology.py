@@ -125,17 +125,9 @@ class GradedClass:
 
     @staticmethod
     def generator(presentation: RingPresentation, factor_index: int) -> "GradedClass":
-        return GradedClass.generator_at(presentation,
-                                        presentation.generator_position(factor_index))
-
-    @staticmethod
-    def generator_at(presentation: RingPresentation, position: int) -> "GradedClass":
-        """The generator in exponent slot `position`, coefficient one."""
-        n = len(presentation.generators)
-        if not 0 <= position < n:
-            raise IndexError(f"no generator at position {position}")
-        exps = [0] * n
-        exps[position] = 1
+        """The generator of one factor, coefficient one."""
+        exps = [0] * len(presentation.generators)
+        exps[presentation.generator_position(factor_index)] = 1
         return GradedClass(presentation, {tuple(exps): 1})
 
     # -- basic structure ----------------------------------------------------

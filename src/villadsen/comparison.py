@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bundles import BundleExpr, euler_nonzero
+from .bundles import BundleExpr, euler_nonzero, top_powers
 from .errors import BaseMismatchError
 
 
@@ -102,7 +102,6 @@ def min_rank_stably_equivalent(y: BundleExpr) -> int:
     at least d.  The Chern class factors as a product of (1+g)^m over the
     line summands; every expansion coefficient is a product of binomial
     coefficients, so no cancellation can occur and the top surviving degree
-    is the sum over summands of min(multiplicity, cap-1).
+    is the sum of the summands' top powers, min(multiplicity, cap-1).
     """
-    caps = y.presentation.caps
-    return sum(min(mult, caps[pos] - 1) for pos, mult in y.parts.items())
+    return sum(top for _, _, top in top_powers(y))

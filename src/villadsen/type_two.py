@@ -23,7 +23,6 @@ from .bundles import (
     pushforward_diagonal,
     trivial_bundle,
 )
-from .cohomology import GradedClass, presentation_of
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import BaseMismatchError
 from .growth import (
@@ -91,17 +90,10 @@ def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
     return SpaceDescriptor(tuple(atoms))
 
 
-def cp_line(space: SpaceDescriptor, j: int) -> GradedClass:
-    """First Chern class of the stage-j tautological line pulled to a stage space."""
-    if j < 1:
-        raise ValueError("projective factors start at stage 1")
-    return GradedClass.generator_at(presentation_of(space), j - 1)
-
-
 def _stage_lines(params: SystemParams, n: int, trivial_rank: int, mult) -> BundleExpr:
     """Stage-n bundle with mult(j) copies of each stage-j line, j = 1..n."""
-    return BundleExpr.from_positions(stage_space(params, n), trivial_rank,
-                                     [(j - 1, mult(j)) for j in range(1, n + 1)])
+    return BundleExpr(stage_space(params, n), trivial_rank,
+                      [(j - 1, mult(j)) for j in range(1, n + 1)])
 
 
 def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
@@ -135,14 +127,13 @@ def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
 
     One projection slot on the trivial line and n+1 point evaluations on the
     new tautological line, so a bundle of rank r pushes to its pullback plus
-    (n+1)*r copies of the new line.
+    (n+1)*r copies of the new line, which sits at generator position n.
     """
     src = stage_space(params, n + 1)
     tgt = stage_space(params, n)
-    new_line = cp_line(src, n + 1)
-    slots = [DiagonalSlot(previous_stage_projection(params, n + 1), 1, None)]
+    slots = [DiagonalSlot(previous_stage_projection(params, n + 1))]
     for j in range(1, n + 2):
-        slots.append(DiagonalSlot(constant(src, tgt, f"y{n}_{j}"), 1, new_line))
+        slots.append(DiagonalSlot(constant(src, tgt, f"y{n}_{j}"), 1, n))
     return slots
 
 

@@ -12,8 +12,8 @@ from villadsen.bundles import (
     chern_expansion_cost,
     euler,
     euler_nonzero,
-    generator_line,
     line_sum,
+    parse_bundle,
     pullback_bundle,
     pushforward_diagonal,
     tensor_line,
@@ -32,6 +32,21 @@ from villadsen.errors import CrossCheckDisagreement, GeneratorBudgetExceeded, In
 from villadsen.spaces import SpaceDescriptor, cproj, disk, identity, projection, sphere2, spheres
 
 from conftest import component_dropping_top_term, random_space
+
+
+def line_class(space: SpaceDescriptor, pos: int | None) -> GradedClass:
+    """The line class on the generator at `pos`, or the zero line for None."""
+    pres = presentation_of(space)
+    if pos is None:
+        return GradedClass.zero(pres)
+    return GradedClass.generator(pres, pres.generators[pos].factor_index)
+
+
+def bundle_document(trivial: int, lines: list[tuple[GradedClass, int]]) -> dict:
+    """The `chern --bundle` document of a trivial rank and (line class, mult) pairs."""
+    return json.loads(json.dumps({
+        "trivial": str(trivial),
+        "summands": [{"line": line.to_json(), "mult": str(m)} for line, m in lines]}))
 
 
 def random_bundle(rng: random.Random, space: SpaceDescriptor,
@@ -144,7 +159,7 @@ def test_pullback_along_constant_gives_trivial():
 def test_pushforward_identity_slot():
     space = spheres(2)
     b = line_sum(space, [(0, 2)], trivial_rank=1)
-    assert pushforward_diagonal(b, [(identity(space), 1)]) == b
+    assert pushforward_diagonal(b, [DiagonalSlot(identity(space))]) == b
 
 
 def test_pushforward_point_slots_tensor_with_carrier():
@@ -152,10 +167,13 @@ def test_pushforward_point_slots_tensor_with_carrier():
     base = spheres(1)
     src = SpaceDescriptor(base.factors + (cproj(4),))
     b = line_sum(base, [(0, 3)], trivial_rank=2)  # rank 5
-    carrier = generator_line(src, 1)
-    out = pushforward_diagonal(b, [DiagonalSlot(constant(src, base, "y"), 2, carrier)])
-    # two copies of rank(b) lines carried on the projective generator
-    assert out == BundleExpr(src, 0, [(carrier, 2 * b.rank)])
+    point = constant(src, base, "y")
+    out = pushforward_diagonal(b, [DiagonalSlot(point, 2, 1)])
+    # two copies of rank(b) lines carried on the projective generator, position 1
+    assert out == BundleExpr(src, 0, [(1, 2 * b.rank)])
+    assert out.parts == {1: 10}
+    with pytest.raises(InvalidLineClassError):
+        pushforward_diagonal(b, [DiagonalSlot(point, 1, 2)])  # src has two generators
 
 
 def test_pushforward_mixed_slots_rank():
@@ -164,42 +182,51 @@ def test_pushforward_mixed_slots_rank():
     src = base.product(spheres(1))
     b = line_sum(base, [(0, 1)], trivial_rank=1)
     proj = projection(src, base, (0,))
-    out = pushforward_diagonal(b, [(proj, 2), (constant(src, base, "y"), 3)])
+    out = pushforward_diagonal(b, [DiagonalSlot(proj, 2),
+                                   DiagonalSlot(constant(src, base, "y"), 3)])
     assert out.rank == 5 * b.rank
 
 
 def test_tensor_line_converts_trivial_part():
     space = spheres(2)
-    z1 = generator_line(space, 1)
-    out = tensor_line(trivial_bundle(space, 3), z1)
-    assert out == BundleExpr(space, 0, [(z1, 3)])
+    out = tensor_line(trivial_bundle(space, 3), 1)
+    assert out == BundleExpr(space, 0, [(1, 3)])
+    assert tensor_line(trivial_bundle(space, 0), 1) == BundleExpr(space)
 
 
 def test_tensor_line_rejects_unrepresentable_shift():
     # a carrier on top of an existing line leaves the single-generator model
     space = spheres(2)
-    z0 = generator_line(space, 0)
-    z1 = generator_line(space, 1)
     with pytest.raises(InvalidLineClassError):
-        tensor_line(BundleExpr(space, 1, [(z0, 2)]), z1)
+        tensor_line(BundleExpr(space, 1, [(0, 2)]), 1)
+    with pytest.raises(InvalidLineClassError):
+        tensor_line(trivial_bundle(space, 1), 2)  # no generator at position 2
 
 
 def test_invalid_line_class_rejected():
-    space = spheres(2)
+    space = SpaceDescriptor((*spheres(1).factors, cproj(3)))
     pres = presentation_of(space)
-    doubled = GradedClass(pres, {(1, 0): 2})
+    z0, y1 = line_class(space, 0), line_class(space, 1)
+    for line in (z0.scale(2), z0 + y1, y1 - z0, GradedClass(pres, {(0, 2): 1}),
+                 GradedClass.unit(pres)):
+        with pytest.raises(InvalidLineClassError):
+            parse_bundle(space, bundle_document(0, [(z0, 1), (line, 1)]))
+    # so is an invalid line with no copies
     with pytest.raises(InvalidLineClassError):
-        BundleExpr(space, 0, [(doubled, 1)])
+        parse_bundle(space, bundle_document(0, [(z0.scale(2), 0)]))
 
 
 def test_normal_form_merges_and_folds():
     space = spheres(2)
-    z0 = generator_line(space, 0)
-    pres = presentation_of(space)
-    zero_line = GradedClass.zero(pres)
-    b = BundleExpr(space, 1, [(z0, 2), (z0, 3), (zero_line, 4)])
+    z0 = line_class(space, 0)
+    zero_line = line_class(space, None)
+    b = parse_bundle(space, bundle_document(1, [(z0, 2), (z0, 3), (zero_line, 4)]))
     assert b.trivial_rank == 5
-    assert b.summands == ((z0, 5),)
+    assert b.parts == {0: 5}
+    assert b == BundleExpr(space, 1, [(0, 2), (0, 3), (1, 0)]).add_trivial(4)
+    # a z0^2 term is zero in the ring, so that line is the zero line too
+    squared = GradedClass(presentation_of(space), {(2, 0): 1})
+    assert parse_bundle(space, bundle_document(0, [(squared, 3)])) == trivial_bundle(space, 3)
 
 
 def test_budget_refusal_and_override(monkeypatch):
@@ -249,8 +276,9 @@ def test_chern_component_never_expands_a_huge_multiplicity():
 def test_bundle_serialization_round_trip():
     space = SpaceDescriptor((cproj(4), *spheres(1).factors))
     b = line_sum(space, [(0, 10 ** 25), (1, 3)], trivial_rank=7)
-    doc = json.loads(json.dumps(b.to_json()))
-    assert BundleExpr.from_json(doc) == b
+    doc = bundle_document(b.trivial_rank,
+                          [(line_class(space, pos), m) for pos, m in b.parts.items()])
+    assert parse_bundle(space, doc) == b
 
 
 def test_env_budget_parsing(monkeypatch):
@@ -266,20 +294,26 @@ def test_env_budget_parsing(monkeypatch):
 
 def test_position_keyed_construction_matches_checked_lines():
     space = SpaceDescriptor((cproj(2), *spheres(2).factors))
-    pres = presentation_of(space)
-    lines = [GradedClass.generator_at(pres, pos) for pos in range(3)]
-    checked = BundleExpr(space, 1, [(lines[0], 2), (lines[2], 1), (lines[0], 3)])
-    keyed = BundleExpr.from_positions(space, 1, [(0, 2), (2, 1), (0, 3)])
+    lines = [line_class(space, pos) for pos in range(3)]
+    checked = parse_bundle(space, bundle_document(1, [(lines[0], 2), (lines[2], 1),
+                                                      (lines[0], 3)]))
+    keyed = BundleExpr(space, 1, [(0, 2), (2, 1), (0, 3)])
     assert keyed == checked and hash(keyed) == hash(checked)
-    assert keyed.parts == {2: 1, 0: 5}
-    # summands and JSON list lines in the order of their exponent vectors
-    assert keyed.summands == ((lines[2], 1), (lines[0], 5))
-    assert [s["line"]["terms"][0]["exponents"] for s in keyed.to_json()["summands"]] \
-        == [[0, 0, 1], [1, 0, 0]]
+    # parts are listed in the order of the lines' exponent vectors
+    assert list(keyed.parts.items()) == [(2, 1), (0, 5)]
+    assert repr(keyed) == "BundleExpr(theta_1 + 1*z2 + 5*y0)"
     with pytest.raises(InvalidLineClassError):
-        BundleExpr.from_positions(space, 0, [(3, 1)])
+        BundleExpr(space, 0, [(3, 1)])
     with pytest.raises(ValueError):
-        BundleExpr.from_positions(space, 0, [(0, -1)])
+        BundleExpr(space, 0, [(0, -1)])
+    with pytest.raises(ValueError):
+        BundleExpr(space, -1)
+    # a zero line's multiplicity must not mend or spoil the trivial rank
+    zero_line = line_class(space, None)
+    for doc in ({"trivial": "-1"}, bundle_document(0, [(lines[1], -1)]),
+                bundle_document(3, [(zero_line, -1)]), bundle_document(-1, [(zero_line, 4)])):
+        with pytest.raises(ValueError):
+            parse_bundle(space, doc)
 
 
 ATOMS = st.one_of(st.builds(disk, st.integers(0, 3)), st.builds(sphere2),
@@ -304,9 +338,8 @@ def split_bundles(draw):
 def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
     space, trivial, summands = drawn
     pres = presentation_of(space)
-    lines = [(GradedClass.zero(pres) if pos is None else GradedClass.generator_at(pres, pos), m)
-             for pos, m in summands]
-    b = BundleExpr(space, trivial, lines)
+    lines = [(line_class(space, pos), m) for pos, m in summands]
+    b = parse_bundle(space, bundle_document(trivial, lines))
     # (1 + line)^m for each summand as it was given, by m cups of 1 + line;
     # the validating constructor drops every power at or past its cap
     series = [GradedClass.unit(pres) + line for line, m in lines for _ in range(m)]

@@ -185,12 +185,18 @@ def test_exact_pushed_coefficients_hand_computed():
         assert c <= factor_dimension(s)
 
 
+def factor_labelled(space, label):
+    """Index of the one factor of a stage space carrying `label`."""
+    (index,) = [i for i, atom in enumerate(space.factors) if atom.label == label]
+    return index
+
+
 def test_exact_pushed_matches_bundle_pushforward():
     # independent route: push the real line bundles through the actual
     # connecting maps of the infinite family and read off multiplicities
     from villadsen.growth import INFINITE
-    from villadsen.type_two import SystemParams, cp_line, push_through_stages, stage_space
-    from villadsen.bundles import BundleExpr
+    from villadsen.type_two import SystemParams, push_through_stages, stage_space
+    from villadsen.bundles import line_sum
 
     params = SystemParams(INFINITE)
     w = build_witness(2)
@@ -198,17 +204,18 @@ def test_exact_pushed_matches_bundle_pushforward():
     total = None
     for term in w.terms:
         start_space = stage_space(params, term.stage)
-        bundle = BundleExpr(start_space, 0,
-                            [(cp_line(start_space, term.stage), term.copies)])
+        bundle = line_sum(start_space,
+                          [(factor_labelled(start_space, f"cp{term.stage}"), term.copies)])
         pushed = push_through_stages(params, bundle, term.stage, j)
         total = pushed if total is None else total.direct_sum(pushed)
     expected = exact_pushed_coefficients(w, j)
     final_space = stage_space(params, j)
     by_stage = {}
-    for line, mult in total.summands:
-        for s in range(1, j + 1):
-            if line == cp_line(final_space, s):
-                by_stage[s] = mult
+    for s in range(1, j + 1):
+        pos = total.presentation.generator_position(factor_labelled(final_space, f"cp{s}"))
+        if pos in total.parts:
+            by_stage[s] = total.parts[pos]
+    assert sum(by_stage.values()) == total.rank
     assert by_stage == {s: c for s, c in expected.items() if c}
 
 

@@ -332,3 +332,40 @@ def test_cross_check_disagreement_exits_two(argv, budget, check, patched, messag
     validate_report(doc)
     failed = [c for c in doc["checks"] if c["name"] == check][0]
     assert failed["outcome"] == "fail" and failed["message"].startswith(message)
+
+
+FLOAT_LITERALS = ["1e400", "2.9", "NaN"]
+
+
+@pytest.mark.parametrize("literal", FLOAT_LITERALS)
+def test_chern_space_with_float_literal_is_usage_error(literal, tmp_path, capsys):
+    space, bundle = write_sphere_pair(tmp_path)
+    open(space, "w").write('{"factors": [{"kind": "cp", "n": %s}]}' % literal)
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    captured = capsys.readouterr()
+    assert_float_literal_named(captured, code, space, literal)
+
+
+@pytest.mark.parametrize("literal", FLOAT_LITERALS)
+def test_chern_bundle_with_float_literal_is_usage_error(literal, tmp_path, capsys):
+    space, bundle = write_sphere_pair(tmp_path)
+    text = open(bundle).read().replace('"mult": "1"', '"mult": %s' % literal, 1)
+    open(bundle, "w").write(text)
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    assert_float_literal_named(capsys.readouterr(), code, bundle, literal)
+
+
+@pytest.mark.parametrize("literal", FLOAT_LITERALS)
+def test_vi_config_with_float_literal_is_usage_error(literal, tmp_path, capsys):
+    config = tmp_path / "vi.json"
+    config.write_text('{"seed_dim": %s, "steps": []}' % literal)
+    code = main(["vi", "--config", str(config)])
+    assert_float_literal_named(capsys.readouterr(), code, str(config), literal)
+
+
+def assert_float_literal_named(captured, code, path, literal):
+    # 1e400 was an OverflowError traceback and 2.9 was read as 2
+    assert code == 1
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and path in errors[0] and literal in errors[0]

@@ -11,7 +11,6 @@ from villadsen.type_two import (
     build_stage,
     comparability_triple,
     connecting_slots,
-    cp_line,
     obstruction_bundle,
     push_through_stages,
     radius_of_comparison,
@@ -100,10 +99,12 @@ def test_connecting_map_structure():
     eta = obstruction_bundle(params, i)
     pushed = pushforward_diagonal(eta, connecting_slots(params, i))
     nxt = stage_space(params, i + 1)
-    expected_parts = [(cp_line(nxt, j), cp_dimension(2, j)) for j in range(1, i + 1)]
-    expected_parts.append((cp_line(nxt, i + 1), (i + 1) * eta.rank))
-    from villadsen.bundles import BundleExpr
-    assert pushed == BundleExpr(nxt, 0, expected_parts)
+    # the stage-j projective factor is labelled cp{j}
+    cp_index = {atom.label: idx for idx, atom in enumerate(nxt.factors)}
+    expected_parts = [(cp_index[f"cp{j}"], cp_dimension(2, j)) for j in range(1, i + 1)]
+    expected_parts.append((cp_index[f"cp{i + 1}"], (i + 1) * eta.rank))
+    from villadsen.bundles import line_sum
+    assert pushed == line_sum(nxt, expected_parts)
 
 
 def test_unit_iteration_reproduces_closed_form():
