@@ -11,7 +11,7 @@ in exact integer and rational arithmetic.
 
 from .version import ENGINE_VERSION as __version__
 
-from .spaces import SpaceAtom, SpaceDescriptor, SpaceMap, compose, cproj, disk, spheres, sphere2
+from .spaces import SpaceAtom, SpaceDescriptor, SpaceMap, cproj, disk, spheres, sphere2
 from .cohomology import (
     GradedClass,
     RingPresentation,

@@ -39,7 +39,7 @@ from .errors import (
     GeneratorBudgetExceeded,
     InvalidLineClassError,
 )
-from .spaces import CONSTANT, SpaceDescriptor, SpaceMap
+from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, read_int
 
 DEFAULT_BUDGET = 100_000
 
@@ -105,15 +105,6 @@ class BundleExpr:
         parts += [f"{m}*{gens[pos].gid}" for pos, m in self.parts.items()]
         return "BundleExpr(" + " + ".join(parts or ["0"]) + ")"
 
-    def direct_sum(self, other: "BundleExpr") -> "BundleExpr":
-        if self.base != other.base:
-            raise BaseMismatchError("direct sum needs a common base")
-        return BundleExpr(self.base, self.trivial_rank + other.trivial_rank,
-                          [*self.parts.items(), *other.parts.items()])
-
-    def add_trivial(self, extra: int) -> "BundleExpr":
-        return BundleExpr(self.base, self.trivial_rank + extra, self.parts.items())
-
 
 def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     """Bundle from its JSON document (the `chern --bundle` format).
@@ -123,13 +114,13 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     zero line adds its multiplicity to the trivial rank.
     """
     pres = presentation_of(base)
-    trivial = int(doc.get("trivial", "0"))
+    trivial = read_int(doc.get("trivial", 0), "trivial rank")
     if trivial < 0:
         raise ValueError("trivial rank must be >= 0")
     parts = []
     for summand in doc.get("summands", []):
         line = GradedClass.from_json(pres, summand["line"])
-        mult = int(summand["mult"])
+        mult = read_int(summand["mult"], "multiplicity")
         if mult < 0:
             raise ValueError("multiplicity must be >= 0")
         if line.is_zero():

@@ -29,7 +29,7 @@ from .cohomology import graded_components
 from .comparison import Outcome
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, read_int
 from .type_one import (
     SystemConfig,
     composed_projection_multiplicities,
@@ -258,7 +258,8 @@ def _run_cfp(args) -> int:
     started = time.perf_counter()
     overrides = None
     if args.override_l:
-        overrides = [int(x) for x in args.override_l.split(",") if x.strip()]
+        overrides = [read_int(x.strip(), "--override-l entry")
+                     for x in args.override_l.split(",") if x.strip()]
     with _unlimited_int_digits():
         witness = cfp_mod.build_witness(args.terms, overrides)
         checks = []

@@ -17,7 +17,8 @@ from itertools import product
 from math import prod
 
 from .errors import PresentationMismatchError
-from .spaces import CONSTANT, PROJECTION, SPACE_CACHE_SIZE, SpaceDescriptor, SpaceMap
+from .spaces import (CONSTANT, PROJECTION, SPACE_CACHE_SIZE, SpaceDescriptor, SpaceMap,
+                     read_int)
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,8 @@ class GradedClass:
 
     @staticmethod
     def from_json(presentation: RingPresentation, doc: dict) -> "GradedClass":
-        terms = {tuple(int(x) for x in t["exponents"]): int(t["coefficient"])
+        terms = {tuple(read_int(x, "exponent") for x in t["exponents"]):
+                 read_int(t["coefficient"], "coefficient")
                  for t in doc["terms"]}
         return GradedClass(presentation, terms)
 

@@ -1,10 +1,6 @@
 """Exception types shared across the engine."""
 
 
-class CompositionError(ValueError):
-    """Raised when two space maps do not chain source-to-target."""
-
-
 class PresentationMismatchError(ValueError):
     """Raised when graded classes over different rings are combined."""
 

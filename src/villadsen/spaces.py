@@ -2,16 +2,15 @@
 
 A space is an ordered product of atoms: powers of the 2-disk (contractible,
 carrying dimension only), 2-spheres, and complex projective spaces.  Maps
-between such products are coordinate projections or constant maps, and
-composing two of them folds to one of the two kinds again.  Points are
-opaque labels, never coordinates.
+between such products are coordinate projections or constant maps.  Points
+are opaque labels, never coordinates.  `read_int` is the one reader of the
+integers in input documents.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-
-from .errors import CompositionError
 
 DISK = "disk"
 SPHERE2 = "s2"
@@ -25,6 +24,18 @@ CPROJ = "cp"
 # lookup per call, where `v2 --rc` or an infinite-family `v2 --comparability`
 # comes back to a stage after a sweep past it and rebuilds it once.
 SPACE_CACHE_SIZE = 2
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_int(value, what: str) -> int:
+    """An integer slot of an input document: a JSON integer that is not a
+    boolean, or a string of ASCII decimal digits with an optional minus."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer or a decimal string, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,23 +73,13 @@ class SpaceAtom:
             return self.size + 1
         return None
 
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.kind == DISK:
-            doc["d"] = self.size
-        elif self.kind == CPROJ:
-            doc["n"] = self.size
-        if self.label:
-            doc["label"] = self.label
-        return doc
-
     @staticmethod
     def from_json(doc: dict) -> "SpaceAtom":
         kind = doc["kind"]
         if kind == DISK:
-            return SpaceAtom(DISK, int(doc["d"]), doc.get("label", ""))
+            return SpaceAtom(DISK, read_int(doc["d"], "disk power d"), doc.get("label", ""))
         if kind == CPROJ:
-            return SpaceAtom(CPROJ, int(doc["n"]), doc.get("label", ""))
+            return SpaceAtom(CPROJ, read_int(doc["n"], "cp dimension n"), doc.get("label", ""))
         if kind == SPHERE2:
             return SpaceAtom(SPHERE2, 1, doc.get("label", ""))
         raise ValueError(f"unknown atom kind {kind!r}")
@@ -131,12 +132,6 @@ class SpaceDescriptor:
     def real_dimension(self) -> int:
         return sum(a.real_dimension for a in self.factors)
 
-    def product(self, other: "SpaceDescriptor") -> "SpaceDescriptor":
-        return SpaceDescriptor(self.factors + other.factors)
-
-    def to_json(self) -> dict:
-        return {"factors": [a.to_json() for a in self.factors]}
-
     @staticmethod
     def from_json(doc: dict) -> "SpaceDescriptor":
         return SpaceDescriptor(tuple(SpaceAtom.from_json(a) for a in doc["factors"]))
@@ -157,7 +152,7 @@ class SpaceMap:
 
     A projection selects source factors matching the target's factor list
     exactly (indices are 0-based positions in the source).  A constant map
-    records only an opaque point label; `compose` chains two maps.
+    records only an opaque point label.
     """
 
     source: SpaceDescriptor
@@ -185,29 +180,6 @@ class SpaceMap:
         else:
             raise ValueError(f"unknown map kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-        }
-        if self.kind == PROJECTION:
-            doc["indices"] = list(self.indices)
-        else:
-            doc["point"] = self.point
-        return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "SpaceMap":
-        src = SpaceDescriptor.from_json(doc["source"])
-        tgt = SpaceDescriptor.from_json(doc["target"])
-        kind = doc["kind"]
-        if kind == PROJECTION:
-            return projection(src, tgt, tuple(int(i) for i in doc["indices"]))
-        if kind == CONSTANT:
-            return constant(src, tgt, doc["point"])
-        raise ValueError(f"unknown map kind {kind!r}")
-
 
 def projection(source: SpaceDescriptor, target: SpaceDescriptor,
                indices: tuple[int, ...]) -> SpaceMap:
@@ -216,25 +188,3 @@ def projection(source: SpaceDescriptor, target: SpaceDescriptor,
 
 def constant(source: SpaceDescriptor, target: SpaceDescriptor, point: str) -> SpaceMap:
     return SpaceMap(source, target, CONSTANT, point=point)
-
-
-def identity(space: SpaceDescriptor) -> SpaceMap:
-    return projection(space, space, tuple(range(len(space.factors))))
-
-
-def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
-    """The composite f after g, folded to a basic kind.
-
-    g is applied first, so g.target must equal f.source.  A projection after
-    a projection folds by index substitution; if f is constant the composite
-    is constant at f's point; if g is constant the composite is constant at
-    the (opaque) image of g's point, which keeps g's label.
-    """
-    if g.target != f.source:
-        raise CompositionError("maps do not chain: g.target != f.source")
-    if f.kind == CONSTANT:
-        return constant(g.source, f.target, f.point)
-    if g.kind == CONSTANT:
-        return constant(g.source, f.target, g.point)
-    folded = tuple(g.indices[i] for i in f.indices)
-    return projection(g.source, f.target, folded)

@@ -19,7 +19,7 @@ from .bundles import expansion_budget
 from .cohomology import line_series_product, presentation_of
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import fraction_json
-from .spaces import spheres
+from .spaces import read_int, spheres
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,9 @@ class StepSpec:
         unknown = set(doc) - {"proj_mults", "point_evals"}
         if unknown:
             raise ConfigError(f"unknown step keys: {sorted(unknown)}")
-        mults = tuple(sorted((str(k), int(v))
+        mults = tuple(sorted((str(k), read_int(v, f"multiplicity of {k!r}"))
                              for k, v in doc.get("proj_mults", {}).items()))
-        return StepSpec(mults, int(doc.get("point_evals", 0)))
-
-    def to_json(self) -> dict:
-        return {"proj_mults": {k: v for k, v in self.projection_multiplicities},
-                "point_evals": self.point_evaluations}
+        return StepSpec(mults, read_int(doc.get("point_evals", 0), "point_evals"))
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def compose_stats(a: StageStats, b: StageStats) -> StageStats:
 
 
 def stats_over_range(steps: list[StepSpec], start: int, stop: int) -> StageStats:
-    """Composite stats of steps[start:stop] (identity when empty)."""
+    """Composite stats of steps[start:stop] (IDENTITY_STATS when empty)."""
     if not 0 <= start <= stop <= len(steps):
         raise IndexError("stage range out of bounds")
     return reduce(compose_stats, (s.stats() for s in steps[start:stop]), IDENTITY_STATS)
@@ -274,12 +270,8 @@ class SystemConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "seed_dim" not in doc or "steps" not in doc:
             raise ConfigError("config needs 'seed_dim' and 'steps'")
-        seed = int(doc["seed_dim"])
+        seed = read_int(doc["seed_dim"], "seed_dim")
         if seed < 0:
             raise ConfigError("seed_dim must be >= 0")
         steps = tuple(StepSpec.from_json(s) for s in doc["steps"])
         return SystemConfig(seed, steps)
-
-    def to_json(self) -> dict:
-        return {"seed_dim": self.seed_dimension,
-                "steps": [s.to_json() for s in self.steps]}

@@ -2,9 +2,9 @@
 
 Each family is indexed by a parameter k (a positive integer or infinity).
 Stage n lives over a product of a disk power and one projective space per
-earlier stage; the connecting map has one coordinate-projection slot
-carrying the trivial line and n+1 point-evaluation slots carrying the new
-stage's tautological line.  Iterating from a rank-one projection produces
+earlier stage; the connecting map has two slots: a coordinate projection
+carrying the trivial line, and one point evaluation of multiplicity n+1
+carrying the new stage's tautological line.  Iterating from a rank-one projection produces
 the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
 """
@@ -36,7 +36,6 @@ from .reports import fraction_json
 from .spaces import (
     SPACE_CACHE_SIZE,
     SpaceDescriptor,
-    SpaceMap,
     constant,
     cproj,
     disk,
@@ -113,28 +112,18 @@ def build_stage(params: SystemParams, n: int) -> tuple[SpaceDescriptor, BundleEx
     return stage_space(params, n), unit_bundle(params, n)
 
 
-def previous_stage_projection(params: SystemParams, n: int) -> SpaceMap:
-    """The coordinate projection from stage n onto stage n-1."""
-    if n < 1:
-        raise ValueError("stage must be >= 1")
-    src = stage_space(params, n)
-    tgt = stage_space(params, n - 1)
-    return projection(src, tgt, tuple(range(len(tgt.factors))))
-
-
 def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
     """Eigenvalue-map slots of the connecting map from stage n to stage n+1.
 
-    One projection slot on the trivial line and n+1 point evaluations on the
-    new tautological line, so a bundle of rank r pushes to its pullback plus
-    (n+1)*r copies of the new line, which sits at generator position n.
+    The coordinate projection onto stage n, on the trivial line, and one
+    point-evaluation slot of multiplicity n+1 on the new tautological line,
+    so a bundle of rank r pushes to its pullback plus (n+1)*r copies of the
+    new line, which sits at generator position n.
     """
     src = stage_space(params, n + 1)
     tgt = stage_space(params, n)
-    slots = [DiagonalSlot(previous_stage_projection(params, n + 1))]
-    for j in range(1, n + 2):
-        slots.append(DiagonalSlot(constant(src, tgt, f"y{n}_{j}"), 1, n))
-    return slots
+    return [DiagonalSlot(projection(src, tgt, tuple(range(len(tgt.factors))))),
+            DiagonalSlot(constant(src, tgt, f"y{n}"), n + 1, n)]
 
 
 def push_through_stages(params: SystemParams, bundle: BundleExpr,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from villadsen.bundles import chern_component
+from villadsen.bundles import BundleExpr, chern_component
 from villadsen.cohomology import GradedClass, line_series_product, presentation_of
 from villadsen.spaces import SpaceDescriptor, cproj, sphere2
 from villadsen.type_one import StepSpec
@@ -86,6 +86,13 @@ def random_class(rng: random.Random, space: SpaceDescriptor,
         if coeff:
             terms[exps] = terms.get(exps, 0) + coeff
     return GradedClass(pres, terms)
+
+
+def direct_sum(a: BundleExpr, b: BundleExpr) -> BundleExpr:
+    """The direct sum of two bundles over one base: trivial ranks add and
+    line summands merge."""
+    return BundleExpr(a.base, a.trivial_rank + b.trivial_rank,
+                      [*a.parts.items(), *b.parts.items()])
 
 
 def random_step(rng: random.Random, max_projections: int = 3,

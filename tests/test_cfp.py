@@ -197,6 +197,7 @@ def test_exact_pushed_matches_bundle_pushforward():
     from villadsen.growth import INFINITE
     from villadsen.type_two import SystemParams, push_through_stages, stage_space
     from villadsen.bundles import line_sum
+    from conftest import direct_sum
 
     params = SystemParams(INFINITE)
     w = build_witness(2)
@@ -207,7 +208,7 @@ def test_exact_pushed_matches_bundle_pushforward():
         bundle = line_sum(start_space,
                           [(factor_labelled(start_space, f"cp{term.stage}"), term.copies)])
         pushed = push_through_stages(params, bundle, term.stage, j)
-        total = pushed if total is None else total.direct_sum(pushed)
+        total = pushed if total is None else direct_sum(total, pushed)
     expected = exact_pushed_coefficients(w, j)
     final_space = stage_space(params, j)
     by_stage = {}

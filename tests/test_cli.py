@@ -195,6 +195,12 @@ def test_schema_invalid_report_exits_two(capsys, monkeypatch):
 def test_cfp_invalid_override_is_usage_error(capsys):
     code, _ = run_cli(capsys, "cfp", "--terms", "2", "--override-l", "1,2")
     assert code == 1
+    # an entry that is not an integer is named with its option
+    code = main(["cfp", "--terms", "2", "--override-l", "4,x"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--override-l" in captured.err and "'x'" in captured.err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -369,3 +375,41 @@ def assert_float_literal_named(captured, code, path, literal):
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and path in errors[0] and literal in errors[0]
+
+
+BOOLEAN_SLOT_DOCUMENTS = {
+    "space": {"factors": [{"kind": "disk", "d": 1}, {"kind": "s2"}, {"kind": "cp", "n": 2}]},
+    "bundle": {"trivial": "1", "summands": [
+        {"line": {"terms": [{"exponents": [1, 0], "coefficient": "1"}]}, "mult": "2"}]},
+    "config": {"seed_dim": 6, "steps": [{"proj_mults": {"p1": 2}, "point_evals": 1}]},
+}
+
+
+@pytest.mark.parametrize("document, slot_path", [
+    ("space", "factors.0.d"),
+    ("space", "factors.2.n"),
+    ("bundle", "trivial"),
+    ("bundle", "summands.0.mult"),
+    ("bundle", "summands.0.line.terms.0.exponents.0"),
+    ("bundle", "summands.0.line.terms.0.coefficient"),
+    ("config", "seed_dim"),
+    ("config", "steps.0.proj_mults.p1"),
+    ("config", "steps.0.point_evals"),
+])
+def test_boolean_in_an_integer_slot_is_usage_error(document, slot_path, tmp_path, capsys):
+    # `true` was read as 1: a bundle of all-`true` slots had rank 2
+    docs = json.loads(json.dumps(BOOLEAN_SLOT_DOCUMENTS))
+    *parents, last = [int(k) if k.isdigit() else k for k in slot_path.split(".")]
+    slot = docs[document]
+    for key in parents:
+        slot = slot[key]
+    slot[last] = True
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    if document == "config":
+        code = main(["vi", "--config", str(paths["config"])])
+    else:
+        code = main(["chern", "--space", str(paths["space"]), "--bundle", str(paths["bundle"])])
+    assert_one_error_line(capsys, code, str(paths[document]))

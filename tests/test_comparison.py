@@ -17,6 +17,8 @@ from villadsen.spaces import SpaceDescriptor, cproj, spheres
 
 from villadsen.cfp import unit_over_witness_base, witness_base
 
+from conftest import direct_sum
+
 
 def test_rank_gap_on_witness_base():
     # stage-4 projective base: half-dimension 447, unit rank 120
@@ -146,7 +148,7 @@ def test_soundness_rank_vs_obstruction_on_sphere_powers():
             y = line_sum(base, [(i, mu) for i, mu in enumerate(mults) if mu],
                          trivial_rank=0)
             for trivial_extra in (0, 1, 2):
-                y2 = y.add_trivial(trivial_extra)
+                y2 = direct_sum(y, trivial_bundle(base, trivial_extra))
                 for x_rank in (1, 2):
                     x = trivial_bundle(base, x_rank)
                     dom = dominates_by_rank(x, y2).outcome == Outcome.DOMINATES
@@ -163,5 +165,5 @@ def test_domination_monotone_under_added_trivial_rank():
         y = line_sum(base, [(i, rng.randint(0, 2)) for i in range(m)],
                      trivial_rank=rng.randint(0, 4))
         if dominates_by_rank(x, y).outcome == Outcome.DOMINATES:
-            bigger = y.add_trivial(rng.randint(1, 5))
+            bigger = direct_sum(y, trivial_bundle(base, rng.randint(1, 5)))
             assert dominates_by_rank(x, bigger).outcome == Outcome.DOMINATES

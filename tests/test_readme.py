@@ -1,9 +1,14 @@
-"""Every ```python block of README.md runs as written."""
+"""Every ```python block of README.md runs as written, and its list of the
+library surface is the package's."""
 
+import importlib
 import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import villadsen
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -21,3 +26,19 @@ def test_readme_has_python_examples():
 def test_readme_example_runs(first_line, source):
     code = compile("\n" * (first_line - 1) + source, str(README), "exec")
     exec(code, {"__name__": "readme"})
+
+
+def test_readme_lists_the_library_surface():
+    section = TEXT[TEXT.index("### Library surface"):]
+    listed = set()
+    for module, names in re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section, re.MULTILINE):
+        for name in re.findall(r"`(\w+)`", names):
+            defined = getattr(importlib.import_module(f"villadsen.{module}"), name)
+            assert defined is getattr(villadsen, name)
+            listed.add(name)
+    exported = {name for name in villadsen.__all__
+                if not isinstance(getattr(villadsen, name), ModuleType)}
+    assert listed == exported
+    functions = section[section.index("Beyond `__all__`"):]
+    for module, name in re.findall(r"`(\w+)\.(\w+)`", functions):
+        assert callable(getattr(importlib.import_module(f"villadsen.{module}"), name))

@@ -19,6 +19,8 @@ from villadsen.type_two import (
     unit_bundle,
 )
 
+from conftest import direct_sum
+
 
 def test_growth_functions():
     assert [unit_multiplicity(n) for n in range(5)] == [1, 1, 4, 18, 96]
@@ -80,7 +82,7 @@ def test_trace_additive_in_rank():
     n = 2
     a = obstruction_bundle(params, n)
     b = unit_bundle(params, n)
-    assert trace_value(params, n, a.direct_sum(b)) == (
+    assert trace_value(params, n, direct_sum(a, b)) == (
         trace_value(params, n, a) + trace_value(params, n, b))
 
 
