@@ -14,11 +14,9 @@ from .version import ENGINE_VERSION as __version__
 from .spaces import SpaceAtom, SpaceDescriptor, SpaceMap, cproj, disk, spheres, sphere2
 from .cohomology import (
     GradedClass,
-    RingPresentation,
     cup,
     homogeneous_component,
     kunneth_product_nonzero,
-    presentation_of,
     pullback_class,
 )
 from .bundles import (

@@ -3,17 +3,16 @@
 A bundle expression records everything the comparison arguments ever use:
 the base space, a trivial rank, and line summands with big-integer
 multiplicities.  A line summand's first Chern class is a single generator
-of the base's ring, so a summand is stored as that generator's position in
-the ring presentation (`presentation_of`, built once per space) together
-with its multiplicity, and a diagonal slot's carrier line is a position
-too.  Line classes are read only from a bundle document (`parse_bundle`).
-The Chern expansion builds no line classes either: it hands each
-summand's truncated binomial series to `line_series_product`, which
-multiplies series on distinct generators as one Cartesian product;
-`chern_component` multiplies the same series but keeps only the terms
-that can still reach one degree.  Multiplicities grow
-factorially along the inductive systems, so they are never assumed to fit
-a machine word.
+of the base's ring, so a summand is stored as that generator's position
+(an index into `base.caps`) together with its multiplicity, and a
+diagonal slot's carrier line is a position too.  Line classes are read
+only from a bundle document (`parse_bundle`).  The Chern expansion builds
+no line classes either: it hands each summand's truncated binomial series
+to `line_series_product`, which multiplies series on distinct generators
+as one Cartesian product; `chern_component` multiplies the same series
+but keeps only the terms that can still reach one degree.  Multiplicities
+grow factorially along the inductive systems, so they are never assumed
+to fit a machine word.
 
 Equality is normal-form equality (sorted, merged summands); this is the
 working notion of isomorphism, and stable isomorphism is the same with
@@ -27,12 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb, prod
 
-from .cohomology import (
-    GradedClass,
-    line_series_product,
-    presentation_of,
-    pullback_positions,
-)
+from .cohomology import GradedClass, line_series_product, pullback_positions
 from .errors import (
     BaseMismatchError,
     CrossCheckDisagreement,
@@ -47,32 +41,31 @@ DEFAULT_BUDGET = 100_000
 def expansion_budget() -> int:
     """Term budget for full sparse expansions, from ENGINE_GENERATOR_BUDGET."""
     raw = os.environ.get("ENGINE_GENERATOR_BUDGET", "")
-    if raw.strip():
-        value = int(raw)
-        if value < 1:
-            raise ValueError("ENGINE_GENERATOR_BUDGET must be positive")
-        return value
-    return DEFAULT_BUDGET
+    if not raw.strip():
+        return DEFAULT_BUDGET
+    value = read_int(raw, "ENGINE_GENERATOR_BUDGET")
+    if value < 1:
+        raise ValueError("ENGINE_GENERATOR_BUDGET must be positive")
+    return value
 
 
 class BundleExpr:
     """base, trivial rank, and line summands keyed by generator position.
 
-    `parts` maps the ring position of each summand's line (see
-    `RingPresentation`) to its multiplicity.  The constructor takes
+    `parts` maps the generator position of each summand's line (an index
+    into `base.caps`) to its multiplicity.  The constructor takes
     (position, multiplicity) pairs: summands on one line are merged, zero
     multiplicities dropped, and the order is that of the lines' exponent
     vectors (descending position).
     """
 
-    __slots__ = ("base", "presentation", "trivial_rank", "parts")
+    __slots__ = ("base", "trivial_rank", "parts")
 
     def __init__(self, base: SpaceDescriptor, trivial_rank: int = 0,
                  parts: Iterable[tuple[int, int]] = ()):
         if trivial_rank < 0:
             raise ValueError("trivial rank must be >= 0")
-        pres = presentation_of(base)
-        n = len(pres.generators)
+        n = len(base.caps)
         merged: dict[int, int] = {}
         for pos, mult in parts:
             if mult < 0:
@@ -82,7 +75,6 @@ class BundleExpr:
             if mult:
                 merged[pos] = merged.get(pos, 0) + mult
         self.base = base
-        self.presentation = pres
         self.trivial_rank = trivial_rank
         self.parts = dict(sorted(merged.items(), reverse=True))
 
@@ -100,9 +92,9 @@ class BundleExpr:
         return hash((self.base, self.trivial_rank, tuple(self.parts.items())))
 
     def __repr__(self):
-        gens = self.presentation.generators
+        names = self.base.generator_names
         parts = [f"theta_{self.trivial_rank}"] if self.trivial_rank else []
-        parts += [f"{m}*{gens[pos].gid}" for pos, m in self.parts.items()]
+        parts += [f"{m}*{names[pos]}" for pos, m in self.parts.items()]
         return "BundleExpr(" + " + ".join(parts or ["0"]) + ")"
 
 
@@ -113,13 +105,12 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     generator with coefficient one (InvalidLineClassError otherwise); a
     zero line adds its multiplicity to the trivial rank.
     """
-    pres = presentation_of(base)
     trivial = read_int(doc.get("trivial", 0), "trivial rank")
     if trivial < 0:
         raise ValueError("trivial rank must be >= 0")
     parts = []
     for summand in doc.get("summands", []):
-        line = GradedClass.from_json(pres, summand["line"])
+        line = GradedClass.from_json(base, summand["line"])
         mult = read_int(summand["mult"], "multiplicity")
         if mult < 0:
             raise ValueError("multiplicity must be >= 0")
@@ -142,9 +133,8 @@ def trivial_bundle(base: SpaceDescriptor, rank: int) -> BundleExpr:
 def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
              trivial_rank: int = 0) -> BundleExpr:
     """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
-    pres = presentation_of(base)
     return BundleExpr(base, trivial_rank,
-                      [(pres.generator_position(idx), m) for idx, m in parts])
+                      [(base.generator_position(idx), m) for idx, m in parts])
 
 
 def top_powers(b: BundleExpr):
@@ -153,7 +143,7 @@ def top_powers(b: BundleExpr):
     The top power of the summand's series (1 + y)^mult, truncated at the
     generator's cap, is min(mult, cap - 1).
     """
-    caps = b.presentation.caps
+    caps = b.base.caps
     for pos, mult in b.parts.items():
         yield pos, mult, min(mult, caps[pos] - 1)
 
@@ -181,20 +171,18 @@ def expansion_fits(b: BundleExpr, budget: int) -> bool:
     return True
 
 
-def chern(b: BundleExpr, budget: int | None = None) -> GradedClass:
+def chern(b: BundleExpr) -> GradedClass:
     """Total Chern class: the product of (1 + line)^multiplicity, capped.
 
     The trivial part contributes 1.  Refuses with GeneratorBudgetExceeded if
-    the expansion would exceed the term budget; budget=None reads the
-    environment and budget=0 disables the guard.
+    the expansion would exceed the term budget of `expansion_budget()`.
     """
-    if budget is None:
-        budget = expansion_budget()
-    if budget and not expansion_fits(b, budget):
+    budget = expansion_budget()
+    if not expansion_fits(b, budget):
         raise GeneratorBudgetExceeded(chern_expansion_cost(b), budget,
                                       "Chern class expansion")
     # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
-    return line_series_product(b.presentation, [
+    return line_series_product(b.base, [
         (pos, [comb(mult, i) for i in range(top + 1)])
         for pos, mult, top in top_powers(b)])
 
@@ -210,9 +198,8 @@ def chern_component(b: BundleExpr, degree: int) -> GradedClass:
     partial term survives each step, so that component needs no budget.
     Odd or negative degrees hold nothing and yield the zero class.
     """
-    pres = b.presentation
     if degree < 0 or degree % 2:
-        return GradedClass.zero(pres)
+        return GradedClass.zero(b.base)
     want = degree // 2
     tops = list(top_powers(b))
     reach = sum(top for _, _, top in tops)  # what the summands not yet taken can add
@@ -225,11 +212,11 @@ def chern_component(b: BundleExpr, degree: int) -> GradedClass:
     terms = {}
     for powers, total, coeff in partial:
         if total == want:
-            key = [0] * len(pres.caps)
+            key = [0] * len(b.base.caps)
             for (pos, _, _), i in zip(tops, powers):
                 key[pos] = i
             terms[tuple(key)] = coeff
-    return GradedClass._normal(pres, terms)
+    return GradedClass._normal(b.base, terms)
 
 
 def euler(b: BundleExpr) -> GradedClass:
@@ -240,15 +227,15 @@ def euler(b: BundleExpr) -> GradedClass:
     monomial y^multiplicity, dead once the multiplicity reaches the cap, so
     this never needs a full expansion.
     """
-    pres = b.presentation
+    base = b.base
     if b.trivial_rank > 0:
-        return GradedClass.zero(pres)
-    key = [0] * len(pres.generators)
+        return GradedClass.zero(base)
+    key = [0] * len(base.caps)
     for pos, mult in b.parts.items():
-        if mult >= pres.caps[pos]:
-            return GradedClass.zero(pres)
+        if mult >= base.caps[pos]:
+            return GradedClass.zero(base)
         key[pos] = mult
-    return GradedClass(pres, {tuple(key): 1})
+    return GradedClass(base, {tuple(key): 1})
 
 
 def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:

@@ -71,6 +71,14 @@ def _load_json(path: str) -> dict:
             raise ConfigError(f"{path} is not JSON: {exc}") from None
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read like the integers of input documents."""
+    try:
+        return read_int(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_document(what: str, path: str, build, doc):
     """`build(doc)`, with any malformed-input error turned into one
     ConfigError that names the document."""
@@ -302,18 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vi = sub.add_parser("vi", help="type-I stage diagnostics and witnesses")
     p_vi.add_argument("--config", required=True, help="system config JSON file")
-    p_vi.add_argument("--from", dest="start", type=int, default=0,
+    p_vi.add_argument("--from", dest="start", type=_int_option, default=0,
                       help="first stage of the composed range (default 0)")
-    p_vi.add_argument("--stage", type=int, default=None,
+    p_vi.add_argument("--stage", type=_int_option, default=None,
                       help="last stage of the composed range (default: all)")
-    p_vi.add_argument("--witness", type=int, default=None,
+    p_vi.add_argument("--witness", type=_int_option, default=None,
                       help="witness size n for the top-Chern and contradiction checks")
     p_vi.set_defaults(func=_run_vi)
 
     p_v2 = sub.add_parser("v2", help="type-II traces, comparability, radius")
     p_v2.add_argument("-k", required=True, help="family parameter (integer or 'inf')")
-    p_v2.add_argument("-n", type=int, required=True, help="stage")
-    p_v2.add_argument("--stage", type=int, default=None,
+    p_v2.add_argument("-n", type=_int_option, required=True, help="stage")
+    p_v2.add_argument("--stage", type=_int_option, default=None,
                       help="verification stage for --comparability (default n)")
     p_v2.add_argument("--trace", action="store_true", help="emit the trace table")
     p_v2.add_argument("--comparability", action="store_true",
@@ -323,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_v2.set_defaults(func=_run_v2)
 
     p_cfp = sub.add_parser("cfp", help="witness sequences and both verification halves")
-    p_cfp.add_argument("--terms", type=int, default=2, help="number of witness terms")
-    p_cfp.add_argument("--stage", type=int, default=None,
+    p_cfp.add_argument("--terms", type=_int_option, default=2,
+                       help="number of witness terms")
+    p_cfp.add_argument("--stage", type=_int_option, default=None,
                        help="verification stage for the lower bound")
     p_cfp.add_argument("--override-l", default="",
                        help="comma-separated witness stages overriding the minimal choice")

@@ -4,77 +4,20 @@ Every space built from disks, 2-spheres and complex projective spaces has
 torsion-free cohomology concentrated in even degrees, generated by one
 degree-2 class per sphere or projective factor subject to a single power
 relation: the generator of a 2-sphere squares to zero (cap 2) and the
-generator of CP^n vanishes at power n+1 (cap n+1).  A class is stored as a
-sparse map from exponent vectors to arbitrary-precision integers; any term
-whose exponent reaches its cap is identically zero and is dropped on sight.
+generator of CP^n vanishes at power n+1 (cap n+1).  The space itself
+presents the ring (`SpaceDescriptor.caps`, by generator position).  A class
+is stored as a sparse map from exponent vectors to arbitrary-precision
+integers; any term whose exponent reaches its cap is identically zero and
+is dropped on sight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .errors import PresentationMismatchError
-from .spaces import (CONSTANT, PROJECTION, SPACE_CACHE_SIZE, SpaceDescriptor, SpaceMap,
-                     read_int)
-
-
-@dataclass(frozen=True)
-class Generator:
-    gid: str
-    cap: int
-    factor_index: int
-
-
-@dataclass(frozen=True, eq=False)
-class RingPresentation:
-    """The ring of a space: its degree-2 generators with their power caps.
-
-    A generator's position in `generators` is its exponent slot in every
-    class over the ring; `caps` lists the caps by position and `positions`
-    maps a factor index to the position of its generator.
-    """
-
-    space: SpaceDescriptor
-    generators: tuple[Generator, ...]
-    caps: tuple[int, ...] = field(init=False, repr=False)
-    positions: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "caps", tuple(g.cap for g in self.generators))
-        object.__setattr__(self, "positions",
-                           {g.factor_index: pos for pos, g in enumerate(self.generators)})
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, RingPresentation):
-            return NotImplemented
-        return self.space == other.space and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.space)
-
-    def generator_position(self, factor_index: int) -> int:
-        try:
-            return self.positions[factor_index]
-        except KeyError:
-            raise KeyError(f"factor {factor_index} carries no generator") from None
-
-
-@lru_cache(maxsize=SPACE_CACHE_SIZE)
-def presentation_of(space: SpaceDescriptor) -> RingPresentation:
-    """The ring of a space, served from a cache of the last few spaces used."""
-    gens = []
-    for idx, atom in enumerate(space.factors):
-        cap = atom.generator_cap
-        if cap is None:
-            continue
-        prefix = "z" if cap == 2 else "y"
-        gens.append(Generator(f"{prefix}{idx}", cap, idx))
-    return RingPresentation(space, tuple(gens))
+from .errors import BaseMismatchError
+from .spaces import CONSTANT, PROJECTION, SpaceDescriptor, SpaceMap, read_int
 
 
 class GradedClass:
@@ -85,10 +28,10 @@ class GradedClass:
     dropped, so stored data always satisfies the ring relations.
     """
 
-    __slots__ = ("presentation", "terms")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, presentation: RingPresentation, terms: dict | None = None):
-        caps = presentation.caps
+    def __init__(self, space: SpaceDescriptor, terms: dict | None = None):
+        caps = space.caps
         clean = {}
         for exps, coeff in (terms or {}).items():
             if coeff == 0:
@@ -101,35 +44,34 @@ class GradedClass:
             if any(e >= c for e, c in zip(exps, caps)):
                 continue  # the term is zero in the ring
             clean[exps] = clean.get(exps, 0) + coeff
-        self.presentation = presentation
+        self.space = space
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
-    def _normal(cls, presentation: RingPresentation, terms: dict) -> "GradedClass":
+    def _normal(cls, space: SpaceDescriptor, terms: dict) -> "GradedClass":
         # for kernels whose output is normal by construction: exponent tuples
         # of the right length, below their caps, each once, coefficients nonzero
         obj = cls.__new__(cls)
-        obj.presentation = presentation
+        obj.space = space
         obj.terms = terms
         return obj
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(presentation: RingPresentation) -> "GradedClass":
-        return GradedClass(presentation, {})
+    def zero(space: SpaceDescriptor) -> "GradedClass":
+        return GradedClass(space, {})
 
     @staticmethod
-    def unit(presentation: RingPresentation, coeff: int = 1) -> "GradedClass":
-        n = len(presentation.generators)
-        return GradedClass(presentation, {(0,) * n: coeff})
+    def unit(space: SpaceDescriptor, coeff: int = 1) -> "GradedClass":
+        return GradedClass(space, {(0,) * len(space.caps): coeff})
 
     @staticmethod
-    def generator(presentation: RingPresentation, factor_index: int) -> "GradedClass":
+    def generator(space: SpaceDescriptor, factor_index: int) -> "GradedClass":
         """The generator of one factor, coefficient one."""
-        exps = [0] * len(presentation.generators)
-        exps[presentation.generator_position(factor_index)] = 1
-        return GradedClass(presentation, {tuple(exps): 1})
+        exps = [0] * len(space.caps)
+        exps[space.generator_position(factor_index)] = 1
+        return GradedClass(space, {tuple(exps): 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -138,53 +80,54 @@ class GradedClass:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedClass)
-                and self.presentation == other.presentation
+                and self.space == other.space
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.presentation, frozenset(self.terms.items())))
+        return hash((self.space, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
             return "GradedClass(0)"
-        gids = [g.gid for g in self.presentation.generators]
+        gids = self.space.generator_names
         parts = []
         for exps, coeff in sorted(self.terms.items()):
             mono = "*".join(f"{gids[i]}^{e}" if e > 1 else gids[i]
                             for i, e in enumerate(exps) if e)
-            parts.append(f"{coeff}" + (f"*{mono}" if mono else ""))
+            if coeff != 1 or not mono:  # a unit coefficient is left off a monomial
+                mono = f"{coeff}*{mono}" if mono else f"{coeff}"
+            parts.append(mono)
         return "GradedClass(" + " + ".join(parts) + ")"
 
-    def _check_same_ring(self, other: "GradedClass"):
-        if self.presentation != other.presentation:
-            raise PresentationMismatchError("classes live over different rings")
+    def _check_same_space(self, other: "GradedClass"):
+        if self.space != other.space:
+            raise BaseMismatchError("classes live over different spaces")
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
-        self._check_same_ring(other)
+        self._check_same_space(other)
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
             merged[exps] = merged.get(exps, 0) + coeff
-        return GradedClass(self.presentation, merged)
+        return GradedClass(self.space, merged)
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.presentation, {e: -c for e, c in self.terms.items()})
+        return GradedClass(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         return self + (-other)
 
     def scale(self, factor: int) -> "GradedClass":
-        return GradedClass(self.presentation, {e: factor * c for e, c in self.terms.items()})
+        return GradedClass(self.space, {e: factor * c for e, c in self.terms.items()})
 
     def support_positions(self) -> set[int]:
-        """Generator positions appearing with positive exponent in some term."""
+        """Positions of the generators with positive exponent in some term."""
         out: set[int] = set()
         for exps in self.terms:
             out.update(i for i, e in enumerate(exps) if e)
         return out
 
     def constant_term(self) -> int:
-        n = len(self.presentation.generators)
-        return self.terms.get((0,) * n, 0)
+        return self.terms.get((0,) * len(self.space.caps), 0)
 
     # -- serialization -------------------------------------------------------
 
@@ -193,11 +136,11 @@ class GradedClass:
                           for e, c in sorted(self.terms.items())]}
 
     @staticmethod
-    def from_json(presentation: RingPresentation, doc: dict) -> "GradedClass":
+    def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
         terms = {tuple(read_int(x, "exponent") for x in t["exponents"]):
                  read_int(t["coefficient"], "coefficient")
                  for t in doc["terms"]}
-        return GradedClass(presentation, terms)
+        return GradedClass(space, terms)
 
 
 def cup(a: GradedClass, b: GradedClass) -> GradedClass:
@@ -206,11 +149,11 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
     All generators are even-degree, so the product is commutative; terms
     whose exponents reach a cap are zero and never stored.
     """
-    a._check_same_ring(b)
-    pres = a.presentation
+    a._check_same_space(b)
+    space = a.space
     if not a.terms or not b.terms:
-        return GradedClass.zero(pres)
-    caps = pres.caps
+        return GradedClass.zero(space)
+    caps = space.caps
     out: dict = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -218,7 +161,7 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
             if any(e >= c for e, c in zip(key, caps)):
                 continue
             out[key] = out.get(key, 0) + c1 * c2
-    return GradedClass(pres, out)
+    return GradedClass(space, out)
 
 
 def product_all(classes: list[GradedClass]) -> GradedClass:
@@ -227,14 +170,14 @@ def product_all(classes: list[GradedClass]) -> GradedClass:
     The empty list raises ValueError: it names no ring to take the unit of.
     """
     if not classes:
-        raise ValueError("need a presentation; pass at least one class")
-    acc = GradedClass.unit(classes[0].presentation)
+        raise ValueError("need a space; pass at least one class")
+    acc = GradedClass.unit(classes[0].space)
     for c in classes:
         acc = cup(acc, c)
     return acc
 
 
-def line_series_product(pres: RingPresentation,
+def line_series_product(space: SpaceDescriptor,
                         factors: list[tuple[int, list[int]]]) -> GradedClass:
     """Product of one-generator polynomials on pairwise distinct positions.
 
@@ -246,7 +189,7 @@ def line_series_product(pres: RingPresentation,
     nothing to merge, cap or cancel.  The preconditions are checked once
     per factor (ValueError if one fails), not once per term.
     """
-    caps = pres.caps
+    caps = space.caps
     series: dict[int, list[int]] = {}
     for pos, coeffs in factors:
         if not 0 <= pos < len(caps):
@@ -263,7 +206,7 @@ def line_series_product(pres: RingPresentation,
     exponents = product(*[range(len(series[p])) if p in series else (0,)
                           for p in range(len(caps))])
     choices = product(*[series[p] for p in sorted(series)])
-    return GradedClass._normal(pres, {e: prod(c) for e, c in zip(exponents, choices)})
+    return GradedClass._normal(space, {e: prod(c) for e, c in zip(exponents, choices)})
 
 
 def graded_components(a: GradedClass) -> dict[int, GradedClass]:
@@ -271,7 +214,7 @@ def graded_components(a: GradedClass) -> dict[int, GradedClass]:
     split: dict[int, dict] = {}
     for exps, coeff in a.terms.items():
         split.setdefault(2 * sum(exps), {})[exps] = coeff
-    return {d: GradedClass._normal(a.presentation, split[d]) for d in sorted(split)}
+    return {d: GradedClass._normal(a.space, split[d]) for d in sorted(split)}
 
 
 def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
@@ -281,9 +224,9 @@ def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     zero class rather than an error.
     """
     if degree < 0 or degree % 2:
-        return GradedClass.zero(a.presentation)
+        return GradedClass.zero(a.space)
     want = degree // 2
-    return GradedClass._normal(a.presentation,
+    return GradedClass._normal(a.space,
                                {e: c for e, c in a.terms.items() if sum(e) == want})
 
 
@@ -295,14 +238,9 @@ def pullback_positions(f: SpaceMap) -> tuple[int, ...]:
     """
     if f.kind != PROJECTION:
         raise ValueError("only coordinate projections move generators")
-    source_pres = presentation_of(f.source)
-    out = []
-    for g in presentation_of(f.target).generators:
-        try:
-            out.append(source_pres.generator_position(f.indices[g.factor_index]))
-        except KeyError as exc:  # cannot happen for valid projections
-            raise PresentationMismatchError(f"generator {g.gid} has no image") from exc
-    return tuple(out)
+    # `positions` lists the target's generator factors in position order; a
+    # valid projection selects a source factor of the same kind for each
+    return tuple(f.source.generator_position(f.indices[idx]) for idx in f.target.positions)
 
 
 def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
@@ -312,21 +250,19 @@ def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
     generator of the selected factor; under a constant map every positive
     degree dies and the constant term survives.
     """
-    if a.presentation != presentation_of(f.target):
-        raise PresentationMismatchError("class does not live over the map's target")
-    source_pres = presentation_of(f.source)
+    if a.space != f.target:
+        raise BaseMismatchError("class does not live over the map's target")
     if f.kind == CONSTANT:
-        return GradedClass.unit(source_pres, a.constant_term())
+        return GradedClass.unit(f.source, a.constant_term())
     position_map = pullback_positions(f)
-    n_src = len(source_pres.generators)
     out: dict = {}
     for exps, coeff in a.terms.items():
-        key = [0] * n_src
+        key = [0] * len(f.source.caps)
         for pos, e in enumerate(exps):
             key[position_map[pos]] += e
         key = tuple(key)
         out[key] = out.get(key, 0) + coeff
-    return GradedClass(source_pres, out)
+    return GradedClass(f.source, out)
 
 
 def kunneth_product_nonzero(classes: list[GradedClass]) -> bool:
@@ -339,10 +275,8 @@ def kunneth_product_nonzero(classes: list[GradedClass]) -> bool:
     """
     if not classes:
         raise ValueError("need at least one class")
-    pres = classes[0].presentation
     for c in classes[1:]:
-        if c.presentation != pres:
-            raise PresentationMismatchError("classes live over different rings")
+        classes[0]._check_same_space(c)
     seen: set[int] = set()
     for c in classes:
         block = c.support_positions()

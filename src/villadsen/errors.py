@@ -1,12 +1,8 @@
 """Exception types shared across the engine."""
 
 
-class PresentationMismatchError(ValueError):
-    """Raised when graded classes over different rings are combined."""
-
-
 class BaseMismatchError(ValueError):
-    """Raised when bundles over different base spaces are compared."""
+    """Raised when classes or bundles over different spaces are combined."""
 
 
 class InvalidLineClassError(ValueError):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import factorial
 
+from .spaces import read_int
+
 INFINITE = None  # sentinel for the k = infinity family
 
 
@@ -47,13 +49,12 @@ def unit_rank(n: int) -> int:
 
 
 def parse_family_parameter(text: str) -> int | None:
-    """Parse a CLI-facing family parameter: a positive integer or 'inf'."""
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "oo"):
+    """Parse the CLI's family parameter -k: a positive integer or 'inf'."""
+    if text.strip().lower() in ("inf", "infinity", "oo"):
         return INFINITE
-    k = int(t)
+    k = read_int(text, "-k")
     if k < 1:
-        raise ValueError("family parameter must be >= 1 or 'inf'")
+        raise ValueError("-k must be >= 1 or 'inf'")
     return k
 
 

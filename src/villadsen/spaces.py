@@ -1,10 +1,13 @@
 """Formal descriptors for the CW complexes the engine works over.
 
 A space is an ordered product of atoms: powers of the 2-disk (contractible,
-carrying dimension only), 2-spheres, and complex projective spaces.  Maps
-between such products are coordinate projections or constant maps.  Points
-are opaque labels, never coordinates.  `read_int` is the one reader of the
-integers in input documents.
+carrying dimension only), 2-spheres, and complex projective spaces.  The
+factor list fixes the cohomology ring, so a space is also its own ring
+presentation: one degree-2 generator per sphere or projective factor, in
+factor order, with its power cap.  Maps between such products are
+coordinate projections or constant maps.  Points are opaque labels, never
+coordinates.  `read_int` is the one reader of the integers in input
+documents and on the command line.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ DISK = "disk"
 SPHERE2 = "s2"
 CPROJ = "cp"
 
-# Entries kept by each space-keyed cache (rings, stage spaces, witness bases).
+# Entries kept by each space-keyed cache (stage spaces, witness bases).
 # A CLI call walks its stages in order and touches stage m next to m-1 or
 # m+1.  Measured with cold caches per call, as the benchmark runs them, on
 # all three workloads of `bench/workloads.py` (seeds 201 and 202): every hit
@@ -29,8 +32,9 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def read_int(value, what: str) -> int:
-    """An integer slot of an input document: a JSON integer that is not a
-    boolean, or a string of ASCII decimal digits with an optional minus."""
+    """An integer slot of an input document, option or environment variable:
+    a JSON integer that is not a boolean, or a string of ASCII decimal
+    digits with an optional minus."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
@@ -99,24 +103,39 @@ def cproj(n: int, label: str = "") -> SpaceAtom:
 
 @dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
-    """An ordered finite product of atoms.
+    """An ordered finite product of atoms, and the presentation of its ring.
 
     Factor order is canonical (stage of introduction, then position within
     the stage) and is preserved by serialization, so factor indices are
     stable identifiers for projections and ring generators.
 
-    Descriptors key the ring and stage caches, so the hash is computed once,
-    when the descriptor is built, and equality compares hashes before
-    factors.
+    A generator's position (its exponent slot in every class over the
+    space) counts the sphere and projective factors before it.  `caps` lists
+    the power caps by position, `positions` maps a generator's factor index
+    to its position, and `generator_names` holds the names `z<factor>`
+    (sphere) and `y<factor>` (projective space) that reprs print.
+
+    Descriptors key the stage caches, so the hash and the ring data are
+    computed once, when the descriptor is built, and equality compares
+    hashes before factors.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
     _hash: int = field(init=False, repr=False)
+    caps: tuple[int, ...] = field(init=False, repr=False)
+    generator_names: tuple[str, ...] = field(init=False, repr=False)
+    positions: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
+        ring = [(idx, cap) for idx, atom in enumerate(factors)
+                if (cap := atom.generator_cap) is not None]
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_hash", hash(factors))
+        object.__setattr__(self, "caps", tuple(cap for _, cap in ring))
+        object.__setattr__(self, "generator_names",
+                           tuple(f"{'z' if cap == 2 else 'y'}{idx}" for idx, cap in ring))
+        object.__setattr__(self, "positions", {idx: pos for pos, (idx, _) in enumerate(ring)})
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -127,6 +146,13 @@ class SpaceDescriptor:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def generator_position(self, factor_index: int) -> int:
+        """The position of a factor's generator; KeyError for a disk."""
+        try:
+            return self.positions[factor_index]
+        except KeyError:
+            raise KeyError(f"factor {factor_index} carries no generator") from None
 
     @property
     def real_dimension(self) -> int:

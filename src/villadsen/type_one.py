@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .bundles import expansion_budget
-from .cohomology import line_series_product, presentation_of
+from .cohomology import line_series_product
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import fraction_json
 from .spaces import read_int, spheres
@@ -183,7 +183,7 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> TopChernWitness:
 
     # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count};
     # the top degree of (S^2)^gens holds the single monomial z_1 ... z_gens
-    product = line_series_product(presentation_of(spheres(gens)), [
+    product = line_series_product(spheres(gens), [
         (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)])
     expanded = product.terms.get((1,) * gens, 0)
     if expanded != closed:

@@ -213,7 +213,7 @@ def test_exact_pushed_matches_bundle_pushforward():
     final_space = stage_space(params, j)
     by_stage = {}
     for s in range(1, j + 1):
-        pos = total.presentation.generator_position(factor_labelled(final_space, f"cp{s}"))
+        pos = total.base.generator_position(factor_labelled(final_space, f"cp{s}"))
         if pos in total.parts:
             by_stage[s] = total.parts[pos]
     assert sum(by_stage.values()) == total.rank

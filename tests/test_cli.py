@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,32 @@ def test_cfp_invalid_override_is_usage_error(capsys):
     assert "--override-l" in captured.err and "'x'" in captured.err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["v2", "-k", "\u0662", "-n", "3"], "-k"),
+    (["v2", "-k", "true", "-n", "3"], "-k"),
+    (["v2", "-k", "2", "-n", "1_0", "--trace"], "-n"),
+    (["v2", "-k", "2", "-n", " 3"], "-n"),
+    (["v2", "-k", "2", "-n", "3", "--stage", "+4", "--comparability"], "--stage"),
+    (["cfp", "--terms", "\u0663"], "--terms"),
+    (["cfp", "--terms", "2", "--stage", "0x10"], "--stage"),
+    (["vi", "--config", "vi.json", "--from", "1.0"], "--from"),
+    (["vi", "--config", "vi.json", "--stage", "1e1"], "--stage"),
+    (["vi", "--config", "vi.json", "--witness", "two"], "--witness"),
+])
+def test_integer_option_is_read_strictly(argv, option, capsys):
+    # int() took Unicode digits, underscores and spaces, and its refusal
+    # named no option
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and option in errors[0] and repr(argv[argv.index(option) + 1]) \
+        in errors[0]
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -241,9 +268,9 @@ def test_v2_rank_beyond_default_digit_limit(capsys):
 
 def test_input_documents_keep_the_default_digit_limit(tmp_path, capsys):
     space, bundle = write_sphere_pair(tmp_path)
-    doc = json.loads(open(bundle).read())
+    doc = json.loads(Path(bundle).read_text())
     doc["summands"][0]["mult"] = "9" * (sys.get_int_max_str_digits() + 1)
-    open(bundle, "w").write(json.dumps(doc))
+    Path(bundle).write_text(json.dumps(doc))
     code, _ = run_cli(capsys, "chern", "--space", space, "--bundle", bundle)
     assert code == 1
 
@@ -273,9 +300,9 @@ def test_chern_space_with_non_list_factors_is_usage_error(tmp_path, capsys):
 
 def test_chern_summand_without_mult_is_usage_error(tmp_path, capsys):
     space, bundle = write_sphere_pair(tmp_path)
-    doc = json.loads(open(bundle).read())
+    doc = json.loads(Path(bundle).read_text())
     del doc["summands"][1]["mult"]
-    open(bundle, "w").write(json.dumps(doc))
+    Path(bundle).write_text(json.dumps(doc))
     code = main(["chern", "--space", space, "--bundle", bundle])
     assert_one_error_line(capsys, code, bundle)
 
@@ -346,7 +373,7 @@ FLOAT_LITERALS = ["1e400", "2.9", "NaN"]
 @pytest.mark.parametrize("literal", FLOAT_LITERALS)
 def test_chern_space_with_float_literal_is_usage_error(literal, tmp_path, capsys):
     space, bundle = write_sphere_pair(tmp_path)
-    open(space, "w").write('{"factors": [{"kind": "cp", "n": %s}]}' % literal)
+    Path(space).write_text('{"factors": [{"kind": "cp", "n": %s}]}' % literal)
     code = main(["chern", "--space", space, "--bundle", bundle])
     captured = capsys.readouterr()
     assert_float_literal_named(captured, code, space, literal)
@@ -355,8 +382,8 @@ def test_chern_space_with_float_literal_is_usage_error(literal, tmp_path, capsys
 @pytest.mark.parametrize("literal", FLOAT_LITERALS)
 def test_chern_bundle_with_float_literal_is_usage_error(literal, tmp_path, capsys):
     space, bundle = write_sphere_pair(tmp_path)
-    text = open(bundle).read().replace('"mult": "1"', '"mult": %s' % literal, 1)
-    open(bundle, "w").write(text)
+    text = Path(bundle).read_text().replace('"mult": "1"', '"mult": %s' % literal, 1)
+    Path(bundle).write_text(text)
     code = main(["chern", "--space", space, "--bundle", bundle])
     assert_float_literal_named(capsys.readouterr(), code, bundle, literal)
 

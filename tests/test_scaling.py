@@ -1,9 +1,10 @@
 """Construction counts of the radius-of-comparison sweep and of CLI calls.
 
-A stage's ring is built once and a stage's witness is checked with one
-class, so both counts must grow at most linearly with the number of stages.
-The space-keyed caches hold only a few entries, so a CLI call may rebuild
-at most one ring: a stage it looks up again after sweeping past it.  A
+A space carries its ring, so a stage's ring is built once, with its space,
+and a stage's witness is checked with one class: both counts must grow at
+most linearly with the number of stages.  The space-keyed caches hold only
+a few entries, so a CLI call may rebuild at most one space: a stage it
+looks up again after sweeping past it.  A
 type-II connecting map has two slots whatever the stage, so each step of a
 comparability chain builds a fixed number of bundles.
 """
@@ -15,8 +16,9 @@ import pytest
 from villadsen.bundles import BundleExpr
 from villadsen.cfp import witness_base
 from villadsen.cli import main
-from villadsen.cohomology import GradedClass, RingPresentation, presentation_of
+from villadsen.cohomology import GradedClass
 from villadsen.growth import INFINITE
+from villadsen.spaces import SpaceDescriptor
 from villadsen.type_two import SystemParams, connecting_slots, radius_of_comparison, stage_space
 
 
@@ -27,21 +29,21 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
 
 def count_during(monkeypatch, action) -> tuple[list, int]:
     """Rings built (by space) and classes built while `action` runs, caches cold."""
-    for cache in (presentation_of, stage_space, witness_base):
+    for cache in (stage_space, witness_base):
         cache.cache_clear()
     rings, classes = [], []
-    ring_init, class_init = RingPresentation.__init__, GradedClass.__init__
+    ring_init, class_init = SpaceDescriptor.__post_init__, GradedClass.__init__
 
-    def counting_ring_init(self, space, generators):
-        rings.append(space)
-        ring_init(self, space, generators)
+    def counting_ring_init(self):
+        ring_init(self)
+        rings.append(self)
 
     def counting_class_init(self, *args, **kwargs):
         classes.append(1)
         class_init(self, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(RingPresentation, "__init__", counting_ring_init)
+        patch.setattr(SpaceDescriptor, "__post_init__", counting_ring_init)
         patch.setattr(GradedClass, "__init__", counting_class_init)
         action()
     return rings, len(classes)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from villadsen.cohomology import GradedClass
 from villadsen.spaces import (
     SpaceAtom,
     SpaceDescriptor,
@@ -53,6 +54,18 @@ def test_descriptor_from_json():
                        {"kind": "s2", "label": "s"}]}
     space = SpaceDescriptor((disk(2, label="d0"), cproj(4), sphere2(label="s")))
     assert SpaceDescriptor.from_json(doc) == space
+
+
+def test_space_presents_its_ring():
+    # a disk carries no generator; the sphere and CP^3 generators sit at
+    # positions 0 and 1, capped at powers 2 and 4
+    space = SpaceDescriptor((disk(2), sphere2(), cproj(3)))
+    assert space.caps == (2, 4)
+    assert (space.generator_position(1), space.generator_position(2)) == (0, 1)
+    with pytest.raises(KeyError):
+        space.generator_position(0)
+    assert repr(GradedClass.generator(space, 2)) == "GradedClass(y2)"
+    assert repr(GradedClass.generator(space, 1)) == "GradedClass(z1)"
 
 
 def test_map_kind_must_be_basic():
