@@ -56,9 +56,14 @@ def half_dimension_sum(j: int) -> int:
 
 
 def unit_over_witness_base(j: int) -> BundleExpr:
-    """The unit bundle pulled to the projective part: rank (j+1)!."""
+    """The unit bundle pulled to the projective part: rank (j+1)!.
+
+    The stage-s block multiplicity sigma(s) = s * s! is the stage-s factor
+    dimension s^2 * s! over s, read off the base's atoms.
+    """
     base = witness_base(j)
-    return line_sum(base, [(s - 1, unit_multiplicity(s)) for s in range(1, j + 1)],
+    return line_sum(base, [(s - 1, atom.size // s)
+                           for s, atom in enumerate(base.factors, start=1)],
                     trivial_rank=1)
 
 
@@ -276,13 +281,12 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerifica
     for term, prev_term in zip(terms[1:], terms):
         prev, cur = prev_term.stage, term.stage
         dominated_rank = sum(dim[1:prev + 1])
-        fact = factorial(prev + 1)
         intermediate = []
+        # dominated_rank * sigma(t) / (prev+1)! = t * scaled, with
+        # scaled = dominated_rank * t!/(prev+1)! carried as a running product
+        scaled = dominated_rank
         for t in range(prev + 1, cur + 1):
-            numerator = dominated_rank * unit_multiplicity(t)
-            if numerator % fact:
-                raise AssertionError("pushforward coefficient is not integral")
-            coeff = numerator // fact
+            coeff = t * scaled
             total = coeff + (term.copies if t == cur else 0)
             ok_t = total <= dim[t]
             if not ok_t:
@@ -290,7 +294,12 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerifica
             intermediate.append({"stage": t, "pushed": str(coeff),
                                  "total": str(total),
                                  "cap": str(dim[t]), "ok": ok_t})
-        growth_lhs = dominated_rank * unit_multiplicity(cur) // fact
+            scaled *= t + 1
+        growth_lhs = coeff
+        # closed form of the last coefficient, so the running product is never
+        # trusted alone
+        if growth_lhs * factorial(prev + 1) != dominated_rank * unit_multiplicity(cur):
+            raise AssertionError("running pushforward coefficient disagrees with its closed form")
         growth_ok = 2 * growth_lhs <= dim[cur]
         if not growth_ok:
             failures.append(f"growth inequality fails entering stage {cur}")

@@ -217,6 +217,9 @@ def _run_vi(args) -> int:
 
 def _run_v2(args) -> int:
     started = time.perf_counter()
+    if args.stage is not None and not args.comparability:
+        raise ConfigError("--stage is the verification stage of --comparability "
+                          "and needs it")
     params = SystemParams(parse_family_parameter(args.k))
     with _unlimited_int_digits():
         n = args.n

@@ -2,10 +2,14 @@
 
 All values are exact Python integers; they reach factorial scale quickly,
 which is why nothing in this package ever goes through floating point.
+The functions give one stage's value; `GrowthTable` holds every stage's
+values up to n and extends them one stage at a time from a running
+factorial, which is how the type-II stage tower walks up.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 from .spaces import read_int
@@ -46,6 +50,34 @@ def unit_rank(n: int) -> int:
     if n < 0:
         raise ValueError("stage must be >= 0")
     return factorial(n + 1)
+
+
+@dataclass(frozen=True)
+class GrowthTable:
+    """The growth numbers of stages 1..n of family k, from one running factorial.
+
+    `unit[j-1]` is unit_multiplicity(j) and `dims[j-1]` is cp_dimension(k, j);
+    `factorial` is n!, so `rank`, the stage-n unit rank, is (n+1)!.
+    `next()` adds stage n+1 with three multiplications and copies the
+    tuples, so a walk up the stages never calls `math.factorial`.
+    """
+
+    k: int | None
+    n: int = 0
+    factorial: int = 1
+    unit: tuple[int, ...] = ()
+    dims: tuple[int, ...] = ()
+
+    @property
+    def rank(self) -> int:
+        return self.factorial * (self.n + 1)
+
+    def next(self) -> "GrowthTable":
+        n = self.n + 1
+        fact = self.factorial * n
+        sigma = n * fact
+        dim = (n if self.k is INFINITE else self.k) * sigma
+        return GrowthTable(self.k, n, fact, self.unit + (sigma,), self.dims + (dim,))
 
 
 def parse_family_parameter(text: str) -> int | None:

@@ -76,7 +76,8 @@ def load_schema() -> dict:
 @lru_cache(maxsize=1)
 def _report_validator():
     # built at the first validation, not at load: checking the schema against
-    # its metaschema costs about 10 ms, which start-up should not pay
+    # its draft-07 metaschema costs about 2 ms (about 7 ms under 2020-12),
+    # which start-up should not pay
     schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)

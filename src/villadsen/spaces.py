@@ -4,10 +4,12 @@ A space is an ordered product of atoms: powers of the 2-disk (contractible,
 carrying dimension only), 2-spheres, and complex projective spaces.  The
 factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
-factor order, with its power cap.  Maps between such products are
-coordinate projections or constant maps.  Points are opaque labels, never
-coordinates.  `read_int` is the one reader of the integers in input
-documents and on the command line.
+factor order, with its power cap.  `SpaceDescriptor.extend` appends
+factors to a space and derives the product's hash and ring data from the
+space's, which is how each type-II stage is built from the one before.
+Maps between such products are coordinate projections or constant maps.
+Points are opaque labels, never coordinates.  `read_int` is the one reader
+of the integers in input documents and on the command line.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ DISK = "disk"
 SPHERE2 = "s2"
 CPROJ = "cp"
 
-# Entries kept by each space-keyed cache (stage spaces, witness bases).
-# A CLI call walks its stages in order and touches stage m next to m-1 or
-# m+1.  Measured with cold caches per call, as the benchmark runs them, on
-# all three workloads of `bench/workloads.py` (seeds 201 and 202): every hit
-# is to one of the last 2 distinct keys of its cache, except in at most one
-# lookup per call, where `v2 --rc` or an infinite-family `v2 --comparability`
-# comes back to a stage after a sweep past it and rebuilds it once.
+# Entries kept by each space-keyed cache: the type-II stages held for the
+# next stage to extend, and the CFP witness bases.  A CLI call walks its
+# stages in order and touches stage m next to m-1 or m+1, so a sweep
+# extends the stage it has just built.  Without held stages every stage is
+# built from its atoms again, and `v2 -k 2 -n 80 --rc` builds 13,282 atoms
+# instead of 81.  Counted with cold caches per call, as the benchmark runs
+# them, over one pass of each workload of `bench/workloads.py` (seed 201):
+# 2 entries build 1600, 434 and 68 spaces, 1 entry one more on
+# chern-expansion.  A call still rebuilds at most one stage: `v2 --rc`
+# after its trace table, or an infinite-family `v2 --comparability`, comes
+# back to a stage it swept past.
 SPACE_CACHE_SIZE = 2
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -115,9 +121,11 @@ class SpaceDescriptor:
     to its position, and `generator_names` holds the names `z<factor>`
     (sphere) and `y<factor>` (projective space) that reprs print.
 
-    Descriptors key the stage caches, so the hash and the ring data are
-    computed once, when the descriptor is built, and equality compares
-    hashes before factors.
+    Descriptors key the stage caches, so the hash, the ring data and the
+    real dimension are computed once, when the descriptor is built, and
+    equality compares hashes before factors.  The hash folds over the atoms
+    one at a time, so `extend` derives all of them from its predecessor's
+    and visits only the new atoms.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
@@ -125,17 +133,46 @@ class SpaceDescriptor:
     caps: tuple[int, ...] = field(init=False, repr=False)
     generator_names: tuple[str, ...] = field(init=False, repr=False)
     positions: dict[int, int] = field(init=False, repr=False)
+    real_dimension: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        ring = [(idx, cap) for idx, atom in enumerate(factors)
-                if (cap := atom.generator_cap) is not None]
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(factors))
-        object.__setattr__(self, "caps", tuple(cap for _, cap in ring))
-        object.__setattr__(self, "generator_names",
-                           tuple(f"{'z' if cap == 2 else 'y'}{idx}" for idx, cap in ring))
-        object.__setattr__(self, "positions", {idx: pos for pos, (idx, _) in enumerate(ring)})
+        atoms = tuple(self.factors)
+        for name, value in _EMPTY_PRODUCT.items():
+            object.__setattr__(self, name, value)
+        self._append(atoms)
+
+    def extend(self, atoms) -> "SpaceDescriptor":
+        """This space times `atoms`, which follow its factors.
+
+        Equal to `SpaceDescriptor(self.factors + tuple(atoms))`, hash
+        included; this space's tuples and dict are copied, not rebuilt.
+        """
+        space = object.__new__(SpaceDescriptor)
+        space.__dict__.update(self.__dict__)
+        space._append(tuple(atoms))
+        return space
+
+    def _append(self, atoms: tuple[SpaceAtom, ...]) -> None:
+        # only while the descriptor is being built: it is frozen afterwards
+        h, dim = self._hash, self.real_dimension
+        idx, pos = len(self.factors), len(self.caps)
+        caps, names, positions = [], [], {}
+        for atom in atoms:
+            h = hash((h, atom))
+            dim += atom.real_dimension
+            cap = atom.generator_cap
+            if cap is not None:
+                caps.append(cap)
+                names.append(f"{'z' if cap == 2 else 'y'}{idx}")
+                positions[idx] = pos
+                pos += 1
+            idx += 1
+        object.__setattr__(self, "factors", self.factors + atoms)
+        object.__setattr__(self, "_hash", h)
+        object.__setattr__(self, "caps", self.caps + tuple(caps))
+        object.__setattr__(self, "generator_names", self.generator_names + tuple(names))
+        object.__setattr__(self, "positions", {**self.positions, **positions})
+        object.__setattr__(self, "real_dimension", dim)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -154,13 +191,14 @@ class SpaceDescriptor:
         except KeyError:
             raise KeyError(f"factor {factor_index} carries no generator") from None
 
-    @property
-    def real_dimension(self) -> int:
-        return sum(a.real_dimension for a in self.factors)
-
     @staticmethod
     def from_json(doc: dict) -> "SpaceDescriptor":
         return SpaceDescriptor(tuple(SpaceAtom.from_json(a) for a in doc["factors"]))
+
+
+# the fields of the product of no factors, where every descriptor starts
+_EMPTY_PRODUCT = {"factors": (), "_hash": hash(()), "caps": (), "generator_names": (),
+                  "positions": {}, "real_dimension": 0}
 
 
 def spheres(n: int) -> SpaceDescriptor:

@@ -7,13 +7,19 @@ carrying the trivial line, and one point evaluation of multiplicity n+1
 carrying the new stage's tautological line.  Iterating from a rank-one projection produces
 the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
+
+The stages form a tower: stage n+1 is stage n times one new projective
+factor (and a disk increment for k = infinity).  A stage is held with its
+growth numbers (`growth.GrowthTable`), and the next stage extends the held
+one by its new atoms, so a caller sweeping the stages in order pays for
+each new stage in proportion to its new atoms, not to the stage.  Only the
+last few stages are held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .bundles import (
     BundleExpr,
@@ -25,13 +31,7 @@ from .bundles import (
 )
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import BaseMismatchError
-from .growth import (
-    INFINITE,
-    cp_dimension,
-    family_parameter_label,
-    unit_multiplicity,
-    unit_rank,
-)
+from .growth import INFINITE, GrowthTable, family_parameter_label
 from .reports import fraction_json
 from .spaces import (
     SPACE_CACHE_SIZE,
@@ -58,16 +58,61 @@ class SystemParams:
         return family_parameter_label(self.k)
 
 
-def _disk_power(params: SystemParams, n: int) -> int:
+def _disk_power(params: SystemParams, growth: GrowthTable) -> int:
     """Total disk power at stage n: k for finite families, n*sigma(n)^2 else."""
     if params.k is not INFINITE:
         return params.k
-    if n == 0:
+    if growth.n == 0:
         return 1
-    return n * unit_multiplicity(n) ** 2
+    return growth.dims[-1] * growth.unit[-1]
 
 
-@lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _new_atoms(params: SystemParams, before: GrowthTable, after: GrowthTable) -> list:
+    """The factors stage after.n adds to the stage before it."""
+    j = after.n
+    atoms = []
+    increment = _disk_power(params, after) - _disk_power(params, before)
+    if increment > 0:
+        atoms.append(disk(increment, label=f"d{j}"))
+    atoms.append(cproj(after.dims[-1], label=f"cp{j}"))
+    return atoms
+
+
+@dataclass(frozen=True)
+class _Stage:
+    space: SpaceDescriptor
+    growth: GrowthTable
+
+
+# The stages held, least recently used first, keyed by (k, n).
+_STAGES: dict[tuple[int | None, int], _Stage] = {}
+
+
+def _stage(params: SystemParams, n: int) -> _Stage:
+    """Stage n: the held stage n-1 extended by its new atoms, or else built
+    from stage 0 up as one list of atoms, without recursion."""
+    if n < 0:
+        raise ValueError("stage must be >= 0")
+    stage = _STAGES.pop((params.k, n), None)
+    if stage is None:
+        prev = _STAGES.get((params.k, n - 1))
+        if prev is not None:
+            growth = prev.growth.next()
+            stage = _Stage(prev.space.extend(_new_atoms(params, prev.growth, growth)),
+                           growth)
+        else:
+            growth = GrowthTable(params.k)
+            atoms = [disk(_disk_power(params, growth), label="d0")]
+            for _ in range(n):
+                before, growth = growth, growth.next()
+                atoms += _new_atoms(params, before, growth)
+            stage = _Stage(SpaceDescriptor(tuple(atoms)), growth)
+    _STAGES[params.k, n] = stage
+    if len(_STAGES) > SPACE_CACHE_SIZE:
+        del _STAGES[next(iter(_STAGES))]
+    return stage
+
+
 def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
     """The stage-n base space, shared by the bundles and slots of a stage.
 
@@ -78,32 +123,19 @@ def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
     no generator, so the stage-j projective factor carries ring generator
     position j-1.
     """
-    if n < 0:
-        raise ValueError("stage must be >= 0")
-    atoms = [disk(_disk_power(params, 0), label="d0")]
-    for j in range(1, n + 1):
-        increment = _disk_power(params, j) - _disk_power(params, j - 1)
-        if increment > 0:
-            atoms.append(disk(increment, label=f"d{j}"))
-        atoms.append(cproj(cp_dimension(params.k, j), label=f"cp{j}"))
-    return SpaceDescriptor(tuple(atoms))
-
-
-def _stage_lines(params: SystemParams, n: int, trivial_rank: int, mult) -> BundleExpr:
-    """Stage-n bundle with mult(j) copies of each stage-j line, j = 1..n."""
-    return BundleExpr(stage_space(params, n), trivial_rank,
-                      [(j - 1, mult(j)) for j in range(1, n + 1)])
+    return _stage(params, n).space
 
 
 def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
     """The stage-n unit: one trivial line plus sigma(j) copies of each stage line.
 
-    Rank is checked two ways: the sum of the block multiplicities and the
-    telescoped value (n+1)!.
+    Its rank, the sum of the block multiplicities, is checked against the
+    telescoped value (n+1)!; both come from the running table, but they
+    agree only if every block multiplicity in it is right.
     """
-    bundle = _stage_lines(params, n, 1, unit_multiplicity)
-    direct = 1 + sum(unit_multiplicity(j) for j in range(1, n + 1))
-    if bundle.rank != direct or bundle.rank != unit_rank(n):
+    stage = _stage(params, n)
+    bundle = BundleExpr(stage.space, 1, enumerate(stage.growth.unit))
+    if bundle.rank != stage.growth.rank:
         raise AssertionError("unit rank bookkeeping is inconsistent")
     return bundle
 
@@ -120,8 +152,8 @@ def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
     so a bundle of rank r pushes to its pullback plus (n+1)*r copies of the
     new line, which sits at generator position n.
     """
-    src = stage_space(params, n + 1)
     tgt = stage_space(params, n)
+    src = stage_space(params, n + 1)
     return [DiagonalSlot(projection(src, tgt, tuple(range(len(tgt.factors))))),
             DiagonalSlot(constant(src, tgt, f"y{n}"), n + 1, n)]
 
@@ -139,14 +171,16 @@ def push_through_stages(params: SystemParams, bundle: BundleExpr,
 
 def trace_value(params: SystemParams, n: int, bundle: BundleExpr) -> Fraction:
     """Exact trace of a stage-n projection: rank over (n+1)!."""
-    if bundle.base != stage_space(params, n):
+    stage = _stage(params, n)
+    if bundle.base != stage.space:
         raise BaseMismatchError("bundle does not live over the given stage")
-    return Fraction(bundle.rank, unit_rank(n))
+    return Fraction(bundle.rank, stage.growth.rank)
 
 
 def obstruction_bundle(params: SystemParams, n: int) -> BundleExpr:
     """The stage-n witness sum: cp_dimension(k, i) copies of each stage line."""
-    return _stage_lines(params, n, 0, lambda i: cp_dimension(params.k, i))
+    stage = _stage(params, n)
+    return BundleExpr(stage.space, 0, enumerate(stage.growth.dims))
 
 
 @dataclass(frozen=True)
@@ -201,8 +235,8 @@ def comparability_triple(params: SystemParams, n: int,
         raise ValueError("verify stage must be >= the witness stage")
 
     line_records = []
-    for i in range(1, n + 1):
-        dim = cp_dimension(params.k, i)
+    growth = _stage(params, n).growth
+    for i, dim in enumerate(growth.dims, start=1):
         one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
         doubled = line_sum(one_factor, [(0, 2 * dim)])
         verdict = trivial_line_subbundle_sufficient(doubled)
@@ -225,7 +259,7 @@ def comparability_triple(params: SystemParams, n: int,
             "to_stage": ell + 1,
             "pushed_rank": str(pushed.rank),
             "new_line_multiplicity": str(new_coeff),
-            "capacity": str(cp_dimension(params.k, ell + 1)),
+            "capacity": str(_stage(params, ell + 1).growth.dims[-1]),
             "within_capacity": ok,
         })
         current = target
@@ -235,13 +269,13 @@ def comparability_triple(params: SystemParams, n: int,
     euler_record = {"outcome": verdict.outcome.value, "certificate": verdict.certificate,
                     "witness_rank": str(witness.rank)}
 
-    unit_line_trace = Fraction(1, unit_rank(n))
+    unit_line_trace = Fraction(1, growth.rank)
     traces: dict = {
         "unit_line": fraction_json(unit_line_trace),
         "q_sum": fraction_json(q_sum),
     }
     if params.k is not INFINITE:
-        closed = Fraction(params.k * unit_rank(n) - params.k, unit_rank(n))
+        closed = Fraction(params.k * growth.rank - params.k, growth.rank)
         if closed != q_sum:
             raise AssertionError("closed-form q-sum trace disagrees with rank count")
         traces["limit"] = str(params.k)
@@ -309,7 +343,7 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
     previous = None
     for m in range(0, max_stage + 1):
         space = stage_space(params, m)
-        rank = unit_rank(m)
+        rank = _stage(params, m).growth.rank
         value = Fraction(space.real_dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
                "value": fraction_json(value)}

@@ -12,7 +12,8 @@ from itertools import product as iproduct
 
 from villadsen.bundles import BundleExpr, chern_component
 from villadsen.cohomology import GradedClass, line_series_product
-from villadsen.spaces import SpaceDescriptor, cproj, sphere2
+from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity
+from villadsen.spaces import SpaceDescriptor, cproj, disk, sphere2
 from villadsen.type_one import StepSpec
 
 
@@ -62,6 +63,24 @@ def enumerate_chain_stats(steps: list[StepSpec], start: int, stop: int):
             with_mult += 1
             distinct.add(tuple(pid for _, pid in chain))
     return len(distinct), with_mult, total
+
+
+def stage_space_from_scratch(params, n: int) -> SpaceDescriptor:
+    """Oracle: the type-II stage-n space built from stage 0 in one list of
+    atoms, each growth value computed on its own with `math.factorial`
+    (the engine's builder before the stages formed a tower)."""
+    def disk_power(m):
+        if params.k is not INFINITE:
+            return params.k
+        return 1 if m == 0 else m * unit_multiplicity(m) ** 2
+
+    atoms = [disk(disk_power(0), label="d0")]
+    for j in range(1, n + 1):
+        increment = disk_power(j) - disk_power(j - 1)
+        if increment > 0:
+            atoms.append(disk(increment, label=f"d{j}"))
+        atoms.append(cproj(cp_dimension(params.k, j), label=f"cp{j}"))
+    return SpaceDescriptor(tuple(atoms))
 
 
 def random_space(rng: random.Random, max_factors: int = 4,

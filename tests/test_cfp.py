@@ -20,6 +20,7 @@ from villadsen.cfp import (
 )
 from villadsen.comparison import Outcome
 from villadsen.errors import ConfigError
+from villadsen.growth import unit_multiplicity
 
 
 def brute_force_first_stage(horizon: int = 60) -> int:
@@ -117,6 +118,10 @@ def test_witness_base_dimensions():
     assert witness_base(4).real_dimension == 2 * 447
     assert half_dimension_sum(4) == 447
     assert unit_over_witness_base(4).rank == 120
+    for j in range(1, 40):
+        unit = unit_over_witness_base(j)
+        assert unit.rank == factorial(j + 1)
+        assert list(unit.parts.values()) == [unit_multiplicity(s) for s in range(j, 0, -1)]
 
 
 def test_upper_verdicts_first_three_terms():

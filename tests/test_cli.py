@@ -230,6 +230,16 @@ def test_integer_option_is_read_strictly(argv, option, capsys):
         in errors[0]
 
 
+def test_v2_stage_needs_comparability(capsys):
+    # --stage was silently ignored without --comparability, with exit 0
+    code = main(["v2", "-k", "2", "-n", "3", "--stage", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "--stage" in errors[0]
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

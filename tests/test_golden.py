@@ -66,6 +66,18 @@ GOLDEN = {
         "038d9e7f106e3bd348cace20d6c52f8ecbe513afd16199baed082a027ac7620a",
     "vi --config CONFIG --witness 2":
         "a973b434cf2874a31ae41eaca2b7c8a16993b650ff0cd2927483e3ed746ae171",
+    # deeper stages, recorded before the stage spaces were built as a tower,
+    # where an incremental build could drift from the from-scratch one
+    "v2 -k inf -n 80 --rc --trace":
+        "526bdb881abd892141ef5d7eb394a1213556013f1aa70156a7055913564d9759",
+    "v2 -k 3 -n 80 --rc --trace":
+        "b6019ca64fa40a7dc0a164c48ad8a08a24162bc6ee33723ff4e8a12a94e7be0f",
+    "v2 -k 2 -n 20 --stage 120 --comparability":
+        "1a50e261c58b7953da2ca63187f0e3544ff711bcf0c75534f72c25edf442799f",
+    "v2 -k inf -n 6 --stage 40 --comparability":
+        "af6304a41fb8fb2c0de51f57190fd0a47034103e650d6e2e091aefcfda10ca4f",
+    "cfp --terms 8":
+        "25e551868fa407e4a2d09183c964596834ae3cddbb2c226e68c3b28ee8cbf2a0",
 }
 
 

@@ -1,25 +1,32 @@
 """Construction counts of the radius-of-comparison sweep and of CLI calls.
 
 A space carries its ring, so a stage's ring is built once, with its space,
-and a stage's witness is checked with one class: both counts must grow at
-most linearly with the number of stages.  The space-keyed caches hold only
-a few entries, so a CLI call may rebuild at most one space: a stage it
-looks up again after sweeping past it.  A
-type-II connecting map has two slots whatever the stage, so each step of a
+whether it is built from its atoms or extends the stage before, and a
+stage's witness is checked with one class: both counts must grow at most
+linearly with the number of stages.  Only a few stages and witness bases
+are held, so a CLI call may rebuild at most one space: a stage it looks up
+again after sweeping past it.  A type-II stage adds one projective factor
+(and a disk increment) to the stage before, so a sweep builds a fixed
+number of atoms per stage and no factorial from scratch.  A type-II
+connecting map has two slots whatever the stage, so each step of a
 comparability chain builds a fixed number of bundles.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
+from villadsen import type_two
 from villadsen.bundles import BundleExpr
 from villadsen.cfp import witness_base
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
 from villadsen.growth import INFINITE
-from villadsen.spaces import SpaceDescriptor
-from villadsen.type_two import SystemParams, connecting_slots, radius_of_comparison, stage_space
+from villadsen.spaces import SpaceAtom, SpaceDescriptor
+from villadsen.type_two import SystemParams, connecting_slots, radius_of_comparison
 
 
 def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
@@ -28,15 +35,22 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
 
 
 def count_during(monkeypatch, action) -> tuple[list, int]:
-    """Rings built (by space) and classes built while `action` runs, caches cold."""
-    for cache in (stage_space, witness_base):
-        cache.cache_clear()
+    """Rings built (by space, from atoms or by extending a space) and classes
+    built while `action` runs, caches cold."""
+    type_two._STAGES.clear()
+    witness_base.cache_clear()
     rings, classes = [], []
     ring_init, class_init = SpaceDescriptor.__post_init__, GradedClass.__init__
+    extend = SpaceDescriptor.extend
 
     def counting_ring_init(self):
         ring_init(self)
         rings.append(self)
+
+    def counting_extend(self, atoms):
+        space = extend(self, atoms)
+        rings.append(space)
+        return space
 
     def counting_class_init(self, *args, **kwargs):
         classes.append(1)
@@ -44,6 +58,7 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(SpaceDescriptor, "__post_init__", counting_ring_init)
+        patch.setattr(SpaceDescriptor, "extend", counting_extend)
         patch.setattr(GradedClass, "__init__", counting_class_init)
         action()
     return rings, len(classes)
@@ -111,3 +126,39 @@ def test_comparability_chain_bundles_grow_linearly(monkeypatch, capsys):
     at_80 = bundles_built(monkeypatch, argv + ["80"])
     capsys.readouterr()
     assert at_80 - at_40 <= 6 * 40
+
+
+def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
+    """`math.factorial` calls and `SpaceAtom` constructions during one CLI
+    call, caches cold."""
+    factorials, atoms = [], []
+    atom_init = SpaceAtom.__post_init__
+
+    def counting_factorial(n):
+        factorials.append(n)
+        return math.factorial(n)
+
+    def counting_atom_init(self):
+        atoms.append(1)
+        atom_init(self)
+
+    codes = []
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("villadsen") and getattr(module, "factorial", None) \
+                    is math.factorial:
+                patch.setattr(module, "factorial", counting_factorial)
+        patch.setattr(SpaceAtom, "__post_init__", counting_atom_init)
+        count_during(monkeypatch, lambda: codes.append(main(argv)))
+    assert codes == [0]
+    return len(factorials), len(atoms)
+
+
+def test_stage_sweep_builds_linearly_many_factorials_and_atoms(monkeypatch, capsys):
+    # each stage extends the one before by its new atoms and one step of a
+    # running factorial; rebuilding every stage from stage 0 is quadratic
+    at_40 = factorials_and_atoms(monkeypatch, ["v2", "-k", "2", "-n", "40", "--rc"])
+    at_80 = factorials_and_atoms(monkeypatch, ["v2", "-k", "2", "-n", "80", "--rc"])
+    capsys.readouterr()
+    for small, large in zip(at_40, at_80):
+        assert large <= 2 * small + 10

@@ -40,6 +40,22 @@ def test_product_dimension_additive():
         assert product.real_dimension == a.real_dimension + b.real_dimension
 
 
+def test_extend_equals_the_product_built_at_once():
+    rng = random.Random(11)
+    atoms = [sphere2(), cproj(1), cproj(3), disk(0), disk(2), sphere2("s"), cproj(5, "c")]
+    for _ in range(60):
+        a = SpaceDescriptor(tuple(rng.choice(atoms) for _ in range(rng.randint(0, 5))))
+        x = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 5)))
+        built, extended = SpaceDescriptor(a.factors + x), a.extend(x)
+        assert built == extended and hash(built) == hash(extended)
+        assert (built.factors, built.caps, built.positions, built.generator_names,
+                built.real_dimension) == (extended.factors, extended.caps,
+                                          extended.positions, extended.generator_names,
+                                          extended.real_dimension)
+        # the predecessor is unchanged
+        assert a == SpaceDescriptor(a.factors) and len(a.caps) == len(a.positions)
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         SpaceAtom("cp", 0)

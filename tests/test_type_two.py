@@ -5,7 +5,8 @@ import pytest
 
 from villadsen.bundles import chern_expansion_cost, pushforward_diagonal, trivial_bundle
 from villadsen.comparison import Outcome, obstructed_by_euler
-from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity, unit_rank
+from villadsen import type_two
+from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity, unit_rank
 from villadsen.type_two import (
     SystemParams,
     build_stage,
@@ -19,7 +20,7 @@ from villadsen.type_two import (
     unit_bundle,
 )
 
-from conftest import direct_sum
+from conftest import direct_sum, stage_space_from_scratch
 
 
 def test_growth_functions():
@@ -27,6 +28,50 @@ def test_growth_functions():
     assert cp_dimension(2, 3) == 36
     assert cp_dimension(INFINITE, 3) == 54
     assert unit_rank(3) == 24
+
+
+def test_growth_table_matches_pointwise_values():
+    for k in (1, 2, INFINITE):
+        table = GrowthTable(k)
+        for n in range(1, 25):
+            table = table.next()
+            assert table.n == n and table.factorial == factorial(n)
+            assert table.rank == unit_rank(n)
+            assert table.unit == tuple(unit_multiplicity(j) for j in range(1, n + 1))
+            assert table.dims == tuple(cp_dimension(k, j) for j in range(1, n + 1))
+
+
+def assert_same_space(space, expected):
+    assert space == expected and hash(space) == hash(expected)
+    assert space.factors == expected.factors
+    assert space.caps == expected.caps
+    assert space.positions == expected.positions
+    assert space.generator_names == expected.generator_names
+    assert space.real_dimension == expected.real_dimension \
+        == sum(a.real_dimension for a in expected.factors)
+
+
+@pytest.mark.parametrize("k", [1, 2, INFINITE])
+def test_stage_tower_matches_from_scratch_build(k):
+    params = SystemParams(k)
+    # a sweep: each stage extends the one held before it
+    type_two._STAGES.clear()
+    for n in range(31):
+        assert_same_space(stage_space(params, n), stage_space_from_scratch(params, n))
+    # cold calls, none of whose predecessors is held: each is built from its atoms
+    for n in range(30, -1, -3):
+        type_two._STAGES.clear()
+        assert_same_space(stage_space(params, n), stage_space_from_scratch(params, n))
+    assert len(type_two._STAGES) == 1
+
+
+def test_stage_tower_holds_a_bounded_number_of_stages():
+    type_two._STAGES.clear()
+    params = SystemParams(INFINITE)
+    radius_of_comparison(params, 40)
+    assert list(type_two._STAGES) == [(INFINITE, 39), (INFINITE, 40)]
+    # the held stages feed the next step of a sweep
+    assert stage_space(params, 41).factors[:-2] == stage_space(params, 40).factors
 
 
 def test_stage_zero():
