@@ -19,7 +19,7 @@ from math import factorial
 from .bundles import BundleExpr, line_sum, trivial_bundle
 from .comparison import ComparisonVerdict, obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError
-from .growth import INFINITE, cp_dimension, unit_multiplicity
+from .growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
 from .spaces import SPACE_CACHE_SIZE, SpaceDescriptor, cproj
 
 
@@ -33,12 +33,8 @@ def factor_dimension(s: int) -> int:
 
 
 def factor_dimensions(j: int) -> list[int]:
-    """factor_dimension(s) for s = 1..j, from one running factorial."""
-    dims, running = [], 1
-    for s in range(1, j + 1):
-        running *= s
-        dims.append(s * s * running)
-    return dims
+    """factor_dimension(s) for s = 1..j, off the infinite family's growth table."""
+    return list(GrowthTable(INFINITE).up_to(j).dims)
 
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
@@ -56,14 +52,8 @@ def half_dimension_sum(j: int) -> int:
 
 
 def unit_over_witness_base(j: int) -> BundleExpr:
-    """The unit bundle pulled to the projective part: rank (j+1)!.
-
-    The stage-s block multiplicity sigma(s) = s * s! is the stage-s factor
-    dimension s^2 * s! over s, read off the base's atoms.
-    """
-    base = witness_base(j)
-    return line_sum(base, [(s - 1, atom.size // s)
-                           for s, atom in enumerate(base.factors, start=1)],
+    """The unit bundle pulled to the projective part: rank (j+1)!."""
+    return line_sum(witness_base(j), list(enumerate(GrowthTable(INFINITE).up_to(j).unit)),
                     trivial_rank=1)
 
 

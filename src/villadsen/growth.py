@@ -3,8 +3,9 @@
 All values are exact Python integers; they reach factorial scale quickly,
 which is why nothing in this package ever goes through floating point.
 The functions give one stage's value; `GrowthTable` holds every stage's
-values up to n and extends them one stage at a time from a running
-factorial, which is how the type-II stage tower walks up.
+values up to n and extends them from a running factorial.  It is the one
+generator of the per-stage tables: the type-II stage tower walks up it, and
+the CFP witness base reads its factor dimensions off the infinite family's.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class GrowthTable:
 
     `unit[j-1]` is unit_multiplicity(j) and `dims[j-1]` is cp_dimension(k, j);
     `factorial` is n!, so `rank`, the stage-n unit rank, is (n+1)!.
-    `next()` adds stage n+1 with three multiplications and copies the
-    tuples, so a walk up the stages never calls `math.factorial`.
+    `up_to(m)` extends the table to stage m with three multiplications per
+    new stage, so a walk up the stages never calls `math.factorial`.
     """
 
     k: int | None
@@ -72,12 +73,17 @@ class GrowthTable:
     def rank(self) -> int:
         return self.factorial * (self.n + 1)
 
-    def next(self) -> "GrowthTable":
-        n = self.n + 1
-        fact = self.factorial * n
-        sigma = n * fact
-        dim = (n if self.k is INFINITE else self.k) * sigma
-        return GrowthTable(self.k, n, fact, self.unit + (sigma,), self.dims + (dim,))
+    def up_to(self, m: int) -> "GrowthTable":
+        """This table extended to stage m >= n."""
+        if m < self.n:
+            raise ValueError("a growth table only extends upwards")
+        fact, unit, dims = self.factorial, list(self.unit), list(self.dims)
+        for j in range(self.n + 1, m + 1):
+            fact *= j
+            sigma = j * fact
+            unit.append(sigma)
+            dims.append((j if self.k is INFINITE else self.k) * sigma)
+        return GrowthTable(self.k, m, fact, tuple(unit), tuple(dims))
 
 
 def parse_family_parameter(text: str) -> int | None:

@@ -58,23 +58,22 @@ class SystemParams:
         return family_parameter_label(self.k)
 
 
-def _disk_power(params: SystemParams, growth: GrowthTable) -> int:
-    """Total disk power at stage n: k for finite families, n*sigma(n)^2 else."""
+def _disk_power(params: SystemParams, growth: GrowthTable, j: int) -> int:
+    """Total disk power at stage j: k for finite families, j*sigma(j)^2 else."""
     if params.k is not INFINITE:
         return params.k
-    if growth.n == 0:
+    if j == 0:
         return 1
-    return growth.dims[-1] * growth.unit[-1]
+    return growth.dims[j - 1] * growth.unit[j - 1]
 
 
-def _new_atoms(params: SystemParams, before: GrowthTable, after: GrowthTable) -> list:
-    """The factors stage after.n adds to the stage before it."""
-    j = after.n
+def _new_atoms(params: SystemParams, growth: GrowthTable, j: int) -> list:
+    """The factors stage j adds to the stage before it."""
     atoms = []
-    increment = _disk_power(params, after) - _disk_power(params, before)
+    increment = _disk_power(params, growth, j) - _disk_power(params, growth, j - 1)
     if increment > 0:
         atoms.append(disk(increment, label=f"d{j}"))
-    atoms.append(cproj(after.dims[-1], label=f"cp{j}"))
+    atoms.append(cproj(growth.dims[j - 1], label=f"cp{j}"))
     return atoms
 
 
@@ -86,27 +85,26 @@ class _Stage:
 
 # The stages held, least recently used first, keyed by (k, n).
 _STAGES: dict[tuple[int | None, int], _Stage] = {}
+_EMPTY = SpaceDescriptor()
 
 
 def _stage(params: SystemParams, n: int) -> _Stage:
-    """Stage n: the held stage n-1 extended by its new atoms, or else built
-    from stage 0 up as one list of atoms, without recursion."""
+    """Stage n: the held stage n-1, or else the empty product with the stage-0
+    disk, extended by the atoms of the stages after it, without recursion."""
     if n < 0:
         raise ValueError("stage must be >= 0")
     stage = _STAGES.pop((params.k, n), None)
     if stage is None:
-        prev = _STAGES.get((params.k, n - 1))
-        if prev is not None:
-            growth = prev.growth.next()
-            stage = _Stage(prev.space.extend(_new_atoms(params, prev.growth, growth)),
-                           growth)
+        start = _STAGES.get((params.k, n - 1))
+        if start is None:
+            space, growth = _EMPTY, GrowthTable(params.k)
+            atoms = [disk(_disk_power(params, growth, 0), label="d0")]
         else:
-            growth = GrowthTable(params.k)
-            atoms = [disk(_disk_power(params, growth), label="d0")]
-            for _ in range(n):
-                before, growth = growth, growth.next()
-                atoms += _new_atoms(params, before, growth)
-            stage = _Stage(SpaceDescriptor(tuple(atoms)), growth)
+            space, growth, atoms = start.space, start.growth, []
+        first, growth = growth.n + 1, growth.up_to(n)
+        for j in range(first, n + 1):
+            atoms += _new_atoms(params, growth, j)
+        stage = _Stage(space.extend(atoms), growth)
     _STAGES[params.k, n] = stage
     if len(_STAGES) > SPACE_CACHE_SIZE:
         del _STAGES[next(iter(_STAGES))]
@@ -252,14 +250,15 @@ def comparability_triple(params: SystemParams, n: int,
         pushed = pushforward_diagonal(current, connecting_slots(params, ell))
         target = obstruction_bundle(params, ell + 1)
         ok = all(m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
-        # the stage-(ell+1) line sits at generator position ell
+        # the stage-(ell+1) line sits at generator position ell; its
+        # multiplicity in the witness sum is that stage's capacity
         new_coeff = pushed.parts.get(ell, 0)
         chain_records.append({
             "from_stage": ell,
             "to_stage": ell + 1,
             "pushed_rank": str(pushed.rank),
             "new_line_multiplicity": str(new_coeff),
-            "capacity": str(_stage(params, ell + 1).growth.dims[-1]),
+            "capacity": str(target.parts[ell]),
             "within_capacity": ok,
         })
         current = target
@@ -342,8 +341,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
     witnesses = []
     previous = None
     for m in range(0, max_stage + 1):
-        space = stage_space(params, m)
-        rank = _stage(params, m).growth.rank
+        stage = _stage(params, m)
+        space, rank = stage.space, stage.growth.rank
         value = Fraction(space.real_dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
                "value": fraction_json(value)}

@@ -34,11 +34,15 @@ def test_growth_table_matches_pointwise_values():
     for k in (1, 2, INFINITE):
         table = GrowthTable(k)
         for n in range(1, 25):
-            table = table.next()
+            table = table.up_to(n)
             assert table.n == n and table.factorial == factorial(n)
             assert table.rank == unit_rank(n)
             assert table.unit == tuple(unit_multiplicity(j) for j in range(1, n + 1))
             assert table.dims == tuple(cp_dimension(k, j) for j in range(1, n + 1))
+        # one jump from stage 0, or from a midway table, gives the same table
+        assert GrowthTable(k).up_to(24) == GrowthTable(k).up_to(9).up_to(24) == table
+        with pytest.raises(ValueError):
+            table.up_to(23)
 
 
 def assert_same_space(space, expected):
