@@ -11,14 +11,14 @@ big-integer and big-rational arithmetic, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
-from .comparison import ComparisonVerdict, obstructed_by_euler, dominates_by_rank
-from .errors import ConfigError
+from .comparison import ComparisonVerdict, Outcome, obstructed_by_euler, dominates_by_rank
+from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
 from .spaces import SPACE_CACHE_SIZE, SpaceDescriptor, cproj
 
@@ -208,34 +208,7 @@ def verify_upper(term: WitnessTerm) -> ComparisonVerdict:
     return dominates_by_rank(unit, amplified)
 
 
-@dataclass(frozen=True)
-class LowerVerification:
-    """Replay of the induction showing the witness sum stays within capacity."""
-
-    stage: int
-    rows: list = field(default_factory=list)
-    stretch: list = field(default_factory=list)
-    pushed_table: list = field(default_factory=list)
-    euler: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures and self.euler.get("outcome") == "obstructed"
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "rows": self.rows,
-            "stretch": self.stretch,
-            "pushed_table": self.pushed_table,
-            "euler": self.euler,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-
-
-def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerification:
+def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     """Certify that the pushed witness sum never dominates a trivial line.
 
     Two bookkeeping passes feed the certificate.  The dominating replay
@@ -246,7 +219,8 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerifica
     back under cap.  The exact pass pushes the actual coefficient vector
     stage by stage.  Both must stay within the per-stage caps, and the
     capacity bundle at the final stage has nonzero Euler class, which
-    obstructs any trivial line sub-bundle.
+    obstructs any trivial line sub-bundle.  Returns the report's
+    certificate; "passed" holds when no step failed.
     """
     terms = witness.terms
     j = terms[-1].stage if stage is None else stage
@@ -289,7 +263,8 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerifica
         # closed form of the last coefficient, so the running product is never
         # trusted alone
         if growth_lhs * factorial(prev + 1) != dominated_rank * unit_multiplicity(cur):
-            raise AssertionError("running pushforward coefficient disagrees with its closed form")
+            raise CrossCheckDisagreement(
+                "running pushforward coefficient disagrees with its closed form")
         growth_ok = 2 * growth_lhs <= dim[cur]
         if not growth_ok:
             failures.append(f"growth inequality fails entering stage {cur}")
@@ -329,9 +304,10 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> LowerVerifica
 
     verdict = obstructed_by_euler(trivial_bundle(base, 1), capacity_bundle(j))
     euler = {"outcome": verdict.outcome.value, "certificate": verdict.certificate}
-    if verdict.outcome.value != "obstructed":
+    if verdict.outcome is not Outcome.OBSTRUCTED:
         failures.append("capacity bundle Euler class is not certified nonzero")
-    return LowerVerification(j, rows, stretch, pushed_table, euler, failures)
+    return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,
+            "euler": euler, "failures": failures, "passed": not failures}
 
 
 def exact_pushed_coefficients(witness: CfpWitness, j: int) -> dict[int, int]:

@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
+from functools import partial
 
 from jsonschema import ValidationError
 
@@ -38,15 +38,7 @@ from .type_one import (
     stats_over_range,
     top_chern_witness,
 )
-from .type_two import (
-    SystemParams,
-    comparability_triple,
-    radius_of_comparison,
-    stage_space,
-    trace_value,
-    unit_bundle,
-    obstruction_bundle,
-)
+from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,38 +115,52 @@ def _emit(report: dict) -> int:
     return 0 if report["ok"] else 2
 
 
-def _run_chern(args) -> int:
-    started = time.perf_counter()
+def _check(name: str, compute) -> dict:
+    """The report check `name` from `compute()`, which returns the arguments
+    of `reports.check` that follow the name.  A computation past the
+    expansion budget is refused; one whose two internal routes disagree
+    fails with their disagreement as its message."""
+    try:
+        return reports.check(name, *compute())
+    except GeneratorBudgetExceeded as exc:
+        return reports.refused(name, str(exc), {
+            "required": str(exc.required), "budget": str(exc.budget)})
+    except CrossCheckDisagreement as exc:
+        return reports.check(name, False, message=str(exc))
+
+
+def _certified(certificate: dict) -> tuple[bool, dict]:
+    """The check arguments of an engine certificate that holds its own verdict."""
+    return certificate["passed"], certificate
+
+
+# Each runner reads its documents and argv and returns the report inputs and
+# the list of (check name, computation); `main` runs the computations.
+
+def _run_chern(args):
     space_doc = _load_json(args.space)
     bundle_doc = _load_json(args.bundle)
     base = _parse_document("space", args.space, SpaceDescriptor.from_json, space_doc)
     bundle = _parse_document("bundle", args.bundle,
                              lambda doc: parse_bundle(base, doc), bundle_doc)
-    with _unlimited_int_digits():
-        checks = []
-        try:
-            components = {str(degree): part.to_json()
-                          for degree, part in graded_components(chern(bundle)).items()}
-            checks.append(reports.check("chern_components", True, {
-                "rank": str(bundle.rank),
-                "components": components,
-            }))
-        except GeneratorBudgetExceeded as exc:
-            checks.append(reports.refused("chern_components", str(exc), {
-                "required": str(exc.required), "budget": str(exc.budget)}))
+
+    def components():
+        return True, {
+            "rank": str(bundle.rank),
+            "components": {str(degree): part.to_json()
+                           for degree, part in graded_components(chern(bundle)).items()},
+        }
+
+    def euler_class():
         top = euler(bundle)
-        checks.append(reports.check("euler_class", True, {
-            "degree": str(2 * bundle.rank),
-            "nonzero": not top.is_zero(),
-            "class": top.to_json(),
-        }))
-        report = reports.assemble("chern", {"space": space_doc, "bundle": bundle_doc},
-                                  checks, started)
-        return _emit(report)
+        return True, {"degree": str(2 * bundle.rank), "nonzero": not top.is_zero(),
+                      "class": top.to_json()}
+
+    return ({"space": space_doc, "bundle": bundle_doc},
+            [("chern_components", components), ("euler_class", euler_class)])
 
 
-def _run_vi(args) -> int:
-    started = time.perf_counter()
+def _run_vi(args):
     config_doc = _load_json(args.config)
     config = _parse_document("config", args.config, SystemConfig.from_json, config_doc)
     steps = list(config.steps)
@@ -162,142 +168,94 @@ def _run_vi(args) -> int:
     stop = args.stage if args.stage is not None else len(steps)
     if not 0 <= start <= stop <= len(steps):
         raise ConfigError(f"stage range [{start}, {stop}] out of bounds")
+    stats = stats_over_range(steps, start, stop)
 
-    with _unlimited_int_digits():
-        checks = []
-        stats = stats_over_range(steps, start, stop)
-        checks.append(reports.check("stage_stats", True, {
+    def stage_stats():
+        return True, {
             "from_stage": start, "to_stage": stop,
             **stats.to_json(),
             "distinct_ratio": reports.fraction_json(stats.distinct_ratio),
             "projection_ratio": reports.fraction_json(stats.projection_ratio),
-        }))
+        }
 
-        trajectory = ratio_trajectory(steps, start)[: stop - start]
-        nonincreasing = all(a >= b for a, b in zip(trajectory, trajectory[1:]))
-        checks.append(reports.check("ratio_trajectory", nonincreasing, {
-            "values": [reports.fraction_json(v) for v in trajectory],
-        }))
+    def trajectory():
+        values = ratio_trajectory(steps, start)[: stop - start]
+        nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
+        return nonincreasing, {"values": [reports.fraction_json(v) for v in values]}
 
-        checks.append(reports.check("projection_ratio_estimate", True, {
-            "value": reports.fraction_json(stats.projection_ratio),
-            "finite_stage": True,
-            "from_stage": start, "to_stage": stop,
-        }))
+    def estimate():
+        return True, {"value": reports.fraction_json(stats.projection_ratio),
+                      "finite_stage": True, "from_stage": start, "to_stage": stop}
 
-        if args.witness is not None:
-            try:
-                mults = composed_projection_multiplicities(steps, start, stop)
-                if not mults:
-                    checks.append(reports.check(
-                        "top_chern_witness", False,
-                        message="no composed coordinate projections in this range"))
-                else:
-                    witness = top_chern_witness(args.witness, mults)
-                    checks.append(reports.check("top_chern_witness", True, {
-                        **witness.to_json(),
-                        "distinct_projections": str(len(mults)),
-                    }))
-            except GeneratorBudgetExceeded as exc:
-                checks.append(reports.refused("top_chern_witness", str(exc), {
-                    "required": str(exc.required), "budget": str(exc.budget)}))
-            except CrossCheckDisagreement as exc:
-                checks.append(reports.check("top_chern_witness", False, message=str(exc)))
-            contradiction = ratio_contradiction_check(args.witness, stats)
-            ok = (not contradiction.hypothesis_holds) or contradiction.contradiction
-            checks.append(reports.check("ratio_contradiction", ok,
-                                        contradiction.to_json()))
+    def witness():
+        mults = composed_projection_multiplicities(steps, start, stop)
+        if not mults:
+            return False, None, "no composed coordinate projections in this range"
+        return True, {**top_chern_witness(args.witness, mults).to_json(),
+                      "distinct_projections": str(len(mults))}
 
-        report = reports.assemble("vi", {"config": config_doc,
-                                         "from": start, "stage": stop,
-                                         "witness": args.witness},
-                                  checks, started)
-        return _emit(report)
+    def contradiction():
+        found = ratio_contradiction_check(args.witness, stats)
+        return (not found.hypothesis_holds) or found.contradiction, found.to_json()
+
+    checks = [("stage_stats", stage_stats), ("ratio_trajectory", trajectory),
+              ("projection_ratio_estimate", estimate)]
+    if args.witness is not None:
+        checks += [("top_chern_witness", witness), ("ratio_contradiction", contradiction)]
+    return ({"config": config_doc, "from": start, "stage": stop, "witness": args.witness},
+            checks)
 
 
-def _run_v2(args) -> int:
-    started = time.perf_counter()
+def _run_v2(args):
     if args.stage is not None and not args.comparability:
         raise ConfigError("--stage is the verification stage of --comparability "
                           "and needs it")
     params = SystemParams(parse_family_parameter(args.k))
-    with _unlimited_int_digits():
-        n = args.n
-        want_trace = args.trace or not (args.rc or args.comparability)
-        checks = []
+    if args.comparability and args.n < 1:
+        raise ConfigError("comparability needs a stage >= 1")
+    n = args.n
+    want_trace = args.trace or not (args.rc or args.comparability)
+    verify_stage = args.stage if args.stage is not None else n
 
-        if want_trace:
-            space = stage_space(params, n)
-            unit = unit_bundle(params, n)
-            unit_trace = trace_value(params, n, unit)
-            cert = {
-                "stage": n,
-                "dimension": str(space.real_dimension),
-                "rank": str(unit.rank),
-                "unit_trace": reports.fraction_json(unit_trace),
-                "trivial_line_trace": reports.fraction_json(Fraction(1, unit.rank)),
-            }
-            if n >= 1:
-                cert["witness_sum_trace"] = reports.fraction_json(
-                    trace_value(params, n, obstruction_bundle(params, n)))
-            checks.append(reports.check("trace_table", unit_trace == 1, cert))
-
-        if args.comparability:
-            if n < 1:
-                raise ConfigError("comparability needs a stage >= 1")
-            verify_stage = args.stage if args.stage is not None else n
-            try:
-                triple = comparability_triple(params, n, verify_stage)
-                checks.append(reports.check("comparability_triple", triple.passed,
-                                            triple.to_json()))
-            except CrossCheckDisagreement as exc:
-                checks.append(reports.check("comparability_triple", False, message=str(exc)))
-
-        if args.rc:
-            rc = radius_of_comparison(params, n)
-            checks.append(reports.check("radius_of_comparison", rc.passed, rc.to_json()))
-
-        report = reports.assemble("v2", {"k": args.k, "n": n, "stage": args.stage,
-                                         "rc": args.rc,
-                                         "comparability": args.comparability,
-                                         "trace": want_trace},
-                                  checks, started)
-        return _emit(report)
+    checks = []
+    if want_trace:
+        # trace_table returns only once unit_bundle has certified the unit trace 1
+        checks.append(("trace_table", lambda: (True, trace_table(params, n))))
+    if args.comparability:
+        checks.append(("comparability_triple",
+                       lambda: _certified(comparability_triple(params, n, verify_stage))))
+    if args.rc:
+        checks.append(("radius_of_comparison",
+                       lambda: _certified(radius_of_comparison(params, n))))
+    return ({"k": args.k, "n": n, "stage": args.stage, "rc": args.rc,
+             "comparability": args.comparability, "trace": want_trace},
+            checks)
 
 
-def _run_cfp(args) -> int:
-    started = time.perf_counter()
+def _run_cfp(args):
     overrides = None
     if args.override_l:
         overrides = [read_int(x.strip(), "--override-l entry")
                      for x in args.override_l.split(",") if x.strip()]
-    with _unlimited_int_digits():
-        witness = cfp_mod.build_witness(args.terms, overrides)
-        checks = []
-        construction_cert: dict = {"witness": witness.to_json()}
+    witness = cfp_mod.build_witness(args.terms, overrides)
+    stage = args.stage if args.stage is not None else witness.terms[-1].stage
+
+    def construction():
+        cert = {"witness": witness.to_json()}
         if not witness.overridden:
-            construction_cert["first_stage"] = cfp_mod.first_stage_certificate()
-        checks.append(reports.check("witness_stages", True, construction_cert))
+            cert["first_stage"] = cfp_mod.first_stage_certificate()
+        return True, cert
 
-        for term in witness.terms:
-            verdict = cfp_mod.verify_upper(term)
-            checks.append(reports.check(
-                f"upper_term_{term.index}",
-                verdict.outcome == Outcome.DOMINATES,
-                {"stage": term.stage, "copies": str(term.copies),
-                 **verdict.to_json()}))
+    def upper(term):
+        verdict = cfp_mod.verify_upper(term)
+        return (verdict.outcome is Outcome.DOMINATES,
+                {"stage": term.stage, "copies": str(term.copies), **verdict.to_json()})
 
-        stage = args.stage if args.stage is not None else witness.terms[-1].stage
-        try:
-            lower = cfp_mod.verify_lower(witness, stage)
-            checks.append(reports.check("lower_bound", lower.passed, lower.to_json()))
-        except CrossCheckDisagreement as exc:
-            checks.append(reports.check("lower_bound", False, message=str(exc)))
-
-        report = reports.assemble("cfp", {"terms": args.terms, "stage": stage,
-                                          "override_l": args.override_l},
-                                  checks, started)
-        return _emit(report)
+    checks = [("witness_stages", construction)]
+    checks += [(f"upper_term_{term.index}", partial(upper, term)) for term in witness.terms]
+    checks.append(("lower_bound", lambda: _certified(cfp_mod.verify_lower(witness, stage))))
+    return ({"terms": args.terms, "stage": stage, "override_l": args.override_l},
+            checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,8 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, computations = args.func(args)
+        with _unlimited_int_digits():
+            checks = [_check(name, compute) for name, compute in computations]
+            return _emit(reports.assemble(args.subcommand, inputs, checks, started))
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,13 +46,6 @@ def cp_dimension(k: int | None, n: int) -> int:
     return k * unit_multiplicity(n)
 
 
-def unit_rank(n: int) -> int:
-    """Rank of the stage-n unit bundle, (n+1)!."""
-    if n < 0:
-        raise ValueError("stage must be >= 0")
-    return factorial(n + 1)
-
-
 @dataclass(frozen=True)
 class GrowthTable:
     """The growth numbers of stages 1..n of family k, from one running factorial.

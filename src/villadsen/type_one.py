@@ -121,19 +121,21 @@ def ratio_trajectory(steps: list[StepSpec], start: int) -> list[Fraction]:
     return out
 
 
-def composed_projection_multiplicities(steps: list[StepSpec], start: int, stop: int,
-                                       limit: int = 100_000) -> list[int]:
+def composed_projection_multiplicities(steps: list[StepSpec], start: int,
+                                       stop: int) -> list[int]:
     """Multiplicities of the distinct composed coordinate projections.
 
     A composed projection is a chain of per-step choices, so its
     multiplicity is the product along the chain; the list has one entry per
-    distinct chain.  Guarded because the count multiplies across steps.
+    distinct chain.  The count multiplies across steps, so it is held to the
+    expansion budget (ENGINE_GENERATOR_BUDGET).
     """
+    budget = expansion_budget()
     mults = [1]
     for step in steps[start:stop]:
         step_mults = [m for _, m in step.projection_multiplicities]
-        if len(mults) * max(len(step_mults), 1) > limit:
-            raise GeneratorBudgetExceeded(len(mults) * len(step_mults), limit,
+        if len(mults) * max(len(step_mults), 1) > budget:
+            raise GeneratorBudgetExceeded(len(mults) * len(step_mults), budget,
                                           "projection chain enumeration")
         mults = [a * b for a in mults for b in step_mults]
     return mults

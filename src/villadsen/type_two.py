@@ -18,7 +18,7 @@ last few stages are held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import (
@@ -29,8 +29,8 @@ from .bundles import (
     pushforward_diagonal,
     trivial_bundle,
 )
-from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
-from .errors import BaseMismatchError
+from .comparison import Outcome, obstructed_by_euler, trivial_line_subbundle_sufficient
+from .errors import BaseMismatchError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, family_parameter_label
 from .reports import fraction_json
 from .spaces import (
@@ -134,7 +134,7 @@ def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
     stage = _stage(params, n)
     bundle = BundleExpr(stage.space, 1, enumerate(stage.growth.unit))
     if bundle.rank != stage.growth.rank:
-        raise AssertionError("unit rank bookkeeping is inconsistent")
+        raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
     return bundle
 
 
@@ -181,39 +181,27 @@ def obstruction_bundle(params: SystemParams, n: int) -> BundleExpr:
     return BundleExpr(stage.space, 0, enumerate(stage.growth.dims))
 
 
-@dataclass(frozen=True)
-class ComparabilityReport:
-    """The three comparability facts at one stage, with certificates."""
-
-    params_label: str
-    stage: int
-    verify_stage: int
-    line_subbundle: list = field(default_factory=list)
-    chain: list = field(default_factory=list)
-    euler_obstruction: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (all(r["outcome"] == "dominates" for r in self.line_subbundle)
-                and all(r["within_capacity"] for r in self.chain)
-                and self.euler_obstruction.get("outcome") == "obstructed")
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.params_label,
-            "stage": self.stage,
-            "verify_stage": self.verify_stage,
-            "line_subbundle": self.line_subbundle,
-            "chain": self.chain,
-            "euler_obstruction": self.euler_obstruction,
-            "traces": self.traces,
-            "passed": self.passed,
-        }
+def trace_table(params: SystemParams, n: int) -> dict:
+    """The stage-n trace certificate: dimension, unit rank, and the exact
+    traces of the unit, of a trivial line and, from stage 1, of the witness
+    sum.  The unit trace is 1 whenever `unit_bundle` returns, since it
+    cross-checks the unit rank against (n+1)!."""
+    unit = unit_bundle(params, n)
+    cert = {
+        "stage": n,
+        "dimension": str(stage_space(params, n).real_dimension),
+        "rank": str(unit.rank),
+        "unit_trace": fraction_json(trace_value(params, n, unit)),
+        "trivial_line_trace": fraction_json(Fraction(1, unit.rank)),
+    }
+    if n >= 1:
+        cert["witness_sum_trace"] = fraction_json(
+            trace_value(params, n, obstruction_bundle(params, n)))
+    return cert
 
 
 def comparability_triple(params: SystemParams, n: int,
-                         verify_stage: int | None = None) -> ComparabilityReport:
+                         verify_stage: int | None = None) -> dict:
     """Certify the three comparability facts for the stage-n projections.
 
     (a) each doubled block dominates a trivial line by the stable-range
@@ -225,6 +213,8 @@ def comparability_triple(params: SystemParams, n: int,
 
     The Euler certificate is the factorized class, cross-checked at every
     stage against the degree-targeted Chern component (`euler_nonzero`).
+    Returns the report's certificate; "passed" holds when all three facts
+    are certified.
     """
     if n < 1:
         raise ValueError("stage must be >= 1")
@@ -232,12 +222,14 @@ def comparability_triple(params: SystemParams, n: int,
     if j < n:
         raise ValueError("verify stage must be >= the witness stage")
 
+    passed = True
     line_records = []
     growth = _stage(params, n).growth
     for i, dim in enumerate(growth.dims, start=1):
         one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
         doubled = line_sum(one_factor, [(0, 2 * dim)])
         verdict = trivial_line_subbundle_sufficient(doubled)
+        passed &= verdict.outcome is Outcome.DOMINATES
         line_records.append({"i": i, "cp_dimension": str(dim),
                              "rank": str(doubled.rank),
                              "outcome": verdict.outcome.value,
@@ -253,6 +245,7 @@ def comparability_triple(params: SystemParams, n: int,
         # the stage-(ell+1) line sits at generator position ell; its
         # multiplicity in the witness sum is that stage's capacity
         new_coeff = pushed.parts.get(ell, 0)
+        passed &= ok
         chain_records.append({
             "from_stage": ell,
             "to_stage": ell + 1,
@@ -265,6 +258,7 @@ def comparability_triple(params: SystemParams, n: int,
 
     witness = current
     verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
+    passed &= verdict.outcome is Outcome.OBSTRUCTED
     euler_record = {"outcome": verdict.outcome.value, "certificate": verdict.certificate,
                     "witness_rank": str(witness.rank)}
 
@@ -276,7 +270,7 @@ def comparability_triple(params: SystemParams, n: int,
     if params.k is not INFINITE:
         closed = Fraction(params.k * growth.rank - params.k, growth.rank)
         if closed != q_sum:
-            raise AssertionError("closed-form q-sum trace disagrees with rank count")
+            raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
         traces["limit"] = str(params.k)
         traces["divergent"] = False
     else:
@@ -285,47 +279,18 @@ def comparability_triple(params: SystemParams, n: int,
             exact = trace_value(params, m, obstruction_bundle(params, m))
             lower = Fraction(m * m, m + 1)
             if exact < lower:
-                raise AssertionError("divergence lower bound fails")
+                raise CrossCheckDisagreement("divergence lower bound fails")
             entries.append({"stage": m, "exact": fraction_json(exact),
                             "lower_bound": fraction_json(lower)})
         traces["entries"] = entries
         traces["divergent"] = True
 
-    return ComparabilityReport(params.label, n, j, line_records, chain_records,
-                               euler_record, traces)
+    return {"k": params.label, "stage": n, "verify_stage": j,
+            "line_subbundle": line_records, "chain": chain_records,
+            "euler_obstruction": euler_record, "traces": traces, "passed": passed}
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    """Per-stage radius-of-comparison data with witness lower bounds."""
-
-    params_label: str
-    max_stage: int
-    divergent: bool
-    stages: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        if self.divergent:
-            return (all(s["nondecreasing"] for s in self.stages)
-                    and all(w["obstructed"] for w in self.witnesses)
-                    and all(w["bound_holds"] for w in self.witnesses))
-        return (all(s["equals_parameter"] for s in self.stages)
-                and all(w["obstructed"] for w in self.witnesses))
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.params_label,
-            "max_stage": self.max_stage,
-            "divergent": self.divergent,
-            "stages": self.stages,
-            "witnesses": self.witnesses,
-            "passed": self.passed,
-        }
-
-
-def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
+def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     """Exact per-stage dimension-to-rank ratios plus trace witnesses.
 
     For a finite parameter the ratio dim/(2*rank) equals the parameter at
@@ -333,10 +298,12 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
     trivial line has trace 1/(n+1)!, the witness sum has trace within
     (k+1)/(n+1)! of k, and domination fails by the Euler obstruction.  For
     the infinite family the ratios and witness traces are reported as a
-    divergent sequence instead.
+    divergent sequence instead.  Returns the report's certificate; "passed"
+    holds when every stage and witness record holds.
     """
     if max_stage < 0:
         raise ValueError("need a stage >= 0")
+    passed = True
     stages = []
     witnesses = []
     previous = None
@@ -347,9 +314,10 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
         rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
                "value": fraction_json(value)}
         if params.k is not INFINITE:
-            rec["equals_parameter"] = value == params.k
+            rec["equals_parameter"] = holds = value == params.k
         else:
-            rec["nondecreasing"] = previous is None or value >= previous
+            rec["nondecreasing"] = holds = previous is None or value >= previous
+        passed &= holds
         stages.append(rec)
         previous = value
         if m == 0:
@@ -357,12 +325,14 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
 
         witness = obstruction_bundle(params, m)
         q_sum = trace_value(params, m, witness)
+        obstructed = not euler(witness).is_zero()
+        passed &= obstructed
         rec = {
             "stage": m,
             "trace_trivial_line": fraction_json(Fraction(1, rank)),
             "trace_witness_sum": fraction_json(q_sum),
             # factorized class only: a cross-check at all n stages is O(n^2) per call
-            "obstructed": not euler(witness).is_zero(),
+            "obstructed": obstructed,
         }
         if params.k is not INFINITE:
             rec["lower_bound"] = fraction_json(params.k - Fraction(params.k + 1, rank))
@@ -370,8 +340,9 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> RadiusReport:
             # witness traces grow at least like m^2/(m+1), which diverges
             bound = Fraction(m * m, m + 1)
             rec["divergence_lower_bound"] = fraction_json(bound)
-            rec["bound_holds"] = q_sum >= bound
+            rec["bound_holds"] = holds = q_sum >= bound
+            passed &= holds
         witnesses.append(rec)
 
-    return RadiusReport(params.label, max_stage, params.k is INFINITE,
-                        stages, witnesses)
+    return {"k": params.label, "max_stage": max_stage, "divergent": params.k is INFINITE,
+            "stages": stages, "witnesses": witnesses, "passed": passed}

@@ -142,8 +142,8 @@ def test_upper_degenerate_zero_copies_guard():
 def test_lower_verification_two_terms():
     w = build_witness(2)
     low = verify_lower(w)
-    assert low.passed and low.stage == 8
-    step = low.rows[1]
+    assert low["passed"] and low["stage"] == 8
+    step = low["rows"][1]
     assert step["dominated_rank"] == "447"
     assert step["growth_lhs"] == "1201536"
     assert step["growth_rhs_half_cap"] == "1290240"
@@ -154,18 +154,18 @@ def test_lower_verification_two_terms():
 
 def test_lower_verification_three_terms():
     low = verify_lower(build_witness(3))
-    assert low.passed
-    assert all(row.get("growth_ok", True) for row in low.rows)
-    assert all(entry["ok"] for row in low.rows[1:] for entry in row["intermediate"])
-    assert all(entry["ok"] for entry in low.pushed_table)
-    assert low.euler["outcome"] == "obstructed"
+    assert low["passed"]
+    assert all(row.get("growth_ok", True) for row in low["rows"])
+    assert all(entry["ok"] for row in low["rows"][1:] for entry in row["intermediate"])
+    assert all(entry["ok"] for entry in low["pushed_table"])
+    assert low["euler"]["outcome"] == "obstructed"
 
 
 def test_lower_verification_beyond_last_stage():
     w = build_witness(2)
     low = verify_lower(w, stage=10)
-    assert low.passed
-    assert [r["to_stage"] for r in low.stretch] == [9, 10]
+    assert low["passed"]
+    assert [r["to_stage"] for r in low["stretch"]] == [9, 10]
     with pytest.raises(ValueError):
         verify_lower(w, stage=7)
 
@@ -174,8 +174,8 @@ def test_lower_fails_for_greedy_override():
     # stage 5 is too early after 4: the growth inequality cannot hold
     w = build_witness(2, [4, 5])
     low = verify_lower(w)
-    assert not low.passed
-    assert any("growth" in f or "cap" in f for f in low.failures)
+    assert not low["passed"]
+    assert any("growth" in f or "cap" in f for f in low["failures"])
 
 
 def test_exact_pushed_coefficients_hand_computed():
@@ -228,9 +228,9 @@ def test_exact_pushed_matches_bundle_pushforward():
 def test_pushed_coefficients_dominated_by_replay_table():
     w = build_witness(3)
     low = verify_lower(w)
-    exact = exact_pushed_coefficients(w, low.stage)
-    table = {int(e["stage"]): int(e["coefficient"]) for e in low.pushed_table}
+    exact = exact_pushed_coefficients(w, low["stage"])
+    table = {int(e["stage"]): int(e["coefficient"]) for e in low["pushed_table"]}
     assert table == exact
-    for row in low.rows[1:]:
+    for row in low["rows"][1:]:
         for entry in row["intermediate"]:
             assert exact[entry["stage"]] <= int(entry["total"])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from villadsen.cli import main
+from villadsen.growth import unit_multiplicity
 from villadsen.reports import canonical_json, normalize_report, validate_report
 
 from conftest import component_dropping_top_term, kernel_dropping_top_term
@@ -345,9 +346,32 @@ def test_vi_witness_past_the_budget_is_refused(tmp_path, capsys, monkeypatch):
     assert witness["certificate"]["coefficient"] == str(2 ** 7)
 
 
-# an engine route with a term dropped, by the name it is patched in under
-DROPPING_TOP_TERM = {"villadsen.bundles.chern_component": component_dropping_top_term,
-                     "villadsen.type_one.line_series_product": kernel_dropping_top_term}
+def test_vi_projection_chains_follow_the_expansion_budget(tmp_path, capsys, monkeypatch):
+    # three steps of 50 projections compose into 125,000 chains
+    steps = [{"proj_mults": {f"p{i}": 1 for i in range(50)}, "point_evals": 0}] * 3
+    config = write_vi_config(tmp_path, steps)
+    messages = {}
+    for budget in ("100000", "1000000000"):
+        monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", budget)
+        code, out = run_cli(capsys, "vi", "--config", config, "--witness", "2")
+        assert code == 2
+        witness = [c for c in json.loads(out)["checks"] if c["name"] == "top_chern_witness"][0]
+        assert witness["outcome"] == "refused"
+        messages[budget] = witness["message"]
+    assert messages["100000"].startswith("projection chain enumeration needs 125000 terms")
+    # the raised budget lets the enumeration through to the top-Chern expansion
+    assert messages["1000000000"].startswith("top Chern witness expansion over 250000 generators")
+
+
+# an engine route broken on purpose, by the name it is patched in under
+BROKEN_ROUTE = {
+    "villadsen.bundles.chern_component": component_dropping_top_term,
+    "villadsen.type_one.line_series_product": kernel_dropping_top_term,
+    "villadsen.cfp.unit_multiplicity": lambda n: unit_multiplicity(n) + 1,
+    # a unit rank 1000 times too large shrinks every trace below its bounds
+    "villadsen.growth.GrowthTable.rank":
+        property(lambda table: 1000 * table.factorial * (table.n + 1)),
+}
 
 
 @pytest.mark.parametrize("argv, budget, check, patched, message", [
@@ -360,13 +384,25 @@ DROPPING_TOP_TERM = {"villadsen.bundles.chern_component": component_dropping_top
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
      "top_chern_witness", "villadsen.type_one.line_series_product",
      "top Chern coefficient mismatch"),
+    (["cfp", "--terms", "2"], "100000",
+     "lower_bound", "villadsen.cfp.unit_multiplicity",
+     "running pushforward coefficient disagrees"),
+    (["v2", "-k", "2", "-n", "3"], "100000",
+     "trace_table", "villadsen.growth.GrowthTable.rank",
+     "unit rank bookkeeping is inconsistent"),
+    (["v2", "-k", "2", "-n", "2", "--comparability"], "100000",
+     "comparability_triple", "villadsen.growth.GrowthTable.rank",
+     "closed-form q-sum trace disagrees"),
+    (["v2", "-k", "inf", "-n", "2", "--comparability"], "100000",
+     "comparability_triple", "villadsen.growth.GrowthTable.rank",
+     "divergence lower bound fails"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
                                             tmp_path, capsys, monkeypatch):
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
     argv = [config if word == "CONFIG" else word for word in argv]
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", budget)
-    monkeypatch.setattr(patched, DROPPING_TOP_TERM[patched])
+    monkeypatch.setattr(patched, BROKEN_ROUTE[patched])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from villadsen.bundles import chern_expansion_cost, pushforward_diagonal, trivial_bundle
 from villadsen.comparison import Outcome, obstructed_by_euler
 from villadsen import type_two
-from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity, unit_rank
+from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
 from villadsen.type_two import (
     SystemParams,
     build_stage,
@@ -27,7 +27,7 @@ def test_growth_functions():
     assert [unit_multiplicity(n) for n in range(5)] == [1, 1, 4, 18, 96]
     assert cp_dimension(2, 3) == 36
     assert cp_dimension(INFINITE, 3) == 54
-    assert unit_rank(3) == 24
+    assert GrowthTable(2).up_to(3).rank == 24
 
 
 def test_growth_table_matches_pointwise_values():
@@ -36,7 +36,7 @@ def test_growth_table_matches_pointwise_values():
         for n in range(1, 25):
             table = table.up_to(n)
             assert table.n == n and table.factorial == factorial(n)
-            assert table.rank == unit_rank(n)
+            assert table.rank == factorial(n + 1)
             assert table.unit == tuple(unit_multiplicity(j) for j in range(1, n + 1))
             assert table.dims == tuple(cp_dimension(k, j) for j in range(1, n + 1))
         # one jump from stage 0, or from a midway table, gives the same table
@@ -116,7 +116,7 @@ def test_dimension_rank_ratio_equals_parameter():
         params = SystemParams(k)
         for n in range(9):
             space = stage_space(params, n)
-            assert Fraction(space.real_dimension, 2 * unit_rank(n)) == k
+            assert Fraction(space.real_dimension, 2 * factorial(n + 1)) == k
 
 
 def test_traces():
@@ -141,7 +141,7 @@ def test_connecting_map_rank_ratio():
         for i in range(4):
             eta = obstruction_bundle(params, i) if i else unit_bundle(params, 0)
             pushed = pushforward_diagonal(eta, connecting_slots(params, i))
-            assert pushed.rank * unit_rank(i) == eta.rank * unit_rank(i + 1)
+            assert pushed.rank * factorial(i + 1) == eta.rank * factorial(i + 2)
 
 
 def test_connecting_map_structure():
@@ -178,24 +178,24 @@ def test_push_through_stages_matches_iteration():
 
 def test_comparability_triple_small_finite():
     report = comparability_triple(SystemParams(2), 2, 3)
-    assert report.passed
-    assert all(r["outcome"] == "dominates" for r in report.line_subbundle)
-    assert all(r["within_capacity"] for r in report.chain)
-    assert report.euler_obstruction["outcome"] == "obstructed"
-    assert report.traces["limit"] == "2"
+    assert report["passed"]
+    assert all(r["outcome"] == "dominates" for r in report["line_subbundle"])
+    assert all(r["within_capacity"] for r in report["chain"])
+    assert report["euler_obstruction"]["outcome"] == "obstructed"
+    assert report["traces"]["limit"] == "2"
 
 
 def test_comparability_first_stage_inequality():
     report = comparability_triple(SystemParams(1), 1, 1)
-    (rec,) = report.line_subbundle
+    (rec,) = report["line_subbundle"]
     assert rec["cp_dimension"] == "1"
     assert rec["certificate"]["inequality"] == "2*2-1 >= 2"
 
 
 def test_comparability_infinite_divergence_entries():
     report = comparability_triple(SystemParams(INFINITE), 2, 2)
-    assert report.traces["divergent"] is True
-    entries = report.traces["entries"]
+    assert report["traces"]["divergent"] is True
+    entries = report["traces"]["entries"]
     assert entries[1]["lower_bound"] == {"num": "4", "den": "3"}
     assert entries[1]["exact"] == {"num": "3", "den": "2"}
 
@@ -212,23 +212,23 @@ def test_comparability_cross_checks_past_the_budget(monkeypatch):
     witness = obstruction_bundle(SystemParams(2), 4)
     assert chern_expansion_cost(witness) > 1000
     report = comparability_triple(SystemParams(2), 2, 4)
-    assert report.passed
-    assert report.euler_obstruction["certificate"]["route"] == "factorized+full"
+    assert report["passed"]
+    assert report["euler_obstruction"]["certificate"]["route"] == "factorized+full"
 
 
 def test_radius_finite_examples():
     report = radius_of_comparison(SystemParams(3), 5)
-    assert report.passed
-    assert all(s["equals_parameter"] for s in report.stages)
-    assert report.stages[-1]["value"] == {"num": "3", "den": "1"}
+    assert report["passed"]
+    assert all(s["equals_parameter"] for s in report["stages"])
+    assert report["stages"][-1]["value"] == {"num": "3", "den": "1"}
     small = radius_of_comparison(SystemParams(1), 1)
-    assert small.passed
-    assert small.stages[-1]["value"] == {"num": "1", "den": "1"}
+    assert small["passed"]
+    assert small["stages"][-1]["value"] == {"num": "1", "den": "1"}
 
 
 def test_radius_witness_lower_bounds():
     report = radius_of_comparison(SystemParams(2), 3)
-    w = report.witnesses[-1]  # stage 3
+    w = report["witnesses"][-1]  # stage 3
     assert w["trace_trivial_line"] == {"num": "1", "den": "24"}
     assert w["trace_witness_sum"] == {"num": "23", "den": "12"}
     assert w["lower_bound"] == {"num": "15", "den": "8"}  # 2 - 3/24
@@ -237,10 +237,10 @@ def test_radius_witness_lower_bounds():
 
 def test_radius_infinite_reports_divergence():
     report = radius_of_comparison(SystemParams(INFINITE), 4)
-    assert report.divergent and report.passed
+    assert report["divergent"] and report["passed"]
     bounds = [Fraction(int(w["divergence_lower_bound"]["num"]),
                        int(w["divergence_lower_bound"]["den"]))
-              for w in report.witnesses]
+              for w in report["witnesses"]]
     assert bounds == sorted(bounds)
     assert bounds[-1] == Fraction(16, 5)
 
