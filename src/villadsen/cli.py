@@ -117,9 +117,10 @@ def _emit(report: dict) -> int:
 
 def _check(name: str, compute) -> dict:
     """The report check `name` from `compute()`, which returns the arguments
-    of `reports.check` that follow the name.  A computation past the
-    expansion budget is refused; one whose two internal routes disagree
-    fails with their disagreement as its message."""
+    of `reports.check` that follow the name: (passed, certificate) or
+    (passed, None, message).  A computation past the expansion budget is
+    refused; one whose two internal routes disagree fails with their
+    disagreement as its message."""
     try:
         return reports.check(name, *compute())
     except GeneratorBudgetExceeded as exc:

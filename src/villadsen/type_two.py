@@ -325,13 +325,13 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
 
         witness = obstruction_bundle(params, m)
         q_sum = trace_value(params, m, witness)
+        # factorized class only: a cross-check at all n stages is O(n^2) per call
         obstructed = not euler(witness).is_zero()
         passed &= obstructed
         rec = {
             "stage": m,
             "trace_trivial_line": fraction_json(Fraction(1, rank)),
             "trace_witness_sum": fraction_json(q_sum),
-            # factorized class only: a cross-check at all n stages is O(n^2) per call
             "obstructed": obstructed,
         }
         if params.k is not INFINITE:
