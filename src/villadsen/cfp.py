@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
 from .comparison import ComparisonVerdict, Outcome, obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
-from .spaces import SPACE_CACHE_SIZE, SpaceDescriptor, cproj
+from .spaces import SpaceDescriptor, cproj
 
 
 def factor_dimension(s: int) -> int:
@@ -37,7 +36,6 @@ def factor_dimensions(j: int) -> list[int]:
     return list(GrowthTable(INFINITE).up_to(j).dims)
 
 
-@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def witness_base(j: int) -> SpaceDescriptor:
     """Product of the first j projective factors (no disk part)."""
     if j < 1:
@@ -202,9 +200,8 @@ def verify_upper(term: WitnessTerm) -> ComparisonVerdict:
     Over the stage's projective base, 5 * copies exceeds the unit rank plus
     half the base dimension exactly when the stage entry conditions hold.
     """
-    base = witness_base(term.stage)
     unit = unit_over_witness_base(term.stage)
-    amplified = line_sum(base, [(term.stage - 1, 5 * term.copies)])
+    amplified = line_sum(unit.base, [(term.stage - 1, 5 * term.copies)])
     return dominates_by_rank(unit, amplified)
 
 
@@ -227,9 +224,11 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     if j < terms[-1].stage:
         raise ValueError("verification stage must reach the last witness stage")
 
-    base = witness_base(j)
-    # dim[s] is the stage-s factor dimension, the cap of the stage-s line
-    dim = [0] + [atom.size for atom in base.factors]
+    capacity = capacity_bundle(j)
+    # dim[s] is the stage-s factor dimension, the cap of the stage-s line, and
+    # cap[s] its decimal string, converted once for every row that prints it
+    dim = [0] + [atom.size for atom in capacity.base.factors]
+    cap = [str(d) for d in dim]
     failures: list[str] = []
     rows = []
     first = terms[0]
@@ -239,7 +238,7 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     rows.append({
         "term": 1, "stage": first.stage,
         "added_copies": str(first.copies),
-        "cap": str(dim[first.stage]),
+        "cap": cap[first.stage],
         "ok": ok0,
     })
     for term, prev_term in zip(terms[1:], terms):
@@ -251,13 +250,15 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         scaled = dominated_rank
         for t in range(prev + 1, cur + 1):
             coeff = t * scaled
-            total = coeff + (term.copies if t == cur else 0)
+            pushed_text = str(coeff)
+            # the witness joins at its own stage; before it the total is the push
+            total = coeff + term.copies if t == cur else coeff
+            total_text = str(total) if t == cur else pushed_text
             ok_t = total <= dim[t]
             if not ok_t:
                 failures.append(f"dominating coefficient exceeds cap at stage {t}")
-            intermediate.append({"stage": t, "pushed": str(coeff),
-                                 "total": str(total),
-                                 "cap": str(dim[t]), "ok": ok_t})
+            intermediate.append({"stage": t, "pushed": pushed_text, "total": total_text,
+                                 "cap": cap[t], "ok": ok_t})
             scaled *= t + 1
         growth_lhs = coeff
         # closed form of the last coefficient, so the running product is never
@@ -271,12 +272,12 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         rows.append({
             "term": term.index, "from_stage": prev, "to_stage": cur,
             "dominated_rank": str(dominated_rank),
-            "growth_lhs": str(growth_lhs),
+            "growth_lhs": pushed_text,
             "growth_rhs_half_cap": str(dim[cur] // 2),
             "growth_ok": growth_ok,
-            "combined": str(growth_lhs + term.copies),
-            "cap": str(dim[cur]),
-            "combined_ok": growth_lhs + term.copies <= dim[cur],
+            "combined": total_text,
+            "cap": cap[cur],
+            "combined_ok": total <= dim[cur],
             "intermediate": intermediate,
         })
 
@@ -289,20 +290,19 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
             failures.append(f"capacity push fails from stage {t}")
         stretch.append({"from_stage": t, "to_stage": t + 1,
                         "new_multiplicity": str(new),
-                        "cap": str(dim[t + 1]), "ok": ok_t})
+                        "cap": cap[t + 1], "ok": ok_t})
         rank_t += dim[t + 1]
 
     pushed = exact_pushed_coefficients(witness, j)
     pushed_table = []
     for s in range(1, j + 1):
-        cap = dim[s]
-        ok_s = pushed[s] <= cap
+        ok_s = pushed[s] <= dim[s]
         if not ok_s:
             failures.append(f"exact pushed coefficient exceeds cap at stage {s}")
         pushed_table.append({"stage": s, "coefficient": str(pushed[s]),
-                             "cap": str(cap), "ok": ok_s})
+                             "cap": cap[s], "ok": ok_s})
 
-    verdict = obstructed_by_euler(trivial_bundle(base, 1), capacity_bundle(j))
+    verdict = obstructed_by_euler(trivial_bundle(capacity.base, 1), capacity)
     euler = {"outcome": verdict.outcome.value, "certificate": verdict.certificate}
     if verdict.outcome is not Outcome.OBSTRUCTED:
         failures.append("capacity bundle Euler class is not certified nonzero")

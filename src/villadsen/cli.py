@@ -162,6 +162,8 @@ def _run_chern(args):
 
 
 def _run_vi(args):
+    if args.witness is not None and args.witness < 2:
+        raise ConfigError(f"--witness must be >= 2, not {args.witness}")
     config_doc = _load_json(args.config)
     config = _parse_document("config", args.config, SystemConfig.from_json, config_doc)
     steps = list(config.steps)

@@ -6,7 +6,8 @@ factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
 factor order, with its power cap.  `SpaceDescriptor.extend` appends
 factors to a space and derives the product's hash and ring data from the
-space's, which is how each type-II stage is built from the one before.
+space's, which is how a walk up the type-II stage tower builds each stage
+from the one before.
 Maps between such products are coordinate projections or constant maps.
 Points are opaque labels, never coordinates.  `read_int` is the one reader
 of the integers in input documents and on the command line.
@@ -20,19 +21,6 @@ from dataclasses import dataclass, field
 DISK = "disk"
 SPHERE2 = "s2"
 CPROJ = "cp"
-
-# Entries kept by each space-keyed cache: the type-II stages held for the
-# next stage to extend, and the CFP witness bases.  A CLI call walks its
-# stages in order and touches stage m next to m-1 or m+1, so a sweep
-# extends the stage it has just built.  Without held stages every stage is
-# built from its atoms again, and `v2 -k 2 -n 80 --rc` builds 13,282 atoms
-# instead of 81.  Counted with cold caches per call, as the benchmark runs
-# them, over one pass of each workload of `bench/workloads.py` (seed 201):
-# 2 entries build 1600, 434 and 68 spaces, 1 entry one more on
-# chern-expansion.  A call still rebuilds at most one stage: `v2 --rc`
-# after its trace table, or an infinite-family `v2 --comparability`, comes
-# back to a stage it swept past.
-SPACE_CACHE_SIZE = 2
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -121,11 +109,11 @@ class SpaceDescriptor:
     to its position, and `generator_names` holds the names `z<factor>`
     (sphere) and `y<factor>` (projective space) that reprs print.
 
-    Descriptors key the stage caches, so the hash, the ring data and the
-    real dimension are computed once, when the descriptor is built, and
-    equality compares hashes before factors.  The hash folds over the atoms
-    one at a time, so `extend` derives all of them from its predecessor's
-    and visits only the new atoms.
+    Bundles over a space compare their bases often, so the hash, the ring
+    data and the real dimension are computed once, when the descriptor is
+    built, and equality compares hashes before factors.  The hash folds over
+    the atoms one at a time, so `extend` derives all of them from its
+    predecessor's and visits only the new atoms.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)

@@ -9,17 +9,19 @@ the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
 
 The stages form a tower: stage n+1 is stage n times one new projective
-factor (and a disk increment for k = infinity).  A stage is held with its
-growth numbers (`growth.GrowthTable`), and the next stage extends the held
-one by its new atoms, so a caller sweeping the stages in order pays for
-each new stage in proportion to its new atoms, not to the stage.  Only the
-last few stages are held.
+factor (and a disk increment for k = infinity).  `_stages` walks it: a
+stage carries its growth numbers (`growth.GrowthTable`), and the next stage
+extends it by its new atoms, so a sweep pays for each new stage in
+proportion to its new atoms, not to the stage.  The sweeps walk the tower
+once each; the public (params, n) functions build their one stage cold.
+Nothing is held between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .bundles import (
     BundleExpr,
@@ -33,14 +35,7 @@ from .comparison import Outcome, obstructed_by_euler, trivial_line_subbundle_suf
 from .errors import BaseMismatchError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, family_parameter_label
 from .reports import fraction_json
-from .spaces import (
-    SPACE_CACHE_SIZE,
-    SpaceDescriptor,
-    constant,
-    cproj,
-    disk,
-    projection,
-)
+from .spaces import SpaceDescriptor, constant, cproj, disk, projection
 
 
 @dataclass(frozen=True)
@@ -79,36 +74,48 @@ def _new_atoms(params: SystemParams, growth: GrowthTable, j: int) -> list:
 
 @dataclass(frozen=True)
 class _Stage:
+    n: int
     space: SpaceDescriptor
     growth: GrowthTable
 
 
-# The stages held, least recently used first, keyed by (k, n).
-_STAGES: dict[tuple[int | None, int], _Stage] = {}
-_EMPTY = SpaceDescriptor()
-
-
-def _stage(params: SystemParams, n: int) -> _Stage:
-    """Stage n: the held stage n-1, or else the empty product with the stage-0
-    disk, extended by the atoms of the stages after it, without recursion."""
+def _stages(params: SystemParams, n: int = 0):
+    """The tower from stage n: stage n built from its atoms in one list, then
+    each later stage extending the one before by its new atoms."""
     if n < 0:
         raise ValueError("stage must be >= 0")
-    stage = _STAGES.pop((params.k, n), None)
-    if stage is None:
-        start = _STAGES.get((params.k, n - 1))
-        if start is None:
-            space, growth = _EMPTY, GrowthTable(params.k)
-            atoms = [disk(_disk_power(params, growth, 0), label="d0")]
-        else:
-            space, growth, atoms = start.space, start.growth, []
-        first, growth = growth.n + 1, growth.up_to(n)
-        for j in range(first, n + 1):
-            atoms += _new_atoms(params, growth, j)
-        stage = _Stage(space.extend(atoms), growth)
-    _STAGES[params.k, n] = stage
-    if len(_STAGES) > SPACE_CACHE_SIZE:
-        del _STAGES[next(iter(_STAGES))]
-    return stage
+    growth = GrowthTable(params.k).up_to(n)
+    atoms = [disk(_disk_power(params, growth, 0), label="d0")]
+    for j in range(1, n + 1):
+        atoms += _new_atoms(params, growth, j)
+    stage = _Stage(n, SpaceDescriptor(tuple(atoms)), growth)
+    while True:
+        yield stage
+        m, growth = stage.n + 1, stage.growth.up_to(stage.n + 1)
+        stage = _Stage(m, stage.space.extend(_new_atoms(params, growth, m)), growth)
+
+
+def _unit(stage: _Stage) -> BundleExpr:
+    bundle = BundleExpr(stage.space, 1, enumerate(stage.growth.unit))
+    if bundle.rank != stage.growth.rank:
+        raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
+    return bundle
+
+
+def _witness_sum(stage: _Stage) -> BundleExpr:
+    return BundleExpr(stage.space, 0, enumerate(stage.growth.dims))
+
+
+def _trace(stage: _Stage, bundle: BundleExpr) -> Fraction:
+    if bundle.base != stage.space:
+        raise BaseMismatchError("bundle does not live over the given stage")
+    return Fraction(bundle.rank, stage.growth.rank)
+
+
+def _slots(stage: _Stage, following: _Stage) -> list[DiagonalSlot]:
+    tgt, src = stage.space, following.space
+    return [DiagonalSlot(projection(src, tgt, tuple(range(len(tgt.factors))))),
+            DiagonalSlot(constant(src, tgt, f"y{stage.n}"), stage.n + 1, stage.n)]
 
 
 def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
@@ -121,7 +128,7 @@ def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
     no generator, so the stage-j projective factor carries ring generator
     position j-1.
     """
-    return _stage(params, n).space
+    return next(_stages(params, n)).space
 
 
 def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
@@ -131,15 +138,12 @@ def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
     telescoped value (n+1)!; both come from the running table, but they
     agree only if every block multiplicity in it is right.
     """
-    stage = _stage(params, n)
-    bundle = BundleExpr(stage.space, 1, enumerate(stage.growth.unit))
-    if bundle.rank != stage.growth.rank:
-        raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
-    return bundle
+    return _unit(next(_stages(params, n)))
 
 
 def build_stage(params: SystemParams, n: int) -> tuple[SpaceDescriptor, BundleExpr]:
-    return stage_space(params, n), unit_bundle(params, n)
+    stage = next(_stages(params, n))
+    return stage.space, _unit(stage)
 
 
 def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
@@ -150,53 +154,49 @@ def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
     so a bundle of rank r pushes to its pullback plus (n+1)*r copies of the
     new line, which sits at generator position n.
     """
-    tgt = stage_space(params, n)
-    src = stage_space(params, n + 1)
-    return [DiagonalSlot(projection(src, tgt, tuple(range(len(tgt.factors))))),
-            DiagonalSlot(constant(src, tgt, f"y{n}"), n + 1, n)]
+    tower = _stages(params, n)
+    return _slots(next(tower), next(tower))
 
 
 def push_through_stages(params: SystemParams, bundle: BundleExpr,
                         start: int, stop: int) -> BundleExpr:
     """Push a stage-`start` bundle through the connecting maps up to `stop`."""
-    if bundle.base != stage_space(params, start):
+    tower = _stages(params, start)
+    stage = next(tower)
+    if bundle.base != stage.space:
         raise BaseMismatchError("bundle does not live over the start stage")
-    current = bundle
-    for ell in range(start, stop):
-        current = pushforward_diagonal(current, connecting_slots(params, ell))
-    return current
+    for _, following in zip(range(start, stop), tower):
+        bundle = pushforward_diagonal(bundle, _slots(stage, following))
+        stage = following
+    return bundle
 
 
 def trace_value(params: SystemParams, n: int, bundle: BundleExpr) -> Fraction:
     """Exact trace of a stage-n projection: rank over (n+1)!."""
-    stage = _stage(params, n)
-    if bundle.base != stage.space:
-        raise BaseMismatchError("bundle does not live over the given stage")
-    return Fraction(bundle.rank, stage.growth.rank)
+    return _trace(next(_stages(params, n)), bundle)
 
 
 def obstruction_bundle(params: SystemParams, n: int) -> BundleExpr:
     """The stage-n witness sum: cp_dimension(k, i) copies of each stage line."""
-    stage = _stage(params, n)
-    return BundleExpr(stage.space, 0, enumerate(stage.growth.dims))
+    return _witness_sum(next(_stages(params, n)))
 
 
 def trace_table(params: SystemParams, n: int) -> dict:
     """The stage-n trace certificate: dimension, unit rank, and the exact
     traces of the unit, of a trivial line and, from stage 1, of the witness
-    sum.  The unit trace is 1 whenever `unit_bundle` returns, since it
+    sum.  The unit trace is 1 whenever the unit is built, since building it
     cross-checks the unit rank against (n+1)!."""
-    unit = unit_bundle(params, n)
+    stage = next(_stages(params, n))
+    unit = _unit(stage)
     cert = {
         "stage": n,
-        "dimension": str(stage_space(params, n).real_dimension),
+        "dimension": str(stage.space.real_dimension),
         "rank": str(unit.rank),
-        "unit_trace": fraction_json(trace_value(params, n, unit)),
+        "unit_trace": fraction_json(_trace(stage, unit)),
         "trivial_line_trace": fraction_json(Fraction(1, unit.rank)),
     }
     if n >= 1:
-        cert["witness_sum_trace"] = fraction_json(
-            trace_value(params, n, obstruction_bundle(params, n)))
+        cert["witness_sum_trace"] = fraction_json(_trace(stage, _witness_sum(stage)))
     return cert
 
 
@@ -224,7 +224,9 @@ def comparability_triple(params: SystemParams, n: int,
 
     passed = True
     line_records = []
-    growth = _stage(params, n).growth
+    tower = _stages(params, n)
+    stage = next(tower)
+    growth = stage.growth
     for i, dim in enumerate(growth.dims, start=1):
         one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
         doubled = line_sum(one_factor, [(0, 2 * dim)])
@@ -236,11 +238,11 @@ def comparability_triple(params: SystemParams, n: int,
                              "certificate": verdict.certificate})
 
     chain_records = []
-    start = current = obstruction_bundle(params, n)
-    q_sum = trace_value(params, n, start)
-    for ell in range(n, j):
-        pushed = pushforward_diagonal(current, connecting_slots(params, ell))
-        target = obstruction_bundle(params, ell + 1)
+    current = _witness_sum(stage)
+    q_sum = _trace(stage, current)
+    for ell, following in zip(range(n, j), tower):
+        pushed = pushforward_diagonal(current, _slots(stage, following))
+        target = _witness_sum(following)
         ok = all(m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
         # the stage-(ell+1) line sits at generator position ell; its
         # multiplicity in the witness sum is that stage's capacity
@@ -254,7 +256,7 @@ def comparability_triple(params: SystemParams, n: int,
             "capacity": str(target.parts[ell]),
             "within_capacity": ok,
         })
-        current = target
+        current, stage = target, following
 
     witness = current
     verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
@@ -275,8 +277,8 @@ def comparability_triple(params: SystemParams, n: int,
         traces["divergent"] = False
     else:
         entries = []
-        for m in range(1, n + 1):
-            exact = trace_value(params, m, obstruction_bundle(params, m))
+        for stage in islice(_stages(params, 1), n):
+            m, exact = stage.n, _trace(stage, _witness_sum(stage))
             lower = Fraction(m * m, m + 1)
             if exact < lower:
                 raise CrossCheckDisagreement("divergence lower bound fails")
@@ -307,9 +309,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     stages = []
     witnesses = []
     previous = None
-    for m in range(0, max_stage + 1):
-        stage = _stage(params, m)
-        space, rank = stage.space, stage.growth.rank
+    for stage in islice(_stages(params), max_stage + 1):
+        m, space, rank = stage.n, stage.space, stage.growth.rank
         value = Fraction(space.real_dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
                "value": fraction_json(value)}
@@ -323,8 +324,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
         if m == 0:
             continue
 
-        witness = obstruction_bundle(params, m)
-        q_sum = trace_value(params, m, witness)
+        witness = _witness_sum(stage)
+        q_sum = _trace(stage, witness)
         # factorized class only: a cross-check at all n stages is O(n^2) per call
         obstructed = not euler(witness).is_zero()
         passed &= obstructed

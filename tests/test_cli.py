@@ -231,6 +231,16 @@ def test_integer_option_is_read_strictly(argv, option, capsys):
         in errors[0]
 
 
+@pytest.mark.parametrize("size", ["1", "0"])
+def test_vi_witness_below_two_is_refused_first(size, capsys):
+    # the refusal named no option, and came from deep in the engine; the
+    # config path does not exist, so it must come before any work
+    code = main(["vi", "--config", "missing.json", "--witness", size])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --witness must be >= 2, not {size}\n"
+
+
 def test_v2_stage_needs_comparability(capsys):
     # --stage was silently ignored without --comparability, with exit 0
     code = main(["v2", "-k", "2", "-n", "3", "--stage", "5"])

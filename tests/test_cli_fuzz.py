@@ -1,9 +1,12 @@
-"""Fuzz the CLI with malformed input documents.
+"""Fuzz the CLI with malformed input documents and argv.
 
 Whatever `chern --space/--bundle` or `vi --config` document it is given,
 `main` must return 0, 1 or 2, let no exception escape and print no
 traceback.  Documents are random JSON values, near-valid documents with
-random values in their slots, or text that is not JSON at all.
+random values in their slots, or text that is not JSON at all.  The argv
+of `v2` and `cfp` mixes small valid sizes with malformed integers, under
+the same properties; an exit 1 also prints nothing to stdout and exactly
+one `error:` line.
 """
 
 import contextlib
@@ -84,6 +87,21 @@ def run(argv_for, texts):
         assert err.getvalue().startswith("error: ")
 
 
+def run_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == 1
+    return code
+
+
 @settings(max_examples=100, deadline=None)
 @given(document(SPACE), document(BUNDLE))
 def test_chern_survives_malformed_documents(space, bundle):
@@ -95,3 +113,37 @@ def test_chern_survives_malformed_documents(space, bundle):
 def test_vi_survives_malformed_documents(config, witness):
     extra = [] if witness is None else ["--witness", witness]
     run(lambda c: ["vi", "--config", c, *extra], [config])
+
+
+MALFORMED = st.sampled_from(["true", "1_0", "\u0662", " 5", "-1", "oo", "x"])
+
+
+def mostly(valid):
+    """An option's text: mostly from `valid`, else a malformed integer."""
+    return st.one_of(valid, valid, valid, MALFORMED)
+
+
+def size(bound):
+    return mostly(st.integers(0, bound).map(str))
+
+
+def option(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mostly(st.sampled_from(["1", "2", "3", "inf"])), size(40),
+       option("--stage", size(80)),
+       st.sets(st.sampled_from(["--trace", "--comparability", "--rc"])))
+def test_v2_survives_malformed_argv(k, n, stage, flags):
+    run_argv(["v2", "-k", k, "-n", n, *stage, *sorted(flags)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(option("--terms", size(5)), option("--stage", size(80)),
+       option("--override-l", st.one_of(
+           # increasing stages, as an override needs, or anything at all
+           st.lists(st.integers(1, 40), max_size=5, unique=True).map(sorted),
+           st.lists(size(40), max_size=5)).map(lambda entries: ",".join(map(str, entries)))))
+def test_cfp_survives_malformed_argv(terms, stage, override):
+    run_argv(["cfp", *terms, *stage, *override])

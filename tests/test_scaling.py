@@ -3,11 +3,12 @@
 A space carries its ring, so a stage's ring is built once, with its space,
 whether it is built from its atoms or extends the stage before, and a
 stage's witness is checked with one class: both counts must grow at most
-linearly with the number of stages.  Only a few stages and witness bases
-are held, so a CLI call may rebuild at most one space: a stage it looks up
-again after sweeping past it.  A type-II stage adds one projective factor
-(and a disk increment) to the stage before, so a sweep builds a fixed
-number of atoms per stage and no factorial from scratch.  A type-II
+linearly with the number of stages.  Nothing is held between calls: each
+sweep walks the stage tower from where it starts, so a CLI call may build
+again at most one space of an earlier walk, and the same call made twice
+builds the same things.  A type-II stage adds one projective factor (and a
+disk increment) to the stage before, so a sweep builds a fixed number of
+atoms per stage and no factorial from scratch.  A type-II
 connecting map has two slots whatever the stage, so each step of a
 comparability chain builds a fixed number of bundles.
 """
@@ -19,9 +20,7 @@ import sys
 
 import pytest
 
-from villadsen import type_two
 from villadsen.bundles import BundleExpr
-from villadsen.cfp import witness_base
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
 from villadsen.growth import INFINITE
@@ -36,9 +35,7 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
 
 def count_during(monkeypatch, action) -> tuple[list, int]:
     """Rings built (by space, from atoms or by extending a space) and classes
-    built while `action` runs, caches cold."""
-    type_two._STAGES.clear()
-    witness_base.cache_clear()
+    built while `action` runs."""
     rings, classes = [], []
     ring_init, class_init = SpaceDescriptor.__post_init__, GradedClass.__init__
     extend = SpaceDescriptor.extend
@@ -102,7 +99,7 @@ def test_connecting_map_has_two_slots(k):
 
 
 def bundles_built(monkeypatch, argv) -> int:
-    """BundleExpr constructions during one CLI call, caches cold."""
+    """BundleExpr constructions during one CLI call."""
     built = []
     bundle_init = BundleExpr.__init__
 
@@ -130,7 +127,7 @@ def test_comparability_chain_bundles_grow_linearly(monkeypatch, capsys):
 
 def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
     """`math.factorial` calls and `SpaceAtom` constructions during one CLI
-    call, caches cold."""
+    call."""
     factorials, atoms = [], []
     atom_init = SpaceAtom.__post_init__
 
@@ -152,6 +149,24 @@ def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
         count_during(monkeypatch, lambda: codes.append(main(argv)))
     assert codes == [0]
     return len(factorials), len(atoms)
+
+
+def test_repeated_call_builds_the_same(monkeypatch, capsys):
+    # a call's certificate and cost do not depend on the calls before it
+    def one_call():
+        certificates = []
+        rings, classes = count_during(monkeypatch, lambda: certificates.append(
+            radius_of_comparison(SystemParams(2), 30)))
+        argv = ["v2", "-k", "2", "-n", "30", "--rc", "--trace"]
+        _, atoms = factorials_and_atoms(monkeypatch, argv)
+        return certificates, len(rings), classes, atoms
+
+    first, second = one_call(), one_call()
+    capsys.readouterr()
+    assert first == second
+    # the sweep's stages 0..30; the trace table's stage 30 and the sweep's
+    # 31 stages, one atom each
+    assert first[1] == 31 and first[3] == 2 * 31
 
 
 def test_stage_sweep_builds_linearly_many_factorials_and_atoms(monkeypatch, capsys):

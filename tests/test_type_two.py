@@ -58,24 +58,17 @@ def assert_same_space(space, expected):
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_stage_tower_matches_from_scratch_build(k):
     params = SystemParams(k)
-    # a sweep: each stage extends the one held before it
-    type_two._STAGES.clear()
-    for n in range(31):
-        assert_same_space(stage_space(params, n), stage_space_from_scratch(params, n))
-    # cold calls, none of whose predecessors is held: each is built from its atoms
+    # one walk: stage 0 from its atoms, each later stage extending the one before
+    for n, stage in zip(range(31), type_two._stages(params)):
+        assert stage.n == n
+        assert stage.growth == GrowthTable(k).up_to(n)
+        assert_same_space(stage.space, stage_space_from_scratch(params, n))
+    # cold calls: each builds its stage from its atoms
     for n in range(30, -1, -3):
-        type_two._STAGES.clear()
         assert_same_space(stage_space(params, n), stage_space_from_scratch(params, n))
-    assert len(type_two._STAGES) == 1
-
-
-def test_stage_tower_holds_a_bounded_number_of_stages():
-    type_two._STAGES.clear()
-    params = SystemParams(INFINITE)
-    radius_of_comparison(params, 40)
-    assert list(type_two._STAGES) == [(INFINITE, 39), (INFINITE, 40)]
-    # the held stages feed the next step of a sweep
-    assert stage_space(params, 41).factors[:-2] == stage_space(params, 40).factors
+    # a walk may start at any stage
+    assert_same_space(next(type_two._stages(params, 30)).space,
+                      stage_space_from_scratch(params, 30))
 
 
 def test_stage_zero():
