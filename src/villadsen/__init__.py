@@ -12,13 +12,7 @@ in exact integer and rational arithmetic.
 from .version import ENGINE_VERSION as __version__
 
 from .spaces import SpaceAtom, SpaceDescriptor, SpaceMap, cproj, disk, spheres, sphere2
-from .cohomology import (
-    GradedClass,
-    cup,
-    homogeneous_component,
-    kunneth_product_nonzero,
-    pullback_class,
-)
+from .cohomology import GradedClass
 from .bundles import (
     BundleExpr,
     DiagonalSlot,
@@ -32,7 +26,6 @@ from .comparison import (
     ComparisonVerdict,
     Outcome,
     dominates_by_rank,
-    min_rank_stably_equivalent,
     obstructed_by_euler,
     trivial_line_subbundle_sufficient,
 )

@@ -235,7 +235,8 @@ def euler(b: BundleExpr) -> GradedClass:
         if mult >= base.caps[pos]:
             return GradedClass.zero(base)
         key[pos] = mult
-    return GradedClass(base, {tuple(key): 1})
+    # one term, its exponents below their caps: normal without re-checking
+    return GradedClass._normal(base, {tuple(key): 1})
 
 
 def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:

@@ -222,7 +222,7 @@ def _run_v2(args):
 
     checks = []
     if want_trace:
-        # trace_table returns only once unit_bundle has certified the unit trace 1
+        # trace_table returns only once the unit rank has certified the unit trace 1
         checks.append(("trace_table", lambda: (True, trace_table(params, n))))
     if args.comparability:
         checks.append(("comparability_triple",

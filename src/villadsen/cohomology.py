@@ -16,16 +16,15 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .errors import BaseMismatchError
-from .spaces import CONSTANT, PROJECTION, SpaceDescriptor, SpaceMap, read_int
+from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, read_int
 
 
 class GradedClass:
     """A cohomology class: sparse exponent-vector -> big-integer coefficient.
 
-    Instances are immutable by convention; all operations return new classes.
-    The constructor normalizes: zero coefficients and capped exponents are
-    dropped, so stored data always satisfies the ring relations.
+    Instances are immutable by convention.  The constructor normalizes:
+    zero coefficients and capped exponents are dropped, so stored data
+    always satisfies the ring relations.
     """
 
     __slots__ = ("space", "terms")
@@ -56,24 +55,9 @@ class GradedClass:
         obj.terms = terms
         return obj
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
     def zero(space: SpaceDescriptor) -> "GradedClass":
         return GradedClass(space, {})
-
-    @staticmethod
-    def unit(space: SpaceDescriptor, coeff: int = 1) -> "GradedClass":
-        return GradedClass(space, {(0,) * len(space.caps): coeff})
-
-    @staticmethod
-    def generator(space: SpaceDescriptor, factor_index: int) -> "GradedClass":
-        """The generator of one factor, coefficient one."""
-        exps = [0] * len(space.caps)
-        exps[space.generator_position(factor_index)] = 1
-        return GradedClass(space, {tuple(exps): 1})
-
-    # -- basic structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,36 +83,6 @@ class GradedClass:
             parts.append(mono)
         return "GradedClass(" + " + ".join(parts) + ")"
 
-    def _check_same_space(self, other: "GradedClass"):
-        if self.space != other.space:
-            raise BaseMismatchError("classes live over different spaces")
-
-    def __add__(self, other: "GradedClass") -> "GradedClass":
-        self._check_same_space(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + coeff
-        return GradedClass(self.space, merged)
-
-    def __neg__(self) -> "GradedClass":
-        return GradedClass(self.space, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
-
-    def scale(self, factor: int) -> "GradedClass":
-        return GradedClass(self.space, {e: factor * c for e, c in self.terms.items()})
-
-    def support_positions(self) -> set[int]:
-        """Positions of the generators with positive exponent in some term."""
-        out: set[int] = set()
-        for exps in self.terms:
-            out.update(i for i, e in enumerate(exps) if e)
-        return out
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.space.caps), 0)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -137,44 +91,20 @@ class GradedClass:
 
     @staticmethod
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
-        terms = {tuple(read_int(x, "exponent") for x in t["exponents"]):
+        """The class of a `{"terms": [...]}` document.  The terms and each
+        exponent vector must be JSON lists: a string or an object would be
+        read by its characters or keys (ValueError)."""
+        terms = {tuple(read_int(x, "exponent")
+                       for x in _json_list(t["exponents"], "exponents")):
                  read_int(t["coefficient"], "coefficient")
-                 for t in doc["terms"]}
+                 for t in _json_list(doc["terms"], "class terms")}
         return GradedClass(space, terms)
 
 
-def cup(a: GradedClass, b: GradedClass) -> GradedClass:
-    """Cup product with cap deletion.
-
-    All generators are even-degree, so the product is commutative; terms
-    whose exponents reach a cap are zero and never stored.
-    """
-    a._check_same_space(b)
-    space = a.space
-    if not a.terms or not b.terms:
-        return GradedClass.zero(space)
-    caps = space.caps
-    out: dict = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            if any(e >= c for e, c in zip(key, caps)):
-                continue
-            out[key] = out.get(key, 0) + c1 * c2
-    return GradedClass(space, out)
-
-
-def product_all(classes: list[GradedClass]) -> GradedClass:
-    """Cup together a nonempty list of classes.
-
-    The empty list raises ValueError: it names no ring to take the unit of.
-    """
-    if not classes:
-        raise ValueError("need a space; pass at least one class")
-    acc = GradedClass.unit(classes[0].space)
-    for c in classes:
-        acc = cup(acc, c)
-    return acc
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+    return value
 
 
 def line_series_product(space: SpaceDescriptor,
@@ -217,19 +147,6 @@ def graded_components(a: GradedClass) -> dict[int, GradedClass]:
     return {d: GradedClass._normal(a.space, split[d]) for d in sorted(split)}
 
 
-def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
-    """Terms of exactly the given (even, nonnegative) degree.
-
-    Odd or negative degrees hold nothing in these rings, so they yield the
-    zero class rather than an error.
-    """
-    if degree < 0 or degree % 2:
-        return GradedClass.zero(a.space)
-    want = degree // 2
-    return GradedClass._normal(a.space,
-                               {e: c for e, c in a.terms.items() if sum(e) == want})
-
-
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:
     """Where a coordinate projection sends each target generator.
 
@@ -241,46 +158,3 @@ def pullback_positions(f: SpaceMap) -> tuple[int, ...]:
     # `positions` lists the target's generator factors in position order; a
     # valid projection selects a source factor of the same kind for each
     return tuple(f.source.generator_position(f.indices[idx]) for idx in f.target.positions)
-
-
-def pullback_class(f: SpaceMap, a: GradedClass) -> GradedClass:
-    """Pull a class back along a space map; a ring homomorphism.
-
-    Under a coordinate projection each target generator goes to the source
-    generator of the selected factor; under a constant map every positive
-    degree dies and the constant term survives.
-    """
-    if a.space != f.target:
-        raise BaseMismatchError("class does not live over the map's target")
-    if f.kind == CONSTANT:
-        return GradedClass.unit(f.source, a.constant_term())
-    position_map = pullback_positions(f)
-    out: dict = {}
-    for exps, coeff in a.terms.items():
-        key = [0] * len(f.source.caps)
-        for pos, e in enumerate(exps):
-            key[position_map[pos]] += e
-        key = tuple(key)
-        out[key] = out.get(key, 0) + coeff
-    return GradedClass(f.source, out)
-
-
-def kunneth_product_nonzero(classes: list[GradedClass]) -> bool:
-    """Whether the cup product of classes on disjoint generator blocks is nonzero.
-
-    Over these torsion-free rings a product of nonzero classes supported on
-    pairwise disjoint generator sets can never cancel, so the answer is just
-    "all factors nonzero"; this must (and does, see the tests) agree with
-    expanding the full product and checking for emptiness.
-    """
-    if not classes:
-        raise ValueError("need at least one class")
-    for c in classes[1:]:
-        classes[0]._check_same_space(c)
-    seen: set[int] = set()
-    for c in classes:
-        block = c.support_positions()
-        if block & seen:
-            raise ValueError("classes overlap on shared generators")
-        seen |= block
-    return all(not c.is_zero() for c in classes)

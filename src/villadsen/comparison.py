@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .bundles import BundleExpr, euler_nonzero, top_powers
+from .bundles import BundleExpr, euler_nonzero
 from .errors import BaseMismatchError
 
 
@@ -94,14 +94,3 @@ def obstructed_by_euler(x: BundleExpr, y: BundleExpr) -> ComparisonVerdict:
         return ComparisonVerdict(Outcome.OBSTRUCTED, cert)
     return ComparisonVerdict(Outcome.UNKNOWN, cert)
 
-
-def min_rank_stably_equivalent(y: BundleExpr) -> int:
-    """Largest d with a nonzero 2d-degree Chern component of y.
-
-    Any bundle stably equivalent to y has the same Chern class, hence rank
-    at least d.  The Chern class factors as a product of (1+g)^m over the
-    line summands; every expansion coefficient is a product of binomial
-    coefficients, so no cancellation can occur and the top surviving degree
-    is the sum of the summands' top powers, min(multiplicity, cap-1).
-    """
-    return sum(top for _, _, top in top_powers(y))

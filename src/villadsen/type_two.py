@@ -13,8 +13,8 @@ factor (and a disk increment for k = infinity).  `_stages` walks it: a
 stage carries its growth numbers (`growth.GrowthTable`), and the next stage
 extends it by its new atoms, so a sweep pays for each new stage in
 proportion to its new atoms, not to the stage.  The sweeps walk the tower
-once each; the public (params, n) functions build their one stage cold.
-Nothing is held between calls.
+once each; `build_stage`, `trace_value`, `obstruction_bundle` and
+`trace_table` build their one stage cold.  Nothing is held between calls.
 """
 
 from __future__ import annotations
@@ -118,57 +118,13 @@ def _slots(stage: _Stage, following: _Stage) -> list[DiagonalSlot]:
             DiagonalSlot(constant(src, tgt, f"y{stage.n}"), stage.n + 1, stage.n)]
 
 
-def stage_space(params: SystemParams, n: int) -> SpaceDescriptor:
-    """The stage-n base space, shared by the bundles and slots of a stage.
-
-    Factors are ordered by stage of introduction.  For the infinite family
-    the disk power grows stage by stage, and the increments are kept as
-    separate factors so that the map to the previous stage is an exact
-    coordinate projection; the increments total n*sigma(n)^2.  Disks carry
-    no generator, so the stage-j projective factor carries ring generator
-    position j-1.
-    """
-    return next(_stages(params, n)).space
-
-
-def unit_bundle(params: SystemParams, n: int) -> BundleExpr:
-    """The stage-n unit: one trivial line plus sigma(j) copies of each stage line.
-
-    Its rank, the sum of the block multiplicities, is checked against the
-    telescoped value (n+1)!; both come from the running table, but they
-    agree only if every block multiplicity in it is right.
-    """
-    return _unit(next(_stages(params, n)))
-
-
 def build_stage(params: SystemParams, n: int) -> tuple[SpaceDescriptor, BundleExpr]:
+    """The stage-n base space and unit bundle: one trivial line plus sigma(j)
+    copies of each stage line, its rank checked against (n+1)!.  Factors are
+    ordered by stage of introduction (the disk increments of k = inf apart),
+    so the map to the stage before is a coordinate projection."""
     stage = next(_stages(params, n))
     return stage.space, _unit(stage)
-
-
-def connecting_slots(params: SystemParams, n: int) -> list[DiagonalSlot]:
-    """Eigenvalue-map slots of the connecting map from stage n to stage n+1.
-
-    The coordinate projection onto stage n, on the trivial line, and one
-    point-evaluation slot of multiplicity n+1 on the new tautological line,
-    so a bundle of rank r pushes to its pullback plus (n+1)*r copies of the
-    new line, which sits at generator position n.
-    """
-    tower = _stages(params, n)
-    return _slots(next(tower), next(tower))
-
-
-def push_through_stages(params: SystemParams, bundle: BundleExpr,
-                        start: int, stop: int) -> BundleExpr:
-    """Push a stage-`start` bundle through the connecting maps up to `stop`."""
-    tower = _stages(params, start)
-    stage = next(tower)
-    if bundle.base != stage.space:
-        raise BaseMismatchError("bundle does not live over the start stage")
-    for _, following in zip(range(start, stop), tower):
-        bundle = pushforward_diagonal(bundle, _slots(stage, following))
-        stage = following
-    return bundle
 
 
 def trace_value(params: SystemParams, n: int, bundle: BundleExpr) -> Fraction:

@@ -2,19 +2,85 @@
 
 The oracles here deliberately avoid the engine's own code paths: the
 polynomial oracle works on plain dicts keyed by frozensets, and the chain
-oracle enumerates eigenvalue-map composites explicitly.
+oracle enumerates eigenvalue-map composites explicitly.  The ring
+references `cup`, `homogeneous_component` and `pullback_class` multiply,
+filter and move exponent vectors term by term, so the engine's kernels
+(`line_series_product`, `chern_component`, `pullback_positions`) are
+checked against them, not against themselves.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
-from villadsen.bundles import BundleExpr, chern_component
+from villadsen import type_two
+from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
 from villadsen.cohomology import GradedClass, line_series_product
+from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity
-from villadsen.spaces import SpaceDescriptor, cproj, disk, sphere2
+from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, sphere2
 from villadsen.type_one import StepSpec
+
+
+def unit_class(space: SpaceDescriptor, coeff: int = 1) -> GradedClass:
+    """The constant class `coeff`."""
+    return GradedClass(space, {(0,) * len(space.caps): coeff})
+
+
+def cup(a: GradedClass, b: GradedClass) -> GradedClass:
+    """Reference cup product: every pair of terms, exponents added; the
+    validating constructor drops the terms that reach a cap."""
+    if a.space != b.space:
+        raise BaseMismatchError("classes live over different spaces")
+    out: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return GradedClass(a.space, out)
+
+
+def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
+    """Reference component: the terms of exactly `degree` (none if odd or negative)."""
+    return GradedClass(a.space, {e: c for e, c in a.terms.items() if 2 * sum(e) == degree})
+
+
+def pullback_class(f, a: GradedClass) -> GradedClass:
+    """Reference pullback along a projection or constant map.
+
+    A target generator goes to the generator of source factor f.indices[t],
+    whose position is the number of generator-carrying source factors before
+    it; a constant map keeps only the constant term.
+    """
+    if a.space != f.target:
+        raise BaseMismatchError("class does not live over the map's target")
+    if f.kind == CONSTANT:
+        return unit_class(f.source, a.terms.get((0,) * len(a.space.caps), 0))
+    moved = [sum(atom.generator_cap is not None for atom in f.source.factors[:f.indices[t]])
+             for t, atom in enumerate(f.target.factors) if atom.generator_cap is not None]
+    out: dict = {}
+    for exps, coeff in a.terms.items():
+        key = [0] * len(f.source.caps)
+        for pos, e in zip(moved, exps):
+            key[pos] += e
+        out[tuple(key)] = out.get(tuple(key), 0) + coeff
+    return GradedClass(f.source, out)
+
+
+def connecting_maps(params, start: int, stop: int) -> list:
+    """(n, slots of the type-II connecting map from stage n to n+1) for
+    start <= n < stop, from one walk of the stage tower."""
+    stages = list(islice(type_two._stages(params, start), stop - start + 1))
+    return [(stage.n, type_two._slots(stage, following))
+            for stage, following in zip(stages, stages[1:])]
+
+
+def push_through_stages(params, bundle: BundleExpr, start: int, stop: int) -> BundleExpr:
+    """A stage-`start` bundle pushed through the connecting maps to stage `stop`."""
+    for _, slots in connecting_maps(params, start, stop):
+        bundle = pushforward_diagonal(bundle, slots)
+    return bundle
 
 
 def dict_poly_top_coefficient(n: int, mults: list[int]) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,25 +20,28 @@ from villadsen.bundles import (
     tensor_line,
     trivial_bundle,
 )
-from villadsen.cohomology import (
-    GradedClass,
-    cup,
-    graded_components,
-    homogeneous_component,
-    product_all,
-    pullback_class,
-)
+from villadsen.cohomology import GradedClass, graded_components
 from villadsen.errors import CrossCheckDisagreement, GeneratorBudgetExceeded, InvalidLineClassError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
-from conftest import component_dropping_top_term, direct_sum, random_space
+from conftest import (
+    component_dropping_top_term,
+    cup,
+    direct_sum,
+    homogeneous_component,
+    pullback_class,
+    random_space,
+    unit_class,
+)
 
 
 def line_class(space: SpaceDescriptor, pos: int | None) -> GradedClass:
     """The line class on the generator at `pos`, or the zero line for None."""
     if pos is None:
         return GradedClass.zero(space)
-    return GradedClass.generator(space, list(space.positions)[pos])
+    exps = [0] * len(space.caps)
+    exps[pos] = 1
+    return GradedClass(space, {tuple(exps): 1})
 
 
 def bundle_document(trivial: int, lines: list[tuple[GradedClass, int]]) -> dict:
@@ -70,7 +74,7 @@ def test_single_line_block_rank():
 
 def test_chern_of_trivial_is_one():
     space = spheres(2)
-    assert chern(trivial_bundle(space, 5)) == GradedClass.unit(space)
+    assert chern(trivial_bundle(space, 5)) == unit_class(space)
 
 
 def test_chern_of_two_pulled_back_lines():
@@ -140,6 +144,18 @@ def test_chern_natural_under_pullback(data):
     assert chern(pullback_bundle(f, b)) == pullback_class(f, chern(b))
 
 
+def test_naturality_check_catches_a_swapped_position_map(monkeypatch):
+    # the reference pullback counts generator factors itself, so a wrong
+    # position map in the engine breaks the naturality check
+    from villadsen import bundles
+    f = projection(spheres(3), spheres(2), (2, 0))
+    b = line_sum(spheres(2), [(0, 1)])
+    assert chern(pullback_bundle(f, b)) == pullback_class(f, chern(b))
+    original = bundles.pullback_positions
+    monkeypatch.setattr(bundles, "pullback_positions", lambda g: original(g)[::-1])
+    assert chern(pullback_bundle(f, b)) != pullback_class(f, chern(b))
+
+
 def test_pullback_along_constant_gives_trivial():
     from villadsen.spaces import constant
     base = spheres(2)
@@ -199,14 +215,14 @@ def test_tensor_line_rejects_unrepresentable_shift():
 
 def test_invalid_line_class_rejected():
     space = SpaceDescriptor((*spheres(1).factors, cproj(3)))
-    z0, y1 = line_class(space, 0), line_class(space, 1)
-    for line in (z0.scale(2), z0 + y1, y1 - z0, GradedClass(space, {(0, 2): 1}),
-                 GradedClass.unit(space)):
+    z0, twice_z0 = line_class(space, 0), GradedClass(space, {(1, 0): 2})
+    for terms in ({(1, 0): 2}, {(1, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): -1},
+                  {(0, 2): 1}, {(0, 0): 1}):
         with pytest.raises(InvalidLineClassError):
-            parse_bundle(space, bundle_document(0, [(z0, 1), (line, 1)]))
+            parse_bundle(space, bundle_document(0, [(z0, 1), (GradedClass(space, terms), 1)]))
     # so is an invalid line with no copies
     with pytest.raises(InvalidLineClassError):
-        parse_bundle(space, bundle_document(0, [(z0.scale(2), 0)]))
+        parse_bundle(space, bundle_document(0, [(twice_z0, 0)]))
 
 
 def test_normal_form_merges_and_folds():
@@ -250,7 +266,7 @@ def test_chern_component_examples():
     # (1 + y)^5 truncated at y^3 times (1 + z)^2 truncated at z: degree 4 is
     # C(5,2) y^2 + C(5,1) C(2,1) y z
     assert chern_component(b, 4).terms == {(2, 0): 10, (1, 1): 10}
-    assert chern_component(b, 0) == GradedClass.unit(b.base)
+    assert chern_component(b, 0) == unit_class(b.base)
     for degree in (-2, 3, 10, 2 * b.rank):
         assert chern_component(b, degree).is_zero()
 
@@ -339,9 +355,11 @@ def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
     b = parse_bundle(space, bundle_document(trivial, lines))
     # (1 + line)^m for each summand as it was given, by m cups of 1 + line;
     # the validating constructor drops every power at or past its cap
-    series = [GradedClass.unit(space) + line for line, m in lines for _ in range(m)]
+    one = unit_class(space)
+    series = [GradedClass(space, {**one.terms, **line.terms})
+              for line, m in lines for _ in range(m)]
     total = chern(b)
-    assert total == product_all([GradedClass.unit(space), *series])
+    assert total == reduce(cup, series, one)
     assert len(total.terms) == chern_expansion_cost(b)
     parts = graded_components(total)
     for degree in range(0, 2 * sum(space.caps) + 1):

@@ -319,6 +319,19 @@ def test_chern_space_with_non_list_factors_is_usage_error(tmp_path, capsys):
     assert_one_error_line(capsys, code, space)
 
 
+@pytest.mark.parametrize("line", [
+    {"terms": [{"exponents": "10", "coefficient": "1"}]},
+    {"terms": [{"exponents": {"1": 0, "0": 1}, "coefficient": "1"}]},
+    {"terms": {}},
+])
+def test_chern_line_terms_that_are_not_lists_are_usage_error(tmp_path, capsys, line):
+    # a string or an object would be read by its characters or keys
+    space, bundle = write_chern_docs(tmp_path, {"factors": [{"kind": "s2"}, {"kind": "s2"}]},
+                                     {"summands": [{"line": line, "mult": "1"}]})
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    assert_one_error_line(capsys, code, bundle)
+
+
 def test_chern_summand_without_mult_is_usage_error(tmp_path, capsys):
     space, bundle = write_sphere_pair(tmp_path)
     doc = json.loads(Path(bundle).read_text())

@@ -25,7 +25,9 @@ from villadsen.cli import main
 from villadsen.cohomology import GradedClass
 from villadsen.growth import INFINITE
 from villadsen.spaces import SpaceAtom, SpaceDescriptor
-from villadsen.type_two import SystemParams, connecting_slots, radius_of_comparison
+from villadsen.type_two import SystemParams, radius_of_comparison
+
+from conftest import connecting_maps
 
 
 def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
@@ -91,9 +93,7 @@ def test_cli_call_rebuilds_at_most_one_ring(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_connecting_map_has_two_slots(k):
-    params = SystemParams(k)
-    for n in range(6):
-        slots = connecting_slots(params, n)
+    for n, slots in connecting_maps(SystemParams(k), 0, 6):
         assert len(slots) == 2
         assert [(s.multiplicity, s.carrier) for s in slots] == [(1, None), (n + 1, n)]
 

@@ -80,8 +80,8 @@ def test_space_presents_its_ring():
     assert (space.generator_position(1), space.generator_position(2)) == (0, 1)
     with pytest.raises(KeyError):
         space.generator_position(0)
-    assert repr(GradedClass.generator(space, 2)) == "GradedClass(y2)"
-    assert repr(GradedClass.generator(space, 1)) == "GradedClass(z1)"
+    assert repr(GradedClass(space, {(0, 1): 1})) == "GradedClass(y2)"
+    assert repr(GradedClass(space, {(1, 0): 1})) == "GradedClass(z1)"
 
 
 def test_map_kind_must_be_basic():

@@ -11,16 +11,12 @@ from villadsen.type_two import (
     SystemParams,
     build_stage,
     comparability_triple,
-    connecting_slots,
     obstruction_bundle,
-    push_through_stages,
     radius_of_comparison,
-    stage_space,
     trace_value,
-    unit_bundle,
 )
 
-from conftest import direct_sum, stage_space_from_scratch
+from conftest import connecting_maps, direct_sum, stage_space_from_scratch
 
 
 def test_growth_functions():
@@ -65,7 +61,7 @@ def test_stage_tower_matches_from_scratch_build(k):
         assert_same_space(stage.space, stage_space_from_scratch(params, n))
     # cold calls: each builds its stage from its atoms
     for n in range(30, -1, -3):
-        assert_same_space(stage_space(params, n), stage_space_from_scratch(params, n))
+        assert_same_space(build_stage(params, n)[0], stage_space_from_scratch(params, n))
     # a walk may start at any stage
     assert_same_space(next(type_two._stages(params, 30)).space,
                       stage_space_from_scratch(params, 30))
@@ -99,23 +95,24 @@ def test_unit_rank_telescopes():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
         for n in range(13):
-            assert unit_bundle(params, n).rank == factorial(n + 1)
-            assert unit_bundle(params, n).rank == sum(
-                unit_multiplicity(j) for j in range(n + 1))
+            _, unit = build_stage(params, n)
+            assert unit.rank == factorial(n + 1)
+            assert unit.rank == sum(unit_multiplicity(j) for j in range(n + 1))
 
 
 def test_dimension_rank_ratio_equals_parameter():
     for k in range(1, 6):
         params = SystemParams(k)
         for n in range(9):
-            space = stage_space(params, n)
+            space, _ = build_stage(params, n)
             assert Fraction(space.real_dimension, 2 * factorial(n + 1)) == k
 
 
 def test_traces():
     params = SystemParams(2)
-    assert trace_value(params, 3, unit_bundle(params, 3)) == 1
-    assert trace_value(params, 3, trivial_bundle(stage_space(params, 3), 1)) == Fraction(1, 24)
+    space, unit = build_stage(params, 3)
+    assert trace_value(params, 3, unit) == 1
+    assert trace_value(params, 3, trivial_bundle(space, 1)) == Fraction(1, 24)
     assert trace_value(params, 3, obstruction_bundle(params, 3)) == Fraction(23, 12)
 
 
@@ -123,7 +120,7 @@ def test_trace_additive_in_rank():
     params = SystemParams(2)
     n = 2
     a = obstruction_bundle(params, n)
-    b = unit_bundle(params, n)
+    _, b = build_stage(params, n)
     assert trace_value(params, n, direct_sum(a, b)) == (
         trace_value(params, n, a) + trace_value(params, n, b))
 
@@ -131,9 +128,9 @@ def test_trace_additive_in_rank():
 def test_connecting_map_rank_ratio():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
-        for i in range(4):
-            eta = obstruction_bundle(params, i) if i else unit_bundle(params, 0)
-            pushed = pushforward_diagonal(eta, connecting_slots(params, i))
+        for i, slots in connecting_maps(params, 0, 4):
+            eta = obstruction_bundle(params, i) if i else build_stage(params, 0)[1]
+            pushed = pushforward_diagonal(eta, slots)
             assert pushed.rank * factorial(i + 1) == eta.rank * factorial(i + 2)
 
 
@@ -141,8 +138,9 @@ def test_connecting_map_structure():
     params = SystemParams(2)
     i = 2
     eta = obstruction_bundle(params, i)
-    pushed = pushforward_diagonal(eta, connecting_slots(params, i))
-    nxt = stage_space(params, i + 1)
+    (_, slots), = connecting_maps(params, i, i + 1)
+    pushed = pushforward_diagonal(eta, slots)
+    nxt, _ = build_stage(params, i + 1)
     # the stage-j projective factor is labelled cp{j}
     cp_index = {atom.label: idx for idx, atom in enumerate(nxt.factors)}
     expected_parts = [(cp_index[f"cp{j}"], cp_dimension(2, j)) for j in range(1, i + 1)]
@@ -154,19 +152,10 @@ def test_connecting_map_structure():
 def test_unit_iteration_reproduces_closed_form():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
-        current = unit_bundle(params, 0)
-        for i in range(4):
-            current = pushforward_diagonal(current, connecting_slots(params, i))
-            assert current == unit_bundle(params, i + 1)
-
-
-def test_push_through_stages_matches_iteration():
-    params = SystemParams(INFINITE)
-    eta = obstruction_bundle(params, 1)
-    assert push_through_stages(params, eta, 1, 4) == pushforward_diagonal(
-        pushforward_diagonal(pushforward_diagonal(eta, connecting_slots(params, 1)),
-                             connecting_slots(params, 2)),
-        connecting_slots(params, 3))
+        _, current = build_stage(params, 0)
+        for i, slots in connecting_maps(params, 0, 4):
+            current = pushforward_diagonal(current, slots)
+            assert current == build_stage(params, i + 1)[1]
 
 
 def test_comparability_triple_small_finite():
@@ -243,6 +232,6 @@ def test_euler_obstruction_chain_consistency():
     # only the capacity bundle's Euler class is used, and it is nonzero
     params = SystemParams(2)
     for j in (1, 2, 3, 4):
-        x = trivial_bundle(stage_space(params, j), 1)
+        x = trivial_bundle(build_stage(params, j)[0], 1)
         assert obstructed_by_euler(x, obstruction_bundle(params, j)).outcome \
             == Outcome.OBSTRUCTED
