@@ -33,7 +33,7 @@ from .errors import (
     GeneratorBudgetExceeded,
     InvalidLineClassError,
 )
-from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, read_int
+from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, json_list, read_int
 
 DEFAULT_BUDGET = 100_000
 
@@ -109,7 +109,7 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     if trivial < 0:
         raise ValueError("trivial rank must be >= 0")
     parts = []
-    for summand in doc.get("summands", []):
+    for summand in json_list(doc.get("summands", []), "summands"):
         line = GradedClass.from_json(base, summand["line"])
         mult = read_int(summand["mult"], "multiplicity")
         if mult < 0:

@@ -305,9 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argv-independent, so built once per process; parse_args keeps no state
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         inputs, computations = args.func(args)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, read_int
+from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
 
 
 class GradedClass:
@@ -91,20 +91,14 @@ class GradedClass:
 
     @staticmethod
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
-        """The class of a `{"terms": [...]}` document.  The terms and each
-        exponent vector must be JSON lists: a string or an object would be
-        read by its characters or keys (ValueError)."""
-        terms = {tuple(read_int(x, "exponent")
-                       for x in _json_list(t["exponents"], "exponents")):
-                 read_int(t["coefficient"], "coefficient")
-                 for t in _json_list(doc["terms"], "class terms")}
+        """The class of a `{"terms": [...]}` document, adding the coefficients
+        of repeated exponent vectors.  The terms and each exponent vector must
+        be JSON lists (`spaces.json_list`)."""
+        terms: dict = {}
+        for t in json_list(doc["terms"], "class terms"):
+            exps = tuple(read_int(x, "exponent") for x in json_list(t["exponents"], "exponents"))
+            terms[exps] = terms.get(exps, 0) + read_int(t["coefficient"], "coefficient")
         return GradedClass(space, terms)
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, not {value!r}")
-    return value
 
 
 def line_series_product(space: SpaceDescriptor,

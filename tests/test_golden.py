@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import villadsen
 from villadsen.cli import main
 from villadsen.reports import canonical_json, normalize_report
 
@@ -130,3 +135,36 @@ def test_golden_report(command, tmp_path, capsys, monkeypatch):
     code, digest = golden_digest(command, tmp_path, capsys)
     assert code == EXIT_CODES.get(command, 0)
     assert digest == GOLDEN[command]
+
+
+def alone(argv: list[str], env: dict) -> tuple[int, str, str]:
+    """Exit code, normalised report and stderr of one CLI call in a fresh
+    interpreter."""
+    done = subprocess.run([sys.executable, "-m", "villadsen.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, normalized(done.stdout), done.stderr
+
+
+def normalized(out: str) -> str:
+    return canonical_json(normalize_report(json.loads(out))) if out else ""
+
+
+def test_one_process_gives_each_call_what_it_gives_alone(tmp_path, capsys, monkeypatch):
+    # main reuses one parser and one validator for the whole process, so no
+    # call may depend on the calls before it
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "100000")
+    for command in sorted(GOLDEN, reverse=True):
+        code, digest = golden_digest(command, tmp_path, capsys)
+        assert (code, digest) == (EXIT_CODES.get(command, 0), GOLDEN[command]), command
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    for argv, expected in ((["v2", "-k", "2", "--bogus"], 1),
+                           (["v2", "-k", "2", "-n", "3", "--trace"], 0),
+                           (["v2", "-k", "2", "-n", "3", "--stage", "5"], 1)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how argparse ends a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected
+        assert (code, normalized(captured.out), captured.err) == alone(argv, env)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import villadsen
 from villadsen.reports import load_schema, validate_report
 
 
@@ -24,6 +29,28 @@ def test_schema_uses_draft_07():
 
 def test_schema_is_loaded_once():
     assert load_schema() is load_schema()
+
+
+def test_import_checks_the_schema_against_its_metaschema_once():
+    # in a fresh interpreter: the CLI's import checks the schema every report
+    # is validated against, and its calls check it no more
+    script = """
+import jsonschema
+checked = []
+check = jsonschema.Draft7Validator.check_schema.__func__
+jsonschema.Draft7Validator.check_schema = classmethod(
+    lambda cls, schema: checked.append(schema) or check(cls, schema))
+from villadsen import cli, reports
+imported = list(checked)
+cli.main(["v2", "-k", "2", "-n", "3", "--trace"])
+cli.main(["cfp", "--terms", "2"])
+print(imported == [reports.load_schema()], len(checked))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True 1"
 
 
 def test_every_report_is_still_validated():

@@ -1,5 +1,8 @@
 """Construction counts of the radius-of-comparison sweep and of CLI calls.
 
+The argument parser and the report validator do not depend on argv, so a
+process builds them once, at import, and a CLI call builds neither.
+
 A space carries its ring, so a stage's ring is built once, with its space,
 whether it is built from its atoms or extends the stage before, and a
 stage's witness is checked with one class: both counts must grow at most
@@ -15,11 +18,15 @@ comparability chain builds a fixed number of bundles.
 
 from __future__ import annotations
 
+import argparse
+import json
 import math
 import sys
 
+import jsonschema
 import pytest
 
+from villadsen import reports
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -177,3 +184,41 @@ def test_stage_sweep_builds_linearly_many_factorials_and_atoms(monkeypatch, caps
     capsys.readouterr()
     for small, large in zip(at_40, at_80):
         assert large <= 2 * small + 10
+
+
+def test_cli_calls_build_no_parser_and_no_validator(monkeypatch, capsys, tmp_path):
+    space, bundle, config = (tmp_path / name for name in ("s.json", "b.json", "c.json"))
+    space.write_text(json.dumps({"factors": [{"kind": "s2"}, {"kind": "s2"}]}))
+    bundle.write_text(json.dumps({"summands": [
+        {"line": {"terms": [{"exponents": [1, 0], "coefficient": "1"}]}, "mult": "2"}]}))
+    config.write_text(json.dumps({"seed_dim": 6, "steps": [
+        {"proj_mults": {"p1": 1, "p2": 1}, "point_evals": 1}]}))
+    argvs = [["v2", "-k", "2", "-n", "4", "--rc", "--trace"],
+             ["cfp", "--terms", "2"],
+             ["vi", "--config", str(config), "--witness", "2"],
+             ["chern", "--space", str(space), "--bundle", str(bundle)]]
+    built = {"parsers": 0, "check_schema": 0, "validator_for": 0, "validated": 0}
+
+    def counting(key, function, engine_calls_only=False):
+        def counted(*args, **kwargs):
+            caller = sys._getframe(1).f_globals["__name__"]
+            if not engine_calls_only or caller.startswith("villadsen"):
+                built[key] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    check_schema = jsonschema.Draft7Validator.check_schema.__func__
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__",
+                      counting("parsers", argparse.ArgumentParser.__init__))
+        patch.setattr(jsonschema.Draft7Validator, "check_schema",
+                      classmethod(counting("check_schema", check_schema)))
+        # jsonschema calls validator_for itself on the subschemas it descends into
+        patch.setattr(jsonschema.validators, "validator_for",
+                      counting("validator_for", jsonschema.validators.validator_for, True))
+        patch.setattr(reports, "validate_report",
+                      counting("validated", reports.validate_report))
+        codes = [main(argvs[i % len(argvs)]) for i in range(20)]
+    capsys.readouterr()
+    assert codes == [0] * 20
+    assert built == {"parsers": 0, "check_schema": 0, "validator_for": 0, "validated": 20}
