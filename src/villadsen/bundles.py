@@ -14,8 +14,8 @@ but keeps only the terms that can still reach one degree.  Multiplicities
 grow factorially along the inductive systems, so they are never assumed
 to fit a machine word.
 
-Equality is normal-form equality (sorted, merged summands); this is the
-working notion of isomorphism, and stable isomorphism is the same with
+Equality is normal-form equality (merged summands, in any order); this is
+the working notion of isomorphism, and stable isomorphism is the same with
 trivial ranks added on both sides.
 """
 
@@ -54,9 +54,10 @@ class BundleExpr:
 
     `parts` maps the generator position of each summand's line (an index
     into `base.caps`) to its multiplicity.  The constructor takes
-    (position, multiplicity) pairs: summands on one line are merged, zero
-    multiplicities dropped, and the order is that of the lines' exponent
-    vectors (descending position).
+    (position, multiplicity) pairs: summands on one line are merged and
+    zero multiplicities dropped.  The parts keep the order of their first
+    pairs; equality and hash ignore it, and the repr lists them in
+    descending position.
     """
 
     __slots__ = ("base", "trivial_rank", "parts")
@@ -76,7 +77,7 @@ class BundleExpr:
                 merged[pos] = merged.get(pos, 0) + mult
         self.base = base
         self.trivial_rank = trivial_rank
-        self.parts = dict(sorted(merged.items(), reverse=True))
+        self.parts = merged
 
     @property
     def rank(self) -> int:
@@ -89,12 +90,12 @@ class BundleExpr:
                 and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.base, self.trivial_rank, tuple(self.parts.items())))
+        return hash((self.base, self.trivial_rank, frozenset(self.parts.items())))
 
     def __repr__(self):
         names = self.base.generator_names
         parts = [f"theta_{self.trivial_rank}"] if self.trivial_rank else []
-        parts += [f"{m}*{names[pos]}" for pos, m in self.parts.items()]
+        parts += [f"{m}*{names[pos]}" for pos, m in sorted(self.parts.items(), reverse=True)]
         return "BundleExpr(" + " + ".join(parts or ["0"]) + ")"
 
 
@@ -157,20 +158,6 @@ def chern_expansion_cost(b: BundleExpr) -> int:
     return prod(top + 1 for _, _, top in top_powers(b))
 
 
-def expansion_fits(b: BundleExpr, budget: int) -> bool:
-    """Whether chern_expansion_cost(b) <= budget.
-
-    Stops multiplying as soon as the partial product passes the budget; the
-    full product runs to millions of digits on large witness bases.
-    """
-    cost = 1
-    for _, _, top in top_powers(b):
-        cost *= top + 1
-        if cost > budget:
-            return False
-    return True
-
-
 def chern(b: BundleExpr) -> GradedClass:
     """Total Chern class: the product of (1 + line)^multiplicity, capped.
 
@@ -178,9 +165,9 @@ def chern(b: BundleExpr) -> GradedClass:
     the expansion would exceed the term budget of `expansion_budget()`.
     """
     budget = expansion_budget()
-    if not expansion_fits(b, budget):
-        raise GeneratorBudgetExceeded(chern_expansion_cost(b), budget,
-                                      "Chern class expansion")
+    cost = chern_expansion_cost(b)
+    if cost > budget:
+        raise GeneratorBudgetExceeded(cost, budget, "Chern class expansion")
     # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
     return line_series_product(b.base, [
         (pos, [comb(mult, i) for i in range(top + 1)])

@@ -12,7 +12,6 @@ big-integer and big-rational arithmetic, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
@@ -91,34 +90,31 @@ def _ratio_induction_base() -> int:
 
 
 def first_witness_stage() -> int:
-    """Minimal stage from which every later stage passes both entry conditions.
-
-    Divisibility by four holds for all m >= 4 (4 divides m! there) and the
-    ratio condition holds for all m >= the induction base, so only finitely
-    many stages need explicit checking.
-    """
-    base = max(_ratio_induction_base(), 4)
-    for candidate in range(1, base + 1):
-        if all(_divisible_by_four(m) and _ratio_ok(m) for m in range(candidate, base)):
-            return candidate
-    return base
+    """Minimal stage from which every later stage passes both entry conditions."""
+    return first_stage_certificate()["value"]
 
 
 def first_stage_certificate() -> dict:
-    """Finite checks plus the symbolic tail facts behind first_witness_stage."""
-    base = max(_ratio_induction_base(), 4)
-    value = first_witness_stage()
+    """The first witness stage, with the finite checks and the symbolic tail
+    facts behind it.
+
+    Divisibility by four holds for all m >= 4 (4 divides m! there) and the
+    ratio condition holds for all m >= the induction base, so only the stages
+    up to the larger of the two need explicit checking: the first stage
+    follows the last failing stage below it.
+    """
+    ratio_base = _ratio_induction_base()
+    base = max(ratio_base, 4)
+    checks = [{"stage": m, "divisible_by_4": _divisible_by_four(m), "ratio_ok": _ratio_ok(m)}
+              for m in range(1, base + 1)]
     return {
-        "value": value,
-        "finite_checks": [
-            {"stage": m, "divisible_by_4": _divisible_by_four(m),
-             "ratio_ok": _ratio_ok(m)}
-            for m in range(1, base + 1)
-        ],
+        "value": max([c["stage"] + 1 for c in checks[:-1]
+                      if not (c["divisible_by_4"] and c["ratio_ok"])], default=1),
+        "finite_checks": checks,
         "tail": {
             "divisibility_from": 4,
             "divisibility_reason": "4 divides m! for every m >= 4",
-            "ratio_induction_base": _ratio_induction_base(),
+            "ratio_induction_base": ratio_base,
             "ratio_reason": ("sum of earlier factor dimensions stays within a "
                              "quarter of the next one because each dimension "
                              "grows at least fivefold"),
@@ -136,16 +132,14 @@ def next_witness_stage(prev: int) -> int:
     """Minimal stage m > prev with the pushforward growth inequality.
 
     The inequality (sum of earlier factor dimensions) * sigma(m) / (prev+1)!
-    <= factor_dimension(m) / 2 reduces, after dividing out sigma(m), to an
-    exact rational comparison against m/2.
+    <= factor_dimension(m) / 2 reduces, after dividing out sigma(m), to
+    m >= 2 * (sum of earlier factor dimensions) / (prev+1)!, whose least
+    integer solution is an exact ceiling.
     """
     if prev < 1:
         raise ValueError("previous stage must be >= 1")
-    ratio = Fraction(half_dimension_sum(prev), factorial(prev + 1))
-    m = prev + 1
-    while Fraction(m, 2) < ratio:
-        m += 1
-    return m
+    table = GrowthTable(INFINITE).up_to(prev)
+    return max(prev + 1, -(-2 * sum(table.dims) // table.rank))
 
 
 @dataclass(frozen=True)
@@ -179,6 +173,9 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
             raise ConfigError("override list length must match the term count")
         if any(b <= a for a, b in zip(override_stages, override_stages[1:])):
             raise ConfigError("override stages must be strictly increasing")
+        below = [s for s in override_stages if s < 1]
+        if below:
+            raise ConfigError(f"override stages start at stage 1, not {below}")
         stages = list(override_stages)
     else:
         stages = [first_witness_stage()]
@@ -303,11 +300,10 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
                              "cap": cap[s], "ok": ok_s})
 
     verdict = obstructed_by_euler(trivial_bundle(capacity.base, 1), capacity)
-    euler = {"outcome": verdict.outcome.value, "certificate": verdict.certificate}
     if verdict.outcome is not Outcome.OBSTRUCTED:
         failures.append("capacity bundle Euler class is not certified nonzero")
     return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,
-            "euler": euler, "failures": failures, "passed": not failures}
+            "euler": verdict.to_json(), "failures": failures, "passed": not failures}
 
 
 def exact_pushed_coefficients(witness: CfpWitness, j: int) -> dict[int, int]:

@@ -5,9 +5,9 @@ carrying dimension only), 2-spheres, and complex projective spaces.  The
 factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
 factor order, with its power cap.  `SpaceDescriptor.extend` appends
-factors to a space and derives the product's hash and ring data from the
-space's, which is how a walk up the type-II stage tower builds each stage
-from the one before.
+factors to a space and derives the product's ring data from the space's,
+which is how a walk up the type-II stage tower builds each stage from the
+one before.
 Maps between such products are coordinate projections or constant maps.
 Points are opaque labels, never coordinates.  `read_int` is the one reader
 of the integers in input documents and on the command line.
@@ -41,6 +41,14 @@ def json_list(value, what: str) -> list:
     read by its characters or keys, so anything but a JSON list is a ValueError."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON list, not {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """An object slot of an input document: anything but a JSON object is a
+    ValueError, not a list or string read by its items."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
     return value
 
 
@@ -113,21 +121,17 @@ class SpaceDescriptor:
 
     A generator's position (its exponent slot in every class over the
     space) counts the sphere and projective factors before it.  `caps` lists
-    the power caps by position, `positions` maps a generator's factor index
-    to its position, and `generator_names` holds the names `z<factor>`
-    (sphere) and `y<factor>` (projective space) that reprs print.
+    the power caps by position and `positions` maps a generator's factor
+    index to its position.
 
-    Bundles over a space compare their bases often, so the hash, the ring
-    data and the real dimension are computed once, when the descriptor is
-    built, and equality compares hashes before factors.  The hash folds over
-    the atoms one at a time, so `extend` derives all of them from its
-    predecessor's and visits only the new atoms.
+    The ring data and the real dimension are computed once, when the
+    descriptor is built, so `extend` derives them from its predecessor's
+    and visits only the new atoms.  Equality and hash are those of the
+    factor tuple.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
-    _hash: int = field(init=False, repr=False)
     caps: tuple[int, ...] = field(init=False, repr=False)
-    generator_names: tuple[str, ...] = field(init=False, repr=False)
     positions: dict[int, int] = field(init=False, repr=False)
     real_dimension: int = field(init=False, repr=False)
 
@@ -140,8 +144,8 @@ class SpaceDescriptor:
     def extend(self, atoms) -> "SpaceDescriptor":
         """This space times `atoms`, which follow its factors.
 
-        Equal to `SpaceDescriptor(self.factors + tuple(atoms))`, hash
-        included; this space's tuples and dict are copied, not rebuilt.
+        Equal to `SpaceDescriptor(self.factors + tuple(atoms))`; this
+        space's tuples and dict are copied, not rebuilt.
         """
         space = object.__new__(SpaceDescriptor)
         space.__dict__.update(self.__dict__)
@@ -150,23 +154,19 @@ class SpaceDescriptor:
 
     def _append(self, atoms: tuple[SpaceAtom, ...]) -> None:
         # only while the descriptor is being built: it is frozen afterwards
-        h, dim = self._hash, self.real_dimension
+        dim = self.real_dimension
         idx, pos = len(self.factors), len(self.caps)
-        caps, names, positions = [], [], {}
+        caps, positions = [], {}
         for atom in atoms:
-            h = hash((h, atom))
             dim += atom.real_dimension
             cap = atom.generator_cap
             if cap is not None:
                 caps.append(cap)
-                names.append(f"{'z' if cap == 2 else 'y'}{idx}")
                 positions[idx] = pos
                 pos += 1
             idx += 1
         object.__setattr__(self, "factors", self.factors + atoms)
-        object.__setattr__(self, "_hash", h)
         object.__setattr__(self, "caps", self.caps + tuple(caps))
-        object.__setattr__(self, "generator_names", self.generator_names + tuple(names))
         object.__setattr__(self, "positions", {**self.positions, **positions})
         object.__setattr__(self, "real_dimension", dim)
 
@@ -175,10 +175,17 @@ class SpaceDescriptor:
             return True
         if not isinstance(other, SpaceDescriptor):
             return NotImplemented
-        return self._hash == other._hash and self.factors == other.factors
+        return self.factors == other.factors
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.factors)
+
+    @property
+    def generator_names(self) -> tuple[str, ...]:
+        """The names reprs print, by position: `z<factor>` for a generator
+        of cap 2, `y<factor>` for a longer projective one."""
+        return tuple(f"{'z' if self.caps[pos] == 2 else 'y'}{idx}"
+                     for idx, pos in self.positions.items())
 
     def generator_position(self, factor_index: int) -> int:
         """The position of a factor's generator; KeyError for a disk."""
@@ -194,8 +201,7 @@ class SpaceDescriptor:
 
 
 # the fields of the product of no factors, where every descriptor starts
-_EMPTY_PRODUCT = {"factors": (), "_hash": hash(()), "caps": (), "generator_names": (),
-                  "positions": {}, "real_dimension": 0}
+_EMPTY_PRODUCT = {"factors": (), "caps": (), "positions": {}, "real_dimension": 0}
 
 
 def spheres(n: int) -> SpaceDescriptor:

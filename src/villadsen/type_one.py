@@ -19,7 +19,7 @@ from .bundles import expansion_budget
 from .cohomology import line_series_product
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import fraction_json
-from .spaces import read_int, spheres
+from .spaces import json_list, json_object, read_int, spheres
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class StepSpec:
         if unknown:
             raise ConfigError(f"unknown step keys: {sorted(unknown)}")
         mults = tuple(sorted((str(k), read_int(v, f"multiplicity of {k!r}"))
-                             for k, v in doc.get("proj_mults", {}).items()))
+                             for k, v in json_object(doc.get("proj_mults", {}),
+                                                     "proj_mults").items()))
         return StepSpec(mults, read_int(doc.get("point_evals", 0), "point_evals"))
 
 
@@ -275,5 +276,6 @@ class SystemConfig:
         seed = read_int(doc["seed_dim"], "seed_dim")
         if seed < 0:
             raise ConfigError("seed_dim must be >= 0")
-        steps = tuple(StepSpec.from_json(s) for s in doc["steps"])
+        steps = tuple(StepSpec.from_json(json_object(s, f"step {i}"))
+                      for i, s in enumerate(json_list(doc["steps"], "steps")))
         return SystemConfig(seed, steps)

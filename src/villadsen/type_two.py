@@ -189,9 +189,7 @@ def comparability_triple(params: SystemParams, n: int,
         verdict = trivial_line_subbundle_sufficient(doubled)
         passed &= verdict.outcome is Outcome.DOMINATES
         line_records.append({"i": i, "cp_dimension": str(dim),
-                             "rank": str(doubled.rank),
-                             "outcome": verdict.outcome.value,
-                             "certificate": verdict.certificate})
+                             "rank": str(doubled.rank), **verdict.to_json()})
 
     chain_records = []
     current = _witness_sum(stage)
@@ -217,8 +215,7 @@ def comparability_triple(params: SystemParams, n: int,
     witness = current
     verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
     passed &= verdict.outcome is Outcome.OBSTRUCTED
-    euler_record = {"outcome": verdict.outcome.value, "certificate": verdict.certificate,
-                    "witness_rank": str(witness.rank)}
+    euler_record = {**verdict.to_json(), "witness_rank": str(witness.rank)}
 
     unit_line_trace = Fraction(1, growth.rank)
     traces: dict = {

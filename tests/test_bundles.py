@@ -313,8 +313,7 @@ def test_position_keyed_construction_matches_checked_lines():
                                                       (lines[0], 3)]))
     keyed = BundleExpr(space, 1, [(0, 2), (2, 1), (0, 3)])
     assert keyed == checked and hash(keyed) == hash(checked)
-    # parts are listed in the order of the lines' exponent vectors
-    assert list(keyed.parts.items()) == [(2, 1), (0, 5)]
+    assert keyed.parts == {2: 1, 0: 5}
     assert repr(keyed) == "BundleExpr(theta_1 + 1*z2 + 5*y0)"
     with pytest.raises(InvalidLineClassError):
         BundleExpr(space, 0, [(3, 1)])
@@ -328,6 +327,16 @@ def test_position_keyed_construction_matches_checked_lines():
                 bundle_document(3, [(zero_line, -1)]), bundle_document(-1, [(zero_line, 4)])):
         with pytest.raises(ValueError):
             parse_bundle(space, doc)
+
+
+def test_summand_order_is_not_part_of_the_bundle():
+    space = SpaceDescriptor((cproj(2), *spheres(3).factors))
+    pairs = [(0, 2), (3, 1), (1, 4), (0, 3), (2, 0)]
+    forward, backward = BundleExpr(space, 1, pairs), BundleExpr(space, 1, pairs[::-1])
+    # the constructor keeps the pairs' order and sorts nothing
+    assert list(forward.parts) != list(backward.parts)
+    assert forward == backward and hash(forward) == hash(backward)
+    assert repr(forward) == repr(backward) == "BundleExpr(theta_1 + 1*z3 + 4*z1 + 5*y0)"
 
 
 ATOMS = st.one_of(st.builds(disk, st.integers(0, 3)), st.builds(sphere2),

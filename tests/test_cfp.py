@@ -76,6 +76,9 @@ def test_next_stage_values_and_oracle():
     assert next_witness_stage(1) == 2 == brute_force_next_stage(1)
     assert next_witness_stage(4) == 8 == brute_force_next_stage(4)
     assert next_witness_stage(8) == 16 == brute_force_next_stage(8)
+    # the exact ceiling agrees with the scan wherever it lands on a boundary
+    for prev in range(1, 40):
+        assert next_witness_stage(prev) == brute_force_next_stage(prev)
 
 
 def test_next_stage_minimality_and_margin():
@@ -121,7 +124,7 @@ def test_witness_base_dimensions():
     for j in range(1, 40):
         unit = unit_over_witness_base(j)
         assert unit.rank == factorial(j + 1)
-        assert list(unit.parts.values()) == [unit_multiplicity(s) for s in range(j, 0, -1)]
+        assert unit.parts == {s - 1: unit_multiplicity(s) for s in range(1, j + 1)}
 
 
 def test_upper_verdicts_first_three_terms():

@@ -205,6 +205,13 @@ def test_cfp_invalid_override_is_usage_error(capsys):
     assert "--override-l" in captured.err and "'x'" in captured.err
 
 
+def test_cfp_override_below_stage_one_is_named(capsys):
+    code = main(["cfp", "--terms", "2", "--override-l", "0,4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: override stages start at stage 1, not [0]\n"
+
+
 @pytest.mark.parametrize("argv, option", [
     (["v2", "-k", "\u0662", "-n", "3"], "-k"),
     (["v2", "-k", "true", "-n", "3"], "-k"),
@@ -359,6 +366,25 @@ def test_chern_factors_and_summands_must_be_lists(tmp_path, capsys, space_doc, b
     paths = dict(zip(("space", "bundle"), write_chern_docs(tmp_path, space_doc, bundle_doc)))
     code = main(["chern", "--space", paths["space"], "--bundle", paths["bundle"]])
     assert_one_error_line(capsys, code, paths[bad])
+
+
+@pytest.mark.parametrize("steps, message", [
+    ({}, "steps must be a JSON list"),
+    ("", "steps must be a JSON list"),
+    (["ab"], "step 0 must be a JSON object"),
+    ([{"proj_mults": {"p": 1}}, 3], "step 1 must be a JSON object"),
+    ([{"proj_mults": [["p", 1]]}], "proj_mults must be a JSON object"),
+], ids=["steps-object", "steps-string", "step-string", "step-int", "proj-mults-list"])
+def test_vi_config_steps_and_proj_mults_are_checked(steps, message, tmp_path, capsys):
+    # an empty object or string would be read as no steps, a verified empty system
+    config = write_vi_config(tmp_path, steps)
+    code = main(["vi", "--config", config, "--witness", "2"])
+    assert message in assert_one_error_line(capsys, code, config)
+
+
+def test_vi_config_without_steps_is_valid(tmp_path, capsys):
+    code, out = run_cli(capsys, "vi", "--config", write_vi_config(tmp_path, []))
+    assert code == 0 and json.loads(out)["checks"]
 
 
 def test_chern_bundle_without_summands_is_trivial(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from villadsen.cli import main
 from villadsen.cohomology import GradedClass
 from villadsen.spaces import (
     SpaceAtom,
@@ -54,6 +55,25 @@ def test_extend_equals_the_product_built_at_once():
                                           extended.real_dimension)
         # the predecessor is unchanged
         assert a == SpaceDescriptor(a.factors) and len(a.caps) == len(a.positions)
+
+
+@pytest.mark.parametrize("argv", [["cfp", "--terms", "6", "--stage", "140"],
+                                  ["v2", "-k", "2", "-n", "40", "--rc", "--trace"]])
+def test_building_and_comparing_spaces_hashes_no_atom(argv, monkeypatch, capsys):
+    calls = []
+    atom_hash = SpaceAtom.__hash__
+
+    def counted(atom):
+        calls.append(atom)
+        return atom_hash(atom)
+
+    monkeypatch.setattr(SpaceAtom, "__hash__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the counter does see a hashed atom
+    hash(sphere2())
+    assert len(calls) == 1
 
 
 def test_atom_validation():
