@@ -57,17 +57,47 @@ class BundleExpr:
     (position, multiplicity) pairs: summands on one line are merged and
     zero multiplicities dropped.  The parts keep the order of their first
     pairs; equality and hash ignore it, and the repr lists them in
-    descending position.
+    descending position.  The rank is summed once, while the parts are
+    merged, and `extend` carries it.
     """
 
-    __slots__ = ("base", "trivial_rank", "parts")
+    __slots__ = ("base", "trivial_rank", "parts", "rank")
 
     def __init__(self, base: SpaceDescriptor, trivial_rank: int = 0,
                  parts: Iterable[tuple[int, int]] = ()):
         if trivial_rank < 0:
             raise ValueError("trivial rank must be >= 0")
-        n = len(base.caps)
-        merged: dict[int, int] = {}
+        self.base = base
+        self.trivial_rank = trivial_rank
+        self.parts = {}
+        self.rank = trivial_rank + self._merge(parts)
+
+    def extend(self, base: SpaceDescriptor, parts: Iterable[tuple[int, int]] = (),
+               trivial_rank: int = 0) -> "BundleExpr":
+        """This bundle pulled back to `base`, plus the summands `parts` and
+        `trivial_rank` trivial lines.
+
+        `base` must begin with this bundle's base's factors, as a later
+        stage of a tower does, so the pullback keeps every position.  Equal
+        to `BundleExpr(base, self.trivial_rank + trivial_rank,
+        [*self.parts.items(), *parts])`; this bundle's parts are copied as
+        one dict and its rank is carried, so the cost is that of `parts`.
+        """
+        if base.factors[:len(self.base.factors)] != self.base.factors:
+            raise BaseMismatchError("the new base does not extend the bundle's base")
+        if trivial_rank < 0:
+            raise ValueError("trivial rank must be >= 0")
+        bundle = object.__new__(BundleExpr)
+        bundle.base = base
+        bundle.trivial_rank = self.trivial_rank + trivial_rank
+        bundle.parts = dict(self.parts)
+        bundle.rank = self.rank + trivial_rank + bundle._merge(parts)
+        return bundle
+
+    def _merge(self, parts: Iterable[tuple[int, int]]) -> int:
+        # only while the bundle is being built: adds the pairs to the parts
+        # and returns their total multiplicity
+        n, merged, total = len(self.base.caps), self.parts, 0
         for pos, mult in parts:
             if mult < 0:
                 raise ValueError("multiplicity must be >= 0")
@@ -75,13 +105,8 @@ class BundleExpr:
                 raise InvalidLineClassError(f"no generator at position {pos}")
             if mult:
                 merged[pos] = merged.get(pos, 0) + mult
-        self.base = base
-        self.trivial_rank = trivial_rank
-        self.parts = merged
-
-    @property
-    def rank(self) -> int:
-        return self.trivial_rank + sum(self.parts.values())
+                total += mult
+        return total
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BundleExpr)
@@ -230,12 +255,15 @@ def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
     """Pull a bundle back along a map; constants yield trivial bundles.
 
     Under a projection each summand moves to the position its generator
-    pulls back to.
+    pulls back to; onto a prefix of the source's factors that is its own
+    position, so the bundle is extended to the source (`BundleExpr.extend`).
     """
     if b.base != f.target:
         raise BaseMismatchError("bundle does not live over the map's target")
     if f.kind == CONSTANT:
         return trivial_bundle(f.source, b.rank)
+    if f.onto_prefix:
+        return b.extend(f.source)
     moved = pullback_positions(f)
     return BundleExpr(f.source, b.trivial_rank,
                       [(moved[pos], m) for pos, m in b.parts.items()])
@@ -285,15 +313,24 @@ def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr
             raise BaseMismatchError("all eigenvalue maps must share a source")
         if s.eigenvalue_map.target != b.base:
             raise BaseMismatchError("eigenvalue map target differs from the bundle base")
-    trivial_rank = 0
-    parts = []
+    pieces = []
     for s in slots:
         piece = pullback_bundle(s.eigenvalue_map, b)
         if s.carrier is not None:
             piece = tensor_line(piece, s.carrier)
-        trivial_rank += piece.trivial_rank * s.multiplicity
-        parts.extend((pos, m * s.multiplicity) for pos, m in piece.parts.items())
-    return BundleExpr(source, trivial_rank, parts)
+        pieces.append((piece, s.multiplicity))
+    # the largest piece of multiplicity one is extended by the others; along
+    # a type-II connecting map it is the bundle pulled back to the next stage,
+    # so a step costs the one new summand, not the bundle's parts
+    kept = max((piece for piece, mult in pieces if mult == 1),
+               key=lambda piece: len(piece.parts), default=trivial_bundle(source, 0))
+    trivial_rank = 0
+    parts = []
+    for piece, mult in pieces:
+        if piece is not kept:
+            trivial_rank += piece.trivial_rank * mult
+            parts.extend((pos, m * mult) for pos, m in piece.parts.items())
+    return kept.extend(source, parts, trivial_rank)
 
 
 def euler_nonzero(b: BundleExpr) -> tuple[bool, str]:

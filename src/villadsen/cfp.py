@@ -11,7 +11,7 @@ big-integer and big-rational arithmetic, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
@@ -156,8 +156,16 @@ class WitnessTerm:
 
 @dataclass(frozen=True)
 class CfpWitness:
+    """The witness terms, and the certificate behind the first stage
+    (`first_stage_certificate`) when the stages were chosen minimally; the
+    stages were given (overridden) when there is none."""
+
     terms: tuple[WitnessTerm, ...]
-    overridden: bool = False
+    first_stage: dict | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def overridden(self) -> bool:
+        return self.first_stage is None
 
     def to_json(self) -> dict:
         return {"terms": [t.to_json() for t in self.terms],
@@ -168,6 +176,7 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
     """Build the first `num_terms` witnesses, minimally or from overrides."""
     if num_terms < 1:
         raise ConfigError("need at least one term")
+    first_stage = None
     if override_stages is not None:
         if len(override_stages) != num_terms:
             raise ConfigError("override list length must match the term count")
@@ -178,7 +187,8 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
             raise ConfigError(f"override stages start at stage 1, not {below}")
         stages = list(override_stages)
     else:
-        stages = [first_witness_stage()]
+        first_stage = first_stage_certificate()
+        stages = [first_stage["value"]]
         while len(stages) < num_terms:
             stages.append(next_witness_stage(stages[-1]))
     terms = []
@@ -188,7 +198,7 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
             raise ConfigError(f"stage {stage} has odd factor dimension {dim}; "
                               "half of it is not an integer")
         terms.append(WitnessTerm(i, stage, dim // 2))
-    return CfpWitness(tuple(terms), overridden=override_stages is not None)
+    return CfpWitness(tuple(terms), first_stage)
 
 
 def verify_upper(term: WitnessTerm) -> ComparisonVerdict:

@@ -246,7 +246,7 @@ def _run_cfp(args):
     def construction():
         cert = {"witness": witness.to_json()}
         if not witness.overridden:
-            cert["first_stage"] = cfp_mod.first_stage_certificate()
+            cert["first_stage"] = witness.first_stage
         return True, cert
 
     def upper(term):

@@ -218,39 +218,58 @@ class SpaceMap:
     """A structure-preserving map between product spaces.
 
     A projection selects source factors matching the target's factor list
-    exactly (indices are 0-based positions in the source).  A constant map
+    exactly (indices are 0-based positions in the source).  A projection
+    onto the first factors of its source, in order, stores its indices as
+    `range(t)` (`onto_prefix`), any other as a tuple.  A constant map
     records only an opaque point label.
     """
 
     source: SpaceDescriptor
     target: SpaceDescriptor
     kind: str
-    indices: tuple[int, ...] = ()
+    indices: tuple[int, ...] | range = ()
     point: str = ""
 
     def __post_init__(self):
         if self.kind == PROJECTION:
-            if len(self.indices) != len(self.target.factors):
+            factors, target, t = self.source.factors, self.target.factors, len(self.indices)
+            if t != len(target):
                 raise ValueError("projection must select one source factor per target factor")
-            if len(set(self.indices)) != len(self.indices):
-                raise ValueError("projection must select distinct source factors")
-            for pos, idx in enumerate(self.indices):
-                if not 0 <= idx < len(self.source.factors):
-                    raise ValueError(f"projection index {idx} out of range")
-                if self.source.factors[idx] != self.target.factors[pos]:
-                    raise ValueError(
-                        f"selected source factor {idx} does not match target factor {pos}"
-                    )
+            if self.indices == range(t) or tuple(self.indices) == tuple(range(t)):
+                # a tower stage onto the stage before: one tuple comparison,
+                # in which the atoms the two share compare by identity
+                object.__setattr__(self, "indices", range(t))
+                if t > len(factors):
+                    raise ValueError(f"projection index {t - 1} out of range")
+                selected = factors[:t]
+            else:
+                indices = tuple(self.indices)
+                object.__setattr__(self, "indices", indices)
+                if len(set(indices)) != t:
+                    raise ValueError("projection must select distinct source factors")
+                for idx in indices:
+                    if not 0 <= idx < len(factors):
+                        raise ValueError(f"projection index {idx} out of range")
+                selected = tuple(factors[idx] for idx in indices)
+            if selected != target:
+                pos = next(pos for pos, atom in enumerate(selected) if atom != target[pos])
+                raise ValueError(f"selected source factor {self.indices[pos]} does not "
+                                 f"match target factor {pos}")
         elif self.kind == CONSTANT:
             if not self.point:
                 raise ValueError("constant map needs a point label")
         else:
             raise ValueError(f"unknown map kind {self.kind!r}")
 
+    @property
+    def onto_prefix(self) -> bool:
+        """Whether this projects onto the first factors of its source, in
+        order, so that every target generator keeps its position."""
+        return self.kind == PROJECTION and isinstance(self.indices, range)
 
-def projection(source: SpaceDescriptor, target: SpaceDescriptor,
-               indices: tuple[int, ...]) -> SpaceMap:
-    return SpaceMap(source, target, PROJECTION, indices=tuple(indices))
+
+def projection(source: SpaceDescriptor, target: SpaceDescriptor, indices) -> SpaceMap:
+    return SpaceMap(source, target, PROJECTION, indices=indices)
 
 
 def constant(source: SpaceDescriptor, target: SpaceDescriptor, point: str) -> SpaceMap:

@@ -11,10 +11,16 @@ projection at stage n is rank/(n+1)!, an exact rational.
 The stages form a tower: stage n+1 is stage n times one new projective
 factor (and a disk increment for k = infinity).  `_stages` walks it: a
 stage carries its growth numbers (`growth.GrowthTable`), and the next stage
-extends it by its new atoms, so a sweep pays for each new stage in
-proportion to its new atoms, not to the stage.  The sweeps walk the tower
-once each; `build_stage`, `trace_value`, `obstruction_bundle` and
-`trace_table` build their one stage cold.  Nothing is held between calls.
+extends it by its new atoms.  The witness sums ride the same tower: stage
+n+1's is stage n's plus one block of the new stage line
+(`BundleExpr.extend`), and the connecting map projects onto a prefix of
+the factors, which moves no generator, so a pushforward copies the parts
+and adds one summand.  The radius sweep carries only the witness rank and
+its Euler verdict.  So each sweep and each comparability chain does a fixed
+amount of Python work per stage, not work in proportion to the stage.  The
+sweeps walk the tower once each; `build_stage`, `trace_value`,
+`obstruction_bundle` and `trace_table` build their one stage cold.  Nothing
+is held between calls.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from itertools import islice
 from .bundles import (
     BundleExpr,
     DiagonalSlot,
-    euler,
     line_sum,
     pushforward_diagonal,
     trivial_bundle,
@@ -114,7 +119,7 @@ def _trace(stage: _Stage, bundle: BundleExpr) -> Fraction:
 
 def _slots(stage: _Stage, following: _Stage) -> list[DiagonalSlot]:
     tgt, src = stage.space, following.space
-    return [DiagonalSlot(projection(src, tgt, tuple(range(len(tgt.factors))))),
+    return [DiagonalSlot(projection(src, tgt, range(len(tgt.factors)))),
             DiagonalSlot(constant(src, tgt, f"y{stage.n}"), stage.n + 1, stage.n)]
 
 
@@ -196,18 +201,21 @@ def comparability_triple(params: SystemParams, n: int,
     q_sum = _trace(stage, current)
     for ell, following in zip(range(n, j), tower):
         pushed = pushforward_diagonal(current, _slots(stage, following))
-        target = _witness_sum(following)
-        ok = all(m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
         # the stage-(ell+1) line sits at generator position ell; its
-        # multiplicity in the witness sum is that stage's capacity
+        # multiplicity in the witness sum is that stage's capacity.  Pushing
+        # along the prefix projection keeps every earlier summand where the
+        # witness sum has it, so only the new position is checked
+        capacity = following.growth.dims[ell]
+        target = current.extend(following.space, [(ell, capacity)])
         new_coeff = pushed.parts.get(ell, 0)
+        ok = new_coeff <= capacity
         passed &= ok
         chain_records.append({
             "from_stage": ell,
             "to_stage": ell + 1,
             "pushed_rank": str(pushed.rank),
             "new_line_multiplicity": str(new_coeff),
-            "capacity": str(target.parts[ell]),
+            "capacity": str(capacity),
             "within_capacity": ok,
         })
         current, stage = target, following
@@ -230,8 +238,11 @@ def comparability_triple(params: SystemParams, n: int,
         traces["divergent"] = False
     else:
         entries = []
+        witness_rank = 0
         for stage in islice(_stages(params, 1), n):
-            m, exact = stage.n, _trace(stage, _witness_sum(stage))
+            m = stage.n
+            witness_rank += stage.growth.dims[m - 1]
+            exact = Fraction(witness_rank, stage.growth.rank)
             lower = Fraction(m * m, m + 1)
             if exact < lower:
                 raise CrossCheckDisagreement("divergence lower bound fails")
@@ -262,6 +273,11 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     stages = []
     witnesses = []
     previous = None
+    # stage m's witness sum is stage m-1's plus dims[m-1] copies of the new
+    # stage line, at position m-1: its rank and factorized Euler verdict
+    # are carried up the tower, the verdict nonzero while every multiplicity
+    # stays below its cap
+    witness_rank, obstructed = 0, True
     for stage in islice(_stages(params), max_stage + 1):
         m, space, rank = stage.n, stage.space, stage.growth.rank
         value = Fraction(space.real_dimension, 2 * rank)
@@ -277,10 +293,10 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
         if m == 0:
             continue
 
-        witness = _witness_sum(stage)
-        q_sum = _trace(stage, witness)
-        # factorized class only: a cross-check at all n stages is O(n^2) per call
-        obstructed = not euler(witness).is_zero()
+        multiplicity = stage.growth.dims[m - 1]
+        witness_rank += multiplicity
+        obstructed = obstructed and multiplicity < space.caps[m - 1]
+        q_sum = Fraction(witness_rank, rank)
         passed &= obstructed
         rec = {
             "stage": m,

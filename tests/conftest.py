@@ -83,6 +83,34 @@ def push_through_stages(params, bundle: BundleExpr, start: int, stop: int) -> Bu
     return bundle
 
 
+def pushforward_from_scratch(b: BundleExpr, slots) -> BundleExpr:
+    """Oracle: a diagonal pushforward built in one constructor call.
+
+    A projection slot moves each summand to the source position of its
+    factor, counted over the source's factors as `pullback_class` does; a
+    constant slot turns the whole rank into its carrier line, or into
+    trivial lines without one.  Every slot's pieces, times its multiplicity,
+    go to one `BundleExpr`, with no bundle extended or reused.
+    """
+    source = slots[0].eigenvalue_map.source
+    trivial, parts = 0, []
+    for s in slots:
+        f = s.eigenvalue_map
+        if f.kind == CONSTANT:
+            pieces, rest = [], b.rank
+        else:
+            moved = [sum(atom.generator_cap is not None for atom in source.factors[:f.indices[t]])
+                     for t, atom in enumerate(f.target.factors) if atom.generator_cap is not None]
+            pieces, rest = [(moved[pos], m) for pos, m in b.parts.items()], b.trivial_rank
+        if s.carrier is not None:
+            if pieces:
+                raise ValueError("a line summand tensored with a line")
+            pieces, rest = [(s.carrier, rest)], 0
+        trivial += rest * s.multiplicity
+        parts += [(pos, m * s.multiplicity) for pos, m in pieces]
+    return BundleExpr(source, trivial, parts)
+
+
 def dict_poly_top_coefficient(n: int, mults: list[int]) -> tuple[int, int]:
     """Oracle: expand prod (1 + m_l z_{l,s}) over square-zero generators.
 

@@ -21,7 +21,12 @@ from villadsen.bundles import (
     trivial_bundle,
 )
 from villadsen.cohomology import GradedClass, graded_components
-from villadsen.errors import CrossCheckDisagreement, GeneratorBudgetExceeded, InvalidLineClassError
+from villadsen.errors import (
+    BaseMismatchError,
+    CrossCheckDisagreement,
+    GeneratorBudgetExceeded,
+    InvalidLineClassError,
+)
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
@@ -30,6 +35,7 @@ from conftest import (
     direct_sum,
     homogeneous_component,
     pullback_class,
+    pushforward_from_scratch,
     random_space,
     unit_class,
 )
@@ -382,3 +388,67 @@ def test_euler_cross_check_disagreement_is_reported(monkeypatch):
     monkeypatch.setattr("villadsen.bundles.chern_component", component_dropping_top_term)
     with pytest.raises(CrossCheckDisagreement):
         euler_nonzero(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_bundles(), st.lists(ATOMS, max_size=4), st.data())
+def test_extend_equals_the_bundle_built_at_once(drawn, atoms, data):
+    space, trivial, summands = drawn
+    b = BundleExpr(space, trivial, [(pos, m) for pos, m in summands if pos is not None])
+    parts_before = dict(b.parts)
+    bigger = space.extend(atoms)
+    new = data.draw(st.lists(st.tuples(st.integers(0, len(bigger.caps) - 1),
+                                       st.integers(0, 5)), max_size=4)) if bigger.caps else []
+    more = data.draw(st.integers(0, 2))
+    extended = b.extend(bigger, new, more)
+    built = BundleExpr(bigger, b.trivial_rank + more, [*b.parts.items(), *new])
+    assert extended == built and hash(extended) == hash(built)
+    assert extended.rank == built.rank == built.trivial_rank + sum(built.parts.values())
+    # the same as the pullback along the prefix projection plus the new summands
+    pulled = pullback_bundle(projection(bigger, space, tuple(range(len(space.factors)))), b)
+    assert extended == direct_sum(pulled, BundleExpr(bigger, more, new))
+    # the predecessor is unchanged
+    assert b.parts == parts_before and b.base is space
+    assert b.rank == b.trivial_rank + sum(parts_before.values())
+
+
+def test_extend_needs_a_base_that_extends():
+    space = SpaceDescriptor((cproj(2), sphere2()))
+    b = BundleExpr(space, 1, [(0, 2)])
+    for base in (spheres(3), SpaceDescriptor((sphere2(), cproj(2))), spheres(1)):
+        with pytest.raises(BaseMismatchError):
+            b.extend(base)
+    bigger = space.extend([cproj(3)])
+    with pytest.raises(InvalidLineClassError):
+        b.extend(bigger, [(3, 1)])
+    with pytest.raises(ValueError):
+        b.extend(bigger, [(2, -1)])
+    with pytest.raises(ValueError):
+        b.extend(bigger, [], -1)
+    assert b.extend(bigger, [(2, 4)], 2) == BundleExpr(bigger, 3, [(0, 2), (2, 4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_bundles(), st.lists(ATOMS, max_size=3), st.data())
+def test_pushforward_matches_from_scratch_build(drawn, atoms, data):
+    # the projections onto the source's first factors and onto its last
+    # ones (a copy of the base), and a constant map, each with multiplicity
+    # and constant ones with carriers: the pushforward keeps the largest
+    # piece of multiplicity one whole and extends it by the others
+    from villadsen.spaces import constant
+    space, trivial, summands = drawn
+    b = BundleExpr(space, trivial, [(pos, m) for pos, m in summands if pos is not None])
+    source = space.extend([*atoms, *space.factors])
+    n, offset = len(space.factors), len(space.factors) + len(atoms)
+    maps = [projection(source, space, range(n)),
+            projection(source, space, tuple(range(offset, offset + n))),
+            constant(source, space, "pt")]
+    carriers = [None, *range(len(source.caps))]
+    slots = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        f = data.draw(st.sampled_from(maps))
+        carrier = data.draw(st.sampled_from(carriers)) if f.kind == "const" else None
+        slots.append(DiagonalSlot(f, data.draw(st.integers(1, 3)), carrier))
+    pushed = pushforward_diagonal(b, slots)
+    expected = pushforward_from_scratch(b, slots)
+    assert pushed == expected and pushed.rank == expected.rank

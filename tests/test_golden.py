@@ -95,6 +95,14 @@ GOLDEN = {
         "d8acaa570075a75876e48b297aca7af8f5fc161d6eefa402f081a38c0fb08528",
     "v2 -k 2 -n 5":
         "9a4edfd0b12be02a3bd3a02b37edaff90d8099755c2832fec98ac81c875ac1cf",
+    # deep walks, recorded while every stage still rebuilt its witness sum
+    # from scratch, where a sum carried up the tower could drift from it
+    "v2 -k 2 -n 100 --stage 400 --comparability":
+        "f45a048f3b0617a980c0f108cff486be945e96bdc7a7667988421a920a7d4719",
+    "v2 -k inf -n 300 --rc":
+        "af9b00c2f628fb1c6771729dc285950a50f81a8294ed64c6f12ded3602a36f90",
+    "v2 -k 1 -n 30 --stage 150 --comparability --trace":
+        "bce40e6f88c0a96efa87bdff9c9d7445c38ae0e43a4bd7bc9f07afb51e82681f",
 }
 
 # the exit code of every grid command not listed here is 0

@@ -13,7 +13,10 @@ builds the same things.  A type-II stage adds one projective factor (and a
 disk increment) to the stage before, so a sweep builds a fixed number of
 atoms per stage and no factorial from scratch.  A type-II
 connecting map has two slots whatever the stage, so each step of a
-comparability chain builds a fixed number of bundles.
+comparability chain builds a fixed number of bundles.  The witness sum of
+a stage is the one before plus one new line block, and the connecting map
+projects onto a prefix of the factors, so a sweep or a chain step hands a
+fixed number of summands to the bundle constructors and compares no atom.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 import jsonschema
 import pytest
 
-from villadsen import reports
+from villadsen import cfp, reports
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -222,3 +225,63 @@ def test_cli_calls_build_no_parser_and_no_validator(monkeypatch, capsys, tmp_pat
     capsys.readouterr()
     assert codes == [0] * 20
     assert built == {"parsers": 0, "check_schema": 0, "validator_for": 0, "validated": 20}
+
+
+def summands_and_atom_comparisons(monkeypatch, argv) -> int:
+    """(position, multiplicity) pairs handed to `BundleExpr` and
+    `BundleExpr.extend`, plus `SpaceAtom.__eq__` calls, during one CLI call."""
+    seen = []
+    bundle_init, bundle_extend, atom_eq = BundleExpr.__init__, BundleExpr.extend, SpaceAtom.__eq__
+
+    def counting_init(self, base, trivial_rank=0, parts=()):
+        parts = list(parts)
+        seen.extend(parts)
+        bundle_init(self, base, trivial_rank, parts)
+
+    def counting_extend(self, base, parts=(), trivial_rank=0):
+        parts = list(parts)
+        seen.extend(parts)
+        return bundle_extend(self, base, parts, trivial_rank)
+
+    def counting_eq(self, other):
+        seen.append(None)
+        return atom_eq(self, other)
+
+    codes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(BundleExpr, "__init__", counting_init)
+        patch.setattr(BundleExpr, "extend", counting_extend)
+        patch.setattr(SpaceAtom, "__eq__", counting_eq)
+        codes.append(main(argv))
+    assert codes == [0]
+    return len(seen)
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "-k", "2", "-n", "4", "--comparability", "--stage", "{}"],
+    ["v2", "-k", "2", "-n", "{}", "--rc"],
+])
+def test_tower_walks_do_constant_work_per_stage(monkeypatch, capsys, argv):
+    # rebuilding each stage's witness sum, or re-checking each projection
+    # factor by factor, makes the count grow with the square of the stage
+    at_200, at_400 = (summands_and_atom_comparisons(
+        monkeypatch, [word.format(stage) for word in argv]) for stage in (200, 400))
+    capsys.readouterr()
+    assert at_400 <= 2 * at_200 + 20
+
+
+def test_cfp_builds_its_first_stage_certificate_once(monkeypatch, capsys):
+    calls = []
+    base = cfp._ratio_induction_base
+
+    def counting_base():
+        calls.append(1)
+        return base()
+
+    monkeypatch.setattr(cfp, "_ratio_induction_base", counting_base)
+    for argv, expected in ((["cfp", "--terms", "7"], 1), (["cfp", "--terms", "3", "--stage", "40"], 1),
+                           (["cfp", "--terms", "2", "--override-l", "4,9"], 0)):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == expected, argv
+    capsys.readouterr()

@@ -11,6 +11,7 @@ from villadsen.spaces import (
     SpaceMap,
     cproj,
     disk,
+    projection,
     read_int,
     spheres,
     sphere2,
@@ -126,3 +127,25 @@ def test_read_int_refuses_everything_else(value):
 @given(st.integers(min_value=0, max_value=30))
 def test_disk_power_dimension_formula(d):
     assert disk(d).real_dimension == 2 * d
+
+
+def test_prefix_projection_is_stored_as_a_range():
+    source = SpaceDescriptor((disk(1), cproj(2), sphere2(), cproj(3)))
+    target = SpaceDescriptor(source.factors[:3])
+    by_range, by_tuple = projection(source, target, range(3)), projection(source, target, (0, 1, 2))
+    assert by_range == by_tuple and by_tuple.indices == range(3)
+    assert by_range.onto_prefix and by_tuple.onto_prefix
+    # an extension of the target shares its atoms, which compare by identity
+    assert projection(target.extend([cproj(3)]), target, range(3)).onto_prefix
+    swapped = projection(spheres(3), spheres(2), (1, 0))
+    assert swapped.indices == (1, 0) and not swapped.onto_prefix
+    with pytest.raises(ValueError, match="index 3 out of range"):
+        projection(target, source, range(4))
+    with pytest.raises(ValueError, match="source factor 2 does not match target factor 2"):
+        projection(source, SpaceDescriptor(source.factors[:2] + (cproj(2),)), range(3))
+    with pytest.raises(ValueError, match="source factor 3 does not match target factor 1"):
+        projection(source, SpaceDescriptor(source.factors[:2]), (0, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        projection(spheres(3), spheres(2), (1, 1))
+    with pytest.raises(ValueError, match="index 5 out of range"):
+        projection(spheres(3), spheres(2), (0, 5))

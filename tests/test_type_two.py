@@ -3,7 +3,12 @@ from math import factorial
 
 import pytest
 
-from villadsen.bundles import chern_expansion_cost, pushforward_diagonal, trivial_bundle
+from villadsen.bundles import (
+    chern_expansion_cost,
+    euler,
+    pushforward_diagonal,
+    trivial_bundle,
+)
 from villadsen.comparison import Outcome, obstructed_by_euler
 from villadsen import type_two
 from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
@@ -16,7 +21,14 @@ from villadsen.type_two import (
     trace_value,
 )
 
-from conftest import connecting_maps, direct_sum, stage_space_from_scratch
+from villadsen.spaces import cproj
+
+from conftest import (
+    connecting_maps,
+    direct_sum,
+    pushforward_from_scratch,
+    stage_space_from_scratch,
+)
 
 
 def test_growth_functions():
@@ -235,3 +247,81 @@ def test_euler_obstruction_chain_consistency():
         x = trivial_bundle(build_stage(params, j)[0], 1)
         assert obstructed_by_euler(x, obstruction_bundle(params, j)).outcome \
             == Outcome.OBSTRUCTED
+
+
+def fraction(doc: dict) -> Fraction:
+    return Fraction(int(doc["num"]), int(doc["den"]))
+
+
+@pytest.mark.parametrize("k", [1, 2, INFINITE])
+def test_carried_witness_sums_match_from_scratch(k):
+    # the sweep carries each stage's witness rank and Euler verdict up the
+    # tower; a trace over the stage's (m+1)! determines the rank
+    params = SystemParams(k)
+    report = radius_of_comparison(params, 60)
+    divergence = comparability_triple(params, 60)["traces"].get("entries")
+    for m, record in enumerate(report["witnesses"], start=1):
+        witness = obstruction_bundle(params, m)
+        assert record["stage"] == m
+        assert fraction(record["trace_witness_sum"]) == Fraction(witness.rank, factorial(m + 1))
+        assert record["obstructed"] is (not euler(witness).is_zero())
+        if divergence is not None:
+            assert fraction(divergence[m - 1]["exact"]) \
+                == Fraction(witness.rank, factorial(m + 1))
+    assert len(report["witnesses"]) == 60
+
+
+def test_carried_euler_verdict_follows_the_caps(monkeypatch):
+    # a stage-5 factor one dimension short caps its line at the witness
+    # multiplicity, so the Euler class dies there and at every later stage
+    new_atoms = type_two._new_atoms
+
+    def short_factor(params, growth, j):
+        atoms = new_atoms(params, growth, j)
+        if j == 5:
+            atoms[-1] = cproj(atoms[-1].size - 1, label=atoms[-1].label)
+        return atoms
+
+    monkeypatch.setattr(type_two, "_new_atoms", short_factor)
+    params = SystemParams(2)
+    report = radius_of_comparison(params, 8)
+    verdicts = [record["obstructed"] for record in report["witnesses"]]
+    assert verdicts == [m < 5 for m in range(1, 9)]
+    assert verdicts == [not euler(obstruction_bundle(params, m)).is_zero()
+                        for m in range(1, 9)]
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("k", [1, 2, INFINITE])
+def test_chain_steps_match_from_scratch_pushforward(k, monkeypatch):
+    # each step pushes the stage-ell witness sum forward and extends it to
+    # the stage-(ell+1) sum; both equal their from-scratch builds, and the
+    # check at the new position agrees with the check at every position
+    params = SystemParams(k)
+    steps, witnesses = [], []
+
+    def recording_push(b, slots):
+        pushed = pushforward_diagonal(b, slots)
+        steps.append((b, slots, pushed))
+        return pushed
+
+    def recording_obstruction(x, y):
+        witnesses.append(y)
+        return obstructed_by_euler(x, y)
+
+    monkeypatch.setattr(type_two, "pushforward_diagonal", recording_push)
+    monkeypatch.setattr(type_two, "obstructed_by_euler", recording_obstruction)
+    report = comparability_triple(params, 1, 60)
+    assert report["passed"] and len(steps) == len(report["chain"]) == 59
+    targets = [b for b, _, _ in steps[1:]] + witnesses
+    for ell, ((current, slots, pushed), target, record) in enumerate(
+            zip(steps, targets, report["chain"]), start=1):
+        expected = obstruction_bundle(params, ell)
+        assert current == expected and current.rank == expected.rank
+        generic = pushforward_from_scratch(current, slots)
+        assert pushed == generic and pushed.rank == generic.rank
+        expected = obstruction_bundle(params, ell + 1)
+        assert target == expected and target.rank == expected.rank
+        assert record["pushed_rank"] == str(pushed.rank)
+        assert record["within_capacity"] is all(
+            m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
