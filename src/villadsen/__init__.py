@@ -22,13 +22,7 @@ from .bundles import (
     pushforward_diagonal,
     trivial_bundle,
 )
-from .comparison import (
-    ComparisonVerdict,
-    Outcome,
-    dominates_by_rank,
-    obstructed_by_euler,
-    trivial_line_subbundle_sufficient,
-)
+from .comparison import dominates_by_rank, obstructed_by_euler, trivial_line_subbundle_sufficient
 from .type_one import (
     StageStats,
     StepSpec,

@@ -7,6 +7,7 @@ ever dominates a trivial line (an Euler-class certificate fed by exact
 coefficient bookkeeping).  Witness stages are chosen minimally subject to a
 divisibility condition and a growth inequality; everything here is exact
 big-integer and big-rational arithmetic, never floating point.
+`verify_upper` and `verify_lower` return the certificates the report prints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
-from .comparison import ComparisonVerdict, Outcome, obstructed_by_euler, dominates_by_rank
+from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
 from .spaces import SpaceDescriptor, cproj
@@ -201,15 +202,18 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
     return CfpWitness(tuple(terms), first_stage)
 
 
-def verify_upper(term: WitnessTerm) -> ComparisonVerdict:
-    """Five copies of the witness dominate the unit, by rank gap.
+def verify_upper(term: WitnessTerm) -> dict:
+    """Certify that five copies of the witness dominate the unit, by rank gap.
 
     Over the stage's projective base, 5 * copies exceeds the unit rank plus
     half the base dimension exactly when the stage entry conditions hold.
+    Returns the report's certificate: the term's stage and copies, and the
+    rank-gap verdict, whose outcome is "dominates" when it holds.
     """
     unit = unit_over_witness_base(term.stage)
     amplified = line_sum(unit.base, [(term.stage - 1, 5 * term.copies)])
-    return dominates_by_rank(unit, amplified)
+    return {"stage": term.stage, "copies": str(term.copies),
+            **dominates_by_rank(unit, amplified)}
 
 
 def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
@@ -310,10 +314,10 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
                              "cap": cap[s], "ok": ok_s})
 
     verdict = obstructed_by_euler(trivial_bundle(capacity.base, 1), capacity)
-    if verdict.outcome is not Outcome.OBSTRUCTED:
+    if verdict["outcome"] != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")
     return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,
-            "euler": verdict.to_json(), "failures": failures, "passed": not failures}
+            "euler": verdict, "failures": failures, "passed": not failures}
 
 
 def exact_pushed_coefficients(witness: CfpWitness, j: int) -> dict[int, int]:

@@ -26,7 +26,6 @@ from . import cfp as cfp_mod
 from . import reports
 from .bundles import chern, euler, parse_bundle
 from .cohomology import graded_components
-from .comparison import Outcome
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
 from .spaces import SpaceDescriptor, read_int
@@ -51,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     """The JSON document at `path`; a float literal (1e400, 2.9, NaN) is a
-    ConfigError, since every number the engine reads is an exact integer."""
+    ConfigError, since every number the engine reads is an exact integer,
+    and so is an integer literal past Python's int<->str digit limit."""
     def reject(literal):
         raise ConfigError(f"{path} holds the non-integer number {literal}; "
                           "write integers or decimal strings")
@@ -61,6 +61,13 @@ def _load_json(path: str) -> dict:
             return json.load(fh, parse_float=reject, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not JSON: {exc}") from None
+        except ConfigError:
+            raise
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8: {exc}") from None
+        except ValueError:  # the decoder's int() refused a literal past the digit limit
+            raise ConfigError(f"{path} holds an integer literal of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _int_option(text: str) -> int:
@@ -182,7 +189,7 @@ def _run_vi(args):
         }
 
     def trajectory():
-        values = ratio_trajectory(steps, start)[: stop - start]
+        values = ratio_trajectory(steps[:stop], start)
         nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
         return nonincreasing, {"values": [reports.fraction_json(v) for v in values]}
 
@@ -194,12 +201,11 @@ def _run_vi(args):
         mults = composed_projection_multiplicities(steps, start, stop)
         if not mults:
             return False, None, "no composed coordinate projections in this range"
-        return True, {**top_chern_witness(args.witness, mults).to_json(),
-                      "distinct_projections": str(len(mults))}
+        return True, top_chern_witness(args.witness, mults)
 
     def contradiction():
         found = ratio_contradiction_check(args.witness, stats)
-        return (not found.hypothesis_holds) or found.contradiction, found.to_json()
+        return (not found["hypothesis_holds"]) or found["contradiction"], found
 
     checks = [("stage_stats", stage_stats), ("ratio_trajectory", trajectory),
               ("projection_ratio_estimate", estimate)]
@@ -250,9 +256,8 @@ def _run_cfp(args):
         return True, cert
 
     def upper(term):
-        verdict = cfp_mod.verify_upper(term)
-        return (verdict.outcome is Outcome.DOMINATES,
-                {"stage": term.stage, "copies": str(term.copies), **verdict.to_json()})
+        certificate = cfp_mod.verify_upper(term)
+        return certificate["outcome"] == "dominates", certificate
 
     checks = [("witness_stages", construction)]
     checks += [(f"upper_term_{term.index}", partial(upper, term)) for term in witness.terms]

@@ -16,6 +16,7 @@ of the integers in input documents and on the command line.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 DISK = "disk"
@@ -32,7 +33,11 @@ def read_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's int<->str digit limit
+            raise ValueError(f"{what} has {len(value.lstrip('-'))} digits, past the "
+                             f"limit of {sys.get_int_max_str_digits()}") from None
     raise ValueError(f"{what} must be an integer or a decimal string, not {value!r}")
 
 

@@ -6,7 +6,9 @@ carries.  Three integers summarize a composed map: the number of distinct
 coordinate projections, their total multiplicity, and the multiplicity of
 the whole map; all three multiply under composition, and the two ratios
 they define over the total are the quantities every argument about these
-systems runs on.  All ratio arithmetic is exact.
+systems runs on.  All ratio arithmetic is exact.  The two witness checks,
+`top_chern_witness` and `ratio_contradiction_check`, return the
+certificate the report prints.
 """
 
 from __future__ import annotations
@@ -142,21 +144,10 @@ def composed_projection_multiplicities(steps: list[StepSpec], start: int,
     return mults
 
 
-@dataclass(frozen=True)
-class TopChernWitness:
-    """Degree and coefficient of the top Chern class of the pushed witness bundle."""
-
-    sphere_power: int
-    degree: int
-    coefficient: int
-
-    def to_json(self) -> dict:
-        return {"sphere_power": self.sphere_power, "degree": str(self.degree),
-                "coefficient": str(self.coefficient)}
-
-
-def top_chern_witness(n: int, multiplicities: list[int]) -> TopChernWitness:
-    """Top Chern data of a sum of pulled-back witness bundles.
+def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
+    """The `top_chern_witness` certificate of a sum of pulled-back witness
+    bundles: the sphere power it lives over, the degree and coefficient of
+    its top Chern class, and the count of distinct projections.
 
     The witness bundle over an n-fold sphere power is a sum of n pulled-back
     lines; pushing it through a composed map whose distinct projections have
@@ -194,50 +185,20 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> TopChernWitness:
             f"top Chern coefficient mismatch: closed {closed}, expanded {expanded}")
     if closed == 0:
         raise CrossCheckDisagreement("top Chern coefficient vanished; witness is broken")
-    return TopChernWitness(gens, n * count, closed)
+    return {"sphere_power": gens, "degree": str(gens), "coefficient": str(closed),
+            "distinct_projections": str(count)}
 
 
-@dataclass(frozen=True)
-class RatioContradiction:
-    """Outcome of the comparison-failure arithmetic at one stage.
-
-    If the ratio of distinct projections meets the hypothesis threshold
-    (2n-1)/(2n), then the rank bound forced by the top-Chern obstruction
-    (ratio <= n/(n+2), the fixed point of r <= 1 - (2/n) r) must fail, and
-    the two together are contradictory.
-    """
-
-    n: int
-    ratio: Fraction
-    threshold: Fraction
-    hypothesis_holds: bool
-    rank_bound_holds: bool
-    fixed_point_bound: Fraction
-    forced_square: Fraction
-    strict_drop: bool
-    contradiction: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ratio": fraction_json(self.ratio),
-            "threshold": fraction_json(self.threshold),
-            "hypothesis_holds": self.hypothesis_holds,
-            "rank_bound_holds": self.rank_bound_holds,
-            "fixed_point_bound": fraction_json(self.fixed_point_bound),
-            "forced_square": fraction_json(self.forced_square),
-            "strict_drop": self.strict_drop,
-            "contradiction": self.contradiction,
-        }
-
-
-def ratio_contradiction_check(n: int, stats: StageStats) -> RatioContradiction:
-    """Check that a high distinct-projection ratio contradicts the rank bound.
+def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
+    """The `ratio_contradiction` certificate: a high distinct-projection
+    ratio contradicts the rank bound.
 
     The obstruction argument forces distinct*n <= total*n - 2*distinct for
-    the stage data; together with the hypothesis ratio >= (2n-1)/(2n) this
-    pins the ratio under ((n-1)/n)^2 which lies strictly below (n-1)/n and
-    hence below the hypothesis, an exact contradiction.
+    the stage data (`rank_bound_holds`; its fixed point is ratio <= n/(n+2)).
+    Together with the hypothesis ratio >= (2n-1)/(2n) (`hypothesis_holds`)
+    this pins the ratio under ((n-1)/n)^2, which lies strictly below
+    (n-1)/n and hence below the hypothesis: an exact contradiction, which
+    `contradiction` records.
     """
     if n < 2:
         raise ValueError("the argument needs n >= 2")
@@ -247,18 +208,17 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> RatioContradiction:
     rank_bound = (n * stats.distinct_projections
                   <= n * stats.total_multiplicity - 2 * stats.distinct_projections)
     forced_square = (Fraction(n - 1, n)) ** 2
-    strict_drop = forced_square < Fraction(n - 1, n)
-    return RatioContradiction(
-        n=n,
-        ratio=ratio,
-        threshold=threshold,
-        hypothesis_holds=hypothesis,
-        rank_bound_holds=rank_bound,
-        fixed_point_bound=Fraction(n, n + 2),
-        forced_square=forced_square,
-        strict_drop=strict_drop,
-        contradiction=hypothesis and not rank_bound,
-    )
+    return {
+        "n": n,
+        "ratio": fraction_json(ratio),
+        "threshold": fraction_json(threshold),
+        "hypothesis_holds": hypothesis,
+        "rank_bound_holds": rank_bound,
+        "fixed_point_bound": fraction_json(Fraction(n, n + 2)),
+        "forced_square": fraction_json(forced_square),
+        "strict_drop": forced_square < Fraction(n - 1, n),
+        "contradiction": hypothesis and not rank_bound,
+    }
 
 
 @dataclass(frozen=True)

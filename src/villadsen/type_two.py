@@ -36,7 +36,7 @@ from .bundles import (
     pushforward_diagonal,
     trivial_bundle,
 )
-from .comparison import Outcome, obstructed_by_euler, trivial_line_subbundle_sufficient
+from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import BaseMismatchError, CrossCheckDisagreement
 from .growth import INFINITE, GrowthTable, family_parameter_label
 from .reports import fraction_json
@@ -192,9 +192,9 @@ def comparability_triple(params: SystemParams, n: int,
         one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
         doubled = line_sum(one_factor, [(0, 2 * dim)])
         verdict = trivial_line_subbundle_sufficient(doubled)
-        passed &= verdict.outcome is Outcome.DOMINATES
+        passed &= verdict["outcome"] == "dominates"
         line_records.append({"i": i, "cp_dimension": str(dim),
-                             "rank": str(doubled.rank), **verdict.to_json()})
+                             "rank": str(doubled.rank), **verdict})
 
     chain_records = []
     current = _witness_sum(stage)
@@ -222,8 +222,8 @@ def comparability_triple(params: SystemParams, n: int,
 
     witness = current
     verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
-    passed &= verdict.outcome is Outcome.OBSTRUCTED
-    euler_record = {**verdict.to_json(), "witness_rank": str(witness.rank)}
+    passed &= verdict["outcome"] == "obstructed"
+    euler_record = {**verdict, "witness_rank": str(witness.rank)}
 
     unit_line_trace = Fraction(1, growth.rank)
     traces: dict = {

@@ -12,6 +12,7 @@ checked against them, not against themselves.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import islice, product as iproduct
 
 from villadsen import type_two
@@ -21,6 +22,11 @@ from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity
 from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, sphere2
 from villadsen.type_one import StepSpec
+
+
+def fraction(doc: dict) -> Fraction:
+    """The rational a report prints as {"num", "den"}."""
+    return Fraction(int(doc["num"]), int(doc["den"]))
 
 
 def unit_class(space: SpaceDescriptor, coeff: int = 1) -> GradedClass:

@@ -22,7 +22,7 @@ from villadsen.bundles import (
     trivial_bundle,
 )
 from villadsen.cohomology import GradedClass
-from villadsen.comparison import Outcome, trivial_line_subbundle_sufficient
+from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.growth import INFINITE, cp_dimension
 from villadsen.reports import validate_report
 from villadsen.spaces import SpaceDescriptor, cproj, projection
@@ -43,6 +43,7 @@ from conftest import (
     dict_poly_top_coefficient,
     direct_sum,
     enumerate_chain_stats,
+    fraction,
     homogeneous_component,
     pullback_class,
     random_class,
@@ -97,12 +98,12 @@ def test_criterion_3_top_chern_closed_form_vs_expansion():
             mults = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
             witness = top_chern_witness(n, mults)  # self-checks both routes
             gens, coeff = dict_poly_top_coefficient(n, mults)
-            assert witness.sphere_power == gens
-            assert witness.coefficient == coeff
+            assert witness["sphere_power"] == gens
+            assert witness["coefficient"] == str(coeff)
             expected = 1
             for m in mults:
                 expected *= m ** n
-            assert witness.coefficient == expected != 0
+            assert int(witness["coefficient"]) == expected != 0
             cases += 1
         assert cases >= 200
 
@@ -118,9 +119,9 @@ def test_criterion_4_contradiction_chain_closes():
                 distinct = rng.randint(lowest, total)
                 alpha = rng.randint(distinct, total)
                 report = ratio_contradiction_check(n, StageStats(distinct, alpha, total))
-                assert report.hypothesis_holds
-                assert report.contradiction
-                assert report.forced_square < Fraction(n - 1, n)
+                assert report["hypothesis_holds"]
+                assert report["contradiction"]
+                assert fraction(report["forced_square"]) < Fraction(n - 1, n)
 
 
 def test_criterion_5_comparability_certificates(monkeypatch):
@@ -130,8 +131,8 @@ def test_criterion_5_comparability_certificates(monkeypatch):
                 dim = cp_dimension(k, i)
                 base = SpaceDescriptor((cproj(dim),))
                 doubled = line_sum(base, [(0, 2 * dim)])
-                assert trivial_line_subbundle_sufficient(doubled).outcome \
-                    == Outcome.DOMINATES
+                assert trivial_line_subbundle_sufficient(doubled)["outcome"] \
+                    == "dominates"
         for k in (1, 2):
             params = SystemParams(k)
             for n in range(1, 5):
@@ -154,12 +155,12 @@ def test_criterion_6_cfp_witness():
         assert cfp.next_witness_stage(4) == 8 == brute_force_next_stage(4)
         witness = cfp.build_witness(3)
         first = cfp.verify_upper(witness.terms[0])
-        assert first.outcome == Outcome.DOMINATES
-        assert first.certificate["rank_y"] == "960"
-        assert (int(first.certificate["rank_x"])
-                + int(first.certificate["half_dimension"])) == 567
+        assert first["outcome"] == "dominates"
+        assert first["certificate"]["rank_y"] == "960"
+        assert (int(first["certificate"]["rank_x"])
+                + int(first["certificate"]["half_dimension"])) == 567
         for term in witness.terms[1:]:
-            assert cfp.verify_upper(term).outcome == Outcome.DOMINATES
+            assert cfp.verify_upper(term)["outcome"] == "dominates"
         lower = cfp.verify_lower(witness)
         assert lower["passed"]
         for row in lower["rows"][1:]:

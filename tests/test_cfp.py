@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -18,7 +19,7 @@ from villadsen.cfp import (
     verify_upper,
     witness_base,
 )
-from villadsen.comparison import Outcome
+from villadsen.cli import main
 from villadsen.errors import ConfigError
 from villadsen.growth import unit_multiplicity
 
@@ -130,16 +131,23 @@ def test_witness_base_dimensions():
 def test_upper_verdicts_first_three_terms():
     w = build_witness(3)
     v1 = verify_upper(w.terms[0])
-    assert v1.outcome == Outcome.DOMINATES
-    assert v1.certificate == {"rule": "rank-gap", "rank_x": "120",
-                              "rank_y": "960", "half_dimension": "447"}
+    assert v1["outcome"] == "dominates"
+    assert v1["certificate"] == {"rule": "rank-gap", "rank_x": "120",
+                                 "rank_y": "960", "half_dimension": "447"}
     for term in w.terms[1:]:
-        assert verify_upper(term).outcome == Outcome.DOMINATES
+        assert verify_upper(term)["outcome"] == "dominates"
+
+
+def test_upper_certificate_is_the_one_cfp_prints(capsys):
+    assert main(["cfp", "--terms", "3"]) == 0
+    printed = {c["name"]: c["certificate"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    for term in build_witness(3).terms:
+        assert verify_upper(term) == printed[f"upper_term_{term.index}"]
 
 
 def test_upper_degenerate_zero_copies_guard():
     degenerate = WitnessTerm(1, 4, 0)
-    assert verify_upper(degenerate).outcome == Outcome.UNKNOWN
+    assert verify_upper(degenerate)["outcome"] == "unknown"
 
 
 def test_lower_verification_two_terms():

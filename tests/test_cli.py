@@ -9,6 +9,7 @@ import pytest
 from villadsen.cli import main
 from villadsen.growth import unit_multiplicity
 from villadsen.reports import canonical_json, normalize_report, validate_report
+from villadsen.type_one import compose_stats
 
 from conftest import component_dropping_top_term, kernel_dropping_top_term
 
@@ -567,3 +568,69 @@ def test_boolean_in_an_integer_slot_is_usage_error(document, slot_path, tmp_path
     else:
         code = main(["chern", "--space", str(paths["space"]), "--bundle", str(paths["bundle"])])
     assert_one_error_line(capsys, code, str(paths[document]))
+
+
+# past Python's default limit of 4300 digits for int<->str conversion
+LONG_INTEGER = "7" * 5000
+
+
+def assert_digit_limit_named(captured, code, slot):
+    # the error named no option or document and told a CLI user to call
+    # sys.set_int_max_str_digits()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and slot in errors[0]
+    assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("argv, slot", [
+    (["v2", "-k", LONG_INTEGER, "-n", "3"], "-k"),
+    (["v2", "-k", "2", "-n", LONG_INTEGER], "-n"),
+    (["cfp", "--terms", "1", "--override-l", LONG_INTEGER], "--override-l"),
+], ids=["v2-k", "v2-n", "cfp-override-l"])
+def test_integer_option_past_the_digit_limit_is_named(argv, slot, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert_digit_limit_named(capsys.readouterr(), code, slot)
+
+
+@pytest.mark.parametrize("literal", [LONG_INTEGER, f'"{LONG_INTEGER}"'],
+                         ids=["literal", "string"])
+@pytest.mark.parametrize("command", ["chern", "vi"])
+def test_document_integer_past_the_digit_limit_is_named(command, literal, tmp_path, capsys):
+    if command == "chern":
+        path, bundle = write_sphere_pair(tmp_path)
+        Path(path).write_text('{"factors": [{"kind": "cp", "n": %s}]}' % literal)
+        code = main(["chern", "--space", path, "--bundle", bundle])
+    else:
+        path = str(tmp_path / "vi.json")
+        Path(path).write_text('{"seed_dim": %s, "steps": []}' % literal)
+        code = main(["vi", "--config", path])
+    assert_digit_limit_named(capsys.readouterr(), code, path)
+
+
+def test_document_that_is_not_utf8_is_named(tmp_path, capsys):
+    config = tmp_path / "vi.json"
+    config.write_bytes(b'{"seed_dim": 6, "steps": []}\xff')
+    code = main(["vi", "--config", str(config)])
+    assert_one_error_line(capsys, code, str(config))
+
+
+def test_vi_trajectory_composes_only_the_requested_range(tmp_path, capsys, monkeypatch):
+    # the trajectory composed every step of the config and then cut it
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compose_stats(a, b)
+
+    monkeypatch.setattr("villadsen.type_one.compose_stats", counting)
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1}, "point_evals": 1}] * 3)
+    code, out = run_cli(capsys, "vi", "--config", config, "--stage", "1")
+    assert code == 0
+    assert [c["certificate"]["values"] for c in json.loads(out)["checks"]
+            if c["name"] == "ratio_trajectory"] == [[{"num": "1", "den": "2"}]]
+    # one step each for the stage stats and the trajectory
+    assert len(calls) == 2

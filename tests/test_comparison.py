@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product as iproduct
 
@@ -5,7 +6,6 @@ import pytest
 
 from villadsen.bundles import line_sum, trivial_bundle
 from villadsen.comparison import (
-    Outcome,
     dominates_by_rank,
     obstructed_by_euler,
     trivial_line_subbundle_sufficient,
@@ -26,20 +26,20 @@ def test_rank_gap_on_witness_base():
     assert base.real_dimension == 2 * 447
     assert unit.rank == 120
     verdict = dominates_by_rank(unit, amplified)
-    assert verdict.outcome == Outcome.DOMINATES
-    assert verdict.certificate["half_dimension"] == "447"
+    assert verdict["outcome"] == "dominates"
+    assert verdict["certificate"]["half_dimension"] == "447"
 
 
 def test_rank_gap_unknown_for_equal_trivials():
     base = spheres(1)
     x = trivial_bundle(base, 1)
-    assert dominates_by_rank(x, x).outcome == Outcome.UNKNOWN
+    assert dominates_by_rank(x, x)["outcome"] == "unknown"
 
 
 def test_zero_bundle_always_dominated():
     base = spheres(1)
     zero = trivial_bundle(base, 0)
-    assert dominates_by_rank(zero, trivial_bundle(base, 0)).outcome == Outcome.DOMINATES
+    assert dominates_by_rank(zero, trivial_bundle(base, 0))["outcome"] == "dominates"
 
 
 def test_rank_gap_requires_common_base():
@@ -51,18 +51,18 @@ def test_stable_range_on_projective_space():
     for kappa in (1, 2, 8, 192):
         base = SpaceDescriptor((cproj(kappa),))
         doubled = line_sum(base, [(0, 2 * kappa)])
-        assert trivial_line_subbundle_sufficient(doubled).outcome == Outcome.DOMINATES
+        assert trivial_line_subbundle_sufficient(doubled)["outcome"] == "dominates"
 
 
 def test_stable_range_unknown_for_thin_bundle():
     base = spheres(1)
-    assert trivial_line_subbundle_sufficient(trivial_bundle(base, 1)).outcome == Outcome.UNKNOWN
+    assert trivial_line_subbundle_sufficient(trivial_bundle(base, 1))["outcome"] == "unknown"
 
 
 def test_stable_range_boundary_case():
     base = spheres(2)  # dimension 4
     y = trivial_bundle(base, 3)  # 2*3-1 = 5 >= 4
-    assert trivial_line_subbundle_sufficient(y).outcome == Outcome.DOMINATES
+    assert trivial_line_subbundle_sufficient(y)["outcome"] == "dominates"
 
 
 def test_euler_obstruction_on_sphere_square():
@@ -70,13 +70,13 @@ def test_euler_obstruction_on_sphere_square():
     x = trivial_bundle(base, 1)
     y = line_sum(base, [(0, 1), (1, 1)])
     verdict = obstructed_by_euler(x, y)
-    assert verdict.outcome == Outcome.OBSTRUCTED
+    assert verdict["outcome"] == "obstructed"
 
 
 def test_euler_obstruction_unknown_for_trivial_target():
     base = spheres(2)
     assert obstructed_by_euler(trivial_bundle(base, 1),
-                               trivial_bundle(base, 5)).outcome == Outcome.UNKNOWN
+                               trivial_bundle(base, 5))["outcome"] == "unknown"
 
 
 def test_euler_obstruction_against_witness_sums():
@@ -86,7 +86,7 @@ def test_euler_obstruction_against_witness_sums():
     for m in (1, 2, 3):
         x = trivial_bundle(build_stage(params, m)[0], 1)
         verdict = obstructed_by_euler(x, obstruction_bundle(params, m))
-        assert verdict.outcome == Outcome.OBSTRUCTED
+        assert verdict["outcome"] == "obstructed"
 
 
 def test_euler_obstruction_requires_trivial_summand():
@@ -108,8 +108,8 @@ def test_soundness_rank_vs_obstruction_on_sphere_powers():
                 y2 = direct_sum(y, trivial_bundle(base, trivial_extra))
                 for x_rank in (1, 2):
                     x = trivial_bundle(base, x_rank)
-                    dom = dominates_by_rank(x, y2).outcome == Outcome.DOMINATES
-                    obs = obstructed_by_euler(x, y2).outcome == Outcome.OBSTRUCTED
+                    dom = dominates_by_rank(x, y2)["outcome"] == "dominates"
+                    obs = obstructed_by_euler(x, y2)["outcome"] == "obstructed"
                     assert not (dom and obs)
 
 
@@ -121,6 +121,37 @@ def test_domination_monotone_under_added_trivial_rank():
         x = trivial_bundle(base, rng.randint(0, 3))
         y = line_sum(base, [(i, rng.randint(0, 2)) for i in range(m)],
                      trivial_rank=rng.randint(0, 4))
-        if dominates_by_rank(x, y).outcome == Outcome.DOMINATES:
+        if dominates_by_rank(x, y)["outcome"] == "dominates":
             bigger = direct_sum(y, trivial_bundle(base, rng.randint(1, 5)))
-            assert dominates_by_rank(x, bigger).outcome == Outcome.DOMINATES
+            assert dominates_by_rank(x, bigger)["outcome"] == "dominates"
+
+
+def _branches():
+    sphere, square = spheres(1), spheres(2)
+    thin = trivial_bundle(sphere, 1)
+    return [
+        ("zero-bundle", "dominates",
+         dominates_by_rank(trivial_bundle(sphere, 0), thin)),
+        ("rank-gap", "dominates",
+         dominates_by_rank(thin, trivial_bundle(sphere, 2))),
+        ("rank-gap", "unknown", dominates_by_rank(thin, thin)),
+        ("stable-range", "dominates",
+         trivial_line_subbundle_sufficient(trivial_bundle(square, 3))),
+        ("stable-range", "unknown", trivial_line_subbundle_sufficient(thin)),
+        ("euler-obstruction", "obstructed",
+         obstructed_by_euler(trivial_bundle(square, 1), line_sum(square, [(0, 1), (1, 1)]))),
+        ("euler-obstruction", "unknown",
+         obstructed_by_euler(trivial_bundle(square, 1), trivial_bundle(square, 5))),
+    ]
+
+
+BRANCHES = _branches()
+
+
+@pytest.mark.parametrize("rule, outcome, verdict", BRANCHES,
+                         ids=[f"{rule}-{outcome}" for rule, outcome, _ in BRANCHES])
+def test_every_branch_is_the_dict_the_report_prints(rule, outcome, verdict):
+    assert set(verdict) == {"outcome", "certificate"}
+    assert verdict["outcome"] == outcome
+    assert verdict["certificate"]["rule"] == rule
+    assert json.loads(json.dumps(verdict)) == verdict

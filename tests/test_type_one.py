@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from villadsen.cli import main
 from villadsen.errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from villadsen.type_one import (
     IDENTITY_STATS,
@@ -20,6 +22,7 @@ from villadsen.type_one import (
 from conftest import (
     dict_poly_top_coefficient,
     enumerate_chain_stats,
+    fraction,
     kernel_dropping_top_term,
     random_step,
 )
@@ -106,12 +109,12 @@ def test_composed_multiplicities_outer_product():
 
 
 def test_top_chern_witness_frozen_values():
-    assert top_chern_witness(2, [1, 3]).degree == 4
-    assert top_chern_witness(2, [1, 3]).coefficient == 9
-    assert top_chern_witness(1, [1]) .coefficient == 1
-    assert top_chern_witness(1, [1]).degree == 1
+    assert top_chern_witness(2, [1, 3])["degree"] == "4"
+    assert top_chern_witness(2, [1, 3])["coefficient"] == "9"
+    assert top_chern_witness(1, [1])["coefficient"] == "1"
+    assert top_chern_witness(1, [1])["degree"] == "1"
     w = top_chern_witness(2, [2, 2, 2])
-    assert (w.degree, w.coefficient) == (6, 64)
+    assert (w["degree"], w["coefficient"]) == ("6", "64")
 
 
 def test_top_chern_witness_against_dict_oracle():
@@ -121,14 +124,27 @@ def test_top_chern_witness_against_dict_oracle():
         mults = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
         gens, coeff = dict_poly_top_coefficient(n, mults)
         w = top_chern_witness(n, mults)
-        assert w.sphere_power == gens
-        assert w.coefficient == coeff
-        assert w.degree == n * len(mults)
+        assert w["sphere_power"] == gens
+        assert w["coefficient"] == str(coeff)
+        assert w["degree"] == str(n * len(mults))
+
+
+def test_top_chern_witness_is_the_certificate_vi_prints(tmp_path, capsys):
+    steps = [{"proj_mults": {"p1": 2, "p2": 1}, "point_evals": 1},
+             {"proj_mults": {"q1": 3}, "point_evals": 2}]
+    config = tmp_path / "vi.json"
+    config.write_text(json.dumps({"seed_dim": 6, "steps": steps}))
+    assert main(["vi", "--config", str(config), "--witness", "2"]) == 0
+    printed = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    mults = composed_projection_multiplicities(
+        list(SystemConfig.from_json({"seed_dim": 6, "steps": steps}).steps), 0, 2)
+    assert printed["top_chern_witness"]["outcome"] == "pass"
+    assert top_chern_witness(2, mults) == printed["top_chern_witness"]["certificate"]
 
 
 def test_top_chern_witness_budget(monkeypatch):
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "4096")
-    assert top_chern_witness(4, [2, 3, 1]).coefficient == 6 ** 4  # 2^12 terms
+    assert top_chern_witness(4, [2, 3, 1])["coefficient"] == str(6 ** 4)  # 2^12 terms
     with pytest.raises(GeneratorBudgetExceeded) as exc:
         top_chern_witness(13, [1])
     assert (exc.value.required, exc.value.budget) == (2 ** 13, 4096)
@@ -144,24 +160,24 @@ def test_top_chern_witness_disagreement(monkeypatch):
 
 def test_contradiction_at_exact_threshold():
     rep = ratio_contradiction_check(2, StageStats(3, 3, 4))
-    assert rep.hypothesis_holds and rep.contradiction
-    assert rep.fixed_point_bound == Fraction(1, 2)
-    assert rep.forced_square == Fraction(1, 4)
-    assert rep.strict_drop
+    assert rep["hypothesis_holds"] and rep["contradiction"]
+    assert fraction(rep["fixed_point_bound"]) == Fraction(1, 2)
+    assert fraction(rep["forced_square"]) == Fraction(1, 4)
+    assert rep["strict_drop"]
 
 
 def test_contradiction_for_larger_n():
     rep = ratio_contradiction_check(3, StageStats(5, 5, 6))
-    assert rep.hypothesis_holds and rep.contradiction
-    assert rep.fixed_point_bound == Fraction(3, 5)
-    assert rep.ratio > rep.fixed_point_bound
+    assert rep["hypothesis_holds"] and rep["contradiction"]
+    assert fraction(rep["fixed_point_bound"]) == Fraction(3, 5)
+    assert fraction(rep["ratio"]) > fraction(rep["fixed_point_bound"])
 
 
 def test_no_contradiction_when_hypothesis_fails():
     rep = ratio_contradiction_check(2, StageStats(0, 0, 7))
-    assert not rep.hypothesis_holds
-    assert not rep.contradiction
-    assert rep.rank_bound_holds  # 0 <= anything
+    assert not rep["hypothesis_holds"]
+    assert not rep["contradiction"]
+    assert rep["rank_bound_holds"]  # 0 <= anything
 
 
 def test_contradiction_closes_on_random_grid():
@@ -176,7 +192,7 @@ def test_contradiction_closes_on_random_grid():
             stats = StageStats(distinct, alpha, total)
             assert stats.distinct_ratio >= threshold
             rep = ratio_contradiction_check(n, stats)
-            assert rep.contradiction
+            assert rep["contradiction"]
 
 
 def test_contradiction_requires_n_at_least_two():

@@ -9,7 +9,7 @@ from villadsen.bundles import (
     pushforward_diagonal,
     trivial_bundle,
 )
-from villadsen.comparison import Outcome, obstructed_by_euler
+from villadsen.comparison import obstructed_by_euler
 from villadsen import type_two
 from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
 from villadsen.type_two import (
@@ -26,6 +26,7 @@ from villadsen.spaces import cproj
 from conftest import (
     connecting_maps,
     direct_sum,
+    fraction,
     pushforward_from_scratch,
     stage_space_from_scratch,
 )
@@ -245,12 +246,8 @@ def test_euler_obstruction_chain_consistency():
     params = SystemParams(2)
     for j in (1, 2, 3, 4):
         x = trivial_bundle(build_stage(params, j)[0], 1)
-        assert obstructed_by_euler(x, obstruction_bundle(params, j)).outcome \
-            == Outcome.OBSTRUCTED
-
-
-def fraction(doc: dict) -> Fraction:
-    return Fraction(int(doc["num"]), int(doc["den"]))
+        assert obstructed_by_euler(x, obstruction_bundle(params, j))["outcome"] \
+            == "obstructed"
 
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
