@@ -32,13 +32,7 @@ from .type_one import (
     ratio_trajectory,
     top_chern_witness,
 )
-from .type_two import (
-    SystemParams,
-    build_stage,
-    comparability_triple,
-    radius_of_comparison,
-    trace_value,
-)
+from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
 from .cfp import (
     CfpWitness,
     build_witness,

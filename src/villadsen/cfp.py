@@ -13,12 +13,13 @@ big-integer and big-rational arithmetic, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import factorial
 
 from .bundles import BundleExpr, line_sum, trivial_bundle
 from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
-from .growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
+from .growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
 from .spaces import SpaceDescriptor, cproj
 
 
@@ -32,8 +33,8 @@ def factor_dimension(s: int) -> int:
 
 
 def factor_dimensions(j: int) -> list[int]:
-    """factor_dimension(s) for s = 1..j, off the infinite family's growth table."""
-    return list(GrowthTable(INFINITE).up_to(j).dims)
+    """factor_dimension(s) for s = 1..j, off the infinite family's growth."""
+    return [dim for _, _, dim in islice(stage_growth(INFINITE), j)]
 
 
 def witness_base(j: int) -> SpaceDescriptor:
@@ -51,8 +52,8 @@ def half_dimension_sum(j: int) -> int:
 
 def unit_over_witness_base(j: int) -> BundleExpr:
     """The unit bundle pulled to the projective part: rank (j+1)!."""
-    return line_sum(witness_base(j), list(enumerate(GrowthTable(INFINITE).up_to(j).unit)),
-                    trivial_rank=1)
+    units = [unit for _, unit, _ in islice(stage_growth(INFINITE), j)]
+    return line_sum(witness_base(j), list(enumerate(units)), trivial_rank=1)
 
 
 def capacity_bundle(j: int) -> BundleExpr:
@@ -139,8 +140,7 @@ def next_witness_stage(prev: int) -> int:
     """
     if prev < 1:
         raise ValueError("previous stage must be >= 1")
-    table = GrowthTable(INFINITE).up_to(prev)
-    return max(prev + 1, -(-2 * sum(table.dims) // table.rank))
+    return max(prev + 1, -(-2 * half_dimension_sum(prev) // factorial(prev + 1)))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     """The JSON document at `path`; a float literal (1e400, 2.9, NaN) is a
     ConfigError, since every number the engine reads is an exact integer,
-    and so is an integer literal past Python's int<->str digit limit."""
+    and so are an integer literal past Python's int<->str digit limit and
+    nesting past the interpreter's recursion limit."""
     def reject(literal):
         raise ConfigError(f"{path} holds the non-integer number {literal}; "
                           "write integers or decimal strings")
@@ -65,6 +66,8 @@ def _load_json(path: str) -> dict:
             raise
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not UTF-8: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path} nests too deeply to be read") from None
         except ValueError:  # the decoder's int() refused a literal past the digit limit
             raise ConfigError(f"{path} holds an integer literal of more than "
                               f"{sys.get_int_max_str_digits()} digits") from None

@@ -2,15 +2,15 @@
 
 All values are exact Python integers; they reach factorial scale quickly,
 which is why nothing in this package ever goes through floating point.
-The functions give one stage's value; `GrowthTable` holds every stage's
-values up to n and extends them from a running factorial.  It is the one
-generator of the per-stage tables: the type-II stage tower walks up it, and
-the CFP witness base reads its factor dimensions off the infinite family's.
+The functions give one stage's value; `stage_growth` yields every stage's
+values in turn from one running factorial.  It is the one generator of the
+per-stage numbers: the type-II stage tower walks it, and the CFP witness
+base reads its factor dimensions off the infinite family's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 from math import factorial
 
 from .spaces import read_int
@@ -46,37 +46,17 @@ def cp_dimension(k: int | None, n: int) -> int:
     return k * unit_multiplicity(n)
 
 
-@dataclass(frozen=True)
-class GrowthTable:
-    """The growth numbers of stages 1..n of family k, from one running factorial.
+def stage_growth(k: int | None):
+    """Yield (n!, unit_multiplicity(n), cp_dimension(k, n)) for n = 1, 2, ...
 
-    `unit[j-1]` is unit_multiplicity(j) and `dims[j-1]` is cp_dimension(k, j);
-    `factorial` is n!, so `rank`, the stage-n unit rank, is (n+1)!.
-    `up_to(m)` extends the table to stage m with three multiplications per
-    new stage, so a walk up the stages never calls `math.factorial`.
+    One running factorial: a stage costs three multiplications and no
+    `math.factorial`.  Stage n's unit rank, (n+1)!, is n! + unit_multiplicity(n).
     """
-
-    k: int | None
-    n: int = 0
-    factorial: int = 1
-    unit: tuple[int, ...] = ()
-    dims: tuple[int, ...] = ()
-
-    @property
-    def rank(self) -> int:
-        return self.factorial * (self.n + 1)
-
-    def up_to(self, m: int) -> "GrowthTable":
-        """This table extended to stage m >= n."""
-        if m < self.n:
-            raise ValueError("a growth table only extends upwards")
-        fact, unit, dims = self.factorial, list(self.unit), list(self.dims)
-        for j in range(self.n + 1, m + 1):
-            fact *= j
-            sigma = j * fact
-            unit.append(sigma)
-            dims.append((j if self.k is INFINITE else self.k) * sigma)
-        return GrowthTable(self.k, m, fact, tuple(unit), tuple(dims))
+    fact = 1
+    for n in count(1):
+        fact *= n
+        sigma = n * fact
+        yield fact, sigma, (n if k is INFINITE else k) * sigma
 
 
 def parse_family_parameter(text: str) -> int | None:

@@ -6,8 +6,8 @@ factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
 factor order, with its power cap.  `SpaceDescriptor.extend` appends
 factors to a space and derives the product's ring data from the space's,
-which is how a walk up the type-II stage tower builds each stage from the
-one before.
+which is how a type-II comparability chain builds each stage from the one
+before.
 Maps between such products are coordinate projections or constant maps.
 Points are opaque labels, never coordinates.  `read_int` is the one reader
 of the integers in input documents and on the command line.
@@ -150,7 +150,9 @@ class SpaceDescriptor:
         """This space times `atoms`, which follow its factors.
 
         Equal to `SpaceDescriptor(self.factors + tuple(atoms))`; this
-        space's tuples and dict are copied, not rebuilt.
+        space's tuples and dict are copied, not rebuilt, and only the new
+        atoms are visited.  A comparability chain takes each stage from the
+        one before this way; the type-II walk itself builds no space.
         """
         space = object.__new__(SpaceDescriptor)
         space.__dict__.update(self.__dict__)

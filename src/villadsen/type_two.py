@@ -9,18 +9,19 @@ the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
 
 The stages form a tower: stage n+1 is stage n times one new projective
-factor (and a disk increment for k = infinity).  `_stages` walks it: a
-stage carries its growth numbers (`growth.GrowthTable`), and the next stage
-extends it by its new atoms.  The witness sums ride the same tower: stage
-n+1's is stage n's plus one block of the new stage line
+factor (and a disk increment for k = infinity).  `_tower` walks it by
+increments: a stage is its unit rank, the atoms it adds and its growth
+numbers (`growth.stage_growth`), nothing of the stages before it.  Only
+code that needs a space builds one: `trace_table` builds its one stage
+from the walked atoms, and a comparability chain builds stage n once and
+extends it by each later stage's atoms.  The witness sums ride the chain:
+stage n+1's is stage n's plus one block of the new stage line
 (`BundleExpr.extend`), and the connecting map projects onto a prefix of
 the factors, which moves no generator, so a pushforward copies the parts
-and adds one summand.  The radius sweep carries only the witness rank and
-its Euler verdict.  So each sweep and each comparability chain does a fixed
-amount of Python work per stage, not work in proportion to the stage.  The
-sweeps walk the tower once each; `build_stage`, `trace_value`,
-`obstruction_bundle` and `trace_table` build their one stage cold.  Nothing
-is held between calls.
+and adds one summand.  The radius sweep builds no space: it carries the
+real dimension, the witness rank and its Euler verdict.  So each sweep and
+each comparability chain does a fixed amount of Python work per stage.
+Nothing is held between calls.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .bundles import (
     BundleExpr,
@@ -37,10 +39,10 @@ from .bundles import (
     trivial_bundle,
 )
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
-from .errors import BaseMismatchError, CrossCheckDisagreement
-from .growth import INFINITE, GrowthTable, family_parameter_label
+from .errors import CrossCheckDisagreement
+from .growth import INFINITE, family_parameter_label, stage_growth
 from .reports import fraction_json
-from .spaces import SpaceDescriptor, constant, cproj, disk, projection
+from .spaces import SpaceAtom, SpaceDescriptor, constant, cproj, disk, projection
 
 
 @dataclass(frozen=True)
@@ -58,106 +60,69 @@ class SystemParams:
         return family_parameter_label(self.k)
 
 
-def _disk_power(params: SystemParams, growth: GrowthTable, j: int) -> int:
-    """Total disk power at stage j: k for finite families, j*sigma(j)^2 else."""
-    if params.k is not INFINITE:
-        return params.k
-    if j == 0:
-        return 1
-    return growth.dims[j - 1] * growth.unit[j - 1]
+class _Stage(NamedTuple):
+    """Stage n: its unit rank (n+1)!, the atoms it adds to stage n-1 (the new
+    projective factor last), unit_multiplicity(n) and cp_dimension(k, n),
+    which is 0 at stage 0: that stage adds only the first disk."""
 
-
-def _new_atoms(params: SystemParams, growth: GrowthTable, j: int) -> list:
-    """The factors stage j adds to the stage before it."""
-    atoms = []
-    increment = _disk_power(params, growth, j) - _disk_power(params, growth, j - 1)
-    if increment > 0:
-        atoms.append(disk(increment, label=f"d{j}"))
-    atoms.append(cproj(growth.dims[j - 1], label=f"cp{j}"))
-    return atoms
-
-
-@dataclass(frozen=True)
-class _Stage:
     n: int
-    space: SpaceDescriptor
-    growth: GrowthTable
+    rank: int
+    atoms: tuple[SpaceAtom, ...]
+    unit: int
+    dim: int
 
 
-def _stages(params: SystemParams, n: int = 0):
-    """The tower from stage n: stage n built from its atoms in one list, then
-    each later stage extending the one before by its new atoms."""
-    if n < 0:
-        raise ValueError("stage must be >= 0")
-    growth = GrowthTable(params.k).up_to(n)
-    atoms = [disk(_disk_power(params, growth, 0), label="d0")]
-    for j in range(1, n + 1):
-        atoms += _new_atoms(params, growth, j)
-    stage = _Stage(n, SpaceDescriptor(tuple(atoms)), growth)
-    while True:
-        yield stage
-        m, growth = stage.n + 1, stage.growth.up_to(stage.n + 1)
-        stage = _Stage(m, stage.space.extend(_new_atoms(params, growth, m)), growth)
+def _tower(params: SystemParams):
+    """The stages 0, 1, 2, ... of the family.  The total disk power is k at
+    every stage of a finite family and, for k = inf, 1 at stage 0 and
+    n*sigma(n)^2 = dim*unit at stage n; a stage adds a disk for the
+    increment only when it is > 0."""
+    power = 1 if params.k is INFINITE else params.k
+    yield _Stage(0, 1, (disk(power, label="d0"),), 1, 0)
+    for n, (fact, unit, dim) in enumerate(stage_growth(params.k), start=1):
+        atoms = (cproj(dim, label=f"cp{n}"),)
+        if params.k is INFINITE and dim * unit > power:
+            atoms = (disk(dim * unit - power, label=f"d{n}"), *atoms)
+            power = dim * unit
+        yield _Stage(n, (n + 1) * fact, atoms, unit, dim)
 
 
-def _unit(stage: _Stage) -> BundleExpr:
-    bundle = BundleExpr(stage.space, 1, enumerate(stage.growth.unit))
-    if bundle.rank != stage.growth.rank:
-        raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
-    return bundle
+def _space(stages) -> SpaceDescriptor:
+    """The space of the last of `stages`, which run from stage 0: its factors
+    in order of introduction, so the map to the stage before is a projection."""
+    return SpaceDescriptor(tuple(atom for stage in stages for atom in stage.atoms))
 
 
-def _witness_sum(stage: _Stage) -> BundleExpr:
-    return BundleExpr(stage.space, 0, enumerate(stage.growth.dims))
-
-
-def _trace(stage: _Stage, bundle: BundleExpr) -> Fraction:
-    if bundle.base != stage.space:
-        raise BaseMismatchError("bundle does not live over the given stage")
-    return Fraction(bundle.rank, stage.growth.rank)
-
-
-def _slots(stage: _Stage, following: _Stage) -> list[DiagonalSlot]:
-    tgt, src = stage.space, following.space
-    return [DiagonalSlot(projection(src, tgt, range(len(tgt.factors)))),
-            DiagonalSlot(constant(src, tgt, f"y{stage.n}"), stage.n + 1, stage.n)]
-
-
-def build_stage(params: SystemParams, n: int) -> tuple[SpaceDescriptor, BundleExpr]:
-    """The stage-n base space and unit bundle: one trivial line plus sigma(j)
-    copies of each stage line, its rank checked against (n+1)!.  Factors are
-    ordered by stage of introduction (the disk increments of k = inf apart),
-    so the map to the stage before is a coordinate projection."""
-    stage = next(_stages(params, n))
-    return stage.space, _unit(stage)
-
-
-def trace_value(params: SystemParams, n: int, bundle: BundleExpr) -> Fraction:
-    """Exact trace of a stage-n projection: rank over (n+1)!."""
-    return _trace(next(_stages(params, n)), bundle)
-
-
-def obstruction_bundle(params: SystemParams, n: int) -> BundleExpr:
-    """The stage-n witness sum: cp_dimension(k, i) copies of each stage line."""
-    return _witness_sum(next(_stages(params, n)))
+def _slots(n: int, space: SpaceDescriptor, following: SpaceDescriptor) -> list[DiagonalSlot]:
+    """The connecting map from stage n, over `space`, to stage n+1."""
+    return [DiagonalSlot(projection(following, space, range(len(space.factors)))),
+            DiagonalSlot(constant(following, space, f"y{n}"), n + 1, n)]
 
 
 def trace_table(params: SystemParams, n: int) -> dict:
     """The stage-n trace certificate: dimension, unit rank, and the exact
     traces of the unit, of a trivial line and, from stage 1, of the witness
-    sum.  The unit trace is 1 whenever the unit is built, since building it
-    cross-checks the unit rank against (n+1)!."""
-    stage = next(_stages(params, n))
-    unit = _unit(stage)
+    sum.  The unit (one trivial line plus sigma(j) copies of each stage
+    line) is built over the stage space, and its rank is cross-checked
+    against (n+1)!, so the unit trace is 1 whenever the table is returned."""
+    if n < 0:
+        raise ValueError("stage must be >= 0")
+    stages = list(islice(_tower(params), n + 1))
+    space, rank = _space(stages), stages[-1].rank
+    unit = BundleExpr(space, 1, [(stage.n - 1, stage.unit) for stage in stages[1:]])
+    if unit.rank != rank:
+        raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
     cert = {
         "stage": n,
-        "dimension": str(stage.space.real_dimension),
+        "dimension": str(space.real_dimension),
         "rank": str(unit.rank),
-        "unit_trace": fraction_json(_trace(stage, unit)),
+        "unit_trace": fraction_json(Fraction(unit.rank, rank)),
         "trivial_line_trace": fraction_json(Fraction(1, unit.rank)),
     }
     if n >= 1:
-        cert["witness_sum_trace"] = fraction_json(_trace(stage, _witness_sum(stage)))
+        # the witness sum holds cp_dimension(k, j) copies of each stage line
+        witness_rank = sum(stage.dim for stage in stages)
+        cert["witness_sum_trace"] = fraction_json(Fraction(witness_rank, rank))
     return cert
 
 
@@ -184,29 +149,30 @@ def comparability_triple(params: SystemParams, n: int,
         raise ValueError("verify stage must be >= the witness stage")
 
     passed = True
+    tower = _tower(params)
+    stages = list(islice(tower, n + 1))
     line_records = []
-    tower = _stages(params, n)
-    stage = next(tower)
-    growth = stage.growth
-    for i, dim in enumerate(growth.dims, start=1):
-        one_factor = SpaceDescriptor((cproj(dim, label=f"cp{i}"),))
-        doubled = line_sum(one_factor, [(0, 2 * dim)])
+    for stage in stages[1:]:
+        one_factor = SpaceDescriptor(stage.atoms[-1:])
+        doubled = line_sum(one_factor, [(0, 2 * stage.dim)])
         verdict = trivial_line_subbundle_sufficient(doubled)
         passed &= verdict["outcome"] == "dominates"
-        line_records.append({"i": i, "cp_dimension": str(dim),
+        line_records.append({"i": stage.n, "cp_dimension": str(stage.dim),
                              "rank": str(doubled.rank), **verdict})
 
     chain_records = []
-    current = _witness_sum(stage)
-    q_sum = _trace(stage, current)
+    space, rank = _space(stages), stages[-1].rank
+    current = BundleExpr(space, 0, [(stage.n - 1, stage.dim) for stage in stages[1:]])
+    q_sum = Fraction(current.rank, rank)
     for ell, following in zip(range(n, j), tower):
-        pushed = pushforward_diagonal(current, _slots(stage, following))
+        extended = space.extend(following.atoms)
+        pushed = pushforward_diagonal(current, _slots(ell, space, extended))
         # the stage-(ell+1) line sits at generator position ell; its
         # multiplicity in the witness sum is that stage's capacity.  Pushing
         # along the prefix projection keeps every earlier summand where the
         # witness sum has it, so only the new position is checked
-        capacity = following.growth.dims[ell]
-        target = current.extend(following.space, [(ell, capacity)])
+        capacity = following.dim
+        target = current.extend(extended, [(ell, capacity)])
         new_coeff = pushed.parts.get(ell, 0)
         ok = new_coeff <= capacity
         passed &= ok
@@ -218,20 +184,18 @@ def comparability_triple(params: SystemParams, n: int,
             "capacity": str(capacity),
             "within_capacity": ok,
         })
-        current, stage = target, following
+        current, space = target, extended
 
-    witness = current
-    verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
+    verdict = obstructed_by_euler(trivial_bundle(current.base, 1), current)
     passed &= verdict["outcome"] == "obstructed"
-    euler_record = {**verdict, "witness_rank": str(witness.rank)}
+    euler_record = {**verdict, "witness_rank": str(current.rank)}
 
-    unit_line_trace = Fraction(1, growth.rank)
     traces: dict = {
-        "unit_line": fraction_json(unit_line_trace),
+        "unit_line": fraction_json(Fraction(1, rank)),
         "q_sum": fraction_json(q_sum),
     }
     if params.k is not INFINITE:
-        closed = Fraction(params.k * growth.rank - params.k, growth.rank)
+        closed = Fraction(params.k * rank - params.k, rank)
         if closed != q_sum:
             raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
         traces["limit"] = str(params.k)
@@ -239,10 +203,10 @@ def comparability_triple(params: SystemParams, n: int,
     else:
         entries = []
         witness_rank = 0
-        for stage in islice(_stages(params, 1), n):
+        for stage in stages[1:]:
             m = stage.n
-            witness_rank += stage.growth.dims[m - 1]
-            exact = Fraction(witness_rank, stage.growth.rank)
+            witness_rank += stage.dim
+            exact = Fraction(witness_rank, stage.rank)
             lower = Fraction(m * m, m + 1)
             if exact < lower:
                 raise CrossCheckDisagreement("divergence lower bound fails")
@@ -273,15 +237,17 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     stages = []
     witnesses = []
     previous = None
-    # stage m's witness sum is stage m-1's plus dims[m-1] copies of the new
-    # stage line, at position m-1: its rank and factorized Euler verdict
-    # are carried up the tower, the verdict nonzero while every multiplicity
-    # stays below its cap
-    witness_rank, obstructed = 0, True
-    for stage in islice(_stages(params), max_stage + 1):
-        m, space, rank = stage.n, stage.space, stage.growth.rank
-        value = Fraction(space.real_dimension, 2 * rank)
-        rec = {"stage": m, "dimension": str(space.real_dimension), "rank": str(rank),
+    # stage m's witness sum is stage m-1's plus `dim` copies of the new stage
+    # line: its rank and factorized Euler verdict are carried up the tower,
+    # the verdict nonzero while every multiplicity stays below the cap of
+    # its line's projective factor
+    dimension, witness_rank, obstructed = 0, 0, True
+    for stage in islice(_tower(params), max_stage + 1):
+        m, rank = stage.n, stage.rank
+        for atom in stage.atoms:
+            dimension += atom.real_dimension
+        value = Fraction(dimension, 2 * rank)
+        rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
                "value": fraction_json(value)}
         if params.k is not INFINITE:
             rec["equals_parameter"] = holds = value == params.k
@@ -293,9 +259,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
         if m == 0:
             continue
 
-        multiplicity = stage.growth.dims[m - 1]
-        witness_rank += multiplicity
-        obstructed = obstructed and multiplicity < space.caps[m - 1]
+        witness_rank += stage.dim
+        obstructed = obstructed and stage.dim < stage.atoms[-1].generator_cap
         q_sum = Fraction(witness_rank, rank)
         passed &= obstructed
         rec = {

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
+from math import factorial
 
 from villadsen import type_two
 from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
@@ -76,10 +77,10 @@ def pullback_class(f, a: GradedClass) -> GradedClass:
 
 def connecting_maps(params, start: int, stop: int) -> list:
     """(n, slots of the type-II connecting map from stage n to n+1) for
-    start <= n < stop, from one walk of the stage tower."""
-    stages = list(islice(type_two._stages(params, start), stop - start + 1))
-    return [(stage.n, type_two._slots(stage, following))
-            for stage, following in zip(stages, stages[1:])]
+    start <= n < stop, between stage spaces built from scratch."""
+    spaces = [stage_space_from_scratch(params, n) for n in range(start, stop + 1)]
+    return [(n, type_two._slots(n, space, following))
+            for n, space, following in zip(range(start, stop), spaces, spaces[1:])]
 
 
 def push_through_stages(params, bundle: BundleExpr, start: int, stop: int) -> BundleExpr:
@@ -181,6 +182,22 @@ def stage_space_from_scratch(params, n: int) -> SpaceDescriptor:
             atoms.append(disk(increment, label=f"d{j}"))
         atoms.append(cproj(cp_dimension(params.k, j), label=f"cp{j}"))
     return SpaceDescriptor(tuple(atoms))
+
+
+def unit_from_scratch(params, n: int) -> BundleExpr:
+    """Oracle: the type-II stage-n unit bundle, one trivial line plus
+    j * j! copies of each stage-j line, over `stage_space_from_scratch`."""
+    space = stage_space_from_scratch(params, n)
+    return BundleExpr(space, 1, [(j - 1, j * factorial(j)) for j in range(1, n + 1)])
+
+
+def witness_sum_from_scratch(params, n: int) -> BundleExpr:
+    """Oracle: the type-II stage-n witness sum, k * j * j! copies of each
+    stage-j line (j * j * j! for k = inf), over `stage_space_from_scratch`."""
+    space = stage_space_from_scratch(params, n)
+    return BundleExpr(space, 0, [
+        (j - 1, (j if params.k is INFINITE else params.k) * j * factorial(j))
+        for j in range(1, n + 1)])
 
 
 def random_space(rng: random.Random, max_factors: int = 4,

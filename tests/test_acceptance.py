@@ -29,11 +29,9 @@ from villadsen.spaces import SpaceDescriptor, cproj, projection
 from villadsen.type_one import StageStats, ratio_contradiction_check, stats_over_range, top_chern_witness
 from villadsen.type_two import (
     SystemParams,
-    build_stage,
     comparability_triple,
-    obstruction_bundle,
     radius_of_comparison,
-    trace_value,
+    trace_table,
 )
 from villadsen import cfp
 from villadsen.cli import main as cli_main
@@ -49,6 +47,8 @@ from conftest import (
     random_class,
     random_space,
     random_step,
+    stage_space_from_scratch,
+    witness_sum_from_scratch,
 )
 from test_bundles import random_bundle
 from test_cfp import brute_force_first_stage, brute_force_next_stage
@@ -72,10 +72,13 @@ def criterion(number: int, description: str, limit_seconds: float):
 def test_criterion_1_type_two_traces():
     with criterion(1, "stage-3 traces of the k=2 family", 1.0):
         params = SystemParams(2)
-        q_sum = trace_value(params, 3, obstruction_bundle(params, 3))
-        assert q_sum == Fraction(23, 12)
-        assert trace_value(params, 3, trivial_bundle(build_stage(params, 3)[0], 1)) \
-            == Fraction(1, 24)
+        cert = trace_table(params, 3)
+        q_sum = fraction(cert["witness_sum_trace"])
+        assert q_sum == Fraction(23, 12) \
+            == Fraction(witness_sum_from_scratch(params, 3).rank, factorial(4))
+        assert fraction(cert["trivial_line_trace"]) == Fraction(1, 24) \
+            == Fraction(trivial_bundle(stage_space_from_scratch(params, 3), 1).rank,
+                        factorial(4))
 
 
 def test_criterion_2_radius_of_comparison_grid():
@@ -85,8 +88,9 @@ def test_criterion_2_radius_of_comparison_grid():
             report = radius_of_comparison(params, 8)
             assert report["passed"]
             for n in range(0, 9):
-                space, _ = build_stage(params, n)
-                assert Fraction(space.real_dimension, 2 * factorial(n + 1)) == k
+                dimension = int(trace_table(params, n)["dimension"])
+                assert dimension == stage_space_from_scratch(params, n).real_dimension
+                assert Fraction(dimension, 2 * factorial(n + 1)) == k
 
 
 def test_criterion_3_top_chern_closed_form_vs_expansion():
@@ -143,7 +147,7 @@ def test_criterion_5_comparability_certificates(monkeypatch):
                     assert report["euler_obstruction"]["certificate"]["route"] \
                         == "factorized+full"
         # one full-expansion agreement at the largest stage, budget lifted
-        witness = obstruction_bundle(SystemParams(2), 4)
+        witness = witness_sum_from_scratch(SystemParams(2), 4)
         monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", str(chern_expansion_cost(witness)))
         top = homogeneous_component(chern(witness), 2 * witness.rank)
         assert top == euler(witness) and not top.is_zero()

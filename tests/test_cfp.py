@@ -211,22 +211,22 @@ def test_exact_pushed_matches_bundle_pushforward():
     # independent route: push the real line bundles through the actual
     # connecting maps of the infinite family and read off multiplicities
     from villadsen.growth import INFINITE
-    from villadsen.type_two import SystemParams, build_stage
+    from villadsen.type_two import SystemParams
     from villadsen.bundles import line_sum
-    from conftest import direct_sum, push_through_stages
+    from conftest import direct_sum, push_through_stages, stage_space_from_scratch
 
     params = SystemParams(INFINITE)
     w = build_witness(2)
     j = 8
     total = None
     for term in w.terms:
-        start_space, _ = build_stage(params, term.stage)
+        start_space = stage_space_from_scratch(params, term.stage)
         bundle = line_sum(start_space,
                           [(factor_labelled(start_space, f"cp{term.stage}"), term.copies)])
         pushed = push_through_stages(params, bundle, term.stage, j)
         total = pushed if total is None else direct_sum(total, pushed)
     expected = exact_pushed_coefficients(w, j)
-    final_space, _ = build_stage(params, j)
+    final_space = stage_space_from_scratch(params, j)
     by_stage = {}
     for s in range(1, j + 1):
         pos = total.base.generator_position(factor_labelled(final_space, f"cp{s}"))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from villadsen import type_two
 from villadsen.cli import main
 from villadsen.growth import unit_multiplicity
 from villadsen.reports import canonical_json, normalize_report, validate_report
@@ -451,8 +452,8 @@ BROKEN_ROUTE = {
     "villadsen.type_one.line_series_product": kernel_dropping_top_term,
     "villadsen.cfp.unit_multiplicity": lambda n: unit_multiplicity(n) + 1,
     # a unit rank 1000 times too large shrinks every trace below its bounds
-    "villadsen.growth.GrowthTable.rank":
-        property(lambda table: 1000 * table.factorial * (table.n + 1)),
+    "villadsen.type_two._tower": lambda params, tower=type_two._tower: (
+        stage._replace(rank=1000 * stage.rank) for stage in tower(params)),
 }
 
 
@@ -470,13 +471,13 @@ BROKEN_ROUTE = {
      "lower_bound", "villadsen.cfp.unit_multiplicity",
      "running pushforward coefficient disagrees"),
     (["v2", "-k", "2", "-n", "3"], "100000",
-     "trace_table", "villadsen.growth.GrowthTable.rank",
+     "trace_table", "villadsen.type_two._tower",
      "unit rank bookkeeping is inconsistent"),
     (["v2", "-k", "2", "-n", "2", "--comparability"], "100000",
-     "comparability_triple", "villadsen.growth.GrowthTable.rank",
+     "comparability_triple", "villadsen.type_two._tower",
      "closed-form q-sum trace disagrees"),
     (["v2", "-k", "inf", "-n", "2", "--comparability"], "100000",
-     "comparability_triple", "villadsen.growth.GrowthTable.rank",
+     "comparability_triple", "villadsen.type_two._tower",
      "divergence lower bound fails"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
@@ -530,6 +531,23 @@ def assert_float_literal_named(captured, code, path, literal):
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and path in errors[0] and literal in errors[0]
+
+
+@pytest.mark.parametrize("slot", ["space", "bundle", "config"])
+def test_deeply_nested_document_is_usage_error(slot, tmp_path, capsys):
+    # json.load raises RecursionError past about 995 levels: that was a traceback
+    space, bundle = write_sphere_pair(tmp_path)
+    config = write_vi_config(tmp_path, [])
+    path = {"space": space, "bundle": bundle, "config": config}[slot]
+    Path(path).write_text("[" * 100_000 + "]" * 100_000)
+    argv = (["vi", "--config", config] if slot == "config"
+            else ["chern", "--space", space, "--bundle", bundle])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and path in errors[0]
 
 
 BOOLEAN_SLOT_DOCUMENTS = {

@@ -80,12 +80,13 @@ def test_euler_obstruction_unknown_for_trivial_target():
 
 
 def test_euler_obstruction_against_witness_sums():
-    from villadsen.type_two import SystemParams, build_stage, obstruction_bundle
+    from villadsen.type_two import SystemParams
     from villadsen.growth import INFINITE
+    from conftest import stage_space_from_scratch, witness_sum_from_scratch
     params = SystemParams(INFINITE)
     for m in (1, 2, 3):
-        x = trivial_bundle(build_stage(params, m)[0], 1)
-        verdict = obstructed_by_euler(x, obstruction_bundle(params, m))
+        x = trivial_bundle(stage_space_from_scratch(params, m), 1)
+        verdict = obstructed_by_euler(x, witness_sum_from_scratch(params, m))
         assert verdict["outcome"] == "obstructed"
 
 

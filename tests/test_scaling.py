@@ -4,14 +4,16 @@ The argument parser and the report validator do not depend on argv, so a
 process builds them once, at import, and a CLI call builds neither.
 
 A space carries its ring, so a stage's ring is built once, with its space,
-whether it is built from its atoms or extends the stage before, and a
-stage's witness is checked with one class: both counts must grow at most
-linearly with the number of stages.  Nothing is held between calls: each
-sweep walks the stage tower from where it starts, so a CLI call may build
-again at most one space of an earlier walk, and the same call made twice
-builds the same things.  A type-II stage adds one projective factor (and a
-disk increment) to the stage before, so a sweep builds a fixed number of
-atoms per stage and no factorial from scratch.  A type-II
+whether it is built from its atoms or extends the stage before.  The type-II
+tower is walked by increments (a stage's rank, new atoms and growth
+numbers), so the radius sweep, which carries the real dimension, the
+witness rank and its Euler verdict, builds no space and no class at all.
+Nothing is held between calls: each sweep walks the stage tower from
+stage 0, so a CLI call may build again at most one space of an earlier
+walk, and the same call made twice builds the same things.  A type-II
+stage adds one projective factor (and a disk increment) to the stage
+before, so a sweep builds a fixed number of atoms per stage and no
+factorial from scratch.  A type-II
 connecting map has two slots whatever the stage, so each step of a
 comparability chain builds a fixed number of bundles.  The witness sum of
 a stage is the one before plus one new line block, and the connecting map
@@ -71,6 +73,13 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
         patch.setattr(GradedClass, "__init__", counting_class_init)
         action()
     return rings, len(classes)
+
+
+@pytest.mark.parametrize("k", [1, 2, INFINITE])
+def test_radius_sweep_builds_no_space(monkeypatch, k):
+    # neither from atoms (`__post_init__`) nor by extending a space
+    rings, classes = count_during(monkeypatch, lambda: radius_of_comparison(SystemParams(k), 40))
+    assert rings == [] and classes == 0
 
 
 @pytest.mark.parametrize("n", [20, 40])
@@ -174,9 +183,9 @@ def test_repeated_call_builds_the_same(monkeypatch, capsys):
     first, second = one_call(), one_call()
     capsys.readouterr()
     assert first == second
-    # the sweep's stages 0..30; the trace table's stage 30 and the sweep's
-    # 31 stages, one atom each
-    assert first[1] == 31 and first[3] == 2 * 31
+    # the sweep builds no space; the trace table's walk to stage 30 and the
+    # sweep's 31 stages, one atom each
+    assert first[1] == 0 and first[3] == 2 * 31
 
 
 def test_stage_sweep_builds_linearly_many_factorials_and_atoms(monkeypatch, capsys):

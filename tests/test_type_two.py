@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
 
 from villadsen.bundles import (
+    BundleExpr,
     chern_expansion_cost,
     euler,
     pushforward_diagonal,
@@ -11,17 +13,15 @@ from villadsen.bundles import (
 )
 from villadsen.comparison import obstructed_by_euler
 from villadsen import type_two
-from villadsen.growth import INFINITE, GrowthTable, cp_dimension, unit_multiplicity
+from villadsen.growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
 from villadsen.type_two import (
     SystemParams,
-    build_stage,
     comparability_triple,
-    obstruction_bundle,
     radius_of_comparison,
-    trace_value,
+    trace_table,
 )
 
-from villadsen.spaces import cproj
+from villadsen.spaces import SpaceDescriptor, cproj
 
 from conftest import (
     connecting_maps,
@@ -29,6 +29,8 @@ from conftest import (
     fraction,
     pushforward_from_scratch,
     stage_space_from_scratch,
+    unit_from_scratch,
+    witness_sum_from_scratch,
 )
 
 
@@ -36,22 +38,19 @@ def test_growth_functions():
     assert [unit_multiplicity(n) for n in range(5)] == [1, 1, 4, 18, 96]
     assert cp_dimension(2, 3) == 36
     assert cp_dimension(INFINITE, 3) == 54
-    assert GrowthTable(2).up_to(3).rank == 24
+    fact, unit, _ = next(islice(stage_growth(2), 2, None))  # stage 3
+    assert fact + unit == 24
 
 
-def test_growth_table_matches_pointwise_values():
+def test_stage_growth_matches_pointwise_values():
     for k in (1, 2, INFINITE):
-        table = GrowthTable(k)
-        for n in range(1, 25):
-            table = table.up_to(n)
-            assert table.n == n and table.factorial == factorial(n)
-            assert table.rank == factorial(n + 1)
-            assert table.unit == tuple(unit_multiplicity(j) for j in range(1, n + 1))
-            assert table.dims == tuple(cp_dimension(k, j) for j in range(1, n + 1))
-        # one jump from stage 0, or from a midway table, gives the same table
-        assert GrowthTable(k).up_to(24) == GrowthTable(k).up_to(9).up_to(24) == table
-        with pytest.raises(ValueError):
-            table.up_to(23)
+        for n, (fact, unit, dim) in zip(range(1, 25), stage_growth(k)):
+            assert fact == factorial(n)
+            assert fact + unit == factorial(n + 1)
+            assert unit == unit_multiplicity(n)
+            assert dim == cp_dimension(k, n)
+        # each walk starts again at stage 1
+        assert next(stage_growth(k)) == (1, 1, cp_dimension(k, 1))
 
 
 def assert_same_space(space, expected):
@@ -64,85 +63,119 @@ def assert_same_space(space, expected):
         == sum(a.real_dimension for a in expected.factors)
 
 
+def walked_space(stages) -> SpaceDescriptor:
+    """The space of the last walked stage, from the atoms of all of them."""
+    return SpaceDescriptor(tuple(atom for stage in stages for atom in stage.atoms))
+
+
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_stage_tower_matches_from_scratch_build(k):
+    # one walk of increments: the atoms walked so far, the rank and the
+    # growth numbers of each stage against values computed on their own
     params = SystemParams(k)
-    # one walk: stage 0 from its atoms, each later stage extending the one before
-    for n, stage in zip(range(31), type_two._stages(params)):
-        assert stage.n == n
-        assert stage.growth == GrowthTable(k).up_to(n)
-        assert_same_space(stage.space, stage_space_from_scratch(params, n))
-    # cold calls: each builds its stage from its atoms
-    for n in range(30, -1, -3):
-        assert_same_space(build_stage(params, n)[0], stage_space_from_scratch(params, n))
-    # a walk may start at any stage
-    assert_same_space(next(type_two._stages(params, 30)).space,
-                      stage_space_from_scratch(params, 30))
+    walked, dimension = [], 0
+    extended = None
+    for n, stage in zip(range(61), type_two._tower(params)):
+        walked.append(stage)
+        expected = stage_space_from_scratch(params, n)
+        assert stage.n == n and isinstance(stage.atoms, tuple)
+        assert_same_space(walked_space(walked), expected)
+        dimension += sum(atom.real_dimension for atom in stage.atoms)
+        assert dimension == expected.real_dimension
+        # the comparability chain extends the space it has by each stage's atoms
+        extended = SpaceDescriptor(stage.atoms) if n == 0 else extended.extend(stage.atoms)
+        assert_same_space(extended, expected)
+        assert stage.rank == factorial(n + 1)
+        assert stage.unit == unit_multiplicity(n)
+        assert stage.dim == (cp_dimension(k, n) if n else 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, INFINITE])
+def test_early_stage_unchanged_by_later_walk(k):
+    params = SystemParams(k)
+    tower = type_two._tower(params)
+    early = list(islice(tower, 11))
+    later = list(islice(tower, 100))
+    assert later[-1].n == 110
+    # the stages taken early equal those of a fresh walk, and still build stage 10
+    assert early == list(islice(type_two._tower(params), 11))
+    assert_same_space(walked_space(early), stage_space_from_scratch(params, 10))
 
 
 def test_stage_zero():
-    space, unit = build_stage(SystemParams(2), 0)
-    assert [a.kind for a in space.factors] == ["disk"]
-    assert space.real_dimension == 4
+    (stage,) = islice(type_two._tower(SystemParams(2)), 1)
+    assert [a.kind for a in stage.atoms] == ["disk"]
+    cert = trace_table(SystemParams(2), 0)
+    assert cert["dimension"] == "4" and cert["rank"] == "1"
+    unit = unit_from_scratch(SystemParams(2), 0)
     assert unit.rank == 1 and unit.trivial_rank == 1
+    assert "witness_sum_trace" not in cert
 
 
 def test_stage_three_finite():
-    space, unit = build_stage(SystemParams(2), 3)
-    assert space.real_dimension == 96
-    assert [a.size for a in space.factors] == [2, 2, 8, 36]
-    assert unit.rank == factorial(4)
+    stages = list(islice(type_two._tower(SystemParams(2)), 4))
+    assert [a.size for s in stages for a in s.atoms] == [2, 2, 8, 36]
+    cert = trace_table(SystemParams(2), 3)
+    assert cert["dimension"] == "96"
+    assert cert["rank"] == str(factorial(4))
 
 
 def test_stage_two_infinite():
-    space, unit = build_stage(SystemParams(INFINITE), 2)
-    disks = [a.size for a in space.factors if a.kind == "disk"]
-    cps = [a.size for a in space.factors if a.kind == "cp"]
+    stages = list(islice(type_two._tower(SystemParams(INFINITE)), 3))
+    atoms = [a for s in stages for a in s.atoms]
+    disks = [a.size for a in atoms if a.kind == "disk"]
+    cps = [a.size for a in atoms if a.kind == "cp"]
     assert sum(disks) == 2 * unit_multiplicity(2) ** 2 == 32
     assert cps == [1, 8]
-    assert space.real_dimension == 82
-    assert unit.rank == 6
+    cert = trace_table(SystemParams(INFINITE), 2)
+    assert cert["dimension"] == "82"
+    assert cert["rank"] == "6"
 
 
 def test_unit_rank_telescopes():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
         for n in range(13):
-            _, unit = build_stage(params, n)
+            unit = unit_from_scratch(params, n)
             assert unit.rank == factorial(n + 1)
             assert unit.rank == sum(unit_multiplicity(j) for j in range(n + 1))
+            # the engine's unit, checked against (n+1)! before it is reported
+            assert trace_table(params, n)["rank"] == str(unit.rank)
 
 
 def test_dimension_rank_ratio_equals_parameter():
     for k in range(1, 6):
         params = SystemParams(k)
         for n in range(9):
-            space, _ = build_stage(params, n)
-            assert Fraction(space.real_dimension, 2 * factorial(n + 1)) == k
+            dimension = int(trace_table(params, n)["dimension"])
+            assert dimension == stage_space_from_scratch(params, n).real_dimension
+            assert Fraction(dimension, 2 * factorial(n + 1)) == k
 
 
 def test_traces():
     params = SystemParams(2)
-    space, unit = build_stage(params, 3)
-    assert trace_value(params, 3, unit) == 1
-    assert trace_value(params, 3, trivial_bundle(space, 1)) == Fraction(1, 24)
-    assert trace_value(params, 3, obstruction_bundle(params, 3)) == Fraction(23, 12)
+    cert = trace_table(params, 3)
+    assert fraction(cert["unit_trace"]) == 1
+    assert fraction(cert["trivial_line_trace"]) == Fraction(1, 24)
+    assert fraction(cert["witness_sum_trace"]) == Fraction(23, 12) \
+        == Fraction(witness_sum_from_scratch(params, 3).rank, factorial(4))
 
 
 def test_trace_additive_in_rank():
     params = SystemParams(2)
     n = 2
-    a = obstruction_bundle(params, n)
-    _, b = build_stage(params, n)
-    assert trace_value(params, n, direct_sum(a, b)) == (
-        trace_value(params, n, a) + trace_value(params, n, b))
+    a = witness_sum_from_scratch(params, n)
+    b = unit_from_scratch(params, n)
+    cert = trace_table(params, n)
+    trace = Fraction(direct_sum(a, b).rank, factorial(n + 1))
+    assert trace == fraction(cert["witness_sum_trace"]) + fraction(cert["unit_trace"])
 
 
 def test_connecting_map_rank_ratio():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
         for i, slots in connecting_maps(params, 0, 4):
-            eta = obstruction_bundle(params, i) if i else build_stage(params, 0)[1]
+            eta = witness_sum_from_scratch(params, i) if i else unit_from_scratch(params, 0)
             pushed = pushforward_diagonal(eta, slots)
             assert pushed.rank * factorial(i + 1) == eta.rank * factorial(i + 2)
 
@@ -150,10 +183,10 @@ def test_connecting_map_rank_ratio():
 def test_connecting_map_structure():
     params = SystemParams(2)
     i = 2
-    eta = obstruction_bundle(params, i)
+    eta = witness_sum_from_scratch(params, i)
     (_, slots), = connecting_maps(params, i, i + 1)
     pushed = pushforward_diagonal(eta, slots)
-    nxt, _ = build_stage(params, i + 1)
+    nxt = stage_space_from_scratch(params, i + 1)
     # the stage-j projective factor is labelled cp{j}
     cp_index = {atom.label: idx for idx, atom in enumerate(nxt.factors)}
     expected_parts = [(cp_index[f"cp{j}"], cp_dimension(2, j)) for j in range(1, i + 1)]
@@ -165,10 +198,10 @@ def test_connecting_map_structure():
 def test_unit_iteration_reproduces_closed_form():
     for k in (1, 2, INFINITE):
         params = SystemParams(k)
-        _, current = build_stage(params, 0)
+        current = unit_from_scratch(params, 0)
         for i, slots in connecting_maps(params, 0, 4):
             current = pushforward_diagonal(current, slots)
-            assert current == build_stage(params, i + 1)[1]
+            assert current == unit_from_scratch(params, i + 1)
 
 
 def test_comparability_triple_small_finite():
@@ -204,7 +237,7 @@ def test_comparability_rejects_bad_stages():
 
 def test_comparability_cross_checks_past_the_budget(monkeypatch):
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "1000")
-    witness = obstruction_bundle(SystemParams(2), 4)
+    witness = witness_sum_from_scratch(SystemParams(2), 4)
     assert chern_expansion_cost(witness) > 1000
     report = comparability_triple(SystemParams(2), 2, 4)
     assert report["passed"]
@@ -245,8 +278,8 @@ def test_euler_obstruction_chain_consistency():
     # only the capacity bundle's Euler class is used, and it is nonzero
     params = SystemParams(2)
     for j in (1, 2, 3, 4):
-        x = trivial_bundle(build_stage(params, j)[0], 1)
-        assert obstructed_by_euler(x, obstruction_bundle(params, j))["outcome"] \
+        x = trivial_bundle(stage_space_from_scratch(params, j), 1)
+        assert obstructed_by_euler(x, witness_sum_from_scratch(params, j))["outcome"] \
             == "obstructed"
 
 
@@ -258,7 +291,7 @@ def test_carried_witness_sums_match_from_scratch(k):
     report = radius_of_comparison(params, 60)
     divergence = comparability_triple(params, 60)["traces"].get("entries")
     for m, record in enumerate(report["witnesses"], start=1):
-        witness = obstruction_bundle(params, m)
+        witness = witness_sum_from_scratch(params, m)
         assert record["stage"] == m
         assert fraction(record["trace_witness_sum"]) == Fraction(witness.rank, factorial(m + 1))
         assert record["obstructed"] is (not euler(witness).is_zero())
@@ -271,21 +304,28 @@ def test_carried_witness_sums_match_from_scratch(k):
 def test_carried_euler_verdict_follows_the_caps(monkeypatch):
     # a stage-5 factor one dimension short caps its line at the witness
     # multiplicity, so the Euler class dies there and at every later stage
-    new_atoms = type_two._new_atoms
+    tower = type_two._tower
 
-    def short_factor(params, growth, j):
-        atoms = new_atoms(params, growth, j)
-        if j == 5:
-            atoms[-1] = cproj(atoms[-1].size - 1, label=atoms[-1].label)
-        return atoms
+    def short_factor(params):
+        for stage in tower(params):
+            if stage.n == 5:
+                cp = stage.atoms[-1]
+                stage = stage._replace(atoms=(cproj(cp.size - 1, label=cp.label),))
+            yield stage
 
-    monkeypatch.setattr(type_two, "_new_atoms", short_factor)
+    def short_witness_sum(m):
+        # the from-scratch witness sum over a space whose cp5 is one shorter
+        witness = witness_sum_from_scratch(params, m)
+        factors = tuple(cproj(a.size - 1, label=a.label) if a.label == "cp5" else a
+                        for a in witness.base.factors)
+        return BundleExpr(SpaceDescriptor(factors), 0, witness.parts.items())
+
+    monkeypatch.setattr(type_two, "_tower", short_factor)
     params = SystemParams(2)
     report = radius_of_comparison(params, 8)
     verdicts = [record["obstructed"] for record in report["witnesses"]]
     assert verdicts == [m < 5 for m in range(1, 9)]
-    assert verdicts == [not euler(obstruction_bundle(params, m)).is_zero()
-                        for m in range(1, 9)]
+    assert verdicts == [not euler(short_witness_sum(m)).is_zero() for m in range(1, 9)]
     assert not report["passed"]
 
 
@@ -313,11 +353,11 @@ def test_chain_steps_match_from_scratch_pushforward(k, monkeypatch):
     targets = [b for b, _, _ in steps[1:]] + witnesses
     for ell, ((current, slots, pushed), target, record) in enumerate(
             zip(steps, targets, report["chain"]), start=1):
-        expected = obstruction_bundle(params, ell)
+        expected = witness_sum_from_scratch(params, ell)
         assert current == expected and current.rank == expected.rank
         generic = pushforward_from_scratch(current, slots)
         assert pushed == generic and pushed.rank == generic.rank
-        expected = obstruction_bundle(params, ell + 1)
+        expected = witness_sum_from_scratch(params, ell + 1)
         assert target == expected and target.rank == expected.rank
         assert record["pushed_rank"] == str(pushed.rank)
         assert record["within_capacity"] is all(
