@@ -121,7 +121,14 @@ def _emit(report: dict) -> int:
         print(f"error: report fails its schema at {exc.json_path}: {exc.message}",
               file=sys.stderr)
         return 2
-    print(reports.canonical_json(report))
+    try:
+        text = reports.canonical_json(report)
+    except RecursionError:
+        # json.load reads a document a few levels deeper than the report,
+        # which holds it under `inputs`, can echo it
+        raise ConfigError("an input document nests too deeply to be echoed "
+                          "in the report") from None
+    print(text)
     return 0 if report["ok"] else 2
 
 
@@ -158,14 +165,14 @@ def _run_chern(args):
     def components():
         return True, {
             "rank": str(bundle.rank),
-            "components": {str(degree): part.to_json()
+            "components": {str(degree): reports.Encoded(part.json_text())
                            for degree, part in graded_components(chern(bundle)).items()},
         }
 
     def euler_class():
         top = euler(bundle)
         return True, {"degree": str(2 * bundle.rank), "nonzero": not top.is_zero(),
-                      "class": top.to_json()}
+                      "class": reports.Encoded(top.json_text())}
 
     return ({"space": space_doc, "bundle": bundle_doc},
             [("chern_components", components), ("euler_class", euler_class)])

@@ -9,6 +9,10 @@ presents the ring (`SpaceDescriptor.caps`, by generator position).  A class
 is stored as a sparse map from exponent vectors to arbitrary-precision
 integers; any term whose exponent reaches its cap is identically zero and
 is dropped on sight.
+
+A class is written out as canonical JSON text straight from its sorted
+terms (`GradedClass.json_text`), one formatted row per term, with no
+per-term object built for an encoder to walk.
 """
 
 from __future__ import annotations
@@ -85,9 +89,14 @@ class GradedClass:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"terms": [{"exponents": list(e), "coefficient": str(c)}
-                          for e, c in sorted(self.terms.items())]}
+    def json_text(self) -> str:
+        """The class as canonical JSON text: `{"terms":[...]}` with one
+        `{"coefficient":"<decimal>","exponents":[...]}` row per term, in
+        exponent order, keys sorted and no whitespace, as
+        `reports.canonical_json` writes a dict.  Like `str`, `%d` refuses a
+        coefficient past the interpreter's int->str digit limit."""
+        row = '{"coefficient":"%d","exponents":[' + ",".join(["%d"] * len(self.space.caps)) + "]}"
+        return '{"terms":[' + ",".join([row % (c, *e) for e, c in sorted(self.terms.items())]) + "]}"
 
     @staticmethod
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":

@@ -5,14 +5,23 @@ pair of decimal strings, so reports are exact and independent of platform
 float behaviour.  Reports are deterministic given identical inputs and
 engine version once the volatile wall-time field is dropped, which is what
 `normalize_report` is for.
+
+A value the engine has already written as canonical JSON text, such as a
+cohomology class with its many terms (`GradedClass.json_text`), goes into a
+report as an `Encoded` fragment.  `canonical_json` splices the text in
+where the value sits, so the report's bytes are those of the same report
+with the value held as plain JSON, and no per-term object is built or
+encoded again.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from fractions import Fraction
 from importlib import resources
+from itertools import count
 
 import jsonschema
 
@@ -53,8 +62,52 @@ def assemble(command: str, inputs: dict, checks: list[dict],
     }
 
 
+class Encoded:
+    """A report value given as its canonical JSON text (sorted keys, no
+    whitespace), which `canonical_json` writes out as it stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """The report as one line of JSON with sorted keys and no whitespace.
+
+    Each `Encoded` fragment is first encoded as a placeholder string, built
+    from a random nonce, and its text then replaces the placeholder.  A
+    placeholder that does not occur exactly once, because an input string
+    happens to hold it, is retried with a fresh nonce and the attempt number,
+    so the output is never wrong.  A report without fragments never draws a
+    nonce.  Any other value that is not JSON raises TypeError.
+    """
+    fragments: list[str] = []
+    tag = ""
+
+    def placeholder(value):
+        nonlocal tag
+        if not isinstance(value, Encoded):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not tag:
+            tag = f"{os.urandom(16).hex()}.{attempt}."
+        fragments.append(value.text)
+        return f"{tag}{len(fragments) - 1}"
+
+    for attempt in count():
+        fragments.clear()
+        tag = ""
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=placeholder)
+        if not fragments:
+            return text
+        marker = '"' + tag
+        if text.count(marker) == len(fragments):
+            # the i-th piece after a marker opens with the rest of placeholder
+            # i: its index and the closing quote
+            pieces = text.split(marker)
+            return pieces[0] + "".join(
+                fragment + piece[len(str(i)) + 1:]
+                for i, (fragment, piece) in enumerate(zip(fragments, pieces[1:])))
 
 
 def normalize_report(doc: dict) -> dict:

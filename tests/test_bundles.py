@@ -54,7 +54,7 @@ def bundle_document(trivial: int, lines: list[tuple[GradedClass, int]]) -> dict:
     """The `chern --bundle` document of a trivial rank and (line class, mult) pairs."""
     return json.loads(json.dumps({
         "trivial": str(trivial),
-        "summands": [{"line": line.to_json(), "mult": str(m)} for line, m in lines]}))
+        "summands": [{"line": json.loads(line.json_text()), "mult": str(m)} for line, m in lines]}))
 
 
 def random_bundle(rng: random.Random, space: SpaceDescriptor,

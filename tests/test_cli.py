@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import villadsen
 from villadsen import type_two
 from villadsen.cli import main
 from villadsen.growth import unit_multiplicity
@@ -548,6 +551,81 @@ def test_deeply_nested_document_is_usage_error(slot, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and path in errors[0]
+
+
+NESTED_DEPTHS = range(980, 1001)
+
+# One interpreter per slot calls `main` from its top level, as the console
+# script does, at every depth: json.load reads a document a few levels
+# deeper than the report can echo, and where that window falls depends on
+# how deep the caller's stack already is, so under pytest's own stack it
+# would fall elsewhere.
+NESTED_RUNS = """
+import contextlib, io, json, sys, traceback
+from villadsen.cli import main
+slot, space, bundle, config, *depths = sys.argv[1:]
+runs = {}
+for depth in map(int, depths):
+    if slot == "space":  # an unused key, echoed under `inputs`
+        nest = "[" * (depth - 1) + "]" * (depth - 1)
+        text = '{"factors": [{"kind": "s2"}, {"kind": "s2"}], "unused": %s}' % nest
+    else:
+        nest = "[" * (depth - 2) + "]" * (depth - 2)
+        text = '{"seed_dim": 6, "steps": [%s]}' % nest
+    with open(space if slot == "space" else config, "w") as fh:
+        fh.write(text)
+    argv = (["chern", "--space", space, "--bundle", bundle] if slot == "space"
+            else ["vi", "--config", config])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except BaseException:
+            traceback.print_exc()
+            code = None
+    runs[depth] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def nested_runs(tmp_path_factory):
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    runs = {}
+
+    def run(slot):
+        if slot not in runs:
+            tmp = tmp_path_factory.mktemp(f"nested-{slot}")
+            space, bundle = write_sphere_pair(tmp)
+            argv = [sys.executable, "-c", NESTED_RUNS, slot, space, bundle,
+                    str(tmp / "vi.json"), *map(str, NESTED_DEPTHS)]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs[slot] = {int(depth): run for depth, run in json.loads(done.stdout).items()}
+        return runs[slot]
+    return run
+
+
+@pytest.mark.parametrize("depth", NESTED_DEPTHS)
+@pytest.mark.parametrize("slot", ["space", "config"])
+def test_nesting_near_the_recursion_limit_is_a_report_or_one_error_line(
+        slot, depth, nested_runs):
+    # a depth json.load reads but the report cannot echo was a traceback
+    code, out, err = nested_runs(slot)[depth]
+    assert "Traceback" not in err
+    if code == 0:
+        # the echoed document is as deep as the decoder's stack allows, and
+        # pytest's frames sit below this one
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 1000)
+        try:
+            doc = json.loads(out)
+        finally:
+            sys.setrecursionlimit(limit)
+        validate_report(doc)
+    else:
+        assert code == 1 and out == ""
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 BOOLEAN_SLOT_DOCUMENTS = {

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import sys
 from functools import reduce
 
 import pytest
@@ -185,11 +187,56 @@ def test_kunneth_agrees_with_full_expansion():
 
 
 def test_class_serialization_round_trip():
-    import json
     space = SpaceDescriptor((cproj(3), *spheres(1).factors))
     a = GradedClass(space, {(2, 1): 10 ** 30, (0, 0): -1})
-    doc = json.loads(json.dumps(a.to_json()))
+    doc = json.loads(a.json_text())
     assert GradedClass.from_json(space, doc) == a
+
+
+def dict_form_text(a: GradedClass) -> str:
+    """Oracle: the class as a dict with one object per term, encoded the way
+    `reports.canonical_json` encodes a report."""
+    doc = {"terms": [{"exponents": list(e), "coefficient": str(c)}
+                     for e, c in sorted(a.terms.items())]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def graded_classes(draw):
+    # disks carry no generator, so some spaces (the empty one too) have none
+    atoms = st.one_of(st.just(sphere2()), st.builds(cproj, st.integers(1, 4)),
+                      st.builds(disk, st.integers(1, 3)))
+    space = SpaceDescriptor(tuple(draw(st.lists(atoms, max_size=5))))
+    exponents = st.tuples(*[st.integers(0, cap - 1) for cap in space.caps])
+    terms = draw(st.dictionaries(exponents, st.integers(-10 ** 40, 10 ** 40), max_size=8))
+    return GradedClass(space, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_classes())
+def test_class_text_is_its_dict_form_encoded(a):
+    assert a.json_text() == dict_form_text(a)
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor(()), SpaceDescriptor((disk(2),)), spheres(3)])
+def test_zero_and_constant_class_text(space):
+    zero = GradedClass.zero(space)
+    assert zero.json_text() == dict_form_text(zero) == '{"terms":[]}'
+    constant = GradedClass(space, {(0,) * len(space.caps): -5})
+    assert constant.json_text() == dict_form_text(constant)
+
+
+def test_class_text_past_the_int_digit_limit():
+    from villadsen.cli import _unlimited_int_digits
+
+    space = SpaceDescriptor((cproj(2), sphere2()))
+    a = GradedClass(space, {(1, 0): -(10 ** 5000) - 7, (2, 1): 3})
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ValueError):  # refused like str() under the default limit
+            a.json_text()
+    with _unlimited_int_digits():
+        assert a.json_text() == dict_form_text(a)
+        assert '"coefficient":"-1' + "0" * 4999 + '7"' in a.json_text()
 
 
 def test_class_document_adds_repeated_exponent_vectors():

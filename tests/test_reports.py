@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import villadsen
-from villadsen.reports import load_schema, validate_report
+from villadsen.reports import Encoded, canonical_json, load_schema, validate_report
 
 
 def test_packaged_schema_is_a_valid_schema():
@@ -61,3 +62,58 @@ def test_every_report_is_still_validated():
                 {**good, "checks": [{"name": "c", "outcome": "maybe"}]}):
         with pytest.raises(jsonschema.ValidationError):
             validate_report(bad)
+
+
+def canonical_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_fragments_are_spliced_where_their_values_sit():
+    doc = {"b": Encoded('{"terms":[]}'), "a": [Encoded("[1,2]"), "x"],
+           "c": {"z": Encoded('"s"'), "y": None}}
+    plain = {"b": {"terms": []}, "a": [[1, 2], "x"], "c": {"z": "s", "y": None}}
+    assert canonical_json(doc) == canonical_dumps(plain)
+
+
+def test_an_echoed_placeholder_cannot_fool_the_splice(monkeypatch):
+    # with the nonce fixed, learn the placeholder of the first fragment,
+    # then echo it as an input string beside, and as a key next to, fragments
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x07" * n)
+    seen = []
+    dumps = json.dumps
+
+    def recording_dumps(*args, **kwargs):
+        text = dumps(*args, **kwargs)
+        seen.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", recording_dumps)
+    assert canonical_json({"a": Encoded("1")}) == '{"a":1}'
+    placeholder = json.loads(seen[0])["a"]
+    assert isinstance(placeholder, str)
+    doc = {"a": Encoded("1"), "echo": placeholder, placeholder: [placeholder, Encoded("2")],
+           "quoted": 'x"' + placeholder}
+    plain = {"a": 1, "echo": placeholder, placeholder: [placeholder, 2],
+             "quoted": 'x"' + placeholder}
+    seen.clear()
+    assert canonical_json(doc) == dumps(plain, sort_keys=True, separators=(",", ":"))
+    assert len(seen) == 2  # the collision was seen, and the retry did not collide
+
+
+def test_a_report_without_fragments_draws_no_nonce(monkeypatch):
+    def no_urandom(n):
+        raise AssertionError("os.urandom called")
+
+    monkeypatch.setattr(os, "urandom", no_urandom)
+    doc = {"command": "v2", "inputs": {"k": "2", "n": [1, {"x": None}]}, "ok": True,
+           "checks": [{"name": "c", "outcome": "pass", "certificate": {"v": "-12"}}],
+           "text": 'quote " and é'}
+    assert canonical_json(doc) == canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2)])
+def test_a_value_that_is_not_json_still_raises(value):
+    with pytest.raises(TypeError):
+        canonical_json({"ok": True, "value": value})
+    with pytest.raises(TypeError):
+        canonical_json({"fragment": Encoded("1"), "value": [value]})

@@ -19,6 +19,8 @@ comparability chain builds a fixed number of bundles.  The witness sum of
 a stage is the one before plus one new line block, and the connecting map
 projects onto a prefix of the factors, so a sweep or a chain step hands a
 fixed number of summands to the bundle constructors and compares no atom.
+A `chern` call writes each nonzero degree of the Chern class, and the
+Euler class, as one text fragment, not as an object per term.
 """
 
 from __future__ import annotations
@@ -294,3 +296,29 @@ def test_cfp_builds_its_first_stage_certificate_once(monkeypatch, capsys):
         assert main(argv) == 0
         assert len(calls) == expected, argv
     capsys.readouterr()
+
+
+def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
+    # 12 spheres, each carrying one line summand: c = prod(1 + x_i) has
+    # 2**12 terms in 13 nonzero degrees, and the Euler class is the top one
+    generators = 12
+    space, bundle = tmp_path / "space.json", tmp_path / "bundle.json"
+    space.write_text(json.dumps({"factors": [{"kind": "s2"}] * generators}))
+    bundle.write_text(json.dumps({"summands": [
+        {"line": {"terms": [{"exponents": [int(i == p) for i in range(generators)],
+                             "coefficient": "1"}]}, "mult": "1"}
+        for p in range(generators)]}))
+    fragments = []
+    encoded_init = reports.Encoded.__init__
+
+    def counting_init(self, text):
+        fragments.append(text)
+        encoded_init(self, text)
+
+    monkeypatch.setattr(reports.Encoded, "__init__", counting_init)
+    assert main(["chern", "--space", str(space), "--bundle", str(bundle)]) == 0
+    components = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]["components"]
+    assert len(components) == generators + 1
+    assert sum(len(part["terms"]) for part in components.values()) == 2 ** generators
+    assert len(fragments) == len(components) + 1
+    assert not hasattr(GradedClass, "to_json")
