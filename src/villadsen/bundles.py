@@ -58,7 +58,7 @@ class BundleExpr:
     zero multiplicities dropped.  The parts keep the order of their first
     pairs; equality and hash ignore it, and the repr lists them in
     descending position.  The rank is summed once, while the parts are
-    merged, and `extend` carries it.
+    merged.
     """
 
     __slots__ = ("base", "trivial_rank", "parts", "rank")
@@ -71,28 +71,6 @@ class BundleExpr:
         self.trivial_rank = trivial_rank
         self.parts = {}
         self.rank = trivial_rank + self._merge(parts)
-
-    def extend(self, base: SpaceDescriptor, parts: Iterable[tuple[int, int]] = (),
-               trivial_rank: int = 0) -> "BundleExpr":
-        """This bundle pulled back to `base`, plus the summands `parts` and
-        `trivial_rank` trivial lines.
-
-        `base` must begin with this bundle's base's factors, as a later
-        stage of a tower does, so the pullback keeps every position.  Equal
-        to `BundleExpr(base, self.trivial_rank + trivial_rank,
-        [*self.parts.items(), *parts])`; this bundle's parts are copied as
-        one dict and its rank is carried, so the cost is that of `parts`.
-        """
-        if base.factors[:len(self.base.factors)] != self.base.factors:
-            raise BaseMismatchError("the new base does not extend the bundle's base")
-        if trivial_rank < 0:
-            raise ValueError("trivial rank must be >= 0")
-        bundle = object.__new__(BundleExpr)
-        bundle.base = base
-        bundle.trivial_rank = self.trivial_rank + trivial_rank
-        bundle.parts = dict(self.parts)
-        bundle.rank = self.rank + trivial_rank + bundle._merge(parts)
-        return bundle
 
     def _merge(self, parts: Iterable[tuple[int, int]]) -> int:
         # only while the bundle is being built: adds the pairs to the parts
@@ -255,15 +233,12 @@ def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
     """Pull a bundle back along a map; constants yield trivial bundles.
 
     Under a projection each summand moves to the position its generator
-    pulls back to; onto a prefix of the source's factors that is its own
-    position, so the bundle is extended to the source (`BundleExpr.extend`).
+    pulls back to (`pullback_positions`).
     """
     if b.base != f.target:
         raise BaseMismatchError("bundle does not live over the map's target")
     if f.kind == CONSTANT:
         return trivial_bundle(f.source, b.rank)
-    if f.onto_prefix:
-        return b.extend(f.source)
     moved = pullback_positions(f)
     return BundleExpr(f.source, b.trivial_rank,
                       [(moved[pos], m) for pos, m in b.parts.items()])
@@ -303,7 +278,8 @@ def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr
     """Image of a bundle under a diagonal map given by eigenvalue-map slots.
 
     All maps must share one source (the next stage space) and target the
-    bundle's base.
+    bundle's base.  Each slot's piece, times its multiplicity, is merged
+    into one bundle over the source.
     """
     if not slots:
         raise ValueError("diagonal map needs at least one slot")
@@ -313,24 +289,14 @@ def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr
             raise BaseMismatchError("all eigenvalue maps must share a source")
         if s.eigenvalue_map.target != b.base:
             raise BaseMismatchError("eigenvalue map target differs from the bundle base")
-    pieces = []
+    trivial_rank, parts = 0, []
     for s in slots:
         piece = pullback_bundle(s.eigenvalue_map, b)
         if s.carrier is not None:
             piece = tensor_line(piece, s.carrier)
-        pieces.append((piece, s.multiplicity))
-    # the largest piece of multiplicity one is extended by the others; along
-    # a type-II connecting map it is the bundle pulled back to the next stage,
-    # so a step costs the one new summand, not the bundle's parts
-    kept = max((piece for piece, mult in pieces if mult == 1),
-               key=lambda piece: len(piece.parts), default=trivial_bundle(source, 0))
-    trivial_rank = 0
-    parts = []
-    for piece, mult in pieces:
-        if piece is not kept:
-            trivial_rank += piece.trivial_rank * mult
-            parts.extend((pos, m * mult) for pos, m in piece.parts.items())
-    return kept.extend(source, parts, trivial_rank)
+        trivial_rank += piece.trivial_rank * s.multiplicity
+        parts.extend((pos, m * s.multiplicity) for pos, m in piece.parts.items())
+    return BundleExpr(source, trivial_rank, parts)
 
 
 def euler_nonzero(b: BundleExpr) -> tuple[bool, str]:

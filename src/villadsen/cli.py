@@ -141,8 +141,9 @@ def _check(name: str, compute) -> dict:
     try:
         return reports.check(name, *compute())
     except GeneratorBudgetExceeded as exc:
-        return reports.refused(name, str(exc), {
-            "required": str(exc.required), "budget": str(exc.budget)})
+        required = ({"required": str(exc.required)} if exc.required is not None
+                    else {"required_log2": str(exc.required_log2)})
+        return reports.refused(name, str(exc), {**required, "budget": str(exc.budget)})
     except CrossCheckDisagreement as exc:
         return reports.check(name, False, message=str(exc))
 
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         with _unlimited_int_digits():
             checks = [_check(name, compute) for name, compute in computations]
             return _emit(reports.assemble(args.subcommand, inputs, checks, started))
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,10 +4,7 @@ A space is an ordered product of atoms: powers of the 2-disk (contractible,
 carrying dimension only), 2-spheres, and complex projective spaces.  The
 factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
-factor order, with its power cap.  `SpaceDescriptor.extend` appends
-factors to a space and derives the product's ring data from the space's,
-which is how a type-II comparability chain builds each stage from the one
-before.
+factor order, with its power cap, computed in one pass over the factors.
 Maps between such products are coordinate projections or constant maps.
 Points are opaque labels, never coordinates.  `read_int` is the one reader
 of the integers in input documents and on the command line.
@@ -129,10 +126,9 @@ class SpaceDescriptor:
     the power caps by position and `positions` maps a generator's factor
     index to its position.
 
-    The ring data and the real dimension are computed once, when the
-    descriptor is built, so `extend` derives them from its predecessor's
-    and visits only the new atoms.  Equality and hash are those of the
-    factor tuple.
+    The ring data and the real dimension are computed once, in one pass
+    over the factors, when the descriptor is built.  Equality and hash are
+    those of the factor tuple.
     """
 
     factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
@@ -141,40 +137,18 @@ class SpaceDescriptor:
     real_dimension: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        atoms = tuple(self.factors)
-        for name, value in _EMPTY_PRODUCT.items():
-            object.__setattr__(self, name, value)
-        self._append(atoms)
-
-    def extend(self, atoms) -> "SpaceDescriptor":
-        """This space times `atoms`, which follow its factors.
-
-        Equal to `SpaceDescriptor(self.factors + tuple(atoms))`; this
-        space's tuples and dict are copied, not rebuilt, and only the new
-        atoms are visited.  A comparability chain takes each stage from the
-        one before this way; the type-II walk itself builds no space.
-        """
-        space = object.__new__(SpaceDescriptor)
-        space.__dict__.update(self.__dict__)
-        space._append(tuple(atoms))
-        return space
-
-    def _append(self, atoms: tuple[SpaceAtom, ...]) -> None:
         # only while the descriptor is being built: it is frozen afterwards
-        dim = self.real_dimension
-        idx, pos = len(self.factors), len(self.caps)
-        caps, positions = [], {}
-        for atom in atoms:
+        factors = tuple(self.factors)
+        caps, positions, dim = [], {}, 0
+        for idx, atom in enumerate(factors):
             dim += atom.real_dimension
             cap = atom.generator_cap
             if cap is not None:
+                positions[idx] = len(caps)
                 caps.append(cap)
-                positions[idx] = pos
-                pos += 1
-            idx += 1
-        object.__setattr__(self, "factors", self.factors + atoms)
-        object.__setattr__(self, "caps", self.caps + tuple(caps))
-        object.__setattr__(self, "positions", {**self.positions, **positions})
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "caps", tuple(caps))
+        object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "real_dimension", dim)
 
     def __eq__(self, other) -> bool:
@@ -207,10 +181,6 @@ class SpaceDescriptor:
                                      for a in json_list(doc["factors"], "factors")))
 
 
-# the fields of the product of no factors, where every descriptor starts
-_EMPTY_PRODUCT = {"factors": (), "caps": (), "positions": {}, "real_dimension": 0}
-
-
 def spheres(n: int) -> SpaceDescriptor:
     """The n-fold product of 2-spheres."""
     return SpaceDescriptor(tuple(sphere2() for _ in range(n)))
@@ -225,54 +195,38 @@ class SpaceMap:
     """A structure-preserving map between product spaces.
 
     A projection selects source factors matching the target's factor list
-    exactly (indices are 0-based positions in the source).  A projection
-    onto the first factors of its source, in order, stores its indices as
-    `range(t)` (`onto_prefix`), any other as a tuple.  A constant map
-    records only an opaque point label.
+    exactly (indices are 0-based positions in the source, stored as a
+    tuple).  A constant map records only an opaque point label.
     """
 
     source: SpaceDescriptor
     target: SpaceDescriptor
     kind: str
-    indices: tuple[int, ...] | range = ()
+    indices: tuple[int, ...] = ()
     point: str = ""
 
     def __post_init__(self):
         if self.kind == PROJECTION:
-            factors, target, t = self.source.factors, self.target.factors, len(self.indices)
-            if t != len(target):
+            factors, target = self.source.factors, self.target.factors
+            indices = tuple(self.indices)
+            object.__setattr__(self, "indices", indices)
+            if len(indices) != len(target):
                 raise ValueError("projection must select one source factor per target factor")
-            if self.indices == range(t) or tuple(self.indices) == tuple(range(t)):
-                # a tower stage onto the stage before: one tuple comparison,
-                # in which the atoms the two share compare by identity
-                object.__setattr__(self, "indices", range(t))
-                if t > len(factors):
-                    raise ValueError(f"projection index {t - 1} out of range")
-                selected = factors[:t]
-            else:
-                indices = tuple(self.indices)
-                object.__setattr__(self, "indices", indices)
-                if len(set(indices)) != t:
-                    raise ValueError("projection must select distinct source factors")
-                for idx in indices:
-                    if not 0 <= idx < len(factors):
-                        raise ValueError(f"projection index {idx} out of range")
-                selected = tuple(factors[idx] for idx in indices)
+            if len(set(indices)) != len(indices):
+                raise ValueError("projection must select distinct source factors")
+            for idx in indices:
+                if not 0 <= idx < len(factors):
+                    raise ValueError(f"projection index {idx} out of range")
+            selected = tuple(factors[idx] for idx in indices)
             if selected != target:
                 pos = next(pos for pos, atom in enumerate(selected) if atom != target[pos])
-                raise ValueError(f"selected source factor {self.indices[pos]} does not "
+                raise ValueError(f"selected source factor {indices[pos]} does not "
                                  f"match target factor {pos}")
         elif self.kind == CONSTANT:
             if not self.point:
                 raise ValueError("constant map needs a point label")
         else:
             raise ValueError(f"unknown map kind {self.kind!r}")
-
-    @property
-    def onto_prefix(self) -> bool:
-        """Whether this projects onto the first factors of its source, in
-        order, so that every target generator keeps its position."""
-        return self.kind == PROJECTION and isinstance(self.indices, range)
 
 
 def projection(source: SpaceDescriptor, target: SpaceDescriptor, indices) -> SpaceMap:

@@ -167,10 +167,13 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
         raise ValueError("multiplicities must be positive")
     count = len(multiplicities)
     gens = n * count
-    cost, budget = 2 ** gens, expansion_budget()
-    if cost > budget:
-        raise GeneratorBudgetExceeded(cost, budget,
-                                      f"top Chern witness expansion over {gens} generators")
+    budget = expansion_budget()
+    # 2^gens > budget exactly when gens reaches the budget's bit length, so
+    # no power of two past the budget is formed
+    if gens >= budget.bit_length():
+        raise GeneratorBudgetExceeded(None, budget,
+                                      f"top Chern witness expansion over {gens} generators",
+                                      required_log2=gens)
     closed = 1
     for m in multiplicities:
         closed *= m ** n

