@@ -7,10 +7,10 @@ of the base's ring, so a summand is stored as that generator's position
 (an index into `base.caps`) together with its multiplicity, and a
 diagonal slot's carrier line is a position too.  Line classes are read
 only from a bundle document (`parse_bundle`).  The Chern expansion builds
-no line classes either: it hands each summand's truncated binomial series
-to `line_series_product`, which multiplies series on distinct generators
-as one Cartesian product; `chern_component` multiplies the same series
-but keeps only the terms that can still reach one degree.  Multiplicities
+no line classes either: `chern_series` checks the budget and builds each
+summand's truncated binomial series, which `line_series_product` multiplies
+into a class, `line_series_texts` into each degree's class text, and
+`chern_component` into the terms of one degree alone.  Multiplicities
 grow factorially along the inductive systems, so they are never assumed
 to fit a machine word.
 
@@ -161,20 +161,22 @@ def chern_expansion_cost(b: BundleExpr) -> int:
     return prod(top + 1 for _, _, top in top_powers(b))
 
 
-def chern(b: BundleExpr) -> GradedClass:
-    """Total Chern class: the product of (1 + line)^multiplicity, capped.
-
-    The trivial part contributes 1.  Refuses with GeneratorBudgetExceeded if
-    the expansion would exceed the term budget of `expansion_budget()`.
-    """
+def chern_series(b: BundleExpr) -> list[tuple[int, list[int]]]:
+    """The factors of chern(b): each summand's (1 + y)^mult truncated at its
+    cap, as (position, [C(mult, i) for each power i up to the top]).  Refuses
+    with GeneratorBudgetExceeded, before building any, if their product
+    would exceed the term budget of `expansion_budget()`."""
     budget = expansion_budget()
     cost = chern_expansion_cost(b)
     if cost > budget:
         raise GeneratorBudgetExceeded(cost, budget, "Chern class expansion")
-    # (1 + y)^mult truncated at the generator's cap: sum of C(mult, i) y^i
-    return line_series_product(b.base, [
-        (pos, [comb(mult, i) for i in range(top + 1)])
-        for pos, mult, top in top_powers(b)])
+    return [(pos, [comb(mult, i) for i in range(top + 1)]) for pos, mult, top in top_powers(b)]
+
+
+def chern(b: BundleExpr) -> GradedClass:
+    """Total Chern class: the product of (1 + line)^multiplicity, capped.
+    The trivial part contributes 1; past the budget `chern_series` refuses."""
+    return line_series_product(b.base, chern_series(b))
 
 
 def chern_component(b: BundleExpr, degree: int) -> GradedClass:

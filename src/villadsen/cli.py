@@ -24,8 +24,8 @@ from jsonschema import ValidationError
 
 from . import cfp as cfp_mod
 from . import reports
-from .bundles import chern, euler, parse_bundle
-from .cohomology import graded_components
+from .bundles import chern_series, euler, parse_bundle
+from .cohomology import line_series_texts
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
 from .spaces import SpaceDescriptor, read_int
@@ -166,8 +166,8 @@ def _run_chern(args):
     def components():
         return True, {
             "rank": str(bundle.rank),
-            "components": {str(degree): reports.Encoded(part.json_text())
-                           for degree, part in graded_components(chern(bundle)).items()},
+            "components": {str(degree): reports.Encoded(text) for degree, text
+                           in line_series_texts(bundle.base, chern_series(bundle)).items()},
         }
 
     def euler_class():

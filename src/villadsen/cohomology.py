@@ -12,7 +12,8 @@ is dropped on sight.
 
 A class is written out as canonical JSON text straight from its sorted
 terms (`GradedClass.json_text`), one formatted row per term, with no
-per-term object built for an encoder to walk.
+per-term object built for an encoder to walk; `line_series_texts` writes
+a product of line series that way, degree by degree, with no class at all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from itertools import product
 from math import prod
 
 from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
+
+# one term of a class as canonical JSON, from its coefficient and exponent text
+_ROW = '{"coefficient":"%d","exponents":[%s]}'
 
 
 class GradedClass:
@@ -95,8 +99,8 @@ class GradedClass:
         exponent order, keys sorted and no whitespace, as
         `reports.canonical_json` writes a dict.  Like `str`, `%d` refuses a
         coefficient past the interpreter's int->str digit limit."""
-        row = '{"coefficient":"%d","exponents":[' + ",".join(["%d"] * len(self.space.caps)) + "]}"
-        return '{"terms":[' + ",".join([row % (c, *e) for e, c in sorted(self.terms.items())]) + "]}"
+        return '{"terms":[' + ",".join([_ROW % (c, ",".join(map(str, e)))
+                                        for e, c in sorted(self.terms.items())]) + "]}"
 
     @staticmethod
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
@@ -108,6 +112,23 @@ class GradedClass:
             exps = tuple(read_int(x, "exponent") for x in json_list(t["exponents"], "exponents"))
             terms[exps] = terms.get(exps, 0) + read_int(t["coefficient"], "coefficient")
         return GradedClass(space, terms)
+
+
+def _series_by_position(space: SpaceDescriptor, factors: list) -> dict[int, list[int]]:
+    """The factors by position, if `line_series_product`'s preconditions hold."""
+    caps = space.caps
+    series: dict[int, list[int]] = {}
+    for pos, coeffs in factors:
+        if not 0 <= pos < len(caps):
+            raise ValueError(f"no generator at position {pos}")
+        if pos in series:
+            raise ValueError(f"position {pos} carries two factors")
+        if len(coeffs) > caps[pos]:
+            raise ValueError(f"series at position {pos} reaches its cap {caps[pos]}")
+        if not all(coeffs):
+            raise ValueError(f"series at position {pos} has a zero coefficient")
+        series[pos] = coeffs
+    return series
 
 
 def line_series_product(space: SpaceDescriptor,
@@ -122,32 +143,43 @@ def line_series_product(space: SpaceDescriptor,
     nothing to merge, cap or cancel.  The preconditions are checked once
     per factor (ValueError if one fails), not once per term.
     """
-    caps = space.caps
-    series: dict[int, list[int]] = {}
-    for pos, coeffs in factors:
-        if not 0 <= pos < len(caps):
-            raise ValueError(f"no generator at position {pos}")
-        if pos in series:
-            raise ValueError(f"position {pos} carries two factors")
-        if len(coeffs) > caps[pos]:
-            raise ValueError(f"series at position {pos} reaches its cap {caps[pos]}")
-        if not all(coeffs):
-            raise ValueError(f"series at position {pos} has a zero coefficient")
-        series[pos] = coeffs
+    series = _series_by_position(space, factors)
     # itertools.product varies the last position fastest in both products,
     # so exponent tuples and coefficient choices come out aligned
     exponents = product(*[range(len(series[p])) if p in series else (0,)
-                          for p in range(len(caps))])
+                          for p in range(len(space.caps))])
     choices = product(*[series[p] for p in sorted(series)])
     return GradedClass._normal(space, {e: prod(c) for e, c in zip(exponents, choices)})
 
 
-def graded_components(a: GradedClass) -> dict[int, GradedClass]:
-    """The nonzero homogeneous components of a class, by degree, in one pass."""
-    split: dict[int, dict] = {}
-    for exps, coeff in a.terms.items():
-        split.setdefault(2 * sum(exps), {})[exps] = coeff
-    return {d: GradedClass._normal(a.space, split[d]) for d in sorted(split)}
+def line_series_texts(space: SpaceDescriptor,
+                      factors: list[tuple[int, list[int]]]) -> dict[int, str]:
+    """The homogeneous components of `line_series_product(space, factors)`,
+    by degree, as `json_text` writes them, with no class built.  The factors
+    are walked in position order; each prefix of a term carries its exponent
+    text, power sum and coefficient, built once for all its terms.  Terms
+    come out in exponent order, so each degree's rows are already sorted,
+    and every power sum up to the top one is reached."""
+    series = _series_by_position(space, factors)
+    order, n = sorted(series), len(space.caps)
+    head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
+    # per factor: each power's text, with the zeros up to the next factor, and its coefficient
+    levels = [([("," if pos else "") + str(i) + ",0" * (end - pos - 1)
+                for i in range(len(series[pos]))], series[pos])
+              for pos, end in zip(order, order[1:] + [n])]
+    # the last factor turns each prefix into rows (with no factor, the row of 1)
+    *inner, (pieces, coeffs) = levels or [([""], [1])]
+    prefixes = [(head, 0, 1)]  # (exponent text, power sum, coefficient)
+    for inner_pieces, inner_coeffs in inner:
+        prefixes = [(text + piece, total + i, coeff * c)
+                    for text, total, coeff in prefixes
+                    for i, (piece, c) in enumerate(zip(inner_pieces, inner_coeffs))]
+    rows: list[list[str]] = [[] for _ in range(prefixes[-1][1] + len(pieces))]
+    last = list(enumerate(zip(pieces, coeffs)))
+    for text, total, coeff in prefixes:
+        for i, (piece, c) in last:
+            rows[total + i].append(_ROW % (coeff * c, text + piece))
+    return {2 * total: '{"terms":[' + ",".join(part) + "]}" for total, part in enumerate(rows)}
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

@@ -18,27 +18,23 @@ class GeneratorBudgetExceeded(RuntimeError):
     """Raised when a full sparse expansion would exceed the configured term
     budget (see the ENGINE_GENERATOR_BUDGET environment variable).
 
-    `required` is the term count.  A count of 2^k terms can be given by its
-    exponent instead (`required_log2` = k): it is formed only while it fits
-    in 1024 bits, and past that `required` is None, so no refusal builds or
-    prints a power of two with millions of digits.
+    `required` is the term count while it is below 2^1024.  Past that it is
+    None and `required_log2` holds the exponent k of the largest power of
+    two 2^k not above it, so no refusal prints a count with millions of
+    digits.  A count of 2^k terms can be given by its exponent alone
+    (`required_log2` = k), and is then formed only below 1024 bits.
     """
 
     def __init__(self, required: int | None, budget: int, what: str = "expansion",
                  required_log2: int | None = None):
         if required_log2 is not None and required_log2 < 1024:
             required, required_log2 = 1 << required_log2, None
+        elif required is not None and required.bit_length() > 1024:
+            required, required_log2 = None, required.bit_length() - 1
         self.required = required
         self.required_log2 = required_log2
         self.budget = budget
-        # a term count can run to millions of digits, past Python's limit for
-        # printing an int; past 1024 bits the message gives its power of two
-        if required is None:
-            shown = f"at least 2^{required_log2}"
-        elif required.bit_length() <= 1024:
-            shown = required
-        else:
-            shown = f"at least 2^{required.bit_length() - 1}"
+        shown = required if required is not None else f"at least 2^{required_log2}"
         super().__init__(
             f"{what} needs {shown} terms but the budget is {budget}; "
             f"raise ENGINE_GENERATOR_BUDGET to allow it"

@@ -7,11 +7,11 @@ engine version once the volatile wall-time field is dropped, which is what
 `normalize_report` is for.
 
 A value the engine has already written as canonical JSON text, such as a
-cohomology class with its many terms (`GradedClass.json_text`), goes into a
-report as an `Encoded` fragment.  `canonical_json` splices the text in
-where the value sits, so the report's bytes are those of the same report
-with the value held as plain JSON, and no per-term object is built or
-encoded again.
+class (`GradedClass.json_text`) or Chern component (`line_series_texts`),
+goes into a report as an `Encoded` fragment.  `canonical_json` splices the
+text in where the value sits, so the report's bytes are those of the same
+report with the value held as plain JSON, and no per-term object is built
+or encoded again.
 """
 
 from __future__ import annotations

@@ -6,11 +6,14 @@ oracle enumerates eigenvalue-map composites explicitly.  The ring
 references `cup`, `homogeneous_component` and `pullback_class` multiply,
 filter and move exponent vectors term by term, so the engine's kernels
 (`line_series_product`, `chern_component`, `pullback_positions`) are
-checked against them, not against themselves.
+checked against them, not against themselves.  `graded_components` and
+`class_document` split a class by degree and write it as one dict per
+term, the references for the class text the engine writes directly.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -51,6 +54,26 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
 def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     """Reference component: the terms of exactly `degree` (none if odd or negative)."""
     return GradedClass(a.space, {e: c for e, c in a.terms.items() if 2 * sum(e) == degree})
+
+
+def graded_components(a: GradedClass) -> dict[int, GradedClass]:
+    """Reference split: the nonzero homogeneous components, by degree."""
+    split: dict[int, dict] = {}
+    for exps, coeff in a.terms.items():
+        split.setdefault(2 * sum(exps), {})[exps] = coeff
+    return {d: GradedClass(a.space, split[d]) for d in sorted(split)}
+
+
+def class_document(a: GradedClass) -> dict:
+    """Reference class document: one object per term, in exponent order."""
+    return {"terms": [{"exponents": list(e), "coefficient": str(c)}
+                      for e, c in sorted(a.terms.items())]}
+
+
+def dict_form_text(a: GradedClass) -> str:
+    """The class document encoded the way `reports.canonical_json` encodes a
+    report."""
+    return json.dumps(class_document(a), sort_keys=True, separators=(",", ":"))
 
 
 def pullback_class(f, a: GradedClass) -> GradedClass:

@@ -1,9 +1,11 @@
 import json
+import os
 import random
 from functools import reduce
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from villadsen.bundles import (
     BundleExpr,
@@ -11,6 +13,7 @@ from villadsen.bundles import (
     chern,
     chern_component,
     chern_expansion_cost,
+    chern_series,
     euler,
     euler_nonzero,
     line_sum,
@@ -20,7 +23,8 @@ from villadsen.bundles import (
     tensor_line,
     trivial_bundle,
 )
-from villadsen.cohomology import GradedClass, graded_components
+from villadsen.cli import _unlimited_int_digits
+from villadsen.cohomology import GradedClass, line_series_texts
 from villadsen.errors import (
     CrossCheckDisagreement,
     GeneratorBudgetExceeded,
@@ -29,9 +33,11 @@ from villadsen.errors import (
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
+    class_document,
     component_dropping_top_term,
     cup,
     direct_sum,
+    graded_components,
     homogeneous_component,
     pullback_class,
     pushforward_from_scratch,
@@ -379,6 +385,53 @@ def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
     for degree in range(0, 2 * sum(space.caps) + 1):
         assert parts.get(degree, GradedClass.zero(space)) == homogeneous_component(total, degree)
         assert chern_component(b, degree) == homogeneous_component(total, degree)
+
+
+# coefficients past the 4300-digit limit: C(m, 4) for m near 10^1100 has
+# about 4400 digits, and a few s2 summands of that size multiply past it
+HUGE = st.integers(10 ** 1000, 10 ** 1100)
+
+
+@st.composite
+def chern_bundles(draw):
+    """A bundle on each generator or none (so generators without a summand
+    sit anywhere), over any mix of disks, spheres and projective spaces,
+    disks alone included; small multiplicities below, at and past the caps,
+    and now and then a huge one."""
+    space = SpaceDescriptor(tuple(draw(st.lists(ATOMS, max_size=5))))
+    mults = st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), HUGE)
+    parts = [(pos, draw(mults)) for pos in range(len(space.caps)) if draw(st.booleans())]
+    return BundleExpr(space, draw(st.integers(0, 2)), parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chern_bundles())
+# summand-free generators before, between and after the summands, with disks
+@example(BundleExpr(SpaceDescriptor((disk(1), sphere2(), cproj(3), disk(2), sphere2(),
+                                     cproj(2), sphere2(), disk(3))),
+                    0, [(1, 3), (3, 2)]))
+@example(BundleExpr(SpaceDescriptor((disk(2), disk(0))), 2))   # no generator at all
+@example(BundleExpr(SpaceDescriptor((cproj(2), sphere2())), 3, [(0, 0)]))   # trivial only
+@example(BundleExpr(SpaceDescriptor((cproj(4), cproj(2))), 0, [(0, 2), (1, 5)]))  # below, at cap
+@example(BundleExpr(SpaceDescriptor((cproj(4), sphere2(), sphere2())), 1,
+                    [(0, 10 ** 1100 + 1), (1, 10 ** 1500), (2, 10 ** 3000)]))  # > 4300 digits
+def test_chern_texts_are_the_class_components_written_out(b):
+    with _unlimited_int_digits():
+        texts = line_series_texts(b.base, chern_series(b))
+        parts = graded_components(chern(b))
+        assert texts == {degree: part.json_text() for degree, part in parts.items()}
+        assert {degree: json.loads(text) for degree, text in texts.items()} == \
+            {degree: class_document(part) for degree, part in parts.items()}
+    # both paths refuse one term past the budget, with the same count
+    cost = chern_expansion_cost(b)
+    if cost > 1:
+        with mock.patch.dict(os.environ, {"ENGINE_GENERATOR_BUDGET": str(cost - 1)}):
+            refusals = []
+            for path in (chern, lambda b: line_series_texts(b.base, chern_series(b))):
+                with pytest.raises(GeneratorBudgetExceeded) as exc:
+                    path(b)
+                refusals.append((exc.value.required, exc.value.budget))
+        assert refusals == [(cost, cost - 1)] * 2
 
 
 def test_euler_cross_check_disagreement_is_reported(monkeypatch):

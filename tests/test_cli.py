@@ -473,6 +473,33 @@ def test_vi_huge_witness_is_refused_by_its_exponent(witness, tmp_path):
         f"top Chern witness expansion over {gens} generators needs at least 2^{gens} terms")
 
 
+def test_chern_huge_cost_is_refused_by_its_exponent(tmp_path):
+    # 60 summands of multiplicity 10^4000 on CP^(10^4000) factors: every
+    # input integer is within the digit limit, but the expansion cost
+    # (10^4000 + 1)^60 has 240 001 digits, which the refusal printed in
+    # full, taking over a second
+    g, big = 60, "1" + "0" * 4000
+    space, bundle = tmp_path / "space.json", tmp_path / "bundle.json"
+    space.write_text(json.dumps({"factors": [{"kind": "cp", "n": big}] * g}))
+    bundle.write_text(json.dumps({"summands": [
+        {"line": {"terms": [{"exponents": [int(i == p) for i in range(g)], "coefficient": "1"}]},
+         "mult": big} for p in range(g)]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    env.pop("ENGINE_GENERATOR_BUDGET", None)
+    done = subprocess.run([sys.executable, "-m", "villadsen.cli", "chern", "--space", str(space),
+                           "--bundle", str(bundle)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    doc = json.loads(done.stdout)
+    validate_report(doc)
+    refused = [c for c in doc["checks"] if c["outcome"] == "refused"]
+    assert [c["name"] for c in refused] == ["chern_components"]
+    # floor(60 * log2(10^4000 + 1)) = floor(240000 * log2(10))
+    assert refused[0]["certificate"] == {"required_log2": "797262", "budget": "100000"}
+    assert refused[0]["message"].startswith(
+        "Chern class expansion needs at least 2^797262 terms")
+
+
 def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
     exact = GeneratorBudgetExceeded(None, 7, required_log2=1023)
     assert (exact.required, exact.required_log2) == (2 ** 1023, None)
@@ -480,6 +507,13 @@ def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
     past = GeneratorBudgetExceeded(None, 7, required_log2=1024)
     assert (past.required, past.required_log2) == (None, 1024)
     assert "needs at least 2^1024 terms" in str(past)
+    # an exact count is kept below 2^1024 and given by its floor log2 from there
+    below = GeneratorBudgetExceeded(2 ** 1024 - 1, 7)
+    assert (below.required, below.required_log2) == (2 ** 1024 - 1, None)
+    for count in (2 ** 1024, 3 * 2 ** 1500 + 5):
+        huge = GeneratorBudgetExceeded(count, 7)
+        assert (huge.required, huge.required_log2) == (None, count.bit_length() - 1)
+        assert f"needs at least 2^{count.bit_length() - 1} terms" in str(huge)
 
 
 # an engine route broken on purpose, by the name it is patched in under

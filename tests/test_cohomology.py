@@ -7,12 +7,14 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from villadsen.cohomology import GradedClass, graded_components, line_series_product
+from villadsen.cohomology import GradedClass, line_series_product, line_series_texts
 from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
     cup,
+    dict_form_text,
+    graded_components,
     homogeneous_component,
     pullback_class,
     random_class,
@@ -193,14 +195,6 @@ def test_class_serialization_round_trip():
     assert GradedClass.from_json(space, doc) == a
 
 
-def dict_form_text(a: GradedClass) -> str:
-    """Oracle: the class as a dict with one object per term, encoded the way
-    `reports.canonical_json` encodes a report."""
-    doc = {"terms": [{"exponents": list(e), "coefficient": str(c)}
-                     for e, c in sorted(a.terms.items())]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 @st.composite
 def graded_classes(draw):
     # disks carry no generator, so some spaces (the empty one too) have none
@@ -260,18 +254,23 @@ def test_line_series_product_is_the_cartesian_product():
     assert got == cup(series_y, series_z)
     assert len(got.terms) == 6
     assert line_series_product(space, []) == unit_class(space)
+    texts = {d: part.json_text() for d, part in graded_components(got).items()}
+    assert line_series_texts(space, [(1, [2, 7]), (0, [4, -5, 6])]) == texts
+    assert line_series_texts(space, []) == {0: unit_class(space).json_text()}
 
 
 def test_line_series_product_checks_each_factor():
+    # the class and the text kernel share one check of the factors
     space = SpaceDescriptor((cproj(2), sphere2()))
-    with pytest.raises(ValueError, match="two factors"):
-        line_series_product(space, [(0, [1, 2]), (1, [1, 1]), (0, [1, 3])])
-    with pytest.raises(ValueError, match="zero coefficient"):
-        line_series_product(space, [(0, [1, 0, 4])])
-    with pytest.raises(ValueError, match="cap"):
-        line_series_product(space, [(1, [1, 2, 1])])
-    with pytest.raises(ValueError, match="no generator"):
-        line_series_product(space, [(2, [1])])
+    for kernel in (line_series_product, line_series_texts):
+        with pytest.raises(ValueError, match="two factors"):
+            kernel(space, [(0, [1, 2]), (1, [1, 1]), (0, [1, 3])])
+        with pytest.raises(ValueError, match="zero coefficient"):
+            kernel(space, [(0, [1, 0, 4])])
+        with pytest.raises(ValueError, match="cap"):
+            kernel(space, [(1, [1, 2, 1])])
+        with pytest.raises(ValueError, match="no generator"):
+            kernel(space, [(2, [1])])
 
 
 @settings(max_examples=150, deadline=None)

@@ -40,6 +40,17 @@ CHERN_BUNDLE = {"trivial": "0", "summands": [
     {"line": _line(2), "mult": "0"},
 ]}
 
+# generators 0, 2 and 4 carry no summand, so they sit before, between and
+# after the summands' positions, and so do the three disks
+GAPS_SPACE = {"factors": [{"kind": "disk", "d": 2}, {"kind": "s2"}, {"kind": "s2"},
+                          {"kind": "disk", "d": 1}, {"kind": "cp", "n": 3},
+                          {"kind": "cp", "n": 2}, {"kind": "s2"}, {"kind": "disk", "d": 3}]}
+GAPS_BUNDLE = {"summands": [
+    {"line": {"terms": [{"exponents": [0, 0, 0, 1, 0], "coefficient": "1"}]}, "mult": "2"},
+    {"line": {"terms": [{"exponents": [0, 1, 0, 0, 0], "coefficient": "1"}]}, "mult": "1"},
+]}
+TRIVIAL_BUNDLE = {"trivial": "2", "summands": [{"line": {"terms": []}, "mult": "1"}]}
+
 VI_CONFIG = {"seed_dim": 6, "steps": [
     {"proj_mults": {"p1": 2, "p2": 1}, "point_evals": 1},
     {"proj_mults": {"q1": 1, "q2": 1, "q3": 1}, "point_evals": 0},
@@ -71,6 +82,13 @@ GOLDEN = {
         "c53b5c01a376adac11da7ff390624acbac4aa62257b60e2b01bf73319126001c",
     "chern --space SPACE --bundle BUNDLE":
         "038d9e7f106e3bd348cace20d6c52f8ecbe513afd16199baed082a027ac7620a",
+    # recorded before the Chern components were written straight from the
+    # summands' series: generators and disks without a summand around the
+    # summands, and a bundle with no line summand at all
+    "chern --space GAPS_SPACE --bundle GAPS_BUNDLE":
+        "428aecf5a12b9949a9a608c579b2af90568f595798d0e4aabe6d11477dc3b6f6",
+    "chern --space SPACE --bundle TRIVIAL_BUNDLE":
+        "fd7f4516dec6620d0896cc5a5a80c552cd79f27ea21203dcecaf0ec9b80633fb",
     "vi --config CONFIG --witness 2":
         "a973b434cf2874a31ae41eaca2b7c8a16993b650ff0cd2927483e3ed746ae171",
     # deeper stages, recorded before the stage spaces were built as a tower,
@@ -116,13 +134,15 @@ EXIT_CODES = {
 def golden_digest(command: str, workdir, capsys) -> tuple[int, str]:
     """Run one grid command; return its exit code and report digest.
 
-    SPACE, BUNDLE, CONFIG and NO_PROJECTIONS in the command name input
+    SPACE, BUNDLE, GAPS_SPACE, GAPS_BUNDLE, TRIVIAL_BUNDLE, CONFIG and
+    NO_PROJECTIONS in the command name input
     documents, which are written into `workdir` first.  Report input
     documents hold the file contents, not the paths, so the digest does not
     depend on `workdir`.
     """
-    files = {"SPACE": CHERN_SPACE, "BUNDLE": CHERN_BUNDLE, "CONFIG": VI_CONFIG,
-             "NO_PROJECTIONS": NO_PROJECTIONS}
+    files = {"SPACE": CHERN_SPACE, "BUNDLE": CHERN_BUNDLE, "GAPS_SPACE": GAPS_SPACE,
+             "GAPS_BUNDLE": GAPS_BUNDLE, "TRIVIAL_BUNDLE": TRIVIAL_BUNDLE,
+             "CONFIG": VI_CONFIG, "NO_PROJECTIONS": NO_PROJECTIONS}
     argv = []
     for word in command.split():
         if word in files:

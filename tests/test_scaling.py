@@ -17,7 +17,9 @@ up the tower and pushes one witness sum through a real connecting map, at
 its last step, so a sweep or a chain step hands a fixed number of
 summands to the bundle constructors and compares no atom.
 A `chern` call writes each nonzero degree of the Chern class, and the
-Euler class, as one text fragment, not as an object per term.
+Euler class, as one text fragment, not as an object per term.  It writes
+the degrees straight from the summands' series: the only class it builds
+past the parsed line classes is the Euler class, and it sorts no terms.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 import jsonschema
 import pytest
 
-from villadsen import cfp, reports, type_two
+from villadsen import bundles, cfp, cli, cohomology, reports, type_two
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -317,9 +319,40 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
         encoded_init(self, text)
 
     monkeypatch.setattr(reports.Encoded, "__init__", counting_init)
+    # every class, whether built by the validating constructor or `_normal`
+    built = []
+    class_init, normal = GradedClass.__init__, GradedClass._normal.__func__
+
+    def counting_class_init(self, space, terms=None):
+        class_init(self, space, terms)
+        built.append(self)
+
+    def counting_normal(cls, space, terms):
+        built.append(normal(cls, space, terms))
+        return built[-1]
+
+    monkeypatch.setattr(GradedClass, "__init__", counting_class_init)
+    monkeypatch.setattr(GradedClass, "_normal", classmethod(counting_normal))
+    sorts = []
+
+    def counting_sorted(items, **kwargs):
+        items = sorted(items, **kwargs)
+        sorts.append(len(items))
+        return items
+
+    for module in (bundles, cli, cohomology):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
     assert main(["chern", "--space", str(space), "--bundle", str(bundle)]) == 0
     components = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]["components"]
     assert len(components) == generators + 1
     assert sum(len(part["terms"]) for part in components.values()) == 2 ** generators
     assert len(fragments) == len(components) + 1
+    # the summands' line classes, as the bundle document is read, then the
+    # Euler class, x_0 * ... * x_11, and nothing else
+    lines = [{tuple(int(i == p) for i in range(generators)): 1} for p in range(generators)]
+    assert [c.terms for c in built] == lines + [{(1,) * generators: 1}]
+    # what is sorted is the 12 summand positions and the Euler class's one
+    # term (in its json_text), never the 2**12 terms of the Chern class
+    assert sorts == [generators, 1]
+    assert not hasattr(cohomology, "graded_components")
     assert not hasattr(GradedClass, "to_json")
