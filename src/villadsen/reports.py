@@ -1,10 +1,16 @@
 """Report assembly, canonical JSON encoding, and schema validation.
 
-Every number in a report is a decimal string and every rational a num/den
-pair of decimal strings, so reports are exact and independent of platform
-float behaviour.  Reports are deterministic given identical inputs and
-engine version once the volatile wall-time field is dropped, which is what
-`normalize_report` is for.
+Numbers in a report follow one rule.  Stage indices and counts are JSON
+integers: `stage`, `max_stage`, `verify_stage`, `from_stage`, `to_stage`,
+`i`, `term` and `index`; the inputs `n`, `terms`, `stage`, `from` and
+`witness` (`null` for an option not given); the CFP first stage's `value`,
+`ratio_induction_base` and `divisibility_from`; the `vi` witness size `n`
+and `sphere_power`; and the exponents of a class term.  Every other number
+is a decimal string, and every rational a num/den pair of decimal strings,
+so reports are exact and independent of platform float behaviour.  Echoed
+input documents keep the numbers as they were written.  Reports are
+deterministic given identical inputs and engine version once the volatile
+wall-time field is dropped, which is what `normalize_report` is for.
 
 A value the engine has already written as canonical JSON text, such as a
 class (`GradedClass.json_text`) or Chern component (`line_series_texts`),
@@ -12,18 +18,24 @@ goes into a report as an `Encoded` fragment.  `canonical_json` splices the
 text in where the value sits, so the report's bytes are those of the same
 report with the value held as plain JSON, and no per-term object is built
 or encoded again.
+
+`validate_report` checks a report against the packaged
+`schemas/report.schema.json`, which states the envelope and each check's
+`name` and `outcome`.  It is standard-library code that reads the schema's
+draft-07 keywords itself.  It descends only where the schema has
+`properties` or `items`, so a certificate or an echoed input document is
+never walked.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from fractions import Fraction
 from importlib import resources
 from itertools import count
-
-import jsonschema
 
 from .version import ENGINE_VERSION
 
@@ -117,22 +129,52 @@ def normalize_report(doc: dict) -> dict:
     return out
 
 
-# the one validator every report goes through, built at import: the draft-07
-# metaschema check costs about 1 ms, paid once per process, not once per call
+# the packaged report schema, read once per process
 _SCHEMA = json.loads(
     resources.files("villadsen.schemas").joinpath("report.schema.json").read_text())
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
-_VALIDATOR.check_schema(_SCHEMA)
+
+# the draft-07 types the schema names, as Python types
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 def load_schema() -> dict:
-    """The packaged report schema, read and checked against its metaschema
-    once per process (shared; do not modify it)."""
-    return _VALIDATOR.schema
+    """The packaged report schema, read once per process (shared; do not
+    modify it)."""
+    return _SCHEMA
 
 
 def validate_report(doc: dict) -> None:
-    """Raise jsonschema.ValidationError unless the report matches the schema."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise error
+    """Raise ValueError, naming the JSON path and the offending value, unless
+    the report matches the packaged schema."""
+    _check_value(_SCHEMA, doc, "$")
+
+
+def _check_value(schema: dict, value, path: str) -> None:
+    """Check `value` against `schema` with the draft-07 keywords the report
+    schema uses: `type`, `enum`, `pattern` (searched, as draft-07 does),
+    `required`, `properties`, `additionalProperties: false` and `items`."""
+    def fail(message: str):
+        raise ValueError(f"at {path}: {message}")
+
+    kind = schema.get("type")
+    if kind is not None and not isinstance(value, _TYPES[kind]):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        fail(f"{value!r} does not match {schema['pattern']!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in properties:
+                    fail(f"additional property {key!r} is not allowed")
+        for key, subschema in properties.items():
+            if key in value:
+                _check_value(subschema, value[key], f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check_value(schema["items"], item, f"{path}[{i}]")

@@ -230,6 +230,22 @@ def test_cfp_override_past_the_factorial_range_is_named(capsys, stage):
 
 
 @pytest.mark.parametrize("argv, option", [
+    (["v2", "-k", "2", "-n", "{big}"], "-n"),
+    (["v2", "-k", "2", "-n", "{big}", "--rc"], "-n"),
+    (["v2", "-k", "2", "-n", "{big}", "--comparability"], "-n"),
+    (["v2", "-k", "2", "-n", "3", "--stage", "{big}", "--comparability"], "--stage"),
+    (["cfp", "--terms", "1", "--stage", "{big}"], "--stage"),
+])
+@pytest.mark.parametrize("big", [str(2 ** 63), "100000000000000000000"])
+def test_stage_past_the_index_range_is_named(capsys, argv, option, big):
+    # islice and math.factorial stop at sys.maxsize
+    code = main([arg.format(big=big) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {option} stage {big} exceeds {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("argv, option", [
     (["v2", "-k", "\u0662", "-n", "3"], "-k"),
     (["v2", "-k", "true", "-n", "3"], "-k"),
     (["v2", "-k", "2", "-n", "1_0", "--trace"], "-n"),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 import villadsen
 from villadsen.reports import Encoded, canonical_json, load_schema, validate_report
@@ -20,48 +21,114 @@ def test_packaged_schema_is_a_valid_schema():
     assert load_schema() == schema
 
 
-def test_schema_uses_draft_07():
-    # every CLI process checks the schema against its metaschema once; the
-    # draft-07 check costs about a third of the 2020-12 one, and the schema's
-    # keywords mean the same in both
-    validator = jsonschema.validators.validator_for(load_schema())
-    assert validator is jsonschema.Draft7Validator
-
-
 def test_schema_is_loaded_once():
     assert load_schema() is load_schema()
 
 
-def test_import_checks_the_schema_against_its_metaschema_once():
-    # in a fresh interpreter: the CLI's import checks the schema every report
-    # is validated against, and its calls check it no more
+# the keywords `validate_report` reads, and the annotations it may skip
+WALKED_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
+                   "enum", "pattern", "$schema", "$id", "title"}
+
+
+def subschemas(schema: dict):
+    yield schema
+    for subschema in schema.get("properties", {}).values():
+        yield from subschemas(subschema)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+def test_schema_uses_only_the_keywords_the_walker_reads():
+    # a rule the walker does not know would be skipped without a word
+    schema = load_schema()
+    assert schema["$schema"] == "http://json-schema.org/draft-07/schema#"
+    for subschema in subschemas(schema):
+        assert set(subschema) <= WALKED_KEYWORDS, subschema
+        assert subschema.get("type", "object") in {"object", "array", "string", "boolean"}
+        assert subschema.get("additionalProperties", False) is False
+        assert isinstance(subschema.get("items", {}), dict)
+
+
+VALID_REPORT = {"command": "v2", "inputs": {"n": 3}, "checks": [], "ok": True,
+                "engine_version": "x", "wall_time_ms": "3"}
+VALID_CHECK = {"name": "c", "outcome": "pass", "certificate": {"v": "-1"}, "message": "m"}
+
+
+def test_every_report_is_still_validated():
+    validate_report(VALID_REPORT)
+    for bad, where in [({"wall_time_ms": "3.5"}, "$.wall_time_ms: '3.5'"),
+                       ({"extra": 1}, "$: additional property 'extra'"),
+                       ({"checks": [{"name": "c", "outcome": "maybe"}]},
+                        "$.checks[0].outcome: 'maybe'"),
+                       ({"checks": [{"name": "c", "outcome": "pass", "certificate": []}]},
+                        "$.checks[0].certificate: []")]:
+        with pytest.raises(ValueError) as raised:
+            validate_report({**VALID_REPORT, **bad})
+        assert str(raised.value).startswith(f"at {where}")
+
+
+@st.composite
+def edited(draw, valid: dict, values) -> dict:
+    """`valid` with up to two of its keys, or an extra key, dropped or set
+    to one of `values`."""
+    doc = dict(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*valid, "extra"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(values)
+    return doc
+
+
+# wrong types where a list or string belongs, outcomes in and out of the
+# enum, and wall times in and out of the pattern
+VALUES = st.sampled_from([True, False, 1, 0, None, (), {}, [], {"k": [1]}, (VALID_CHECK,),
+                          "", "x", "3", "03", "3.5", "3\n", "pass", "refused", "maybe"])
+CHECKS = st.lists(edited(VALID_CHECK, VALUES), max_size=3)
+REPORTS = CHECKS.flatmap(
+    lambda checks: edited({**VALID_REPORT, "checks": checks}, st.one_of(VALUES, CHECKS)))
+ORACLE = jsonschema.Draft7Validator(load_schema())
+
+
+@given(REPORTS)
+@example({**VALID_REPORT, "wall_time_ms": "3\n"})  # `$` matches before a final newline
+@example({**VALID_REPORT, "wall_time_ms": ""})
+@example({**VALID_REPORT, "checks": [{"name": "c", "outcome": "maybe"}]})
+@example({**VALID_REPORT, "checks": (VALID_CHECK,)})
+@example({**VALID_REPORT, "checks": {}})
+@example({**VALID_REPORT, "command": True})
+@example({**VALID_REPORT, "checks": [{**VALID_CHECK, "name": 1}]})
+@example({**VALID_REPORT, "checks": [{**VALID_CHECK, "message": ()}]})
+def test_the_walker_agrees_with_the_draft_07_oracle(doc):
+    try:
+        validate_report(doc)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == ORACLE.is_valid(doc)
+
+
+def test_inputs_deeper_than_the_recursion_limit_are_not_walked():
+    deep = []
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = [deep]
+    validate_report({**VALID_REPORT, "inputs": {"config": deep}})
+
+
+def test_the_cli_imports_no_jsonschema():
+    # jsonschema is the oracle of the tests, not a part of the runtime
     script = """
-import jsonschema
-checked = []
-check = jsonschema.Draft7Validator.check_schema.__func__
-jsonschema.Draft7Validator.check_schema = classmethod(
-    lambda cls, schema: checked.append(schema) or check(cls, schema))
-from villadsen import cli, reports
-imported = list(checked)
-cli.main(["v2", "-k", "2", "-n", "3", "--trace"])
-cli.main(["cfp", "--terms", "2"])
-print(imported == [reports.load_schema()], len(checked))
+import sys
+import villadsen.cli
+print(sorted({name.partition(".")[0] for name in sys.modules}
+             & {"jsonschema", "referencing", "rpds", "attrs", "attr"}))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "True 1"
-
-
-def test_every_report_is_still_validated():
-    good = {"command": "v2", "inputs": {}, "checks": [], "ok": True,
-            "engine_version": "x", "wall_time_ms": "3"}
-    validate_report(good)
-    for bad in ({**good, "wall_time_ms": "3.5"}, {**good, "extra": 1},
-                {**good, "checks": [{"name": "c", "outcome": "maybe"}]}):
-        with pytest.raises(jsonschema.ValidationError):
-            validate_report(bad)
+    assert done.stdout == "[]\n"
 
 
 def canonical_dumps(doc) -> str:
