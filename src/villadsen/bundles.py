@@ -157,8 +157,13 @@ def chern_expansion_cost(b: BundleExpr) -> int:
 
     Each summand's truncated series has nonzero coefficients on its own
     generator, so no two choices of powers meet on one term and none cancel.
+    The factors are multiplied in pairs, level by level: a running product
+    of huge factors would cost time quadratic in their count.
     """
-    return prod(top + 1 for _, _, top in top_powers(b))
+    factors = [top + 1 for _, _, top in top_powers(b)]
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return prod(factors)
 
 
 def chern_series(b: BundleExpr) -> list[tuple[int, list[int]]]:

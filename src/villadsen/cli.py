@@ -86,7 +86,8 @@ def _int_option(text: str) -> int:
 
 def _check_stage(option: str, stage: int | None) -> None:
     """A stage past sys.maxsize is a usage error that names its option: the
-    engine indexes stages (islice, math.factorial), and those stop there."""
+    engine indexes stages (islice, math.factorial), and those stop there.
+    A `cfp --terms` count is one witness stage per term, read the same way."""
     if stage is not None and stage > sys.maxsize:
         raise ConfigError(f"{option} stage {stage} exceeds {sys.maxsize}")
 
@@ -270,6 +271,7 @@ def _run_cfp(args):
                      for x in args.override_l.split(",") if x.strip()]
         _check_stage("--override-l", max(overrides, default=None))
     _check_stage("--stage", args.stage)
+    _check_stage("--terms", args.terms)
     witness = cfp_mod.build_witness(args.terms, overrides)
     stage = args.stage if args.stage is not None else witness.terms[-1].stage
 

@@ -14,10 +14,10 @@ wall-time field is dropped, which is what `normalize_report` is for.
 
 A value the engine has already written as canonical JSON text, such as a
 class (`GradedClass.json_text`) or Chern component (`line_series_texts`),
-goes into a report as an `Encoded` fragment.  `canonical_json` splices the
-text in where the value sits, so the report's bytes are those of the same
-report with the value held as plain JSON, and no per-term object is built
-or encoded again.
+goes into a report as an `Encoded` fragment.  `canonical_json` writes the
+text where the value sits, with nothing spliced afterwards, so the report's
+bytes are those of the same report with the value held as plain JSON, and
+no per-term object is built or encoded again.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
@@ -30,12 +30,10 @@ never walked.
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from fractions import Fraction
 from importlib import resources
-from itertools import count
 
 from .version import ENGINE_VERSION
 
@@ -76,7 +74,8 @@ def assemble(command: str, inputs: dict, checks: list[dict],
 
 class Encoded:
     """A report value given as its canonical JSON text (sorted keys, no
-    whitespace), which `canonical_json` writes out as it stands."""
+    whitespace), which `canonical_json` writes where the value sits, with
+    nothing spliced in afterwards."""
 
     __slots__ = ("text",)
 
@@ -87,39 +86,41 @@ class Encoded:
 def canonical_json(doc: dict) -> str:
     """The report as one line of JSON with sorted keys and no whitespace.
 
-    Each `Encoded` fragment is first encoded as a placeholder string, built
-    from a random nonce, and its text then replaces the placeholder.  A
-    placeholder that does not occur exactly once, because an input string
-    happens to hold it, is retried with a fresh nonce and the attempt number,
-    so the output is never wrong.  A report without fragments never draws a
-    nonce.  Any other value that is not JSON raises TypeError.
+    A value that holds no `Encoded` fragment is written by one `json.dumps`
+    call.  `json.dumps` refuses one that does with TypeError; such a list,
+    or dict with string keys, is then written member by member, keys in
+    sorted order, and each fragment's text where it sits: nothing is spliced
+    and no output text is searched.  Any other value that is not JSON raises
+    TypeError, as does a non-string key beside a fragment.
     """
-    fragments: list[str] = []
-    tag = ""
+    pieces: list[str] = []
+    _write(doc, pieces)
+    return "".join(pieces)
 
-    def placeholder(value):
-        nonlocal tag
-        if not isinstance(value, Encoded):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not tag:
-            tag = f"{os.urandom(16).hex()}.{attempt}."
-        fragments.append(value.text)
-        return f"{tag}{len(fragments) - 1}"
 
-    for attempt in count():
-        fragments.clear()
-        tag = ""
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=placeholder)
-        if not fragments:
-            return text
-        marker = '"' + tag
-        if text.count(marker) == len(fragments):
-            # the i-th piece after a marker opens with the rest of placeholder
-            # i: its index and the closing quote
-            pieces = text.split(marker)
-            return pieces[0] + "".join(
-                fragment + piece[len(str(i)) + 1:]
-                for i, (fragment, piece) in enumerate(zip(fragments, pieces[1:])))
+def _write(value, pieces: list[str]) -> None:
+    """Append the canonical text of `value` to `pieces`."""
+    if isinstance(value, Encoded):
+        pieces.append(value.text)
+        return
+    try:
+        pieces.append(json.dumps(value, sort_keys=True, separators=(",", ":")))
+        return
+    except TypeError:
+        if not isinstance(value, (list, dict)):
+            raise
+    # the list or dict holds a fragment, or a member that is not JSON
+    if isinstance(value, list):
+        brackets, members = "[]", [("", item) for item in value]
+    elif all(isinstance(key, str) for key in value):
+        brackets, members = "{}", [(json.dumps(key) + ":", value[key]) for key in sorted(value)]
+    else:
+        raise TypeError("a dict that holds a fragment must have str keys")
+    pieces.append(brackets[0])
+    for i, (prefix, item) in enumerate(members):
+        pieces.append(("," if i else "") + prefix)
+        _write(item, pieces)
+    pieces.append(brackets[1])
 
 
 def normalize_report(doc: dict) -> dict:

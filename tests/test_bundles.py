@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from functools import reduce
@@ -247,6 +248,15 @@ def test_normal_form_merges_and_folds():
     # a z0^2 term is zero in the ring, so that line is the zero line too
     squared = GradedClass(space, {(2, 0): 1})
     assert parse_bundle(space, bundle_document(0, [(squared, 3)])) == trivial_bundle(space, 3)
+
+
+@pytest.mark.parametrize("summands", [0, 1, 2, 5])
+def test_expansion_cost_is_the_product_of_the_top_powers_plus_one(summands):
+    # below each cap the top power is the multiplicity itself
+    space = SpaceDescriptor(tuple(cproj(10 ** 40) for _ in range(5)))
+    mults = [10 ** 30 * (p + 2) + p for p in range(summands)]
+    b = line_sum(space, list(enumerate(mults)), trivial_rank=1)
+    assert chern_expansion_cost(b) == math.prod(m + 1 for m in mults)
 
 
 def test_budget_refusal_and_override(monkeypatch):

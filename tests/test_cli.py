@@ -235,6 +235,7 @@ def test_cfp_override_past_the_factorial_range_is_named(capsys, stage):
     (["v2", "-k", "2", "-n", "{big}", "--comparability"], "-n"),
     (["v2", "-k", "2", "-n", "3", "--stage", "{big}", "--comparability"], "--stage"),
     (["cfp", "--terms", "1", "--stage", "{big}"], "--stage"),
+    (["cfp", "--terms", "{big}"], "--terms"),
 ])
 @pytest.mark.parametrize("big", [str(2 ** 63), "100000000000000000000"])
 def test_stage_past_the_index_range_is_named(capsys, argv, option, big):

@@ -21,8 +21,9 @@ def test_readme_has_python_examples():
     assert BLOCKS
 
 
+# named by position, so an edit above an example does not rename its test
 @pytest.mark.parametrize("first_line, source", BLOCKS,
-                         ids=[f"line{line}" for line, _ in BLOCKS])
+                         ids=[f"example{i}" for i in range(1, len(BLOCKS) + 1)])
 def test_readme_example_runs(first_line, source):
     code = compile("\n" * (first_line - 1) + source, str(README), "exec")
     exec(code, {"__name__": "readme"})

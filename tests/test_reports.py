@@ -142,40 +142,45 @@ def test_fragments_are_spliced_where_their_values_sit():
     assert canonical_json(doc) == canonical_dumps(plain)
 
 
-def test_an_echoed_placeholder_cannot_fool_the_splice(monkeypatch):
-    # with the nonce fixed, learn the placeholder of the first fragment,
-    # then echo it as an input string beside, and as a key next to, fragments
-    monkeypatch.setattr(os, "urandom", lambda n: b"\x07" * n)
-    seen = []
-    dumps = json.dumps
-
-    def recording_dumps(*args, **kwargs):
-        text = dumps(*args, **kwargs)
-        seen.append(text)
-        return text
-
-    monkeypatch.setattr(json, "dumps", recording_dumps)
-    assert canonical_json({"a": Encoded("1")}) == '{"a":1}'
-    placeholder = json.loads(seen[0])["a"]
-    assert isinstance(placeholder, str)
-    doc = {"a": Encoded("1"), "echo": placeholder, placeholder: [placeholder, Encoded("2")],
-           "quoted": 'x"' + placeholder}
-    plain = {"a": 1, "echo": placeholder, placeholder: [placeholder, 2],
-             "quoted": 'x"' + placeholder}
-    seen.clear()
-    assert canonical_json(doc) == dumps(plain, sort_keys=True, separators=(",", ":"))
-    assert len(seen) == 2  # the collision was seen, and the retry did not collide
+# text with quotes, backslashes, non-ASCII characters and JSON-looking pieces
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\u00e9", "\u2028", "\U0001d11e", 'x"}],{\\', '{"terms":[', '"s"', "[1,2]"])
+PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20)
 
 
-def test_a_report_without_fragments_draws_no_nonce(monkeypatch):
-    def no_urandom(n):
-        raise AssertionError("os.urandom called")
+@st.composite
+def with_fragments(draw):
+    """A plain JSON value, the same value with random sub-values (the root
+    included) given as `Encoded` fragments of their canonical text, and the
+    fragment texts."""
+    plain = draw(PLAIN)
+    texts = []
 
-    monkeypatch.setattr(os, "urandom", no_urandom)
-    doc = {"command": "v2", "inputs": {"k": "2", "n": [1, {"x": None}]}, "ok": True,
-           "checks": [{"name": "c", "outcome": "pass", "certificate": {"v": "-12"}}],
-           "text": 'quote " and é'}
-    assert canonical_json(doc) == canonical_dumps(doc)
+    def encode(value):
+        if draw(st.integers(0, 3)) == 0:
+            texts.append(canonical_dumps(value))
+            return Encoded(texts[-1])
+        if isinstance(value, list):
+            return [encode(item) for item in value]
+        if isinstance(value, dict):
+            return {key: encode(item) for key, item in value.items()}
+        return value
+
+    return plain, encode(plain), texts
+
+
+@given(with_fragments())
+@example(({"a": 1, "b": ["x"]}, {"a": Encoded("1"), "b": [Encoded('"x"')]}, ["1", '"x"']))
+def test_fragments_are_written_where_they_sit(case):
+    plain, doc, texts = case
+    assert canonical_json(doc) == canonical_dumps(plain)
+    # the fragment texts echoed beside the fragments, as strings and as keys
+    echo = {text: [text] for text in texts}
+    assert canonical_json([doc, echo]) == canonical_dumps([plain, echo])
+    assert canonical_json({**echo, "\x00": doc}) == canonical_dumps({**echo, "\x00": plain})
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2)])
@@ -184,3 +189,6 @@ def test_a_value_that_is_not_json_still_raises(value):
         canonical_json({"ok": True, "value": value})
     with pytest.raises(TypeError):
         canonical_json({"fragment": Encoded("1"), "value": [value]})
+    # json.dumps writes a non-string key as text, but not beside a fragment
+    with pytest.raises(TypeError):
+        canonical_json({"ok": True, "value": {1: Encoded("1"), 2: "two"}})
