@@ -84,12 +84,13 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _check_stage(option: str, stage: int | None) -> None:
-    """A stage past sys.maxsize is a usage error that names its option: the
-    engine indexes stages (islice, math.factorial), and those stop there.
-    A `cfp --terms` count is one witness stage per term, read the same way."""
-    if stage is not None and stage > sys.maxsize:
-        raise ConfigError(f"{option} stage {stage} exceeds {sys.maxsize}")
+def _check_index(label: str, value: int | None) -> None:
+    """A stage or term count past sys.maxsize is a usage error that names its
+    option (`label`): the engine indexes stages (islice, math.factorial),
+    and those stop there.  A `cfp --terms` count is one witness stage per
+    term, so it stops there too."""
+    if value is not None and value > sys.maxsize:
+        raise ConfigError(f"{label} {value} exceeds {sys.maxsize}")
 
 
 def _parse_document(what: str, path: str, build, doc):
@@ -240,8 +241,8 @@ def _run_v2(args):
     if args.stage is not None and not args.comparability:
         raise ConfigError("--stage is the verification stage of --comparability "
                           "and needs it")
-    _check_stage("-n", args.n)
-    _check_stage("--stage", args.stage)
+    _check_index("-n stage", args.n)
+    _check_index("--stage stage", args.stage)
     params = SystemParams(parse_family_parameter(args.k))
     if args.comparability and args.n < 1:
         raise ConfigError("comparability needs a stage >= 1")
@@ -269,9 +270,9 @@ def _run_cfp(args):
     if args.override_l:
         overrides = [read_int(x.strip(), "--override-l entry")
                      for x in args.override_l.split(",") if x.strip()]
-        _check_stage("--override-l", max(overrides, default=None))
-    _check_stage("--stage", args.stage)
-    _check_stage("--terms", args.terms)
+        _check_index("--override-l stage", max(overrides, default=None))
+    _check_index("--stage stage", args.stage)
+    _check_index("--terms", args.terms)
     witness = cfp_mod.build_witness(args.terms, overrides)
     stage = args.stage if args.stage is not None else witness.terms[-1].stage
 

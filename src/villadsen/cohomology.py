@@ -12,19 +12,23 @@ is dropped on sight.
 
 A class is written out as canonical JSON text straight from its sorted
 terms (`GradedClass.json_text`), one formatted row per term, with no
-per-term object built for an encoder to walk; `line_series_texts` writes
-a product of line series that way, degree by degree, with no class at all.
+per-term object built for an encoder to walk.  `line_series_texts` writes
+a product of line series the same way, degree by degree, with no class at
+all: each row joins a term of a prefix block of the factors with a term of
+the suffix block, and no Python loop runs per term.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat
 from math import prod
 
 from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
 
 # one term of a class as canonical JSON, from its coefficient and exponent text
 _ROW = '{"coefficient":"%d","exponents":[%s]}'
+# what ends one row's exponent text and starts the next row, up to its coefficient
+_NEXT_ROW = ']},{"coefficient":"'
 
 
 class GradedClass:
@@ -152,14 +156,30 @@ def line_series_product(space: SpaceDescriptor,
     return GradedClass._normal(space, {e: prod(c) for e, c in zip(exponents, choices)})
 
 
+def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
+    """Every choice of one power per level, in exponent order, as (exponent
+    text, power sum, coefficient), starting from `text`; each prefix of a
+    choice is built once for all the choices that extend it."""
+    terms = [(text, 0, 1)]
+    for pieces, coeffs in levels:
+        terms = [(prefix + piece, total + i, coeff * c)
+                 for prefix, total, coeff in terms
+                 for i, (piece, c) in enumerate(zip(pieces, coeffs))]
+    return terms
+
+
 def line_series_texts(space: SpaceDescriptor,
                       factors: list[tuple[int, list[int]]]) -> dict[int, str]:
     """The homogeneous components of `line_series_product(space, factors)`,
-    by degree, as `json_text` writes them, with no class built.  The factors
-    are walked in position order; each prefix of a term carries its exponent
-    text, power sum and coefficient, built once for all its terms.  Terms
-    come out in exponent order, so each degree's rows are already sorted,
-    and every power sum up to the top one is reached."""
+    by degree, as `json_text` writes them, with no class built.
+
+    The factors, in position order, are cut into a prefix block and a suffix
+    block of about the square root of the term count, and each block is
+    expanded alone (`_expand`).  The suffix terms are grouped by power sum;
+    each prefix then writes its rows with each group by one chain of
+    `map`/`zip` calls, so no Python bytecode runs per term.  Terms come out
+    in exponent order, so each degree's rows are already sorted, and every
+    power sum up to the top one is reached."""
     series = _series_by_position(space, factors)
     order, n = sorted(series), len(space.caps)
     head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
@@ -167,19 +187,31 @@ def line_series_texts(space: SpaceDescriptor,
     levels = [([("," if pos else "") + str(i) + ",0" * (end - pos - 1)
                 for i in range(len(series[pos]))], series[pos])
               for pos, end in zip(order, order[1:] + [n])]
-    # the last factor turns each prefix into rows (with no factor, the row of 1)
-    *inner, (pieces, coeffs) = levels or [([""], [1])]
-    prefixes = [(head, 0, 1)]  # (exponent text, power sum, coefficient)
-    for inner_pieces, inner_coeffs in inner:
-        prefixes = [(text + piece, total + i, coeff * c)
-                    for text, total, coeff in prefixes
-                    for i, (piece, c) in enumerate(zip(inner_pieces, inner_coeffs))]
-    rows: list[list[str]] = [[] for _ in range(prefixes[-1][1] + len(pieces))]
-    last = list(enumerate(zip(pieces, coeffs)))
+    # the suffix block: the last factors, enough of them to reach sqrt(terms) terms
+    terms, cut, size = prod(len(coeffs) for _, coeffs in levels), len(levels), 1
+    if not terms:
+        return {}  # an empty series: the product is zero
+    while size * size < terms:
+        cut -= 1
+        size *= len(levels[cut][1])
+    # the suffix terms by power sum: their coefficients, and each one's
+    # exponent text, closing its row and opening the next
+    suffixes = _expand("", levels[cut:])
+    groups: list[tuple[list[int], list[str]]] = [([], []) for _ in range(suffixes[-1][1] + 1)]
+    for text, total, coeff in suffixes:
+        coeffs, tails = groups[total]
+        coeffs.append(coeff)
+        tails.append(text + _NEXT_ROW)
+    prefixes = _expand(head, levels[:cut])
+    rows: list[list[str]] = [[] for _ in range(prefixes[-1][1] + len(groups))]
     for text, total, coeff in prefixes:
-        for i, (piece, c) in last:
-            rows[total + i].append(_ROW % (coeff * c, text + piece))
-    return {2 * total: '{"terms":[' + ",".join(part) + "]}" for total, part in enumerate(rows)}
+        middle, times = repeat('","exponents":[' + text), coeff.__mul__
+        for part, (coeffs, tails) in zip(rows[total:], groups):
+            part.extend(chain.from_iterable(zip(map(str, map(times, coeffs)), middle, tails)))
+    for part in rows:  # the last row closes the class instead of opening a row
+        part[-1] = part[-1][:-len(_NEXT_ROW)] + "]}]}"
+    return {2 * total: '{"terms":[{"coefficient":"' + "".join(part)
+            for total, part in enumerate(rows)}
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

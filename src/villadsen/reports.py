@@ -83,14 +83,19 @@ class Encoded:
         self.text = text
 
 
+# canonical JSON text of a value, by one encoder built once: `json.dumps`
+# with these options would build a new one on every call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(doc: dict) -> str:
     """The report as one line of JSON with sorted keys and no whitespace.
 
-    A value that holds no `Encoded` fragment is written by one `json.dumps`
-    call.  `json.dumps` refuses one that does with TypeError; such a list,
-    or dict with string keys, is then written member by member, keys in
-    sorted order, and each fragment's text where it sits: nothing is spliced
-    and no output text is searched.  Any other value that is not JSON raises
+    A value that holds no `Encoded` fragment is written by one encode call.
+    The encoder refuses one that does with TypeError; such a list, or dict
+    with string keys, is then written member by member, keys in sorted
+    order, and each fragment's text where it sits: nothing is spliced and
+    no output text is searched.  Any other value that is not JSON raises
     TypeError, as does a non-string key beside a fragment.
     """
     pieces: list[str] = []
@@ -104,7 +109,7 @@ def _write(value, pieces: list[str]) -> None:
         pieces.append(value.text)
         return
     try:
-        pieces.append(json.dumps(value, sort_keys=True, separators=(",", ":")))
+        pieces.append(_encode(value))
         return
     except TypeError:
         if not isinstance(value, (list, dict)):
@@ -113,7 +118,7 @@ def _write(value, pieces: list[str]) -> None:
     if isinstance(value, list):
         brackets, members = "[]", [("", item) for item in value]
     elif all(isinstance(key, str) for key in value):
-        brackets, members = "{}", [(json.dumps(key) + ":", value[key]) for key in sorted(value)]
+        brackets, members = "{}", [(_encode(key) + ":", value[key]) for key in sorted(value)]
     else:
         raise TypeError("a dict that holds a fragment must have str keys")
     pieces.append(brackets[0])

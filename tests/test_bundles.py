@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import sys
 from functools import reduce
 from unittest import mock
 
@@ -414,8 +415,34 @@ def chern_bundles(draw):
     return BundleExpr(space, draw(st.integers(0, 2)), parts)
 
 
+@st.composite
+def wide_chern_bundles(draw):
+    """Six to nine summands of multiplicity 1 or 2 on spheres and projective
+    lines, with summand-free spheres and disks before, between and after
+    them; now and then one summand on a projective space of up to 40
+    dimensions instead, which can hold more terms than the others together.
+    So the cut between the prefix and the suffix block of
+    `line_series_texts` falls before any one of six factors, and in the
+    middle of more."""
+    atoms, carriers = [], []
+    for _ in range(draw(st.integers(6, 9))):
+        atoms += draw(st.lists(st.sampled_from([sphere2(), disk(1), disk(0)]), max_size=2))
+        carriers.append(len(atoms))
+        atoms.append(draw(st.sampled_from([sphere2(), cproj(1)])))
+    big = draw(st.one_of(st.none(), st.sampled_from(carriers)))
+    if big is not None:
+        atoms[big] = cproj(draw(st.integers(3, 40)))
+    atoms += draw(st.lists(st.sampled_from([sphere2(), disk(2)]), max_size=2))
+    space = SpaceDescriptor(tuple(atoms))
+    mults = [draw(st.integers(1, 2)) for _ in carriers]
+    if big is not None:  # at, past or below the cap
+        mults[carriers.index(big)] = atoms[big].size + draw(st.integers(-1, 2))
+    return BundleExpr(space, draw(st.integers(0, 1)),
+                      [(space.generator_position(i), m) for i, m in zip(carriers, mults)])
+
+
 @settings(max_examples=150, deadline=None)
-@given(chern_bundles())
+@given(st.one_of(chern_bundles(), wide_chern_bundles()))
 # summand-free generators before, between and after the summands, with disks
 @example(BundleExpr(SpaceDescriptor((disk(1), sphere2(), cproj(3), disk(2), sphere2(),
                                      cproj(2), sphere2(), disk(3))),
@@ -425,6 +452,9 @@ def chern_bundles(draw):
 @example(BundleExpr(SpaceDescriptor((cproj(4), cproj(2))), 0, [(0, 2), (1, 5)]))  # below, at cap
 @example(BundleExpr(SpaceDescriptor((cproj(4), sphere2(), sphere2())), 1,
                     [(0, 10 ** 1100 + 1), (1, 10 ** 1500), (2, 10 ** 3000)]))  # > 4300 digits
+@example(BundleExpr(SpaceDescriptor((disk(1), cproj(3), disk(2))), 0, [(0, 5)]))  # one factor
+@example(BundleExpr(SpaceDescriptor((sphere2(), disk(1), cproj(2), sphere2())), 0,
+                    [(0, 1), (1, 2)]))   # the cut right after the first factor
 def test_chern_texts_are_the_class_components_written_out(b):
     with _unlimited_int_digits():
         texts = line_series_texts(b.base, chern_series(b))
@@ -442,6 +472,15 @@ def test_chern_texts_are_the_class_components_written_out(b):
                     path(b)
                 refusals.append((exc.value.required, exc.value.budget))
         assert refusals == [(cost, cost - 1)] * 2
+
+
+def test_chern_texts_refuse_a_coefficient_past_the_digit_limit():
+    # the > 4300-digit example above, without `_unlimited_int_digits`
+    b = BundleExpr(SpaceDescriptor((cproj(4), sphere2(), sphere2())), 1,
+                   [(0, 10 ** 1100 + 1), (1, 10 ** 1500), (2, 10 ** 3000)])
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ValueError):   # str refuses it as %d did
+            line_series_texts(b.base, chern_series(b))
 
 
 def test_euler_cross_check_disagreement_is_reported(monkeypatch):

@@ -6,11 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import villadsen
-from villadsen import type_two
+from villadsen import reports, type_two
 from villadsen.cli import main
 from villadsen.errors import GeneratorBudgetExceeded
 from villadsen.growth import unit_multiplicity
@@ -44,6 +45,19 @@ def write_vi_config(tmp_path, steps):
     path = tmp_path / "vi.json"
     path.write_text(json.dumps({"seed_dim": 6, "steps": steps}))
     return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "-k", "2", "-n", "3", "--rc"],
+    ["cfp", "--terms", "2"],
+    ["vi", "--config", "{config}", "--witness", "2"],
+])
+def test_a_report_without_fragments_is_one_encode_call(tmp_path, capsys, argv):
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    with mock.patch.object(reports, "_encode", wraps=reports._encode) as encode:
+        code, out = run_cli(capsys, *[arg.format(config=config) for arg in argv])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert encode.call_count == 1
 
 
 def test_chern_subcommand(tmp_path, capsys):
@@ -243,7 +257,8 @@ def test_stage_past_the_index_range_is_named(capsys, argv, option, big):
     code = main([arg.format(big=big) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == f"error: {option} stage {big} exceeds {sys.maxsize}\n"
+    subject = option if option == "--terms" else f"{option} stage"  # a term count is no stage
+    assert captured.err == f"error: {subject} {big} exceeds {sys.maxsize}\n"
 
 
 @pytest.mark.parametrize("argv, option", [

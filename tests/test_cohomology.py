@@ -3,11 +3,12 @@ import json
 import random
 import sys
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from villadsen.cohomology import GradedClass, line_series_product, line_series_texts
+from villadsen.cohomology import GradedClass, _expand, line_series_product, line_series_texts
 from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
@@ -257,6 +258,47 @@ def test_line_series_product_is_the_cartesian_product():
     texts = {d: part.json_text() for d, part in graded_components(got).items()}
     assert line_series_texts(space, [(1, [2, 7]), (0, [4, -5, 6])]) == texts
     assert line_series_texts(space, []) == {0: unit_class(space).json_text()}
+
+
+def texts_of_product(space, factors) -> dict[int, str]:
+    parts = graded_components(line_series_product(space, factors))
+    return {degree: part.json_text() for degree, part in parts.items()}
+
+
+def test_line_series_texts_of_short_and_signed_series():
+    space = SpaceDescriptor((disk(1), cproj(3), sphere2(), disk(2), cproj(2)))
+    cases = [
+        [(0, [5])],                             # one term, of power zero
+        [(1, [-3])],                            # a negative one, between factor-free generators
+        [(0, [-1, 4, -6, 9]), (2, [7, -2])],    # signs, a factor-free generator between
+        [(0, [1, -1]), (1, [-1, 1])],           # a factor-free generator after the last
+        [(2, [-2, -3, 5]), (0, [1, 1, 1, -1])],  # given out of position order
+        [(0, [1, 2]), (1, []), (2, [3])],      # an empty series: zero, with no component
+    ]
+    for factors in cases:
+        assert line_series_texts(space, factors) == texts_of_product(space, factors)
+
+
+def test_line_series_texts_cut_before_every_factor():
+    # k factors of two powers but the one at index j, which has 2**k and so
+    # more terms than the others together: the suffix block starts with it
+    rng = random.Random(7)
+    for k in range(1, 7):
+        # summand-free spheres around and between the factors' projective spaces
+        space = SpaceDescriptor(tuple(cproj(2 ** k) if i % 2 else sphere2()
+                                      for i in range(2 * k + 1)))
+        for j in range(k):
+            factors = [(2 * i + 1, [rng.choice([-1, 1]) * rng.randint(1, 99)
+                                    for _ in range(2 ** k if i == j else 2)])
+                       for i in range(k)]
+            with mock.patch("villadsen.cohomology._expand", wraps=_expand) as expand:
+                texts = line_series_texts(space, factors)
+            # the prefix block starts from the exponent text "0" of the
+            # first sphere, the suffix block from ""
+            prefix_levels = [levels for text, levels in
+                             (c.args for c in expand.call_args_list) if text]
+            assert [len(levels) for levels in prefix_levels] == [j]
+            assert texts == texts_of_product(space, factors)
 
 
 def test_line_series_product_checks_each_factor():
