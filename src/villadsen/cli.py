@@ -10,6 +10,12 @@ go to stderr.  Exit code 0 means every requested verification succeeded,
 cross-check whose two routes disagree, and a report that fails its own
 schema), 1 means a usage or parse error.
 
+One option table, `_COMMANDS`, gives each subcommand's runner, help line
+and options, and drives argv parsing (`_parse`), the usage line and
+`-h`/`--help`.  The subcommand comes first; its options follow in any
+order as `--opt value`, `-k value` or a bare flag.  Prefix abbreviations,
+`--opt=value`, attached short values (`-n3`) and `--` are usage errors.
+
 Every report is checked against the packaged report schema
 (`reports.validate_report`, standard-library code) before it is printed;
 one that fails is not printed, and one `error:` line names the JSON path
@@ -18,12 +24,12 @@ and the offending value.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from contextlib import contextmanager
 from functools import partial
+from types import SimpleNamespace
 
 from . import cfp as cfp_mod
 from . import reports
@@ -41,14 +47,6 @@ from .type_one import (
     top_chern_witness,
 )
 from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage errors must exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _load_json(path: str) -> dict:
@@ -74,14 +72,6 @@ def _load_json(path: str) -> dict:
         except ValueError:  # the decoder's int() refused a literal past the digit limit
             raise ConfigError(f"{path} holds an integer literal of more than "
                               f"{sys.get_int_max_str_digits()} digits") from None
-
-
-def _int_option(text: str) -> int:
-    """An integer option, read like the integers of input documents."""
-    try:
-        return read_int(text, "the value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_index(label: str, value: int | None) -> None:
@@ -293,56 +283,131 @@ def _run_cfp(args):
             checks)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="villadsen",
-                     description="Exact verification of comparison obstructions "
-                                 "in Villadsen-type inductive systems")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+_DESCRIPTION = ("Exact verification of comparison obstructions in Villadsen-type "
+                "inductive systems")
+_HELP = ("-h", "--help")
 
-    p_chern = sub.add_parser("chern", help="Chern and Euler classes of a bundle spec")
-    p_chern.add_argument("--space", required=True, help="space descriptor JSON file")
-    p_chern.add_argument("--bundle", required=True, help="bundle JSON file")
-    p_chern.set_defaults(func=_run_chern)
-
-    p_vi = sub.add_parser("vi", help="type-I stage diagnostics and witnesses")
-    p_vi.add_argument("--config", required=True, help="system config JSON file")
-    p_vi.add_argument("--from", dest="start", type=_int_option, default=0,
-                      help="first stage of the composed range (default 0)")
-    p_vi.add_argument("--stage", type=_int_option, default=None,
-                      help="last stage of the composed range (default: all)")
-    p_vi.add_argument("--witness", type=_int_option, default=None,
-                      help="witness size n for the top-Chern and contradiction checks")
-    p_vi.set_defaults(func=_run_vi)
-
-    p_v2 = sub.add_parser("v2", help="type-II traces, comparability, radius")
-    p_v2.add_argument("-k", required=True, help="family parameter (integer or 'inf')")
-    p_v2.add_argument("-n", type=_int_option, required=True, help="stage")
-    p_v2.add_argument("--stage", type=_int_option, default=None,
-                      help="verification stage for --comparability (default n)")
-    p_v2.add_argument("--trace", action="store_true", help="emit the trace table")
-    p_v2.add_argument("--comparability", action="store_true",
-                      help="verify the comparability triple")
-    p_v2.add_argument("--rc", action="store_true",
-                      help="verify the radius of comparison up to stage n")
-    p_v2.set_defaults(func=_run_v2)
-
-    p_cfp = sub.add_parser("cfp", help="witness sequences and both verification halves")
-    p_cfp.add_argument("--terms", type=_int_option, default=2,
-                       help="number of witness terms")
-    p_cfp.add_argument("--stage", type=_int_option, default=None,
-                       help="verification stage for the lower bound")
-    p_cfp.add_argument("--override-l", default="",
-                       help="comma-separated witness stages overriding the minimal choice")
-    p_cfp.set_defaults(func=_run_cfp)
-    return parser
+# Per subcommand: its runner, its help line and its options.  Each option
+# word maps to (dest, kind, required, default, help); the kind is "flag"
+# (stores True), "int" (read by `spaces.read_int`) or "text".
+_COMMANDS = {
+    "chern": (_run_chern, "Chern and Euler classes of a bundle spec", {
+        "--space": ("space", "text", True, None, "space descriptor JSON file"),
+        "--bundle": ("bundle", "text", True, None, "bundle JSON file"),
+    }),
+    "vi": (_run_vi, "type-I stage diagnostics and witnesses", {
+        "--config": ("config", "text", True, None, "system config JSON file"),
+        "--from": ("start", "int", False, 0,
+                   "first stage of the composed range (default 0)"),
+        "--stage": ("stage", "int", False, None,
+                    "last stage of the composed range (default: all)"),
+        "--witness": ("witness", "int", False, None,
+                      "witness size n for the top-Chern and contradiction checks"),
+    }),
+    "v2": (_run_v2, "type-II traces, comparability, radius", {
+        "-k": ("k", "text", True, None, "family parameter (integer or 'inf')"),
+        "-n": ("n", "int", True, None, "stage"),
+        "--stage": ("stage", "int", False, None,
+                    "verification stage for --comparability (default n)"),
+        "--trace": ("trace", "flag", False, False, "emit the trace table"),
+        "--comparability": ("comparability", "flag", False, False,
+                            "verify the comparability triple"),
+        "--rc": ("rc", "flag", False, False,
+                 "verify the radius of comparison up to stage n"),
+    }),
+    "cfp": (_run_cfp, "witness sequences and both verification halves", {
+        "--terms": ("terms", "int", False, 2, "number of witness terms"),
+        "--stage": ("stage", "int", False, None, "verification stage for the lower bound"),
+        "--override-l": ("override_l", "text", False, "",
+                         "comma-separated witness stages overriding the minimal choice"),
+    }),
+}
 
 
-# argv-independent, so built once per process; parse_args keeps no state
-_PARSER = build_parser()
+def _spelling(word: str, dest: str, kind: str) -> str:
+    return word if kind == "flag" else f"{word} {dest.upper()}"
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of subcommand `name`, or of the program for None."""
+    if name is None:
+        return f"usage: villadsen [-h] {{{','.join(_COMMANDS)}}} ..."
+    parts = []
+    for word, (dest, kind, required, _, _) in _COMMANDS[name][2].items():
+        part = _spelling(word, dest, kind)
+        parts.append(part if required else f"[{part}]")
+    return f"usage: villadsen {name} [-h] {' '.join(parts)}"
+
+
+def _help_exit(name: str | None):
+    """Print the `--help` text of subcommand `name`, or of the program for
+    None, and exit 0."""
+    if name is None:
+        about = _DESCRIPTION
+        rows = [(command, line) for command, (_, line, _) in _COMMANDS.items()]
+    else:
+        about = _COMMANDS[name][1]
+        rows = [(_spelling(word, dest, kind), line)
+                for word, (dest, kind, _, _, line) in _COMMANDS[name][2].items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    print("\n".join([_usage(name), "", about, "",
+                     *(f"  {left:<{width}}  {line}" for left, line in rows)]))
+    raise SystemExit(0)
+
+
+def _usage_error(name: str | None, message: str):
+    print(_usage(name), file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The subcommand `argv` names, its runner (`func`) and its option values.
+
+    The subcommand comes first; its options follow in any order, as
+    `--opt value`, `-k value` or a bare flag, and a repeated option keeps
+    its last value.  A word that names one of the subcommand's options, or
+    `-h`/`--help`, is never taken as a value.  `-h`/`--help` prints help
+    and exits 0; any other misuse prints the usage line and one `error:`
+    line, and exits 1.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            _help_exit(None)
+        _usage_error(None, f"choose a subcommand ({', '.join(_COMMANDS)})"
+                           + (f", not {argv[0]!r}" if argv else ""))
+    name = argv[0]
+    func, _, options = _COMMANDS[name]
+    values = {dest: default for dest, _, _, default, _ in options.values()}
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            _help_exit(name)
+        if word not in options:
+            _usage_error(name, f"unrecognized argument {word!r}")
+        dest, kind, _, _, _ = options[word]
+        if kind == "flag":
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value in options or value in _HELP:
+            _usage_error(name, f"{word} needs a value")
+        if kind == "int":
+            try:
+                value = read_int(value, word)
+            except ValueError as exc:
+                _usage_error(name, str(exc))
+        values[dest] = value
+    missing = [word for word, (dest, _, required, _, _) in options.items()
+               if required and values[dest] is None]
+    if missing:
+        _usage_error(name, f"missing required {' and '.join(missing)}")
+    return SimpleNamespace(subcommand=name, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         inputs, computations = args.func(args)

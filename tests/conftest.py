@@ -9,22 +9,26 @@ filter and move exponent vectors term by term, so the engine's kernels
 checked against them, not against themselves.  `graded_components` and
 `class_document` split a class by degree and write it as one dict per
 term, the references for the class text the engine writes directly.
+`reference_parser` is the argparse parser the CLI used before its option
+table, the reference for `cli._parse`.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from villadsen import type_two
+from villadsen import cli, type_two
 from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
 from villadsen.cohomology import GradedClass, line_series_product
 from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity
-from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, sphere2
+from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, read_int, sphere2
 from villadsen.type_one import StepSpec
 
 
@@ -283,3 +287,68 @@ def component_dropping_top_term(b, degree):
     if part.terms:
         del part.terms[max(part.terms)]
     return part
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors must exit 1, not argparse's default 2
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _int_option(text: str) -> int:
+    """An integer option, read like the integers of input documents."""
+    try:
+        return read_int(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser before the option table, with prefix
+    abbreviations off: the reference for `cli._parse` on the argv forms the
+    table accepts."""
+    parser = _Parser(prog="villadsen", allow_abbrev=False,
+                     description="Exact verification of comparison obstructions "
+                                 "in Villadsen-type inductive systems")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p_chern = sub.add_parser("chern", allow_abbrev=False,
+                             help="Chern and Euler classes of a bundle spec")
+    p_chern.add_argument("--space", required=True, help="space descriptor JSON file")
+    p_chern.add_argument("--bundle", required=True, help="bundle JSON file")
+    p_chern.set_defaults(func=cli._run_chern)
+
+    p_vi = sub.add_parser("vi", allow_abbrev=False, help="type-I stage diagnostics and witnesses")
+    p_vi.add_argument("--config", required=True, help="system config JSON file")
+    p_vi.add_argument("--from", dest="start", type=_int_option, default=0,
+                      help="first stage of the composed range (default 0)")
+    p_vi.add_argument("--stage", type=_int_option, default=None,
+                      help="last stage of the composed range (default: all)")
+    p_vi.add_argument("--witness", type=_int_option, default=None,
+                      help="witness size n for the top-Chern and contradiction checks")
+    p_vi.set_defaults(func=cli._run_vi)
+
+    p_v2 = sub.add_parser("v2", allow_abbrev=False, help="type-II traces, comparability, radius")
+    p_v2.add_argument("-k", required=True, help="family parameter (integer or 'inf')")
+    p_v2.add_argument("-n", type=_int_option, required=True, help="stage")
+    p_v2.add_argument("--stage", type=_int_option, default=None,
+                      help="verification stage for --comparability (default n)")
+    p_v2.add_argument("--trace", action="store_true", help="emit the trace table")
+    p_v2.add_argument("--comparability", action="store_true",
+                      help="verify the comparability triple")
+    p_v2.add_argument("--rc", action="store_true",
+                      help="verify the radius of comparison up to stage n")
+    p_v2.set_defaults(func=cli._run_v2)
+
+    p_cfp = sub.add_parser("cfp", allow_abbrev=False,
+                           help="witness sequences and both verification halves")
+    p_cfp.add_argument("--terms", type=_int_option, default=2,
+                       help="number of witness terms")
+    p_cfp.add_argument("--stage", type=_int_option, default=None,
+                       help="verification stage for the lower bound")
+    p_cfp.add_argument("--override-l", default="",
+                       help="comma-separated witness stages overriding the minimal choice")
+    p_cfp.set_defaults(func=cli._run_cfp)
+    return parser

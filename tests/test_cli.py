@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import villadsen
-from villadsen import reports, type_two
+from villadsen import cli, reports, type_two
 from villadsen.cli import main
 from villadsen.errors import GeneratorBudgetExceeded
 from villadsen.growth import unit_multiplicity
@@ -307,13 +307,65 @@ def test_v2_stage_needs_comparability(capsys):
     assert captured.err.count("\n") == 1
 
 
+def usage_error_lines(capsys, argv) -> list[str]:
+    """The stderr lines of `main(argv)`, which must end in SystemExit(1)
+    with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    return captured.err.splitlines()
+
+
+V2_USAGE = ("usage: villadsen v2 [-h] -k K -n N [--stage STAGE] [--trace] "
+            "[--comparability] [--rc]")
+
+
 def test_usage_errors_exit_one(capsys):
+    # one usage line, of the subcommand once it is named, and one error
+    # line that names the option or word at fault
+    for argv, usage, named in [
+        (["nonsense"], "usage: villadsen [-h] {chern,vi,v2,cfp} ...", "'nonsense'"),
+        ([], "usage: villadsen [-h] {chern,vi,v2,cfp} ...", "chern, vi, v2, cfp"),
+        (["v2", "-n", "3"], V2_USAGE, "-k"),
+        (["v2", "-k", "2", "-n", "3", "4"], V2_USAGE, "'4'"),
+        (["vi", "--config"], "usage: villadsen vi [-h] --config CONFIG [--from START] "
+                             "[--stage STAGE] [--witness WITNESS]", "--config"),
+        (["cfp", "--terms", "--stage", "4"], "usage: villadsen cfp [-h] [--terms TERMS] "
+                                             "[--stage STAGE] [--override-l OVERRIDE_L]", "--terms"),
+        (["chern", "--space", "s.json", "--bundle", "-h"],
+         "usage: villadsen chern [-h] --space SPACE --bundle BUNDLE", "--bundle"),
+    ]:
+        lines = usage_error_lines(capsys, argv)
+        assert len(lines) == 2 and lines[0] == usage, argv
+        assert lines[1].startswith("error: ") and named in lines[1], argv
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["v2", "-k", "2", "-n", "3", "--comp"], "--comp"),
+    (["cfp", "--terms=3"], "--terms=3"),
+    (["v2", "-k", "2", "-n3"], "-n3"),
+    (["v2", "-k", "2", "-n", "3", "--"], "--"),
+])
+def test_argparse_only_forms_are_usage_errors(argv, word, capsys):
+    # prefix abbreviations, --opt=value, attached short values and "--"
+    lines = usage_error_lines(capsys, argv)
+    assert len(lines) == 2 and lines[0].startswith(f"usage: villadsen {argv[0]} ")
+    assert lines[1] == f"error: unrecognized argument {word!r}"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help", "v2"], ["v2", "--help"], ["cfp", "-h"],
+                                  ["vi", "--stage", "2", "-h"], ["chern", "--help"]])
+def test_help_names_every_option_and_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["v2", "-n", "3"])  # missing -k
-    assert exc.value.code == 1
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    name = argv[0] if argv[0] in cli._COMMANDS else None
+    rows = list(cli._COMMANDS[name][2]) if name else list(cli._COMMANDS)
+    assert captured.out.startswith(cli._usage(name) + "\n")
+    for word in [*rows, "-h,"]:
+        assert f"\n  {word} " in captured.out, word
 
 
 def test_reports_deterministic_and_round_trip(capsys):

@@ -178,20 +178,19 @@ def normalized(out: str) -> str:
 
 
 def test_one_process_gives_each_call_what_it_gives_alone(tmp_path, capsys, monkeypatch):
-    # main reuses one parser and one validator for the whole process, so no
+    # main reuses one option table and one validator for the whole process, so no
     # call may depend on the calls before it
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "100000")
     for command in sorted(GOLDEN, reverse=True):
         code, digest = golden_digest(command, tmp_path, capsys)
         assert (code, digest) == (EXIT_CODES.get(command, 0), GOLDEN[command]), command
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
     env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
     for argv, expected in ((["v2", "-k", "2", "--bogus"], 1),
                            (["v2", "-k", "2", "-n", "3", "--trace"], 0),
                            (["v2", "-k", "2", "-n", "3", "--stage", "5"], 1)):
         try:
             code = main(argv)
-        except SystemExit as exc:  # how argparse ends a usage error
+        except SystemExit as exc:  # how the option table ends a usage error
             code = exc.code
         captured = capsys.readouterr()
         assert code == expected

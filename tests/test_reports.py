@@ -117,12 +117,17 @@ def test_inputs_deeper_than_the_recursion_limit_are_not_walked():
 
 
 def test_the_cli_imports_no_jsonschema():
-    # jsonschema is the oracle of the tests, not a part of the runtime
+    # jsonschema is the oracle of the tests, not a part of the runtime, and
+    # so is argparse (with the gettext and locale it loads), since the CLI
+    # reads argv from its option table
     script = """
-import sys
+import contextlib, io, sys
 import villadsen.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert villadsen.cli.main(["v2", "-k", "2", "-n", "3"]) == 0
 print(sorted({name.partition(".")[0] for name in sys.modules}
-             & {"jsonschema", "referencing", "rpds", "attrs", "attr"}))
+             & {"jsonschema", "referencing", "rpds", "attrs", "attr",
+                "argparse", "gettext", "locale"}))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -1,7 +1,8 @@
 """Construction counts of the radius-of-comparison sweep and of CLI calls.
 
-The argument parser does not depend on argv, so a process builds it once,
-at import, and a CLI call builds none; each call validates its report once.
+The option table does not depend on argv, so a process builds it once, at
+import, and a CLI call builds no table and no parser; each call validates
+its report once.
 
 A space carries its ring, so a stage's ring is built once, with its space.
 The type-II tower is walked by increments (a stage's rank, new atoms and
@@ -26,7 +27,6 @@ past the parsed line classes is the Euler class, and it sorts no terms.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -220,23 +220,26 @@ def test_cli_calls_build_no_parser_and_no_validator(monkeypatch, capsys, tmp_pat
              ["cfp", "--terms", "2"],
              ["vi", "--config", str(config), "--witness", "2"],
              ["chern", "--space", str(space), "--bundle", str(bundle)]]
-    built = {"parsers": 0, "validated": 0}
+    tables, validated = [], []
+    parse, validate = cli._parse, reports.validate_report
 
-    def counting(key, function):
-        def counted(*args, **kwargs):
-            built[key] += 1
-            return function(*args, **kwargs)
-        return counted
+    def parsing(argv):
+        tables.append(cli._COMMANDS)
+        return parse(argv)
 
+    def validating(report):
+        validated.append(report)
+        return validate(report)
+
+    table = cli._COMMANDS
     with monkeypatch.context() as patch:
-        patch.setattr(argparse.ArgumentParser, "__init__",
-                      counting("parsers", argparse.ArgumentParser.__init__))
-        patch.setattr(reports, "validate_report",
-                      counting("validated", reports.validate_report))
+        patch.setattr(cli, "_parse", parsing)
+        patch.setattr(reports, "validate_report", validating)
         codes = [main(argvs[i % len(argvs)]) for i in range(20)]
     capsys.readouterr()
     assert codes == [0] * 20
-    assert built == {"parsers": 0, "validated": 20}
+    assert len(tables) == 20 and all(seen is table for seen in [*tables, cli._COMMANDS])
+    assert len(validated) == 20
 
 
 def summands_and_atom_comparisons(monkeypatch, argv) -> int:
