@@ -16,6 +16,7 @@ from .cohomology import GradedClass
 from .bundles import (
     BundleExpr,
     DiagonalSlot,
+    capacity_sum,
     chern,
     euler,
     pullback_bundle,

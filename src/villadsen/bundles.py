@@ -33,7 +33,7 @@ from .errors import (
     GeneratorBudgetExceeded,
     InvalidLineClassError,
 )
-from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, json_list, read_int
+from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, cproj, json_list, read_int
 
 DEFAULT_BUDGET = 100_000
 
@@ -139,6 +139,15 @@ def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
     """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
     return BundleExpr(base, trivial_rank,
                       [(base.generator_position(idx), m) for idx, m in parts])
+
+
+def capacity_sum(dims: list[int]) -> BundleExpr:
+    """dims[s] copies of the line on each factor of CP^dims[0] x CP^dims[1]
+    x ..., labelled cp1, cp2, ...: every line one power below its cap.  It
+    is the type-II witness sum and the CFP capacity bundle; a stage space's
+    disks are contractible and carry no generator, so no class sees them."""
+    base = SpaceDescriptor(tuple(cproj(d, label=f"cp{s}") for s, d in enumerate(dims, start=1)))
+    return BundleExpr(base, 0, enumerate(dims))
 
 
 def top_powers(b: BundleExpr):

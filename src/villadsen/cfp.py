@@ -9,7 +9,9 @@ divisibility condition and a growth inequality; everything here is exact
 big-integer and big-rational arithmetic, never floating point.
 `verify_upper` and `verify_lower` return the certificates the report prints.
 The rank gap reads only ranks and a dimension, so the one space and bundle
-built here is the capacity bundle whose Euler class `verify_lower` checks.
+built here is the capacity bundle whose Euler class `verify_lower` checks,
+`bundles.capacity_sum` of the factor dimensions: the witness sum of the
+k = infinity type-II chain at the same stage.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import factorial
 
-from .bundles import BundleExpr
+from .bundles import capacity_sum
 from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
-from .spaces import SpaceDescriptor, cproj
 
 
 def factor_dimension(s: int) -> int:
@@ -292,13 +293,7 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         pushed_table.append({"stage": s, "coefficient": str(pushed[s]),
                              "cap": cap[s], "ok": ok_s})
 
-    # the capacity bundle: dim[s] copies of each stage-s line, over the
-    # product of the first j projective factors
-    factors = dim[1:]
-    capacity = BundleExpr(SpaceDescriptor(tuple(cproj(d, label=f"cp{s}")
-                                                for s, d in enumerate(factors, start=1))),
-                          0, enumerate(factors))
-    verdict = obstructed_by_euler(capacity)
+    verdict = obstructed_by_euler(capacity_sum(dim[1:]))  # the capacity bundle
     if verdict["outcome"] != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")
     return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,

@@ -42,8 +42,7 @@ from .type_one import (
     SystemConfig,
     composed_projection_multiplicities,
     ratio_contradiction_check,
-    ratio_trajectory,
-    stats_over_range,
+    running_stats,
     top_chern_witness,
 )
 from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
@@ -190,7 +189,8 @@ def _run_vi(args):
     stop = args.stage if args.stage is not None else len(steps)
     if not 0 <= start <= stop <= len(steps):
         raise ConfigError(f"stage range [{start}, {stop}] out of bounds")
-    stats = stats_over_range(steps, start, stop)
+    composed = running_stats(steps, start, stop)
+    stats = composed[-1]
 
     def stage_stats():
         return True, {
@@ -201,7 +201,7 @@ def _run_vi(args):
         }
 
     def trajectory():
-        values = ratio_trajectory(steps[:stop], start)
+        values = [prefix.distinct_ratio for prefix in composed[1:]]
         nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
         return nonincreasing, {"values": [reports.fraction_json(v) for v in values]}
 

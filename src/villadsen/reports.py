@@ -24,7 +24,7 @@ no per-term object is built or encoded again.
 `name` and `outcome`.  It is standard-library code that reads the schema's
 draft-07 keywords itself.  It descends only where the schema has
 `properties` or `items`, so a certificate or an echoed input document is
-never walked.
+never walked, and it compiles no pattern: `_PATTERNS` holds the schema's.
 """
 
 from __future__ import annotations
@@ -139,6 +139,20 @@ def normalize_report(doc: dict) -> dict:
 _SCHEMA = json.loads(
     resources.files("villadsen.schemas").joinpath("report.schema.json").read_text())
 
+
+def _patterns(schema: dict):
+    """The `pattern`s of `schema` and of the subschemas `_check_value` reaches."""
+    if "pattern" in schema:
+        yield schema["pattern"]
+    for subschema in schema.get("properties", {}).values():
+        yield from _patterns(subschema)
+    if "items" in schema:
+        yield from _patterns(schema["items"])
+
+
+# the schema's patterns, compiled once
+_PATTERNS = {pattern: re.compile(pattern) for pattern in _patterns(_SCHEMA)}
+
 # the draft-07 types the schema names, as Python types
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
@@ -167,7 +181,8 @@ def _check_value(schema: dict, value, path: str) -> None:
         fail(f"{value!r} is not of type {kind!r}")
     if "enum" in schema and value not in schema["enum"]:
         fail(f"{value!r} is not one of {schema['enum']!r}")
-    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+    if isinstance(value, str) and "pattern" in schema \
+            and not _PATTERNS[schema["pattern"]].search(value):
         fail(f"{value!r} does not match {schema['pattern']!r}")
     if isinstance(value, dict):
         properties = schema.get("properties", {})

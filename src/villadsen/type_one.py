@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import accumulate
 
 from .bundles import expansion_budget
 from .cohomology import line_series_product
@@ -105,23 +105,18 @@ def compose_stats(a: StageStats, b: StageStats) -> StageStats:
                       a.total_multiplicity * b.total_multiplicity)
 
 
-def stats_over_range(steps: list[StepSpec], start: int, stop: int) -> StageStats:
-    """Composite stats of steps[start:stop] (IDENTITY_STATS when empty)."""
+def running_stats(steps: list[StepSpec], start: int, stop: int) -> list[StageStats]:
+    """Composite stats of steps[start:t] for t = start, ..., stop, from one
+    running composition: IDENTITY_STATS first and the whole range's last."""
     if not 0 <= start <= stop <= len(steps):
         raise IndexError("stage range out of bounds")
-    return reduce(compose_stats, (s.stats() for s in steps[start:stop]), IDENTITY_STATS)
+    return list(accumulate((s.stats() for s in steps[start:stop]), compose_stats,
+                           initial=IDENTITY_STATS))
 
 
 def ratio_trajectory(steps: list[StepSpec], start: int) -> list[Fraction]:
     """The nonincreasing sequence of distinct-projection ratios from a stage."""
-    if not 0 <= start <= len(steps):
-        raise IndexError("start stage out of bounds")
-    out = []
-    acc = IDENTITY_STATS
-    for step in steps[start:]:
-        acc = compose_stats(acc, step.stats())
-        out.append(acc.distinct_ratio)
-    return out
+    return [s.distinct_ratio for s in running_stats(steps, start, len(steps))[1:]]
 
 
 def composed_projection_multiplicities(steps: list[StepSpec], start: int,

@@ -9,20 +9,21 @@ the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
 
 The stages form a tower: stage n+1 is stage n times one new projective
-factor (and a disk increment for k = infinity).  `_tower` walks it by
-increments: a stage is its unit rank, the atoms it adds and its growth
-numbers (`growth.stage_growth`), nothing of the stages before it.  The
+factor (and a disk increment for k = infinity).  `_tower` walks it as
+numbers: a stage is its unit rank, its growth numbers
+(`growth.stage_growth`) and its witness rank, the sum of the projective
+dimensions so far, and its real dimension is a closed form in them.  The
 radius sweep and the comparability chain carry numbers up the tower, not
-spaces: the sweep carries the real dimension, the witness rank and its
-Euler verdict, and the chain the witness rank, since a connecting map keeps
-the witness sum and adds n+1 point evaluations of it on the new stage line.
-The rank criteria read numbers, so a chain's stable-range records build
-nothing, and spaces and bundles are built only where a class is computed:
-`trace_table` builds its one stage for the unit cross-check, and a chain
-its verification stage's witness sum for the Euler class, and the stage
-before it to push one witness sum through a real connecting map against
-the carried numbers.  So each sweep and each comparability chain does a
-fixed amount of Python work per stage.
+spaces: the sweep carries the witness rank's Euler verdict, and the chain
+the witness rank, since a connecting map keeps the witness sum and adds n+1
+point evaluations of it on the new stage line.  The rank criteria read
+numbers, so `trace_table`, the sweep and a chain's stable-range records
+build nothing, and spaces and bundles are built only where a class is
+computed: a chain builds its verification stage's witness sum
+(`bundles.capacity_sum`) for the Euler class, and the stage before it to
+push one witness sum through a real connecting map against the carried
+numbers.  So each sweep and each comparability chain does a fixed amount
+of Python work per stage.
 Nothing is held between calls.
 """
 
@@ -33,12 +34,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .bundles import BundleExpr, DiagonalSlot, pushforward_diagonal
+from .bundles import BundleExpr, DiagonalSlot, capacity_sum, pushforward_diagonal
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import CrossCheckDisagreement
 from .growth import INFINITE, family_parameter_label, stage_growth
 from .reports import fraction_json
-from .spaces import SpaceAtom, SpaceDescriptor, constant, cproj, disk, projection
+from .spaces import SpaceDescriptor, constant, projection
 
 
 @dataclass(frozen=True)
@@ -57,36 +58,32 @@ class SystemParams:
 
 
 class _Stage(NamedTuple):
-    """Stage n: its unit rank (n+1)!, the atoms it adds to stage n-1 (the new
-    projective factor last), unit_multiplicity(n) and cp_dimension(k, n),
-    which is 0 at stage 0: that stage adds only the first disk."""
+    """Stage n: its unit rank (n+1)!, unit_multiplicity(n), cp_dimension(k, n)
+    and the witness rank, the sum of cp_dimension(k, j) for j <= n.  Both
+    are 0 at stage 0, which adds only the first disk."""
 
     n: int
     rank: int
-    atoms: tuple[SpaceAtom, ...]
     unit: int
     dim: int
+    witness: int
 
 
 def _tower(params: SystemParams):
-    """The stages 0, 1, 2, ... of the family.  The total disk power is k at
-    every stage of a finite family and, for k = inf, 1 at stage 0 and
-    n*sigma(n)^2 = dim*unit at stage n; a stage adds a disk for the
-    increment only when it is > 0."""
-    power = 1 if params.k is INFINITE else params.k
-    yield _Stage(0, 1, (disk(power, label="d0"),), 1, 0)
+    """The stages 0, 1, 2, ... of the family."""
+    yield _Stage(0, 1, 1, 0, 0)
+    witness = 0
     for n, (fact, unit, dim) in enumerate(stage_growth(params.k), start=1):
-        atoms = (cproj(dim, label=f"cp{n}"),)
-        if params.k is INFINITE and dim * unit > power:
-            atoms = (disk(dim * unit - power, label=f"d{n}"), *atoms)
-            power = dim * unit
-        yield _Stage(n, (n + 1) * fact, atoms, unit, dim)
+        witness += dim
+        yield _Stage(n, (n + 1) * fact, unit, dim, witness)
 
 
-def _space(stages) -> SpaceDescriptor:
-    """The space of the last of `stages`, which run from stage 0: its factors
-    in order of introduction, so the map to the stage before is a projection."""
-    return SpaceDescriptor(tuple(atom for stage in stages for atom in stage.atoms))
+def _dimension(params: SystemParams, stage: _Stage) -> int:
+    """The stage space's real dimension, 2*(disk power + witness rank): the
+    disk power is k, or for k = inf 1 at stage 0 and n*sigma(n)^2 = dim*unit
+    at stage n, and the projective dimensions sum to the witness rank."""
+    disks = max(1, stage.dim * stage.unit) if params.k is INFINITE else params.k
+    return 2 * (disks + stage.witness)
 
 
 def _slots(n: int, space: SpaceDescriptor, following: SpaceDescriptor) -> list[DiagonalSlot]:
@@ -95,36 +92,27 @@ def _slots(n: int, space: SpaceDescriptor, following: SpaceDescriptor) -> list[D
             DiagonalSlot(constant(following, space, f"y{n}"), n + 1, n)]
 
 
-def _witness_sum(stages) -> BundleExpr:
-    """The witness sum of the last of `stages`, which run from stage 0, over
-    its space: cp_dimension(k, m) copies of each stage-m line."""
-    return BundleExpr(_space(stages), 0, [(stage.n - 1, stage.dim) for stage in stages[1:]])
-
-
 def trace_table(params: SystemParams, n: int) -> dict:
     """The stage-n trace certificate: dimension, unit rank, and the exact
     traces of the unit, of a trivial line and, from stage 1, of the witness
-    sum.  The unit (one trivial line plus sigma(j) copies of each stage
-    line) is built over the stage space, and its rank is cross-checked
-    against (n+1)!, so the unit trace is 1 whenever the table is returned."""
+    sum.  The unit's rank (one trivial line plus sigma(j) copies of each
+    stage line) is summed over the walk and cross-checked against (n+1)!,
+    so the unit trace is 1 whenever the table is returned."""
     if n < 0:
         raise ValueError("stage must be >= 0")
     stages = list(islice(_tower(params), n + 1))
-    space, rank = _space(stages), stages[-1].rank
-    unit = BundleExpr(space, 1, [(stage.n - 1, stage.unit) for stage in stages[1:]])
-    if unit.rank != rank:
+    stage, unit_rank = stages[-1], sum(s.unit for s in stages)
+    if unit_rank != stage.rank:
         raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
     cert = {
         "stage": n,
-        "dimension": str(space.real_dimension),
-        "rank": str(unit.rank),
-        "unit_trace": fraction_json(Fraction(unit.rank, rank)),
-        "trivial_line_trace": fraction_json(Fraction(1, unit.rank)),
+        "dimension": str(_dimension(params, stage)),
+        "rank": str(unit_rank),
+        "unit_trace": fraction_json(Fraction(unit_rank, stage.rank)),
+        "trivial_line_trace": fraction_json(Fraction(1, unit_rank)),
     }
     if n >= 1:
-        # the witness sum holds cp_dimension(k, j) copies of each stage line
-        witness_rank = sum(stage.dim for stage in stages)
-        cert["witness_sum_trace"] = fraction_json(Fraction(witness_rank, rank))
+        cert["witness_sum_trace"] = fraction_json(Fraction(stage.witness, stage.rank))
     return cert
 
 
@@ -169,12 +157,12 @@ def comparability_triple(params: SystemParams, n: int,
     # copies, within capacity while that is at most the new stage's cp
     # dimension.  The stage-(ell+1) witness sum adds that many copies, so
     # only R is carried up the tower
-    rank = stages[-1].rank
-    witness_rank = sum(stage.dim for stage in stages)
+    rank, witness_rank = stages[-1].rank, stages[-1].witness
     q_sum = Fraction(witness_rank, rank)
+    dims = [stage.dim for stage in stages[1:]]
     chain_records = []
     for ell, following in zip(range(n, j), tower):
-        stages.append(following)
+        dims.append(following.dim)
         new_coeff = (ell + 1) * witness_rank
         ok = new_coeff <= following.dim
         passed &= ok
@@ -186,13 +174,13 @@ def comparability_triple(params: SystemParams, n: int,
             "capacity": str(following.dim),
             "within_capacity": ok,
         })
-        witness_rank += following.dim
+        witness_rank = following.witness
 
-    witness = _witness_sum(stages)
+    witness = capacity_sum(dims)
     if j > n:
-        # the last step through a real connecting map: every earlier summand
-        # stays where it is and the new line gets the last record's copies
-        before = _witness_sum(stages[:-1])
+        # the last step through a real connecting map, from the witness sum over
+        # stage j's first j-1 factors: earlier summands stay, the new line gets copies
+        before = BundleExpr(SpaceDescriptor(witness.base.factors[:-1]), 0, enumerate(dims[:-1]))
         pushed = pushforward_diagonal(before, _slots(j - 1, before.base, witness.base))
         if pushed != BundleExpr(witness.base, 0, [*before.parts.items(), (j - 1, new_coeff)]):
             raise CrossCheckDisagreement(
@@ -213,11 +201,9 @@ def comparability_triple(params: SystemParams, n: int,
         traces["divergent"] = False
     else:
         entries = []
-        witness_rank = 0
-        for stage in stages[1:n + 1]:
+        for stage in stages[1:]:
             m = stage.n
-            witness_rank += stage.dim
-            exact = Fraction(witness_rank, stage.rank)
+            exact = Fraction(stage.witness, stage.rank)
             lower = Fraction(m * m, m + 1)
             if exact < lower:
                 raise CrossCheckDisagreement("divergence lower bound fails")
@@ -248,15 +234,13 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     stages = []
     witnesses = []
     previous = None
-    # stage m's witness sum is stage m-1's plus `dim` copies of the new stage
-    # line: its rank and factorized Euler verdict are carried up the tower,
-    # the verdict nonzero while every multiplicity stays below the cap of
-    # its line's projective factor
-    dimension, witness_rank, obstructed = 0, 0, True
+    # stage m's witness sum is stage m-1's plus `dim` copies of the new line:
+    # its Euler verdict, carried up the tower, is nonzero while the copies
+    # each stage adds stay below the cap dim + 1 of the new factor
+    witness_rank, obstructed = 0, True
     for stage in islice(_tower(params), max_stage + 1):
         m, rank = stage.n, stage.rank
-        for atom in stage.atoms:
-            dimension += atom.real_dimension
+        dimension = _dimension(params, stage)
         value = Fraction(dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
                "value": fraction_json(value)}
@@ -270,8 +254,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
         if m == 0:
             continue
 
-        witness_rank += stage.dim
-        obstructed = obstructed and stage.dim < stage.atoms[-1].generator_cap
+        obstructed = obstructed and stage.witness - witness_rank < stage.dim + 1
+        witness_rank = stage.witness
         q_sum = Fraction(witness_rank, rank)
         passed &= obstructed
         rec = {

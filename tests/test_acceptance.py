@@ -26,7 +26,7 @@ from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.growth import INFINITE, cp_dimension
 from villadsen.reports import validate_report
 from villadsen.spaces import SpaceDescriptor, cproj, projection
-from villadsen.type_one import StageStats, ratio_contradiction_check, stats_over_range, top_chern_witness
+from villadsen.type_one import StageStats, ratio_contradiction_check, running_stats, top_chern_witness
 from villadsen.type_two import (
     SystemParams,
     comparability_triple,
@@ -203,7 +203,7 @@ def test_criterion_7_property_suites():
 
         for _ in range(200):
             steps = [random_step(rng) for _ in range(rng.randint(1, 4))]
-            composed = stats_over_range(steps, 0, len(steps))
+            composed = running_stats(steps, 0, len(steps))[-1]
             oracle = enumerate_chain_stats(steps, 0, len(steps))
             assert (composed.distinct_projections,
                     composed.projection_multiplicity,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,6 +66,21 @@ def test_every_report_is_still_validated():
         with pytest.raises(ValueError) as raised:
             validate_report({**VALID_REPORT, **bad})
         assert str(raised.value).startswith(f"at {where}")
+
+
+def test_validating_a_report_compiles_no_pattern(monkeypatch):
+    # the schema's patterns are compiled when it is read, at import: a cold
+    # process compiled `wall_time_ms`'s pattern in its one validation
+    compiled = []
+    compile_ = re._compile
+
+    def counting(*args, **kwargs):
+        compiled.append(args)
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(re, "_compile", counting)
+    validate_report({**VALID_REPORT, "checks": [VALID_CHECK]})
+    assert compiled == []
 
 
 @st.composite

@@ -5,20 +5,21 @@ import, and a CLI call builds no table and no parser; each call validates
 its report once.
 
 A space carries its ring, so a stage's ring is built once, with its space.
-The type-II tower is walked by increments (a stage's rank, new atoms and
-growth numbers), so the radius sweep, which carries the real dimension, the
-witness rank and its Euler verdict, builds no space and no class at all.
-Nothing is held between calls: each sweep walks the stage tower from
-stage 0, so a CLI call may build again at most one space of an earlier
-walk, and the same call made twice builds the same things.  A type-II
-stage adds one projective factor (and a disk increment) to the stage
-before, so a sweep builds a fixed number of atoms per stage and no
-factorial from scratch.  A comparability chain carries the witness rank
-up the tower and pushes one witness sum through a real connecting map, at
-its last step, so a sweep or a chain step hands a fixed number of
-summands to the bundle constructors and compares no atom.  The rank-gap
-and stable-range criteria read numbers, so `cfp` and a chain build a
-space or bundle only where an Euler class or a pushforward is computed.
+The type-II tower is walked as numbers (a stage's rank, growth numbers and
+witness rank), and a stage's real dimension is a closed form in them, so
+the radius sweep, which carries the witness rank's Euler verdict, and the
+trace table build no atom, space, bundle or class at all.  Nothing is
+held between calls: each sweep walks the stage tower from stage 0, so a
+CLI call may build again at most one space of an earlier walk, and the
+same call made twice builds the same things.  A stage's numbers follow
+from the stage before by one step of a running factorial, so a sweep
+computes no factorial from scratch.  A comparability chain carries the
+witness rank up the tower and pushes one witness sum through a real
+connecting map, at its last step, so a sweep or a chain step hands a
+fixed number of summands to the bundle constructors and compares no atom.
+The rank-gap and stable-range criteria read numbers, so `cfp` and a chain
+build a space or bundle only where an Euler class or a pushforward is
+computed.
 A `chern` call writes each nonzero degree of the Chern class, and the
 Euler class, as one text fragment, not as an object per term.  It writes
 the degrees straight from the summands' series: the only class it builds
@@ -143,6 +144,10 @@ def test_comparability_chain_bundles_grow_linearly(monkeypatch, capsys):
     (["cfp", "--terms", "3", "--stage", "40"], (1, 1)),
     # the witness sum whose Euler class is checked
     (["v2", "-k", "2", "-n", "200", "--comparability"], (1, 1)),
+    # the trace table and the radius sweep read numbers only
+    (["v2", "-k", "2", "-n", "25", "--trace"], (0, 0)),
+    (["v2", "-k", "inf", "-n", "62", "--trace"], (0, 0)),
+    (["v2", "-k", "inf", "-n", "62", "--rc", "--trace"], (0, 0)),
     # the witness sums of the last two stages, the two pullbacks, the
     # tensored piece and the pushed sum of the one pushforward, and the
     # bundle it is compared with
@@ -194,14 +199,13 @@ def test_repeated_call_builds_the_same(monkeypatch, capsys):
     first, second = one_call(), one_call()
     capsys.readouterr()
     assert first == second
-    # the sweep builds no space; the trace table's walk to stage 30 and the
-    # sweep's 31 stages, one atom each
-    assert first[1] == 0 and first[3] == 2 * 31
+    # the sweep builds no space, and neither it nor the trace table an atom
+    assert first[1] == 0 and first[3] == 0
 
 
 def test_stage_sweep_builds_linearly_many_factorials_and_atoms(monkeypatch, capsys):
-    # each stage extends the one before by its new atoms and one step of a
-    # running factorial; rebuilding every stage from stage 0 is quadratic
+    # each stage follows the one before by one step of a running factorial;
+    # rebuilding every stage from stage 0 is quadratic
     at_40 = factorials_and_atoms(monkeypatch, ["v2", "-k", "2", "-n", "40", "--rc"])
     at_80 = factorials_and_atoms(monkeypatch, ["v2", "-k", "2", "-n", "80", "--rc"])
     capsys.readouterr()

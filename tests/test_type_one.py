@@ -15,7 +15,7 @@ from villadsen.type_one import (
     composed_projection_multiplicities,
     ratio_contradiction_check,
     ratio_trajectory,
-    stats_over_range,
+    running_stats,
     top_chern_witness,
 )
 
@@ -97,10 +97,15 @@ def test_stats_match_chain_enumeration():
         start = rng.randint(0, len(steps) - 1)
         stop = rng.randint(start + 1, len(steps))
         distinct, with_mult, total = enumerate_chain_stats(steps, start, stop)
-        composed = stats_over_range(steps, start, stop)
+        running = running_stats(steps, start, stop)
+        composed = running[-1]
         assert composed.distinct_projections == distinct
         assert composed.projection_multiplicity == with_mult
         assert composed.total_multiplicity == total
+        # one entry per prefix of the range, the empty one first
+        assert running[0] == IDENTITY_STATS and len(running) == stop - start + 1
+        assert [s.distinct_ratio for s in running[1:]] \
+            == ratio_trajectory(steps[:stop], start)
 
 
 def test_composed_multiplicities_outer_product():

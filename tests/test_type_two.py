@@ -6,12 +6,14 @@ import pytest
 
 from villadsen.bundles import (
     BundleExpr,
+    capacity_sum,
     chern_expansion_cost,
     euler,
     pushforward_diagonal,
 )
+from villadsen.cfp import build_witness, verify_lower
 from villadsen.comparison import obstructed_by_euler
-from villadsen import type_two
+from villadsen import cfp, type_two
 from villadsen.growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
 from villadsen.type_two import (
     SystemParams,
@@ -52,37 +54,40 @@ def test_stage_growth_matches_pointwise_values():
         assert next(stage_growth(k)) == (1, 1, cp_dimension(k, 1))
 
 
-def assert_same_space(space, expected):
-    assert space == expected and hash(space) == hash(expected)
-    assert space.factors == expected.factors
-    assert space.caps == expected.caps
-    assert space.positions == expected.positions
-    assert space.generator_names == expected.generator_names
-    assert space.real_dimension == expected.real_dimension \
-        == sum(a.real_dimension for a in expected.factors)
+def projective_factors(space: SpaceDescriptor) -> tuple:
+    return tuple(atom for atom in space.factors if atom.kind == "cp")
 
 
-def walked_space(stages) -> SpaceDescriptor:
-    """The space of the last walked stage, from the atoms of all of them."""
-    return SpaceDescriptor(tuple(atom for stage in stages for atom in stage.atoms))
+def assert_witness_sum_over_stage(dims, params, n):
+    """The witness sum `capacity_sum` builds from the walked dims of stages
+    1..n lies over the from-scratch stage space's projective factors, with
+    the from-scratch witness sum's summands."""
+    witness, expected = capacity_sum(dims), witness_sum_from_scratch(params, n)
+    assert witness.base.factors == projective_factors(expected.base)
+    assert witness.base.caps == expected.base.caps
+    assert witness.parts == expected.parts and witness.rank == expected.rank
 
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_stage_tower_matches_from_scratch_build(k):
-    # one walk of increments: the atoms walked so far, the rank and the
-    # growth numbers of each stage against values computed on their own
+    # one walk of numbers: each stage's rank, growth numbers, witness rank
+    # and printed dimension against values computed on their own
     params = SystemParams(k)
-    walked, dimension = [], 0
-    for n, stage in zip(range(61), type_two._tower(params)):
-        walked.append(stage)
+    sweep = radius_of_comparison(params, 60)["stages"]
+    dims = []
+    for n, (stage, record) in enumerate(zip(islice(type_two._tower(params), 61), sweep,
+                                            strict=True)):
         expected = stage_space_from_scratch(params, n)
-        assert stage.n == n and isinstance(stage.atoms, tuple)
-        assert_same_space(walked_space(walked), expected)
-        dimension += sum(atom.real_dimension for atom in stage.atoms)
-        assert dimension == expected.real_dimension
+        assert stage.n == n and all(type(value) is int for value in stage)
         assert stage.rank == factorial(n + 1)
         assert stage.unit == unit_multiplicity(n)
         assert stage.dim == (cp_dimension(k, n) if n else 0)
+        assert stage.witness == witness_sum_from_scratch(params, n).rank
+        dimension = str(expected.real_dimension)
+        assert record["dimension"] == trace_table(params, n)["dimension"] == dimension
+        if n:
+            dims.append(stage.dim)
+        assert_witness_sum_over_stage(dims, params, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
@@ -92,37 +97,41 @@ def test_early_stage_unchanged_by_later_walk(k):
     early = list(islice(tower, 11))
     later = list(islice(tower, 100))
     assert later[-1].n == 110
-    # the stages taken early equal those of a fresh walk, and still build stage 10
-    assert early == list(islice(type_two._tower(params), 11))
-    assert_same_space(walked_space(early), stage_space_from_scratch(params, 10))
+    # the stages taken early equal those of a fresh walk, and the later ones
+    # continue it
+    assert early + later == list(islice(type_two._tower(params), 111))
+    assert_witness_sum_over_stage([stage.dim for stage in early[1:]], params, 10)
 
 
 def test_stage_zero():
     (stage,) = islice(type_two._tower(SystemParams(2)), 1)
-    assert [a.kind for a in stage.atoms] == ["disk"]
+    assert stage == (0, 1, 1, 0, 0)
     cert = trace_table(SystemParams(2), 0)
     assert cert["dimension"] == "4" and cert["rank"] == "1"
     unit = unit_from_scratch(SystemParams(2), 0)
     assert unit.rank == 1 and unit.trivial_rank == 1
     assert "witness_sum_trace" not in cert
+    # one disk of power 1 for k = inf
+    assert trace_table(SystemParams(INFINITE), 0)["dimension"] == "2"
 
 
 def test_stage_three_finite():
     stages = list(islice(type_two._tower(SystemParams(2)), 4))
-    assert [a.size for s in stages for a in s.atoms] == [2, 2, 8, 36]
+    assert [s.dim for s in stages] == [0, 2, 8, 36]
+    assert [s.witness for s in stages] == [0, 2, 10, 46]
     cert = trace_table(SystemParams(2), 3)
+    # 2 * (disk power 2 + witness rank 46)
     assert cert["dimension"] == "96"
     assert cert["rank"] == str(factorial(4))
 
 
 def test_stage_two_infinite():
     stages = list(islice(type_two._tower(SystemParams(INFINITE)), 3))
-    atoms = [a for s in stages for a in s.atoms]
-    disks = [a.size for a in atoms if a.kind == "disk"]
-    cps = [a.size for a in atoms if a.kind == "cp"]
-    assert sum(disks) == 2 * unit_multiplicity(2) ** 2 == 32
-    assert cps == [1, 8]
+    assert [s.dim for s in stages] == [0, 1, 8]
+    # the disk power n*sigma(n)^2 is dim*unit
+    assert stages[-1].dim * stages[-1].unit == 2 * unit_multiplicity(2) ** 2 == 32
     cert = trace_table(SystemParams(INFINITE), 2)
+    # 2 * (disk power 32 + witness rank 9)
     assert cert["dimension"] == "82"
     assert cert["rank"] == "6"
 
@@ -301,10 +310,10 @@ def test_carried_euler_verdict_follows_the_caps(monkeypatch):
     tower = type_two._tower
 
     def short_factor(params):
+        # the witness sum still adds the full stage-5 copies
         for stage in tower(params):
             if stage.n == 5:
-                cp = stage.atoms[-1]
-                stage = stage._replace(atoms=(cproj(cp.size - 1, label=cp.label),))
+                stage = stage._replace(dim=stage.dim - 1)
             yield stage
 
     def short_witness_sum(m):
@@ -340,3 +349,24 @@ def test_chain_steps_match_from_scratch_pushforward(k):
         assert record["new_line_multiplicity"] == str(pushed.parts.get(ell, 0))
         assert record["within_capacity"] is all(
             m <= target.parts.get(pos, 0) for pos, m in pushed.parts.items())
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_infinite_chain_witness_sum_is_the_cfp_capacity_bundle(monkeypatch, terms):
+    # the CFP counterexample is the k = inf family: the bundle whose Euler
+    # class `verify_lower` checks is the chain's witness sum at that stage
+    checked = []
+
+    def recording(y):
+        checked.append(y)
+        return obstructed_by_euler(y)
+
+    monkeypatch.setattr(cfp, "obstructed_by_euler", recording)
+    monkeypatch.setattr(type_two, "obstructed_by_euler", recording)
+    witness = build_witness(terms)
+    j = witness.terms[-1].stage
+    assert verify_lower(witness)["passed"]
+    assert comparability_triple(SystemParams(INFINITE), 1, j)["passed"]
+    capacity, chained = checked
+    assert chained == capacity and chained.base.factors == capacity.base.factors
+    assert chained.parts == witness_sum_from_scratch(SystemParams(INFINITE), j).parts
