@@ -37,7 +37,6 @@ from .type_two import SystemParams, comparability_triple, radius_of_comparison, 
 from .cfp import (
     CfpWitness,
     build_witness,
-    factor_dimension,
     first_witness_stage,
     next_witness_stage,
     verify_lower,

@@ -7,11 +7,20 @@ ever dominates a trivial line (an Euler-class certificate fed by exact
 coefficient bookkeeping).  Witness stages are chosen minimally subject to a
 divisibility condition and a growth inequality; everything here is exact
 big-integer and big-rational arithmetic, never floating point.
-`verify_upper` and `verify_lower` return the certificates the report prints.
-The rank gap reads only ranks and a dimension, so the one space and bundle
-built here is the capacity bundle whose Euler class `verify_lower` checks,
-`bundles.capacity_sum` of the factor dimensions: the witness sum of the
-k = infinity type-II chain at the same stage.
+
+Every number is read off one walk of the k = infinity stage tower
+(`growth.tower`): a stage's projective dimension is the cap of its line,
+its witness rank half the real dimension of the product of the projective
+factors so far, and its rank the unit rank (n+1)!.  `build_witness` walks
+only as far as its witness stages need and keeps the factor dimensions it
+walked, each term carries its stage's record, and `verify_lower` walks on
+from the last witness stage to the verification stage, so one `cfp` call
+generates each stage once.  `verify_upper` and `verify_lower` return the
+certificates the report prints.  The rank gap reads only ranks and a
+dimension, so the one space and bundle built here is the capacity bundle
+whose Euler class `verify_lower` checks, `bundles.capacity_sum` of the
+factor dimensions: the witness sum of the k = infinity type-II chain at the
+same stage.
 """
 
 from __future__ import annotations
@@ -23,35 +32,19 @@ from math import factorial
 from .bundles import capacity_sum
 from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
-from .growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
+from .growth import INFINITE, Stage, tower
 
 
-def factor_dimension(s: int) -> int:
-    """Complex dimension of the s-th projective factor, s^2 * s!.
-
-    This same number caps the multiplicity a line block may reach before its
-    Euler factor dies, which is what the whole construction runs on.
-    """
-    return cp_dimension(INFINITE, s)
-
-
-def half_dimension_sum(j: int) -> int:
-    """Half the real dimension of the product of the first j projective
-    factors: the sum of factor_dimension(s) for s = 1..j, off the infinite
-    family's growth."""
-    return sum(dim for _, _, dim in islice(stage_growth(INFINITE), j))
+def _walk_to(stages: list[Stage], n: int) -> Stage:
+    """Stage n of the k = infinity walk whose stages so far, from stage 0
+    on, are `stages`: the walk goes on from the last of them as far as
+    needed."""
+    if n >= len(stages):
+        stages += islice(tower(INFINITE, stages[-1] if stages else None), n + 1 - len(stages))
+    return stages[n]
 
 
 # -- choice of witness stages -------------------------------------------------
-
-def _divisible_by_four(m: int) -> bool:
-    return factor_dimension(m) % 4 == 0
-
-
-def _ratio_ok(m: int) -> bool:
-    # five quarters of the new factor dimension covers the whole half-dimension
-    return 5 * factor_dimension(m) >= 4 * half_dimension_sum(m)
-
 
 _GROWTH_BASE = 1  # lam(m+1) >= 5*lam(m) holds from here on, see note below
 
@@ -62,33 +55,36 @@ def _growth_fact_holds(m: int) -> bool:
     return (m + 1) ** 3 >= 5 * m * m
 
 
-def _ratio_induction_base() -> int:
+def _ratio_induction_base(stages: list[Stage]) -> int:
     # smallest stage where the quarter bound holds; the growth fact then
     # propagates it to every later stage
     m = 1
-    while 4 * half_dimension_sum(m - 1) > factor_dimension(m):
+    while 4 * _walk_to(stages, m - 1).witness > _walk_to(stages, m).dim:
         m += 1
     return m
 
 
 def first_witness_stage() -> int:
     """Minimal stage from which every later stage passes both entry conditions."""
-    return first_stage_certificate()["value"]
+    return first_stage_certificate([])["value"]
 
 
-def first_stage_certificate() -> dict:
+def first_stage_certificate(stages: list[Stage]) -> dict:
     """The first witness stage, with the finite checks and the symbolic tail
-    facts behind it.
+    facts behind it, read off the walk `stages` (walked on as far as needed).
 
     Divisibility by four holds for all m >= 4 (4 divides m! there) and the
     ratio condition holds for all m >= the induction base, so only the stages
     up to the larger of the two need explicit checking: the first stage
     follows the last failing stage below it.
     """
-    ratio_base = _ratio_induction_base()
+    ratio_base = _ratio_induction_base(stages)
     base = max(ratio_base, 4)
-    checks = [{"stage": m, "divisible_by_4": _divisible_by_four(m), "ratio_ok": _ratio_ok(m)}
-              for m in range(1, base + 1)]
+    _walk_to(stages, base)
+    # the ratio condition: five quarters of the new factor dimension covers
+    # the whole half-dimension
+    checks = [{"stage": s.n, "divisible_by_4": s.dim % 4 == 0,
+               "ratio_ok": 5 * s.dim >= 4 * s.witness} for s in stages[1:base + 1]]
     return {
         "value": max([c["stage"] + 1 for c in checks[:-1]
                       if not (c["divisible_by_4"] and c["ratio_ok"])], default=1),
@@ -110,26 +106,32 @@ def first_stage_certificate() -> dict:
     }
 
 
-def next_witness_stage(prev: int) -> int:
-    """Minimal stage m > prev with the pushforward growth inequality.
+def next_witness_stage(prev: Stage) -> int:
+    """Minimal stage m > prev.n with the pushforward growth inequality.
 
-    The inequality (sum of earlier factor dimensions) * sigma(m) / (prev+1)!
-    <= factor_dimension(m) / 2 reduces, after dividing out sigma(m), to
-    m >= 2 * (sum of earlier factor dimensions) / (prev+1)!, whose least
-    integer solution is an exact ceiling.
+    The inequality prev.witness * sigma(m) / prev.rank <= m * sigma(m) / 2,
+    whose sides are the pushed coefficient of the dominated sum and half the
+    stage-m factor dimension, reduces, after dividing out sigma(m), to
+    m >= 2 * prev.witness / prev.rank, whose least integer solution is an
+    exact ceiling.
     """
-    if prev < 1:
+    if prev.n < 1:
         raise ValueError("previous stage must be >= 1")
-    return max(prev + 1, -(-2 * half_dimension_sum(prev) // factorial(prev + 1)))
+    return max(prev.n + 1, -(-2 * prev.witness // prev.rank))
 
 
 @dataclass(frozen=True)
 class WitnessTerm:
-    """One witness: `copies` of the stage line, with copies twice below cap."""
+    """One witness: `copies` of the line of the walk's stage `record`, with
+    copies twice below cap."""
 
     index: int
-    stage: int
+    record: Stage
     copies: int
+
+    @property
+    def stage(self) -> int:
+        return self.record.n
 
     def to_json(self) -> dict:
         return {"index": self.index, "stage": self.stage, "copies": str(self.copies)}
@@ -137,11 +139,13 @@ class WitnessTerm:
 
 @dataclass(frozen=True)
 class CfpWitness:
-    """The witness terms, and the certificate behind the first stage
-    (`first_stage_certificate`) when the stages were chosen minimally; the
-    stages were given (overridden) when there is none."""
+    """The witness terms, the factor dimensions of stages 0 to the last
+    witness stage off the walk the terms were read from, and the certificate
+    behind the first stage (`first_stage_certificate`) when the stages were
+    chosen minimally; the stages were given (overridden) when there is none."""
 
     terms: tuple[WitnessTerm, ...]
+    dims: tuple[int, ...] = field(compare=False, repr=False)
     first_stage: dict | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -154,9 +158,11 @@ class CfpWitness:
 
 
 def build_witness(num_terms: int, override_stages: list[int] | None = None) -> CfpWitness:
-    """Build the first `num_terms` witnesses, minimally or from overrides."""
+    """Build the first `num_terms` witnesses, minimally or from overrides,
+    walking the stages only as far as they need."""
     if num_terms < 1:
         raise ConfigError("need at least one term")
+    stages: list[Stage] = []
     first_stage = None
     if override_stages is not None:
         if len(override_stages) != num_terms:
@@ -166,35 +172,37 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
         below = [s for s in override_stages if s < 1]
         if below:
             raise ConfigError(f"override stages start at stage 1, not {below}")
-        stages = list(override_stages)
+        chosen = list(override_stages)
     else:
-        first_stage = first_stage_certificate()
-        stages = [first_stage["value"]]
-        while len(stages) < num_terms:
-            stages.append(next_witness_stage(stages[-1]))
+        first_stage = first_stage_certificate(stages)
+        chosen = [first_stage["value"]]
+        while len(chosen) < num_terms:
+            chosen.append(next_witness_stage(_walk_to(stages, chosen[-1])))
     terms = []
-    for i, stage in enumerate(stages, start=1):
-        dim = factor_dimension(stage)
-        if dim % 2:
-            raise ConfigError(f"stage {stage} has odd factor dimension {dim}; "
+    for i, m in enumerate(chosen, start=1):
+        record = _walk_to(stages, m)
+        if record.dim % 2:
+            raise ConfigError(f"stage {m} has odd factor dimension {record.dim}; "
                               "half of it is not an integer")
-        terms.append(WitnessTerm(i, stage, dim // 2))
-    return CfpWitness(tuple(terms), first_stage)
+        terms.append(WitnessTerm(i, record, record.dim // 2))
+    return CfpWitness(tuple(terms), tuple(s.dim for s in stages[:chosen[-1] + 1]),
+                      first_stage)
 
 
 def verify_upper(term: WitnessTerm) -> dict:
     """Certify that five copies of the witness dominate the unit, by rank gap.
 
     Over the product of the stage's first projective factors, 5 * copies
-    exceeds the unit rank (stage+1)! plus half the base dimension exactly
-    when the stage entry conditions hold; the criterion reads only these
-    numbers, so no base or bundle is built.
+    exceeds the unit rank (stage+1)! plus half the base dimension, the
+    stage's witness rank, exactly when the stage entry conditions hold; the
+    criterion reads only these numbers off the term's stage record, so no
+    base or bundle is built.
     Returns the report's certificate: the term's stage and copies, and the
     rank-gap verdict, whose outcome is "dominates" when it holds.
     """
+    record = term.record
     return {"stage": term.stage, "copies": str(term.copies),
-            **dominates_by_rank(factorial(term.stage + 1), 5 * term.copies,
-                                2 * half_dimension_sum(term.stage))}
+            **dominates_by_rank(record.rank, 5 * term.copies, 2 * record.witness)}
 
 
 def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
@@ -212,13 +220,16 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     certificate; "passed" holds when no step failed.
     """
     terms = witness.terms
-    j = terms[-1].stage if stage is None else stage
-    if j < terms[-1].stage:
-        raise ValueError("verification stage must reach the last witness stage")
+    last = terms[-1].record
+    j = last.n if stage is None else stage
+    if j < last.n:
+        raise ValueError(f"verification stage {j} must reach the last witness "
+                         f"stage {last.n}")
 
-    # dim[s] is the stage-s factor dimension, the cap of the stage-s line, and
-    # cap[s] its decimal string, converted once for every row that prints it
-    dim = [0] + [d for _, _, d in islice(stage_growth(INFINITE), j)]
+    # dim[s] is the stage-s factor dimension, the cap of the stage-s line, off
+    # the witness's walk, and cap[s] its decimal string, converted once for
+    # every row that prints it; the stretch walks both on to stage j
+    dim = list(witness.dims)
     cap = [str(d) for d in dim]
     failures: list[str] = []
     rows = []
@@ -234,7 +245,7 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     })
     for term, prev_term in zip(terms[1:], terms):
         prev, cur = prev_term.stage, term.stage
-        dominated_rank = sum(dim[1:prev + 1])
+        dominated_rank = prev_term.record.witness
         intermediate = []
         # dominated_rank * sigma(t) / (prev+1)! = t * scaled, with
         # scaled = dominated_rank * t!/(prev+1)! carried as a running product
@@ -252,9 +263,10 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
                                  "cap": cap[t], "ok": ok_t})
             scaled *= t + 1
         growth_lhs = coeff
-        # closed form of the last coefficient, so the running product is never
-        # trusted alone
-        if growth_lhs * factorial(prev + 1) != dominated_rank * unit_multiplicity(cur):
+        # closed form of the last coefficient, dominated_rank * cur * cur! /
+        # (prev+1)!, with cur! formed apart from the walk, so the running
+        # product is never trusted alone
+        if growth_lhs * prev_term.record.rank != dominated_rank * cur * factorial(cur):
             raise CrossCheckDisagreement(
                 "running pushforward coefficient disagrees with its closed form")
         growth_ok = 2 * growth_lhs <= dim[cur]
@@ -272,17 +284,20 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
             "intermediate": intermediate,
         })
 
+    # the capacity bundle of each stage from the last witness stage on, of
+    # its witness rank, pushed one stage on along the walk
     stretch = []
-    rank_t = sum(dim[1:terms[-1].stage + 1])
-    for t in range(terms[-1].stage, j):
-        new = (t + 1) * rank_t
-        ok_t = new <= dim[t + 1]
+    before = last
+    for following in islice(tower(INFINITE, last), j - last.n):
+        dim.append(following.dim)
+        cap.append(str(following.dim))
+        new = following.n * before.witness
+        ok_t = new <= following.dim
         if not ok_t:
-            failures.append(f"capacity push fails from stage {t}")
-        stretch.append({"from_stage": t, "to_stage": t + 1,
-                        "new_multiplicity": str(new),
-                        "cap": cap[t + 1], "ok": ok_t})
-        rank_t += dim[t + 1]
+            failures.append(f"capacity push fails from stage {before.n}")
+        stretch.append({"from_stage": before.n, "to_stage": following.n,
+                        "new_multiplicity": str(new), "cap": cap[-1], "ok": ok_t})
+        before = following
 
     pushed = exact_pushed_coefficients(witness, j)
     pushed_table = []

@@ -75,9 +75,10 @@ def _load_json(path: str) -> dict:
 
 def _check_index(label: str, value: int | None) -> None:
     """A stage or term count past sys.maxsize is a usage error that names its
-    option (`label`): the engine indexes stages (islice, math.factorial),
-    and those stop there.  A `cfp --terms` count is one witness stage per
-    term, so it stops there too."""
+    option (`label`): the engine walks stages with islice, which stops
+    there.  A `cfp --override-l` stage is walked to, not passed to
+    math.factorial, and a `cfp --terms` count is one witness stage per
+    term, so both stop there too."""
     if value is not None and value > sys.maxsize:
         raise ConfigError(f"{label} {value} exceeds {sys.maxsize}")
 
@@ -264,7 +265,11 @@ def _run_cfp(args):
     _check_index("--stage stage", args.stage)
     _check_index("--terms", args.terms)
     witness = cfp_mod.build_witness(args.terms, overrides)
-    stage = args.stage if args.stage is not None else witness.terms[-1].stage
+    last = witness.terms[-1].stage
+    if args.stage is not None and args.stage < last:
+        raise ConfigError(f"--stage {args.stage} is below the last witness stage; "
+                          f"it must reach stage {last}")
+    stage = last if args.stage is None else args.stage
 
     def construction():
         cert = {"witness": witness.to_json()}

@@ -1,62 +1,57 @@
-"""Growth functions shared by the type-II systems and the CFP witness.
+"""The stage walk shared by the type-II systems and the CFP witness.
 
 All values are exact Python integers; they reach factorial scale quickly,
 which is why nothing in this package ever goes through floating point.
-The functions give one stage's value; `stage_growth` yields every stage's
-values in turn from one running factorial.  It is the one generator of the
-per-stage numbers: the type-II stage tower walks it, and the CFP witness
-base reads its factor dimensions off the infinite family's.
+`tower` is the one generator of per-stage numbers: stage n+1 follows from
+stage n alone by three multiplications and one addition, so a walk never
+forms a factorial from scratch and can resume from any stage it yielded.
+The type-II stage tower walks it for its family, and every number `cfp`
+prints is read off one walk of the infinite family.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from math import factorial
+from typing import NamedTuple
 
 from .spaces import read_int
 
 INFINITE = None  # sentinel for the k = infinity family
 
 
-def unit_multiplicity(n: int) -> int:
-    """Multiplicity of the stage-n line-bundle block inside the unit bundle.
+class Stage(NamedTuple):
+    """Stage n: its unit rank (n+1)!, the multiplicity n*n! of the stage-n
+    line in the unit (1 at stage 0), the complex dimension of the projective
+    factor it adds, k*n*n! (n^2*n! for k = inf), and the witness rank, the
+    sum of those dimensions up to n.  Both are 0 at stage 0, which adds only
+    the first disk."""
 
-    Equals n * n! for n >= 1 and 1 for n = 0.  The partial sums telescope:
-    sum_{j=0}^{n} unit_multiplicity(j) == (n+1)!.
+    n: int
+    rank: int
+    unit: int
+    dim: int
+    witness: int
+
+
+def tower(k: int | None, after: Stage | None = None):
+    """The stages of family k after the stage `after`, or from stage 0 when
+    it is None.
+
+    The unit multiplicities telescope: stage n+1's is (n+1) times stage n's
+    unit rank, and its unit rank is n+2 times stage n's.  A record is made
+    with `tuple.__new__`, as `Stage._make` does, so a step runs no
+    Python-level constructor.
     """
-    if n < 0:
-        raise ValueError("stage must be >= 0")
-    if n == 0:
-        return 1
-    return n * factorial(n)
-
-
-def cp_dimension(k: int | None, n: int) -> int:
-    """Complex dimension of the projective-space factor added at stage n.
-
-    For a finite family parameter k this is k * unit_multiplicity(n); for the
-    infinite family (k is INFINITE) it is n * unit_multiplicity(n) = n^2 * n!.
-    """
-    if n < 1:
-        raise ValueError("projective factors start at stage 1")
-    if k is INFINITE:
-        return n * unit_multiplicity(n)
-    if k < 1:
-        raise ValueError("family parameter must be >= 1 or INFINITE")
-    return k * unit_multiplicity(n)
-
-
-def stage_growth(k: int | None):
-    """Yield (n!, unit_multiplicity(n), cp_dimension(k, n)) for n = 1, 2, ...
-
-    One running factorial: a stage costs three multiplications and no
-    `math.factorial`.  Stage n's unit rank, (n+1)!, is n! + unit_multiplicity(n).
-    """
-    fact = 1
-    for n in count(1):
-        fact *= n
-        sigma = n * fact
-        yield fact, sigma, (n if k is INFINITE else k) * sigma
+    if after is None:
+        after = Stage(0, 1, 1, 0, 0)
+        yield after
+    n, rank, _, _, witness = after
+    while True:
+        n += 1
+        unit = n * rank
+        dim = (n if k is INFINITE else k) * unit
+        rank *= n + 1
+        witness += dim
+        yield tuple.__new__(Stage, (n, rank, unit, dim, witness))
 
 
 def parse_family_parameter(text: str) -> int | None:

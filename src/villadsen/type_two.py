@@ -9,12 +9,12 @@ the unit bundle, whose rank telescopes to (n+1)!.  The unique trace of a
 projection at stage n is rank/(n+1)!, an exact rational.
 
 The stages form a tower: stage n+1 is stage n times one new projective
-factor (and a disk increment for k = infinity).  `_tower` walks it as
-numbers: a stage is its unit rank, its growth numbers
-(`growth.stage_growth`) and its witness rank, the sum of the projective
-dimensions so far, and its real dimension is a closed form in them.  The
-radius sweep and the comparability chain carry numbers up the tower, not
-spaces: the sweep carries the witness rank's Euler verdict, and the chain
+factor (and a disk increment for k = infinity).  The package's one stage
+walk, `growth.tower`, walks it as numbers: a stage is its unit rank, its
+unit multiplicity, its projective dimension and its witness rank, the sum
+of the projective dimensions so far, and its real dimension is a closed
+form in them.  The radius sweep and the comparability chain carry numbers
+up the tower, not spaces: the sweep carries the witness rank's Euler verdict, and the chain
 the witness rank, since a connecting map keeps the witness sum and adds n+1
 point evaluations of it on the new stage line.  The rank criteria read
 numbers, so `trace_table`, the sweep and a chain's stable-range records
@@ -32,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
 
 from .bundles import BundleExpr, DiagonalSlot, capacity_sum, pushforward_diagonal
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import CrossCheckDisagreement
-from .growth import INFINITE, family_parameter_label, stage_growth
+from .growth import INFINITE, Stage, family_parameter_label, tower
 from .reports import fraction_json
 from .spaces import SpaceDescriptor, constant, projection
 
@@ -57,28 +56,7 @@ class SystemParams:
         return family_parameter_label(self.k)
 
 
-class _Stage(NamedTuple):
-    """Stage n: its unit rank (n+1)!, unit_multiplicity(n), cp_dimension(k, n)
-    and the witness rank, the sum of cp_dimension(k, j) for j <= n.  Both
-    are 0 at stage 0, which adds only the first disk."""
-
-    n: int
-    rank: int
-    unit: int
-    dim: int
-    witness: int
-
-
-def _tower(params: SystemParams):
-    """The stages 0, 1, 2, ... of the family."""
-    yield _Stage(0, 1, 1, 0, 0)
-    witness = 0
-    for n, (fact, unit, dim) in enumerate(stage_growth(params.k), start=1):
-        witness += dim
-        yield _Stage(n, (n + 1) * fact, unit, dim, witness)
-
-
-def _dimension(params: SystemParams, stage: _Stage) -> int:
+def _dimension(params: SystemParams, stage: Stage) -> int:
     """The stage space's real dimension, 2*(disk power + witness rank): the
     disk power is k, or for k = inf 1 at stage 0 and n*sigma(n)^2 = dim*unit
     at stage n, and the projective dimensions sum to the witness rank."""
@@ -100,7 +78,7 @@ def trace_table(params: SystemParams, n: int) -> dict:
     so the unit trace is 1 whenever the table is returned."""
     if n < 0:
         raise ValueError("stage must be >= 0")
-    stages = list(islice(_tower(params), n + 1))
+    stages = list(islice(tower(params.k), n + 1))
     stage, unit_rank = stages[-1], sum(s.unit for s in stages)
     if unit_rank != stage.rank:
         raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
@@ -141,8 +119,8 @@ def comparability_triple(params: SystemParams, n: int,
         raise ValueError("verify stage must be >= the witness stage")
 
     passed = True
-    tower = _tower(params)
-    stages = list(islice(tower, n + 1))
+    walk = tower(params.k)
+    stages = list(islice(walk, n + 1))
     line_records = []
     for stage in stages[1:]:
         # the doubled block's rank, and the real dimension of its own factor
@@ -161,7 +139,7 @@ def comparability_triple(params: SystemParams, n: int,
     q_sum = Fraction(witness_rank, rank)
     dims = [stage.dim for stage in stages[1:]]
     chain_records = []
-    for ell, following in zip(range(n, j), tower):
+    for ell, following in zip(range(n, j), walk):
         dims.append(following.dim)
         new_coeff = (ell + 1) * witness_rank
         ok = new_coeff <= following.dim
@@ -238,7 +216,7 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     # its Euler verdict, carried up the tower, is nonzero while the copies
     # each stage adds stay below the cap dim + 1 of the new factor
     witness_rank, obstructed = 0, True
-    for stage in islice(_tower(params), max_stage + 1):
+    for stage in islice(tower(params.k), max_stage + 1):
         m, rank = stage.n, stage.rank
         dimension = _dimension(params, stage)
         value = Fraction(dimension, 2 * rank)

@@ -10,7 +10,10 @@ checked against them, not against themselves.  `graded_components` and
 `class_document` split a class by degree and write it as one dict per
 term, the references for the class text the engine writes directly.
 `reference_parser` is the argparse parser the CLI used before its option
-table, the reference for `cli._parse`.
+table, the reference for `cli._parse`.  `unit_multiplicity` and
+`cp_dimension` give one stage's growth numbers on their own, with
+`math.factorial`: the pointwise closed forms of the stage walk
+`growth.tower`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,21 @@ from villadsen import cli, type_two
 from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
 from villadsen.cohomology import GradedClass, line_series_product
 from villadsen.errors import BaseMismatchError
-from villadsen.growth import INFINITE, cp_dimension, unit_multiplicity
+from villadsen.growth import INFINITE
 from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, read_int, sphere2
 from villadsen.type_one import StepSpec
+
+
+def unit_multiplicity(n: int) -> int:
+    """Multiplicity of the stage-n line block inside the unit bundle: n * n!
+    for n >= 1 and 1 for n = 0, so the sum over j <= n telescopes to (n+1)!."""
+    return 1 if n == 0 else n * factorial(n)
+
+
+def cp_dimension(k: int | None, n: int) -> int:
+    """Complex dimension of the projective factor added at stage n >= 1:
+    k * n * n!, and n^2 * n! for the infinite family."""
+    return (n if k is INFINITE else k) * unit_multiplicity(n)
 
 
 def fraction(doc: dict) -> Fraction:

@@ -23,7 +23,7 @@ from villadsen.bundles import (
 )
 from villadsen.cohomology import GradedClass
 from villadsen.comparison import trivial_line_subbundle_sufficient
-from villadsen.growth import INFINITE, cp_dimension
+from villadsen.growth import INFINITE
 from villadsen.reports import validate_report
 from villadsen.spaces import SpaceDescriptor, cproj, projection
 from villadsen.type_one import StageStats, ratio_contradiction_check, running_stats, top_chern_witness
@@ -37,6 +37,7 @@ from villadsen import cfp
 from villadsen.cli import main as cli_main
 
 from conftest import (
+    cp_dimension,
     cup,
     dict_poly_top_coefficient,
     direct_sum,
@@ -51,7 +52,7 @@ from conftest import (
     witness_sum_from_scratch,
 )
 from test_bundles import random_bundle
-from test_cfp import brute_force_first_stage, brute_force_next_stage
+from test_cfp import STAGES, brute_force_first_stage, brute_force_next_stage
 
 
 @contextmanager
@@ -156,7 +157,7 @@ def test_criterion_5_comparability_certificates(monkeypatch):
 def test_criterion_6_cfp_witness():
     with criterion(6, "witness stages, upper verdicts, lower induction", 10.0):
         assert cfp.first_witness_stage() == 4 == brute_force_first_stage()
-        assert cfp.next_witness_stage(4) == 8 == brute_force_next_stage(4)
+        assert cfp.next_witness_stage(STAGES[4]) == 8 == brute_force_next_stage(4)
         witness = cfp.build_witness(3)
         first = cfp.verify_upper(witness.terms[0])
         assert first["outcome"] == "dominates"
@@ -169,7 +170,7 @@ def test_criterion_6_cfp_witness():
         assert lower["passed"]
         for row in lower["rows"][1:]:
             assert row["growth_ok"] and row["combined_ok"]
-            assert 2 * int(row["growth_lhs"]) <= cfp.factor_dimension(row["to_stage"])
+            assert 2 * int(row["growth_lhs"]) <= cp_dimension(INFINITE, row["to_stage"])
 
 
 def test_criterion_7_property_suites():

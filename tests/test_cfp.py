@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -9,10 +10,8 @@ from villadsen.cfp import (
     WitnessTerm,
     build_witness,
     exact_pushed_coefficients,
-    factor_dimension,
     first_stage_certificate,
     first_witness_stage,
-    half_dimension_sum,
     next_witness_stage,
     verify_lower,
     verify_upper,
@@ -20,7 +19,17 @@ from villadsen.cfp import (
 from villadsen.cli import main
 from villadsen.comparison import obstructed_by_euler
 from villadsen.errors import ConfigError
-from villadsen.growth import unit_multiplicity
+from villadsen.growth import INFINITE, tower
+
+from conftest import cp_dimension, unit_multiplicity
+
+# stages 0..300 of the k = inf walk, the records `cfp` reads its numbers off
+STAGES = list(islice(tower(INFINITE), 301))
+
+
+def factor_dimension(s: int) -> int:
+    """The stage-s factor dimension s^2 * s!, computed on its own."""
+    return cp_dimension(INFINITE, s)
 
 
 def brute_force_first_stage(horizon: int = 60) -> int:
@@ -48,14 +57,20 @@ def brute_force_next_stage(prev: int) -> int:
 
 
 def test_factor_dimension_values():
-    assert factor_dimension(1) == 1
-    assert factor_dimension(3) == 54
-    assert factor_dimension(4) == 384
+    assert [STAGES[s].dim for s in (1, 3, 4)] == [1, 54, 384]
+    assert STAGES[4].witness == 447
 
 
-def test_factor_dimension_table_matches_pointwise_values():
-    for j in range(41):
-        assert half_dimension_sum(j) == sum(factor_dimension(s) for s in range(1, j + 1))
+def test_infinite_walk_matches_closed_forms():
+    # stage s of the walk: the factor dimension s^2 * s!, the witness rank
+    # sum_{t <= s} t^2 * t!, half the real dimension of the first s factors,
+    # and the unit rank (s+1)!
+    witness = 0
+    for s, stage in enumerate(STAGES):
+        dim = factor_dimension(s) if s else 0
+        witness += dim
+        assert (stage.n, stage.dim, stage.witness, stage.rank) \
+            == (s, dim, witness, factorial(s + 1))
 
 
 def test_capacity_bundle_fills_every_factor(monkeypatch):
@@ -69,7 +84,7 @@ def test_capacity_bundle_fills_every_factor(monkeypatch):
     dims = [factor_dimension(s) for s in range(1, 41)]
     assert [atom.size for atom in capacity.base.factors] == dims
     assert capacity.parts == dict(enumerate(dims)) and capacity.trivial_rank == 0
-    assert capacity.base.real_dimension == 2 * half_dimension_sum(40)
+    assert capacity.base.real_dimension == 2 * sum(dims)
 
 
 def test_first_stage_matches_oracle():
@@ -77,7 +92,10 @@ def test_first_stage_matches_oracle():
 
 
 def test_first_stage_certificate_structure():
-    cert = first_stage_certificate()
+    # the certificate walks the stages it checks, and no further
+    stages = []
+    cert = first_stage_certificate(stages)
+    assert stages == STAGES[:5]
     assert cert["value"] == 4
     failing = [c for c in cert["finite_checks"] if c["stage"] == 3]
     assert failing and not failing[0]["divisible_by_4"]
@@ -86,17 +104,19 @@ def test_first_stage_certificate_structure():
 
 
 def test_next_stage_values_and_oracle():
-    assert next_witness_stage(1) == 2 == brute_force_next_stage(1)
-    assert next_witness_stage(4) == 8 == brute_force_next_stage(4)
-    assert next_witness_stage(8) == 16 == brute_force_next_stage(8)
+    assert next_witness_stage(STAGES[1]) == 2 == brute_force_next_stage(1)
+    assert next_witness_stage(STAGES[4]) == 8 == brute_force_next_stage(4)
+    assert next_witness_stage(STAGES[8]) == 16 == brute_force_next_stage(8)
     # the exact ceiling agrees with the scan wherever it lands on a boundary
     for prev in range(1, 40):
-        assert next_witness_stage(prev) == brute_force_next_stage(prev)
+        assert next_witness_stage(STAGES[prev]) == brute_force_next_stage(prev)
+    with pytest.raises(ValueError):
+        next_witness_stage(STAGES[0])
 
 
 def test_next_stage_minimality_and_margin():
     for prev in range(2, 10):
-        m = next_witness_stage(prev)
+        m = next_witness_stage(STAGES[prev])
         total = sum(factor_dimension(j) for j in range(1, prev + 1))
         fact = factorial(prev + 1)
         assert 2 * total * (m * factorial(m)) <= factor_dimension(m) * fact
@@ -106,7 +126,7 @@ def test_next_stage_minimality_and_margin():
 
 
 def test_next_stage_monotone_in_previous():
-    values = [next_witness_stage(prev) for prev in range(1, 10)]
+    values = [next_witness_stage(STAGES[prev]) for prev in range(1, 10)]
     assert values == sorted(values)
 
 
@@ -133,13 +153,13 @@ def test_build_witness_override_validation():
 def test_witness_base_dimensions():
     # the unit over the first j projective factors has rank 1 plus the
     # sigma(s) of each stage line, (j+1)!; the base half its real dimension
-    assert half_dimension_sum(4) == 447
-    assert verify_upper(WitnessTerm(1, 4, 192))["certificate"]["rank_x"] == "120"
+    assert verify_upper(WitnessTerm(1, STAGES[4], 192))["certificate"]["rank_x"] == "120"
     for j in range(1, 40):
         assert 1 + sum(unit_multiplicity(s) for s in range(1, j + 1)) == factorial(j + 1)
-        certificate = verify_upper(WitnessTerm(1, j, 1))["certificate"]
+        certificate = verify_upper(WitnessTerm(1, STAGES[j], 1))["certificate"]
         assert certificate["rank_x"] == str(factorial(j + 1))
-        assert certificate["half_dimension"] == str(half_dimension_sum(j))
+        assert certificate["half_dimension"] == str(sum(factor_dimension(s)
+                                                        for s in range(1, j + 1)))
 
 
 def test_upper_verdicts_first_three_terms():
@@ -160,7 +180,7 @@ def test_upper_certificate_is_the_one_cfp_prints(capsys):
 
 
 def test_upper_degenerate_zero_copies_guard():
-    degenerate = WitnessTerm(1, 4, 0)
+    degenerate = WitnessTerm(1, STAGES[4], 0)
     assert verify_upper(degenerate)["outcome"] == "unknown"
 
 

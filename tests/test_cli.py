@@ -14,7 +14,6 @@ import villadsen
 from villadsen import cli, reports, type_two
 from villadsen.cli import main
 from villadsen.errors import GeneratorBudgetExceeded
-from villadsen.growth import unit_multiplicity
 from villadsen.reports import canonical_json, normalize_report, validate_report
 from villadsen.type_one import compose_stats
 
@@ -341,6 +340,23 @@ def test_usage_errors_exit_one(capsys):
         assert lines[1].startswith("error: ") and named in lines[1], argv
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["cfp", "--terms", "2", "--stage", "3"], 8),
+    (["cfp", "--terms", "2", "--override-l", "4,9", "--stage", "5"], 9),
+])
+def test_cfp_stage_below_the_last_witness_stage_is_named(argv, last, capsys, monkeypatch):
+    # a usage error raised before any check runs, naming the option, the
+    # stage given and the stage it must reach
+    checked = []
+    monkeypatch.setattr(cli.cfp_mod, "verify_upper", checked.append)
+    monkeypatch.setattr(cli.cfp_mod, "verify_lower", checked.append)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and checked == []
+    assert captured.err == (f"error: --stage {argv[-1]} is below the last witness "
+                            f"stage; it must reach stage {last}\n")
+
+
 @pytest.mark.parametrize("argv, word", [
     (["v2", "-k", "2", "-n", "3", "--comp"], "--comp"),
     (["cfp", "--terms=3"], "--terms=3"),
@@ -614,10 +630,11 @@ def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
 BROKEN_ROUTE = {
     "villadsen.bundles.chern_component": component_dropping_top_term,
     "villadsen.type_one.line_series_product": kernel_dropping_top_term,
-    "villadsen.cfp.unit_multiplicity": lambda n: unit_multiplicity(n) + 1,
+    # the closed form of the running pushforward coefficient, off by one
+    "villadsen.cfp.factorial": lambda n: factorial(n) + 1,
     # a unit rank 1000 times too large shrinks every trace below its bounds
-    "villadsen.type_two._tower": lambda params, tower=type_two._tower: (
-        stage._replace(rank=1000 * stage.rank) for stage in tower(params)),
+    "villadsen.type_two.tower": lambda k, tower=type_two.tower: (
+        stage._replace(rank=1000 * stage.rank) for stage in tower(k)),
     # n point evaluations onto the new stage line, not n+1
     "villadsen.type_two._slots": lambda n, space, following, slots=type_two._slots: [
         slot if slot.carrier is None else replace(slot, multiplicity=n)
@@ -636,16 +653,16 @@ BROKEN_ROUTE = {
      "top_chern_witness", "villadsen.type_one.line_series_product",
      "top Chern coefficient mismatch"),
     (["cfp", "--terms", "2"], "100000",
-     "lower_bound", "villadsen.cfp.unit_multiplicity",
+     "lower_bound", "villadsen.cfp.factorial",
      "running pushforward coefficient disagrees"),
     (["v2", "-k", "2", "-n", "3"], "100000",
-     "trace_table", "villadsen.type_two._tower",
+     "trace_table", "villadsen.type_two.tower",
      "unit rank bookkeeping is inconsistent"),
     (["v2", "-k", "2", "-n", "2", "--comparability"], "100000",
-     "comparability_triple", "villadsen.type_two._tower",
+     "comparability_triple", "villadsen.type_two.tower",
      "closed-form q-sum trace disagrees"),
     (["v2", "-k", "inf", "-n", "2", "--comparability"], "100000",
-     "comparability_triple", "villadsen.type_two._tower",
+     "comparability_triple", "villadsen.type_two.tower",
      "divergence lower bound fails"),
     (["v2", "-k", "2", "-n", "1", "--comparability", "--stage", "3"], "100000",
      "comparability_triple", "villadsen.type_two._slots",

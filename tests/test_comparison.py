@@ -13,15 +13,13 @@ from villadsen.comparison import (
 )
 from villadsen.spaces import SpaceDescriptor, cproj, spheres
 
-from villadsen.cfp import half_dimension_sum
-
 from conftest import direct_sum
 
 
 def test_rank_gap_on_witness_base():
-    # stage-4 projective base: half-dimension 447, unit rank 5! = 120
-    assert half_dimension_sum(4) == 447
-    verdict = dominates_by_rank(factorial(5), 960, 2 * half_dimension_sum(4))
+    # stage-4 projective base: half-dimension 1 + 8 + 54 + 384 = 447, unit
+    # rank 5! = 120
+    verdict = dominates_by_rank(factorial(5), 960, 2 * 447)
     assert verdict["outcome"] == "dominates"
     assert verdict["certificate"]["half_dimension"] == "447"
 

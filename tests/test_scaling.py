@@ -19,7 +19,9 @@ connecting map, at its last step, so a sweep or a chain step hands a
 fixed number of summands to the bundle constructors and compares no atom.
 The rank-gap and stable-range criteria read numbers, so `cfp` and a chain
 build a space or bundle only where an Euler class or a pushforward is
-computed.
+computed.  A `cfp` call reads every number off one walk of the k = inf
+tower, so it generates each stage once and forms a factorial only in the
+closed-form cross-check of each lower-bound row.
 A `chern` call writes each nonzero degree of the Chern class, and the
 Euler class, as one text fragment, not as an object per term.  It writes
 the degrees straight from the summands' series: the only class it builds
@@ -306,9 +308,9 @@ def test_cfp_builds_its_first_stage_certificate_once(monkeypatch, capsys):
     calls = []
     base = cfp._ratio_induction_base
 
-    def counting_base():
+    def counting_base(stages):
         calls.append(1)
-        return base()
+        return base(stages)
 
     monkeypatch.setattr(cfp, "_ratio_induction_base", counting_base)
     for argv, expected in ((["cfp", "--terms", "7"], 1), (["cfp", "--terms", "3", "--stage", "40"], 1),
@@ -317,6 +319,32 @@ def test_cfp_builds_its_first_stage_certificate_once(monkeypatch, capsys):
         assert main(argv) == 0
         assert len(calls) == expected, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, last, factorials", [
+    (["cfp", "--terms", "7"], 256, 6),
+    (["cfp", "--terms", "3", "--stage", "40"], 40, 2),
+    (["cfp", "--terms", "2", "--override-l", "4,9"], 9, 1),
+])
+def test_cfp_walks_each_stage_once(monkeypatch, capsys, argv, last, factorials):
+    # one walk of the k = inf tower feeds the witness choice, the rank gaps,
+    # the rows and the stretch: each stage up to the last witness or
+    # verification stage is generated once, and the only factorials are
+    # those of the one closed-form cross-check per row
+    generated = []
+    walk = cfp.tower
+
+    def counting_walk(k, after=None):
+        for stage in walk(k, after):
+            generated.append(stage.n)
+            yield stage
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cfp, "tower", counting_walk)
+        counted, _ = factorials_and_atoms(monkeypatch, argv)
+    capsys.readouterr()
+    assert generated == list(range(last + 1))
+    assert counted == factorials
 
 
 def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):

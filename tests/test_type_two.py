@@ -14,7 +14,7 @@ from villadsen.bundles import (
 from villadsen.cfp import build_witness, verify_lower
 from villadsen.comparison import obstructed_by_euler
 from villadsen import cfp, type_two
-from villadsen.growth import INFINITE, cp_dimension, stage_growth, unit_multiplicity
+from villadsen.growth import INFINITE, tower
 from villadsen.type_two import (
     SystemParams,
     comparability_triple,
@@ -26,11 +26,13 @@ from villadsen.spaces import SpaceDescriptor, cproj
 
 from conftest import (
     connecting_maps,
+    cp_dimension,
     direct_sum,
     fraction,
     pushforward_from_scratch,
     stage_space_from_scratch,
     unit_from_scratch,
+    unit_multiplicity,
     witness_sum_from_scratch,
 )
 
@@ -39,19 +41,23 @@ def test_growth_functions():
     assert [unit_multiplicity(n) for n in range(5)] == [1, 1, 4, 18, 96]
     assert cp_dimension(2, 3) == 36
     assert cp_dimension(INFINITE, 3) == 54
-    fact, unit, _ = next(islice(stage_growth(2), 2, None))  # stage 3
-    assert fact + unit == 24
+    stage = next(islice(tower(2), 3, None))
+    assert stage.n == 3 and stage.rank == 24
 
 
-def test_stage_growth_matches_pointwise_values():
+def test_walk_matches_pointwise_values():
     for k in (1, 2, INFINITE):
-        for n, (fact, unit, dim) in zip(range(1, 25), stage_growth(k)):
-            assert fact == factorial(n)
-            assert fact + unit == factorial(n + 1)
-            assert unit == unit_multiplicity(n)
-            assert dim == cp_dimension(k, n)
-        # each walk starts again at stage 1
-        assert next(stage_growth(k)) == (1, 1, cp_dimension(k, 1))
+        walk = list(islice(tower(k), 25))
+        for n, stage in enumerate(walk):
+            assert stage.n == n
+            assert stage.rank == factorial(n + 1)
+            assert stage.unit == unit_multiplicity(n)
+            assert stage.dim == (cp_dimension(k, n) if n else 0)
+            assert stage.witness == sum(cp_dimension(k, j) for j in range(1, n + 1))
+        # each walk starts again at stage 0, and one resumed from a stage
+        # goes on as the walk it was taken from
+        assert next(tower(k)) == (0, 1, 1, 0, 0)
+        assert list(islice(tower(k, walk[10]), 14)) == walk[11:]
 
 
 def projective_factors(space: SpaceDescriptor) -> tuple:
@@ -75,7 +81,7 @@ def test_stage_tower_matches_from_scratch_build(k):
     params = SystemParams(k)
     sweep = radius_of_comparison(params, 60)["stages"]
     dims = []
-    for n, (stage, record) in enumerate(zip(islice(type_two._tower(params), 61), sweep,
+    for n, (stage, record) in enumerate(zip(islice(tower(params.k), 61), sweep,
                                             strict=True)):
         expected = stage_space_from_scratch(params, n)
         assert stage.n == n and all(type(value) is int for value in stage)
@@ -93,18 +99,18 @@ def test_stage_tower_matches_from_scratch_build(k):
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_early_stage_unchanged_by_later_walk(k):
     params = SystemParams(k)
-    tower = type_two._tower(params)
-    early = list(islice(tower, 11))
-    later = list(islice(tower, 100))
+    walk = tower(params.k)
+    early = list(islice(walk, 11))
+    later = list(islice(walk, 100))
     assert later[-1].n == 110
     # the stages taken early equal those of a fresh walk, and the later ones
     # continue it
-    assert early + later == list(islice(type_two._tower(params), 111))
+    assert early + later == list(islice(tower(params.k), 111))
     assert_witness_sum_over_stage([stage.dim for stage in early[1:]], params, 10)
 
 
 def test_stage_zero():
-    (stage,) = islice(type_two._tower(SystemParams(2)), 1)
+    (stage,) = islice(tower(2), 1)
     assert stage == (0, 1, 1, 0, 0)
     cert = trace_table(SystemParams(2), 0)
     assert cert["dimension"] == "4" and cert["rank"] == "1"
@@ -116,7 +122,7 @@ def test_stage_zero():
 
 
 def test_stage_three_finite():
-    stages = list(islice(type_two._tower(SystemParams(2)), 4))
+    stages = list(islice(tower(2), 4))
     assert [s.dim for s in stages] == [0, 2, 8, 36]
     assert [s.witness for s in stages] == [0, 2, 10, 46]
     cert = trace_table(SystemParams(2), 3)
@@ -126,7 +132,7 @@ def test_stage_three_finite():
 
 
 def test_stage_two_infinite():
-    stages = list(islice(type_two._tower(SystemParams(INFINITE)), 3))
+    stages = list(islice(tower(INFINITE), 3))
     assert [s.dim for s in stages] == [0, 1, 8]
     # the disk power n*sigma(n)^2 is dim*unit
     assert stages[-1].dim * stages[-1].unit == 2 * unit_multiplicity(2) ** 2 == 32
@@ -307,11 +313,11 @@ def test_carried_witness_sums_match_from_scratch(k):
 def test_carried_euler_verdict_follows_the_caps(monkeypatch):
     # a stage-5 factor one dimension short caps its line at the witness
     # multiplicity, so the Euler class dies there and at every later stage
-    tower = type_two._tower
+    walk = type_two.tower
 
-    def short_factor(params):
+    def short_factor(k):
         # the witness sum still adds the full stage-5 copies
-        for stage in tower(params):
+        for stage in walk(k):
             if stage.n == 5:
                 stage = stage._replace(dim=stage.dim - 1)
             yield stage
@@ -323,7 +329,7 @@ def test_carried_euler_verdict_follows_the_caps(monkeypatch):
                         for a in witness.base.factors)
         return BundleExpr(SpaceDescriptor(factors), 0, witness.parts.items())
 
-    monkeypatch.setattr(type_two, "_tower", short_factor)
+    monkeypatch.setattr(type_two, "tower", short_factor)
     params = SystemParams(2)
     report = radius_of_comparison(params, 8)
     verdicts = [record["obstructed"] for record in report["witnesses"]]
