@@ -21,7 +21,6 @@ from .bundles import (
     euler,
     pullback_bundle,
     pushforward_diagonal,
-    trivial_bundle,
 )
 from .comparison import dominates_by_rank, obstructed_by_euler, trivial_line_subbundle_sufficient
 from .type_one import (
@@ -33,7 +32,7 @@ from .type_one import (
     ratio_trajectory,
     top_chern_witness,
 )
-from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
+from .type_two import comparability_triple, radius_of_comparison, trace_table
 from .cfp import (
     CfpWitness,
     build_witness,
@@ -41,6 +40,7 @@ from .cfp import (
     next_witness_stage,
     verify_lower,
     verify_upper,
+    witness_stages,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -130,10 +130,6 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     return BundleExpr(base, trivial, parts)
 
 
-def trivial_bundle(base: SpaceDescriptor, rank: int) -> BundleExpr:
-    return BundleExpr(base, rank)
-
-
 def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
              trivial_rank: int = 0) -> BundleExpr:
     """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
@@ -254,7 +250,7 @@ def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
     if b.base != f.target:
         raise BaseMismatchError("bundle does not live over the map's target")
     if f.kind == CONSTANT:
-        return trivial_bundle(f.source, b.rank)
+        return BundleExpr(f.source, b.rank)
     moved = pullback_positions(f)
     return BundleExpr(f.source, b.trivial_rank,
                       [(moved[pos], m) for pos, m in b.parts.items()])

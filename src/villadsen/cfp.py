@@ -15,12 +15,14 @@ factors so far, and its rank the unit rank (n+1)!.  `build_witness` walks
 only as far as its witness stages need and keeps the factor dimensions it
 walked, each term carries its stage's record, and `verify_lower` walks on
 from the last witness stage to the verification stage, so one `cfp` call
-generates each stage once.  `verify_upper` and `verify_lower` return the
-certificates the report prints.  The rank gap reads only ranks and a
-dimension, so the one space and bundle built here is the capacity bundle
-whose Euler class `verify_lower` checks, `bundles.capacity_sum` of the
-factor dimensions: the witness sum of the k = infinity type-II chain at the
-same stage.
+generates each stage once.  `witness_stages`, `verify_upper` and
+`verify_lower` take the witness or one of its terms and return the
+certificates the report prints; each is its certificate's one writer.
+The walk is always the k = infinity one, so nothing here takes a family
+parameter.  The rank gap reads only ranks and a dimension, so the one
+space and bundle built here is the capacity bundle whose Euler class
+`verify_lower` checks, `bundles.capacity_sum` of the factor dimensions:
+the witness sum of the k = infinity type-II chain at the same stage.
 """
 
 from __future__ import annotations
@@ -133,28 +135,17 @@ class WitnessTerm:
     def stage(self) -> int:
         return self.record.n
 
-    def to_json(self) -> dict:
-        return {"index": self.index, "stage": self.stage, "copies": str(self.copies)}
-
 
 @dataclass(frozen=True)
 class CfpWitness:
     """The witness terms, the factor dimensions of stages 0 to the last
     witness stage off the walk the terms were read from, and the certificate
     behind the first stage (`first_stage_certificate`) when the stages were
-    chosen minimally; the stages were given (overridden) when there is none."""
+    chosen minimally; the stages were given when there is none."""
 
     terms: tuple[WitnessTerm, ...]
     dims: tuple[int, ...] = field(compare=False, repr=False)
     first_stage: dict | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def overridden(self) -> bool:
-        return self.first_stage is None
-
-    def to_json(self) -> dict:
-        return {"terms": [t.to_json() for t in self.terms],
-                "overridden": self.overridden}
 
 
 def build_witness(num_terms: int, override_stages: list[int] | None = None) -> CfpWitness:
@@ -187,6 +178,18 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
         terms.append(WitnessTerm(i, record, record.dim // 2))
     return CfpWitness(tuple(terms), tuple(s.dim for s in stages[:chosen[-1] + 1]),
                       first_stage)
+
+
+def witness_stages(witness: CfpWitness) -> dict:
+    """The report's `witness_stages` certificate: each term's index, stage
+    and copies, whether the stages were given, and the certificate behind
+    the first stage when they were chosen minimally."""
+    terms = [{"index": t.index, "stage": t.stage, "copies": str(t.copies)}
+             for t in witness.terms]
+    cert = {"witness": {"terms": terms, "overridden": witness.first_stage is None}}
+    if witness.first_stage is not None:
+        cert["first_stage"] = witness.first_stage
+    return cert
 
 
 def verify_upper(term: WitnessTerm) -> dict:

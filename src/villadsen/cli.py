@@ -45,7 +45,7 @@ from .type_one import (
     running_stats,
     top_chern_witness,
 )
-from .type_two import SystemParams, comparability_triple, radius_of_comparison, trace_table
+from .type_two import comparability_triple, radius_of_comparison, trace_table
 
 
 def _load_json(path: str) -> dict:
@@ -196,7 +196,9 @@ def _run_vi(args):
     def stage_stats():
         return True, {
             "from_stage": start, "to_stage": stop,
-            **stats.to_json(),
+            "distinct_projections": str(stats.distinct_projections),
+            "projection_multiplicity": str(stats.projection_multiplicity),
+            "total_multiplicity": str(stats.total_multiplicity),
             "distinct_ratio": reports.fraction_json(stats.distinct_ratio),
             "projection_ratio": reports.fraction_json(stats.projection_ratio),
         }
@@ -234,7 +236,7 @@ def _run_v2(args):
                           "and needs it")
     _check_index("-n stage", args.n)
     _check_index("--stage stage", args.stage)
-    params = SystemParams(parse_family_parameter(args.k))
+    k = parse_family_parameter(args.k)
     if args.comparability and args.n < 1:
         raise ConfigError("comparability needs a stage >= 1")
     n = args.n
@@ -244,13 +246,13 @@ def _run_v2(args):
     checks = []
     if want_trace:
         # trace_table returns only once the unit rank has certified the unit trace 1
-        checks.append(("trace_table", lambda: (True, trace_table(params, n))))
+        checks.append(("trace_table", lambda: (True, trace_table(k, n))))
     if args.comparability:
         checks.append(("comparability_triple",
-                       lambda: _certified(comparability_triple(params, n, verify_stage))))
+                       lambda: _certified(comparability_triple(k, n, verify_stage))))
     if args.rc:
         checks.append(("radius_of_comparison",
-                       lambda: _certified(radius_of_comparison(params, n))))
+                       lambda: _certified(radius_of_comparison(k, n))))
     return ({"k": args.k, "n": n, "stage": args.stage, "rc": args.rc,
              "comparability": args.comparability, "trace": want_trace},
             checks)
@@ -271,17 +273,11 @@ def _run_cfp(args):
                           f"it must reach stage {last}")
     stage = last if args.stage is None else args.stage
 
-    def construction():
-        cert = {"witness": witness.to_json()}
-        if not witness.overridden:
-            cert["first_stage"] = witness.first_stage
-        return True, cert
-
     def upper(term):
         certificate = cfp_mod.verify_upper(term)
         return certificate["outcome"] == "dominates", certificate
 
-    checks = [("witness_stages", construction)]
+    checks = [("witness_stages", lambda: (True, cfp_mod.witness_stages(witness)))]
     checks += [(f"upper_term_{term.index}", partial(upper, term)) for term in witness.terms]
     checks.append(("lower_bound", lambda: _certified(cfp_mod.verify_lower(witness, stage))))
     return ({"terms": args.terms, "stage": stage, "override_l": args.override_l},
@@ -411,14 +407,24 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(subcommand=name, func=func, **values)
 
 
+def _report(args: SimpleNamespace, started: float) -> dict:
+    """The report of the call `args`: its runner reads the inputs under the
+    default digit limit, and its checks run under the lifted one.  The
+    runner's computations, and the values they hold, are released when this
+    returns, before the report is validated and written."""
+    inputs, computations = args.func(args)
+    with _unlimited_int_digits():
+        checks = [_check(name, compute) for name, compute in computations]
+    return reports.assemble(args.subcommand, inputs, checks, started)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
-        inputs, computations = args.func(args)
+        report = _report(args, started)
         with _unlimited_int_digits():
-            checks = [_check(name, compute) for name, compute in computations]
-            return _emit(reports.assemble(args.subcommand, inputs, checks, started))
+            return _emit(report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,12 @@ stage n alone by three multiplications and one addition, so a walk never
 forms a factorial from scratch and can resume from any stage it yielded.
 The type-II stage tower walks it for its family, and every number `cfp`
 prints is read off one walk of the infinite family.
+
+A family is its parameter k: a positive integer, or `INFINITE` for
+k = infinity.  `tower` is where the library checks it, so every type-II
+function that walks it raises one ValueError for k < 1;
+`parse_family_parameter` reads the CLI's -k and `family_parameter_label`
+writes k in a certificate.
 """
 
 from __future__ import annotations
@@ -39,8 +45,11 @@ def tower(k: int | None, after: Stage | None = None):
     The unit multiplicities telescope: stage n+1's is (n+1) times stage n's
     unit rank, and its unit rank is n+2 times stage n's.  A record is made
     with `tuple.__new__`, as `Stage._make` does, so a step runs no
-    Python-level constructor.
+    Python-level constructor.  A k other than INFINITE below 1 is a
+    ValueError, raised when the walk starts.
     """
+    if k is not INFINITE and k < 1:
+        raise ValueError("family parameter must be >= 1 or INFINITE")
     if after is None:
         after = Stage(0, 1, 1, 0, 0)
         yield after

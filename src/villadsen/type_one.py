@@ -87,13 +87,6 @@ class StageStats:
     def projection_ratio(self) -> Fraction:
         return Fraction(self.projection_multiplicity, self.total_multiplicity)
 
-    def to_json(self) -> dict:
-        return {
-            "distinct_projections": str(self.distinct_projections),
-            "projection_multiplicity": str(self.projection_multiplicity),
-            "total_multiplicity": str(self.total_multiplicity),
-        }
-
 
 IDENTITY_STATS = StageStats(1, 1, 1)
 

@@ -25,11 +25,14 @@ push one witness sum through a real connecting map against the carried
 numbers.  So each sweep and each comparability chain does a fixed amount
 of Python work per stage.
 Nothing is held between calls.
+
+`trace_table`, `comparability_triple` and `radius_of_comparison` take the
+family parameter k itself, an int or `growth.INFINITE`; `growth.tower`
+checks it, and a certificate prints it as `growth.family_parameter_label`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -41,26 +44,11 @@ from .reports import fraction_json
 from .spaces import SpaceDescriptor, constant, projection
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Family parameter: a positive integer, or INFINITE (None)."""
-
-    k: int | None
-
-    def __post_init__(self):
-        if self.k is not INFINITE and self.k < 1:
-            raise ValueError("family parameter must be >= 1 or INFINITE")
-
-    @property
-    def label(self) -> str:
-        return family_parameter_label(self.k)
-
-
-def _dimension(params: SystemParams, stage: Stage) -> int:
+def _dimension(k: int | None, stage: Stage) -> int:
     """The stage space's real dimension, 2*(disk power + witness rank): the
     disk power is k, or for k = inf 1 at stage 0 and n*sigma(n)^2 = dim*unit
     at stage n, and the projective dimensions sum to the witness rank."""
-    disks = max(1, stage.dim * stage.unit) if params.k is INFINITE else params.k
+    disks = max(1, stage.dim * stage.unit) if k is INFINITE else k
     return 2 * (disks + stage.witness)
 
 
@@ -70,7 +58,7 @@ def _slots(n: int, space: SpaceDescriptor, following: SpaceDescriptor) -> list[D
             DiagonalSlot(constant(following, space, f"y{n}"), n + 1, n)]
 
 
-def trace_table(params: SystemParams, n: int) -> dict:
+def trace_table(k: int | None, n: int) -> dict:
     """The stage-n trace certificate: dimension, unit rank, and the exact
     traces of the unit, of a trivial line and, from stage 1, of the witness
     sum.  The unit's rank (one trivial line plus sigma(j) copies of each
@@ -78,13 +66,14 @@ def trace_table(params: SystemParams, n: int) -> dict:
     so the unit trace is 1 whenever the table is returned."""
     if n < 0:
         raise ValueError("stage must be >= 0")
-    stages = list(islice(tower(params.k), n + 1))
-    stage, unit_rank = stages[-1], sum(s.unit for s in stages)
+    unit_rank = 0
+    for stage in islice(tower(k), n + 1):
+        unit_rank += stage.unit
     if unit_rank != stage.rank:
         raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
     cert = {
         "stage": n,
-        "dimension": str(_dimension(params, stage)),
+        "dimension": str(_dimension(k, stage)),
         "rank": str(unit_rank),
         "unit_trace": fraction_json(Fraction(unit_rank, stage.rank)),
         "trivial_line_trace": fraction_json(Fraction(1, unit_rank)),
@@ -94,7 +83,7 @@ def trace_table(params: SystemParams, n: int) -> dict:
     return cert
 
 
-def comparability_triple(params: SystemParams, n: int,
+def comparability_triple(k: int | None, n: int,
                          verify_stage: int | None = None) -> dict:
     """Certify the three comparability facts for the stage-n projections.
 
@@ -119,7 +108,7 @@ def comparability_triple(params: SystemParams, n: int,
         raise ValueError("verify stage must be >= the witness stage")
 
     passed = True
-    walk = tower(params.k)
+    walk = tower(k)
     stages = list(islice(walk, n + 1))
     line_records = []
     for stage in stages[1:]:
@@ -171,11 +160,11 @@ def comparability_triple(params: SystemParams, n: int,
         "unit_line": fraction_json(Fraction(1, rank)),
         "q_sum": fraction_json(q_sum),
     }
-    if params.k is not INFINITE:
-        closed = Fraction(params.k * rank - params.k, rank)
+    if k is not INFINITE:
+        closed = Fraction(k * rank - k, rank)
         if closed != q_sum:
             raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
-        traces["limit"] = str(params.k)
+        traces["limit"] = str(k)
         traces["divergent"] = False
     else:
         entries = []
@@ -190,12 +179,12 @@ def comparability_triple(params: SystemParams, n: int,
         traces["entries"] = entries
         traces["divergent"] = True
 
-    return {"k": params.label, "stage": n, "verify_stage": j,
+    return {"k": family_parameter_label(k), "stage": n, "verify_stage": j,
             "line_subbundle": line_records, "chain": chain_records,
             "euler_obstruction": euler_record, "traces": traces, "passed": passed}
 
 
-def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
+def radius_of_comparison(k: int | None, max_stage: int) -> dict:
     """Exact per-stage dimension-to-rank ratios plus trace witnesses.
 
     For a finite parameter the ratio dim/(2*rank) equals the parameter at
@@ -216,14 +205,14 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
     # its Euler verdict, carried up the tower, is nonzero while the copies
     # each stage adds stay below the cap dim + 1 of the new factor
     witness_rank, obstructed = 0, True
-    for stage in islice(tower(params.k), max_stage + 1):
+    for stage in islice(tower(k), max_stage + 1):
         m, rank = stage.n, stage.rank
-        dimension = _dimension(params, stage)
+        dimension = _dimension(k, stage)
         value = Fraction(dimension, 2 * rank)
         rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
                "value": fraction_json(value)}
-        if params.k is not INFINITE:
-            rec["equals_parameter"] = holds = value == params.k
+        if k is not INFINITE:
+            rec["equals_parameter"] = holds = value == k
         else:
             rec["nondecreasing"] = holds = previous is None or value >= previous
         passed &= holds
@@ -242,8 +231,8 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
             "trace_witness_sum": fraction_json(q_sum),
             "obstructed": obstructed,
         }
-        if params.k is not INFINITE:
-            rec["lower_bound"] = fraction_json(params.k - Fraction(params.k + 1, rank))
+        if k is not INFINITE:
+            rec["lower_bound"] = fraction_json(k - Fraction(k + 1, rank))
         else:
             # witness traces grow at least like m^2/(m+1), which diverges
             bound = Fraction(m * m, m + 1)
@@ -252,5 +241,5 @@ def radius_of_comparison(params: SystemParams, max_stage: int) -> dict:
             passed &= holds
         witnesses.append(rec)
 
-    return {"k": params.label, "max_stage": max_stage, "divergent": params.k is INFINITE,
+    return {"k": family_parameter_label(k), "max_stage": max_stage, "divergent": k is INFINITE,
             "stages": stages, "witnesses": witnesses, "passed": passed}

@@ -117,17 +117,17 @@ def pullback_class(f, a: GradedClass) -> GradedClass:
     return GradedClass(f.source, out)
 
 
-def connecting_maps(params, start: int, stop: int) -> list:
+def connecting_maps(k: int | None, start: int, stop: int) -> list:
     """(n, slots of the type-II connecting map from stage n to n+1) for
     start <= n < stop, between stage spaces built from scratch."""
-    spaces = [stage_space_from_scratch(params, n) for n in range(start, stop + 1)]
+    spaces = [stage_space_from_scratch(k, n) for n in range(start, stop + 1)]
     return [(n, type_two._slots(n, space, following))
             for n, space, following in zip(range(start, stop), spaces, spaces[1:])]
 
 
-def push_through_stages(params, bundle: BundleExpr, start: int, stop: int) -> BundleExpr:
+def push_through_stages(k: int | None, bundle: BundleExpr, start: int, stop: int) -> BundleExpr:
     """A stage-`start` bundle pushed through the connecting maps to stage `stop`."""
-    for _, slots in connecting_maps(params, start, stop):
+    for _, slots in connecting_maps(k, start, stop):
         bundle = pushforward_diagonal(bundle, slots)
     return bundle
 
@@ -208,13 +208,13 @@ def enumerate_chain_stats(steps: list[StepSpec], start: int, stop: int):
     return len(distinct), with_mult, total
 
 
-def stage_space_from_scratch(params, n: int) -> SpaceDescriptor:
+def stage_space_from_scratch(k: int | None, n: int) -> SpaceDescriptor:
     """Oracle: the type-II stage-n space built from stage 0 in one list of
     atoms, each growth value computed on its own with `math.factorial`
     (the engine's builder before the stages formed a tower)."""
     def disk_power(m):
-        if params.k is not INFINITE:
-            return params.k
+        if k is not INFINITE:
+            return k
         return 1 if m == 0 else m * unit_multiplicity(m) ** 2
 
     atoms = [disk(disk_power(0), label="d0")]
@@ -222,23 +222,23 @@ def stage_space_from_scratch(params, n: int) -> SpaceDescriptor:
         increment = disk_power(j) - disk_power(j - 1)
         if increment > 0:
             atoms.append(disk(increment, label=f"d{j}"))
-        atoms.append(cproj(cp_dimension(params.k, j), label=f"cp{j}"))
+        atoms.append(cproj(cp_dimension(k, j), label=f"cp{j}"))
     return SpaceDescriptor(tuple(atoms))
 
 
-def unit_from_scratch(params, n: int) -> BundleExpr:
+def unit_from_scratch(k: int | None, n: int) -> BundleExpr:
     """Oracle: the type-II stage-n unit bundle, one trivial line plus
     j * j! copies of each stage-j line, over `stage_space_from_scratch`."""
-    space = stage_space_from_scratch(params, n)
+    space = stage_space_from_scratch(k, n)
     return BundleExpr(space, 1, [(j - 1, j * factorial(j)) for j in range(1, n + 1)])
 
 
-def witness_sum_from_scratch(params, n: int) -> BundleExpr:
+def witness_sum_from_scratch(k: int | None, n: int) -> BundleExpr:
     """Oracle: the type-II stage-n witness sum, k * j * j! copies of each
     stage-j line (j * j * j! for k = inf), over `stage_space_from_scratch`."""
-    space = stage_space_from_scratch(params, n)
+    space = stage_space_from_scratch(k, n)
     return BundleExpr(space, 0, [
-        (j - 1, (j if params.k is INFINITE else params.k) * j * factorial(j))
+        (j - 1, (j if k is INFINITE else k) * j * factorial(j))
         for j in range(1, n + 1)])
 
 

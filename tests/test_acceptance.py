@@ -14,12 +14,12 @@ from functools import reduce
 from math import factorial
 
 from villadsen.bundles import (
+    BundleExpr,
     chern,
     chern_expansion_cost,
     euler,
     line_sum,
     pullback_bundle,
-    trivial_bundle,
 )
 from villadsen.cohomology import GradedClass
 from villadsen.comparison import trivial_line_subbundle_sufficient
@@ -28,7 +28,6 @@ from villadsen.reports import validate_report
 from villadsen.spaces import SpaceDescriptor, cproj, projection
 from villadsen.type_one import StageStats, ratio_contradiction_check, running_stats, top_chern_witness
 from villadsen.type_two import (
-    SystemParams,
     comparability_triple,
     radius_of_comparison,
     trace_table,
@@ -72,25 +71,24 @@ def criterion(number: int, description: str, limit_seconds: float):
 
 def test_criterion_1_type_two_traces():
     with criterion(1, "stage-3 traces of the k=2 family", 1.0):
-        params = SystemParams(2)
-        cert = trace_table(params, 3)
+        k = 2
+        cert = trace_table(k, 3)
         q_sum = fraction(cert["witness_sum_trace"])
         assert q_sum == Fraction(23, 12) \
-            == Fraction(witness_sum_from_scratch(params, 3).rank, factorial(4))
+            == Fraction(witness_sum_from_scratch(k, 3).rank, factorial(4))
         assert fraction(cert["trivial_line_trace"]) == Fraction(1, 24) \
-            == Fraction(trivial_bundle(stage_space_from_scratch(params, 3), 1).rank,
+            == Fraction(BundleExpr(stage_space_from_scratch(k, 3), 1).rank,
                         factorial(4))
 
 
 def test_criterion_2_radius_of_comparison_grid():
     with criterion(2, "dimension/rank ratio equals k for k<=5, n<=8", 1.0):
         for k in range(1, 6):
-            params = SystemParams(k)
-            report = radius_of_comparison(params, 8)
+            report = radius_of_comparison(k, 8)
             assert report["passed"]
             for n in range(0, 9):
-                dimension = int(trace_table(params, n)["dimension"])
-                assert dimension == stage_space_from_scratch(params, n).real_dimension
+                dimension = int(trace_table(k, n)["dimension"])
+                assert dimension == stage_space_from_scratch(k, n).real_dimension
                 assert Fraction(dimension, 2 * factorial(n + 1)) == k
 
 
@@ -139,16 +137,15 @@ def test_criterion_5_comparability_certificates(monkeypatch):
                 assert trivial_line_subbundle_sufficient(
                     doubled.rank, base.real_dimension)["outcome"] == "dominates"
         for k in (1, 2):
-            params = SystemParams(k)
             for n in range(1, 5):
                 for j in range(n, 5):
-                    report = comparability_triple(params, n, j)
+                    report = comparability_triple(k, n, j)
                     assert report["passed"]
                     assert report["euler_obstruction"]["certificate"]["euler_nonzero"]
                     assert report["euler_obstruction"]["certificate"]["route"] \
                         == "factorized+full"
         # one full-expansion agreement at the largest stage, budget lifted
-        witness = witness_sum_from_scratch(SystemParams(2), 4)
+        witness = witness_sum_from_scratch(2, 4)
         monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", str(chern_expansion_cost(witness)))
         top = homogeneous_component(chern(witness), 2 * witness.rank)
         assert top == euler(witness) and not top.is_zero()

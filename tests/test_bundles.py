@@ -23,7 +23,6 @@ from villadsen.bundles import (
     pullback_bundle,
     pushforward_diagonal,
     tensor_line,
-    trivial_bundle,
 )
 from villadsen.cli import _unlimited_int_digits
 from villadsen.cohomology import GradedClass, line_series_texts
@@ -77,7 +76,7 @@ def random_bundle(rng: random.Random, space: SpaceDescriptor,
 
 
 def test_trivial_rank():
-    assert trivial_bundle(spheres(2), 2).rank == 2
+    assert BundleExpr(spheres(2), 2).rank == 2
 
 
 def test_single_line_block_rank():
@@ -87,7 +86,7 @@ def test_single_line_block_rank():
 
 def test_chern_of_trivial_is_one():
     space = spheres(2)
-    assert chern(trivial_bundle(space, 5)) == unit_class(space)
+    assert chern(BundleExpr(space, 5)) == unit_class(space)
 
 
 def test_chern_of_two_pulled_back_lines():
@@ -103,7 +102,7 @@ def test_chern_of_multiple_square_zero_line():
 
 
 def test_euler_of_trivial_vanishes():
-    assert euler(trivial_bundle(spheres(2), 1)).is_zero()
+    assert euler(BundleExpr(spheres(2), 1)).is_zero()
 
 
 def test_euler_top_power_at_cap_boundary():
@@ -123,7 +122,7 @@ def test_euler_dies_with_trivial_summand():
     rng = random.Random(3)
     for _ in range(30):
         space = random_space(rng)
-        b = direct_sum(random_bundle(rng, space), trivial_bundle(space, 1))
+        b = direct_sum(random_bundle(rng, space), BundleExpr(space, 1))
         assert euler(b).is_zero()
 
 
@@ -175,7 +174,7 @@ def test_pullback_along_constant_gives_trivial():
     src = spheres(3)
     b = line_sum(base, [(0, 2), (1, 1)], trivial_rank=1)
     pulled = pullback_bundle(constant(src, base, "pt"), b)
-    assert pulled == trivial_bundle(src, b.rank)
+    assert pulled == BundleExpr(src, b.rank)
 
 
 def test_pushforward_identity_slot():
@@ -212,9 +211,9 @@ def test_pushforward_mixed_slots_rank():
 
 def test_tensor_line_converts_trivial_part():
     space = spheres(2)
-    out = tensor_line(trivial_bundle(space, 3), 1)
+    out = tensor_line(BundleExpr(space, 3), 1)
     assert out == BundleExpr(space, 0, [(1, 3)])
-    assert tensor_line(trivial_bundle(space, 0), 1) == BundleExpr(space)
+    assert tensor_line(BundleExpr(space, 0), 1) == BundleExpr(space)
 
 
 def test_tensor_line_rejects_unrepresentable_shift():
@@ -223,7 +222,7 @@ def test_tensor_line_rejects_unrepresentable_shift():
     with pytest.raises(InvalidLineClassError):
         tensor_line(BundleExpr(space, 1, [(0, 2)]), 1)
     with pytest.raises(InvalidLineClassError):
-        tensor_line(trivial_bundle(space, 1), 2)  # no generator at position 2
+        tensor_line(BundleExpr(space, 1), 2)  # no generator at position 2
 
 
 def test_invalid_line_class_rejected():
@@ -248,7 +247,7 @@ def test_normal_form_merges_and_folds():
     assert b == BundleExpr(space, 1 + 4, [(0, 2), (0, 3), (1, 0)])
     # a z0^2 term is zero in the ring, so that line is the zero line too
     squared = GradedClass(space, {(2, 0): 1})
-    assert parse_bundle(space, bundle_document(0, [(squared, 3)])) == trivial_bundle(space, 3)
+    assert parse_bundle(space, bundle_document(0, [(squared, 3)])) == BundleExpr(space, 3)
 
 
 @pytest.mark.parametrize("summands", [0, 1, 2, 5])

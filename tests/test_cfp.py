@@ -147,7 +147,7 @@ def test_build_witness_override_validation():
     with pytest.raises(ConfigError):
         build_witness(2, [1, 2])  # stage 1 has odd factor dimension
     w = build_witness(2, [4, 9])
-    assert w.overridden and w.terms[1].stage == 9
+    assert w.first_stage is None and w.terms[1].stage == 9
 
 
 def test_witness_base_dimensions():
@@ -177,6 +177,21 @@ def test_upper_certificate_is_the_one_cfp_prints(capsys):
     printed = {c["name"]: c["certificate"] for c in json.loads(capsys.readouterr().out)["checks"]}
     for term in build_witness(3).terms:
         assert verify_upper(term) == printed[f"upper_term_{term.index}"]
+
+
+def test_witness_stages_is_the_certificate_cfp_prints(capsys):
+    assert main(["cfp", "--terms", "3"]) == 0
+    printed = {c["name"]: c["certificate"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    cert = cfp.witness_stages(build_witness(3))
+    assert cert == printed["witness_stages"]
+    assert cert["witness"]["overridden"] is False and cert["first_stage"]["value"] == 4
+
+
+def test_witness_stages_of_given_stages_has_no_first_stage():
+    cert = cfp.witness_stages(build_witness(2, [4, 5]))
+    assert cert == {"witness": {"terms": [{"index": 1, "stage": 4, "copies": "192"},
+                                          {"index": 2, "stage": 5, "copies": "1500"}],
+                                "overridden": True}}
 
 
 def test_upper_degenerate_zero_copies_guard():
@@ -245,22 +260,21 @@ def test_exact_pushed_matches_bundle_pushforward():
     # independent route: push the real line bundles through the actual
     # connecting maps of the infinite family and read off multiplicities
     from villadsen.growth import INFINITE
-    from villadsen.type_two import SystemParams
     from villadsen.bundles import line_sum
     from conftest import direct_sum, push_through_stages, stage_space_from_scratch
 
-    params = SystemParams(INFINITE)
+    k = INFINITE
     w = build_witness(2)
     j = 8
     total = None
     for term in w.terms:
-        start_space = stage_space_from_scratch(params, term.stage)
+        start_space = stage_space_from_scratch(k, term.stage)
         bundle = line_sum(start_space,
                           [(factor_labelled(start_space, f"cp{term.stage}"), term.copies)])
-        pushed = push_through_stages(params, bundle, term.stage, j)
+        pushed = push_through_stages(k, bundle, term.stage, j)
         total = pushed if total is None else direct_sum(total, pushed)
     expected = exact_pushed_coefficients(w, j)
-    final_space = stage_space_from_scratch(params, j)
+    final_space = stage_space_from_scratch(k, j)
     by_stage = {}
     for s in range(1, j + 1):
         pos = total.base.generator_position(factor_labelled(final_space, f"cp{s}"))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -158,8 +159,33 @@ def test_v2_infinite_family_divergence(capsys):
 
 
 def test_v2_bad_parameter_is_usage_error(capsys):
-    code, _ = run_cli(capsys, "v2", "-k", "0", "-n", "3")
-    assert code == 1
+    assert main(["v2", "-k", "0", "-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: -k must be >= 1 or 'inf'\n"
+
+
+def test_cfp_witness_is_released_before_the_report_is_written(capsys, monkeypatch):
+    # the report's write is where a call's memory peaks; the witness and the
+    # factor dimensions it walked must be gone by then
+    witnesses = []
+    written = []
+
+    def build_witness(*args):
+        witness = cfp_build_witness(*args)
+        witnesses.append(weakref.ref(witness))
+        return witness
+
+    def canonical_json(doc):
+        written.append([ref() is None for ref in witnesses])
+        return encode(doc)
+
+    cfp_build_witness, encode = villadsen.cfp.build_witness, reports.canonical_json
+    monkeypatch.setattr(villadsen.cfp, "build_witness", build_witness)
+    monkeypatch.setattr(reports, "canonical_json", canonical_json)
+    code, out = run_cli(capsys, "cfp", "--terms", "3")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert written == [[True]]
 
 
 def test_cfp_subcommand(capsys):

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from villadsen.bundles import line_sum, trivial_bundle
+from villadsen.bundles import BundleExpr, line_sum
 from villadsen.comparison import (
     dominates_by_rank,
     obstructed_by_euler,
@@ -57,16 +57,15 @@ def test_euler_obstruction_on_sphere_square():
 
 
 def test_euler_obstruction_unknown_for_trivial_target():
-    assert obstructed_by_euler(trivial_bundle(spheres(2), 5))["outcome"] == "unknown"
+    assert obstructed_by_euler(BundleExpr(spheres(2), 5))["outcome"] == "unknown"
 
 
 def test_euler_obstruction_against_witness_sums():
-    from villadsen.type_two import SystemParams
     from villadsen.growth import INFINITE
     from conftest import witness_sum_from_scratch
-    params = SystemParams(INFINITE)
+    k = INFINITE
     for m in (1, 2, 3):
-        verdict = obstructed_by_euler(witness_sum_from_scratch(params, m))
+        verdict = obstructed_by_euler(witness_sum_from_scratch(k, m))
         assert verdict["outcome"] == "obstructed"
 
 
@@ -79,7 +78,7 @@ def test_soundness_rank_vs_obstruction_on_sphere_powers():
             y = line_sum(base, [(i, mu) for i, mu in enumerate(mults) if mu],
                          trivial_rank=0)
             for trivial_extra in (0, 1, 2):
-                y2 = direct_sum(y, trivial_bundle(base, trivial_extra))
+                y2 = direct_sum(y, BundleExpr(base, trivial_extra))
                 # x is trivial of rank 1 or 2, so it has the trivial summand
                 # the Euler obstruction needs
                 obs = obstructed_by_euler(y2)["outcome"] == "obstructed"
@@ -98,7 +97,7 @@ def test_domination_monotone_under_added_trivial_rank():
         y = line_sum(base, [(i, rng.randint(0, 2)) for i in range(m)],
                      trivial_rank=rng.randint(0, 4))
         if dominates_by_rank(x_rank, y.rank, base.real_dimension)["outcome"] == "dominates":
-            bigger = direct_sum(y, trivial_bundle(base, rng.randint(1, 5)))
+            bigger = direct_sum(y, BundleExpr(base, rng.randint(1, 5)))
             assert dominates_by_rank(x_rank, bigger.rank, base.real_dimension)["outcome"] \
                 == "dominates"
 
@@ -114,7 +113,7 @@ def _branches():
         ("stable-range", "unknown", trivial_line_subbundle_sufficient(1, 2)),
         ("euler-obstruction", "obstructed",
          obstructed_by_euler(line_sum(square, [(0, 1), (1, 1)]))),
-        ("euler-obstruction", "unknown", obstructed_by_euler(trivial_bundle(square, 5))),
+        ("euler-obstruction", "unknown", obstructed_by_euler(BundleExpr(square, 5))),
     ]
 
 

@@ -42,14 +42,14 @@ from villadsen.cli import main
 from villadsen.cohomology import GradedClass
 from villadsen.growth import INFINITE
 from villadsen.spaces import SpaceAtom, SpaceDescriptor
-from villadsen.type_two import SystemParams, radius_of_comparison
+from villadsen.type_two import radius_of_comparison
 
 from conftest import connecting_maps
 
 
 def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
     """Rings built (by space) and classes built during one sweep to stage n."""
-    return count_during(monkeypatch, lambda: radius_of_comparison(SystemParams(2), n))
+    return count_during(monkeypatch, lambda: radius_of_comparison(2, n))
 
 
 def count_during(monkeypatch, action) -> tuple[list, int]:
@@ -74,7 +74,7 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_radius_sweep_builds_no_space(monkeypatch, k):
-    rings, classes = count_during(monkeypatch, lambda: radius_of_comparison(SystemParams(k), 40))
+    rings, classes = count_during(monkeypatch, lambda: radius_of_comparison(k, 40))
     assert rings == [] and classes == 0
 
 
@@ -108,7 +108,7 @@ def test_cli_call_rebuilds_at_most_one_ring(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("k", [1, 2, INFINITE])
 def test_connecting_map_has_two_slots(k):
-    for n, slots in connecting_maps(SystemParams(k), 0, 6):
+    for n, slots in connecting_maps(k, 0, 6):
         assert len(slots) == 2
         assert [(s.multiplicity, s.carrier) for s in slots] == [(1, None), (n + 1, n)]
 
@@ -193,7 +193,7 @@ def test_repeated_call_builds_the_same(monkeypatch, capsys):
     def one_call():
         certificates = []
         rings, classes = count_during(monkeypatch, lambda: certificates.append(
-            radius_of_comparison(SystemParams(2), 30)))
+            radius_of_comparison(2, 30)))
         argv = ["v2", "-k", "2", "-n", "30", "--rc", "--trace"]
         _, atoms = factorials_and_atoms(monkeypatch, argv)
         return certificates, len(rings), classes, atoms
