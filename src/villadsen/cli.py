@@ -126,9 +126,10 @@ def _emit(report: dict) -> int:
         text = reports.canonical_json(report)
     except RecursionError:
         # json.load reads a document a few levels deeper than the report,
-        # which holds it under `inputs`, can echo it
-        raise ConfigError("an input document nests too deeply to be echoed "
-                          "in the report") from None
+        # which holds it under `inputs`, can echo it; a value that holds
+        # itself also ends here, as the encoder keeps no cycle record
+        raise ConfigError("the report nests too deeply to be written: an echoed "
+                          "input document, or a value that holds itself") from None
     print(text)
     return 0 if report["ok"] else 2
 
@@ -199,17 +200,21 @@ def _run_vi(args):
             "distinct_projections": str(stats.distinct_projections),
             "projection_multiplicity": str(stats.projection_multiplicity),
             "total_multiplicity": str(stats.total_multiplicity),
-            "distinct_ratio": reports.fraction_json(stats.distinct_ratio),
-            "projection_ratio": reports.fraction_json(stats.projection_ratio),
+            "distinct_ratio": reports.fraction_json(stats.distinct_projections,
+                                                    stats.total_multiplicity),
+            "projection_ratio": reports.fraction_json(stats.projection_multiplicity,
+                                                      stats.total_multiplicity),
         }
 
     def trajectory():
         values = [prefix.distinct_ratio for prefix in composed[1:]]
         nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
-        return nonincreasing, {"values": [reports.fraction_json(v) for v in values]}
+        return nonincreasing, {"values": [reports.fraction_json(v.numerator, v.denominator)
+                                            for v in values]}
 
     def estimate():
-        return True, {"value": reports.fraction_json(stats.projection_ratio),
+        return True, {"value": reports.fraction_json(stats.projection_multiplicity,
+                                                stats.total_multiplicity),
                       "finite_stage": True, "from_stage": start, "to_stage": stop}
 
     def witness():

@@ -6,11 +6,13 @@ integers: `stage`, `max_stage`, `verify_stage`, `from_stage`, `to_stage`,
 `witness` (`null` for an option not given); the CFP first stage's `value`,
 `ratio_induction_base` and `divisibility_from`; the `vi` witness size `n`
 and `sphere_power`; and the exponents of a class term.  Every other number
-is a decimal string, and every rational a num/den pair of decimal strings,
-so reports are exact and independent of platform float behaviour.  Echoed
-input documents keep the numbers as they were written.  Reports are
-deterministic given identical inputs and engine version once the volatile
-wall-time field is dropped, which is what `normalize_report` is for.
+is a decimal string, and every rational a {"num", "den"} pair of decimal
+strings in lowest terms with a positive denominator, written by
+`fraction_json`, so reports are exact and independent of platform float
+behaviour.  Echoed input documents keep the numbers as they were written.
+Reports are deterministic given identical inputs and engine version once
+the volatile wall-time field is dropped, which is what `normalize_report`
+is for.
 
 A value the engine has already written as canonical JSON text, such as a
 class (`GradedClass.json_text`) or Chern component (`line_series_texts`),
@@ -32,14 +34,24 @@ from __future__ import annotations
 import json
 import re
 import time
-from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 from .version import ENGINE_VERSION
 
 
-def fraction_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+def fraction_json(num: int, den: int, den_text: str | None = None) -> dict:
+    """The rational num/den as a report writes it: a {"num", "den"} pair of
+    decimal strings in lowest terms with a positive denominator, reduced by
+    one gcd.  A caller that knows the pair is already in lowest terms and
+    holds den's decimal text passes it as `den_text`: no gcd is taken and
+    den is not converted again.  ValueError for den < 1."""
+    if den < 1:
+        raise ValueError(f"a rational needs a denominator >= 1, not {den}")
+    if den_text is not None:
+        return {"num": str(num), "den": den_text}
+    g = gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
 
 
 def check(name: str, ok: bool, certificate: dict | None = None,
@@ -84,8 +96,12 @@ class Encoded:
 
 
 # canonical JSON text of a value, by one encoder built once: `json.dumps`
-# with these options would build a new one on every call
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# with these options would build a new one on every call.  A report is a
+# tree of fresh engine dicts and `json.load` output, so the encoder keeps no
+# record of the containers it is inside: a value that held itself would end,
+# as a too-deep one does, in RecursionError
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
 
 def canonical_json(doc: dict) -> str:

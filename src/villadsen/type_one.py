@@ -83,10 +83,6 @@ class StageStats:
     def distinct_ratio(self) -> Fraction:
         return Fraction(self.distinct_projections, self.total_multiplicity)
 
-    @property
-    def projection_ratio(self) -> Fraction:
-        return Fraction(self.projection_multiplicity, self.total_multiplicity)
-
 
 IDENTITY_STATS = StageStats(1, 1, 1)
 
@@ -201,12 +197,12 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
     forced_square = (Fraction(n - 1, n)) ** 2
     return {
         "n": n,
-        "ratio": fraction_json(ratio),
-        "threshold": fraction_json(threshold),
+        "ratio": fraction_json(stats.distinct_projections, stats.total_multiplicity),
+        "threshold": fraction_json(2 * n - 1, 2 * n),
         "hypothesis_holds": hypothesis,
         "rank_bound_holds": rank_bound,
-        "fixed_point_bound": fraction_json(Fraction(n, n + 2)),
-        "forced_square": fraction_json(forced_square),
+        "fixed_point_bound": fraction_json(n, n + 2),
+        "forced_square": fraction_json((n - 1) ** 2, n * n),
         "strict_drop": forced_square < Fraction(n - 1, n),
         "contradiction": hypothesis and not rank_bound,
     }

@@ -26,6 +26,14 @@ numbers.  So each sweep and each comparability chain does a fixed amount
 of Python work per stage.
 Nothing is held between calls.
 
+Every trace and ratio is an integer pair: `reports.fraction_json` reduces
+it by one gcd where it is printed, or takes it as it is where it is known
+to be in lowest terms (1/rank, reusing the rank's decimal text, and
+m^2/(m+1)).  Every verdict on them is decided by cross-multiplying
+positive denominators, so no `fractions` arithmetic runs: value = k when
+dim = 2k*rank, and a witness trace meets m^2/(m+1) when
+(m+1)*witness >= m^2*rank.
+
 `trace_table`, `comparability_triple` and `radius_of_comparison` take the
 family parameter k itself, an int or `growth.INFINITE`; `growth.tower`
 checks it, and a certificate prints it as `growth.family_parameter_label`.
@@ -33,7 +41,6 @@ checks it, and a certificate prints it as `growth.family_parameter_label`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 from .bundles import BundleExpr, DiagonalSlot, capacity_sum, pushforward_diagonal
@@ -71,15 +78,16 @@ def trace_table(k: int | None, n: int) -> dict:
         unit_rank += stage.unit
     if unit_rank != stage.rank:
         raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
+    rank_text = str(unit_rank)
     cert = {
         "stage": n,
         "dimension": str(_dimension(k, stage)),
-        "rank": str(unit_rank),
-        "unit_trace": fraction_json(Fraction(unit_rank, stage.rank)),
-        "trivial_line_trace": fraction_json(Fraction(1, unit_rank)),
+        "rank": rank_text,
+        "unit_trace": fraction_json(unit_rank, stage.rank),
+        "trivial_line_trace": fraction_json(1, unit_rank, rank_text),
     }
     if n >= 1:
-        cert["witness_sum_trace"] = fraction_json(Fraction(stage.witness, stage.rank))
+        cert["witness_sum_trace"] = fraction_json(stage.witness, stage.rank)
     return cert
 
 
@@ -125,7 +133,7 @@ def comparability_triple(k: int | None, n: int,
     # dimension.  The stage-(ell+1) witness sum adds that many copies, so
     # only R is carried up the tower
     rank, witness_rank = stages[-1].rank, stages[-1].witness
-    q_sum = Fraction(witness_rank, rank)
+    q_sum = fraction_json(witness_rank, rank)
     dims = [stage.dim for stage in stages[1:]]
     chain_records = []
     for ell, following in zip(range(n, j), walk):
@@ -156,13 +164,10 @@ def comparability_triple(k: int | None, n: int,
     passed &= verdict["outcome"] == "obstructed"
     euler_record = {**verdict, "witness_rank": str(witness.rank)}
 
-    traces: dict = {
-        "unit_line": fraction_json(Fraction(1, rank)),
-        "q_sum": fraction_json(q_sum),
-    }
+    traces: dict = {"unit_line": fraction_json(1, rank, str(rank)), "q_sum": q_sum}
     if k is not INFINITE:
-        closed = Fraction(k * rank - k, rank)
-        if closed != q_sum:
+        # the q-sum trace is (k*rank - k)/rank: compared over the one denominator
+        if k * rank - k != stages[-1].witness:
             raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
         traces["limit"] = str(k)
         traces["divergent"] = False
@@ -170,12 +175,12 @@ def comparability_triple(k: int | None, n: int,
         entries = []
         for stage in stages[1:]:
             m = stage.n
-            exact = Fraction(stage.witness, stage.rank)
-            lower = Fraction(m * m, m + 1)
-            if exact < lower:
+            # witness/rank >= m^2/(m+1), cross-multiplied; m^2/(m+1) is in
+            # lowest terms
+            if (m + 1) * stage.witness < m * m * stage.rank:
                 raise CrossCheckDisagreement("divergence lower bound fails")
-            entries.append({"stage": m, "exact": fraction_json(exact),
-                            "lower_bound": fraction_json(lower)})
+            entries.append({"stage": m, "exact": fraction_json(stage.witness, stage.rank),
+                            "lower_bound": fraction_json(m * m, m + 1, str(m + 1))})
         traces["entries"] = entries
         traces["divergent"] = True
 
@@ -200,7 +205,9 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
     passed = True
     stages = []
     witnesses = []
-    previous = None
+    # the previous stage's dimension and rank, for the k = inf verdict; 0/1
+    # before stage 0, which therefore holds
+    previous_dimension, previous_rank = 0, 1
     # stage m's witness sum is stage m-1's plus `dim` copies of the new line:
     # its Euler verdict, carried up the tower, is nonzero while the copies
     # each stage adds stay below the cap dim + 1 of the new factor
@@ -208,36 +215,39 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
     for stage in islice(tower(k), max_stage + 1):
         m, rank = stage.n, stage.rank
         dimension = _dimension(k, stage)
-        value = Fraction(dimension, 2 * rank)
-        rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
-               "value": fraction_json(value)}
+        rank_text = str(rank)
+        rec = {"stage": m, "dimension": str(dimension), "rank": rank_text,
+               "value": fraction_json(dimension, 2 * rank)}
+        # a verdict compares ratios by cross-multiplying their positive
+        # denominators
         if k is not INFINITE:
-            rec["equals_parameter"] = holds = value == k
+            rec["equals_parameter"] = holds = dimension == 2 * k * rank
         else:
-            rec["nondecreasing"] = holds = previous is None or value >= previous
+            # dim/(2*rank) against the previous stage's: the factors 2 cancel
+            rec["nondecreasing"] = holds = dimension * previous_rank >= previous_dimension * rank
         passed &= holds
         stages.append(rec)
-        previous = value
+        previous_dimension, previous_rank = dimension, rank
         if m == 0:
             continue
 
         obstructed = obstructed and stage.witness - witness_rank < stage.dim + 1
         witness_rank = stage.witness
-        q_sum = Fraction(witness_rank, rank)
         passed &= obstructed
         rec = {
             "stage": m,
-            "trace_trivial_line": fraction_json(Fraction(1, rank)),
-            "trace_witness_sum": fraction_json(q_sum),
+            "trace_trivial_line": fraction_json(1, rank, rank_text),
+            "trace_witness_sum": fraction_json(witness_rank, rank),
             "obstructed": obstructed,
         }
         if k is not INFINITE:
-            rec["lower_bound"] = fraction_json(k - Fraction(k + 1, rank))
+            # k - (k+1)/rank over the one denominator
+            rec["lower_bound"] = fraction_json(k * rank - k - 1, rank)
         else:
-            # witness traces grow at least like m^2/(m+1), which diverges
-            bound = Fraction(m * m, m + 1)
-            rec["divergence_lower_bound"] = fraction_json(bound)
-            rec["bound_holds"] = holds = q_sum >= bound
+            # witness traces grow at least like m^2/(m+1), which diverges;
+            # m^2 and m+1 are coprime
+            rec["divergence_lower_bound"] = fraction_json(m * m, m + 1, str(m + 1))
+            rec["bound_holds"] = holds = (m + 1) * witness_rank >= m * m * rank
             passed &= holds
         witnesses.append(rec)
 

@@ -13,7 +13,10 @@ term, the references for the class text the engine writes directly.
 table, the reference for `cli._parse`.  `unit_multiplicity` and
 `cp_dimension` give one stage's growth numbers on their own, with
 `math.factorial`: the pointwise closed forms of the stage walk
-`growth.tower`.
+`growth.tower`.  `trace_table_from_fractions`, `radius_from_fractions` and
+`comparability_traces_from_fractions` are the type-II certificates as the
+engine built them with `Fraction` before it wrote integer pairs, the
+reference for its cross-multiplied verdicts and its one-gcd writer.
 """
 
 from __future__ import annotations
@@ -50,6 +53,97 @@ def cp_dimension(k: int | None, n: int) -> int:
 def fraction(doc: dict) -> Fraction:
     """The rational a report prints as {"num", "den"}."""
     return Fraction(int(doc["num"]), int(doc["den"]))
+
+
+def fraction_pair(x: Fraction) -> dict:
+    """The {"num", "den"} pair of a Fraction, as its own properties give it."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def witness_rank(k: int | None, n: int) -> int:
+    """Rank of the type-II stage-n witness sum: the projective dimensions
+    of stages 1..n, each formed on its own."""
+    return sum(cp_dimension(k, j) for j in range(1, n + 1))
+
+
+def stage_dimension(k: int | None, n: int) -> int:
+    """Real dimension of the type-II stage-n space: twice its disk power
+    (k, or for k = inf 1 at stage 0 and n * (n * n!)^2 after) plus twice the
+    projective dimensions."""
+    if k is not INFINITE:
+        disks = k
+    else:
+        disks = 1 if n == 0 else n * unit_multiplicity(n) ** 2
+    return 2 * (disks + witness_rank(k, n))
+
+
+def trace_table_from_fractions(k: int | None, n: int) -> dict:
+    """Reference `type_two.trace_table`: every trace a `Fraction`."""
+    rank = factorial(n + 1)
+    unit_rank = sum(unit_multiplicity(j) for j in range(n + 1))
+    cert = {"stage": n, "dimension": str(stage_dimension(k, n)), "rank": str(unit_rank),
+            "unit_trace": fraction_pair(Fraction(unit_rank, rank)),
+            "trivial_line_trace": fraction_pair(Fraction(1, unit_rank))}
+    if n >= 1:
+        cert["witness_sum_trace"] = fraction_pair(Fraction(witness_rank(k, n), rank))
+    return cert
+
+
+def radius_from_fractions(k: int | None, max_stage: int) -> dict:
+    """Reference `type_two.radius_of_comparison`: every ratio a `Fraction`,
+    every verdict a `Fraction` comparison.  Each stage adds dim copies of
+    its new line, below that factor's cap dim + 1, so every witness is
+    obstructed."""
+    passed = True
+    stages, witnesses, previous = [], [], None
+    for m in range(max_stage + 1):
+        rank = factorial(m + 1)
+        dimension = stage_dimension(k, m)
+        value = Fraction(dimension, 2 * rank)
+        rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
+               "value": fraction_pair(value)}
+        if k is not INFINITE:
+            rec["equals_parameter"] = holds = value == k
+        else:
+            rec["nondecreasing"] = holds = previous is None or value >= previous
+        passed &= holds
+        stages.append(rec)
+        previous = value
+        if m == 0:
+            continue
+        q_sum = Fraction(witness_rank(k, m), rank)
+        rec = {"stage": m, "trace_trivial_line": fraction_pair(Fraction(1, rank)),
+               "trace_witness_sum": fraction_pair(q_sum), "obstructed": True}
+        if k is not INFINITE:
+            rec["lower_bound"] = fraction_pair(k - Fraction(k + 1, rank))
+        else:
+            bound = Fraction(m * m, m + 1)
+            rec["divergence_lower_bound"] = fraction_pair(bound)
+            rec["bound_holds"] = holds = q_sum >= bound
+            passed &= holds
+        witnesses.append(rec)
+    return {"k": "inf" if k is INFINITE else str(k), "max_stage": max_stage,
+            "divergent": k is INFINITE, "stages": stages, "witnesses": witnesses,
+            "passed": passed}
+
+
+def comparability_traces_from_fractions(k: int | None, n: int) -> dict:
+    """Reference `traces` of `type_two.comparability_triple` at witness
+    stage n: every trace a `Fraction`."""
+    rank = factorial(n + 1)
+    q_sum = Fraction(witness_rank(k, n), rank)
+    traces: dict = {"unit_line": fraction_pair(Fraction(1, rank)), "q_sum": fraction_pair(q_sum)}
+    if k is not INFINITE:
+        assert Fraction(k * rank - k, rank) == q_sum
+        traces["limit"] = str(k)
+        traces["divergent"] = False
+    else:
+        traces["entries"] = [
+            {"stage": m, "exact": fraction_pair(Fraction(witness_rank(k, m), factorial(m + 1))),
+             "lower_bound": fraction_pair(Fraction(m * m, m + 1))}
+            for m in range(1, n + 1)]
+        traces["divergent"] = True
+    return traces
 
 
 def unit_class(space: SpaceDescriptor, coeff: int = 1) -> GradedClass:

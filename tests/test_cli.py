@@ -710,6 +710,61 @@ def test_cross_check_disagreement_exits_two(argv, budget, check, patched, messag
     assert failed["outcome"] == "fail" and failed["message"].startswith(message)
 
 
+def _dimension_at_stage_two(change):
+    """`type_two._dimension` with stage 2's dimension passed through `change`."""
+    return lambda k, stage, dimension=type_two._dimension: (
+        change(dimension(k, stage)) if stage.n == 2 else dimension(k, stage))
+
+
+# a radius verdict made false at one stage: (k, the records that hold the
+# verdict, the stage it fails at, the name patched, the broken route)
+BROKEN_VERDICT = {
+    # stage 2's dimension 2 too large: dim/(2*rank) misses k there
+    "equals_parameter": ("2", "stages", 2, "villadsen.type_two._dimension",
+                         _dimension_at_stage_two(lambda d: d + 2)),
+    # stage 2's dimension 1000 times too large: stage 3's ratio falls below it
+    "nondecreasing": ("inf", "stages", 3, "villadsen.type_two._dimension",
+                      _dimension_at_stage_two(lambda d: 1000 * d)),
+    # stage 2's rank 7, not 6: its witness trace 9/7 falls below 4/3
+    "bound_holds": ("inf", "witnesses", 2, "villadsen.type_two.tower",
+                    lambda k, tower=type_two.tower: (
+                        stage._replace(rank=stage.rank + 1) if stage.n == 2 else stage
+                        for stage in tower(k))),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(BROKEN_VERDICT))
+def test_false_radius_verdict_exits_two(verdict, capsys, monkeypatch):
+    k, records, stage, patched, route = BROKEN_VERDICT[verdict]
+    monkeypatch.setattr(patched, route)
+    code = main(["v2", "-k", k, "-n", "3", "--rc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    validate_report(doc)
+    [radius] = [c for c in doc["checks"] if c["name"] == "radius_of_comparison"]
+    assert radius["outcome"] == "fail"
+    assert [r["stage"] for r in radius["certificate"][records] if not r[verdict]] == [stage]
+
+
+def test_self_referencing_certificate_is_one_error_line(capsys, monkeypatch):
+    # the encoder keeps no cycle record: a value that holds itself ends in
+    # RecursionError, as a too-deep one does, and that is one error line
+    def cyclic_trace_table(k, n):
+        certificate = {"stage": n}
+        certificate["itself"] = certificate
+        return certificate
+
+    monkeypatch.setattr(cli, "trace_table", cyclic_trace_table)
+    code = main(["v2", "-k", "2", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "holds itself" in errors[0]
+
+
 FLOAT_LITERALS = ["1e400", "2.9", "NaN"]
 
 

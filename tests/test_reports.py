@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import villadsen
-from villadsen.reports import Encoded, canonical_json, load_schema, validate_report
+from villadsen.reports import Encoded, canonical_json, fraction_json, load_schema, validate_report
 
 
 def test_packaged_schema_is_a_valid_schema():
@@ -123,6 +123,29 @@ def test_the_walker_agrees_with_the_draft_07_oracle(doc):
     except ValueError:
         accepted = False
     assert accepted == ORACLE.is_valid(doc)
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 12)
+@example(-6, 4)
+@example(-7, 1)
+@example(12, 18)
+@example(2 * 3 ** 40, 3 ** 41)
+def test_fraction_json_agrees_with_fraction(num, den):
+    x = Fraction(num, den)
+    assert fraction_json(num, den) == {"num": str(x.numerator), "den": str(x.denominator)}
+    if x.denominator == den:
+        # a pair already in lowest terms, with its denominator's text given
+        assert fraction_json(num, den, str(den)) == fraction_json(num, den)
+
+
+@pytest.mark.parametrize("den", [0, -1, -12])
+def test_fraction_json_refuses_a_denominator_below_one(den):
+    with pytest.raises(ValueError, match="denominator"):
+        fraction_json(1, den)
+    with pytest.raises(ValueError, match="denominator"):
+        fraction_json(1, den, str(den))
 
 
 def test_inputs_deeper_than_the_recursion_limit_are_not_walked():

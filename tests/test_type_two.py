@@ -24,12 +24,15 @@ from villadsen.type_two import (
 from villadsen.spaces import SpaceDescriptor, cproj
 
 from conftest import (
+    comparability_traces_from_fractions,
     connecting_maps,
     cp_dimension,
     direct_sum,
     fraction,
     pushforward_from_scratch,
+    radius_from_fractions,
     stage_space_from_scratch,
+    trace_table_from_fractions,
     unit_from_scratch,
     unit_multiplicity,
     witness_sum_from_scratch,
@@ -289,6 +292,18 @@ def test_radius_infinite_reports_divergence():
               for w in report["witnesses"]]
     assert bounds == sorted(bounds)
     assert bounds[-1] == Fraction(16, 5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, INFINITE])
+def test_certificates_match_the_fraction_reference(k):
+    # integer pairs reduced by one gcd and verdicts by cross-multiplication,
+    # against the same certificates built with Fraction
+    for n in range(31):
+        assert trace_table(k, n) == trace_table_from_fractions(k, n)
+        assert radius_of_comparison(k, n) == radius_from_fractions(k, n)
+        if n >= 1:
+            assert comparability_triple(k, n, n + 8)["traces"] \
+                == comparability_traces_from_fractions(k, n)
 
 
 def test_euler_obstruction_chain_consistency():
