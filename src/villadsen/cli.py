@@ -195,13 +195,14 @@ def _run_vi(args):
     stats = composed[-1]
 
     def stage_stats():
+        distinct_ratio = stats.distinct_ratio
         return True, {
             "from_stage": start, "to_stage": stop,
             "distinct_projections": str(stats.distinct_projections),
             "projection_multiplicity": str(stats.projection_multiplicity),
             "total_multiplicity": str(stats.total_multiplicity),
-            "distinct_ratio": reports.fraction_json(stats.distinct_projections,
-                                                    stats.total_multiplicity),
+            "distinct_ratio": reports.fraction_json(distinct_ratio.numerator,
+                                                    distinct_ratio.denominator),
             "projection_ratio": reports.fraction_json(stats.projection_multiplicity,
                                                       stats.total_multiplicity),
         }

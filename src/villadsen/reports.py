@@ -40,16 +40,12 @@ from math import gcd
 from .version import ENGINE_VERSION
 
 
-def fraction_json(num: int, den: int, den_text: str | None = None) -> dict:
+def fraction_json(num: int, den: int) -> dict:
     """The rational num/den as a report writes it: a {"num", "den"} pair of
     decimal strings in lowest terms with a positive denominator, reduced by
-    one gcd.  A caller that knows the pair is already in lowest terms and
-    holds den's decimal text passes it as `den_text`: no gcd is taken and
-    den is not converted again.  ValueError for den < 1."""
+    one gcd.  ValueError for den < 1."""
     if den < 1:
         raise ValueError(f"a rational needs a denominator >= 1, not {den}")
-    if den_text is not None:
-        return {"num": str(num), "den": den_text}
     g = gcd(num, den)
     return {"num": str(num // g), "den": str(den // g)}
 

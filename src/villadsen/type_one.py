@@ -197,12 +197,12 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
     forced_square = (Fraction(n - 1, n)) ** 2
     return {
         "n": n,
-        "ratio": fraction_json(stats.distinct_projections, stats.total_multiplicity),
-        "threshold": fraction_json(2 * n - 1, 2 * n),
+        "ratio": fraction_json(ratio.numerator, ratio.denominator),
+        "threshold": fraction_json(threshold.numerator, threshold.denominator),
         "hypothesis_holds": hypothesis,
         "rank_bound_holds": rank_bound,
         "fixed_point_bound": fraction_json(n, n + 2),
-        "forced_square": fraction_json((n - 1) ** 2, n * n),
+        "forced_square": fraction_json(forced_square.numerator, forced_square.denominator),
         "strict_drop": forced_square < Fraction(n - 1, n),
         "contradiction": hypothesis and not rank_bound,
     }

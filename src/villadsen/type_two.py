@@ -26,13 +26,11 @@ numbers.  So each sweep and each comparability chain does a fixed amount
 of Python work per stage.
 Nothing is held between calls.
 
-Every trace and ratio is an integer pair: `reports.fraction_json` reduces
-it by one gcd where it is printed, or takes it as it is where it is known
-to be in lowest terms (1/rank, reusing the rank's decimal text, and
-m^2/(m+1)).  Every verdict on them is decided by cross-multiplying
-positive denominators, so no `fractions` arithmetic runs: value = k when
-dim = 2k*rank, and a witness trace meets m^2/(m+1) when
-(m+1)*witness >= m^2*rank.
+Every trace and ratio is an integer pair, which `reports.fraction_json`
+reduces by one gcd where it is printed.  Every verdict on them is decided
+by cross-multiplying positive denominators, so no `fractions` arithmetic
+runs: value = k when dim = 2k*rank, and a witness trace meets m^2/(m+1)
+when (m+1)*witness >= m^2*rank.
 
 `trace_table`, `comparability_triple` and `radius_of_comparison` take the
 family parameter k itself, an int or `growth.INFINITE`; `growth.tower`
@@ -78,13 +76,12 @@ def trace_table(k: int | None, n: int) -> dict:
         unit_rank += stage.unit
     if unit_rank != stage.rank:
         raise CrossCheckDisagreement("unit rank bookkeeping is inconsistent")
-    rank_text = str(unit_rank)
     cert = {
         "stage": n,
         "dimension": str(_dimension(k, stage)),
-        "rank": rank_text,
+        "rank": str(unit_rank),
         "unit_trace": fraction_json(unit_rank, stage.rank),
-        "trivial_line_trace": fraction_json(1, unit_rank, rank_text),
+        "trivial_line_trace": fraction_json(1, unit_rank),
     }
     if n >= 1:
         cert["witness_sum_trace"] = fraction_json(stage.witness, stage.rank)
@@ -164,9 +161,8 @@ def comparability_triple(k: int | None, n: int,
     passed &= verdict["outcome"] == "obstructed"
     euler_record = {**verdict, "witness_rank": str(witness.rank)}
 
-    traces: dict = {"unit_line": fraction_json(1, rank, str(rank)), "q_sum": q_sum}
+    traces: dict = {"unit_line": fraction_json(1, rank), "q_sum": q_sum}
     if k is not INFINITE:
-        # the q-sum trace is (k*rank - k)/rank: compared over the one denominator
         if k * rank - k != stages[-1].witness:
             raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
         traces["limit"] = str(k)
@@ -175,12 +171,10 @@ def comparability_triple(k: int | None, n: int,
         entries = []
         for stage in stages[1:]:
             m = stage.n
-            # witness/rank >= m^2/(m+1), cross-multiplied; m^2/(m+1) is in
-            # lowest terms
             if (m + 1) * stage.witness < m * m * stage.rank:
                 raise CrossCheckDisagreement("divergence lower bound fails")
             entries.append({"stage": m, "exact": fraction_json(stage.witness, stage.rank),
-                            "lower_bound": fraction_json(m * m, m + 1, str(m + 1))})
+                            "lower_bound": fraction_json(m * m, m + 1)})
         traces["entries"] = entries
         traces["divergent"] = True
 
@@ -215,11 +209,8 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
     for stage in islice(tower(k), max_stage + 1):
         m, rank = stage.n, stage.rank
         dimension = _dimension(k, stage)
-        rank_text = str(rank)
-        rec = {"stage": m, "dimension": str(dimension), "rank": rank_text,
+        rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
                "value": fraction_json(dimension, 2 * rank)}
-        # a verdict compares ratios by cross-multiplying their positive
-        # denominators
         if k is not INFINITE:
             rec["equals_parameter"] = holds = dimension == 2 * k * rank
         else:
@@ -236,17 +227,15 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
         passed &= obstructed
         rec = {
             "stage": m,
-            "trace_trivial_line": fraction_json(1, rank, rank_text),
+            "trace_trivial_line": fraction_json(1, rank),
             "trace_witness_sum": fraction_json(witness_rank, rank),
             "obstructed": obstructed,
         }
         if k is not INFINITE:
-            # k - (k+1)/rank over the one denominator
             rec["lower_bound"] = fraction_json(k * rank - k - 1, rank)
         else:
-            # witness traces grow at least like m^2/(m+1), which diverges;
-            # m^2 and m+1 are coprime
-            rec["divergence_lower_bound"] = fraction_json(m * m, m + 1, str(m + 1))
+            # witness traces grow at least like m^2/(m+1), which diverges
+            rec["divergence_lower_bound"] = fraction_json(m * m, m + 1)
             rec["bound_holds"] = holds = (m + 1) * witness_rank >= m * m * rank
             passed &= holds
         witnesses.append(rec)
