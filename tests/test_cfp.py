@@ -293,3 +293,23 @@ def test_pushed_coefficients_dominated_by_replay_table():
     for row in low["rows"][1:]:
         for entry in row["intermediate"]:
             assert exact[entry["stage"]] <= int(entry["total"])
+
+
+@pytest.mark.parametrize("broken, failures", [
+    (6, ["dominating coefficient exceeds cap at stage 6",
+         "exact pushed coefficient exceeds cap at stage 6"]),
+    (10, ["capacity push fails from stage 9",
+          "exact pushed coefficient exceeds cap at stage 10"]),
+])
+def test_lower_bound_names_each_table_a_broken_cap_fails(broken, failures, monkeypatch,
+                                                         capsys):
+    # a walk whose stage `broken` has factor dimension 1: every table that
+    # reads that stage's cap fails there, and no other check moves
+    walk = cfp.tower
+    monkeypatch.setattr(cfp, "tower", lambda k, after=None: (
+        stage._replace(dim=1) if stage.n == broken else stage for stage in walk(k, after)))
+    assert main(["cfp", "--terms", "2", "--stage", "10"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["outcome"] != "pass"] == ["lower_bound"]
+    lower = checks[-1]
+    assert lower["outcome"] == "fail" and lower["certificate"]["failures"] == failures
