@@ -29,14 +29,12 @@ from .type_one import (
     SystemConfig,
     compose_stats,
     ratio_contradiction_check,
-    ratio_trajectory,
     top_chern_witness,
 )
 from .type_two import comparability_triple, radius_of_comparison, trace_table
 from .cfp import (
     CfpWitness,
     build_witness,
-    first_witness_stage,
     next_witness_stage,
     verify_lower,
     verify_upper,

@@ -6,14 +6,15 @@ amplification (a rank-gap certificate) while no finite portion of their sum
 ever dominates a trivial line (an Euler-class certificate fed by exact
 coefficient bookkeeping).  Witness stages are chosen minimally subject to a
 divisibility condition and a growth inequality; everything here is exact
-big-integer and big-rational arithmetic, never floating point.
+big-integer arithmetic, never floating point.
 
 Every number is read off one walk of the k = infinity stage tower
 (`growth.tower`): a stage's projective dimension is the cap of its line,
 its witness rank half the real dimension of the product of the projective
-factors so far, and its rank the unit rank (n+1)!.  `build_witness` walks
-only as far as its witness stages need and keeps the factor dimensions it
-walked, each term carries its stage's record, and `verify_lower` walks on
+factors so far, and its rank the unit rank (n+1)!.  A witness term is the
+record of its stage, holding half its factor dimension in copies of the
+stage's line.  `build_witness` walks only as far as its witness stages need
+and keeps the records it walked, and `verify_lower` extends that list once,
 from the last witness stage to the verification stage, so one `cfp` call
 generates each stage once.  `witness_stages`, `verify_upper` and
 `verify_lower` take the witness or one of its terms and return the
@@ -64,11 +65,6 @@ def _ratio_induction_base(stages: list[Stage]) -> int:
     while 4 * _walk_to(stages, m - 1).witness > _walk_to(stages, m).dim:
         m += 1
     return m
-
-
-def first_witness_stage() -> int:
-    """Minimal stage from which every later stage passes both entry conditions."""
-    return first_stage_certificate([])["value"]
 
 
 def first_stage_certificate(stages: list[Stage]) -> dict:
@@ -123,28 +119,16 @@ def next_witness_stage(prev: Stage) -> int:
 
 
 @dataclass(frozen=True)
-class WitnessTerm:
-    """One witness: `copies` of the line of the walk's stage `record`, with
-    copies twice below cap."""
-
-    index: int
-    record: Stage
-    copies: int
-
-    @property
-    def stage(self) -> int:
-        return self.record.n
-
-
-@dataclass(frozen=True)
 class CfpWitness:
-    """The witness terms, the factor dimensions of stages 0 to the last
-    witness stage off the walk the terms were read from, and the certificate
-    behind the first stage (`first_stage_certificate`) when the stages were
-    chosen minimally; the stages were given when there is none."""
+    """The witness: its terms, the walk's records of the witness stages,
+    each term dim // 2 copies of its stage's line (twice below cap) and
+    numbered by its position from 1; the walk's records of stages 0 to the
+    last witness stage, the terms among them; and the certificate behind
+    the first stage (`first_stage_certificate`) when the stages were chosen
+    minimally, none when they were given."""
 
-    terms: tuple[WitnessTerm, ...]
-    dims: tuple[int, ...] = field(compare=False, repr=False)
+    terms: tuple[Stage, ...]
+    stages: tuple[Stage, ...] = field(compare=False, repr=False)
     first_stage: dict | None = field(default=None, compare=False, repr=False)
 
 
@@ -169,43 +153,41 @@ def build_witness(num_terms: int, override_stages: list[int] | None = None) -> C
         chosen = [first_stage["value"]]
         while len(chosen) < num_terms:
             chosen.append(next_witness_stage(_walk_to(stages, chosen[-1])))
-    terms = []
-    for i, m in enumerate(chosen, start=1):
-        record = _walk_to(stages, m)
+    terms = tuple(_walk_to(stages, m) for m in chosen)
+    for record in terms:
         if record.dim % 2:
-            raise ConfigError(f"stage {m} has odd factor dimension {record.dim}; "
+            raise ConfigError(f"stage {record.n} has odd factor dimension {record.dim}; "
                               "half of it is not an integer")
-        terms.append(WitnessTerm(i, record, record.dim // 2))
-    return CfpWitness(tuple(terms), tuple(s.dim for s in stages[:chosen[-1] + 1]),
-                      first_stage)
+    return CfpWitness(terms, tuple(stages[:chosen[-1] + 1]), first_stage)
 
 
 def witness_stages(witness: CfpWitness) -> dict:
     """The report's `witness_stages` certificate: each term's index, stage
     and copies, whether the stages were given, and the certificate behind
     the first stage when they were chosen minimally."""
-    terms = [{"index": t.index, "stage": t.stage, "copies": str(t.copies)}
-             for t in witness.terms]
+    terms = [{"index": i, "stage": t.n, "copies": str(t.dim // 2)}
+             for i, t in enumerate(witness.terms, start=1)]
     cert = {"witness": {"terms": terms, "overridden": witness.first_stage is None}}
     if witness.first_stage is not None:
         cert["first_stage"] = witness.first_stage
     return cert
 
 
-def verify_upper(term: WitnessTerm) -> dict:
-    """Certify that five copies of the witness dominate the unit, by rank gap.
+def verify_upper(record: Stage) -> dict:
+    """Certify that five copies of the witness term of the stage `record`
+    dominate the unit, by rank gap.
 
     Over the product of the stage's first projective factors, 5 * copies
     exceeds the unit rank (stage+1)! plus half the base dimension, the
     stage's witness rank, exactly when the stage entry conditions hold; the
-    criterion reads only these numbers off the term's stage record, so no
-    base or bundle is built.
-    Returns the report's certificate: the term's stage and copies, and the
-    rank-gap verdict, whose outcome is "dominates" when it holds.
+    criterion reads only these numbers off the record, so no base or bundle
+    is built.
+    Returns the report's certificate: the stage and the term's copies, and
+    the rank-gap verdict, whose outcome is "dominates" when it holds.
     """
-    record = term.record
-    return {"stage": term.stage, "copies": str(term.copies),
-            **dominates_by_rank(record.rank, 5 * term.copies, 2 * record.witness)}
+    copies = record.dim // 2
+    return {"stage": record.n, "copies": str(copies),
+            **dominates_by_rank(record.rank, 5 * copies, 2 * record.witness)}
 
 
 def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
@@ -223,32 +205,36 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     certificate; "passed" holds when no step failed.
     """
     terms = witness.terms
-    last = terms[-1].record
+    last = terms[-1]
     j = last.n if stage is None else stage
     if j < last.n:
         raise ValueError(f"verification stage {j} must reach the last witness "
                          f"stage {last.n}")
 
-    # dim[s] is the stage-s factor dimension, the cap of the stage-s line, off
-    # the witness's walk, and cap[s] its decimal string, converted once for
-    # every row that prints it; the stretch walks both on to stage j
-    dim = list(witness.dims)
-    cap = [str(d) for d in dim]
+    # stages[s] is the walk's stage-s record: the witness's walk, extended
+    # once to stage j.  Its dim is the cap of the stage-s line, and cap[s]
+    # that cap's decimal string, converted once for every row that prints it.
+    # The capacity bundle's Euler check runs before any row is written, so
+    # the memory it works in is free again for the rows' strings
+    stages = [*witness.stages, *islice(tower(INFINITE, last), j - last.n)]
+    verdict = obstructed_by_euler(capacity_sum([s.dim for s in stages[1:]]))
+    cap = [str(s.dim) for s in stages]
     failures: list[str] = []
     rows = []
     first = terms[0]
-    ok0 = first.copies <= dim[first.stage]
+    copies = first.dim // 2
+    ok0 = copies <= first.dim
     if not ok0:
-        failures.append(f"term 1 exceeds its cap at stage {first.stage}")
+        failures.append(f"term 1 exceeds its cap at stage {first.n}")
     rows.append({
-        "term": 1, "stage": first.stage,
-        "added_copies": str(first.copies),
-        "cap": cap[first.stage],
+        "term": 1, "stage": first.n,
+        "added_copies": str(copies),
+        "cap": cap[first.n],
         "ok": ok0,
     })
-    for term, prev_term in zip(terms[1:], terms):
-        prev, cur = prev_term.stage, term.stage
-        dominated_rank = prev_term.record.witness
+    for index, (prev_term, term) in enumerate(zip(terms, terms[1:]), start=2):
+        prev, cur = prev_term.n, term.n
+        dominated_rank = prev_term.witness
         intermediate = []
         # dominated_rank * sigma(t) / (prev+1)! = t * scaled, with
         # scaled = dominated_rank * t!/(prev+1)! carried as a running product
@@ -257,9 +243,9 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
             coeff = t * scaled
             pushed_text = str(coeff)
             # the witness joins at its own stage; before it the total is the push
-            total = coeff + term.copies if t == cur else coeff
+            total = coeff + term.dim // 2 if t == cur else coeff
             total_text = str(total) if t == cur else pushed_text
-            ok_t = total <= dim[t]
+            ok_t = total <= stages[t].dim
             if not ok_t:
                 failures.append(f"dominating coefficient exceeds cap at stage {t}")
             intermediate.append({"stage": t, "pushed": pushed_text, "total": total_text,
@@ -269,68 +255,51 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         # closed form of the last coefficient, dominated_rank * cur * cur! /
         # (prev+1)!, with cur! formed apart from the walk, so the running
         # product is never trusted alone
-        if growth_lhs * prev_term.record.rank != dominated_rank * cur * factorial(cur):
+        if growth_lhs * prev_term.rank != dominated_rank * cur * factorial(cur):
             raise CrossCheckDisagreement(
                 "running pushforward coefficient disagrees with its closed form")
-        growth_ok = 2 * growth_lhs <= dim[cur]
+        growth_ok = 2 * growth_lhs <= term.dim
         if not growth_ok:
             failures.append(f"growth inequality fails entering stage {cur}")
         rows.append({
-            "term": term.index, "from_stage": prev, "to_stage": cur,
+            "term": index, "from_stage": prev, "to_stage": cur,
             "dominated_rank": str(dominated_rank),
             "growth_lhs": pushed_text,
-            "growth_rhs_half_cap": str(dim[cur] // 2),
+            "growth_rhs_half_cap": str(term.dim // 2),
             "growth_ok": growth_ok,
             "combined": total_text,
             "cap": cap[cur],
-            "combined_ok": total <= dim[cur],
+            "combined_ok": total <= term.dim,
             "intermediate": intermediate,
         })
 
     # the capacity bundle of each stage from the last witness stage on, of
     # its witness rank, pushed one stage on along the walk
     stretch = []
-    before = last
-    for following in islice(tower(INFINITE, last), j - last.n):
-        dim.append(following.dim)
-        cap.append(str(following.dim))
+    for before, following in zip(stages[last.n:], stages[last.n + 1:]):
         new = following.n * before.witness
         ok_t = new <= following.dim
         if not ok_t:
             failures.append(f"capacity push fails from stage {before.n}")
         stretch.append({"from_stage": before.n, "to_stage": following.n,
-                        "new_multiplicity": str(new), "cap": cap[-1], "ok": ok_t})
-        before = following
+                        "new_multiplicity": str(new), "cap": cap[following.n], "ok": ok_t})
 
-    pushed = exact_pushed_coefficients(witness, j)
+    # the exact push: pushing one stage on adds s times the sum so far to the
+    # stage-s line, and a witness joins the sum at its own stage
+    arrivals = {t.n: t.dim // 2 for t in terms}
     pushed_table = []
-    for s in range(1, j + 1):
-        ok_s = pushed[s] <= dim[s]
+    pushed_sum = 0
+    for record in stages[1:]:
+        s = record.n
+        coefficient = s * pushed_sum + arrivals.get(s, 0)
+        pushed_sum += coefficient
+        ok_s = coefficient <= record.dim
         if not ok_s:
             failures.append(f"exact pushed coefficient exceeds cap at stage {s}")
-        pushed_table.append({"stage": s, "coefficient": str(pushed[s]),
+        pushed_table.append({"stage": s, "coefficient": str(coefficient),
                              "cap": cap[s], "ok": ok_s})
 
-    verdict = obstructed_by_euler(capacity_sum(dim[1:]))  # the capacity bundle
     if verdict["outcome"] != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")
     return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,
             "euler": verdict, "failures": failures, "passed": not failures}
-
-
-def exact_pushed_coefficients(witness: CfpWitness, j: int) -> dict[int, int]:
-    """Exact per-stage line multiplicities of the pushed witness sum.
-
-    Pushing one stage multiplies nothing and adds (t+1) * (current rank)
-    copies of the next stage's line; witnesses join the sum at their own
-    stage.  Returns {stage: coefficient} for stages 1..j.
-    """
-    arrivals = {t.stage: t.copies for t in witness.terms}
-    coeffs = {s: 0 for s in range(1, j + 1)}
-    start = witness.terms[0].stage
-    coeffs[start] = total = arrivals[start]
-    for t in range(start, j):
-        added = (t + 1) * total + arrivals.get(t + 1, 0)
-        coeffs[t + 1] += added
-        total += added
-    return coeffs

@@ -195,23 +195,24 @@ def _run_vi(args):
     stats = composed[-1]
 
     def stage_stats():
-        distinct_ratio = stats.distinct_ratio
         return True, {
             "from_stage": start, "to_stage": stop,
             "distinct_projections": str(stats.distinct_projections),
             "projection_multiplicity": str(stats.projection_multiplicity),
             "total_multiplicity": str(stats.total_multiplicity),
-            "distinct_ratio": reports.fraction_json(distinct_ratio.numerator,
-                                                    distinct_ratio.denominator),
+            "distinct_ratio": reports.fraction_json(stats.distinct_projections,
+                                                    stats.total_multiplicity),
             "projection_ratio": reports.fraction_json(stats.projection_multiplicity,
                                                       stats.total_multiplicity),
         }
 
     def trajectory():
-        values = [prefix.distinct_ratio for prefix in composed[1:]]
-        nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
-        return nonincreasing, {"values": [reports.fraction_json(v.numerator, v.denominator)
-                                            for v in values]}
+        # each prefix's distinct ratio a/b, nonincreasing when a*d >= c*b for
+        # every next ratio c/d
+        values = [(prefix.distinct_projections, prefix.total_multiplicity)
+                  for prefix in composed[1:]]
+        nonincreasing = all(a * d >= c * b for (a, b), (c, d) in zip(values, values[1:]))
+        return nonincreasing, {"values": [reports.fraction_json(*v) for v in values]}
 
     def estimate():
         return True, {"value": reports.fraction_json(stats.projection_multiplicity,
@@ -273,7 +274,7 @@ def _run_cfp(args):
     _check_index("--stage stage", args.stage)
     _check_index("--terms", args.terms)
     witness = cfp_mod.build_witness(args.terms, overrides)
-    last = witness.terms[-1].stage
+    last = witness.terms[-1].n
     if args.stage is not None and args.stage < last:
         raise ConfigError(f"--stage {args.stage} is below the last witness stage; "
                           f"it must reach stage {last}")
@@ -284,7 +285,8 @@ def _run_cfp(args):
         return certificate["outcome"] == "dominates", certificate
 
     checks = [("witness_stages", lambda: (True, cfp_mod.witness_stages(witness)))]
-    checks += [(f"upper_term_{term.index}", partial(upper, term)) for term in witness.terms]
+    checks += [(f"upper_term_{i}", partial(upper, term))
+               for i, term in enumerate(witness.terms, start=1)]
     checks.append(("lower_bound", lambda: _certified(cfp_mod.verify_lower(witness, stage))))
     return ({"terms": args.terms, "stage": stage, "override_l": args.override_l},
             checks)

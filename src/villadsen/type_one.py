@@ -6,15 +6,16 @@ carries.  Three integers summarize a composed map: the number of distinct
 coordinate projections, their total multiplicity, and the multiplicity of
 the whole map; all three multiply under composition, and the two ratios
 they define over the total are the quantities every argument about these
-systems runs on.  All ratio arithmetic is exact.  The two witness checks,
-`top_chern_witness` and `ratio_contradiction_check`, return the
-certificate the report prints.
+systems runs on.  A ratio is an integer pair, which `reports.fraction_json`
+prints in lowest terms, and every verdict on ratios cross-multiplies
+positive denominators, so no `fractions` arithmetic runs.  The two
+witness checks, `top_chern_witness` and `ratio_contradiction_check`,
+return the certificate the report prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .bundles import expansion_budget
@@ -79,10 +80,6 @@ class StageStats:
         if self.total_multiplicity < 1:
             raise ValueError("total multiplicity must be >= 1")
 
-    @property
-    def distinct_ratio(self) -> Fraction:
-        return Fraction(self.distinct_projections, self.total_multiplicity)
-
 
 IDENTITY_STATS = StageStats(1, 1, 1)
 
@@ -101,11 +98,6 @@ def running_stats(steps: list[StepSpec], start: int, stop: int) -> list[StageSta
         raise IndexError("stage range out of bounds")
     return list(accumulate((s.stats() for s in steps[start:stop]), compose_stats,
                            initial=IDENTITY_STATS))
-
-
-def ratio_trajectory(steps: list[StepSpec], start: int) -> list[Fraction]:
-    """The nonincreasing sequence of distinct-projection ratios from a stage."""
-    return [s.distinct_ratio for s in running_stats(steps, start, len(steps))[1:]]
 
 
 def composed_projection_multiplicities(steps: list[StepSpec], start: int,
@@ -189,21 +181,19 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
     """
     if n < 2:
         raise ValueError("the argument needs n >= 2")
-    ratio = stats.distinct_ratio
-    threshold = Fraction(2 * n - 1, 2 * n)
-    hypothesis = ratio >= threshold
-    rank_bound = (n * stats.distinct_projections
-                  <= n * stats.total_multiplicity - 2 * stats.distinct_projections)
-    forced_square = (Fraction(n - 1, n)) ** 2
+    distinct, total = stats.distinct_projections, stats.total_multiplicity
+    # distinct/total >= (2n-1)/(2n), and ((n-1)/n)^2 < (n-1)/n, cross-multiplied
+    hypothesis = 2 * n * distinct >= (2 * n - 1) * total
+    rank_bound = n * distinct <= n * total - 2 * distinct
     return {
         "n": n,
-        "ratio": fraction_json(ratio.numerator, ratio.denominator),
-        "threshold": fraction_json(threshold.numerator, threshold.denominator),
+        "ratio": fraction_json(distinct, total),
+        "threshold": fraction_json(2 * n - 1, 2 * n),
         "hypothesis_holds": hypothesis,
         "rank_bound_holds": rank_bound,
         "fixed_point_bound": fraction_json(n, n + 2),
-        "forced_square": fraction_json(forced_square.numerator, forced_square.denominator),
-        "strict_drop": forced_square < Fraction(n - 1, n),
+        "forced_square": fraction_json((n - 1) ** 2, n * n),
+        "strict_drop": (n - 1) ** 2 * n < (n - 1) * n * n,
         "contradiction": hypothesis and not rank_bound,
     }
 

@@ -15,8 +15,10 @@ table, the reference for `cli._parse`.  `unit_multiplicity` and
 `math.factorial`: the pointwise closed forms of the stage walk
 `growth.tower`.  `trace_table_from_fractions`, `radius_from_fractions` and
 `comparability_traces_from_fractions` are the type-II certificates as the
-engine built them with `Fraction` before it wrote integer pairs, the
-reference for its cross-multiplied verdicts and its one-gcd writer.
+engine built them with `Fraction` before it wrote integer pairs, and
+`ratio_contradiction_from_fractions` and `ratio_trajectory_from_fractions`
+the type-I ones: the references for the engine's cross-multiplied verdicts
+and its one-gcd writer.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from villadsen.cohomology import GradedClass, line_series_product
 from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE
 from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, read_int, sphere2
-from villadsen.type_one import StepSpec
+from villadsen.type_one import StageStats, StepSpec
 
 
 def unit_multiplicity(n: int) -> int:
@@ -144,6 +146,33 @@ def comparability_traces_from_fractions(k: int | None, n: int) -> dict:
             for m in range(1, n + 1)]
         traces["divergent"] = True
     return traces
+
+
+def ratio_contradiction_from_fractions(n: int, stats: StageStats) -> dict:
+    """Reference `type_one.ratio_contradiction_check`: every ratio a
+    `Fraction`, every verdict a `Fraction` comparison."""
+    ratio = Fraction(stats.distinct_projections, stats.total_multiplicity)
+    threshold = Fraction(2 * n - 1, 2 * n)
+    hypothesis = ratio >= threshold
+    rank_bound = (n * stats.distinct_projections
+                  <= n * stats.total_multiplicity - 2 * stats.distinct_projections)
+    forced_square = Fraction(n - 1, n) ** 2
+    return {"n": n, "ratio": fraction_pair(ratio), "threshold": fraction_pair(threshold),
+            "hypothesis_holds": hypothesis, "rank_bound_holds": rank_bound,
+            "fixed_point_bound": fraction_pair(Fraction(n, n + 2)),
+            "forced_square": fraction_pair(forced_square),
+            "strict_drop": forced_square < Fraction(n - 1, n),
+            "contradiction": hypothesis and not rank_bound}
+
+
+def ratio_trajectory_from_fractions(composed: list[StageStats]) -> tuple[bool, dict]:
+    """Reference verdict and certificate of the `ratio_trajectory` check of
+    `vi` over the running stats `composed` (`type_one.running_stats`): each
+    prefix's distinct ratio a `Fraction`, nonincreasing by `Fraction`
+    comparison of neighbours."""
+    values = [Fraction(p.distinct_projections, p.total_multiplicity) for p in composed[1:]]
+    return (all(a >= b for a, b in zip(values, values[1:])),
+            {"values": [fraction_pair(v) for v in values]})
 
 
 def unit_class(space: SpaceDescriptor, coeff: int = 1) -> GradedClass:

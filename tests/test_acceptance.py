@@ -153,7 +153,7 @@ def test_criterion_5_comparability_certificates(monkeypatch):
 
 def test_criterion_6_cfp_witness():
     with criterion(6, "witness stages, upper verdicts, lower induction", 10.0):
-        assert cfp.first_witness_stage() == 4 == brute_force_first_stage()
+        assert cfp.first_stage_certificate([])["value"] == 4 == brute_force_first_stage()
         assert cfp.next_witness_stage(STAGES[4]) == 8 == brute_force_next_stage(4)
         witness = cfp.build_witness(3)
         first = cfp.verify_upper(witness.terms[0])

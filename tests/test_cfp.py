@@ -7,11 +7,8 @@ import pytest
 
 from villadsen import cfp
 from villadsen.cfp import (
-    WitnessTerm,
     build_witness,
-    exact_pushed_coefficients,
     first_stage_certificate,
-    first_witness_stage,
     next_witness_stage,
     verify_lower,
     verify_upper,
@@ -88,7 +85,7 @@ def test_capacity_bundle_fills_every_factor(monkeypatch):
 
 
 def test_first_stage_matches_oracle():
-    assert first_witness_stage() == 4 == brute_force_first_stage()
+    assert first_stage_certificate([])["value"] == 4 == brute_force_first_stage()
 
 
 def test_first_stage_certificate_structure():
@@ -132,11 +129,21 @@ def test_next_stage_monotone_in_previous():
 
 def test_build_witness_minimal_stages():
     w = build_witness(3)
-    assert [t.stage for t in w.terms] == [4, 8, 16]
-    assert [t.copies for t in w.terms] == [factor_dimension(4) // 2,
-                                           factor_dimension(8) // 2,
-                                           factor_dimension(16) // 2]
-    assert all(2 * t.copies == factor_dimension(t.stage) for t in w.terms)
+    assert [t.n for t in w.terms] == [4, 8, 16]
+    copies = [t["copies"] for t in cfp.witness_stages(w)["witness"]["terms"]]
+    assert copies == [str(factor_dimension(4) // 2), str(factor_dimension(8) // 2),
+                      str(factor_dimension(16) // 2)]
+    assert all(t.dim == factor_dimension(t.n) for t in w.terms)
+
+
+@pytest.mark.parametrize("args", [(1,), (3,), (2, [4, 9]), (2, [2, 3])])
+def test_witness_terms_are_records_of_its_walk(args):
+    # the walk from stage 0 to the last witness stage, and each term the
+    # walk's own record of its stage
+    w = build_witness(*args)
+    last = w.terms[-1].n
+    assert w.stages == tuple(STAGES[:last + 1])
+    assert all(term is w.stages[term.n] for term in w.terms)
 
 
 def test_build_witness_override_validation():
@@ -147,16 +154,16 @@ def test_build_witness_override_validation():
     with pytest.raises(ConfigError):
         build_witness(2, [1, 2])  # stage 1 has odd factor dimension
     w = build_witness(2, [4, 9])
-    assert w.first_stage is None and w.terms[1].stage == 9
+    assert w.first_stage is None and w.terms[1].n == 9
 
 
 def test_witness_base_dimensions():
     # the unit over the first j projective factors has rank 1 plus the
     # sigma(s) of each stage line, (j+1)!; the base half its real dimension
-    assert verify_upper(WitnessTerm(1, STAGES[4], 192))["certificate"]["rank_x"] == "120"
+    assert verify_upper(STAGES[4])["certificate"]["rank_x"] == "120"
     for j in range(1, 40):
         assert 1 + sum(unit_multiplicity(s) for s in range(1, j + 1)) == factorial(j + 1)
-        certificate = verify_upper(WitnessTerm(1, STAGES[j], 1))["certificate"]
+        certificate = verify_upper(STAGES[j])["certificate"]
         assert certificate["rank_x"] == str(factorial(j + 1))
         assert certificate["half_dimension"] == str(sum(factor_dimension(s)
                                                         for s in range(1, j + 1)))
@@ -175,8 +182,8 @@ def test_upper_verdicts_first_three_terms():
 def test_upper_certificate_is_the_one_cfp_prints(capsys):
     assert main(["cfp", "--terms", "3"]) == 0
     printed = {c["name"]: c["certificate"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    for term in build_witness(3).terms:
-        assert verify_upper(term) == printed[f"upper_term_{term.index}"]
+    for i, term in enumerate(build_witness(3).terms, start=1):
+        assert verify_upper(term) == printed[f"upper_term_{i}"]
 
 
 def test_witness_stages_is_the_certificate_cfp_prints(capsys):
@@ -195,8 +202,9 @@ def test_witness_stages_of_given_stages_has_no_first_stage():
 
 
 def test_upper_degenerate_zero_copies_guard():
-    degenerate = WitnessTerm(1, STAGES[4], 0)
-    assert verify_upper(degenerate)["outcome"] == "unknown"
+    # stage 0 adds no factor, so its term has no copies to dominate the unit
+    degenerate = verify_upper(STAGES[0])
+    assert degenerate["copies"] == "0" and degenerate["outcome"] == "unknown"
 
 
 def test_lower_verification_two_terms():
@@ -238,9 +246,17 @@ def test_lower_fails_for_greedy_override():
     assert any("growth" in f or "cap" in f for f in low["failures"])
 
 
-def test_exact_pushed_coefficients_hand_computed():
-    w = build_witness(2)
-    coeffs = exact_pushed_coefficients(w, 8)
+def printed_pushed_coefficients(capsys, *argv) -> dict[int, int]:
+    """{stage: coefficient} of the `pushed_table` a `cfp` call prints."""
+    assert main(["cfp", *argv]) == 0
+    checks = {c["name"]: c["certificate"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    return {row["stage"]: int(row["coefficient"]) for row in checks["lower_bound"]["pushed_table"]}
+
+
+def test_exact_pushed_coefficients_hand_computed(capsys):
+    coeffs = printed_pushed_coefficients(capsys, "--terms", "2")
+    assert list(coeffs) == list(range(1, 9))
+    assert coeffs[1] == coeffs[2] == coeffs[3] == 0
     assert coeffs[4] == 192
     assert coeffs[5] == 5 * 192
     assert coeffs[6] == 6 * (192 + 960)
@@ -256,7 +272,7 @@ def factor_labelled(space, label):
     return index
 
 
-def test_exact_pushed_matches_bundle_pushforward():
+def test_exact_pushed_matches_bundle_pushforward(capsys):
     # independent route: push the real line bundles through the actual
     # connecting maps of the infinite family and read off multiplicities
     from villadsen.growth import INFINITE
@@ -268,12 +284,12 @@ def test_exact_pushed_matches_bundle_pushforward():
     j = 8
     total = None
     for term in w.terms:
-        start_space = stage_space_from_scratch(k, term.stage)
+        start_space = stage_space_from_scratch(k, term.n)
         bundle = line_sum(start_space,
-                          [(factor_labelled(start_space, f"cp{term.stage}"), term.copies)])
-        pushed = push_through_stages(k, bundle, term.stage, j)
+                          [(factor_labelled(start_space, f"cp{term.n}"), term.dim // 2)])
+        pushed = push_through_stages(k, bundle, term.n, j)
         total = pushed if total is None else direct_sum(total, pushed)
-    expected = exact_pushed_coefficients(w, j)
+    expected = printed_pushed_coefficients(capsys, "--terms", "2")
     final_space = stage_space_from_scratch(k, j)
     by_stage = {}
     for s in range(1, j + 1):
@@ -287,9 +303,15 @@ def test_exact_pushed_matches_bundle_pushforward():
 def test_pushed_coefficients_dominated_by_replay_table():
     w = build_witness(3)
     low = verify_lower(w)
-    exact = exact_pushed_coefficients(w, low["stage"])
-    table = {int(e["stage"]): int(e["coefficient"]) for e in low["pushed_table"]}
-    assert table == exact
+    exact = {e["stage"]: int(e["coefficient"]) for e in low["pushed_table"]}
+    # the running total of the pushed sum, T(s) = (s+1) T(s-1) + arrival(s):
+    # pushing one stage on keeps the sum and adds s copies of it
+    arrivals = {t.n: factor_dimension(t.n) // 2 for t in w.terms}
+    before = 0
+    for s in range(1, low["stage"] + 1):
+        after = (s + 1) * before + arrivals.get(s, 0)
+        assert exact[s] == after - before
+        before = after
     for row in low["rows"][1:]:
         for entry in row["intermediate"]:
             assert exact[entry["stage"]] <= int(entry["total"])

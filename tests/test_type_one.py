@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from villadsen.cli import main
 from villadsen.errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
@@ -14,7 +19,6 @@ from villadsen.type_one import (
     compose_stats,
     composed_projection_multiplicities,
     ratio_contradiction_check,
-    ratio_trajectory,
     running_stats,
     top_chern_witness,
 )
@@ -23,9 +27,35 @@ from conftest import (
     dict_poly_top_coefficient,
     enumerate_chain_stats,
     fraction,
+    fraction_pair,
     kernel_dropping_top_term,
     random_step,
+    ratio_contradiction_from_fractions,
+    ratio_trajectory_from_fractions,
 )
+
+
+def distinct_ratio(stats: StageStats) -> Fraction:
+    return Fraction(stats.distinct_projections, stats.total_multiplicity)
+
+
+def step_document(step: StepSpec) -> dict:
+    """The `vi` config entry of a step."""
+    return {"proj_mults": dict(step.projection_multiplicities),
+            "point_evals": step.point_evaluations}
+
+
+def run_vi(steps: list[StepSpec], *argv: str) -> tuple[int, dict]:
+    """Exit code and checks by name of `vi` over `steps`, with `argv` after
+    the config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "vi.json"
+        config.write_text(json.dumps({"seed_dim": 1,
+                                      "steps": [step_document(s) for s in steps]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["vi", "--config", str(config), *argv])
+    return code, {c["name"]: c for c in json.loads(out.getvalue())["checks"]}
 
 
 def test_compose_stats_squares():
@@ -76,7 +106,9 @@ def test_config_parsing_rejects_unknown_keys():
 
 def test_constant_step_trajectory_is_geometric():
     step = StepSpec((("p1", 1), ("p2", 1), ("p3", 1)), 1)  # ratio 3/4 per step
-    traj = ratio_trajectory([step] * 5, 0)
+    code, checks = run_vi([step] * 5)
+    assert code == 0
+    traj = [fraction(v) for v in checks["ratio_trajectory"]["certificate"]["values"]]
     assert traj == [Fraction(3, 4) ** j for j in range(1, 6)]
 
 
@@ -85,7 +117,7 @@ def test_trajectory_within_unit_interval_and_nonincreasing():
     for _ in range(60):
         steps = [random_step(rng) for _ in range(rng.randint(1, 5))]
         for start in range(len(steps)):
-            traj = ratio_trajectory(steps, start)
+            traj = [distinct_ratio(s) for s in running_stats(steps, start, len(steps))[1:]]
             assert all(0 <= v <= 1 for v in traj)
             assert all(a >= b for a, b in zip(traj, traj[1:]))
 
@@ -104,8 +136,9 @@ def test_stats_match_chain_enumeration():
         assert composed.total_multiplicity == total
         # one entry per prefix of the range, the empty one first
         assert running[0] == IDENTITY_STATS and len(running) == stop - start + 1
-        assert [s.distinct_ratio for s in running[1:]] \
-            == ratio_trajectory(steps[:stop], start)
+        assert [(s.distinct_projections, s.projection_multiplicity, s.total_multiplicity)
+                for s in running[1:]] \
+            == [enumerate_chain_stats(steps, start, t) for t in range(start + 1, stop + 1)]
 
 
 def test_composed_multiplicities_outer_product():
@@ -195,7 +228,7 @@ def test_contradiction_closes_on_random_grid():
             distinct = rng.randint(lo, total)
             alpha = rng.randint(distinct, total)
             stats = StageStats(distinct, alpha, total)
-            assert stats.distinct_ratio >= threshold
+            assert distinct_ratio(stats) >= threshold
             rep = ratio_contradiction_check(n, stats)
             assert rep["contradiction"]
 
@@ -203,3 +236,50 @@ def test_contradiction_closes_on_random_grid():
 def test_contradiction_requires_n_at_least_two():
     with pytest.raises(ValueError):
         ratio_contradiction_check(1, StageStats(1, 1, 1))
+
+
+@st.composite
+def contradiction_inputs(draw):
+    """(n, stats), with the distinct count drawn from 0 on, or from one
+    below the hypothesis threshold (2n-1)/(2n) of the total on."""
+    n = draw(st.integers(2, 60))
+    total = draw(st.integers(1, 10 ** 6))
+    lowest = draw(st.sampled_from([0, max(0, -(-(2 * n - 1) * total // (2 * n)) - 1)]))
+    distinct = draw(st.integers(lowest, total))
+    return n, StageStats(distinct, draw(st.integers(distinct, total)), total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(contradiction_inputs())
+@example((2, StageStats(3, 3, 4)))
+@example((2, StageStats(0, 0, 7)))
+@example((3, StageStats(5, 5, 6)))
+def test_ratio_contradiction_matches_the_fraction_reference(inputs):
+    # integer pairs and cross-multiplied verdicts, against the same
+    # certificate built with Fraction
+    n, stats = inputs
+    assert ratio_contradiction_check(n, stats) == ratio_contradiction_from_fractions(n, stats)
+
+
+@st.composite
+def step_specs(draw):
+    mults = draw(st.dictionaries(st.sampled_from(["p1", "p2", "p3", "p4"]),
+                                 st.integers(1, 6), max_size=4))
+    return StepSpec(tuple(sorted(mults.items())), draw(st.integers(0 if mults else 1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(step_specs(), min_size=1, max_size=5), st.data())
+def test_vi_ratios_match_the_fraction_reference(steps, data):
+    # the distinct ratio and the trajectory `vi` prints, and the trajectory
+    # verdict, against the same built with Fraction
+    start = data.draw(st.integers(0, len(steps) - 1))
+    code, checks = run_vi(steps, "--from", str(start))
+    composed = running_stats(steps, start, len(steps))
+    nonincreasing, trajectory = ratio_trajectory_from_fractions(composed)
+    assert code == (0 if nonincreasing else 2)
+    assert checks["ratio_trajectory"] == {"name": "ratio_trajectory",
+                                          "outcome": "pass" if nonincreasing else "fail",
+                                          "certificate": trajectory}
+    assert checks["stage_stats"]["certificate"]["distinct_ratio"] \
+        == fraction_pair(distinct_ratio(composed[-1]))

@@ -391,7 +391,7 @@ def test_infinite_chain_witness_sum_is_the_cfp_capacity_bundle(monkeypatch, term
     monkeypatch.setattr(cfp, "obstructed_by_euler", recording)
     monkeypatch.setattr(type_two, "obstructed_by_euler", recording)
     witness = build_witness(terms)
-    j = witness.terms[-1].stage
+    j = witness.terms[-1].n
     assert verify_lower(witness)["passed"]
     assert comparability_triple(INFINITE, 1, j)["passed"]
     capacity, chained = checked
