@@ -39,19 +39,14 @@ def distinct_ratio(stats: StageStats) -> Fraction:
     return Fraction(stats.distinct_projections, stats.total_multiplicity)
 
 
-def step_document(step: StepSpec) -> dict:
-    """The `vi` config entry of a step."""
-    return {"proj_mults": dict(step.projection_multiplicities),
-            "point_evals": step.point_evaluations}
-
-
 def run_vi(steps: list[StepSpec], *argv: str) -> tuple[int, dict]:
     """Exit code and checks by name of `vi` over `steps`, with `argv` after
     the config."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "vi.json"
-        config.write_text(json.dumps({"seed_dim": 1,
-                                      "steps": [step_document(s) for s in steps]}))
+        config.write_text(json.dumps({"seed_dim": 1, "steps": [
+            {"proj_mults": dict(s.projection_multiplicities), "point_evals": s.point_evaluations}
+            for s in steps]}))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["vi", "--config", str(config), *argv])
