@@ -19,7 +19,6 @@ from .bundles import (
     capacity_sum,
     chern,
     euler,
-    pullback_bundle,
     pushforward_diagonal,
 )
 from .comparison import dominates_by_rank, obstructed_by_euler, trivial_line_subbundle_sufficient

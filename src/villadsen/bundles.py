@@ -5,14 +5,15 @@ the base space, a trivial rank, and line summands with big-integer
 multiplicities.  A line summand's first Chern class is a single generator
 of the base's ring, so a summand is stored as that generator's position
 (an index into `base.caps`) together with its multiplicity, and a
-diagonal slot's carrier line is a position too.  Line classes are read
-only from a bundle document (`parse_bundle`).  The Chern expansion builds
-no line classes either: `chern_series` checks the budget and builds each
-summand's truncated binomial series, which `line_series_product` multiplies
-into a class, `line_series_texts` into each degree's class text, and
-`chern_component` into the terms of one degree alone.  Multiplicities
-grow factorially along the inductive systems, so they are never assumed
-to fit a machine word.
+diagonal slot's carrier line is a position too.  The one bundle map is
+`pushforward_diagonal`; a pullback is a diagonal map with one slot.  Line
+classes are read only from a bundle document (`parse_bundle`).  The Chern
+expansion builds no line classes either: `chern_series` checks the budget
+and builds each summand's truncated binomial series, which
+`line_series_product` multiplies into a class, `line_series_texts` into
+each degree's class text, and `chern_component` into the terms of one
+degree alone.  Multiplicities grow factorially along the inductive
+systems, so they are never assumed to fit a machine word.
 
 Equality is normal-form equality (merged summands, in any order); this is
 the working notion of isomorphism, and stable isomorphism is the same with
@@ -130,13 +131,6 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
     return BundleExpr(base, trivial, parts)
 
 
-def line_sum(base: SpaceDescriptor, parts: list[tuple[int, int]],
-             trivial_rank: int = 0) -> BundleExpr:
-    """Bundle from (factor_index, multiplicity) pairs plus a trivial part."""
-    return BundleExpr(base, trivial_rank,
-                      [(base.generator_position(idx), m) for idx, m in parts])
-
-
 def capacity_sum(dims: list[int]) -> BundleExpr:
     """dims[s] copies of the line on each factor of CP^dims[0] x CP^dims[1]
     x ..., labelled cp1, cp2, ...: every line one power below its cap.  It
@@ -241,35 +235,6 @@ def euler(b: BundleExpr) -> GradedClass:
     return GradedClass._normal(base, {tuple(key): 1})
 
 
-def pullback_bundle(f: SpaceMap, b: BundleExpr) -> BundleExpr:
-    """Pull a bundle back along a map; constants yield trivial bundles.
-
-    Under a projection each summand moves to the position its generator
-    pulls back to (`pullback_positions`).
-    """
-    if b.base != f.target:
-        raise BaseMismatchError("bundle does not live over the map's target")
-    if f.kind == CONSTANT:
-        return BundleExpr(f.source, b.rank)
-    moved = pullback_positions(f)
-    return BundleExpr(f.source, b.trivial_rank,
-                      [(moved[pos], m) for pos, m in b.parts.items()])
-
-
-def tensor_line(b: BundleExpr, position: int) -> BundleExpr:
-    """Tensor with the line bundle on the generator at `position`.
-
-    First Chern classes add, so the trivial part becomes that many copies
-    of the line.  A line summand would shift to its line plus the new one,
-    which is no longer a single generator, so only bundles without line
-    summands can be tensored with a line.
-    """
-    if b.parts:
-        raise InvalidLineClassError("a line summand tensored with a line is not "
-                                    "a single generator")
-    return BundleExpr(b.base, 0, [(position, b.trivial_rank)])
-
-
 @dataclass(frozen=True)
 class DiagonalSlot:
     """One eigenvalue-map slot of a diagonal connecting map.
@@ -278,20 +243,28 @@ class DiagonalSlot:
     of the line bundle the slot's projection is supported on (None meaning
     the trivial line); slots of the basic kind just pull back, constant
     slots convert everything they carry into carrier lines of the
-    appropriate rank.
+    appropriate rank.  A slot occurs at least once.
     """
 
     eigenvalue_map: SpaceMap
     multiplicity: int = 1
     carrier: int | None = None
 
+    def __post_init__(self):
+        if self.multiplicity < 1:
+            raise ValueError(f"slot multiplicity must be >= 1, got {self.multiplicity}")
+
 
 def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr:
     """Image of a bundle under a diagonal map given by eigenvalue-map slots.
 
     All maps must share one source (the next stage space) and target the
-    bundle's base.  Each slot's piece, times its multiplicity, is merged
-    into one bundle over the source.
+    bundle's base.  Each slot pulls the bundle back in place, so a pullback
+    is one slot: a constant map gives `b.rank` trivial lines, a projection
+    moves each summand through `pullback_positions`.  A carrier turns the
+    piece's trivial lines into copies of its line, and refuses a piece with
+    a line summand (their tensor is no single generator).  The pieces,
+    times their multiplicities, are merged into one bundle over the source.
     """
     if not slots:
         raise ValueError("diagonal map needs at least one slot")
@@ -303,11 +276,20 @@ def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr
             raise BaseMismatchError("eigenvalue map target differs from the bundle base")
     trivial_rank, parts = 0, []
     for s in slots:
-        piece = pullback_bundle(s.eigenvalue_map, b)
+        f, times = s.eigenvalue_map, s.multiplicity
+        if f.kind == CONSTANT:
+            trivial, piece = b.rank, []
+        else:
+            moved = pullback_positions(f)
+            trivial, piece = b.trivial_rank, [(moved[pos], m) for pos, m in b.parts.items()]
         if s.carrier is not None:
-            piece = tensor_line(piece, s.carrier)
-        trivial_rank += piece.trivial_rank * s.multiplicity
-        parts.extend((pos, m * s.multiplicity) for pos, m in piece.parts.items())
+            if piece:
+                raise InvalidLineClassError("a line summand tensored with a line is not "
+                                            "a single generator")
+            # kept even at rank 0, so the constructor checks the position
+            trivial, piece = 0, [(s.carrier, trivial)]
+        trivial_rank += trivial * times
+        parts.extend((pos, m * times) for pos, m in piece)
     return BundleExpr(source, trivial_rank, parts)
 
 

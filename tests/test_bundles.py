@@ -18,11 +18,8 @@ from villadsen.bundles import (
     chern_series,
     euler,
     euler_nonzero,
-    line_sum,
     parse_bundle,
-    pullback_bundle,
     pushforward_diagonal,
-    tensor_line,
 )
 from villadsen.cli import _unlimited_int_digits
 from villadsen.cohomology import GradedClass, line_series_texts
@@ -66,13 +63,11 @@ def bundle_document(trivial: int, lines: list[tuple[GradedClass, int]]) -> dict:
 def random_bundle(rng: random.Random, space: SpaceDescriptor,
                   max_mult: int = 3) -> BundleExpr:
     parts = []
-    for idx, atom in enumerate(space.factors):
-        if atom.generator_cap is None:
-            continue
+    for pos in range(len(space.caps)):
         m = rng.randint(0, max_mult)
         if m:
-            parts.append((idx, m))
-    return line_sum(space, parts, trivial_rank=rng.randint(0, 2))
+            parts.append((pos, m))
+    return BundleExpr(space, rng.randint(0, 2), parts)
 
 
 def test_trivial_rank():
@@ -81,7 +76,7 @@ def test_trivial_rank():
 
 def test_single_line_block_rank():
     space = SpaceDescriptor((cproj(36),))
-    assert line_sum(space, [(0, 36)]).rank == 36
+    assert BundleExpr(space, 0, [(0, 36)]).rank == 36
 
 
 def test_chern_of_trivial_is_one():
@@ -91,13 +86,13 @@ def test_chern_of_trivial_is_one():
 
 def test_chern_of_two_pulled_back_lines():
     space = spheres(2)
-    b = line_sum(space, [(0, 1), (1, 1)])
+    b = BundleExpr(space, 0, [(0, 1), (1, 1)])
     assert chern(b) == GradedClass(space, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
 def test_chern_of_multiple_square_zero_line():
     space = spheres(1)
-    b = line_sum(space, [(0, 7)])
+    b = BundleExpr(space, 0, [(0, 7)])
     assert chern(b) == GradedClass(space, {(0,): 1, (1,): 7})  # (1+z)^7 = 1+7z
 
 
@@ -108,13 +103,13 @@ def test_euler_of_trivial_vanishes():
 def test_euler_top_power_at_cap_boundary():
     kappa = 8
     space = SpaceDescriptor((cproj(kappa),))
-    assert euler(line_sum(space, [(0, kappa)])) == GradedClass(space, {(kappa,): 1})
-    assert euler(line_sum(space, [(0, kappa + 1)])).is_zero()
+    assert euler(BundleExpr(space, 0, [(0, kappa)])) == GradedClass(space, {(kappa,): 1})
+    assert euler(BundleExpr(space, 0, [(0, kappa + 1)])).is_zero()
 
 
 def test_euler_of_block_sum_is_product_of_top_powers():
     space = SpaceDescriptor((cproj(2), cproj(8)))
-    b = line_sum(space, [(0, 2), (1, 8)])
+    b = BundleExpr(space, 0, [(0, 2), (1, 8)])
     assert euler(b) == GradedClass(space, {(2, 8): 1})
 
 
@@ -153,7 +148,7 @@ def test_chern_natural_under_pullback(data):
     source = SpaceDescriptor(base.factors + random_space(rng, max_factors=2).factors)
     f = projection(source, base, tuple(range(len(base.factors))))
     b = random_bundle(rng, base)
-    assert chern(pullback_bundle(f, b)) == pullback_class(f, chern(b))
+    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) == pullback_class(f, chern(b))
 
 
 def test_naturality_check_catches_a_swapped_position_map(monkeypatch):
@@ -161,25 +156,25 @@ def test_naturality_check_catches_a_swapped_position_map(monkeypatch):
     # position map in the engine breaks the naturality check
     from villadsen import bundles
     f = projection(spheres(3), spheres(2), (2, 0))
-    b = line_sum(spheres(2), [(0, 1)])
-    assert chern(pullback_bundle(f, b)) == pullback_class(f, chern(b))
+    b = BundleExpr(spheres(2), 0, [(0, 1)])
+    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) == pullback_class(f, chern(b))
     original = bundles.pullback_positions
     monkeypatch.setattr(bundles, "pullback_positions", lambda g: original(g)[::-1])
-    assert chern(pullback_bundle(f, b)) != pullback_class(f, chern(b))
+    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) != pullback_class(f, chern(b))
 
 
 def test_pullback_along_constant_gives_trivial():
     from villadsen.spaces import constant
     base = spheres(2)
     src = spheres(3)
-    b = line_sum(base, [(0, 2), (1, 1)], trivial_rank=1)
-    pulled = pullback_bundle(constant(src, base, "pt"), b)
+    b = BundleExpr(base, 1, [(0, 2), (1, 1)])
+    pulled = pushforward_diagonal(b, [DiagonalSlot(constant(src, base, "pt"))])
     assert pulled == BundleExpr(src, b.rank)
 
 
 def test_pushforward_identity_slot():
     space = spheres(2)
-    b = line_sum(space, [(0, 2)], trivial_rank=1)
+    b = BundleExpr(space, 1, [(0, 2)])
     identity = projection(space, space, (0, 1))
     assert pushforward_diagonal(b, [DiagonalSlot(identity)]) == b
 
@@ -188,7 +183,7 @@ def test_pushforward_point_slots_tensor_with_carrier():
     from villadsen.spaces import constant
     base = spheres(1)
     src = SpaceDescriptor(base.factors + (cproj(4),))
-    b = line_sum(base, [(0, 3)], trivial_rank=2)  # rank 5
+    b = BundleExpr(base, 2, [(0, 3)])  # rank 5
     point = constant(src, base, "y")
     out = pushforward_diagonal(b, [DiagonalSlot(point, 2, 1)])
     # two copies of rank(b) lines carried on the projective generator, position 1
@@ -202,27 +197,62 @@ def test_pushforward_mixed_slots_rank():
     from villadsen.spaces import constant
     base = spheres(1)
     src = SpaceDescriptor(base.factors + spheres(1).factors)
-    b = line_sum(base, [(0, 1)], trivial_rank=1)
+    b = BundleExpr(base, 1, [(0, 1)])
     proj = projection(src, base, (0,))
     out = pushforward_diagonal(b, [DiagonalSlot(proj, 2),
                                    DiagonalSlot(constant(src, base, "y"), 3)])
     assert out.rank == 5 * b.rank
 
 
-def test_tensor_line_converts_trivial_part():
+def carried(b: BundleExpr, carrier: int) -> BundleExpr:
+    """`b` pushed through one slot over the identity, carried on `carrier`."""
+    identity = projection(b.base, b.base, range(len(b.base.factors)))
+    return pushforward_diagonal(b, [DiagonalSlot(identity, 1, carrier)])
+
+
+def test_carrier_slot_converts_trivial_part():
     space = spheres(2)
-    out = tensor_line(BundleExpr(space, 3), 1)
-    assert out == BundleExpr(space, 0, [(1, 3)])
-    assert tensor_line(BundleExpr(space, 0), 1) == BundleExpr(space)
+    assert carried(BundleExpr(space, 3), 1) == BundleExpr(space, 0, [(1, 3)])
+    assert carried(BundleExpr(space, 0), 1) == BundleExpr(space)
 
 
-def test_tensor_line_rejects_unrepresentable_shift():
+def test_carrier_slot_rejects_unrepresentable_shift():
     # a carrier on top of an existing line leaves the single-generator model
     space = spheres(2)
     with pytest.raises(InvalidLineClassError):
-        tensor_line(BundleExpr(space, 1, [(0, 2)]), 1)
-    with pytest.raises(InvalidLineClassError):
-        tensor_line(BundleExpr(space, 1), 2)  # no generator at position 2
+        carried(BundleExpr(space, 1, [(0, 2)]), 1)
+    # no generator at position 2, whatever the rank of the piece
+    for trivial in (1, 0):
+        with pytest.raises(InvalidLineClassError):
+            carried(BundleExpr(space, trivial), 2)
+
+
+@pytest.mark.parametrize("multiplicity", [0, -1])
+def test_slot_multiplicity_below_one_is_refused(multiplicity):
+    identity = projection(spheres(2), spheres(2), (0, 1))
+    with pytest.raises(ValueError, match=f"multiplicity must be >= 1, got {multiplicity}"):
+        DiagonalSlot(identity, multiplicity)
+
+
+def test_pushforward_builds_one_bundle(monkeypatch):
+    # every slot's piece is built in place and merged into the result alone
+    from villadsen.spaces import constant
+    base = spheres(1)
+    src = SpaceDescriptor(base.factors + (cproj(4),))
+    b = BundleExpr(base, 2, [(0, 3)])
+    slots = [DiagonalSlot(projection(src, base, (0,)), 2),
+             DiagonalSlot(constant(src, base, "y"), 3, 1),
+             DiagonalSlot(constant(src, base, "y"))]
+    built, init = [], BundleExpr.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BundleExpr, "__init__", counting_init)
+    out = pushforward_diagonal(b, slots)
+    assert len(built) == 1
+    assert out == BundleExpr(src, 2 * 2 + 5, [(0, 2 * 3), (1, 3 * 5)])
 
 
 def test_invalid_line_class_rejected():
@@ -255,14 +285,14 @@ def test_expansion_cost_is_the_product_of_the_top_powers_plus_one(summands):
     # below each cap the top power is the multiplicity itself
     space = SpaceDescriptor(tuple(cproj(10 ** 40) for _ in range(5)))
     mults = [10 ** 30 * (p + 2) + p for p in range(summands)]
-    b = line_sum(space, list(enumerate(mults)), trivial_rank=1)
+    b = BundleExpr(space, 1, list(enumerate(mults)))
     assert chern_expansion_cost(b) == math.prod(m + 1 for m in mults)
 
 
 def test_budget_refusal_and_override(monkeypatch):
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", "1000")
     space = SpaceDescriptor((cproj(200), cproj(200), cproj(200)))
-    b = line_sum(space, [(0, 200), (1, 200), (2, 200)])
+    b = BundleExpr(space, 0, [(0, 200), (1, 200), (2, 200)])
     assert chern_expansion_cost(b) == 201 ** 3
     with pytest.raises(GeneratorBudgetExceeded):
         chern(b)
@@ -273,17 +303,17 @@ def test_budget_refusal_and_override(monkeypatch):
 
 def test_euler_nonzero_cross_checks_when_affordable():
     space = SpaceDescriptor((cproj(3), cproj(5)))
-    b = line_sum(space, [(0, 3), (1, 5)])
+    b = BundleExpr(space, 0, [(0, 3), (1, 5)])
     nonzero, route = euler_nonzero(b)
     assert nonzero and route == "factorized+full"
     # a multiplicity at the cap kills the Euler class; both routes agree on zero
-    assert euler_nonzero(line_sum(space, [(0, 4), (1, 5)])) == (False, "factorized+full")
-    assert euler_nonzero(line_sum(space, [(0, 3)], trivial_rank=1)) == (False, "factorized+full")
+    assert euler_nonzero(BundleExpr(space, 0, [(0, 4), (1, 5)])) == (False, "factorized+full")
+    assert euler_nonzero(BundleExpr(space, 1, [(0, 3)])) == (False, "factorized+full")
 
 
 def test_chern_component_examples():
     space = SpaceDescriptor((cproj(3), *spheres(1).factors))
-    b = line_sum(space, [(0, 5), (1, 2)], trivial_rank=4)
+    b = BundleExpr(space, 4, [(0, 5), (1, 2)])
     # (1 + y)^5 truncated at y^3 times (1 + z)^2 truncated at z: degree 4 is
     # C(5,2) y^2 + C(5,1) C(2,1) y z
     assert chern_component(b, 4).terms == {(2, 0): 10, (1, 1): 10}
@@ -295,7 +325,7 @@ def test_chern_component_examples():
 def test_chern_component_never_expands_a_huge_multiplicity():
     big = 10 ** 40
     space = SpaceDescriptor((cproj(big), cproj(2)))
-    b = line_sum(space, [(0, big), (1, 2)])
+    b = BundleExpr(space, 0, [(0, big), (1, 2)])
     # the Euler degree keeps one term per step, whatever the cap
     assert chern_component(b, 2 * b.rank).terms == {(big, 2): 1}
     assert chern_component(b, 2 * b.rank) == euler(b)
@@ -305,7 +335,7 @@ def test_chern_component_never_expands_a_huge_multiplicity():
 
 def test_bundle_serialization_round_trip():
     space = SpaceDescriptor((cproj(4), *spheres(1).factors))
-    b = line_sum(space, [(0, 10 ** 25), (1, 3)], trivial_rank=7)
+    b = BundleExpr(space, 7, [(0, 10 ** 25), (1, 3)])
     doc = bundle_document(b.trivial_rank,
                           [(line_class(space, pos), m) for pos, m in b.parts.items()])
     assert parse_bundle(space, doc) == b
@@ -484,7 +514,7 @@ def test_chern_texts_refuse_a_coefficient_past_the_digit_limit():
 
 def test_euler_cross_check_disagreement_is_reported(monkeypatch):
     space = SpaceDescriptor((cproj(3), cproj(5)))
-    b = line_sum(space, [(0, 3), (1, 5)])
+    b = BundleExpr(space, 0, [(0, 3), (1, 5)])
     monkeypatch.setattr("villadsen.bundles.chern_component", component_dropping_top_term)
     with pytest.raises(CrossCheckDisagreement):
         euler_nonzero(b)
@@ -495,7 +525,7 @@ def test_euler_cross_check_disagreement_is_reported(monkeypatch):
 def test_pushforward_matches_from_scratch_build(drawn, atoms, data):
     # the projections onto the source's first factors and onto its last
     # ones (a copy of the base), and a constant map, each with multiplicity
-    # and constant ones with carriers, all merged into one bundle
+    # and any of them with a carrier, all merged into one bundle
     from villadsen.spaces import constant
     space, trivial, summands = drawn
     b = BundleExpr(space, trivial, [(pos, m) for pos, m in summands if pos is not None])
@@ -508,8 +538,15 @@ def test_pushforward_matches_from_scratch_build(drawn, atoms, data):
     slots = []
     for _ in range(data.draw(st.integers(1, 4))):
         f = data.draw(st.sampled_from(maps))
-        carrier = data.draw(st.sampled_from(carriers)) if f.kind == "const" else None
+        carrier = data.draw(st.sampled_from(carriers))
         slots.append(DiagonalSlot(f, data.draw(st.integers(1, 3)), carrier))
+    try:
+        expected = pushforward_from_scratch(b, slots)
+    except ValueError as refused:
+        # a projected line summand cannot be carried on a line
+        assert str(refused) == "a line summand tensored with a line"
+        with pytest.raises(InvalidLineClassError):
+            pushforward_diagonal(b, slots)
+        return
     pushed = pushforward_diagonal(b, slots)
-    expected = pushforward_from_scratch(b, slots)
     assert pushed == expected and pushed.rank == expected.rank

@@ -276,7 +276,7 @@ def test_exact_pushed_matches_bundle_pushforward(capsys):
     # independent route: push the real line bundles through the actual
     # connecting maps of the infinite family and read off multiplicities
     from villadsen.growth import INFINITE
-    from villadsen.bundles import line_sum
+    from villadsen.bundles import BundleExpr
     from conftest import direct_sum, push_through_stages, stage_space_from_scratch
 
     k = INFINITE
@@ -285,8 +285,8 @@ def test_exact_pushed_matches_bundle_pushforward(capsys):
     total = None
     for term in w.terms:
         start_space = stage_space_from_scratch(k, term.n)
-        bundle = line_sum(start_space,
-                          [(factor_labelled(start_space, f"cp{term.n}"), term.dim // 2)])
+        pos = start_space.generator_position(factor_labelled(start_space, f"cp{term.n}"))
+        bundle = BundleExpr(start_space, 0, [(pos, term.dim // 2)])
         pushed = push_through_stages(k, bundle, term.n, j)
         total = pushed if total is None else direct_sum(total, pushed)
     expected = printed_pushed_coefficients(capsys, "--terms", "2")

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from villadsen.bundles import BundleExpr, line_sum
+from villadsen.bundles import BundleExpr
 from villadsen.comparison import (
     dominates_by_rank,
     obstructed_by_euler,
@@ -35,7 +35,7 @@ def test_zero_bundle_always_dominated():
 def test_stable_range_on_projective_space():
     for kappa in (1, 2, 8, 192):
         base = SpaceDescriptor((cproj(kappa),))
-        doubled = line_sum(base, [(0, 2 * kappa)])
+        doubled = BundleExpr(base, 0, [(0, 2 * kappa)])
         assert trivial_line_subbundle_sufficient(
             doubled.rank, base.real_dimension)["outcome"] == "dominates"
 
@@ -52,7 +52,7 @@ def test_stable_range_boundary_case():
 
 
 def test_euler_obstruction_on_sphere_square():
-    verdict = obstructed_by_euler(line_sum(spheres(2), [(0, 1), (1, 1)]))
+    verdict = obstructed_by_euler(BundleExpr(spheres(2), 0, [(0, 1), (1, 1)]))
     assert verdict["outcome"] == "obstructed"
 
 
@@ -75,8 +75,7 @@ def test_soundness_rank_vs_obstruction_on_sphere_powers():
         base = spheres(m)
         mult_choices = list(iproduct(range(0, 3), repeat=m))
         for mults in mult_choices:
-            y = line_sum(base, [(i, mu) for i, mu in enumerate(mults) if mu],
-                         trivial_rank=0)
+            y = BundleExpr(base, 0, enumerate(mults))
             for trivial_extra in (0, 1, 2):
                 y2 = direct_sum(y, BundleExpr(base, trivial_extra))
                 # x is trivial of rank 1 or 2, so it has the trivial summand
@@ -94,8 +93,8 @@ def test_domination_monotone_under_added_trivial_rank():
         m = rng.randint(1, 4)
         base = spheres(m)
         x_rank = rng.randint(0, 3)
-        y = line_sum(base, [(i, rng.randint(0, 2)) for i in range(m)],
-                     trivial_rank=rng.randint(0, 4))
+        parts = [(i, rng.randint(0, 2)) for i in range(m)]
+        y = BundleExpr(base, rng.randint(0, 4), parts)
         if dominates_by_rank(x_rank, y.rank, base.real_dimension)["outcome"] == "dominates":
             bigger = direct_sum(y, BundleExpr(base, rng.randint(1, 5)))
             assert dominates_by_rank(x_rank, bigger.rank, base.real_dimension)["outcome"] \
@@ -112,7 +111,7 @@ def _branches():
         ("stable-range", "dominates", trivial_line_subbundle_sufficient(3, 4)),
         ("stable-range", "unknown", trivial_line_subbundle_sufficient(1, 2)),
         ("euler-obstruction", "obstructed",
-         obstructed_by_euler(line_sum(square, [(0, 1), (1, 1)]))),
+         obstructed_by_euler(BundleExpr(square, 0, [(0, 1), (1, 1)]))),
         ("euler-obstruction", "unknown", obstructed_by_euler(BundleExpr(square, 5))),
     ]
 

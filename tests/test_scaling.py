@@ -150,10 +150,10 @@ def test_comparability_chain_bundles_grow_linearly(monkeypatch, capsys):
     (["v2", "-k", "2", "-n", "25", "--trace"], (0, 0)),
     (["v2", "-k", "inf", "-n", "62", "--trace"], (0, 0)),
     (["v2", "-k", "inf", "-n", "62", "--rc", "--trace"], (0, 0)),
-    # the witness sums of the last two stages, the two pullbacks, the
-    # tensored piece and the pushed sum of the one pushforward, and the
-    # bundle it is compared with
-    (["v2", "-k", "2", "-n", "4", "--stage", "200", "--comparability"], (2, 7)),
+    # the witness sums of the last two stages, the pushed sum of the one
+    # pushforward, and the bundle it is compared with: the pushforward
+    # builds each slot's piece in place, so no pullback or tensored piece
+    (["v2", "-k", "2", "-n", "4", "--stage", "200", "--comparability"], (2, 4)),
 ])
 def test_criteria_build_no_space_to_read_a_rank(monkeypatch, capsys, argv, expected):
     # the rank-gap and stable-range criteria read ranks and dimensions, so a

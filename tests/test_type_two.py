@@ -198,8 +198,8 @@ def test_connecting_map_structure():
     cp_index = {atom.label: idx for idx, atom in enumerate(nxt.factors)}
     expected_parts = [(cp_index[f"cp{j}"], cp_dimension(2, j)) for j in range(1, i + 1)]
     expected_parts.append((cp_index[f"cp{i + 1}"], (i + 1) * eta.rank))
-    from villadsen.bundles import line_sum
-    assert pushed == line_sum(nxt, expected_parts)
+    assert pushed == BundleExpr(nxt, 0, [(nxt.generator_position(idx), m)
+                                         for idx, m in expected_parts])
 
 
 def test_unit_iteration_reproduces_closed_form():
