@@ -36,6 +36,7 @@ from .bundles import capacity_sum
 from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, Stage, tower
+from .reports import JSON_BOOL, encoded_rows
 
 
 def _walk_to(stages: list[Stage], n: int) -> Stage:
@@ -220,18 +221,11 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
     verdict = obstructed_by_euler(capacity_sum([s.dim for s in stages[1:]]))
     cap = [str(s.dim) for s in stages]
     failures: list[str] = []
-    rows = []
     first = terms[0]
-    copies = first.dim // 2
-    ok0 = copies <= first.dim
-    if not ok0:
-        failures.append(f"term 1 exceeds its cap at stage {first.n}")
-    rows.append({
-        "term": 1, "stage": first.n,
-        "added_copies": str(copies),
-        "cap": cap[first.n],
-        "ok": ok0,
-    })
+    # term 1's row has no step to check: its copies, half its stage's cap,
+    # are within that cap for any cap
+    rows = [f'{{"added_copies":"{first.dim // 2}","cap":"{cap[first.n]}","ok":true,'
+            f'"stage":{first.n},"term":1}}']
     for index, (prev_term, term) in enumerate(zip(terms, terms[1:]), start=2):
         prev, cur = prev_term.n, term.n
         dominated_rank = prev_term.witness
@@ -248,8 +242,8 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
             ok_t = total <= stages[t].dim
             if not ok_t:
                 failures.append(f"dominating coefficient exceeds cap at stage {t}")
-            intermediate.append({"stage": t, "pushed": pushed_text, "total": total_text,
-                                 "cap": cap[t], "ok": ok_t})
+            intermediate.append(f'{{"cap":"{cap[t]}","ok":{JSON_BOOL[ok_t]},'
+                                f'"pushed":"{pushed_text}","stage":{t},"total":"{total_text}"}}')
             scaled *= t + 1
         growth_lhs = coeff
         # closed form of the last coefficient, dominated_rank * cur * cur! /
@@ -261,17 +255,12 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         growth_ok = 2 * growth_lhs <= term.dim
         if not growth_ok:
             failures.append(f"growth inequality fails entering stage {cur}")
-        rows.append({
-            "term": index, "from_stage": prev, "to_stage": cur,
-            "dominated_rank": str(dominated_rank),
-            "growth_lhs": pushed_text,
-            "growth_rhs_half_cap": str(term.dim // 2),
-            "growth_ok": growth_ok,
-            "combined": total_text,
-            "cap": cap[cur],
-            "combined_ok": total <= term.dim,
-            "intermediate": intermediate,
-        })
+        rows.append(f'{{"cap":"{cap[cur]}","combined":"{total_text}",'
+                    f'"combined_ok":{JSON_BOOL[total <= term.dim]},'
+                    f'"dominated_rank":"{dominated_rank}","from_stage":{prev},'
+                    f'"growth_lhs":"{pushed_text}","growth_ok":{JSON_BOOL[growth_ok]},'
+                    f'"growth_rhs_half_cap":"{term.dim // 2}",'
+                    f'"intermediate":[{",".join(intermediate)}],"term":{index},"to_stage":{cur}}}')
 
     # the capacity bundle of each stage from the last witness stage on, of
     # its witness rank, pushed one stage on along the walk
@@ -281,8 +270,8 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         ok_t = new <= following.dim
         if not ok_t:
             failures.append(f"capacity push fails from stage {before.n}")
-        stretch.append({"from_stage": before.n, "to_stage": following.n,
-                        "new_multiplicity": str(new), "cap": cap[following.n], "ok": ok_t})
+        stretch.append(f'{{"cap":"{cap[following.n]}","from_stage":{before.n},'
+                       f'"new_multiplicity":"{new}","ok":{JSON_BOOL[ok_t]},"to_stage":{following.n}}}')
 
     # the exact push: pushing one stage on adds s times the sum so far to the
     # stage-s line, and a witness joins the sum at its own stage
@@ -296,10 +285,11 @@ def verify_lower(witness: CfpWitness, stage: int | None = None) -> dict:
         ok_s = coefficient <= record.dim
         if not ok_s:
             failures.append(f"exact pushed coefficient exceeds cap at stage {s}")
-        pushed_table.append({"stage": s, "coefficient": str(coefficient),
-                             "cap": cap[s], "ok": ok_s})
+        pushed_table.append(f'{{"cap":"{cap[s]}","coefficient":"{coefficient}",'
+                            f'"ok":{JSON_BOOL[ok_s]},"stage":{s}}}')
 
     if verdict["outcome"] != "obstructed":
         failures.append("capacity bundle Euler class is not certified nonzero")
-    return {"stage": j, "rows": rows, "stretch": stretch, "pushed_table": pushed_table,
-            "euler": verdict, "failures": failures, "passed": not failures}
+    return {"stage": j, "rows": encoded_rows(rows), "stretch": encoded_rows(stretch),
+            "pushed_table": encoded_rows(pushed_table), "euler": verdict,
+            "failures": failures, "passed": not failures}

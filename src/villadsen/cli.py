@@ -200,10 +200,10 @@ def _run_vi(args):
             "distinct_projections": str(stats.distinct_projections),
             "projection_multiplicity": str(stats.projection_multiplicity),
             "total_multiplicity": str(stats.total_multiplicity),
-            "distinct_ratio": reports.fraction_json(stats.distinct_projections,
-                                                    stats.total_multiplicity),
-            "projection_ratio": reports.fraction_json(stats.projection_multiplicity,
-                                                      stats.total_multiplicity),
+            "distinct_ratio": reports.Encoded(reports.fraction_json(
+                stats.distinct_projections, stats.total_multiplicity)),
+            "projection_ratio": reports.Encoded(reports.fraction_json(
+                stats.projection_multiplicity, stats.total_multiplicity)),
         }
 
     def trajectory():
@@ -212,11 +212,12 @@ def _run_vi(args):
         values = [(prefix.distinct_projections, prefix.total_multiplicity)
                   for prefix in composed[1:]]
         nonincreasing = all(a * d >= c * b for (a, b), (c, d) in zip(values, values[1:]))
-        return nonincreasing, {"values": [reports.fraction_json(*v) for v in values]}
+        return nonincreasing, {"values": reports.encoded_rows(
+            [reports.fraction_json(*v) for v in values])}
 
     def estimate():
-        return True, {"value": reports.fraction_json(stats.projection_multiplicity,
-                                                stats.total_multiplicity),
+        return True, {"value": reports.Encoded(reports.fraction_json(
+                          stats.projection_multiplicity, stats.total_multiplicity)),
                       "finite_stage": True, "from_stage": start, "to_stage": stop}
 
     def witness():

@@ -40,16 +40,6 @@ from math import gcd
 from .version import ENGINE_VERSION
 
 
-def fraction_json(num: int, den: int) -> dict:
-    """The rational num/den as a report writes it: a {"num", "den"} pair of
-    decimal strings in lowest terms with a positive denominator, reduced by
-    one gcd.  ValueError for den < 1."""
-    if den < 1:
-        raise ValueError(f"a rational needs a denominator >= 1, not {den}")
-    g = gcd(num, den)
-    return {"num": str(num // g), "den": str(den // g)}
-
-
 def check(name: str, ok: bool, certificate: dict | None = None,
           message: str = "") -> dict:
     doc: dict = {"name": name, "outcome": "pass" if ok else "fail"}
@@ -82,13 +72,24 @@ def assemble(command: str, inputs: dict, checks: list[dict],
 
 class Encoded:
     """A report value given as its canonical JSON text (sorted keys, no
-    whitespace), which `canonical_json` writes where the value sits, with
-    nothing spliced in afterwards."""
+    whitespace), which `canonical_json` writes where the value sits."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str):
         self.text = text
+
+
+def fraction_json(num: int, den: int) -> str:
+    """The rational num/den as a report writes it: the canonical text of a
+    {"num", "den"} pair of decimal strings in lowest terms with a positive
+    denominator, reduced by one gcd.  A row template embeds the text; a
+    rational that sits alone in a certificate is its `Encoded` fragment.
+    ValueError for den < 1."""
+    if den < 1:
+        raise ValueError(f"a rational needs a denominator >= 1, not {den}")
+    g = gcd(num, den)
+    return f'{{"den":"{den // g}","num":"{num // g}"}}'
 
 
 # canonical JSON text of a value, by one encoder built once: `json.dumps`
@@ -99,45 +100,69 @@ class Encoded:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                            check_circular=False).encode
 
+# JSON's two booleans, indexed by a Python bool, for the row templates
+JSON_BOOL = ("false", "true")
 
-def canonical_json(doc: dict) -> str:
+
+def encoded_rows(rows: list[str]) -> Encoded:
+    """The JSON list of the records whose canonical texts are `rows`."""
+    return Encoded("[" + ",".join(rows) + "]")
+
+
+def canonical_json(doc) -> str:
     """The report as one line of JSON with sorted keys and no whitespace.
 
     A value that holds no `Encoded` fragment is written by one encode call.
-    The encoder refuses one that does with TypeError; such a list, or dict
-    with string keys, is then written member by member, keys in sorted
-    order, and each fragment's text where it sits: nothing is spliced and
+    A list, or dict with string keys, that holds one is written member by
+    member, keys in sorted order: each fragment's text where it sits, and
+    each other member by one encode call.  Nothing is spliced afterwards and
     no output text is searched.  Any other value that is not JSON raises
     TypeError, as does a non-string key beside a fragment.
     """
-    pieces: list[str] = []
-    _write(doc, pieces)
-    return "".join(pieces)
+    pieces = _pieces(doc)
+    return _encode(doc) if pieces is None else "".join(pieces)
 
 
-def _write(value, pieces: list[str]) -> None:
-    """Append the canonical text of `value` to `pieces`."""
+def _pieces(value) -> list[str] | None:
+    """The canonical text of `value` as a list of pieces, each fragment's
+    text one of them, or None when `value` holds no fragment.  A list or
+    dict is examined once: its members that are or hold a fragment are
+    found in one pass, and only those are taken apart."""
     if isinstance(value, Encoded):
-        pieces.append(value.text)
-        return
-    try:
-        pieces.append(_encode(value))
-        return
-    except TypeError:
-        if not isinstance(value, (list, dict)):
-            raise
-    # the list or dict holds a fragment, or a member that is not JSON
+        return [value.text]
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        return None
+    held = None
+    for key, item in members:
+        if isinstance(item, (Encoded, list, dict)):
+            pieces = _pieces(item)
+            if pieces is not None:
+                if held is None:
+                    held = {}
+                held[key] = pieces
+    if held is None:
+        return None
     if isinstance(value, list):
-        brackets, members = "[]", [("", item) for item in value]
+        brackets, members = "[]", ((i, "," if i else "") for i in range(len(value)))
     elif all(isinstance(key, str) for key in value):
-        brackets, members = "{}", [(_encode(key) + ":", value[key]) for key in sorted(value)]
+        brackets, members = "{}", ((key, ("," if i else "") + _encode(key) + ":")
+                                   for i, key in enumerate(sorted(value)))
     else:
         raise TypeError("a dict that holds a fragment must have str keys")
-    pieces.append(brackets[0])
-    for i, (prefix, item) in enumerate(members):
-        pieces.append(("," if i else "") + prefix)
-        _write(item, pieces)
-    pieces.append(brackets[1])
+    out = [brackets[0]]
+    for key, prefix in members:
+        pieces = held.get(key)
+        if pieces is None:
+            out.append(prefix + _encode(value[key]))
+        else:
+            out.append(prefix)
+            out += pieces
+    out.append(brackets[1])
+    return out
 
 
 def normalize_report(doc: dict) -> dict:

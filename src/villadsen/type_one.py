@@ -21,7 +21,7 @@ from itertools import accumulate
 from .bundles import expansion_budget
 from .cohomology import line_series_product
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
-from .reports import fraction_json
+from .reports import Encoded, fraction_json
 from .spaces import json_list, json_object, read_int, spheres
 
 
@@ -187,12 +187,12 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
     rank_bound = n * distinct <= n * total - 2 * distinct
     return {
         "n": n,
-        "ratio": fraction_json(distinct, total),
-        "threshold": fraction_json(2 * n - 1, 2 * n),
+        "ratio": Encoded(fraction_json(distinct, total)),
+        "threshold": Encoded(fraction_json(2 * n - 1, 2 * n)),
         "hypothesis_holds": hypothesis,
         "rank_bound_holds": rank_bound,
-        "fixed_point_bound": fraction_json(n, n + 2),
-        "forced_square": fraction_json((n - 1) ** 2, n * n),
+        "fixed_point_bound": Encoded(fraction_json(n, n + 2)),
+        "forced_square": Encoded(fraction_json((n - 1) ** 2, n * n)),
         "strict_drop": (n - 1) ** 2 * n < (n - 1) * n * n,
         "contradiction": hypothesis and not rank_bound,
     }

@@ -45,7 +45,7 @@ from .bundles import BundleExpr, DiagonalSlot, capacity_sum, pushforward_diagona
 from .comparison import obstructed_by_euler, trivial_line_subbundle_sufficient
 from .errors import CrossCheckDisagreement
 from .growth import INFINITE, Stage, family_parameter_label, tower
-from .reports import fraction_json
+from .reports import JSON_BOOL, Encoded, encoded_rows, fraction_json
 from .spaces import SpaceDescriptor, constant, projection
 
 
@@ -80,11 +80,11 @@ def trace_table(k: int | None, n: int) -> dict:
         "stage": n,
         "dimension": str(_dimension(k, stage)),
         "rank": str(unit_rank),
-        "unit_trace": fraction_json(unit_rank, stage.rank),
-        "trivial_line_trace": fraction_json(1, unit_rank),
+        "unit_trace": Encoded(fraction_json(unit_rank, stage.rank)),
+        "trivial_line_trace": Encoded(fraction_json(1, unit_rank)),
     }
     if n >= 1:
-        cert["witness_sum_trace"] = fraction_json(stage.witness, stage.rank)
+        cert["witness_sum_trace"] = Encoded(fraction_json(stage.witness, stage.rank))
     return cert
 
 
@@ -121,8 +121,12 @@ def comparability_triple(k: int | None, n: int,
         doubled = 2 * stage.dim
         verdict = trivial_line_subbundle_sufficient(doubled, doubled)
         passed &= verdict["outcome"] == "dominates"
-        line_records.append({"i": stage.n, "cp_dimension": str(stage.dim),
-                             "rank": str(doubled), **verdict})
+        # the verdict's strings hold digits, letters and "*- >=": nothing to escape
+        c = verdict["certificate"]
+        line_records.append(
+            f'{{"certificate":{{"dimension":"{c["dimension"]}","inequality":"{c["inequality"]}",'
+            f'"rank_y":"{c["rank_y"]}","rule":"{c["rule"]}"}},"cp_dimension":"{stage.dim}",'
+            f'"i":{stage.n},"outcome":"{verdict["outcome"]}","rank":"{doubled}"}}')
 
     # the connecting map from stage ell keeps the witness sum, of rank R, and
     # adds ell+1 point evaluations of it on the new stage line: (ell+1)*R
@@ -130,7 +134,7 @@ def comparability_triple(k: int | None, n: int,
     # dimension.  The stage-(ell+1) witness sum adds that many copies, so
     # only R is carried up the tower
     rank, witness_rank = stages[-1].rank, stages[-1].witness
-    q_sum = fraction_json(witness_rank, rank)
+    q_sum = Encoded(fraction_json(witness_rank, rank))
     dims = [stage.dim for stage in stages[1:]]
     chain_records = []
     for ell, following in zip(range(n, j), walk):
@@ -138,14 +142,10 @@ def comparability_triple(k: int | None, n: int,
         new_coeff = (ell + 1) * witness_rank
         ok = new_coeff <= following.dim
         passed &= ok
-        chain_records.append({
-            "from_stage": ell,
-            "to_stage": ell + 1,
-            "pushed_rank": str(witness_rank + new_coeff),
-            "new_line_multiplicity": str(new_coeff),
-            "capacity": str(following.dim),
-            "within_capacity": ok,
-        })
+        chain_records.append(
+            f'{{"capacity":"{following.dim}","from_stage":{ell},"new_line_multiplicity":'
+            f'"{new_coeff}","pushed_rank":"{witness_rank + new_coeff}","to_stage":{ell + 1},'
+            f'"within_capacity":{JSON_BOOL[ok]}}}')
         witness_rank = following.witness
 
     witness = capacity_sum(dims)
@@ -161,7 +161,7 @@ def comparability_triple(k: int | None, n: int,
     passed &= verdict["outcome"] == "obstructed"
     euler_record = {**verdict, "witness_rank": str(witness.rank)}
 
-    traces: dict = {"unit_line": fraction_json(1, rank), "q_sum": q_sum}
+    traces: dict = {"unit_line": Encoded(fraction_json(1, rank)), "q_sum": q_sum}
     if k is not INFINITE:
         if k * rank - k != stages[-1].witness:
             raise CrossCheckDisagreement("closed-form q-sum trace disagrees with rank count")
@@ -173,13 +173,13 @@ def comparability_triple(k: int | None, n: int,
             m = stage.n
             if (m + 1) * stage.witness < m * m * stage.rank:
                 raise CrossCheckDisagreement("divergence lower bound fails")
-            entries.append({"stage": m, "exact": fraction_json(stage.witness, stage.rank),
-                            "lower_bound": fraction_json(m * m, m + 1)})
-        traces["entries"] = entries
+            entries.append(f'{{"exact":{fraction_json(stage.witness, stage.rank)},'
+                           f'"lower_bound":{fraction_json(m * m, m + 1)},"stage":{m}}}')
+        traces["entries"] = encoded_rows(entries)
         traces["divergent"] = True
 
     return {"k": family_parameter_label(k), "stage": n, "verify_stage": j,
-            "line_subbundle": line_records, "chain": chain_records,
+            "line_subbundle": encoded_rows(line_records), "chain": encoded_rows(chain_records),
             "euler_obstruction": euler_record, "traces": traces, "passed": passed}
 
 
@@ -206,18 +206,18 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
     # its Euler verdict, carried up the tower, is nonzero while the copies
     # each stage adds stay below the cap dim + 1 of the new factor
     witness_rank, obstructed = 0, True
+    verdict_key = "nondecreasing" if k is INFINITE else "equals_parameter"
     for stage in islice(tower(k), max_stage + 1):
         m, rank = stage.n, stage.rank
         dimension = _dimension(k, stage)
-        rec = {"stage": m, "dimension": str(dimension), "rank": str(rank),
-               "value": fraction_json(dimension, 2 * rank)}
         if k is not INFINITE:
-            rec["equals_parameter"] = holds = dimension == 2 * k * rank
+            holds = dimension == 2 * k * rank
         else:
             # dim/(2*rank) against the previous stage's: the factors 2 cancel
-            rec["nondecreasing"] = holds = dimension * previous_rank >= previous_dimension * rank
+            holds = dimension * previous_rank >= previous_dimension * rank
         passed &= holds
-        stages.append(rec)
+        stages.append(f'{{"dimension":"{dimension}","{verdict_key}":{JSON_BOOL[holds]},'
+                      f'"rank":"{rank}","stage":{m},"value":{fraction_json(dimension, 2 * rank)}}}')
         previous_dimension, previous_rank = dimension, rank
         if m == 0:
             continue
@@ -225,20 +225,22 @@ def radius_of_comparison(k: int | None, max_stage: int) -> dict:
         obstructed = obstructed and stage.witness - witness_rank < stage.dim + 1
         witness_rank = stage.witness
         passed &= obstructed
-        rec = {
-            "stage": m,
-            "trace_trivial_line": fraction_json(1, rank),
-            "trace_witness_sum": fraction_json(witness_rank, rank),
-            "obstructed": obstructed,
-        }
+        trivial, witness_sum = fraction_json(1, rank), fraction_json(witness_rank, rank)
         if k is not INFINITE:
-            rec["lower_bound"] = fraction_json(k * rank - k - 1, rank)
+            witnesses.append(
+                f'{{"lower_bound":{fraction_json(k * rank - k - 1, rank)},'
+                f'"obstructed":{JSON_BOOL[obstructed]},"stage":{m},'
+                f'"trace_trivial_line":{trivial},"trace_witness_sum":{witness_sum}}}')
         else:
             # witness traces grow at least like m^2/(m+1), which diverges
-            rec["divergence_lower_bound"] = fraction_json(m * m, m + 1)
-            rec["bound_holds"] = holds = (m + 1) * witness_rank >= m * m * rank
+            holds = (m + 1) * witness_rank >= m * m * rank
             passed &= holds
-        witnesses.append(rec)
+            witnesses.append(
+                f'{{"bound_holds":{JSON_BOOL[holds]},'
+                f'"divergence_lower_bound":{fraction_json(m * m, m + 1)},'
+                f'"obstructed":{JSON_BOOL[obstructed]},"stage":{m},'
+                f'"trace_trivial_line":{trivial},"trace_witness_sum":{witness_sum}}}')
 
     return {"k": family_parameter_label(k), "max_stage": max_stage, "divergent": k is INFINITE,
-            "stages": stages, "witnesses": witnesses, "passed": passed}
+            "stages": encoded_rows(stages), "witnesses": encoded_rows(witnesses),
+            "passed": passed}

@@ -18,7 +18,11 @@ table, the reference for `cli._parse`.  `unit_multiplicity` and
 engine built them with `Fraction` before it wrote integer pairs, and
 `ratio_contradiction_from_fractions` and `ratio_trajectory_from_fractions`
 the type-I ones: the references for the engine's cross-multiplied verdicts
-and its one-gcd writer.
+and its one-gcd writer.  `comparability_records` and `lower_bound_records`
+are the record lists of `comparability_triple` and `cfp.verify_lower` as
+the engine built them, one dict per record, before it wrote each list as
+canonical text: the references for its row templates.  `plain` reads a
+certificate's `reports.Encoded` fragments back as the JSON they write.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ from math import factorial
 
 from villadsen import cli, type_two
 from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
+from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.cohomology import GradedClass, line_series_product
 from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE
+from villadsen.reports import Encoded
 from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, read_int, sphere2
 from villadsen.type_one import StageStats, StepSpec
 
@@ -52,8 +58,10 @@ def cp_dimension(k: int | None, n: int) -> int:
     return (n if k is INFINITE else k) * unit_multiplicity(n)
 
 
-def fraction(doc: dict) -> Fraction:
-    """The rational a report prints as {"num", "den"}."""
+def fraction(doc) -> Fraction:
+    """The rational a report prints as {"num", "den"}, given as that dict or
+    as the `reports.Encoded` fragment of its text."""
+    doc = plain(doc)
     return Fraction(int(doc["num"]), int(doc["den"]))
 
 
@@ -146,6 +154,79 @@ def comparability_traces_from_fractions(k: int | None, n: int) -> dict:
             for m in range(1, n + 1)]
         traces["divergent"] = True
     return traces
+
+
+def comparability_records(k: int | None, n: int, verify_stage: int) -> dict:
+    """Reference `line_subbundle` and `chain` of `type_two.comparability_triple`:
+    one dict per record, each number from the closed forms here."""
+    line_subbundle = []
+    for i in range(1, n + 1):
+        doubled = 2 * cp_dimension(k, i)
+        line_subbundle.append({"i": i, "cp_dimension": str(cp_dimension(k, i)),
+                               "rank": str(doubled),
+                               **trivial_line_subbundle_sufficient(doubled, doubled)})
+    chain = []
+    for ell in range(n, verify_stage):
+        carried = witness_rank(k, ell)
+        new_coeff = (ell + 1) * carried
+        capacity = cp_dimension(k, ell + 1)
+        chain.append({"from_stage": ell, "to_stage": ell + 1,
+                      "pushed_rank": str(carried + new_coeff),
+                      "new_line_multiplicity": str(new_coeff), "capacity": str(capacity),
+                      "within_capacity": new_coeff <= capacity})
+    return {"line_subbundle": line_subbundle, "chain": chain}
+
+
+def lower_bound_records(witness_stages: list[int], verify_stage: int) -> dict:
+    """Reference `rows`, `stretch` and `pushed_table` of `cfp.verify_lower`
+    for the witness stages `witness_stages`: one dict per record, each number
+    from the k = inf closed forms here, the pushed coefficients of a term
+    entering stage t as dominated rank * t * t! / (prev+1)!."""
+    def cap(s):
+        return cp_dimension(INFINITE, s)
+
+    first = witness_stages[0]
+    rows = [{"term": 1, "stage": first, "added_copies": str(cap(first) // 2),
+             "cap": str(cap(first)), "ok": True}]
+    for index, (prev, cur) in enumerate(zip(witness_stages, witness_stages[1:]), start=2):
+        dominated = witness_rank(INFINITE, prev)
+        intermediate = []
+        for t in range(prev + 1, cur + 1):
+            pushed = dominated * t * factorial(t) // factorial(prev + 1)
+            total = pushed + cap(cur) // 2 if t == cur else pushed
+            intermediate.append({"stage": t, "pushed": str(pushed), "total": str(total),
+                                 "cap": str(cap(t)), "ok": total <= cap(t)})
+        rows.append({"term": index, "from_stage": prev, "to_stage": cur,
+                     "dominated_rank": str(dominated), "growth_lhs": str(pushed),
+                     "growth_rhs_half_cap": str(cap(cur) // 2),
+                     "growth_ok": 2 * pushed <= cap(cur), "combined": str(total),
+                     "cap": str(cap(cur)), "combined_ok": total <= cap(cur),
+                     "intermediate": intermediate})
+    stretch = []
+    for s in range(witness_stages[-1], verify_stage):
+        new = (s + 1) * witness_rank(INFINITE, s)
+        stretch.append({"from_stage": s, "to_stage": s + 1, "new_multiplicity": str(new),
+                        "cap": str(cap(s + 1)), "ok": new <= cap(s + 1)})
+    copies = {s: cap(s) // 2 for s in witness_stages}
+    pushed_table, pushed_sum = [], 0
+    for s in range(1, verify_stage + 1):
+        coefficient = s * pushed_sum + copies.get(s, 0)
+        pushed_sum += coefficient
+        pushed_table.append({"stage": s, "coefficient": str(coefficient),
+                             "cap": str(cap(s)), "ok": coefficient <= cap(s)})
+    return {"rows": rows, "stretch": stretch, "pushed_table": pushed_table}
+
+
+def plain(certificate):
+    """`certificate` with each `reports.Encoded` fragment, a record list or
+    a rational, read back as the JSON value its text writes."""
+    if isinstance(certificate, Encoded):
+        return json.loads(certificate.text)
+    if isinstance(certificate, dict):
+        return {key: plain(value) for key, value in certificate.items()}
+    if isinstance(certificate, list):
+        return [plain(value) for value in certificate]
+    return certificate
 
 
 def ratio_contradiction_from_fractions(n: int, stats: StageStats) -> dict:

@@ -18,7 +18,7 @@ from villadsen.comparison import obstructed_by_euler
 from villadsen.errors import ConfigError
 from villadsen.growth import INFINITE, tower
 
-from conftest import cp_dimension, unit_multiplicity
+from conftest import cp_dimension, plain, unit_multiplicity
 
 # stages 0..300 of the k = inf walk, the records `cfp` reads its numbers off
 STAGES = list(islice(tower(INFINITE), 301))
@@ -209,7 +209,7 @@ def test_upper_degenerate_zero_copies_guard():
 
 def test_lower_verification_two_terms():
     w = build_witness(2)
-    low = verify_lower(w)
+    low = plain(verify_lower(w))
     assert low["passed"] and low["stage"] == 8
     step = low["rows"][1]
     assert step["dominated_rank"] == "447"
@@ -221,7 +221,7 @@ def test_lower_verification_two_terms():
 
 
 def test_lower_verification_three_terms():
-    low = verify_lower(build_witness(3))
+    low = plain(verify_lower(build_witness(3)))
     assert low["passed"]
     assert all(row.get("growth_ok", True) for row in low["rows"])
     assert all(entry["ok"] for row in low["rows"][1:] for entry in row["intermediate"])
@@ -231,7 +231,7 @@ def test_lower_verification_three_terms():
 
 def test_lower_verification_beyond_last_stage():
     w = build_witness(2)
-    low = verify_lower(w, stage=10)
+    low = plain(verify_lower(w, stage=10))
     assert low["passed"]
     assert [r["to_stage"] for r in low["stretch"]] == [9, 10]
     with pytest.raises(ValueError):
@@ -302,7 +302,7 @@ def test_exact_pushed_matches_bundle_pushforward(capsys):
 
 def test_pushed_coefficients_dominated_by_replay_table():
     w = build_witness(3)
-    low = verify_lower(w)
+    low = plain(verify_lower(w))
     exact = {e["stage"]: int(e["coefficient"]) for e in low["pushed_table"]}
     # the running total of the pushed sum, T(s) = (s+1) T(s-1) + arrival(s):
     # pushing one stage on keeps the sum and adds s copies of it

@@ -53,11 +53,46 @@ def write_vi_config(tmp_path, steps):
     ["vi", "--config", "{config}", "--witness", "2"],
 ])
 def test_a_report_without_fragments_is_one_encode_call(tmp_path, capsys, argv):
+    # the printed report, read back as plain JSON, holds no fragment: it is
+    # written again by one encode call, to the same bytes
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    code, out = run_cli(capsys, *[arg.format(config=config) for arg in argv])
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
     with mock.patch.object(reports, "_encode", wraps=reports._encode) as encode:
-        code, out = run_cli(capsys, *[arg.format(config=config) for arg in argv])
-    assert code == 0 and json.loads(out)["ok"] is True
+        assert canonical_json(doc) + "\n" == out
     assert encode.call_count == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "-k", "2", "-n", "5", "--rc", "--trace"],
+    ["v2", "-k", "2", "-n", "2", "--stage", "4", "--comparability"],
+    ["v2", "-k", "inf", "-n", "2", "--stage", "4", "--comparability"],
+    ["cfp", "--terms", "3", "--stage", "19"],
+    ["chern", "--space", "{space}", "--bundle", "{bundle}"],
+    ["vi", "--config", "{config}", "--witness", "2"],
+])
+def test_every_subcommand_writes_its_report_with_no_refused_encode_call(
+        tmp_path, capsys, monkeypatch, argv):
+    # the writer finds fragments by looking, not by offering a value that
+    # holds one to the encoder and catching its TypeError
+    space, bundle = write_sphere_pair(tmp_path)
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    encode, calls, refused = reports._encode, [], []
+
+    def counting(value):
+        calls.append(value)
+        try:
+            return encode(value)
+        except TypeError:
+            refused.append(value)
+            raise
+
+    monkeypatch.setattr(reports, "_encode", counting)
+    code, out = run_cli(capsys, *[arg.format(space=space, bundle=bundle, config=config)
+                                  for arg in argv])
+    assert code == 0 and calls and refused == []
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_chern_subcommand(tmp_path, capsys):

@@ -29,6 +29,7 @@ from conftest import (
     cp_dimension,
     direct_sum,
     fraction,
+    plain,
     pushforward_from_scratch,
     radius_from_fractions,
     stage_space_from_scratch,
@@ -80,7 +81,7 @@ def assert_witness_sum_over_stage(dims, k, n):
 def test_stage_tower_matches_from_scratch_build(k):
     # one walk of numbers: each stage's rank, growth numbers, witness rank
     # and printed dimension against values computed on their own
-    sweep = radius_of_comparison(k, 60)["stages"]
+    sweep = plain(radius_of_comparison(k, 60))["stages"]
     dims = []
     for n, (stage, record) in enumerate(zip(islice(tower(k), 61), sweep,
                                             strict=True)):
@@ -211,7 +212,7 @@ def test_unit_iteration_reproduces_closed_form():
 
 
 def test_comparability_triple_small_finite():
-    report = comparability_triple(2, 2, 3)
+    report = plain(comparability_triple(2, 2, 3))
     assert report["passed"]
     assert all(r["outcome"] == "dominates" for r in report["line_subbundle"])
     assert all(r["within_capacity"] for r in report["chain"])
@@ -220,14 +221,14 @@ def test_comparability_triple_small_finite():
 
 
 def test_comparability_first_stage_inequality():
-    report = comparability_triple(1, 1, 1)
+    report = plain(comparability_triple(1, 1, 1))
     (rec,) = report["line_subbundle"]
     assert rec["cp_dimension"] == "1"
     assert rec["certificate"]["inequality"] == "2*2-1 >= 2"
 
 
 def test_comparability_infinite_divergence_entries():
-    report = comparability_triple(INFINITE, 2, 2)
+    report = plain(comparability_triple(INFINITE, 2, 2))
     assert report["traces"]["divergent"] is True
     entries = report["traces"]["entries"]
     assert entries[1]["lower_bound"] == {"num": "4", "den": "3"}
@@ -266,17 +267,17 @@ def test_comparability_cross_checks_past_the_budget(monkeypatch):
 
 
 def test_radius_finite_examples():
-    report = radius_of_comparison(3, 5)
+    report = plain(radius_of_comparison(3, 5))
     assert report["passed"]
     assert all(s["equals_parameter"] for s in report["stages"])
     assert report["stages"][-1]["value"] == {"num": "3", "den": "1"}
-    small = radius_of_comparison(1, 1)
+    small = plain(radius_of_comparison(1, 1))
     assert small["passed"]
     assert small["stages"][-1]["value"] == {"num": "1", "den": "1"}
 
 
 def test_radius_witness_lower_bounds():
-    report = radius_of_comparison(2, 3)
+    report = plain(radius_of_comparison(2, 3))
     w = report["witnesses"][-1]  # stage 3
     assert w["trace_trivial_line"] == {"num": "1", "den": "24"}
     assert w["trace_witness_sum"] == {"num": "23", "den": "12"}
@@ -285,7 +286,7 @@ def test_radius_witness_lower_bounds():
 
 
 def test_radius_infinite_reports_divergence():
-    report = radius_of_comparison(INFINITE, 4)
+    report = plain(radius_of_comparison(INFINITE, 4))
     assert report["divergent"] and report["passed"]
     bounds = [Fraction(int(w["divergence_lower_bound"]["num"]),
                        int(w["divergence_lower_bound"]["den"]))
@@ -299,10 +300,10 @@ def test_certificates_match_the_fraction_reference(k):
     # integer pairs reduced by one gcd and verdicts by cross-multiplication,
     # against the same certificates built with Fraction
     for n in range(31):
-        assert trace_table(k, n) == trace_table_from_fractions(k, n)
-        assert radius_of_comparison(k, n) == radius_from_fractions(k, n)
+        assert plain(trace_table(k, n)) == trace_table_from_fractions(k, n)
+        assert plain(radius_of_comparison(k, n)) == radius_from_fractions(k, n)
         if n >= 1:
-            assert comparability_triple(k, n, n + 8)["traces"] \
+            assert plain(comparability_triple(k, n, n + 8)["traces"]) \
                 == comparability_traces_from_fractions(k, n)
 
 
@@ -319,8 +320,8 @@ def test_euler_obstruction_chain_consistency():
 def test_carried_witness_sums_match_from_scratch(k):
     # the sweep carries each stage's witness rank and Euler verdict up the
     # tower; a trace over the stage's (m+1)! determines the rank
-    report = radius_of_comparison(k, 60)
-    divergence = comparability_triple(k, 60)["traces"].get("entries")
+    report = plain(radius_of_comparison(k, 60))
+    divergence = plain(comparability_triple(k, 60))["traces"].get("entries")
     for m, record in enumerate(report["witnesses"], start=1):
         witness = witness_sum_from_scratch(k, m)
         assert record["stage"] == m
@@ -353,7 +354,7 @@ def test_carried_euler_verdict_follows_the_caps(monkeypatch):
 
     monkeypatch.setattr(type_two, "tower", short_factor)
     k = 2
-    report = radius_of_comparison(k, 8)
+    report = plain(radius_of_comparison(k, 8))
     verdicts = [record["obstructed"] for record in report["witnesses"]]
     assert verdicts == [m < 5 for m in range(1, 9)]
     assert verdicts == [not euler(short_witness_sum(m)).is_zero() for m in range(1, 9)]
@@ -366,7 +367,7 @@ def test_chain_steps_match_from_scratch_pushforward(k):
     # from-scratch stage-ell witness sum pushed through the from-scratch
     # connecting map, and the check at the new position agrees with the
     # check at every position
-    report = comparability_triple(k, 1, 60)
+    report = plain(comparability_triple(k, 1, 60))
     assert report["passed"] and len(report["chain"]) == 59
     for (ell, slots), record in zip(connecting_maps(k, 1, 60), report["chain"], strict=True):
         pushed = pushforward_from_scratch(witness_sum_from_scratch(k, ell), slots)
