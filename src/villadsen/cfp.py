@@ -19,6 +19,10 @@ from the last witness stage to the verification stage, so one `cfp` call
 generates each stage once.  `witness_stages`, `verify_upper` and
 `verify_lower` take the witness or one of its terms and return the
 certificates the report prints; each is its certificate's one writer.
+`verify_lower`'s record lists, `rows` (each with its `intermediate`
+records), `stretch` and `pushed_table`, are each one `reports.Encoded`
+fragment, every record written as canonical text by its kind's one row
+template, keys in canonical order, in the step that decides it.
 The walk is always the k = infinity one, so nothing here takes a family
 parameter.  The rank gap reads only ranks and a dimension, so the one
 space and bundle built here is the capacity bundle whose Euler class

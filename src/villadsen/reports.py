@@ -7,19 +7,24 @@ integers: `stage`, `max_stage`, `verify_stage`, `from_stage`, `to_stage`,
 `ratio_induction_base` and `divisibility_from`; the `vi` witness size `n`
 and `sphere_power`; and the exponents of a class term.  Every other number
 is a decimal string, and every rational a {"num", "den"} pair of decimal
-strings in lowest terms with a positive denominator, written by
-`fraction_json`, so reports are exact and independent of platform float
-behaviour.  Echoed input documents keep the numbers as they were written.
+strings in lowest terms with a positive denominator, whose text
+`fraction_json` writes, so reports are exact and independent of platform
+float behaviour.  Echoed input documents keep the numbers as they were written.
 Reports are deterministic given identical inputs and engine version once
 the volatile wall-time field is dropped, which is what `normalize_report`
 is for.
 
-A value the engine has already written as canonical JSON text, such as a
-class (`GradedClass.json_text`) or Chern component (`line_series_texts`),
-goes into a report as an `Encoded` fragment.  `canonical_json` writes the
-text where the value sits, with nothing spliced afterwards, so the report's
-bytes are those of the same report with the value held as plain JSON, and
-no per-term object is built or encoded again.
+A value the engine has already written as canonical JSON text goes into a
+report as an `Encoded` fragment: a class (`GradedClass.json_text`), a Chern
+component (`line_series_texts`), a rational (`fraction_json`), and each
+record list that grows with a stage or term count, which the engine writes
+row by row as it computes the records, one row template per record kind
+with its keys in canonical order (`encoded_rows` brackets the rows).
+`canonical_json` finds the fragments in one pass that looks at each list
+and dict once, writes each fragment's text where it sits and every value
+that holds none with one encode call, and splices nothing afterwards.  So
+the report's bytes are those of the same report held as plain JSON, and no
+record or term is built as a dict or encoded again.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
@@ -71,8 +76,8 @@ def assemble(command: str, inputs: dict, checks: list[dict],
 
 
 class Encoded:
-    """A report value given as its canonical JSON text (sorted keys, no
-    whitespace), which `canonical_json` writes where the value sits."""
+    """A report value given as its canonical JSON text, `text` (sorted keys,
+    no whitespace), which `canonical_json` writes where the value sits."""
 
     __slots__ = ("text",)
 
@@ -83,9 +88,9 @@ class Encoded:
 def fraction_json(num: int, den: int) -> str:
     """The rational num/den as a report writes it: the canonical text of a
     {"num", "den"} pair of decimal strings in lowest terms with a positive
-    denominator, reduced by one gcd.  A row template embeds the text; a
-    rational that sits alone in a certificate is its `Encoded` fragment.
-    ValueError for den < 1."""
+    denominator, reduced by one gcd: the one writer of a rational.  A row
+    template embeds the text, and a rational that sits alone in a
+    certificate is the `Encoded` fragment of it.  ValueError for den < 1."""
     if den < 1:
         raise ValueError(f"a rational needs a denominator >= 1, not {den}")
     g = gcd(num, den)

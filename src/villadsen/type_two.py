@@ -30,7 +30,13 @@ Every trace and ratio is an integer pair, which `reports.fraction_json`
 reduces by one gcd where it is printed.  Every verdict on them is decided
 by cross-multiplying positive denominators, so no `fractions` arithmetic
 runs: value = k when dim = 2k*rank, and a witness trace meets m^2/(m+1)
-when (m+1)*witness >= m^2*rank.
+when (m+1)*witness >= m^2*rank.  The record lists that grow with the stage
+count, the sweep's `stages` and `witnesses` and the chain's
+`line_subbundle`, `chain` and k = inf `traces.entries`, are each one
+`reports.Encoded` fragment: every record is written as canonical text by
+its kind's one row template, keys in canonical order and rationals as
+`fraction_json`'s text, in the step that decides it, and no record dict is
+built.
 
 `trace_table`, `comparability_triple` and `radius_of_comparison` take the
 family parameter k itself, an int or `growth.INFINITE`; `growth.tower`
