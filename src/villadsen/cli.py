@@ -115,23 +115,36 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
+_WRITE_CHUNK = 1 << 20
+
+
 def _emit(report: dict) -> int:
-    try:
-        reports.validate_report(report)
-    except ValueError as exc:
-        # the engine built a report it cannot stand behind: a failure, not a usage error
-        print(f"error: report fails its schema {exc}", file=sys.stderr)
-        return 2
-    try:
-        text = reports.canonical_json(report)
-    except RecursionError:
-        # json.load reads a document a few levels deeper than the report,
-        # which holds it under `inputs`, can echo it; a value that holds
-        # itself also ends here, as the encoder keeps no cycle record
-        raise ConfigError("the report nests too deeply to be written: an echoed "
-                          "input document, or a value that holds itself") from None
-    print(text)
-    return 0 if report["ok"] else 2
+    """Validate and print `report`, which only this call holds, under the
+    lifted digit limit.  Its values are freed once its text is written, so
+    they are gone before printing makes one more copy of the text."""
+    with _unlimited_int_digits():
+        try:
+            reports.validate_report(report)
+        except ValueError as exc:
+            # the engine built a report it cannot stand behind: a failure, not a usage error
+            print(f"error: report fails its schema {exc}", file=sys.stderr)
+            return 2
+        try:
+            text = reports.canonical_json(report)
+        except RecursionError:
+            # json.load reads a document a few levels deeper than the report,
+            # which holds it under `inputs`, can echo it; a value that holds
+            # itself also ends here, as the encoder keeps no cycle record
+            raise ConfigError("the report nests too deeply to be written: an echoed "
+                              "input document, or a value that holds itself") from None
+        ok = report["ok"]
+        del report
+        # a slice at a time, so that the stream's encoded copy is never the
+        # whole text
+        for start in range(0, len(text), _WRITE_CHUNK):
+            sys.stdout.write(text[start:start + _WRITE_CHUNK])
+        sys.stdout.write("\n")
+    return 0 if ok else 2
 
 
 def _check(name: str, compute) -> dict:
@@ -431,9 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
-        report = _report(args, started)
-        with _unlimited_int_digits():
-            return _emit(report)
+        return _emit(_report(args, started))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,13 +76,18 @@ def assemble(command: str, inputs: dict, checks: list[dict],
 
 
 class Encoded:
-    """A report value given as its canonical JSON text, `text` (sorted keys,
-    no whitespace), which `canonical_json` writes where the value sits."""
+    """A report value given as its canonical JSON text (sorted keys, no
+    whitespace), in the pieces whose concatenation it is, which
+    `canonical_json` writes where the value sits, piece by piece."""
 
-    __slots__ = ("text",)
+    __slots__ = ("pieces",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, *pieces: str):
+        self.pieces = pieces
+
+    @property
+    def text(self) -> str:
+        return "".join(self.pieces)
 
 
 def fraction_json(num: int, den: int) -> str:
@@ -110,8 +115,14 @@ JSON_BOOL = ("false", "true")
 
 
 def encoded_rows(rows: list[str]) -> Encoded:
-    """The JSON list of the records whose canonical texts are `rows`."""
-    return Encoded("[" + ",".join(rows) + "]")
+    """The JSON list of the records whose canonical texts are `rows`: the
+    rows and the brackets and commas between them, so that no row is copied
+    into a joined list text before the report is written."""
+    if not rows:
+        return Encoded("[]")
+    pieces = [","] * (2 * len(rows) + 1)
+    pieces[0], pieces[1::2], pieces[-1] = "[", rows, "]"
+    return Encoded(*pieces)
 
 
 def canonical_json(doc) -> str:
@@ -128,13 +139,13 @@ def canonical_json(doc) -> str:
     return _encode(doc) if pieces is None else "".join(pieces)
 
 
-def _pieces(value) -> list[str] | None:
+def _pieces(value) -> list[str] | tuple[str, ...] | None:
     """The canonical text of `value` as a list of pieces, each fragment's
     text one of them, or None when `value` holds no fragment.  A list or
     dict is examined once: its members that are or hold a fragment are
     found in one pass, and only those are taken apart."""
     if isinstance(value, Encoded):
-        return [value.text]
+        return value.pieces
     if isinstance(value, dict):
         members = value.items()
     elif isinstance(value, list):
