@@ -139,6 +139,10 @@ def canonical_json(doc) -> str:
     return _encode(doc) if pieces is None else "".join(pieces)
 
 
+# the values that are, or may hold, a fragment
+_NESTED = (Encoded, list, dict)
+
+
 def _pieces(value) -> list[str] | tuple[str, ...] | None:
     """The canonical text of `value` as a list of pieces, each fragment's
     text one of them, or None when `value` holds no fragment.  A list or
@@ -154,7 +158,7 @@ def _pieces(value) -> list[str] | tuple[str, ...] | None:
         return None
     held = None
     for key, item in members:
-        if isinstance(item, (Encoded, list, dict)):
+        if isinstance(item, _NESTED):
             pieces = _pieces(item)
             if pieces is not None:
                 if held is None:
