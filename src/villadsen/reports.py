@@ -9,17 +9,19 @@ and `sphere_power`; and the exponents of a class term.  Every other number
 is a decimal string, and every rational a {"num", "den"} pair of decimal
 strings in lowest terms with a positive denominator, whose text
 `fraction_json` writes, so reports are exact and independent of platform
-float behaviour.  Echoed input documents keep the numbers as they were written.
-Reports are deterministic given identical inputs and engine version once
-the volatile wall-time field is dropped, which is what `normalize_report`
-is for.
+float behaviour.  Echoed input documents keep the numbers as they were
+written.  Reports are deterministic given identical inputs and engine
+version once the volatile wall-time field is dropped, which is what
+`normalize_report` is for.
 
 A value the engine has already written as canonical JSON text goes into a
 report as an `Encoded` fragment: a class (`GradedClass.json_text`), a Chern
 component (`line_series_texts`), a rational (`fraction_json`), and each
 record list that grows with a stage or term count, which the engine writes
 row by row as it computes the records, one row template per record kind
-with its keys in canonical order (`encoded_rows` brackets the rows).
+with its keys in canonical order.  A list's fragment is its rows and the
+brackets and commas between them (`encoded_rows`), so no row is copied into
+a list text before the report is joined.
 `canonical_json` finds the fragments in one pass that looks at each list
 and dict once, writes each fragment's text where it sits and every value
 that holds none with one encode call, and splices nothing afterwards.  So
@@ -144,10 +146,10 @@ _NESTED = (Encoded, list, dict)
 
 
 def _pieces(value) -> list[str] | tuple[str, ...] | None:
-    """The canonical text of `value` as a list of pieces, each fragment's
-    text one of them, or None when `value` holds no fragment.  A list or
-    dict is examined once: its members that are or hold a fragment are
-    found in one pass, and only those are taken apart."""
+    """The canonical text of `value` as pieces, each fragment's pieces among
+    them, or None when `value` holds no fragment.  A list or dict is
+    examined once: its members that are or hold a fragment are found in one
+    pass, and only those are taken apart."""
     if isinstance(value, Encoded):
         return value.pieces
     if isinstance(value, dict):

@@ -37,8 +37,8 @@ from math import factorial
 
 from villadsen import cli, type_two
 from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
-from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.cohomology import GradedClass, line_series_product
+from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE
 from villadsen.reports import Encoded
