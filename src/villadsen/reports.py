@@ -168,22 +168,27 @@ def _pieces(value) -> list[str] | tuple[str, ...] | None:
                 held[key] = pieces
     if held is None:
         return None
+    out = []
     if isinstance(value, list):
-        brackets, members = "[]", ((i, "," if i else "") for i in range(len(value)))
-    elif all(isinstance(key, str) for key in value):
-        brackets, members = "{}", ((key, ("," if i else "") + _encode(key) + ":")
-                                   for i, key in enumerate(sorted(value)))
-    else:
-        raise TypeError("a dict that holds a fragment must have str keys")
-    out = [brackets[0]]
-    for key, prefix in members:
+        for i, item in enumerate(value):
+            out.append("," if i else "[")
+            pieces = held.get(i)
+            if pieces is None:
+                out.append(_encode(item))
+            else:
+                out += pieces
+        out.append("]")
+        return out
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise TypeError("a dict that holds a fragment must have str keys")
+        out.append(("," if out else "{") + _encode(key) + ":")
         pieces = held.get(key)
         if pieces is None:
-            out.append(prefix + _encode(value[key]))
+            out.append(_encode(value[key]))
         else:
-            out.append(prefix)
             out += pieces
-    out.append(brackets[1])
+    out.append("}")
     return out
 
 
