@@ -128,11 +128,12 @@ def comparability_triple(k: int | None, n: int,
         verdict = trivial_line_subbundle_sufficient(doubled, doubled)
         passed &= verdict["outcome"] == "dominates"
         # the verdict's strings hold digits, letters and "*- >=": nothing to escape
-        c = verdict["certificate"]
+        cert = verdict["certificate"]
         line_records.append(
-            f'{{"certificate":{{"dimension":"{c["dimension"]}","inequality":"{c["inequality"]}",'
-            f'"rank_y":"{c["rank_y"]}","rule":"{c["rule"]}"}},"cp_dimension":"{stage.dim}",'
-            f'"i":{stage.n},"outcome":"{verdict["outcome"]}","rank":"{doubled}"}}')
+            f'{{"certificate":{{"dimension":"{cert["dimension"]}",'
+            f'"inequality":"{cert["inequality"]}","rank_y":"{cert["rank_y"]}",'
+            f'"rule":"{cert["rule"]}"}},"cp_dimension":"{stage.dim}","i":{stage.n},'
+            f'"outcome":"{verdict["outcome"]}","rank":"{doubled}"}}')
 
     # the connecting map from stage ell keeps the witness sum, of rank R, and
     # adds ell+1 point evaluations of it on the new stage line: (ell+1)*R
