@@ -17,7 +17,6 @@ from .bundles import (
     BundleExpr,
     DiagonalSlot,
     capacity_sum,
-    chern,
     euler,
     pushforward_diagonal,
 )

@@ -10,10 +10,10 @@ diagonal slot's carrier line is a position too.  The one bundle map is
 classes are read only from a bundle document (`parse_bundle`).  The Chern
 expansion builds no line classes either: `chern_series` checks the budget
 and builds each summand's truncated binomial series, which
-`line_series_product` multiplies into a class, `line_series_texts` into
-each degree's class text, and `chern_component` into the terms of one
-degree alone.  Multiplicities grow factorially along the inductive
-systems, so they are never assumed to fit a machine word.
+`cohomology.line_series_texts` multiplies into each degree's class text
+and `chern_component` into the terms of one degree alone; the library
+builds no total Chern class.  Multiplicities grow factorially along the
+inductive systems, so they are never assumed to fit a machine word.
 
 Equality is normal-form equality (merged summands, in any order); this is
 the working notion of isomorphism, and stable isomorphism is the same with
@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb, prod
 
-from .cohomology import GradedClass, line_series_product, pullback_positions
+from .cohomology import GradedClass, pullback_positions
 from .errors import (
     BaseMismatchError,
     CrossCheckDisagreement,
@@ -166,10 +166,12 @@ def chern_expansion_cost(b: BundleExpr) -> int:
 
 
 def chern_series(b: BundleExpr) -> list[tuple[int, list[int]]]:
-    """The factors of chern(b): each summand's (1 + y)^mult truncated at its
-    cap, as (position, [C(mult, i) for each power i up to the top]).  Refuses
-    with GeneratorBudgetExceeded, before building any, if their product
-    would exceed the term budget of `expansion_budget()`."""
+    """The factors of the total Chern class of b, the product of
+    (1 + line)^multiplicity (the trivial part contributes 1): each summand's
+    (1 + y)^mult truncated at its cap, as (position, [C(mult, i) for each
+    power i up to the top]).  Refuses with GeneratorBudgetExceeded, before
+    building any, if their product would exceed the term budget of
+    `expansion_budget()`."""
     budget = expansion_budget()
     cost = chern_expansion_cost(b)
     if cost > budget:
@@ -177,14 +179,9 @@ def chern_series(b: BundleExpr) -> list[tuple[int, list[int]]]:
     return [(pos, [comb(mult, i) for i in range(top + 1)]) for pos, mult, top in top_powers(b)]
 
 
-def chern(b: BundleExpr) -> GradedClass:
-    """Total Chern class: the product of (1 + line)^multiplicity, capped.
-    The trivial part contributes 1; past the budget `chern_series` refuses."""
-    return line_series_product(b.base, chern_series(b))
-
-
 def chern_component(b: BundleExpr, degree: int) -> GradedClass:
-    """The homogeneous component of chern(b) in one degree, expanded alone.
+    """The homogeneous component of the total Chern class of b in one
+    degree, expanded alone.
 
     Multiplies the summands' truncated series (1 + y)^mult one at a time
     and prunes every partial term that can no longer reach the degree:

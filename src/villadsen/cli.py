@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 from . import cfp as cfp_mod
 from . import reports
-from .bundles import chern_series, euler, parse_bundle
+from .bundles import chern_series, euler, euler_nonzero, parse_bundle
 from .cohomology import line_series_texts
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .growth import parse_family_parameter
@@ -188,9 +188,10 @@ def _run_chern(args):
         }
 
     def euler_class():
-        top = euler(bundle)
-        return True, {"degree": str(2 * bundle.rank), "nonzero": not top.is_zero(),
-                      "class": reports.Encoded(top.json_text())}
+        # `euler_nonzero` checks the factorized class against `chern_component`
+        nonzero, _ = euler_nonzero(bundle)
+        return True, {"degree": str(2 * bundle.rank), "nonzero": nonzero,
+                      "class": reports.Encoded(euler(bundle).json_text())}
 
     return ({"space": space_doc, "bundle": bundle_doc},
             [("chern_components", components), ("euler_class", euler_class)])

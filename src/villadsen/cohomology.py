@@ -15,12 +15,14 @@ terms (`GradedClass.json_text`), one formatted row per term, with no
 per-term object built for an encoder to walk.  `line_series_texts` writes
 a product of line series the same way, degree by degree, with no class at
 all: each row joins a term of a prefix block of the factors with a term of
-the suffix block, and no Python loop runs per term.
+the suffix block, and no Python loop runs per term.  It is the engine's
+one full expansion of a product of line series: `chern` prints its texts,
+and `vi --witness` compares its top-degree text with the closed form.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import prod
 
 from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
@@ -119,7 +121,7 @@ class GradedClass:
 
 
 def _series_by_position(space: SpaceDescriptor, factors: list) -> dict[int, list[int]]:
-    """The factors by position, if `line_series_product`'s preconditions hold."""
+    """The factors by position, if `line_series_texts`' preconditions hold."""
     caps = space.caps
     series: dict[int, list[int]] = {}
     for pos, coeffs in factors:
@@ -133,27 +135,6 @@ def _series_by_position(space: SpaceDescriptor, factors: list) -> dict[int, list
             raise ValueError(f"series at position {pos} has a zero coefficient")
         series[pos] = coeffs
     return series
-
-
-def line_series_product(space: SpaceDescriptor,
-                        factors: list[tuple[int, list[int]]]) -> GradedClass:
-    """Product of one-generator polynomials on pairwise distinct positions.
-
-    Each factor is (position, [c0, c1, ...]) and stands for the polynomial
-    sum of c_i * g^i in the generator g at that position.  With distinct
-    positions, at most cap coefficients per factor and none of them zero,
-    every choice of one power per factor is a distinct, nonzero term below
-    the caps, so the product is the Cartesian product of the factors with
-    nothing to merge, cap or cancel.  The preconditions are checked once
-    per factor (ValueError if one fails), not once per term.
-    """
-    series = _series_by_position(space, factors)
-    # itertools.product varies the last position fastest in both products,
-    # so exponent tuples and coefficient choices come out aligned
-    exponents = product(*[range(len(series[p])) if p in series else (0,)
-                          for p in range(len(space.caps))])
-    choices = product(*[series[p] for p in sorted(series)])
-    return GradedClass._normal(space, {e: prod(c) for e, c in zip(exponents, choices)})
 
 
 def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
@@ -170,8 +151,15 @@ def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
 
 def line_series_texts(space: SpaceDescriptor,
                       factors: list[tuple[int, list[int]]]) -> dict[int, str]:
-    """The homogeneous components of `line_series_product(space, factors)`,
-    by degree, as `json_text` writes them, with no class built.
+    """Product of one-generator polynomials on pairwise distinct positions,
+    each degree's component as `json_text` writes it, with no class built.
+
+    Each factor is (position, [c0, c1, ...]), the sum of c_i * g^i in the
+    generator g at that position.  With distinct positions, at most cap
+    coefficients per factor and none of them zero, every choice of one power
+    per factor is a distinct, nonzero term below the caps: nothing to merge,
+    cap or cancel.  The preconditions are checked once per factor
+    (ValueError if one fails), not once per term.
 
     The factors, in position order, are cut into a prefix block and a suffix
     block of about the square root of the term count, and each block is

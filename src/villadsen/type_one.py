@@ -10,16 +10,19 @@ systems runs on.  A ratio is an integer pair, which `reports.fraction_json`
 prints in lowest terms, and every verdict on ratios cross-multiplies
 positive denominators, so no `fractions` arithmetic runs.  The two
 witness checks, `top_chern_witness` and `ratio_contradiction_check`,
-return the certificate the report prints.
+return the certificate the report prints; the first checks its closed
+form against the top-degree text of `cohomology.line_series_texts`, the
+engine's one full expansion of a product of line series.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .bundles import expansion_budget
-from .cohomology import line_series_product
+from .cohomology import GradedClass, line_series_texts
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import Encoded, fraction_json
 from .spaces import json_list, json_object, read_int, spheres
@@ -129,10 +132,11 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     lines; pushing it through a composed map whose distinct projections have
     the given multiplicities yields a bundle over a sphere power of size
     n * len(multiplicities) whose top Chern class is the full product of all
-    generators with coefficient prod(m^n).  Computed both in closed form and
-    by full sparse expansion; CrossCheckDisagreement is raised unless the
-    two agree on a nonzero coefficient.  The expansion has 2^(n * count)
-    terms and refuses with GeneratorBudgetExceeded past the term budget
+    generators with coefficient prod(m^n), nonzero as every m is.  Computed
+    both in closed form and by full expansion (`line_series_texts`), whose
+    top-degree text must be the closed form's one row; CrossCheckDisagreement
+    is raised unless it is.  The expansion has 2^(n * count) terms and
+    refuses with GeneratorBudgetExceeded past the term budget
     (ENGINE_GENERATOR_BUDGET).
     """
     if n < 1:
@@ -156,14 +160,14 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
 
     # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count};
     # the top degree of (S^2)^gens holds the single monomial z_1 ... z_gens
-    product = line_series_product(spheres(gens), [
-        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)])
-    expanded = product.terms.get((1,) * gens, 0)
-    if expanded != closed:
+    space, top = spheres(gens), (1,) * gens
+    expanded = line_series_texts(space, [
+        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)]).get(2 * gens)
+    if expanded != GradedClass(space, {top: closed}).json_text():
+        coefficient = (0 if expanded is None else
+                       GradedClass.from_json(space, json.loads(expanded)).terms.get(top, 0))
         raise CrossCheckDisagreement(
-            f"top Chern coefficient mismatch: closed {closed}, expanded {expanded}")
-    if closed == 0:
-        raise CrossCheckDisagreement("top Chern coefficient vanished; witness is broken")
+            f"top Chern coefficient mismatch: closed {closed}, expanded {coefficient}")
     return {"sphere_power": gens, "degree": str(gens), "coefficient": str(closed),
             "distinct_projections": str(count)}
 

@@ -5,10 +5,14 @@ polynomial oracle works on plain dicts keyed by frozensets, and the chain
 oracle enumerates eigenvalue-map composites explicitly.  The ring
 references `cup`, `homogeneous_component` and `pullback_class` multiply,
 filter and move exponent vectors term by term, so the engine's kernels
-(`line_series_product`, `chern_component`, `pullback_positions`) are
-checked against them, not against themselves.  `graded_components` and
-`class_document` split a class by degree and write it as one dict per
-term, the references for the class text the engine writes directly.
+(`line_series_texts`, `chern_component`, `pullback_positions`) are
+checked against them, not against themselves: `series_product` is the
+cup product of each factor's series class, the reference for
+`line_series_texts`.  `graded_components` and `class_document` split a
+class by degree and write it as one dict per term, the references for the
+class text the engine writes directly.  The library builds no total Chern
+class; `chern_class` reads the engine's back from the texts `chern`
+prints, for the Whitney-sum, naturality and Euler tests.
 `reference_parser` is the argparse parser the CLI used before its option
 table, the reference for `cli._parse`.  `unit_multiplicity` and
 `cp_dimension` give one stage's growth numbers on their own, with
@@ -36,8 +40,8 @@ from itertools import product as iproduct
 from math import factorial
 
 from villadsen import cli, type_two
-from villadsen.bundles import BundleExpr, chern_component, pushforward_diagonal
-from villadsen.cohomology import GradedClass, line_series_product
+from villadsen.bundles import BundleExpr, chern_component, chern_series, pushforward_diagonal
+from villadsen.cohomology import GradedClass, line_series_texts
 from villadsen.comparison import trivial_line_subbundle_sufficient
 from villadsen.errors import BaseMismatchError
 from villadsen.growth import INFINITE
@@ -274,6 +278,31 @@ def cup(a: GradedClass, b: GradedClass) -> GradedClass:
     return GradedClass(a.space, out)
 
 
+def series_product(space: SpaceDescriptor, factors: list[tuple[int, list[int]]]) -> GradedClass:
+    """Reference product of line series: the cup product of each factor's
+    class, the sum of c_i * g^i in the generator g at its position."""
+    product = unit_class(space)
+    for pos, coeffs in factors:
+        series = {}
+        for i, c in enumerate(coeffs):
+            exps = [0] * len(space.caps)
+            exps[pos] = i
+            series[tuple(exps)] = c
+        product = cup(product, GradedClass(space, series))
+    return product
+
+
+def chern_class(b: BundleExpr, degrees=None) -> GradedClass:
+    """The engine's total Chern class of b: the class texts `chern` prints
+    (`line_series_texts` of `chern_series`), read back and merged; only
+    those of `degrees`, if given."""
+    terms: dict = {}
+    for degree, text in line_series_texts(b.base, chern_series(b)).items():
+        if degrees is None or degree in degrees:
+            terms.update(GradedClass.from_json(b.base, json.loads(text)).terms)
+    return GradedClass(b.base, terms)
+
+
 def homogeneous_component(a: GradedClass, degree: int) -> GradedClass:
     """Reference component: the terms of exactly `degree` (none if odd or negative)."""
     return GradedClass(a.space, {e: c for e, c in a.terms.items() if 2 * sum(e) == degree})
@@ -484,15 +513,37 @@ def random_step(rng: random.Random, max_projections: int = 3,
 
 
 def kernel_dropping_top_term(space, factors):
-    """`line_series_product` with its highest-degree term dropped.
+    """`line_series_texts` with its top-degree component dropped.
 
     Patched in for the engine's kernel, it makes every expansion-based
     cross-check disagree with its closed-form route.
     """
-    product = line_series_product(space, factors)
-    if product.terms:
-        del product.terms[max(product.terms, key=sum)]
-    return product
+    texts = line_series_texts(space, factors)
+    if texts:
+        del texts[max(texts)]
+    return texts
+
+
+def _with_top_row(texts: dict[int, str], change) -> dict[int, str]:
+    """`texts` with the first row of the top-degree component replaced by
+    `change(row)`, the component written again as canonical text."""
+    top = max(texts)
+    doc = json.loads(texts[top])
+    doc["terms"][0] = change(doc["terms"][0])
+    texts[top] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return texts
+
+
+def kernel_zeroing_a_top_exponent(space, factors):
+    """`line_series_texts` whose top-degree row has 0 as its first exponent."""
+    return _with_top_row(line_series_texts(space, factors),
+                         lambda row: {**row, "exponents": [0, *row["exponents"][1:]]})
+
+
+def kernel_raising_the_top_coefficient(space, factors):
+    """`line_series_texts` whose top-degree row has its coefficient plus one."""
+    return _with_top_row(line_series_texts(space, factors),
+                         lambda row: {**row, "coefficient": str(int(row["coefficient"]) + 1)})
 
 
 def component_dropping_top_term(b, degree):

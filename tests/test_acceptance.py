@@ -16,7 +16,6 @@ from math import factorial
 from villadsen.bundles import (
     BundleExpr,
     DiagonalSlot,
-    chern,
     chern_expansion_cost,
     euler,
     pushforward_diagonal,
@@ -36,13 +35,13 @@ from villadsen import cfp
 from villadsen.cli import main as cli_main
 
 from conftest import (
+    chern_class,
     cp_dimension,
     cup,
     dict_poly_top_coefficient,
     direct_sum,
     enumerate_chain_stats,
     fraction,
-    homogeneous_component,
     plain,
     pullback_class,
     random_class,
@@ -148,7 +147,7 @@ def test_criterion_5_comparability_certificates(monkeypatch):
         # one full-expansion agreement at the largest stage, budget lifted
         witness = witness_sum_from_scratch(2, 4)
         monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", str(chern_expansion_cost(witness)))
-        top = homogeneous_component(chern(witness), 2 * witness.rank)
+        top = chern_class(witness, degrees=[2 * witness.rank])
         assert top == euler(witness) and not top.is_zero()
 
 
@@ -180,7 +179,7 @@ def test_criterion_7_property_suites():
         for _ in range(200):
             space = random_space(rng)
             a, b = random_bundle(rng, space), random_bundle(rng, space)
-            assert chern(direct_sum(a, b)) == cup(chern(a), chern(b))
+            assert chern_class(direct_sum(a, b)) == cup(chern_class(a), chern_class(b))
             counts["product_formula"] += 1
 
         for _ in range(200):
@@ -189,7 +188,7 @@ def test_criterion_7_property_suites():
             f = projection(source, base, tuple(range(len(base.factors))))
             bundle = random_bundle(rng, base)
             pulled = pushforward_diagonal(bundle, [DiagonalSlot(f)])
-            assert chern(pulled) == pullback_class(f, chern(bundle))
+            assert chern_class(pulled) == pullback_class(f, chern_class(bundle))
             counts["naturality"] += 1
 
         for _ in range(200):

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from villadsen.bundles import (
     BundleExpr,
     DiagonalSlot,
-    chern,
     chern_component,
     chern_expansion_cost,
     chern_series,
@@ -31,6 +30,7 @@ from villadsen.errors import (
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
+    chern_class,
     class_document,
     component_dropping_top_term,
     cup,
@@ -40,6 +40,7 @@ from conftest import (
     pullback_class,
     pushforward_from_scratch,
     random_space,
+    series_product,
     unit_class,
 )
 
@@ -81,19 +82,19 @@ def test_single_line_block_rank():
 
 def test_chern_of_trivial_is_one():
     space = spheres(2)
-    assert chern(BundleExpr(space, 5)) == unit_class(space)
+    assert chern_class(BundleExpr(space, 5)) == unit_class(space)
 
 
 def test_chern_of_two_pulled_back_lines():
     space = spheres(2)
     b = BundleExpr(space, 0, [(0, 1), (1, 1)])
-    assert chern(b) == GradedClass(space, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert chern_class(b) == GradedClass(space, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
 def test_chern_of_multiple_square_zero_line():
     space = spheres(1)
     b = BundleExpr(space, 0, [(0, 7)])
-    assert chern(b) == GradedClass(space, {(0,): 1, (1,): 7})  # (1+z)^7 = 1+7z
+    assert chern_class(b) == GradedClass(space, {(0,): 1, (1,): 7})  # (1+z)^7 = 1+7z
 
 
 def test_euler_of_trivial_vanishes():
@@ -127,7 +128,7 @@ def test_euler_equals_top_chern_component(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     space = random_space(rng)
     b = random_bundle(rng, space)
-    assert euler(b) == homogeneous_component(chern(b), 2 * b.rank)
+    assert euler(b) == homogeneous_component(chern_class(b), 2 * b.rank)
 
 
 @settings(max_examples=120, deadline=None)
@@ -137,7 +138,7 @@ def test_chern_multiplicative_over_direct_sum(data):
     space = random_space(rng)
     a = random_bundle(rng, space)
     b = random_bundle(rng, space)
-    assert chern(direct_sum(a, b)) == cup(chern(a), chern(b))
+    assert chern_class(direct_sum(a, b)) == cup(chern_class(a), chern_class(b))
 
 
 @settings(max_examples=120, deadline=None)
@@ -148,7 +149,8 @@ def test_chern_natural_under_pullback(data):
     source = SpaceDescriptor(base.factors + random_space(rng, max_factors=2).factors)
     f = projection(source, base, tuple(range(len(base.factors))))
     b = random_bundle(rng, base)
-    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) == pullback_class(f, chern(b))
+    pulled = pushforward_diagonal(b, [DiagonalSlot(f)])
+    assert chern_class(pulled) == pullback_class(f, chern_class(b))
 
 
 def test_naturality_check_catches_a_swapped_position_map(monkeypatch):
@@ -157,10 +159,11 @@ def test_naturality_check_catches_a_swapped_position_map(monkeypatch):
     from villadsen import bundles
     f = projection(spheres(3), spheres(2), (2, 0))
     b = BundleExpr(spheres(2), 0, [(0, 1)])
-    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) == pullback_class(f, chern(b))
+    expected = pullback_class(f, chern_class(b))
+    assert chern_class(pushforward_diagonal(b, [DiagonalSlot(f)])) == expected
     original = bundles.pullback_positions
     monkeypatch.setattr(bundles, "pullback_positions", lambda g: original(g)[::-1])
-    assert chern(pushforward_diagonal(b, [DiagonalSlot(f)])) != pullback_class(f, chern(b))
+    assert chern_class(pushforward_diagonal(b, [DiagonalSlot(f)])) != expected
 
 
 def test_pullback_along_constant_gives_trivial():
@@ -295,7 +298,7 @@ def test_budget_refusal_and_override(monkeypatch):
     b = BundleExpr(space, 0, [(0, 200), (1, 200), (2, 200)])
     assert chern_expansion_cost(b) == 201 ** 3
     with pytest.raises(GeneratorBudgetExceeded):
-        chern(b)
+        chern_series(b)
     # the Euler cross-check expands only its own degree, so the budget does not bind
     nonzero, route = euler_nonzero(b)
     assert nonzero and route == "factorized+full"
@@ -418,7 +421,7 @@ def test_chern_kernel_matches_cup_product_of_summand_series(drawn):
     one = unit_class(space)
     series = [GradedClass(space, {**one.terms, **line.terms})
               for line, m in lines for _ in range(m)]
-    total = chern(b)
+    total = chern_class(b)
     assert total == reduce(cup, series, one)
     assert len(total.terms) == chern_expansion_cost(b)
     parts = graded_components(total)
@@ -487,20 +490,17 @@ def wide_chern_bundles(draw):
 def test_chern_texts_are_the_class_components_written_out(b):
     with _unlimited_int_digits():
         texts = line_series_texts(b.base, chern_series(b))
-        parts = graded_components(chern(b))
+        parts = graded_components(series_product(b.base, chern_series(b)))
         assert texts == {degree: part.json_text() for degree, part in parts.items()}
         assert {degree: json.loads(text) for degree, text in texts.items()} == \
             {degree: class_document(part) for degree, part in parts.items()}
-    # both paths refuse one term past the budget, with the same count
+    # the series refuse one term past the budget, with the exact count
     cost = chern_expansion_cost(b)
     if cost > 1:
         with mock.patch.dict(os.environ, {"ENGINE_GENERATOR_BUDGET": str(cost - 1)}):
-            refusals = []
-            for path in (chern, lambda b: line_series_texts(b.base, chern_series(b))):
-                with pytest.raises(GeneratorBudgetExceeded) as exc:
-                    path(b)
-                refusals.append((exc.value.required, exc.value.budget))
-        assert refusals == [(cost, cost - 1)] * 2
+            with pytest.raises(GeneratorBudgetExceeded) as exc:
+                chern_series(b)
+        assert (exc.value.required, exc.value.budget) == (cost, cost - 1)
 
 
 def test_chern_texts_refuse_a_coefficient_past_the_digit_limit():

@@ -18,7 +18,12 @@ from villadsen.errors import GeneratorBudgetExceeded
 from villadsen.reports import canonical_json, normalize_report, validate_report
 from villadsen.type_one import compose_stats
 
-from conftest import component_dropping_top_term, kernel_dropping_top_term
+from conftest import (
+    component_dropping_top_term,
+    kernel_dropping_top_term,
+    kernel_raising_the_top_coefficient,
+    kernel_zeroing_a_top_exponent,
+)
 
 
 def run_cli(capsys, *argv):
@@ -687,10 +692,14 @@ def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
         assert f"needs at least 2^{count.bit_length() - 1} terms" in str(huge)
 
 
-# an engine route broken on purpose, by the name it is patched in under
+# an engine route broken on purpose, by the name it is patched in under and,
+# where one name has several, a word after it
 BROKEN_ROUTE = {
     "villadsen.bundles.chern_component": component_dropping_top_term,
-    "villadsen.type_one.line_series_product": kernel_dropping_top_term,
+    "villadsen.type_one.line_series_texts": kernel_dropping_top_term,
+    # a top row off the full monomial, and one with the wrong coefficient
+    "villadsen.type_one.line_series_texts zeroing": kernel_zeroing_a_top_exponent,
+    "villadsen.type_one.line_series_texts raising": kernel_raising_the_top_coefficient,
     # the closed form of the running pushforward coefficient, off by one
     "villadsen.cfp.factorial": lambda n: factorial(n) + 1,
     # a unit rank 1000 times too large shrinks every trace below its bounds
@@ -711,7 +720,7 @@ BROKEN_ROUTE = {
      "lower_bound", "villadsen.bundles.chern_component",
      "factorized Euler class disagrees"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_product",
+     "top_chern_witness", "villadsen.type_one.line_series_texts",
      "top Chern coefficient mismatch"),
     (["cfp", "--terms", "2"], "100000",
      "lower_bound", "villadsen.cfp.factorial",
@@ -728,13 +737,25 @@ BROKEN_ROUTE = {
     (["v2", "-k", "2", "-n", "1", "--comparability", "--stage", "3"], "100000",
      "comparability_triple", "villadsen.type_two._slots",
      "pushforward from stage 2 disagrees with the carried witness rank"),
+    # the Euler class z1*z2 of two sphere lines, printed by `chern`
+    (["chern", "--space", "SPACE", "--bundle", "BUNDLE"], "100000",
+     "euler_class", "villadsen.bundles.chern_component",
+     "factorized Euler class disagrees"),
+    (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
+     "top_chern_witness", "villadsen.type_one.line_series_texts zeroing",
+     "top Chern coefficient mismatch: closed 9, expanded 0"),
+    (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
+     "top_chern_witness", "villadsen.type_one.line_series_texts raising",
+     "top Chern coefficient mismatch: closed 9, expanded 10"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
                                             tmp_path, capsys, monkeypatch):
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
-    argv = [config if word == "CONFIG" else word for word in argv]
+    space, bundle = write_sphere_pair(tmp_path)
+    files = {"CONFIG": config, "SPACE": space, "BUNDLE": bundle}
+    argv = [files.get(word, word) for word in argv]
     monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", budget)
-    monkeypatch.setattr(patched, BROKEN_ROUTE[patched])
+    monkeypatch.setattr(patched.split()[0], BROKEN_ROUTE[patched])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from villadsen.cohomology import GradedClass, _expand, line_series_product, line_series_texts
+from villadsen.cohomology import GradedClass, _expand, line_series_texts
 from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
@@ -20,6 +20,7 @@ from conftest import (
     pullback_class,
     random_class,
     random_space,
+    series_product,
     unit_class,
 )
 
@@ -248,20 +249,22 @@ def test_constructor_normalizes_caps_and_zeros():
 
 
 def test_line_series_product_is_the_cartesian_product():
+    # series on distinct generators: one term per choice of powers, the cup
+    # product of the factors' series classes, written out degree by degree
     space = SpaceDescriptor((cproj(3), disk(2), sphere2()))
     series_y = GradedClass(space, {(0, 0): 4, (1, 0): -5, (2, 0): 6})
     series_z = GradedClass(space, {(0, 0): 2, (0, 1): 7})
-    got = line_series_product(space, [(1, [2, 7]), (0, [4, -5, 6])])
-    assert got == cup(series_y, series_z)
-    assert len(got.terms) == 6
-    assert line_series_product(space, []) == unit_class(space)
-    texts = {d: part.json_text() for d, part in graded_components(got).items()}
-    assert line_series_texts(space, [(1, [2, 7]), (0, [4, -5, 6])]) == texts
+    factors = [(1, [2, 7]), (0, [4, -5, 6])]
+    product = cup(series_y, series_z)
+    assert series_product(space, factors) == product
+    assert len(product.terms) == 6
+    texts = {d: part.json_text() for d, part in graded_components(product).items()}
+    assert line_series_texts(space, factors) == texts
     assert line_series_texts(space, []) == {0: unit_class(space).json_text()}
 
 
 def texts_of_product(space, factors) -> dict[int, str]:
-    parts = graded_components(line_series_product(space, factors))
+    parts = graded_components(series_product(space, factors))
     return {degree: part.json_text() for degree, part in parts.items()}
 
 
@@ -302,17 +305,16 @@ def test_line_series_texts_cut_before_every_factor():
 
 
 def test_line_series_product_checks_each_factor():
-    # the class and the text kernel share one check of the factors
+    # each factor is checked once, before any term is written
     space = SpaceDescriptor((cproj(2), sphere2()))
-    for kernel in (line_series_product, line_series_texts):
-        with pytest.raises(ValueError, match="two factors"):
-            kernel(space, [(0, [1, 2]), (1, [1, 1]), (0, [1, 3])])
-        with pytest.raises(ValueError, match="zero coefficient"):
-            kernel(space, [(0, [1, 0, 4])])
-        with pytest.raises(ValueError, match="cap"):
-            kernel(space, [(1, [1, 2, 1])])
-        with pytest.raises(ValueError, match="no generator"):
-            kernel(space, [(2, [1])])
+    with pytest.raises(ValueError, match="two factors"):
+        line_series_texts(space, [(0, [1, 2]), (1, [1, 1]), (0, [1, 3])])
+    with pytest.raises(ValueError, match="zero coefficient"):
+        line_series_texts(space, [(0, [1, 0, 4])])
+    with pytest.raises(ValueError, match="cap"):
+        line_series_texts(space, [(1, [1, 2, 1])])
+    with pytest.raises(ValueError, match="no generator"):
+        line_series_texts(space, [(2, [1])])
 
 
 @settings(max_examples=150, deadline=None)

@@ -394,9 +394,11 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
     assert sum(len(part["terms"]) for part in components.values()) == 2 ** generators
     assert len(fragments) == len(components) + 1
     # the summands' line classes, as the bundle document is read, then the
-    # Euler class, x_0 * ... * x_11, and nothing else
+    # Euler class, x_0 * ... * x_11, three times: factorized and as its
+    # Chern component for the cross-check, and factorized for its text;
+    # nothing else
     lines = [{tuple(int(i == p) for i in range(generators)): 1} for p in range(generators)]
-    assert [c.terms for c in built] == lines + [{(1,) * generators: 1}]
+    assert [c.terms for c in built] == lines + [{(1,) * generators: 1}] * 3
     # what is sorted is the 12 summand positions and the Euler class's one
     # term (in its json_text), never the 2**12 terms of the Chern class
     assert sorts == [generators, 1]

@@ -29,6 +29,8 @@ from conftest import (
     fraction,
     fraction_pair,
     kernel_dropping_top_term,
+    kernel_raising_the_top_coefficient,
+    kernel_zeroing_a_top_exponent,
     plain,
     random_step,
     ratio_contradiction_from_fractions,
@@ -187,9 +189,12 @@ def test_top_chern_witness_budget(monkeypatch):
 
 
 def test_top_chern_witness_disagreement(monkeypatch):
-    monkeypatch.setattr("villadsen.type_one.line_series_product", kernel_dropping_top_term)
-    with pytest.raises(CrossCheckDisagreement, match="closed 9, expanded 0"):
-        top_chern_witness(2, [1, 3])
+    # no top row, a top row off the full monomial, and a top coefficient off by one
+    for kernel, expanded in ((kernel_dropping_top_term, 0), (kernel_zeroing_a_top_exponent, 0),
+                             (kernel_raising_the_top_coefficient, 10)):
+        monkeypatch.setattr("villadsen.type_one.line_series_texts", kernel)
+        with pytest.raises(CrossCheckDisagreement, match=f"closed 9, expanded {expanded}$"):
+            top_chern_witness(2, [1, 3])
 
 
 def test_contradiction_at_exact_threshold():
