@@ -19,7 +19,8 @@ order as `--opt value`, `-k value` or a bare flag.  Prefix abbreviations,
 Every report is checked against the packaged report schema
 (`reports.validate_report`, standard-library code) before it is printed;
 one that fails is not printed, and one `error:` line names the JSON path
-and the offending value.
+and the offending value.  All of a report's text is encoded, as pieces,
+before its first byte is printed.
 """
 
 from __future__ import annotations
@@ -115,17 +116,22 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-# the text is written in slices of this many characters: each slice, and the
-# stream's encoded copy of it, fits a block the allocator hands out again for
-# the next slice, where one whole-text write maps fresh pages for a copy of
-# the whole text (a 1.3 MB `chern` report: about 1500 page faults, not 1800)
+# the pieces are written in runs, each joined up to the next multiple of
+# this many characters: each run, and the stream's encoded copy of it, fits
+# a block the allocator hands out again for the next run, where a join of
+# the whole text would map fresh pages for it and for its encoded copy.  A
+# running sum finds the marks: a list of every piece's end offset would hold
+# an int per piece, which in a fresh fork costs about 8 more page faults on
+# a 155-piece `v2` report
 _WRITE_CHUNK = 1 << 16
 
 
 def _emit(report: dict) -> int:
     """Validate and print `report`, which only this call holds, under the
-    lifted digit limit.  Its values are freed once its text is written,
-    before the text is printed a slice at a time."""
+    lifted digit limit.  Every piece of its text is written before the
+    first byte is printed, so an encode error prints no part of it; then
+    the report is freed, and the pieces are printed in runs of about
+    `_WRITE_CHUNK` characters.  The whole text is never joined."""
     with _unlimited_int_digits():
         try:
             reports.validate_report(report)
@@ -134,7 +140,7 @@ def _emit(report: dict) -> int:
             print(f"error: report fails its schema {exc}", file=sys.stderr)
             return 2
         try:
-            text = reports.canonical_json(report)
+            pieces = reports.canonical_pieces(report)
         except RecursionError:
             # json.load reads a document a few levels deeper than the report,
             # which holds it under `inputs`, can echo it; a value that holds
@@ -143,8 +149,14 @@ def _emit(report: dict) -> int:
                               "input document, or a value that holds itself") from None
         ok = report["ok"]
         del report
-        for start in range(0, len(text), _WRITE_CHUNK):
-            sys.stdout.write(text[start:start + _WRITE_CHUNK])
+        start, size, mark = 0, 0, _WRITE_CHUNK
+        for stop, piece in enumerate(pieces, 1):
+            size += len(piece)
+            if size >= mark:  # a run ends with the first piece that reaches the next mark
+                sys.stdout.write("".join(pieces[start:stop]))
+                start, mark = stop, size - size % _WRITE_CHUNK + _WRITE_CHUNK
+        if start < len(pieces):
+            sys.stdout.write("".join(pieces[start:]))
         sys.stdout.write("\n")
     return 0 if ok else 2
 
@@ -183,7 +195,7 @@ def _run_chern(args):
     def components():
         return True, {
             "rank": str(bundle.rank),
-            "components": {str(degree): reports.Encoded(text) for degree, text
+            "components": {str(degree): component for degree, component
                            in line_series_texts(bundle.base, chern_series(bundle)).items()},
         }
 

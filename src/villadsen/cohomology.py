@@ -15,9 +15,12 @@ terms (`GradedClass.json_text`), one formatted row per term, with no
 per-term object built for an encoder to walk.  `line_series_texts` writes
 a product of line series the same way, degree by degree, with no class at
 all: each row joins a term of a prefix block of the factors with a term of
-the suffix block, and no Python loop runs per term.  It is the engine's
-one full expansion of a product of line series: `chern` prints its texts,
-and `vi --witness` compares its top-degree text with the closed form.
+the suffix block, and no Python loop runs per term.  Each degree's
+component is a `reports.Encoded` fragment whose pieces are runs of rows,
+each joined once and never joined again into a component text.  It is the
+engine's one expansion of a product of line series: `chern` prints its
+components, and `vi --witness` asks for the top degree alone and compares
+its text with the closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from math import prod
 
+from .reports import Encoded
 from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
 
 # one term of a class as canonical JSON, from its coefficient and exponent text
@@ -149,10 +153,12 @@ def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
     return terms
 
 
-def line_series_texts(space: SpaceDescriptor,
-                      factors: list[tuple[int, list[int]]]) -> dict[int, str]:
+def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
+                      degree: int | None = None) -> dict[int, Encoded]:
     """Product of one-generator polynomials on pairwise distinct positions,
-    each degree's component as `json_text` writes it, with no class built.
+    each degree's component as the `Encoded` pieces of the text `json_text`
+    writes, with no class built; only the component of `degree`, if given
+    (none for an odd, negative or unreached degree).
 
     Each factor is (position, [c0, c1, ...]), the sum of c_i * g^i in the
     generator g at that position.  With distinct positions, at most cap
@@ -164,10 +170,13 @@ def line_series_texts(space: SpaceDescriptor,
     The factors, in position order, are cut into a prefix block and a suffix
     block of about the square root of the term count, and each block is
     expanded alone (`_expand`).  The suffix terms are grouped by power sum;
-    each prefix then writes its rows with each group by one chain of
-    `map`/`zip` calls, so no Python bytecode runs per term.  Terms come out
-    in exponent order, so each degree's rows are already sorted, and every
-    power sum up to the top one is reached."""
+    each prefix then writes its rows with each group it meets as one run,
+    joined from one chain of `map`/`zip` calls, so no Python bytecode runs
+    per term and each run's per-term strings are freed as it is joined.  A
+    component's pieces are its opening text and its runs: no component text
+    is joined.  With `degree`, each prefix meets only the one group that
+    reaches it.  Terms come out in exponent order, so each degree's rows are
+    already sorted, and every power sum up to the top one is reached."""
     series = _series_by_position(space, factors)
     order, n = sorted(series), len(space.caps)
     head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
@@ -191,15 +200,23 @@ def line_series_texts(space: SpaceDescriptor,
         coeffs.append(coeff)
         tails.append(text + _NEXT_ROW)
     prefixes = _expand(head, levels[:cut])
-    rows: list[list[str]] = [[] for _ in range(prefixes[-1][1] + len(groups))]
+    top = prefixes[-1][1] + len(groups) - 1
+    if degree is None:
+        low, high = 0, top
+    elif degree % 2 or not 0 <= degree <= 2 * top:
+        return {}
+    else:
+        low = high = degree // 2
+    runs: list[list[str]] = [['{"terms":[{"coefficient":"'] for _ in range(low, high + 1)]
     for text, total, coeff in prefixes:
         middle, times = repeat('","exponents":[' + text), coeff.__mul__
-        for part, (coeffs, tails) in zip(rows[total:], groups):
-            part.extend(chain.from_iterable(zip(map(str, map(times, coeffs)), middle, tails)))
-    for part in rows:  # the last row closes the class instead of opening a row
+        for t in range(max(low, total), min(high, total + len(groups) - 1) + 1):
+            coeffs, tails = groups[t - total]
+            runs[t - low].append("".join(chain.from_iterable(
+                zip(map(str, map(times, coeffs)), middle, tails))))
+    for part in runs:  # the last row closes the class instead of opening a row
         part[-1] = part[-1][:-len(_NEXT_ROW)] + "]}]}"
-    return {2 * total: '{"terms":[{"coefficient":"' + "".join(part)
-            for total, part in enumerate(rows)}
+    return {2 * t: Encoded(*part) for t, part in enumerate(runs, low)}
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

@@ -22,11 +22,13 @@ row by row as it computes the records, one row template per record kind
 with its keys in canonical order.  A list's fragment is its rows and the
 brackets and commas between them (`encoded_rows`), so no row is copied into
 a list text before the report is joined.
-`canonical_json` finds the fragments in one pass that looks at each list
-and dict once, writes each fragment's text where it sits and every value
-that holds none with one encode call, and splices nothing afterwards.  So
-the report's bytes are those of the same report held as plain JSON, and no
-record or term is built as a dict or encoded again.
+`canonical_pieces` finds the fragments in one pass that looks at each list
+and dict once, puts each fragment's pieces where it sits and writes every
+value that holds none with one encode call, and splices nothing
+afterwards.  So the report's bytes are those of the same report held as
+plain JSON, and no record or term is built as a dict or encoded again.  The
+CLI prints the pieces in runs and never joins them into one text;
+`canonical_json` is their join.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
@@ -80,7 +82,7 @@ def assemble(command: str, inputs: dict, checks: list[dict],
 class Encoded:
     """A report value given as its canonical JSON text (sorted keys, no
     whitespace), in the pieces whose concatenation it is, which
-    `canonical_json` writes where the value sits, piece by piece."""
+    `canonical_pieces` puts where the value sits, piece by piece."""
 
     __slots__ = ("pieces",)
 
@@ -127,18 +129,26 @@ def encoded_rows(rows: list[str]) -> Encoded:
     return Encoded(*pieces)
 
 
-def canonical_json(doc) -> str:
-    """The report as one line of JSON with sorted keys and no whitespace.
+def canonical_pieces(doc) -> list[str] | tuple[str, ...]:
+    """The report as one line of JSON with sorted keys and no whitespace,
+    in the pieces whose concatenation it is.
 
-    A value that holds no `Encoded` fragment is written by one encode call.
-    A list, or dict with string keys, that holds one is written member by
-    member, keys in sorted order: each fragment's text where it sits, and
-    each other member by one encode call.  Nothing is spliced afterwards and
-    no output text is searched.  Any other value that is not JSON raises
-    TypeError, as does a non-string key beside a fragment.
+    A value that holds no `Encoded` fragment is one piece, written by one
+    encode call.  A list, or dict with string keys, that holds one is
+    written member by member, keys in sorted order: each fragment's pieces
+    where it sits, and each other member by one encode call.  Nothing is
+    spliced afterwards and no output text is searched.  Every piece is
+    written before this returns, so an encode error comes before any of
+    them is used.  Any other value that is not JSON raises TypeError, as
+    does a non-string key beside a fragment.
     """
     pieces = _pieces(doc)
-    return _encode(doc) if pieces is None else "".join(pieces)
+    return [_encode(doc)] if pieces is None else pieces
+
+
+def canonical_json(doc) -> str:
+    """The report as one line of JSON: its `canonical_pieces`, joined."""
+    return "".join(canonical_pieces(doc))
 
 
 # the values that are, or may hold, a fragment

@@ -12,7 +12,8 @@ positive denominators, so no `fractions` arithmetic runs.  The two
 witness checks, `top_chern_witness` and `ratio_contradiction_check`,
 return the certificate the report prints; the first checks its closed
 form against the top-degree text of `cohomology.line_series_texts`, the
-engine's one full expansion of a product of line series.
+engine's one expansion of a product of line series, asked for that degree
+alone.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     the given multiplicities yields a bundle over a sphere power of size
     n * len(multiplicities) whose top Chern class is the full product of all
     generators with coefficient prod(m^n), nonzero as every m is.  Computed
-    both in closed form and by full expansion (`line_series_texts`), whose
-    top-degree text must be the closed form's one row; CrossCheckDisagreement
-    is raised unless it is.  The expansion has 2^(n * count) terms and
-    refuses with GeneratorBudgetExceeded past the term budget
-    (ENGINE_GENERATOR_BUDGET).
+    both in closed form and by expansion: `line_series_texts` writes the
+    top degree 2 * n * count alone, and its text must be the closed form's
+    one row.  CrossCheckDisagreement is raised unless it is, with the
+    expanded coefficient when the text can be read back.  The product has
+    2^(n * count) terms, and is refused with GeneratorBudgetExceeded past
+    the term budget (ENGINE_GENERATOR_BUDGET).
     """
     if n < 1:
         raise ValueError("witness size n must be >= 1")
@@ -158,14 +160,19 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     for m in multiplicities:
         closed *= m ** n
 
-    # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count};
-    # the top degree of (S^2)^gens holds the single monomial z_1 ... z_gens
+    # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count}
+    # in the top degree, which holds the single monomial z_1 ... z_gens
     space, top = spheres(gens), (1,) * gens
     expanded = line_series_texts(space, [
-        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)]).get(2 * gens)
-    if expanded != GradedClass(space, {top: closed}).json_text():
-        coefficient = (0 if expanded is None else
-                       GradedClass.from_json(space, json.loads(expanded)).terms.get(top, 0))
+        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)],
+        2 * gens).get(2 * gens)
+    text = None if expanded is None else expanded.text
+    if text != GradedClass(space, {top: closed}).json_text():
+        try:
+            coefficient = (0 if text is None else
+                           GradedClass.from_json(space, json.loads(text)).terms.get(top, 0))
+        except (ValueError, KeyError, TypeError):  # not the text of a class over the space
+            coefficient = "unreadable"
         raise CrossCheckDisagreement(
             f"top Chern coefficient mismatch: closed {closed}, expanded {coefficient}")
     return {"sphere_power": gens, "degree": str(gens), "coefficient": str(closed),

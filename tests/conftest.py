@@ -8,7 +8,9 @@ filter and move exponent vectors term by term, so the engine's kernels
 (`line_series_texts`, `chern_component`, `pullback_positions`) are
 checked against them, not against themselves: `series_product` is the
 cup product of each factor's series class, the reference for
-`line_series_texts`.  `graded_components` and `class_document` split a
+`line_series_texts` (`series_texts` reads its components as text, and
+`assert_each_degree_alone` checks each `degree` it can be asked for).
+`graded_components` and `class_document` split a
 class by degree and write it as one dict per term, the references for the
 class text the engine writes directly.  The library builds no total Chern
 class; `chern_class` reads the engine's back from the texts `chern`
@@ -292,14 +294,32 @@ def series_product(space: SpaceDescriptor, factors: list[tuple[int, list[int]]])
     return product
 
 
+def series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
+                 degree: int | None = None) -> dict[int, str]:
+    """The components `line_series_texts` writes, as their texts."""
+    return {d: part.text for d, part in line_series_texts(space, factors, degree).items()}
+
+
+def assert_each_degree_alone(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
+                             expected: dict[int, str]) -> None:
+    """`line_series_texts` asked for one degree writes that degree's
+    component of `expected`, the reference texts of the whole product, for
+    every even degree up to the top; and nothing for an odd or negative
+    degree, or one past the top."""
+    top = max(expected, default=0)
+    for degree in range(-3, top + 4):
+        assert series_texts(space, factors, degree) == (
+            {degree: expected[degree]} if degree in expected else {}), degree
+
+
 def chern_class(b: BundleExpr, degrees=None) -> GradedClass:
     """The engine's total Chern class of b: the class texts `chern` prints
     (`line_series_texts` of `chern_series`), read back and merged; only
     those of `degrees`, if given."""
     terms: dict = {}
-    for degree, text in line_series_texts(b.base, chern_series(b)).items():
+    for degree, component in line_series_texts(b.base, chern_series(b)).items():
         if degrees is None or degree in degrees:
-            terms.update(GradedClass.from_json(b.base, json.loads(text)).terms)
+            terms.update(GradedClass.from_json(b.base, json.loads(component.text)).terms)
     return GradedClass(b.base, terms)
 
 
@@ -512,38 +532,60 @@ def random_step(rng: random.Random, max_projections: int = 3,
     return StepSpec(mults, points)
 
 
-def kernel_dropping_top_term(space, factors):
+def kernel_dropping_top_term(space, factors, degree=None):
     """`line_series_texts` with its top-degree component dropped.
 
     Patched in for the engine's kernel, it makes every expansion-based
     cross-check disagree with its closed-form route.
     """
-    texts = line_series_texts(space, factors)
+    texts = line_series_texts(space, factors, degree)
     if texts:
         del texts[max(texts)]
     return texts
 
 
-def _with_top_row(texts: dict[int, str], change) -> dict[int, str]:
-    """`texts` with the first row of the top-degree component replaced by
-    `change(row)`, the component written again as canonical text."""
+def _with_top_text(texts: dict[int, Encoded], change) -> dict[int, Encoded]:
+    """`texts` with the top-degree component's text replaced by `change(text)`."""
     top = max(texts)
-    doc = json.loads(texts[top])
-    doc["terms"][0] = change(doc["terms"][0])
-    texts[top] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    texts[top] = Encoded(change(texts[top].text))
     return texts
 
 
-def kernel_zeroing_a_top_exponent(space, factors):
+def _with_top_row(texts: dict[int, Encoded], change) -> dict[int, Encoded]:
+    """`texts` with the first row of the top-degree component replaced by
+    `change(row)`, the component written again as canonical text."""
+    def changed(text):
+        doc = json.loads(text)
+        doc["terms"][0] = change(doc["terms"][0])
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    return _with_top_text(texts, changed)
+
+
+def kernel_zeroing_a_top_exponent(space, factors, degree=None):
     """`line_series_texts` whose top-degree row has 0 as its first exponent."""
-    return _with_top_row(line_series_texts(space, factors),
+    return _with_top_row(line_series_texts(space, factors, degree),
                          lambda row: {**row, "exponents": [0, *row["exponents"][1:]]})
 
 
-def kernel_raising_the_top_coefficient(space, factors):
+def kernel_raising_the_top_coefficient(space, factors, degree=None):
     """`line_series_texts` whose top-degree row has its coefficient plus one."""
-    return _with_top_row(line_series_texts(space, factors),
+    return _with_top_row(line_series_texts(space, factors, degree),
                          lambda row: {**row, "coefficient": str(int(row["coefficient"]) + 1)})
+
+
+def kernel_shortening_a_top_exponent_vector(space, factors, degree=None):
+    """`line_series_texts` whose top-degree row lacks its last exponent, so
+    its text is no class over the space."""
+    return _with_top_row(line_series_texts(space, factors, degree),
+                         lambda row: {**row, "exponents": row["exponents"][:-1]})
+
+
+def kernel_cutting_the_top_text(space, factors, degree=None):
+    """`line_series_texts` whose top-degree text stops halfway, so it is
+    not JSON."""
+    return _with_top_text(line_series_texts(space, factors, degree),
+                          lambda text: text[:len(text) // 2])
 
 
 def component_dropping_top_term(b, degree):

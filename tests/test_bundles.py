@@ -30,6 +30,7 @@ from villadsen.errors import (
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
+    assert_each_degree_alone,
     chern_class,
     class_document,
     component_dropping_top_term,
@@ -41,6 +42,7 @@ from conftest import (
     pushforward_from_scratch,
     random_space,
     series_product,
+    series_texts,
     unit_class,
 )
 
@@ -489,11 +491,13 @@ def wide_chern_bundles(draw):
                     [(0, 1), (1, 2)]))   # the cut right after the first factor
 def test_chern_texts_are_the_class_components_written_out(b):
     with _unlimited_int_digits():
-        texts = line_series_texts(b.base, chern_series(b))
+        texts = series_texts(b.base, chern_series(b))
         parts = graded_components(series_product(b.base, chern_series(b)))
-        assert texts == {degree: part.json_text() for degree, part in parts.items()}
+        expected = {degree: part.json_text() for degree, part in parts.items()}
+        assert texts == expected
         assert {degree: json.loads(text) for degree, text in texts.items()} == \
             {degree: class_document(part) for degree, part in parts.items()}
+        assert_each_degree_alone(b.base, chern_series(b), expected)
     # the series refuse one term past the budget, with the exact count
     cost = chern_expansion_cost(b)
     if cost > 1:

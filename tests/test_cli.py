@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from pathlib import Path
 from unittest import mock
@@ -20,8 +22,10 @@ from villadsen.type_one import compose_stats
 
 from conftest import (
     component_dropping_top_term,
+    kernel_cutting_the_top_text,
     kernel_dropping_top_term,
     kernel_raising_the_top_coefficient,
+    kernel_shortening_a_top_exponent_vector,
     kernel_zeroing_a_top_exponent,
 )
 
@@ -67,6 +71,71 @@ def test_a_report_without_fragments_is_one_encode_call(tmp_path, capsys, argv):
     with mock.patch.object(reports, "_encode", wraps=reports._encode) as encode:
         assert canonical_json(doc) + "\n" == out
     assert encode.call_count == 1
+
+
+def emitted_writes(monkeypatch, argv) -> tuple[str, list[int], int]:
+    """The canonical text of the report `argv` builds, the lengths of the
+    writes `cli._emit` prints it with, each checked against the text and
+    newline where it lands and then dropped, and the peak of what `_emit`
+    allocates meanwhile."""
+    report = cli._report(cli._parse(argv), 0.0)
+    with cli._unlimited_int_digits():
+        text = canonical_json(report)
+    printed, lengths = text + "\n", []
+
+    def write(run):
+        assert printed.startswith(run, sum(lengths))
+        lengths.append(len(run))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", mock.Mock(write=write))
+        tracemalloc.start()
+        try:
+            assert cli._emit(report) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sum(lengths) == len(printed) and lengths[-1] == 1
+    return text, lengths, peak
+
+
+def write_sphere_lines(tmp_path, generators):
+    """A space of `generators` spheres, with one line summand on each: its
+    total Chern class has 2**generators terms."""
+    space, bundle = tmp_path / "spheres.json", tmp_path / "lines.json"
+    space.write_text(json.dumps({"factors": [{"kind": "s2"}] * generators}))
+    bundle.write_text(json.dumps({"summands": [
+        {"line": {"terms": [{"exponents": [int(i == p) for i in range(generators)],
+                             "coefficient": "1"}]}, "mult": "1"}
+        for p in range(generators)]}))
+    return str(space), str(bundle)
+
+
+def test_a_small_report_is_one_write(tmp_path, monkeypatch):
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    text, lengths, _ = emitted_writes(monkeypatch, ["vi", "--config", config, "--witness", "2"])
+    assert len(text) < cli._WRITE_CHUNK
+    assert lengths == [len(text), 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["v2", "-k", "2", "-n", "300", "--rc"],
+    ["chern", "--space", "{space}", "--bundle", "{bundle}"],   # 2**12 terms
+])
+def test_a_large_report_is_written_in_runs_of_its_pieces(tmp_path, monkeypatch, argv):
+    # the report's bytes, in runs that each reach the next 64 KiB mark: no
+    # write holds the whole text, no run is joined far past its mark, and
+    # no copy of the whole text is made
+    space, bundle = write_sphere_lines(tmp_path, 12)
+    text, lengths, peak = emitted_writes(monkeypatch, [arg.format(space=space, bundle=bundle)
+                                                       for arg in argv])
+    assert len(text) > 2 * cli._WRITE_CHUNK
+    runs = lengths[:-1]
+    assert max(runs) < 2 * cli._WRITE_CHUNK
+    ends = list(accumulate(runs))
+    assert all(end // cli._WRITE_CHUNK > before // cli._WRITE_CHUNK
+               for before, end in zip([0, *ends], ends[:-1]))
+    assert peak < len(text) // 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,13 +285,13 @@ def test_cfp_witness_is_released_before_the_report_is_written(capsys, monkeypatc
         witnesses.append(weakref.ref(witness))
         return witness
 
-    def canonical_json(doc):
+    def canonical_pieces(doc):
         written.append([ref() is None for ref in witnesses])
         return encode(doc)
 
-    cfp_build_witness, encode = villadsen.cfp.build_witness, reports.canonical_json
+    cfp_build_witness, encode = villadsen.cfp.build_witness, reports.canonical_pieces
     monkeypatch.setattr(villadsen.cfp, "build_witness", build_witness)
-    monkeypatch.setattr(reports, "canonical_json", canonical_json)
+    monkeypatch.setattr(reports, "canonical_pieces", canonical_pieces)
     code, out = run_cli(capsys, "cfp", "--terms", "3")
     assert code == 0 and json.loads(out)["ok"] is True
     assert written == [[True]]
@@ -700,6 +769,9 @@ BROKEN_ROUTE = {
     # a top row off the full monomial, and one with the wrong coefficient
     "villadsen.type_one.line_series_texts zeroing": kernel_zeroing_a_top_exponent,
     "villadsen.type_one.line_series_texts raising": kernel_raising_the_top_coefficient,
+    # a top text that cannot be read back: a short exponent vector, and a cut text
+    "villadsen.type_one.line_series_texts shortening": kernel_shortening_a_top_exponent_vector,
+    "villadsen.type_one.line_series_texts cutting": kernel_cutting_the_top_text,
     # the closed form of the running pushforward coefficient, off by one
     "villadsen.cfp.factorial": lambda n: factorial(n) + 1,
     # a unit rank 1000 times too large shrinks every trace below its bounds
@@ -747,6 +819,12 @@ BROKEN_ROUTE = {
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
      "top_chern_witness", "villadsen.type_one.line_series_texts raising",
      "top Chern coefficient mismatch: closed 9, expanded 10"),
+    (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
+     "top_chern_witness", "villadsen.type_one.line_series_texts shortening",
+     "top Chern coefficient mismatch: closed 9, expanded unreadable"),
+    (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
+     "top_chern_witness", "villadsen.type_one.line_series_texts cutting",
+     "top Chern coefficient mismatch: closed 9, expanded unreadable"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
                                             tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
+    assert_each_degree_alone,
     cup,
     dict_form_text,
     graded_components,
@@ -21,6 +22,7 @@ from conftest import (
     random_class,
     random_space,
     series_product,
+    series_texts,
     unit_class,
 )
 
@@ -259,8 +261,10 @@ def test_line_series_product_is_the_cartesian_product():
     assert series_product(space, factors) == product
     assert len(product.terms) == 6
     texts = {d: part.json_text() for d, part in graded_components(product).items()}
-    assert line_series_texts(space, factors) == texts
-    assert line_series_texts(space, []) == {0: unit_class(space).json_text()}
+    assert series_texts(space, factors) == texts
+    assert series_texts(space, []) == {0: unit_class(space).json_text()}
+    assert_each_degree_alone(space, factors, texts)
+    assert_each_degree_alone(space, [], {0: unit_class(space).json_text()})
 
 
 def texts_of_product(space, factors) -> dict[int, str]:
@@ -279,7 +283,9 @@ def test_line_series_texts_of_short_and_signed_series():
         [(0, [1, 2]), (1, []), (2, [3])],      # an empty series: zero, with no component
     ]
     for factors in cases:
-        assert line_series_texts(space, factors) == texts_of_product(space, factors)
+        expected = texts_of_product(space, factors)
+        assert series_texts(space, factors) == expected
+        assert_each_degree_alone(space, factors, expected)
 
 
 def test_line_series_texts_cut_before_every_factor():
@@ -295,13 +301,15 @@ def test_line_series_texts_cut_before_every_factor():
                                     for _ in range(2 ** k if i == j else 2)])
                        for i in range(k)]
             with mock.patch("villadsen.cohomology._expand", wraps=_expand) as expand:
-                texts = line_series_texts(space, factors)
+                texts = series_texts(space, factors)
             # the prefix block starts from the exponent text "0" of the
             # first sphere, the suffix block from ""
             prefix_levels = [levels for text, levels in
                              (c.args for c in expand.call_args_list) if text]
             assert [len(levels) for levels in prefix_levels] == [j]
-            assert texts == texts_of_product(space, factors)
+            expected = texts_of_product(space, factors)
+            assert texts == expected
+            assert_each_degree_alone(space, factors, expected)
 
 
 def test_line_series_product_checks_each_factor():

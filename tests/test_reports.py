@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import villadsen
-from villadsen.reports import Encoded, canonical_json, fraction_json, load_schema, validate_report
+from villadsen.reports import (
+    Encoded,
+    canonical_json,
+    canonical_pieces,
+    fraction_json,
+    load_schema,
+    validate_report,
+)
 
 
 def test_packaged_schema_is_a_valid_schema():
@@ -181,6 +188,13 @@ def test_fragments_are_spliced_where_their_values_sit():
            "c": {"z": Encoded('"s"'), "y": None}}
     plain = {"b": {"terms": []}, "a": [[1, 2], "x"], "c": {"z": "s", "y": None}}
     assert canonical_json(doc) == canonical_dumps(plain)
+    # the pieces hold each fragment's own piece, not a copy, and a value
+    # with no fragment is one piece
+    pieces = canonical_pieces(doc)
+    assert "".join(pieces) == canonical_dumps(plain)
+    for fragment in (doc["b"], doc["a"][0], doc["c"]["z"]):
+        assert any(piece is fragment.pieces[0] for piece in pieces)
+    assert canonical_pieces(plain) == [canonical_dumps(plain)]
 
 
 # text with quotes, backslashes, non-ASCII characters and JSON-looking pieces

@@ -360,9 +360,9 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
     fragments = []
     encoded_init = reports.Encoded.__init__
 
-    def counting_init(self, text):
-        fragments.append(text)
-        encoded_init(self, text)
+    def counting_init(self, *pieces):
+        fragments.append(pieces)
+        encoded_init(self, *pieces)
 
     monkeypatch.setattr(reports.Encoded, "__init__", counting_init)
     # every class, whether built by the validating constructor or `_normal`

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from villadsen.cli import main
+from villadsen.cohomology import line_series_texts
 from villadsen.errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from villadsen.type_one import (
     IDENTITY_STATS,
@@ -28,8 +29,10 @@ from conftest import (
     enumerate_chain_stats,
     fraction,
     fraction_pair,
+    kernel_cutting_the_top_text,
     kernel_dropping_top_term,
     kernel_raising_the_top_coefficient,
+    kernel_shortening_a_top_exponent_vector,
     kernel_zeroing_a_top_exponent,
     plain,
     random_step,
@@ -189,12 +192,33 @@ def test_top_chern_witness_budget(monkeypatch):
 
 
 def test_top_chern_witness_disagreement(monkeypatch):
-    # no top row, a top row off the full monomial, and a top coefficient off by one
+    # no top row, a top row off the full monomial, a top coefficient off by
+    # one, and two top texts that cannot be read back
     for kernel, expanded in ((kernel_dropping_top_term, 0), (kernel_zeroing_a_top_exponent, 0),
-                             (kernel_raising_the_top_coefficient, 10)):
+                             (kernel_raising_the_top_coefficient, 10),
+                             (kernel_shortening_a_top_exponent_vector, "unreadable"),
+                             (kernel_cutting_the_top_text, "unreadable")):
         monkeypatch.setattr("villadsen.type_one.line_series_texts", kernel)
         with pytest.raises(CrossCheckDisagreement, match=f"closed 9, expanded {expanded}$"):
             top_chern_witness(2, [1, 3])
+
+
+def test_vi_witness_expands_only_its_top_degree(monkeypatch):
+    # one call of the kernel per witness, for the one degree 2 * gens
+    asked = []
+
+    def spy(space, factors, degree=None):
+        asked.append((len(space.caps), degree))
+        return line_series_texts(space, factors, degree)
+
+    monkeypatch.setattr("villadsen.type_one.line_series_texts", spy)
+    step = StepSpec((("p1", 2), ("p2", 3)), 1)
+    for n in (2, 3, 7):
+        asked.clear()
+        code, checks = run_vi([step], "--witness", str(n))
+        assert code == 0 and checks["top_chern_witness"]["outcome"] == "pass"
+        assert checks["top_chern_witness"]["certificate"]["coefficient"] == str(6 ** n)
+        assert asked == [(2 * n, 4 * n)]
 
 
 def test_contradiction_at_exact_threshold():
