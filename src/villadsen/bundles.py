@@ -148,7 +148,10 @@ def top_powers(b: BundleExpr):
     """
     caps = b.base.caps
     for pos, mult in b.parts.items():
-        yield pos, mult, min(mult, caps[pos] - 1)
+        cap = caps[pos]
+        # a comparison, not min(): a multiplicity below its cap is the top
+        # power itself, with no subtraction of two big integers
+        yield pos, mult, mult if mult < cap else cap - 1
 
 
 def chern_expansion_cost(b: BundleExpr) -> int:
@@ -186,28 +189,41 @@ def chern_component(b: BundleExpr, degree: int) -> GradedClass:
     Multiplies the summands' truncated series (1 + y)^mult one at a time
     and prunes every partial term that can no longer reach the degree:
     one whose power sum already passes degree/2, or that the remaining
-    summands' top powers cannot lift to it.  C(mult, i) is computed only
-    for the powers i that survive.  In the Euler degree 2*rank at most one
-    partial term survives each step, so that component needs no budget.
-    Odd or negative degrees hold nothing and yield the zero class.
+    summands' top powers cannot lift to it.  A partial term carries its
+    slack, degree/2 minus its power sum minus the top powers still to
+    come, as one running integer: taking a summand's top power leaves it
+    as it is, so the bounds are two comparisons and no arithmetic on the
+    degree.  Its chosen powers are links, (power, earlier link), read back
+    into an exponent vector once at the end, and C(mult, i) is computed
+    only for the powers 0 < i < mult that survive.  In the Euler degree
+    2*rank at most one partial term survives each step, at its top power,
+    so that component costs time linear in the summands and needs no
+    budget.  Odd or negative degrees hold nothing and yield the zero class.
     """
     if degree < 0 or degree % 2:
         return GradedClass.zero(b.base)
-    want = degree // 2
     tops = list(top_powers(b))
     reach = sum(top for _, _, top in tops)  # what the summands not yet taken can add
-    partial = [((), 0, 1)]  # (powers chosen so far, their sum, coefficient)
+    partial = [(None, degree // 2 - reach, 1)]  # (chosen powers, slack, coefficient)
     for pos, mult, top in tops:
         reach -= top
-        partial = [(powers + (i,), total + i, coeff * comb(mult, i))
-                   for powers, total, coeff in partial
-                   for i in range(max(0, want - total - reach), min(top, want - total) + 1)]
+        step = []
+        for chosen, slack, coeff in partial:
+            # power top - j: j at most -slack, so the summands after it can
+            # still lift the sum to degree/2, and at least -slack - reach,
+            # so the sum does not pass it
+            for j in range(-slack - reach if -slack > reach else 0, min(top, -slack) + 1):
+                i = top - j if j else top  # the top power itself, with no subtraction
+                # C(mult, 0) = C(mult, mult) = 1
+                step.append(((i, chosen), slack + j,
+                             coeff if i == 0 or i == mult else coeff * comb(mult, i)))
+        partial = step
     terms = {}
-    for powers, total, coeff in partial:
-        if total == want:
+    for chosen, slack, coeff in partial:
+        if slack == 0:  # the power sum is degree/2
             key = [0] * len(b.base.caps)
-            for (pos, _, _), i in zip(tops, powers):
-                key[pos] = i
+            for pos, _, _ in reversed(tops):
+                key[pos], chosen = chosen
             terms[tuple(key)] = coeff
     return GradedClass._normal(b.base, terms)
 

@@ -15,17 +15,18 @@ terms (`GradedClass.json_text`), one formatted row per term, with no
 per-term object built for an encoder to walk.  `line_series_texts` writes
 a product of line series the same way, degree by degree, with no class at
 all: each row joins a term of a prefix block of the factors with a term of
-the suffix block, and no Python loop runs per term.  Each degree's
-component is a `reports.Encoded` fragment whose pieces are runs of rows,
-each joined once and never joined again into a component text.  It is the
-engine's one expansion of a product of line series: `chern` prints its
-components, and `vi --witness` asks for the top degree alone and compares
-its text with the closed form.
+the suffix block, and no Python loop runs per term.  A run, the rows of one
+prefix term with one suffix power sum, is one list of slots filled by two
+slice assignments and joined once, and the cut between the blocks is where
+the runs plus the suffix terms are fewest.  Each degree's component is a
+`reports.Encoded` fragment whose pieces are its runs, never joined again
+into a component text.  It is the engine's one expansion of a product of
+line series: `chern` prints its components, and `vi --witness` asks for the
+top degree alone and compares its text with the closed form.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from math import prod
 
 from .reports import Encoded
@@ -168,15 +169,21 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
     (ValueError if one fails), not once per term.
 
     The factors, in position order, are cut into a prefix block and a suffix
-    block of about the square root of the term count, and each block is
-    expanded alone (`_expand`).  The suffix terms are grouped by power sum;
-    each prefix then writes its rows with each group it meets as one run,
-    joined from one chain of `map`/`zip` calls, so no Python bytecode runs
-    per term and each run's per-term strings are freed as it is joined.  A
-    component's pieces are its opening text and its runs: no component text
-    is joined.  With `degree`, each prefix meets only the one group that
-    reaches it.  Terms come out in exponent order, so each degree's rows are
-    already sorted, and every power sum up to the top one is reached."""
+    block, and each block is expanded alone (`_expand`).  The suffix terms
+    are grouped by power sum; each prefix then writes its rows with each
+    group it meets as one run.  A run of k rows is one list of 3k slots,
+    each preset to the prefix's exponent text; two slice assignments put
+    the coefficients (the prefix's times the group's, by `map`) and the
+    group's closing texts in the others, and it is joined once.  So no
+    Python bytecode runs per term, no per-term tuple is built, and each
+    run's per-term strings are freed as it is joined.  The cut minimises
+    the runs plus the suffix terms, P * G + S for P prefix terms, G suffix
+    power sums and S suffix terms, and on a tie the terms held, P + S.  With
+    `degree`, each prefix meets only the one group that reaches it, so G
+    counts as 1.  A component's pieces are its opening text and its runs:
+    no component text is joined.  Terms come out in exponent order, so each
+    degree's rows are already sorted, and every power sum up to the top one
+    is reached."""
     series = _series_by_position(space, factors)
     order, n = sorted(series), len(space.caps)
     head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
@@ -184,18 +191,28 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
     levels = [([("," if pos else "") + str(i) + ",0" * (end - pos - 1)
                 for i in range(len(series[pos]))], series[pos])
               for pos, end in zip(order, order[1:] + [n])]
-    # the suffix block: the last factors, enough of them to reach sqrt(terms) terms
-    terms, cut, size = prod(len(coeffs) for _, coeffs in levels), len(levels), 1
+    terms = prod(len(coeffs) for _, coeffs in levels)
     if not terms:
         return {}  # an empty series: the product is zero
-    while size * size < terms:
-        cut -= 1
-        size *= len(levels[cut][1])
+    # the cut: levels[:cut] are the prefix block, whose terms each write one
+    # run per suffix group they meet (all of them, or one for a single
+    # degree); the suffix block's terms are expanded once.  It minimises the
+    # runs plus the suffix terms; of cuts that tie, the one whose blocks
+    # hold the fewest terms, and then the one with the fewest prefix factors
+    size, count, best = 1, 1, None  # the suffix block's terms and power sums
+    for c in range(len(levels), -1, -1):
+        prefix = terms // size
+        cost = (prefix * (count if degree is None else 1) + size, prefix + size)
+        if best is None or cost <= best:
+            best, cut, sums = cost, c, count
+        if c:
+            size *= len(levels[c - 1][1])
+            count += len(levels[c - 1][1]) - 1
     # the suffix terms by power sum: their coefficients, and each one's
-    # exponent text, closing its row and opening the next
-    suffixes = _expand("", levels[cut:])
-    groups: list[tuple[list[int], list[str]]] = [([], []) for _ in range(suffixes[-1][1] + 1)]
-    for text, total, coeff in suffixes:
+    # exponent text, closing its row and opening the next.  The expansion
+    # is freed once its terms are grouped, before any prefix is written
+    groups: list[tuple[list[int], list[str]]] = [([], []) for _ in range(sums)]
+    for text, total, coeff in _expand("", levels[cut:]):
         coeffs, tails = groups[total]
         coeffs.append(coeff)
         tails.append(text + _NEXT_ROW)
@@ -209,11 +226,13 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
         low = high = degree // 2
     runs: list[list[str]] = [['{"terms":[{"coefficient":"'] for _ in range(low, high + 1)]
     for text, total, coeff in prefixes:
-        middle, times = repeat('","exponents":[' + text), coeff.__mul__
+        middle, times = '","exponents":[' + text, coeff.__mul__
         for t in range(max(low, total), min(high, total + len(groups) - 1) + 1):
             coeffs, tails = groups[t - total]
-            runs[t - low].append("".join(chain.from_iterable(
-                zip(map(str, map(times, coeffs)), middle, tails))))
+            row = [middle] * (3 * len(coeffs))
+            row[0::3] = map(str, map(times, coeffs))
+            row[2::3] = tails
+            runs[t - low].append("".join(row))
     for part in runs:  # the last row closes the class instead of opening a row
         part[-1] = part[-1][:-len(_NEXT_ROW)] + "]}]}"
     return {2 * t: Encoded(*part) for t, part in enumerate(runs, low)}

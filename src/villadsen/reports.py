@@ -129,26 +129,32 @@ def encoded_rows(rows: list[str]) -> Encoded:
     return Encoded(*pieces)
 
 
-def canonical_pieces(doc) -> list[str] | tuple[str, ...]:
+def canonical_pieces(report: dict) -> list[str]:
     """The report as one line of JSON with sorted keys and no whitespace,
     in the pieces whose concatenation it is.
 
-    A value that holds no `Encoded` fragment is one piece, written by one
-    encode call.  A list, or dict with string keys, that holds one is
-    written member by member, keys in sorted order: each fragment's pieces
-    where it sits, and each other member by one encode call.  Nothing is
+    Only `checks` may hold `Encoded` fragments, so only it is walked: a list
+    or dict in it that holds one is written member by member, keys in
+    sorted order, each fragment's pieces where it sits and each other
+    member by one encode call.  Every other member of the report, the
+    echoed `inputs` documents included, is written by one encode call, and
+    a report whose checks hold no fragment is one piece.  Nothing is
     spliced afterwards and no output text is searched.  Every piece is
     written before this returns, so an encode error comes before any of
-    them is used.  Any other value that is not JSON raises TypeError, as
-    does a non-string key beside a fragment.
+    them is used.  A value that is not JSON raises TypeError, a fragment
+    outside `checks` included, as does a non-string key beside a fragment.
     """
-    pieces = _pieces(doc)
-    return [_encode(doc)] if pieces is None else pieces
+    checks = _pieces(report.get("checks"))
+    return [_encode(report)] if checks is None else _members(report, {"checks": checks})
 
 
-def canonical_json(doc) -> str:
-    """The report as one line of JSON: its `canonical_pieces`, joined."""
-    return "".join(canonical_pieces(doc))
+def canonical_json(value) -> str:
+    """Any value as one line of JSON with sorted keys and no whitespace,
+    each `Encoded` fragment's text where it sits, wherever that is: a
+    certificate as a report writes it.  A report's text is this, and the
+    join of its `canonical_pieces`."""
+    pieces = _pieces(value)
+    return _encode(value) if pieces is None else "".join(pieces)
 
 
 # the values that are, or may hold, a fragment
@@ -176,8 +182,13 @@ def _pieces(value) -> list[str] | tuple[str, ...] | None:
                 if held is None:
                     held = {}
                 held[key] = pieces
-    if held is None:
-        return None
+    return None if held is None else _members(value, held)
+
+
+def _members(value: list | dict, held: dict) -> list[str]:
+    """The canonical text of the list or dict `value` as pieces: `held`
+    gives the pieces of the members it names, by index or key, and each
+    other member is written by one encode call."""
     out = []
     if isinstance(value, list):
         for i, item in enumerate(value):

@@ -8,8 +8,9 @@ filter and move exponent vectors term by term, so the engine's kernels
 (`line_series_texts`, `chern_component`, `pullback_positions`) are
 checked against them, not against themselves: `series_product` is the
 cup product of each factor's series class, the reference for
-`line_series_texts` (`series_texts` reads its components as text, and
-`assert_each_degree_alone` checks each `degree` it can be asked for).
+`line_series_texts` (`series_texts` reads its components as text,
+`assert_each_degree_alone` checks each `degree` it can be asked for, and
+`series_cut` is where it cuts the factors into its two blocks).
 `graded_components` and `class_document` split a
 class by degree and write it as one dict per term, the references for the
 class text the engine writes directly.  The library builds no total Chern
@@ -39,7 +40,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 
 from villadsen import cli, type_two
 from villadsen.bundles import BundleExpr, chern_component, chern_series, pushforward_diagonal
@@ -292,6 +293,20 @@ def series_product(space: SpaceDescriptor, factors: list[tuple[int, list[int]]])
             series[tuple(exps)] = c
         product = cup(product, GradedClass(space, series))
     return product
+
+
+def series_cut(lengths: list[int]) -> int:
+    """Reference cut of `line_series_texts` writing every degree, for
+    factors of these term counts in position order: the prefix block is the
+    first `cut` factors.  Each prefix term writes one run per power sum of
+    the suffix block, so the cut minimises P * G + S, with P the prefix
+    terms, G the suffix block's power sums and S its terms; on a tie, the
+    terms both blocks hold, P + S; and then it is the first such cut."""
+    def runs_and_suffix_terms(cut: int) -> tuple[int, int]:
+        prefix, suffix = prod(lengths[:cut]), lengths[cut:]
+        return (prefix * (sum(suffix) - len(suffix) + 1) + prod(suffix),
+                prefix + prod(suffix))
+    return min(range(len(lengths) + 1), key=runs_and_suffix_terms)
 
 
 def series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],

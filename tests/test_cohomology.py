@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from villadsen.bundles import BundleExpr, chern_series
 from villadsen.cohomology import GradedClass, _expand, line_series_texts
 from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
@@ -21,6 +22,7 @@ from conftest import (
     pullback_class,
     random_class,
     random_space,
+    series_cut,
     series_product,
     series_texts,
     unit_class,
@@ -289,27 +291,53 @@ def test_line_series_texts_of_short_and_signed_series():
 
 
 def test_line_series_texts_cut_before_every_factor():
-    # k factors of two powers but the one at index j, which has 2**k and so
-    # more terms than the others together: the suffix block starts with it
+    # k factors of two powers but the one at index j, which has 2**k; then
+    # factors of 1 to 4 powers, drawn until the cut has fallen
+    # before every factor and after the last.  Each cut is the reference's,
+    # where the runs plus the suffix terms are fewest
     rng = random.Random(7)
     for k in range(1, 7):
         # summand-free spheres around and between the factors' projective spaces
         space = SpaceDescriptor(tuple(cproj(2 ** k) if i % 2 else sphere2()
                                       for i in range(2 * k + 1)))
-        for j in range(k):
+        shapes = [[2 ** k if i == j else 2 for i in range(k)] for j in range(k)]
+        cuts = {series_cut(lengths) for lengths in shapes}
+        while len(cuts) < k + 1:
+            lengths = [rng.randint(1, 4) for _ in range(k)]
+            if series_cut(lengths) not in cuts:
+                cuts.add(series_cut(lengths))
+                shapes.append(lengths)
+        assert cuts == set(range(k + 1))
+        for lengths in shapes:
             factors = [(2 * i + 1, [rng.choice([-1, 1]) * rng.randint(1, 99)
-                                    for _ in range(2 ** k if i == j else 2)])
-                       for i in range(k)]
+                                    for _ in range(size)])
+                       for i, size in enumerate(lengths)]
             with mock.patch("villadsen.cohomology._expand", wraps=_expand) as expand:
                 texts = series_texts(space, factors)
             # the prefix block starts from the exponent text "0" of the
             # first sphere, the suffix block from ""
             prefix_levels = [levels for text, levels in
                              (c.args for c in expand.call_args_list) if text]
-            assert [len(levels) for levels in prefix_levels] == [j]
+            assert [len(levels) for levels in prefix_levels] == [series_cut(lengths)]
             expected = texts_of_product(space, factors)
             assert texts == expected
             assert_each_degree_alone(space, factors, expected)
+
+
+def test_line_series_texts_of_a_mixed_document_in_few_runs():
+    # a 1960-term `chern` document of series lengths [4, 5, 2, 7, 7]: a
+    # suffix block of the last two factors would write 520 runs of about
+    # four rows (40 prefix and 49 suffix terms expanded), the cut after the
+    # first two writes 280 (20 and 98 terms)
+    space = SpaceDescriptor((cproj(3), cproj(4), sphere2(), cproj(6), cproj(6)))
+    factors = chern_series(BundleExpr(space, 1, [(0, 3), (1, 7), (2, 2), (3, 6), (4, 9)]))
+    assert [len(coeffs) for _, coeffs in factors] == [4, 5, 2, 7, 7]
+    components = line_series_texts(space, factors)
+    expected = texts_of_product(space, factors)
+    assert {degree: part.text for degree, part in components.items()} == expected
+    assert_each_degree_alone(space, factors, expected)
+    # a component's pieces are its opening text and its runs
+    assert sum(len(part.pieces) - 1 for part in components.values()) <= 280
 
 
 def test_line_series_product_checks_each_factor():

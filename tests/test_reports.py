@@ -6,12 +6,14 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import example, given, strategies as st
 
 import villadsen
+from villadsen import reports
 from villadsen.reports import (
     Encoded,
     canonical_json,
@@ -184,17 +186,34 @@ def canonical_dumps(doc) -> str:
 
 
 def test_fragments_are_spliced_where_their_values_sit():
-    doc = {"b": Encoded('{"terms":[]}'), "a": [Encoded("[1,2]"), "x"],
-           "c": {"z": Encoded('"s"'), "y": None}}
-    plain = {"b": {"terms": []}, "a": [[1, 2], "x"], "c": {"z": "s", "y": None}}
+    checks = [{"b": Encoded('{"terms":[]}'), "a": [Encoded("[1,2]"), "x"],
+               "c": {"z": Encoded('"s"'), "y": None}}]
+    doc = {"command": "chern", "inputs": {"a": [1]}, "checks": checks, "ok": True}
+    plain = {**doc, "checks": [{"b": {"terms": []}, "a": [[1, 2], "x"],
+                                "c": {"z": "s", "y": None}}]}
     assert canonical_json(doc) == canonical_dumps(plain)
-    # the pieces hold each fragment's own piece, not a copy, and a value
+    # the pieces hold each fragment's own piece, not a copy, and a report
     # with no fragment is one piece
     pieces = canonical_pieces(doc)
     assert "".join(pieces) == canonical_dumps(plain)
-    for fragment in (doc["b"], doc["a"][0], doc["c"]["z"]):
+    for fragment in (checks[0]["b"], checks[0]["a"][0], checks[0]["c"]["z"]):
         assert any(piece is fragment.pieces[0] for piece in pieces)
     assert canonical_pieces(plain) == [canonical_dumps(plain)]
+
+
+def test_a_report_is_walked_for_fragments_only_in_its_checks():
+    # the echoed input documents never hold a fragment: they are written by
+    # one encode call, so one given there is not JSON
+    inputs = {"space": {"factors": [{"kind": "s2"}] * 3}, "bundle": {"trivial": "1"}}
+    doc = {"command": "chern", "inputs": inputs, "checks": [Encoded("[]")], "ok": True}
+    with mock.patch("villadsen.reports._pieces", wraps=reports._pieces) as walk:
+        assert "".join(canonical_pieces(doc)) == canonical_dumps({**doc, "checks": [[]]})
+    assert [c.args[0] for c in walk.call_args_list] == [doc["checks"], doc["checks"][0]]
+    for inputs in ({"config": Encoded("1")}, [Encoded("1")], Encoded("{}")):
+        with pytest.raises(TypeError):
+            canonical_pieces({**doc, "inputs": inputs})
+        with pytest.raises(TypeError):
+            canonical_pieces({"inputs": inputs, "checks": []})
 
 
 # text with quotes, backslashes, non-ASCII characters and JSON-looking pieces
@@ -236,6 +255,9 @@ def test_fragments_are_written_where_they_sit(case):
     echo = {text: [text] for text in texts}
     assert canonical_json([doc, echo]) == canonical_dumps([plain, echo])
     assert canonical_json({**echo, "\x00": doc}) == canonical_dumps({**echo, "\x00": plain})
+    # a report's checks, beside echoed input documents
+    report, plain_report = {"inputs": echo, "checks": doc}, {"inputs": echo, "checks": plain}
+    assert "".join(canonical_pieces(report)) == canonical_dumps(plain_report)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2)])
@@ -247,3 +269,7 @@ def test_a_value_that_is_not_json_still_raises(value):
     # json.dumps writes a non-string key as text, but not beside a fragment
     with pytest.raises(TypeError):
         canonical_json({"ok": True, "value": {1: Encoded("1"), 2: "two"}})
+    for report in ({"ok": True, "checks": [value]}, {"checks": [Encoded("1"), [value]]},
+                   {"ok": True, "checks": [{1: Encoded("1"), 2: "two"}]}):
+        with pytest.raises(TypeError):
+            canonical_pieces(report)

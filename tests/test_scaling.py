@@ -26,17 +26,20 @@ A `chern` call writes each nonzero degree of the Chern class, and the
 Euler class, as one text fragment, not as an object per term.  It writes
 the degrees straight from the summands' series: the only class it builds
 past the parsed line classes is the Euler class, and it sorts no terms.
+The Euler degree of a Chern class takes each summand's top power, so its
+component computes no binomial.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
 
 import pytest
 
-from villadsen import bundles, cfp, cli, cohomology, reports, type_two
+from villadsen import bundles, cfp, cli, cohomology, growth, reports, type_two
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -404,3 +407,25 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
     assert sorts == [generators, 1]
     assert not hasattr(cohomology, "graded_components")
     assert not hasattr(GradedClass, "to_json")
+
+
+def test_euler_component_computes_no_binomial(monkeypatch):
+    # the Euler degree of the Chern class of the k = 2 witness sum to stage
+    # 200 takes each summand's top power, its multiplicity, whose binomial
+    # C(mult, mult) is 1, so no binomial of the factorial-scale
+    # multiplicities is computed
+    dims = [stage.dim for stage in itertools.islice(growth.tower(2), 1, 201)]
+    b = bundles.capacity_sum(dims)
+    calls = []
+    comb = math.comb
+
+    def counting_comb(n, k):
+        calls.append(k)
+        return comb(n, k)
+
+    monkeypatch.setattr(bundles, "comb", counting_comb)
+    assert bundles.chern_component(b, 2 * b.rank) == bundles.euler(b)
+    assert calls == []
+    # below the Euler degree the binomials are computed as before
+    assert not bundles.chern_component(b, 2 * b.rank - 2).is_zero()
+    assert calls
