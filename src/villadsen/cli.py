@@ -19,8 +19,9 @@ order as `--opt value`, `-k value` or a bare flag.  Prefix abbreviations,
 Every report is checked against the packaged report schema
 (`reports.validate_report`, standard-library code) before it is printed;
 one that fails is not printed, and one `error:` line names the JSON path
-and the offending value.  All of a report's text is encoded, as pieces,
-before its first byte is printed.
+and the offending value.  All of a report's text is written, as pieces, by
+`reports.canonical_pieces` before its first byte is printed; an echoed
+input document is written where it is read (`_load_json`).
 """
 
 from __future__ import annotations
@@ -49,18 +50,19 @@ from .type_one import (
 from .type_two import comparability_triple, radius_of_comparison, trace_table
 
 
-def _load_json(path: str) -> dict:
-    """The JSON document at `path`; a float literal (1e400, 2.9, NaN) is a
-    ConfigError, since every number the engine reads is an exact integer,
-    and so are an integer literal past Python's int<->str digit limit and
-    nesting past the interpreter's recursion limit."""
+def _load_json(path: str) -> tuple[object, reports.Encoded]:
+    """The JSON document at `path`, and its echo for the report's `inputs`
+    (`reports.echo`).  A float literal (1e400, 2.9, NaN) is a ConfigError,
+    since every number the engine reads is an exact integer, and so are an
+    integer literal past Python's int<->str digit limit and nesting past
+    the interpreter's recursion limit, in the reading or in the echo."""
     def reject(literal):
         raise ConfigError(f"{path} holds the non-integer number {literal}; "
                           "write integers or decimal strings")
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=reject, parse_constant=reject)
+            doc = json.load(fh, parse_float=reject, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not JSON: {exc}") from None
         except ConfigError:
@@ -72,6 +74,12 @@ def _load_json(path: str) -> dict:
         except ValueError:  # the decoder's int() refused a literal past the digit limit
             raise ConfigError(f"{path} holds an integer literal of more than "
                               f"{sys.get_int_max_str_digits()} digits") from None
+    try:
+        # json.load reads a document a few levels deeper than its encoder
+        # can write, depending on how deep the caller's stack already is
+        return doc, reports.echo(doc)
+    except RecursionError:
+        raise ConfigError(f"{path} nests too deeply to be echoed") from None
 
 
 def _check_index(label: str, value: int | None) -> None:
@@ -128,10 +136,12 @@ _WRITE_CHUNK = 1 << 16
 
 def _emit(report: dict) -> int:
     """Validate and print `report`, which only this call holds, under the
-    lifted digit limit.  Every piece of its text is written before the
-    first byte is printed, so an encode error prints no part of it; then
-    the report is freed, and the pieces are printed in runs of about
-    `_WRITE_CHUNK` characters.  The whole text is never joined."""
+    lifted digit limit.  Every piece of its text is written first, by
+    `reports.canonical_pieces`, which builds no JSON encoder (the echoed
+    input documents are fragments written where they were read), so an
+    error prints no part of it; then the report is freed, and the pieces
+    are printed in runs of about `_WRITE_CHUNK` characters.  The whole
+    text is never joined."""
     with _unlimited_int_digits():
         try:
             reports.validate_report(report)
@@ -142,11 +152,9 @@ def _emit(report: dict) -> int:
         try:
             pieces = reports.canonical_pieces(report)
         except RecursionError:
-            # json.load reads a document a few levels deeper than the report,
-            # which holds it under `inputs`, can echo it; a value that holds
-            # itself also ends here, as the encoder keeps no cycle record
-            raise ConfigError("the report nests too deeply to be written: an echoed "
-                              "input document, or a value that holds itself") from None
+            # the writer keeps no record of the containers it is inside
+            raise ConfigError("the report nests too deeply to be written: "
+                              "a value that holds itself") from None
         ok = report["ok"]
         del report
         start, size, mark = 0, 0, _WRITE_CHUNK
@@ -186,8 +194,8 @@ def _certified(certificate: dict) -> tuple[bool, dict]:
 # the list of (check name, computation); `main` runs the computations.
 
 def _run_chern(args):
-    space_doc = _load_json(args.space)
-    bundle_doc = _load_json(args.bundle)
+    space_doc, space_echo = _load_json(args.space)
+    bundle_doc, bundle_echo = _load_json(args.bundle)
     base = _parse_document("space", args.space, SpaceDescriptor.from_json, space_doc)
     bundle = _parse_document("bundle", args.bundle,
                              lambda doc: parse_bundle(base, doc), bundle_doc)
@@ -205,14 +213,14 @@ def _run_chern(args):
         return True, {"degree": str(2 * bundle.rank), "nonzero": nonzero,
                       "class": reports.Encoded(euler(bundle).json_text())}
 
-    return ({"space": space_doc, "bundle": bundle_doc},
+    return ({"space": space_echo, "bundle": bundle_echo},
             [("chern_components", components), ("euler_class", euler_class)])
 
 
 def _run_vi(args):
     if args.witness is not None and args.witness < 2:
         raise ConfigError(f"--witness must be >= 2, not {args.witness}")
-    config_doc = _load_json(args.config)
+    config_doc, config_echo = _load_json(args.config)
     config = _parse_document("config", args.config, SystemConfig.from_json, config_doc)
     steps = list(config.steps)
     start = args.start
@@ -262,7 +270,7 @@ def _run_vi(args):
               ("projection_ratio_estimate", estimate)]
     if args.witness is not None:
         checks += [("top_chern_witness", witness), ("ratio_contradiction", contradiction)]
-    return ({"config": config_doc, "from": start, "stage": stop, "witness": args.witness},
+    return ({"config": config_echo, "from": start, "stage": stop, "witness": args.witness},
             checks)
 
 

@@ -16,17 +16,18 @@ version once the volatile wall-time field is dropped, which is what
 
 A value the engine has already written as canonical JSON text goes into a
 report as an `Encoded` fragment: a class (`GradedClass.json_text`), a Chern
-component (`line_series_texts`), a rational (`fraction_json`), and each
-record list that grows with a stage or term count, which the engine writes
-row by row as it computes the records, one row template per record kind
-with its keys in canonical order.  A list's fragment is its rows and the
-brackets and commas between them (`encoded_rows`), so no row is copied into
-a list text before the report is joined.
-`canonical_pieces` finds the fragments in one pass that looks at each list
-and dict once, puts each fragment's pieces where it sits and writes every
-value that holds none with one encode call, and splices nothing
-afterwards.  So the report's bytes are those of the same report held as
-plain JSON, and no record or term is built as a dict or encoded again.  The
+component (`line_series_texts`), a rational (`fraction_json`), each record
+list that grows with a stage or term count, which the engine writes row by
+row as it computes the records, one row template per record kind with its
+keys in canonical order, and each echoed input document (`echo`, one call
+of json's C encoder where the document is read).  A list's fragment is its
+rows and the brackets and commas between them (`encoded_rows`), so no row
+is copied into a list text before the report is joined.
+`canonical_pieces` is the one report writer: a walk over the report that
+appends each value's text where it sits, each fragment's pieces wherever
+it is, builds no JSON encoder and splices nothing afterwards.  So the
+report's bytes are those of the same report held as plain JSON, and no
+record, term or input document is built as a dict or encoded again.  The
 CLI prints the pieces in runs and never joins them into one text;
 `canonical_json` is their join.
 
@@ -44,6 +45,8 @@ import json
 import re
 import time
 from importlib import resources
+# a string's JSON text, by the C escaper `json.dumps` uses for ASCII output
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 
 from .version import ENGINE_VERSION
@@ -106,14 +109,6 @@ def fraction_json(num: int, den: int) -> str:
     return f'{{"den":"{den // g}","num":"{num // g}"}}'
 
 
-# canonical JSON text of a value, by one encoder built once: `json.dumps`
-# with these options would build a new one on every call.  A report is a
-# tree of fresh engine dicts and `json.load` output, so the encoder keeps no
-# record of the containers it is inside: a value that held itself would end,
-# as a too-deep one does, in RecursionError
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode
-
 # JSON's two booleans, indexed by a Python bool, for the row templates
 JSON_BOOL = ("false", "true")
 
@@ -129,88 +124,82 @@ def encoded_rows(rows: list[str]) -> Encoded:
     return Encoded(*pieces)
 
 
-def canonical_pieces(report: dict) -> list[str]:
+def echo(document) -> Encoded:
+    """An input document as a report echoes it under `inputs`: the fragment
+    of its canonical text, written by one call of json's C encoder where the
+    document is read, so the report writer never walks a document of any
+    size.  A `json.load` result holds no cycle, so the encoder keeps no
+    record of one; RecursionError for a document too deep to encode."""
+    return Encoded(json.dumps(document, sort_keys=True, separators=(",", ":"),
+                              check_circular=False))
+
+
+def canonical_pieces(report) -> list[str]:
     """The report as one line of JSON with sorted keys and no whitespace,
     in the pieces whose concatenation it is.
 
-    Only `checks` may hold `Encoded` fragments, so only it is walked: a list
-    or dict in it that holds one is written member by member, keys in
-    sorted order, each fragment's pieces where it sits and each other
-    member by one encode call.  Every other member of the report, the
-    echoed `inputs` documents included, is written by one encode call, and
-    a report whose checks hold no fragment is one piece.  Nothing is
-    spliced afterwards and no output text is searched.  Every piece is
-    written before this returns, so an encode error comes before any of
-    them is used.  A value that is not JSON raises TypeError, a fragment
-    outside `checks` included, as does a non-string key beside a fragment.
-    """
-    checks = _pieces(report.get("checks"))
-    return [_encode(report)] if checks is None else _members(report, {"checks": checks})
+    One walk (`_write`) writes every value where it sits: each `Encoded`
+    fragment as its own pieces, wherever it is, and every other value
+    member by member, so no JSON encoder is built and nothing is spliced
+    afterwards.  Every piece is written before this returns, so an error
+    comes before any of them is used.  A value that is not JSON raises
+    TypeError: a float, a subclass of a JSON type, a non-string key or any
+    other type.  A value that holds itself ends, as a too-deep one does, in
+    RecursionError."""
+    out: list[str] = []
+    _write(report, out)
+    return out
 
 
 def canonical_json(value) -> str:
     """Any value as one line of JSON with sorted keys and no whitespace,
-    each `Encoded` fragment's text where it sits, wherever that is: a
-    certificate as a report writes it.  A report's text is this, and the
-    join of its `canonical_pieces`."""
-    pieces = _pieces(value)
-    return _encode(value) if pieces is None else "".join(pieces)
+    each `Encoded` fragment's text where it sits: a certificate as a report
+    writes it.  A report's text is this, and the join of its
+    `canonical_pieces`."""
+    return "".join(canonical_pieces(value))
 
 
-# the values that are, or may hold, a fragment
-_NESTED = (Encoded, list, dict)
-
-
-def _pieces(value) -> list[str] | tuple[str, ...] | None:
-    """The canonical text of `value` as pieces, each fragment's pieces among
-    them, or None when `value` holds no fragment.  A list or dict is
-    examined once: its members that are or hold a fragment are found in one
-    pass, and only those are taken apart."""
-    if isinstance(value, Encoded):
-        return value.pieces
-    if isinstance(value, dict):
-        members = value.items()
-    elif isinstance(value, list):
-        members = enumerate(value)
-    else:
-        return None
-    held = None
-    for key, item in members:
-        if isinstance(item, _NESTED):
-            pieces = _pieces(item)
-            if pieces is not None:
-                if held is None:
-                    held = {}
-                held[key] = pieces
-    return None if held is None else _members(value, held)
-
-
-def _members(value: list | dict, held: dict) -> list[str]:
-    """The canonical text of the list or dict `value` as pieces: `held`
-    gives the pieces of the members it names, by index or key, and each
-    other member is written by one encode call."""
-    out = []
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            out.append("," if i else "[")
-            pieces = held.get(i)
-            if pieces is None:
-                out.append(_encode(item))
-            else:
-                out += pieces
+def _write(value, out: list[str]) -> None:
+    """Append the canonical text of `value` to `out`, as pieces.  A value is
+    read by its exact type, as `json.load` and the engine build them, so a
+    subclass, a float (`cli._load_json` reads none, and the engine writes
+    every other number as an int or a decimal string) and a dict key that
+    is not a str are TypeErrors."""
+    kind = type(value)
+    if kind is str:
+        out.append(_string(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        head = "{"
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"a report key must be a str, not {key!r}")
+            out.append(head + _string(key) + ":")
+            _write(value[key], out)
+            head = ","
+        out.append("}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        head = "["
+        for item in value:
+            out.append(head)
+            _write(item, out)
+            head = ","
         out.append("]")
-        return out
-    for key in sorted(value):
-        if not isinstance(key, str):
-            raise TypeError("a dict that holds a fragment must have str keys")
-        out.append(("," if out else "{") + _encode(key) + ":")
-        pieces = held.get(key)
-        if pieces is None:
-            out.append(_encode(value[key]))
-        else:
-            out += pieces
-    out.append("}")
-    return out
+    elif kind is Encoded:
+        out += value.pieces
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append(JSON_BOOL[value])
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a {kind.__name__} is not a report value")
 
 
 def normalize_report(doc: dict) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -62,15 +63,14 @@ def write_vi_config(tmp_path, steps):
     ["vi", "--config", "{config}", "--witness", "2"],
 ])
 def test_a_report_without_fragments_is_one_encode_call(tmp_path, capsys, argv):
-    # the printed report, read back as plain JSON, holds no fragment: it is
-    # written again by one encode call, to the same bytes
+    # the printed report, read back as plain JSON, holds no fragment: the
+    # writer gives it the bytes that one call of json's encoder gives it
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
     code, out = run_cli(capsys, *[arg.format(config=config) for arg in argv])
     doc = json.loads(out)
     assert code == 0 and doc["ok"] is True
-    with mock.patch.object(reports, "_encode", wraps=reports._encode) as encode:
-        assert canonical_json(doc) + "\n" == out
-    assert encode.call_count == 1
+    assert canonical_json(doc) + "\n" == out
+    assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
 def emitted_writes(monkeypatch, argv) -> tuple[str, list[int], int]:
@@ -138,6 +138,10 @@ def test_a_large_report_is_written_in_runs_of_its_pieces(tmp_path, monkeypatch, 
     assert peak < len(text) // 2
 
 
+# the input documents each subcommand echoes
+ECHOED_DOCUMENTS = {"chern": 2, "vi": 1, "v2": 0, "cfp": 0}
+
+
 @pytest.mark.parametrize("argv", [
     ["v2", "-k", "2", "-n", "5", "--rc", "--trace"],
     ["v2", "-k", "2", "-n", "2", "--stage", "4", "--comparability"],
@@ -148,24 +152,35 @@ def test_a_large_report_is_written_in_runs_of_its_pieces(tmp_path, monkeypatch, 
 ])
 def test_every_subcommand_writes_its_report_with_no_refused_encode_call(
         tmp_path, capsys, monkeypatch, argv):
-    # the writer finds fragments by looking, not by offering a value that
-    # holds one to the encoder and catching its TypeError
+    # the report writer builds no JSON encoder: json's C encoder writes each
+    # echoed input document once, where it is read, and nothing else, so
+    # `v2` and `cfp` print the same bytes with the encoder made to raise
+    echoes = ECHOED_DOCUMENTS[argv[0]]
     space, bundle = write_sphere_pair(tmp_path)
     config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
-    encode, calls, refused = reports._encode, [], []
+    argv = [arg.format(space=space, bundle=bundle, config=config) for arg in argv]
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    make_encoder, encodes = json.encoder.c_make_encoder, []
 
-    def counting(value):
-        calls.append(value)
-        try:
-            return encode(value)
-        except TypeError:
-            refused.append(value)
-            raise
+    def counting(*args):
+        if not echoes:
+            raise AssertionError("a JSON encoder was built")
+        encodes.append(args)
+        return make_encoder(*args)
 
-    monkeypatch.setattr(reports, "_encode", counting)
-    code, out = run_cli(capsys, *[arg.format(space=space, bundle=bundle, config=config)
-                                  for arg in argv])
-    assert code == 0 and calls and refused == []
+    def refused(*args, **kwargs):
+        raise AssertionError("JSONEncoder.encode was called")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+    if not echoes:
+        monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+    code, out = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and len(encodes) == echoes
+    # the same bytes, but for the wall time
+    wall_time = re.compile(r'"wall_time_ms":"[0-9]+"')
+    assert wall_time.sub("", out) == wall_time.sub("", expected)
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -951,6 +966,20 @@ def test_deeply_nested_document_is_usage_error(slot, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and path in errors[0]
+
+
+def test_a_document_too_deep_to_echo_is_usage_error(tmp_path, capsys, monkeypatch):
+    # json.load may read a document a few levels deeper than json's encoder
+    # can echo, depending on the interpreter and on the caller's stack
+    def too_deep(document):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(reports, "echo", too_deep)
+    config = write_vi_config(tmp_path, [])
+    code = main(["vi", "--config", config])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {config} nests too deeply to be echoed\n"
 
 
 NESTED_DEPTHS = range(980, 1001)

@@ -3,21 +3,21 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import example, given, strategies as st
 
 import villadsen
-from villadsen import reports
 from villadsen.reports import (
     Encoded,
     canonical_json,
     canonical_pieces,
+    echo,
     fraction_json,
     load_schema,
     validate_report,
@@ -185,35 +185,42 @@ def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def test_fragments_are_spliced_where_their_values_sit():
+def test_fragments_are_spliced_where_their_values_sit(monkeypatch):
     checks = [{"b": Encoded('{"terms":[]}'), "a": [Encoded("[1,2]"), "x"],
                "c": {"z": Encoded('"s"'), "y": None}}]
     doc = {"command": "chern", "inputs": {"a": [1]}, "checks": checks, "ok": True}
     plain = {**doc, "checks": [{"b": {"terms": []}, "a": [[1, 2], "x"],
                                 "c": {"z": "s", "y": None}}]}
-    assert canonical_json(doc) == canonical_dumps(plain)
-    # the pieces hold each fragment's own piece, not a copy, and a report
-    # with no fragment is one piece
+    # the writer builds no JSON encoder, with or without fragments
+    def refused(*args, **kwargs):
+        raise AssertionError("a JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", refused)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+    assert canonical_json(doc) == canonical_json(plain)
+    # the pieces hold each fragment's own piece, not a copy
     pieces = canonical_pieces(doc)
-    assert "".join(pieces) == canonical_dumps(plain)
+    assert "".join(pieces) == canonical_json(plain)
     for fragment in (checks[0]["b"], checks[0]["a"][0], checks[0]["c"]["z"]):
         assert any(piece is fragment.pieces[0] for piece in pieces)
-    assert canonical_pieces(plain) == [canonical_dumps(plain)]
+    monkeypatch.undo()
+    assert canonical_json(plain) == canonical_dumps(plain)
 
 
-def test_a_report_is_walked_for_fragments_only_in_its_checks():
-    # the echoed input documents never hold a fragment: they are written by
-    # one encode call, so one given there is not JSON
+def test_a_fragment_is_written_wherever_it_sits():
+    # an echoed input document is a fragment under `inputs`, and a fragment
+    # may sit at the root, in a list or in a tuple
     inputs = {"space": {"factors": [{"kind": "s2"}] * 3}, "bundle": {"trivial": "1"}}
-    doc = {"command": "chern", "inputs": inputs, "checks": [Encoded("[]")], "ok": True}
-    with mock.patch("villadsen.reports._pieces", wraps=reports._pieces) as walk:
-        assert "".join(canonical_pieces(doc)) == canonical_dumps({**doc, "checks": [[]]})
-    assert [c.args[0] for c in walk.call_args_list] == [doc["checks"], doc["checks"][0]]
-    for inputs in ({"config": Encoded("1")}, [Encoded("1")], Encoded("{}")):
-        with pytest.raises(TypeError):
-            canonical_pieces({**doc, "inputs": inputs})
-        with pytest.raises(TypeError):
-            canonical_pieces({"inputs": inputs, "checks": []})
+    plain = {"command": "chern", "inputs": inputs, "checks": [[]], "ok": True}
+    doc = {**plain, "inputs": {key: echo(value) for key, value in inputs.items()},
+           "checks": (Encoded("[]"),)}
+    assert "".join(canonical_pieces(doc)) == canonical_dumps(plain)
+    for value in (Encoded("{}"), [Encoded("1"), ("x", None)], (Encoded("1"), True)):
+        assert canonical_json(value) == canonical_dumps(json.loads(canonical_json(value)))
+    assert canonical_json((1, [Encoded("2")], ())) == "[1,[2],[]]"
+    # the echo is the document's canonical text, keys sorted and non-ASCII escaped
+    document = {"b": ["\u00e9", -3, None, {}], "a": {"y": True, "x": "q\"uote"}}
+    assert echo(document).text == canonical_dumps(document)
 
 
 # text with quotes, backslashes, non-ASCII characters and JSON-looking pieces
@@ -260,16 +267,25 @@ def test_fragments_are_written_where_they_sit(case):
     assert "".join(canonical_pieces(report)) == canonical_dumps(plain_report)
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2)])
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2), 0.5, 2.0,
+                                   float("nan"), namedtuple("Pair", "a b")(1, 2)])
 def test_a_value_that_is_not_json_still_raises(value):
+    # a float among them: `cli._load_json` refuses float literals, and the
+    # engine writes every other number as an int or a decimal string; and a
+    # subclass of a JSON type, since the writer reads a value's exact type
     with pytest.raises(TypeError):
         canonical_json({"ok": True, "value": value})
     with pytest.raises(TypeError):
         canonical_json({"fragment": Encoded("1"), "value": [value]})
-    # json.dumps writes a non-string key as text, but not beside a fragment
+    with pytest.raises(TypeError):
+        canonical_json(("x", value))
+    # json.dumps writes some non-string keys as text; a report holds none
+    with pytest.raises(TypeError):
+        canonical_json({"ok": True, "value": {1: "one"}})
     with pytest.raises(TypeError):
         canonical_json({"ok": True, "value": {1: Encoded("1"), 2: "two"}})
     for report in ({"ok": True, "checks": [value]}, {"checks": [Encoded("1"), [value]]},
-                   {"ok": True, "checks": [{1: Encoded("1"), 2: "two"}]}):
+                   {"ok": True, "inputs": {"config": value}, "checks": []},
+                   {"ok": True, "checks": [{"certificate": {None: "1"}}]}):
         with pytest.raises(TypeError):
             canonical_pieces(report)

@@ -395,7 +395,11 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
     components = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]["components"]
     assert len(components) == generators + 1
     assert sum(len(part["terms"]) for part in components.values()) == 2 ** generators
-    assert len(fragments) == len(components) + 1
+    # a fragment per component and the Euler class, and the two echoed
+    # input documents, each written once where it is read
+    assert len(fragments) == len(components) + 1 + 2
+    assert [json.loads(text) for text, in fragments[:2]] == [
+        json.loads(space.read_text()), json.loads(bundle.read_text())]
     # the summands' line classes, as the bundle document is read, then the
     # Euler class, x_0 * ... * x_11, three times: factorized and as its
     # Chern component for the cross-check, and factorized for its text;
