@@ -17,14 +17,15 @@ inductive systems, so they are never assumed to fit a machine word.
 
 Equality is normal-form equality (merged summands, in any order); this is
 the working notion of isomorphism, and stable isomorphism is the same with
-trivial ranks added on both sides.
+trivial ranks added on both sides.  A `DiagonalSlot` is a named tuple,
+checked when it is made.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import comb, prod
 
 from .cohomology import GradedClass, pullback_positions
@@ -248,24 +249,25 @@ def euler(b: BundleExpr) -> GradedClass:
     return GradedClass._normal(base, {tuple(key): 1})
 
 
-@dataclass(frozen=True)
-class DiagonalSlot:
+class DiagonalSlot(namedtuple("DiagonalSlot", "eigenvalue_map multiplicity carrier")):
     """One eigenvalue-map slot of a diagonal connecting map.
 
     The carrier is the generator position, in the ring of the map's source,
     of the line bundle the slot's projection is supported on (None meaning
     the trivial line); slots of the basic kind just pull back, constant
     slots convert everything they carry into carrier lines of the
-    appropriate rank.  A slot occurs at least once.
+    appropriate rank.  A slot occurs at least once.  A named tuple, checked
+    when it is made.
     """
 
-    eigenvalue_map: SpaceMap
-    multiplicity: int = 1
-    carrier: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError(f"slot multiplicity must be >= 1, got {self.multiplicity}")
+    def __new__(cls, eigenvalue_map: SpaceMap, multiplicity: int = 1,
+                carrier: int | None = None):
+        if multiplicity < 1:
+            raise ValueError(f"slot multiplicity must be >= 1, got {multiplicity}")
+        return tuple.__new__(cls, (eigenvalue_map, multiplicity, carrier))
 
 
 def pushforward_diagonal(b: BundleExpr, slots: list[DiagonalSlot]) -> BundleExpr:

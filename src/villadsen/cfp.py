@@ -28,11 +28,12 @@ parameter.  The rank gap reads only ranks and a dimension, so the one
 space and bundle built here is the capacity bundle whose Euler class
 `verify_lower` checks, `bundles.capacity_sum` of the factor dimensions:
 the witness sum of the k = infinity type-II chain at the same stage.
+A `CfpWitness` is a `spaces.Frozen` slotted class, weak-referenceable,
+that compares and hashes by its terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from math import factorial
 
@@ -41,6 +42,7 @@ from .comparison import obstructed_by_euler, dominates_by_rank
 from .errors import ConfigError, CrossCheckDisagreement
 from .growth import INFINITE, Stage, tower
 from .reports import JSON_BOOL, encoded_rows
+from .spaces import Frozen
 
 
 def _walk_to(stages: list[Stage], n: int) -> Stage:
@@ -123,18 +125,36 @@ def next_witness_stage(prev: Stage) -> int:
     return max(prev.n + 1, -(-2 * prev.witness // prev.rank))
 
 
-@dataclass(frozen=True)
-class CfpWitness:
+class CfpWitness(Frozen):
     """The witness: its terms, the walk's records of the witness stages,
     each term dim // 2 copies of its stage's line (twice below cap) and
     numbered by its position from 1; the walk's records of stages 0 to the
     last witness stage, the terms among them; and the certificate behind
     the first stage (`first_stage_certificate`) when the stages were chosen
-    minimally, none when they were given."""
+    minimally, none when they were given.  No attribute can be set after it
+    is made; equality, hash and repr read the terms alone."""
 
-    terms: tuple[Stage, ...]
-    stages: tuple[Stage, ...] = field(compare=False, repr=False)
-    first_stage: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("terms", "stages", "first_stage", "__weakref__")
+
+    def __init__(self, terms: tuple[Stage, ...], stages: tuple[Stage, ...],
+                 first_stage: dict | None = None):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "first_stage", first_stage)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"CfpWitness(terms={self.terms!r})"
+
+    def __reduce__(self):  # a copy or pickle is rebuilt by the constructor
+        return CfpWitness, (self.terms, self.stages, self.first_stage)
 
 
 def build_witness(num_terms: int, override_stages: list[int] | None = None) -> CfpWitness:

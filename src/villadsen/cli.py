@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
@@ -105,23 +104,12 @@ def _parse_document(what: str, path: str, build, doc):
         raise ConfigError(f"{what} document {path}: {exc}") from None
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int->str digit limit while the engine builds its output.
-
-    Ranks such as (n+1)! pass the default 4300 digits near stage 1700, and a
-    correct result must not turn into an error.  Input documents are parsed
-    before this, under the default limit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+# Python's int->str digit limit is lifted for a call's checks, and for the
+# assembly and the write of its report: ranks such as (n+1)! pass the
+# default 4300 digits near stage 1700, and a correct result must not turn
+# into an error.  Input documents are read under the default limit.  An
+# interpreter without the limit has none to lift.
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 # the pieces are written in runs, each joined up to the next multiple of
@@ -135,37 +123,35 @@ _WRITE_CHUNK = 1 << 16
 
 
 def _emit(report: dict) -> int:
-    """Validate and print `report`, which only this call holds, under the
-    lifted digit limit.  Every piece of its text is written first, by
-    `reports.canonical_pieces`, which builds no JSON encoder (the echoed
-    input documents are fragments written where they were read), so an
-    error prints no part of it; then the report is freed, and the pieces
-    are printed in runs of about `_WRITE_CHUNK` characters.  The whole
-    text is never joined."""
-    with _unlimited_int_digits():
-        try:
-            reports.validate_report(report)
-        except ValueError as exc:
-            # the engine built a report it cannot stand behind: a failure, not a usage error
-            print(f"error: report fails its schema {exc}", file=sys.stderr)
-            return 2
-        try:
-            pieces = reports.canonical_pieces(report)
-        except RecursionError:
-            # the writer keeps no record of the containers it is inside
-            raise ConfigError("the report nests too deeply to be written: "
-                              "a value that holds itself") from None
-        ok = report["ok"]
-        del report
-        start, size, mark = 0, 0, _WRITE_CHUNK
-        for stop, piece in enumerate(pieces, 1):
-            size += len(piece)
-            if size >= mark:  # a run ends with the first piece that reaches the next mark
-                sys.stdout.write("".join(pieces[start:stop]))
-                start, mark = stop, size - size % _WRITE_CHUNK + _WRITE_CHUNK
-        if start < len(pieces):
-            sys.stdout.write("".join(pieces[start:]))
-        sys.stdout.write("\n")
+    """Validate and print `report`, which only this call holds.  Every
+    piece of its text is written first, by `reports.canonical_pieces`,
+    which builds no JSON encoder (the echoed input documents are fragments
+    written where they were read), so an error prints no part of it; then
+    the report is freed, and the pieces are printed in runs of about
+    `_WRITE_CHUNK` characters.  The whole text is never joined."""
+    try:
+        reports.validate_report(report)
+    except ValueError as exc:
+        # the engine built a report it cannot stand behind: a failure, not a usage error
+        print(f"error: report fails its schema {exc}", file=sys.stderr)
+        return 2
+    try:
+        pieces = reports.canonical_pieces(report)
+    except RecursionError:
+        # the writer keeps no record of the containers it is inside
+        raise ConfigError("the report nests too deeply to be written: "
+                          "a value that holds itself") from None
+    ok = report["ok"]
+    del report
+    start, size, mark = 0, 0, _WRITE_CHUNK
+    for stop, piece in enumerate(pieces, 1):
+        size += len(piece)
+        if size >= mark:  # a run ends with the first piece that reaches the next mark
+            sys.stdout.write("".join(pieces[start:stop]))
+            start, mark = stop, size - size % _WRITE_CHUNK + _WRITE_CHUNK
+    if start < len(pieces):
+        sys.stdout.write("".join(pieces[start:]))
+    sys.stdout.write("\n")
     return 0 if ok else 2
 
 
@@ -454,23 +440,29 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 def _report(args: SimpleNamespace, started: float) -> dict:
     """The report of the call `args`: its runner reads the inputs under the
-    default digit limit, and its checks run under the lifted one.  The
-    runner's computations, and the values they hold, are released when this
-    returns, before the report is validated and written."""
+    default digit limit, which this then lifts for the checks and leaves
+    lifted for the caller to restore.  The runner's computations, and the
+    values they hold, are released when this returns, before the report is
+    validated and written."""
     inputs, computations = args.func(args)
-    with _unlimited_int_digits():
-        checks = [_check(name, compute) for name, compute in computations]
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    checks = [_check(name, compute) for name, compute in computations]
     return reports.assemble(args.subcommand, inputs, checks, started)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
+    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else None
     try:
         return _emit(_report(args, started))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -12,30 +12,24 @@ A family is its parameter k: a positive integer, or `INFINITE` for
 k = infinity.  `tower` is where the library checks it, so every type-II
 function that walks it raises one ValueError for k < 1;
 `parse_family_parameter` reads the CLI's -k and `family_parameter_label`
-writes k in a certificate.
+writes k in a certificate.  A `Stage` is a `collections.namedtuple`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .spaces import read_int
 
 INFINITE = None  # sentinel for the k = infinity family
 
 
-class Stage(NamedTuple):
-    """Stage n: its unit rank (n+1)!, the multiplicity n*n! of the stage-n
-    line in the unit (1 at stage 0), the complex dimension of the projective
-    factor it adds, k*n*n! (n^2*n! for k = inf), and the witness rank, the
-    sum of those dimensions up to n.  Both are 0 at stage 0, which adds only
-    the first disk."""
-
-    n: int
-    rank: int
-    unit: int
-    dim: int
-    witness: int
+Stage = namedtuple("Stage", "n rank unit dim witness", module=__name__)
+Stage.__doc__ = """Stage n: its unit rank (n+1)!, the multiplicity n*n! of the stage-n
+line in the unit (1 at stage 0), the complex dimension of the projective
+factor it adds, k*n*n! (n^2*n! for k = inf), and the witness rank, the sum
+of those dimensions up to n.  Both are 0 at stage 0, which adds only the
+first disk."""
 
 
 def tower(k: int | None, after: Stage | None = None):

@@ -33,18 +33,20 @@ CLI prints the pieces in runs and never joins them into one text;
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
-`name` and `outcome`.  It is standard-library code that reads the schema's
-draft-07 keywords itself.  It descends only where the schema has
-`properties` or `items`, so a certificate or an echoed input document is
-never walked, and it compiles no pattern: `_PATTERNS` holds the schema's.
+`name` and `outcome`.  The schema is read once, at import, by the loader
+that imported this module, so it is found in a zip archive too.  It is
+standard-library code that reads the schema's draft-07 keywords itself.
+It descends only where the schema has `properties` or `items`, so a
+certificate or an echoed input document is never walked, and it compiles
+no pattern: `_PATTERNS` holds the schema's.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
-from importlib import resources
 # a string's JSON text, by the C escaper `json.dumps` uses for ASCII output
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
@@ -209,9 +211,10 @@ def normalize_report(doc: dict) -> dict:
     return out
 
 
-# the packaged report schema, read once per process
-_SCHEMA = json.loads(
-    resources.files("villadsen.schemas").joinpath("report.schema.json").read_text())
+# the packaged report schema, read once per process by the package's own
+# loader, which reads it from a directory or a zip archive alike
+_SCHEMA = json.loads(__spec__.loader.get_data(
+    os.path.join(os.path.dirname(__file__), "schemas", "report.schema.json")))
 
 
 def _patterns(schema: dict):

@@ -6,15 +6,18 @@ factor list fixes the cohomology ring, so a space is also its own ring
 presentation: one degree-2 generator per sphere or projective factor, in
 factor order, with its power cap, computed in one pass over the factors.
 Maps between such products are coordinate projections or constant maps.
-Points are opaque labels, never coordinates.  `read_int` is the one reader
-of the integers in input documents and on the command line.
+Points are opaque labels, never coordinates.  An atom and a map are named
+tuples, checked when they are made, so their equality and hash are the
+tuple's; a descriptor is a `Frozen` slotted class that builds its ring in
+its constructor.  `read_int` is the one reader of the integers in input
+documents and on the command line.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 DISK = "disk"
 SPHERE2 = "s2"
@@ -54,27 +57,28 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-@dataclass(frozen=True)
-class SpaceAtom:
+class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
     """One factor of a product space.
 
     kind/size: ("disk", d) is the d-fold power of the 2-disk, ("s2", 1) a
     2-sphere, ("cp", n) the complex projective space of complex dimension n.
+    A named tuple, checked when it is made, so equality and hash are the
+    tuple's own.
     """
 
-    kind: str
-    size: int
-    label: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if self.kind not in (DISK, SPHERE2, CPROJ):
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.kind == DISK and self.size < 0:
+    def __new__(cls, kind: str, size: int, label: str = ""):
+        if kind not in (DISK, SPHERE2, CPROJ):
+            raise ValueError(f"unknown atom kind {kind!r}")
+        if kind == DISK and size < 0:
             raise ValueError("disk power must be >= 0")
-        if self.kind == CPROJ and self.size < 1:
+        if kind == CPROJ and size < 1:
             raise ValueError("projective space needs complex dimension >= 1")
-        if self.kind == SPHERE2 and self.size != 1:
+        if kind == SPHERE2 and size != 1:
             raise ValueError("a 2-sphere atom has no size parameter")
+        return tuple.__new__(cls, (kind, size, label))
 
     @property
     def real_dimension(self) -> int:
@@ -113,8 +117,21 @@ def cproj(n: int, label: str = "") -> SpaceAtom:
     return SpaceAtom(CPROJ, n, label)
 
 
-@dataclass(frozen=True, eq=False)
-class SpaceDescriptor:
+class Frozen:
+    """A slotted record whose attributes only its constructor sets, through
+    `object.__setattr__`: setting or deleting one later is an AttributeError,
+    so a subclass rebuilds its copies through its constructor (`__reduce__`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpaceDescriptor(Frozen):
     """An ordered finite product of atoms, and the presentation of its ring.
 
     Factor order is canonical (stage of introduction, then position within
@@ -127,18 +144,14 @@ class SpaceDescriptor:
     index to its position.
 
     The ring data and the real dimension are computed once, in one pass
-    over the factors, when the descriptor is built.  Equality and hash are
-    those of the factor tuple.
+    over the factors, when the descriptor is built, and no attribute can be
+    set afterwards.  Equality and hash are those of the factor tuple.
     """
 
-    factors: tuple[SpaceAtom, ...] = field(default_factory=tuple)
-    caps: tuple[int, ...] = field(init=False, repr=False)
-    positions: dict[int, int] = field(init=False, repr=False)
-    real_dimension: int = field(init=False, repr=False)
+    __slots__ = ("factors", "caps", "positions", "real_dimension")
 
-    def __post_init__(self):
-        # only while the descriptor is being built: it is frozen afterwards
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple[SpaceAtom, ...] = ()):
+        factors = tuple(factors)
         caps, positions, dim = [], {}, 0
         for idx, atom in enumerate(factors):
             dim += atom.real_dimension
@@ -150,6 +163,12 @@ class SpaceDescriptor:
         object.__setattr__(self, "caps", tuple(caps))
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "real_dimension", dim)
+
+    def __repr__(self) -> str:
+        return f"SpaceDescriptor(factors={self.factors!r})"
+
+    def __reduce__(self):  # a copy or pickle is rebuilt by the constructor
+        return SpaceDescriptor, (self.factors,)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -190,27 +209,24 @@ PROJECTION = "proj"
 CONSTANT = "const"
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(namedtuple("SpaceMap", "source target kind indices point")):
     """A structure-preserving map between product spaces.
 
     A projection selects source factors matching the target's factor list
     exactly (indices are 0-based positions in the source, stored as a
-    tuple).  A constant map records only an opaque point label.
+    tuple).  A constant map records only an opaque point label.  A named
+    tuple, checked when it is made.
     """
 
-    source: SpaceDescriptor
-    target: SpaceDescriptor
-    kind: str
-    indices: tuple[int, ...] = ()
-    point: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if self.kind == PROJECTION:
-            factors, target = self.source.factors, self.target.factors
-            indices = tuple(self.indices)
-            object.__setattr__(self, "indices", indices)
-            if len(indices) != len(target):
+    def __new__(cls, source: SpaceDescriptor, target: SpaceDescriptor, kind: str,
+                indices=(), point: str = ""):
+        if kind == PROJECTION:
+            factors, target_factors = source.factors, target.factors
+            indices = tuple(indices)
+            if len(indices) != len(target_factors):
                 raise ValueError("projection must select one source factor per target factor")
             if len(set(indices)) != len(indices):
                 raise ValueError("projection must select distinct source factors")
@@ -218,15 +234,17 @@ class SpaceMap:
                 if not 0 <= idx < len(factors):
                     raise ValueError(f"projection index {idx} out of range")
             selected = tuple(factors[idx] for idx in indices)
-            if selected != target:
-                pos = next(pos for pos, atom in enumerate(selected) if atom != target[pos])
+            if selected != target_factors:
+                pos = next(pos for pos, atom in enumerate(selected)
+                           if atom != target_factors[pos])
                 raise ValueError(f"selected source factor {indices[pos]} does not "
                                  f"match target factor {pos}")
-        elif self.kind == CONSTANT:
-            if not self.point:
+        elif kind == CONSTANT:
+            if not point:
                 raise ValueError("constant map needs a point label")
         else:
-            raise ValueError(f"unknown map kind {self.kind!r}")
+            raise ValueError(f"unknown map kind {kind!r}")
+        return tuple.__new__(cls, (source, target, kind, indices, point))
 
 
 def projection(source: SpaceDescriptor, target: SpaceDescriptor, indices) -> SpaceMap:

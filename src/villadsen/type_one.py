@@ -13,13 +13,14 @@ witness checks, `top_chern_witness` and `ratio_contradiction_check`,
 return the certificate the report prints; the first checks its closed
 form against the top-degree text of `cohomology.line_series_texts`, the
 engine's one expansion of a product of line series, asked for that degree
-alone.
+alone.  `StepSpec`, `StageStats` and `SystemConfig` are named tuples, the
+first two checked when they are made.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .bundles import expansion_budget
@@ -29,24 +30,26 @@ from .reports import Encoded, fraction_json
 from .spaces import json_list, json_object, read_int, spheres
 
 
-@dataclass(frozen=True)
-class StepSpec:
+class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluations")):
     """One connecting step: projection id -> multiplicity, plus point evaluations."""
 
-    projection_multiplicities: tuple[tuple[str, int], ...]
-    point_evaluations: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        ids = [pid for pid, _ in self.projection_multiplicities]
+    def __new__(cls, projection_multiplicities: tuple[tuple[str, int], ...],
+                point_evaluations: int = 0):
+        self = tuple.__new__(cls, (projection_multiplicities, point_evaluations))
+        ids = [pid for pid, _ in projection_multiplicities]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate projection id in step")
-        for pid, m in self.projection_multiplicities:
+        for pid, m in projection_multiplicities:
             if m < 1:
                 raise ConfigError(f"projection {pid!r} needs multiplicity >= 1")
-        if self.point_evaluations < 0:
+        if point_evaluations < 0:
             raise ConfigError("point evaluation count must be >= 0")
         if self.total_multiplicity < 1:
             raise ConfigError("a step needs at least one eigenvalue map")
+        return self
 
     @property
     def total_multiplicity(self) -> int:
@@ -68,21 +71,21 @@ class StepSpec:
         return StepSpec(mults, read_int(doc.get("point_evals", 0), "point_evals"))
 
 
-@dataclass(frozen=True)
-class StageStats:
+class StageStats(namedtuple("StageStats", "distinct_projections projection_multiplicity "
+                                          "total_multiplicity")):
     """Composite multiplicity data of a composed connecting map."""
 
-    distinct_projections: int
-    projection_multiplicity: int
-    total_multiplicity: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
-    def __post_init__(self):
-        if not (0 <= self.distinct_projections
-                <= self.projection_multiplicity
-                <= self.total_multiplicity):
+    def __new__(cls, distinct_projections: int, projection_multiplicity: int,
+                total_multiplicity: int):
+        if not 0 <= distinct_projections <= projection_multiplicity <= total_multiplicity:
             raise ValueError("need 0 <= distinct <= with-multiplicity <= total")
-        if self.total_multiplicity < 1:
+        if total_multiplicity < 1:
             raise ValueError("total multiplicity must be >= 1")
+        return tuple.__new__(cls, (distinct_projections, projection_multiplicity,
+                                   total_multiplicity))
 
 
 IDENTITY_STATS = StageStats(1, 1, 1)
@@ -209,10 +212,10 @@ def ratio_contradiction_check(n: int, stats: StageStats) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    seed_dimension: int
-    steps: tuple[StepSpec, ...]
+class SystemConfig(namedtuple("SystemConfig", "seed_dimension steps")):
+    """A type-I system: the seed dimension and the connecting steps."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_json(doc: dict) -> "SystemConfig":

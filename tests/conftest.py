@@ -30,6 +30,8 @@ are the record lists of `comparability_triple` and `cfp.verify_lower` as
 the engine built them, one dict per record, before it wrote each list as
 canonical text: the references for its row templates.  `plain` reads a
 certificate's `reports.Encoded` fragments back as the JSON they write.
+`unlimited_int_digits` lifts Python's int->str digit limit for a block, as
+`cli.main` does for a call's checks and report.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial, prod
@@ -51,6 +54,21 @@ from villadsen.growth import INFINITE
 from villadsen.reports import Encoded
 from villadsen.spaces import CONSTANT, SpaceDescriptor, cproj, disk, read_int, sphere2
 from villadsen.type_one import StageStats, StepSpec
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int->str digit limit inside the block, restore it after; an
+    interpreter without the limit has none to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def unit_multiplicity(n: int) -> int:

@@ -20,7 +20,6 @@ from villadsen.bundles import (
     parse_bundle,
     pushforward_diagonal,
 )
-from villadsen.cli import _unlimited_int_digits
 from villadsen.cohomology import GradedClass, line_series_texts
 from villadsen.errors import (
     CrossCheckDisagreement,
@@ -44,6 +43,7 @@ from conftest import (
     series_product,
     series_texts,
     unit_class,
+    unlimited_int_digits,
 )
 
 
@@ -490,7 +490,7 @@ def wide_chern_bundles(draw):
 @example(BundleExpr(SpaceDescriptor((sphere2(), disk(1), cproj(2), sphere2())), 0,
                     [(0, 1), (1, 2)]))   # the cut right after the first factor
 def test_chern_texts_are_the_class_components_written_out(b):
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         texts = series_texts(b.base, chern_series(b))
         parts = graded_components(series_product(b.base, chern_series(b)))
         expected = {degree: part.json_text() for degree, part in parts.items()}
@@ -508,7 +508,7 @@ def test_chern_texts_are_the_class_components_written_out(b):
 
 
 def test_chern_texts_refuse_a_coefficient_past_the_digit_limit():
-    # the > 4300-digit example above, without `_unlimited_int_digits`
+    # the > 4300-digit example above, without `unlimited_int_digits`
     b = BundleExpr(SpaceDescriptor((cproj(4), sphere2(), sphere2())), 1,
                    [(0, 10 ** 1100 + 1), (1, 10 ** 1500), (2, 10 ** 3000)])
     if hasattr(sys, "set_int_max_str_digits"):

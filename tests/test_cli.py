@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -28,6 +27,7 @@ from conftest import (
     kernel_raising_the_top_coefficient,
     kernel_shortening_a_top_exponent_vector,
     kernel_zeroing_a_top_exponent,
+    unlimited_int_digits,
 )
 
 
@@ -78,23 +78,24 @@ def emitted_writes(monkeypatch, argv) -> tuple[str, list[int], int]:
     writes `cli._emit` prints it with, each checked against the text and
     newline where it lands and then dropped, and the peak of what `_emit`
     allocates meanwhile."""
-    report = cli._report(cli._parse(argv), 0.0)
-    with cli._unlimited_int_digits():
+    # `_report` lifts the digit limit, which `main` restores after `_emit`
+    with unlimited_int_digits():
+        report = cli._report(cli._parse(argv), 0.0)
         text = canonical_json(report)
-    printed, lengths = text + "\n", []
+        printed, lengths = text + "\n", []
 
-    def write(run):
-        assert printed.startswith(run, sum(lengths))
-        lengths.append(len(run))
+        def write(run):
+            assert printed.startswith(run, sum(lengths))
+            lengths.append(len(run))
 
-    with monkeypatch.context() as patch:
-        patch.setattr(sys, "stdout", mock.Mock(write=write))
-        tracemalloc.start()
-        try:
-            assert cli._emit(report) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", mock.Mock(write=write))
+            tracemalloc.start()
+            try:
+                assert cli._emit(report) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
     assert sum(lengths) == len(printed) and lengths[-1] == 1
     return text, lengths, peak
 
@@ -794,7 +795,7 @@ BROKEN_ROUTE = {
         stage._replace(rank=1000 * stage.rank) for stage in tower(k)),
     # n point evaluations onto the new stage line, not n+1
     "villadsen.type_two._slots": lambda n, space, following, slots=type_two._slots: [
-        slot if slot.carrier is None else replace(slot, multiplicity=n)
+        slot if slot.carrier is None else slot._replace(multiplicity=n)
         for slot in slots(n, space, following)],
 }
 

@@ -26,6 +26,7 @@ from conftest import (
     series_product,
     series_texts,
     unit_class,
+    unlimited_int_digits,
 )
 
 
@@ -227,14 +228,12 @@ def test_zero_and_constant_class_text(space):
 
 
 def test_class_text_past_the_int_digit_limit():
-    from villadsen.cli import _unlimited_int_digits
-
     space = SpaceDescriptor((cproj(2), sphere2()))
     a = GradedClass(space, {(1, 0): -(10 ** 5000) - 7, (2, 1): 3})
     if hasattr(sys, "set_int_max_str_digits"):
         with pytest.raises(ValueError):  # refused like str() under the default limit
             a.json_text()
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         assert a.json_text() == dict_form_text(a)
         assert '"coefficient":"-1' + "0" * 4999 + '7"' in a.json_text()
 

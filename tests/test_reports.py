@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
@@ -161,24 +162,72 @@ def test_inputs_deeper_than_the_recursion_limit_are_not_walked():
     validate_report({**VALID_REPORT, "inputs": {"config": deep}})
 
 
-def test_the_cli_imports_no_jsonschema():
-    # jsonschema is the oracle of the tests, not a part of the runtime, and
-    # so is argparse (with the gettext and locale it loads), since the CLI
-    # reads argv from its option table
-    script = """
-import contextlib, io, sys
-import villadsen.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert villadsen.cli.main(["v2", "-k", "2", "-n", "3"]) == 0
-print(sorted({name.partition(".")[0] for name in sys.modules}
-             & {"jsonschema", "referencing", "rpds", "attrs", "attr",
-                "argparse", "gettext", "locale"}))
+# modules the runtime must not load, by top-level name or as a submodule:
+# jsonschema (with what it loads) is the oracle of the tests, and argparse
+# (with gettext and locale) the reference of the option table; records are
+# named tuples or slotted classes, not dataclasses (with inspect, ast, dis
+# and tokenize) or typing's NamedTuple; the packaged schema is read by the
+# package's own loader, not importlib.resources (with pathlib, zipfile and
+# tempfile); and ratios are integer pairs, not fractions
+UNLOADED_MODULES = ("jsonschema", "referencing", "rpds", "attrs", "attr", "argparse",
+                    "gettext", "locale", "fractions", "dataclasses", "inspect", "ast",
+                    "dis", "tokenize", "typing", "importlib.resources", "pathlib",
+                    "zipfile", "tempfile")
+
+
+def test_the_cli_imports_no_jsonschema(tmp_path):
+    # the modules that importing the CLI and one call of each subcommand
+    # load, against what the interpreter had loaded before; without `site`
+    # (-S), which on some machines loads typing or importlib.resources itself
+    config, space, bundle = (tmp_path / name for name in ("vi.json", "space.json", "bundle.json"))
+    config.write_text(json.dumps({"seed_dim": 6, "steps": [
+        {"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}]}))
+    space.write_text(json.dumps({"factors": [{"kind": "s2"}, {"kind": "cp", "n": 3}]}))
+    bundle.write_text(json.dumps({"trivial": "1", "summands": [
+        {"line": {"terms": [{"exponents": [0, 1], "coefficient": "1"}]}, "mult": "2"}]}))
+    script = f"""
+import sys
+bare = set(sys.modules)
+import json, villadsen.cli
+for argv in (["chern", "--space", {str(space)!r}, "--bundle", {str(bundle)!r}],
+             ["v2", "-k", "2", "-n", "3"], ["vi", "--config", {str(config)!r}, "--witness", "2"],
+             ["cfp", "--terms", "2"]):
+    assert villadsen.cli.main(argv) == 0, argv
+sys.stdout.write("\\n" + json.dumps(sorted(set(sys.modules) - bare)))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    loaded = json.loads(done.stdout.rpartition("\n")[2])
+    assert "villadsen.cli" in loaded
+    assert [name for name in loaded if any(name == module or name.startswith(module + ".")
+                                           for module in UNLOADED_MODULES)] == []
+
+
+def test_the_schema_is_read_from_a_zipped_package(tmp_path):
+    # the package's loader reads the schema wherever the package is, a zip
+    # archive included
+    package = Path(villadsen.__file__).parent
+    archive = tmp_path / "villadsen.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, path.relative_to(package.parent).as_posix())
+    script = """
+import sys
+import villadsen.cli
+assert villadsen.cli.__file__.startswith(sys.argv[1]), villadsen.cli.__file__
+sys.exit(villadsen.cli.main(["v2", "-k", "2", "-n", "3", "--trace"]))
+"""
+    done = subprocess.run([sys.executable, "-c", script, str(archive)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(archive)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    jsonschema.validate(doc, load_schema())
+    validate_report(doc)
+    assert doc["ok"] is True and doc["command"] == "v2"
 
 
 def canonical_dumps(doc) -> str:

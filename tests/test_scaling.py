@@ -58,10 +58,10 @@ def count_constructions(monkeypatch, n: int) -> tuple[list, int]:
 def count_during(monkeypatch, action) -> tuple[list, int]:
     """Rings built (by space) and classes built while `action` runs."""
     rings, classes = [], []
-    ring_init, class_init = SpaceDescriptor.__post_init__, GradedClass.__init__
+    ring_init, class_init = SpaceDescriptor.__init__, GradedClass.__init__
 
-    def counting_ring_init(self):
-        ring_init(self)
+    def counting_ring_init(self, *args, **kwargs):
+        ring_init(self, *args, **kwargs)
         rings.append(self)
 
     def counting_class_init(self, *args, **kwargs):
@@ -69,7 +69,7 @@ def count_during(monkeypatch, action) -> tuple[list, int]:
         class_init(self, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SpaceDescriptor, "__post_init__", counting_ring_init)
+        patch.setattr(SpaceDescriptor, "__init__", counting_ring_init)
         patch.setattr(GradedClass, "__init__", counting_class_init)
         action()
     return rings, len(classes)
@@ -169,15 +169,15 @@ def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
     """`math.factorial` calls and `SpaceAtom` constructions during one CLI
     call."""
     factorials, atoms = [], []
-    atom_init = SpaceAtom.__post_init__
+    atom_new = SpaceAtom.__new__
 
     def counting_factorial(n):
         factorials.append(n)
         return math.factorial(n)
 
-    def counting_atom_init(self):
+    def counting_atom_new(cls, *args, **kwargs):
         atoms.append(1)
-        atom_init(self)
+        return atom_new(cls, *args, **kwargs)
 
     codes = []
     with monkeypatch.context() as patch:
@@ -185,7 +185,7 @@ def factorials_and_atoms(monkeypatch, argv) -> tuple[int, int]:
             if name.startswith("villadsen") and getattr(module, "factorial", None) \
                     is math.factorial:
                 patch.setattr(module, "factorial", counting_factorial)
-        patch.setattr(SpaceAtom, "__post_init__", counting_atom_init)
+        patch.setattr(SpaceAtom, "__new__", counting_atom_new)
         count_during(monkeypatch, lambda: codes.append(main(argv)))
     assert codes == [0]
     return len(factorials), len(atoms)
