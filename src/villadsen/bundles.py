@@ -10,10 +10,11 @@ diagonal slot's carrier line is a position too.  The one bundle map is
 classes are read only from a bundle document (`parse_bundle`).  The Chern
 expansion builds no line classes either: `chern_series` checks the budget
 and builds each summand's truncated binomial series, which
-`cohomology.line_series_texts` multiplies into each degree's class text
-and `chern_component` into the terms of one degree alone; the library
-builds no total Chern class.  Multiplicities grow factorially along the
-inductive systems, so they are never assumed to fit a machine word.
+`cohomology.line_series_texts` multiplies into each degree's class text;
+`chern_component`, the engine's one single-degree expansion, multiplies
+them into one degree for the Euler checks and `vi --witness`.  The
+library builds no total Chern class.  Multiplicities grow factorially
+along the inductive systems, so they are never assumed to fit a machine word.
 
 Equality is normal-form equality (merged summands, in any order); this is
 the working notion of isomorphism, and stable isomorphism is the same with
@@ -35,7 +36,7 @@ from .errors import (
     GeneratorBudgetExceeded,
     InvalidLineClassError,
 )
-from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, cproj, json_list, read_int
+from .spaces import CONSTANT, SpaceDescriptor, SpaceMap, cproj, json_fields, json_list, read_int
 
 DEFAULT_BUDGET = 100_000
 
@@ -109,13 +110,16 @@ def parse_bundle(base: SpaceDescriptor, doc: dict) -> BundleExpr:
 
     Each summand's line is a graded class that must be zero or a single
     generator with coefficient one (InvalidLineClassError otherwise); a
-    zero line adds its multiplicity to the trivial rank.
+    zero line adds its multiplicity to the trivial rank.  The bundle and
+    each summand hold no key but their own (`spaces.json_fields`).
     """
-    trivial = read_int(doc.get("trivial", 0), "trivial rank")
+    trivial = read_int(json_fields(doc, "bundle", {"trivial", "summands"}).get("trivial", 0),
+                       "trivial rank")
     if trivial < 0:
         raise ValueError("trivial rank must be >= 0")
     parts = []
     for summand in json_list(doc.get("summands", []), "summands"):
+        json_fields(summand, "summand", {"line", "mult"})
         line = GradedClass.from_json(base, summand["line"])
         mult = read_int(summand["mult"], "multiplicity")
         if mult < 0:

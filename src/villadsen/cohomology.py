@@ -20,9 +20,9 @@ prefix term with one suffix power sum, is one list of slots filled by two
 slice assignments and joined once, and the cut between the blocks is where
 the runs plus the suffix terms are fewest.  Each degree's component is a
 `reports.Encoded` fragment whose pieces are its runs, never joined again
-into a component text.  It is the engine's one expansion of a product of
-line series: `chern` prints its components, and `vi --witness` asks for the
-top degree alone and compares its text with the closed form.
+into a component text.  It is the engine's one all-degrees expansion of a
+product of line series, which `chern` prints; one degree alone is
+`bundles.chern_component`'s job.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import prod
 
 from .reports import Encoded
-from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_list, read_int
+from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_fields, json_list, read_int
 
 # one term of a class as canonical JSON, from its coefficient and exponent text
 _ROW = '{"coefficient":"%d","exponents":[%s]}'
@@ -117,9 +117,11 @@ class GradedClass:
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
         """The class of a `{"terms": [...]}` document, adding the coefficients
         of repeated exponent vectors.  The terms and each exponent vector must
-        be JSON lists (`spaces.json_list`)."""
+        be JSON lists (`spaces.json_list`), and the class and each term hold
+        no key but their own (`spaces.json_fields`)."""
         terms: dict = {}
-        for t in json_list(doc["terms"], "class terms"):
+        for t in json_list(json_fields(doc, "class", {"terms"})["terms"], "class terms"):
+            json_fields(t, "term", {"exponents", "coefficient"})
             exps = tuple(read_int(x, "exponent") for x in json_list(t["exponents"], "exponents"))
             terms[exps] = terms.get(exps, 0) + read_int(t["coefficient"], "coefficient")
         return GradedClass(space, terms)
@@ -154,12 +156,11 @@ def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
     return terms
 
 
-def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
-                      degree: int | None = None) -> dict[int, Encoded]:
+def line_series_texts(space: SpaceDescriptor,
+                      factors: list[tuple[int, list[int]]]) -> dict[int, Encoded]:
     """Product of one-generator polynomials on pairwise distinct positions,
     each degree's component as the `Encoded` pieces of the text `json_text`
-    writes, with no class built; only the component of `degree`, if given
-    (none for an odd, negative or unreached degree).
+    writes, with no class built.
 
     Each factor is (position, [c0, c1, ...]), the sum of c_i * g^i in the
     generator g at that position.  With distinct positions, at most cap
@@ -171,19 +172,17 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
     The factors, in position order, are cut into a prefix block and a suffix
     block, and each block is expanded alone (`_expand`).  The suffix terms
     are grouped by power sum; each prefix then writes its rows with each
-    group it meets as one run.  A run of k rows is one list of 3k slots,
+    group as one run.  A run of k rows is one list of 3k slots,
     each preset to the prefix's exponent text; two slice assignments put
     the coefficients (the prefix's times the group's, by `map`) and the
     group's closing texts in the others, and it is joined once.  So no
     Python bytecode runs per term, no per-term tuple is built, and each
     run's per-term strings are freed as it is joined.  The cut minimises
     the runs plus the suffix terms, P * G + S for P prefix terms, G suffix
-    power sums and S suffix terms, and on a tie the terms held, P + S.  With
-    `degree`, each prefix meets only the one group that reaches it, so G
-    counts as 1.  A component's pieces are its opening text and its runs:
-    no component text is joined.  Terms come out in exponent order, so each
-    degree's rows are already sorted, and every power sum up to the top one
-    is reached."""
+    power sums and S suffix terms, and on a tie the terms held, P + S.  A
+    component's pieces are its opening text and its runs: no component text
+    is joined.  Terms come out in exponent order, so each degree's rows are
+    already sorted, and every power sum up to the top one is reached."""
     series = _series_by_position(space, factors)
     order, n = sorted(series), len(space.caps)
     head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
@@ -195,14 +194,14 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
     if not terms:
         return {}  # an empty series: the product is zero
     # the cut: levels[:cut] are the prefix block, whose terms each write one
-    # run per suffix group they meet (all of them, or one for a single
-    # degree); the suffix block's terms are expanded once.  It minimises the
-    # runs plus the suffix terms; of cuts that tie, the one whose blocks
-    # hold the fewest terms, and then the one with the fewest prefix factors
+    # run per suffix group; the suffix block's terms are expanded once.  It
+    # minimises the runs plus the suffix terms; of cuts that tie, the one
+    # whose blocks hold the fewest terms, and then the one with the fewest
+    # prefix factors
     size, count, best = 1, 1, None  # the suffix block's terms and power sums
     for c in range(len(levels), -1, -1):
         prefix = terms // size
-        cost = (prefix * (count if degree is None else 1) + size, prefix + size)
+        cost = (prefix * count + size, prefix + size)
         if best is None or cost <= best:
             best, cut, sums = cost, c, count
         if c:
@@ -217,25 +216,18 @@ def line_series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]
         coeffs.append(coeff)
         tails.append(text + _NEXT_ROW)
     prefixes = _expand(head, levels[:cut])
-    top = prefixes[-1][1] + len(groups) - 1
-    if degree is None:
-        low, high = 0, top
-    elif degree % 2 or not 0 <= degree <= 2 * top:
-        return {}
-    else:
-        low = high = degree // 2
-    runs: list[list[str]] = [['{"terms":[{"coefficient":"'] for _ in range(low, high + 1)]
+    runs: list[list[str]] = [['{"terms":[{"coefficient":"']
+                             for _ in range(prefixes[-1][1] + sums)]
     for text, total, coeff in prefixes:
         middle, times = '","exponents":[' + text, coeff.__mul__
-        for t in range(max(low, total), min(high, total + len(groups) - 1) + 1):
-            coeffs, tails = groups[t - total]
+        for t, (coeffs, tails) in enumerate(groups, total):
             row = [middle] * (3 * len(coeffs))
             row[0::3] = map(str, map(times, coeffs))
             row[2::3] = tails
-            runs[t - low].append("".join(row))
+            runs[t].append("".join(row))
     for part in runs:  # the last row closes the class instead of opening a row
         part[-1] = part[-1][:-len(_NEXT_ROW)] + "]}]}"
-    return {2 * t: Encoded(*part) for t, part in enumerate(runs, low)}
+    return {2 * t: Encoded(*part) for t, part in enumerate(runs)}
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

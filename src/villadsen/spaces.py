@@ -9,8 +9,8 @@ Maps between such products are coordinate projections or constant maps.
 Points are opaque labels, never coordinates.  An atom and a map are named
 tuples, checked when they are made, so their equality and hash are the
 tuple's; a descriptor is a `Frozen` slotted class that builds its ring in
-its constructor.  `read_int` is the one reader of the integers in input
-documents and on the command line.
+its constructor.  `read_int` reads every integer of an input document or
+the command line, and `json_fields` refuses unknown keys in a document.
 """
 
 from __future__ import annotations
@@ -19,11 +19,16 @@ import re
 import sys
 from collections import namedtuple
 
+from .errors import ConfigError
+
 DISK = "disk"
 SPHERE2 = "s2"
 CPROJ = "cp"
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+# the keys of an atom document, by kind: a disk's power d and a cp's dimension n
+_ATOM_KEYS = {DISK: {"kind", "label", "d"}, CPROJ: {"kind", "label", "n"},
+              SPHERE2: {"kind", "label"}}
 
 
 def read_int(value, what: str) -> int:
@@ -54,6 +59,16 @@ def json_object(value, what: str) -> dict:
     ValueError, not a list or string read by its items."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def json_fields(value, what: str, keys) -> dict:
+    """An object slot of an input document (`json_object`) whose keys are
+    all among `keys`: a misspelt or stray key would be dropped silently, so
+    it is a ConfigError."""
+    unknown = json_object(value, what).keys() - keys
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return value
 
 
@@ -95,14 +110,15 @@ class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
 
     @staticmethod
     def from_json(doc: dict) -> "SpaceAtom":
-        kind = doc["kind"]
+        kind = json_object(doc, "atom")["kind"]
+        if kind not in (DISK, CPROJ, SPHERE2):  # compared, so an unhashable kind is named too
+            raise ValueError(f"unknown atom kind {kind!r}")
+        label = json_fields(doc, "atom", _ATOM_KEYS[kind]).get("label", "")
         if kind == DISK:
-            return SpaceAtom(DISK, read_int(doc["d"], "disk power d"), doc.get("label", ""))
+            return SpaceAtom(DISK, read_int(doc["d"], "disk power d"), label)
         if kind == CPROJ:
-            return SpaceAtom(CPROJ, read_int(doc["n"], "cp dimension n"), doc.get("label", ""))
-        if kind == SPHERE2:
-            return SpaceAtom(SPHERE2, 1, doc.get("label", ""))
-        raise ValueError(f"unknown atom kind {kind!r}")
+            return SpaceAtom(CPROJ, read_int(doc["n"], "cp dimension n"), label)
+        return SpaceAtom(SPHERE2, 1, label)
 
 
 def disk(power: int, label: str = "") -> SpaceAtom:
@@ -196,8 +212,8 @@ class SpaceDescriptor(Frozen):
 
     @staticmethod
     def from_json(doc: dict) -> "SpaceDescriptor":
-        return SpaceDescriptor(tuple(SpaceAtom.from_json(a)
-                                     for a in json_list(doc["factors"], "factors")))
+        return SpaceDescriptor(tuple(SpaceAtom.from_json(a) for a in json_list(
+            json_fields(doc, "space", {"factors"})["factors"], "factors")))
 
 
 def spheres(n: int) -> SpaceDescriptor:

@@ -11,23 +11,22 @@ prints in lowest terms, and every verdict on ratios cross-multiplies
 positive denominators, so no `fractions` arithmetic runs.  The two
 witness checks, `top_chern_witness` and `ratio_contradiction_check`,
 return the certificate the report prints; the first checks its closed
-form against the top-degree text of `cohomology.line_series_texts`, the
-engine's one expansion of a product of line series, asked for that degree
-alone.  `StepSpec`, `StageStats` and `SystemConfig` are named tuples, the
-first two checked when they are made.
+form against the top-degree component of the witness lines' Chern class,
+from `bundles.chern_component`, the engine's one single-degree expansion
+of a product of line series.  `StepSpec`, `StageStats` and `SystemConfig`
+are named tuples, the first two checked when they are made.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from itertools import accumulate
+from math import prod
 
-from .bundles import expansion_budget
-from .cohomology import GradedClass, line_series_texts
+from .bundles import BundleExpr, chern_component, expansion_budget
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import Encoded, fraction_json
-from .spaces import json_list, json_object, read_int, spheres
+from .spaces import json_fields, json_list, json_object, read_int, spheres
 
 
 class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluations")):
@@ -62,9 +61,7 @@ class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluatio
 
     @staticmethod
     def from_json(doc: dict) -> "StepSpec":
-        unknown = set(doc) - {"proj_mults", "point_evals"}
-        if unknown:
-            raise ConfigError(f"unknown step keys: {sorted(unknown)}")
+        json_fields(doc, "step", {"proj_mults", "point_evals"})
         mults = tuple(sorted((str(k), read_int(v, f"multiplicity of {k!r}"))
                              for k, v in json_object(doc.get("proj_mults", {}),
                                                      "proj_mults").items()))
@@ -137,12 +134,14 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     the given multiplicities yields a bundle over a sphere power of size
     n * len(multiplicities) whose top Chern class is the full product of all
     generators with coefficient prod(m^n), nonzero as every m is.  Computed
-    both in closed form and by expansion: `line_series_texts` writes the
-    top degree 2 * n * count alone, and its text must be the closed form's
-    one row.  CrossCheckDisagreement is raised unless it is, with the
-    expanded coefficient when the text can be read back.  The product has
-    2^(n * count) terms, and is refused with GeneratorBudgetExceeded past
-    the term budget (ENGINE_GENERATOR_BUDGET).
+    both in closed form and by expansion: the witness factors (1 + m * z)
+    are the Chern series of m copies of each generator's line, whose
+    component in the top degree 2 * n * count (`bundles.chern_component`)
+    must be the closed form's one term.  CrossCheckDisagreement is raised
+    unless it is, with the expanded coefficient of the full monomial.  The
+    whole product has 2^(n * count) terms, and is refused with
+    GeneratorBudgetExceeded past the term budget (ENGINE_GENERATOR_BUDGET),
+    though the top degree alone expands one partial term per generator.
     """
     if n < 1:
         raise ValueError("witness size n must be >= 1")
@@ -159,25 +158,15 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
         raise GeneratorBudgetExceeded(None, budget,
                                       f"top Chern witness expansion over {gens} generators",
                                       required_log2=gens)
-    closed = 1
-    for m in multiplicities:
-        closed *= m ** n
+    closed = prod(multiplicities) ** n  # prod(m^n)
 
-    # independent route: expand prod_{l,s} (1 + m_l z_{l,s}) over (S^2)^{n*count}
+    # independent route: expand prod_{l,s} (1 + m_l z_{l*n+s}) over (S^2)^{n*count}
     # in the top degree, which holds the single monomial z_1 ... z_gens
-    space, top = spheres(gens), (1,) * gens
-    expanded = line_series_texts(space, [
-        (l * n + s, [1, m]) for l, m in enumerate(multiplicities) for s in range(n)],
-        2 * gens).get(2 * gens)
-    text = None if expanded is None else expanded.text
-    if text != GradedClass(space, {top: closed}).json_text():
-        try:
-            coefficient = (0 if text is None else
-                           GradedClass.from_json(space, json.loads(text)).terms.get(top, 0))
-        except (ValueError, KeyError, TypeError):  # not the text of a class over the space
-            coefficient = "unreadable"
+    bundle = BundleExpr(spheres(gens), 0, enumerate(m for m in multiplicities for _ in range(n)))
+    terms, top = chern_component(bundle, 2 * gens).terms, (1,) * gens
+    if terms != {top: closed}:
         raise CrossCheckDisagreement(
-            f"top Chern coefficient mismatch: closed {closed}, expanded {coefficient}")
+            f"top Chern coefficient mismatch: closed {closed}, expanded {terms.get(top, 0)}")
     return {"sphere_power": gens, "degree": str(gens), "coefficient": str(closed),
             "distinct_projections": str(count)}
 
@@ -219,9 +208,7 @@ class SystemConfig(namedtuple("SystemConfig", "seed_dimension steps")):
 
     @staticmethod
     def from_json(doc: dict) -> "SystemConfig":
-        unknown = set(doc) - {"seed_dim", "steps"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        json_fields(doc, "config", {"seed_dim", "steps"})
         if "seed_dim" not in doc or "steps" not in doc:
             raise ConfigError("config needs 'seed_dim' and 'steps'")
         seed = read_int(doc["seed_dim"], "seed_dim")

@@ -8,9 +8,10 @@ filter and move exponent vectors term by term, so the engine's kernels
 (`line_series_texts`, `chern_component`, `pullback_positions`) are
 checked against them, not against themselves: `series_product` is the
 cup product of each factor's series class, the reference for
-`line_series_texts` (`series_texts` reads its components as text,
-`assert_each_degree_alone` checks each `degree` it can be asked for, and
-`series_cut` is where it cuts the factors into its two blocks).
+`line_series_texts` (`series_texts` reads its components as text, and
+`series_cut` is where it cuts the factors into its two blocks).  The
+`component_*` functions are `chern_component` broken on purpose, patched
+in to show that each cross-check of a component catches the break.
 `graded_components` and `class_document` split a
 class by degree and write it as one dict per term, the references for the
 class text the engine writes directly.  The library builds no total Chern
@@ -327,22 +328,9 @@ def series_cut(lengths: list[int]) -> int:
     return min(range(len(lengths) + 1), key=runs_and_suffix_terms)
 
 
-def series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
-                 degree: int | None = None) -> dict[int, str]:
+def series_texts(space: SpaceDescriptor, factors: list[tuple[int, list[int]]]) -> dict[int, str]:
     """The components `line_series_texts` writes, as their texts."""
-    return {d: part.text for d, part in line_series_texts(space, factors, degree).items()}
-
-
-def assert_each_degree_alone(space: SpaceDescriptor, factors: list[tuple[int, list[int]]],
-                             expected: dict[int, str]) -> None:
-    """`line_series_texts` asked for one degree writes that degree's
-    component of `expected`, the reference texts of the whole product, for
-    every even degree up to the top; and nothing for an odd or negative
-    degree, or one past the top."""
-    top = max(expected, default=0)
-    for degree in range(-3, top + 4):
-        assert series_texts(space, factors, degree) == (
-            {degree: expected[degree]} if degree in expected else {}), degree
+    return {d: part.text for d, part in line_series_texts(space, factors).items()}
 
 
 def chern_class(b: BundleExpr, degrees=None) -> GradedClass:
@@ -565,73 +553,47 @@ def random_step(rng: random.Random, max_projections: int = 3,
     return StepSpec(mults, points)
 
 
-def kernel_dropping_top_term(space, factors, degree=None):
-    """`line_series_texts` with its top-degree component dropped.
-
-    Patched in for the engine's kernel, it makes every expansion-based
-    cross-check disagree with its closed-form route.
-    """
-    texts = line_series_texts(space, factors, degree)
-    if texts:
-        del texts[max(texts)]
-    return texts
-
-
-def _with_top_text(texts: dict[int, Encoded], change) -> dict[int, Encoded]:
-    """`texts` with the top-degree component's text replaced by `change(text)`."""
-    top = max(texts)
-    texts[top] = Encoded(change(texts[top].text))
-    return texts
-
-
-def _with_top_row(texts: dict[int, Encoded], change) -> dict[int, Encoded]:
-    """`texts` with the first row of the top-degree component replaced by
-    `change(row)`, the component written again as canonical text."""
-    def changed(text):
-        doc = json.loads(text)
-        doc["terms"][0] = change(doc["terms"][0])
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    return _with_top_text(texts, changed)
-
-
-def kernel_zeroing_a_top_exponent(space, factors, degree=None):
-    """`line_series_texts` whose top-degree row has 0 as its first exponent."""
-    return _with_top_row(line_series_texts(space, factors, degree),
-                         lambda row: {**row, "exponents": [0, *row["exponents"][1:]]})
-
-
-def kernel_raising_the_top_coefficient(space, factors, degree=None):
-    """`line_series_texts` whose top-degree row has its coefficient plus one."""
-    return _with_top_row(line_series_texts(space, factors, degree),
-                         lambda row: {**row, "coefficient": str(int(row["coefficient"]) + 1)})
-
-
-def kernel_shortening_a_top_exponent_vector(space, factors, degree=None):
-    """`line_series_texts` whose top-degree row lacks its last exponent, so
-    its text is no class over the space."""
-    return _with_top_row(line_series_texts(space, factors, degree),
-                         lambda row: {**row, "exponents": row["exponents"][:-1]})
-
-
-def kernel_cutting_the_top_text(space, factors, degree=None):
-    """`line_series_texts` whose top-degree text stops halfway, so it is
-    not JSON."""
-    return _with_top_text(line_series_texts(space, factors, degree),
-                          lambda text: text[:len(text) // 2])
-
-
 def component_dropping_top_term(b, degree):
     """`bundles.chern_component` with one of its terms dropped.
 
     Patched in for the engine's, it makes the Euler cross-check of every
     bundle with a nonzero Euler class (a one-term component) disagree with
-    the factorized route.
+    the factorized route, and `vi --witness` find no top term.
     """
     part = chern_component(b, degree)
     if part.terms:
         del part.terms[max(part.terms)]
     return part
+
+
+def _with_top_term(b, degree, change) -> GradedClass:
+    """`chern_component(b, degree)` with its last term replaced by the
+    terms `change(exponents, coefficient)` returns."""
+    terms = dict(chern_component(b, degree).terms)
+    top = max(terms)
+    changed = change(top, terms.pop(top))
+    return GradedClass(b.base, {**terms, **changed})
+
+
+def component_zeroing_a_top_exponent(b, degree):
+    """`chern_component` whose last term has 0 as its first exponent."""
+    return _with_top_term(b, degree, lambda e, c: {(0, *e[1:]): c})
+
+
+def component_raising_the_top_coefficient(b, degree):
+    """`chern_component` whose last term has its coefficient plus one."""
+    return _with_top_term(b, degree, lambda e, c: {e: c + 1})
+
+
+def component_adding_a_term(b, degree):
+    """`chern_component` with the unit term beside its right ones, so the
+    component is no single term though its top coefficient is right."""
+    return _with_top_term(b, degree, lambda e, c: {e: c, (0,) * len(e): 1})
+
+
+def component_of_the_degree_below(b, degree):
+    """`chern_component` asked for the degree two below the one it is given."""
+    return chern_component(b, degree - 2)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,12 +21,11 @@ from villadsen.reports import canonical_json, normalize_report, validate_report
 from villadsen.type_one import compose_stats
 
 from conftest import (
+    component_adding_a_term,
     component_dropping_top_term,
-    kernel_cutting_the_top_text,
-    kernel_dropping_top_term,
-    kernel_raising_the_top_coefficient,
-    kernel_shortening_a_top_exponent_vector,
-    kernel_zeroing_a_top_exponent,
+    component_of_the_degree_below,
+    component_raising_the_top_coefficient,
+    component_zeroing_a_top_exponent,
     unlimited_int_digits,
 )
 
@@ -781,13 +780,13 @@ def test_budget_refusal_keeps_its_count_exact_up_to_1024_bits():
 # where one name has several, a word after it
 BROKEN_ROUTE = {
     "villadsen.bundles.chern_component": component_dropping_top_term,
-    "villadsen.type_one.line_series_texts": kernel_dropping_top_term,
-    # a top row off the full monomial, and one with the wrong coefficient
-    "villadsen.type_one.line_series_texts zeroing": kernel_zeroing_a_top_exponent,
-    "villadsen.type_one.line_series_texts raising": kernel_raising_the_top_coefficient,
-    # a top text that cannot be read back: a short exponent vector, and a cut text
-    "villadsen.type_one.line_series_texts shortening": kernel_shortening_a_top_exponent_vector,
-    "villadsen.type_one.line_series_texts cutting": kernel_cutting_the_top_text,
+    "villadsen.type_one.chern_component": component_dropping_top_term,
+    # a top term off the full monomial, and one with the wrong coefficient
+    "villadsen.type_one.chern_component zeroing": component_zeroing_a_top_exponent,
+    "villadsen.type_one.chern_component raising": component_raising_the_top_coefficient,
+    # the right top term with another beside it, and the degree below the top
+    "villadsen.type_one.chern_component adding": component_adding_a_term,
+    "villadsen.type_one.chern_component lowering": component_of_the_degree_below,
     # the closed form of the running pushforward coefficient, off by one
     "villadsen.cfp.factorial": lambda n: factorial(n) + 1,
     # a unit rank 1000 times too large shrinks every trace below its bounds
@@ -808,7 +807,7 @@ BROKEN_ROUTE = {
      "lower_bound", "villadsen.bundles.chern_component",
      "factorized Euler class disagrees"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_texts",
+     "top_chern_witness", "villadsen.type_one.chern_component",
      "top Chern coefficient mismatch"),
     (["cfp", "--terms", "2"], "100000",
      "lower_bound", "villadsen.cfp.factorial",
@@ -830,17 +829,17 @@ BROKEN_ROUTE = {
      "euler_class", "villadsen.bundles.chern_component",
      "factorized Euler class disagrees"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_texts zeroing",
+     "top_chern_witness", "villadsen.type_one.chern_component zeroing",
      "top Chern coefficient mismatch: closed 9, expanded 0"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_texts raising",
+     "top_chern_witness", "villadsen.type_one.chern_component raising",
      "top Chern coefficient mismatch: closed 9, expanded 10"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_texts shortening",
-     "top Chern coefficient mismatch: closed 9, expanded unreadable"),
+     "top_chern_witness", "villadsen.type_one.chern_component adding",
+     "top Chern coefficient mismatch: closed 9, expanded 9"),
     (["vi", "--config", "CONFIG", "--witness", "2"], "100000",
-     "top_chern_witness", "villadsen.type_one.line_series_texts cutting",
-     "top Chern coefficient mismatch: closed 9, expanded unreadable"),
+     "top_chern_witness", "villadsen.type_one.chern_component lowering",
+     "top Chern coefficient mismatch: closed 9, expanded 0"),
 ])
 def test_cross_check_disagreement_exits_two(argv, budget, check, patched, message,
                                             tmp_path, capsys, monkeypatch):
@@ -1079,12 +1078,20 @@ BOOLEAN_SLOT_DOCUMENTS = {
 ])
 def test_boolean_in_an_integer_slot_is_usage_error(document, slot_path, tmp_path, capsys):
     # `true` was read as 1: a bundle of all-`true` slots had rank 2
+    assert_one_error_line(capsys, *run_with_slot_set(tmp_path, document, slot_path, True))
+
+
+def run_with_slot_set(tmp_path, document, slot_path, value) -> tuple[int, str]:
+    """Exit code of the command that reads `document`, run on the documents
+    of BOOLEAN_SLOT_DOCUMENTS with the slot at `slot_path` (keys and list
+    indices, joined by dots) in `document` set to `value`; and that
+    document's path."""
     docs = json.loads(json.dumps(BOOLEAN_SLOT_DOCUMENTS))
     *parents, last = [int(k) if k.isdigit() else k for k in slot_path.split(".")]
     slot = docs[document]
     for key in parents:
         slot = slot[key]
-    slot[last] = True
+    slot[last] = value
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -1093,7 +1100,26 @@ def test_boolean_in_an_integer_slot_is_usage_error(document, slot_path, tmp_path
         code = main(["vi", "--config", str(paths["config"])])
     else:
         code = main(["chern", "--space", str(paths["space"]), "--bundle", str(paths["bundle"])])
-    assert_one_error_line(capsys, code, str(paths[document]))
+    return code, str(paths[document])
+
+
+@pytest.mark.parametrize("document, slot_path, level", [
+    ("space", "factor", "space"),
+    ("space", "factors.0.n", "atom"),        # a cp's dimension on a disk
+    ("space", "factors.1.d", "atom"),        # a disk's power on a sphere
+    ("space", "factors.2.lable", "atom"),
+    ("bundle", "sumands", "bundle"),
+    ("bundle", "summands.0.mul", "summand"),
+    ("bundle", "summands.0.line.term", "class"),
+    ("bundle", "summands.0.line.terms.0.exponent", "term"),
+    ("config", "step", "config"),
+    ("config", "steps.0.point_eval", "step"),
+])
+def test_unknown_key_in_a_document_is_usage_error(document, slot_path, level, tmp_path, capsys):
+    # a misspelt key was dropped silently: `{"trivial": "1", "sumands": [...]}`
+    # certified a rank-1 bundle with a zero Euler class
+    error = assert_one_error_line(capsys, *run_with_slot_set(tmp_path, document, slot_path, "1"))
+    assert f"unknown {level} keys: [{slot_path.split('.')[-1]!r}]" in error
 
 
 # past Python's default limit of 4300 digits for int<->str conversion

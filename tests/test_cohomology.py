@@ -14,7 +14,6 @@ from villadsen.errors import BaseMismatchError
 from villadsen.spaces import SpaceDescriptor, cproj, disk, projection, sphere2, spheres
 
 from conftest import (
-    assert_each_degree_alone,
     cup,
     dict_form_text,
     graded_components,
@@ -264,8 +263,6 @@ def test_line_series_product_is_the_cartesian_product():
     texts = {d: part.json_text() for d, part in graded_components(product).items()}
     assert series_texts(space, factors) == texts
     assert series_texts(space, []) == {0: unit_class(space).json_text()}
-    assert_each_degree_alone(space, factors, texts)
-    assert_each_degree_alone(space, [], {0: unit_class(space).json_text()})
 
 
 def texts_of_product(space, factors) -> dict[int, str]:
@@ -284,9 +281,7 @@ def test_line_series_texts_of_short_and_signed_series():
         [(0, [1, 2]), (1, []), (2, [3])],      # an empty series: zero, with no component
     ]
     for factors in cases:
-        expected = texts_of_product(space, factors)
-        assert series_texts(space, factors) == expected
-        assert_each_degree_alone(space, factors, expected)
+        assert series_texts(space, factors) == texts_of_product(space, factors)
 
 
 def test_line_series_texts_cut_before_every_factor():
@@ -318,9 +313,7 @@ def test_line_series_texts_cut_before_every_factor():
             prefix_levels = [levels for text, levels in
                              (c.args for c in expand.call_args_list) if text]
             assert [len(levels) for levels in prefix_levels] == [series_cut(lengths)]
-            expected = texts_of_product(space, factors)
-            assert texts == expected
-            assert_each_degree_alone(space, factors, expected)
+            assert texts == texts_of_product(space, factors)
 
 
 def test_line_series_texts_of_a_mixed_document_in_few_runs():
@@ -332,9 +325,8 @@ def test_line_series_texts_of_a_mixed_document_in_few_runs():
     factors = chern_series(BundleExpr(space, 1, [(0, 3), (1, 7), (2, 2), (3, 6), (4, 9)]))
     assert [len(coeffs) for _, coeffs in factors] == [4, 5, 2, 7, 7]
     components = line_series_texts(space, factors)
-    expected = texts_of_product(space, factors)
-    assert {degree: part.text for degree, part in components.items()} == expected
-    assert_each_degree_alone(space, factors, expected)
+    assert {degree: part.text for degree, part in components.items()} == \
+        texts_of_product(space, factors)
     # a component's pieces are its opening text and its runs
     assert sum(len(part.pieces) - 1 for part in components.values()) <= 280
 

@@ -27,7 +27,9 @@ Euler class, as one text fragment, not as an object per term.  It writes
 the degrees straight from the summands' series: the only class it builds
 past the parsed line classes is the Euler class, and it sorts no terms.
 The Euler degree of a Chern class takes each summand's top power, so its
-component computes no binomial.
+component computes no binomial.  `vi --witness` expands only the top degree
+of its witness lines' Chern class, one partial term per generator, so a
+witness over 60 generators costs one binomial per generator.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import sys
 
 import pytest
 
-from villadsen import bundles, cfp, cli, cohomology, growth, reports, type_two
+from villadsen import bundles, cfp, cli, cohomology, growth, reports, type_one, type_two
 from villadsen.bundles import BundleExpr
 from villadsen.cli import main
 from villadsen.cohomology import GradedClass
@@ -433,3 +435,33 @@ def test_euler_component_computes_no_binomial(monkeypatch):
     # below the Euler degree the binomials are computed as before
     assert not bundles.chern_component(b, 2 * b.rank - 2).is_zero()
     assert calls
+
+
+def test_vi_witness_expands_one_term_per_generator(monkeypatch, capsys, tmp_path):
+    # the top degree of a product of 2^60 terms: one kernel call, at degree
+    # 120, and one binomial C(m, 1) per generator, not 2^30 prefix terms
+    monkeypatch.setenv("ENGINE_GENERATOR_BUDGET", str(2 ** 61))
+    degrees, binomials = [], []
+    component, comb = bundles.chern_component, math.comb
+
+    def spy(b, degree):
+        degrees.append(degree)
+        return component(b, degree)
+
+    def counting_comb(n, k):
+        binomials.append(k)
+        return comb(n, k)
+
+    monkeypatch.setattr(type_one, "chern_component", spy)
+    monkeypatch.setattr(bundles, "comb", counting_comb)
+    config = tmp_path / "vi.json"
+    config.write_text(json.dumps({"seed_dim": 1, "steps": [
+        {"proj_mults": {"p1": 2, "p2": 3}, "point_evals": 1}]}))
+    assert main(["vi", "--config", str(config), "--witness", "30"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    witness = checks["top_chern_witness"]
+    assert witness["outcome"] == "pass"
+    assert witness["certificate"]["coefficient"] == str(6 ** 30)
+    assert witness["certificate"]["sphere_power"] == 60
+    assert degrees == [120]
+    assert len(binomials) <= 60

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from villadsen.cli import main
-from villadsen.cohomology import line_series_texts
 from villadsen.errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
+from villadsen.bundles import chern_component
 from villadsen.type_one import (
     IDENTITY_STATS,
     StageStats,
@@ -29,11 +29,11 @@ from conftest import (
     enumerate_chain_stats,
     fraction,
     fraction_pair,
-    kernel_cutting_the_top_text,
-    kernel_dropping_top_term,
-    kernel_raising_the_top_coefficient,
-    kernel_shortening_a_top_exponent_vector,
-    kernel_zeroing_a_top_exponent,
+    component_adding_a_term,
+    component_dropping_top_term,
+    component_of_the_degree_below,
+    component_raising_the_top_coefficient,
+    component_zeroing_a_top_exponent,
     plain,
     random_step,
     ratio_contradiction_from_fractions,
@@ -192,13 +192,15 @@ def test_top_chern_witness_budget(monkeypatch):
 
 
 def test_top_chern_witness_disagreement(monkeypatch):
-    # no top row, a top row off the full monomial, a top coefficient off by
-    # one, and two top texts that cannot be read back
-    for kernel, expanded in ((kernel_dropping_top_term, 0), (kernel_zeroing_a_top_exponent, 0),
-                             (kernel_raising_the_top_coefficient, 10),
-                             (kernel_shortening_a_top_exponent_vector, "unreadable"),
-                             (kernel_cutting_the_top_text, "unreadable")):
-        monkeypatch.setattr("villadsen.type_one.line_series_texts", kernel)
+    # no top term, a top term off the full monomial, a top coefficient off
+    # by one, the right top term with another beside it, and the component
+    # of the degree below the top
+    for kernel, expanded in ((component_dropping_top_term, 0),
+                             (component_zeroing_a_top_exponent, 0),
+                             (component_raising_the_top_coefficient, 10),
+                             (component_adding_a_term, 9),
+                             (component_of_the_degree_below, 0)):
+        monkeypatch.setattr("villadsen.type_one.chern_component", kernel)
         with pytest.raises(CrossCheckDisagreement, match=f"closed 9, expanded {expanded}$"):
             top_chern_witness(2, [1, 3])
 
@@ -207,11 +209,11 @@ def test_vi_witness_expands_only_its_top_degree(monkeypatch):
     # one call of the kernel per witness, for the one degree 2 * gens
     asked = []
 
-    def spy(space, factors, degree=None):
-        asked.append((len(space.caps), degree))
-        return line_series_texts(space, factors, degree)
+    def spy(b, degree):
+        asked.append((len(b.base.caps), degree))
+        return chern_component(b, degree)
 
-    monkeypatch.setattr("villadsen.type_one.line_series_texts", spy)
+    monkeypatch.setattr("villadsen.type_one.chern_component", spy)
     step = StepSpec((("p1", 2), ("p2", 3)), 1)
     for n in (2, 3, 7):
         asked.clear()
