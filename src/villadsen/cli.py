@@ -27,6 +27,7 @@ input document is written where it is read (`_load_json`).
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -112,23 +113,14 @@ def _parse_document(what: str, path: str, build, doc):
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
-# the pieces are written in runs, each joined up to the next multiple of
-# this many characters: each run, and the stream's encoded copy of it, fits
-# a block the allocator hands out again for the next run, where a join of
-# the whole text would map fresh pages for it and for its encoded copy.  A
-# running sum finds the marks: a list of every piece's end offset would hold
-# an int per piece, which in a fresh fork costs about 8 more page faults on
-# a 155-piece `v2` report
-_WRITE_CHUNK = 1 << 16
-
-
 def _emit(report: dict) -> int:
     """Validate and print `report`, which only this call holds.  Every
     piece of its text is written first, by `reports.canonical_pieces`,
     which builds no JSON encoder (the echoed input documents are fragments
     written where they were read), so an error prints no part of it; then
-    the report is freed, and the pieces are printed in runs of about
-    `_WRITE_CHUNK` characters.  The whole text is never joined."""
+    the report is freed, and the pieces are handed to stdout by one
+    `writelines`: the stream does all the buffering, and the whole text is
+    never joined."""
     try:
         reports.validate_report(report)
     except ValueError as exc:
@@ -143,14 +135,7 @@ def _emit(report: dict) -> int:
                           "a value that holds itself") from None
     ok = report["ok"]
     del report
-    start, size, mark = 0, 0, _WRITE_CHUNK
-    for stop, piece in enumerate(pieces, 1):
-        size += len(piece)
-        if size >= mark:  # a run ends with the first piece that reaches the next mark
-            sys.stdout.write("".join(pieces[start:stop]))
-            start, mark = stop, size - size % _WRITE_CHUNK + _WRITE_CHUNK
-    if start < len(pieces):
-        sys.stdout.write("".join(pieces[start:]))
+    sys.stdout.writelines(pieces)
     sys.stdout.write("\n")
     return 0 if ok else 2
 
@@ -292,7 +277,7 @@ def _run_cfp(args):
     overrides = None
     if args.override_l:
         overrides = [read_int(x.strip(), "--override-l entry")
-                     for x in args.override_l.split(",") if x.strip()]
+                     for x in args.override_l.split(",")]
         _check_index("--override-l stage", max(overrides, default=None))
     _check_index("--stage stage", args.stage)
     _check_index("--terms", args.terms)
@@ -459,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(_report(args, started))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # what stdout still buffers would fail again, and be reported, at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
         if _DIGIT_LIMIT:

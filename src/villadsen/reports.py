@@ -28,8 +28,8 @@ appends each value's text where it sits, each fragment's pieces wherever
 it is, builds no JSON encoder and splices nothing afterwards.  So the
 report's bytes are those of the same report held as plain JSON, and no
 record, term or input document is built as a dict or encoded again.  The
-CLI prints the pieces in runs and never joins them into one text;
-`canonical_json` is their join.
+CLI hands the pieces to stdout's `writelines` and never joins them into
+one text; `canonical_json` is their join.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's

@@ -138,7 +138,8 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     are the Chern series of m copies of each generator's line, whose
     component in the top degree 2 * n * count (`bundles.chern_component`)
     must be the closed form's one term.  CrossCheckDisagreement is raised
-    unless it is, with the expanded coefficient of the full monomial.  The
+    unless it is, with the expanded coefficient of the full monomial and
+    the count of the component's other terms and the first of them.  The
     whole product has 2^(n * count) terms, and is refused with
     GeneratorBudgetExceeded past the term budget (ENGINE_GENERATOR_BUDGET),
     though the top degree alone expands one partial term per generator.
@@ -165,8 +166,10 @@ def top_chern_witness(n: int, multiplicities: list[int]) -> dict:
     bundle = BundleExpr(spheres(gens), 0, enumerate(m for m in multiplicities for _ in range(n)))
     terms, top = chern_component(bundle, 2 * gens).terms, (1,) * gens
     if terms != {top: closed}:
+        stray = [exponents for exponents in terms if exponents != top]
         raise CrossCheckDisagreement(
-            f"top Chern coefficient mismatch: closed {closed}, expanded {terms.get(top, 0)}")
+            f"top Chern coefficient mismatch: closed {closed}, expanded {terms.get(top, 0)}, "
+            f"stray terms {len(stray)}" + (f", first at exponents {list(stray[0])}" if stray else ""))
     return {"sphere_power": gens, "degree": str(gens), "coefficient": str(closed),
             "distinct_projections": str(count)}
 

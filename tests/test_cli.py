@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -6,10 +7,8 @@ import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -72,31 +71,42 @@ def test_a_report_without_fragments_is_one_encode_call(tmp_path, capsys, argv):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
-def emitted_writes(monkeypatch, argv) -> tuple[str, list[int], int]:
-    """The canonical text of the report `argv` builds, the lengths of the
-    writes `cli._emit` prints it with, each checked against the text and
-    newline where it lands and then dropped, and the peak of what `_emit`
-    allocates meanwhile."""
+class WriteLog(io.TextIOBase):
+    """A text stream that checks each write against `printed` where it
+    lands and keeps only the offset reached and the longest write: unlike
+    a Mock, its `writelines` is `write` once per line."""
+
+    def __init__(self, printed: str):
+        self.printed, self.end, self.longest = printed, 0, 0
+
+    def write(self, text: str) -> int:
+        assert self.printed.startswith(text, self.end)
+        self.end += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+
+def emitted_writes(monkeypatch, argv) -> tuple[str, int, int, int]:
+    """The canonical text of the report `argv` builds, its longest piece,
+    the longest write `cli._emit` prints it with, each write checked
+    against the text and newline where it lands, and the peak of what
+    `_emit` allocates meanwhile."""
     # `_report` lifts the digit limit, which `main` restores after `_emit`
     with unlimited_int_digits():
         report = cli._report(cli._parse(argv), 0.0)
         text = canonical_json(report)
-        printed, lengths = text + "\n", []
-
-        def write(run):
-            assert printed.startswith(run, sum(lengths))
-            lengths.append(len(run))
-
+        longest_piece = max(map(len, reports.canonical_pieces(report)))
+        stream = WriteLog(text + "\n")
         with monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", mock.Mock(write=write))
+            patch.setattr(sys, "stdout", stream)
             tracemalloc.start()
             try:
                 assert cli._emit(report) == 0
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-    assert sum(lengths) == len(printed) and lengths[-1] == 1
-    return text, lengths, peak
+    assert stream.end == len(stream.printed)
+    return text, longest_piece, stream.longest, peak
 
 
 def write_sphere_lines(tmp_path, generators):
@@ -111,31 +121,22 @@ def write_sphere_lines(tmp_path, generators):
     return str(space), str(bundle)
 
 
-def test_a_small_report_is_one_write(tmp_path, monkeypatch):
-    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
-    text, lengths, _ = emitted_writes(monkeypatch, ["vi", "--config", config, "--witness", "2"])
-    assert len(text) < cli._WRITE_CHUNK
-    assert lengths == [len(text), 1]
-
-
-@pytest.mark.parametrize("argv", [
-    ["v2", "-k", "2", "-n", "300", "--rc"],
-    ["chern", "--space", "{space}", "--bundle", "{bundle}"],   # 2**12 terms
-])
-def test_a_large_report_is_written_in_runs_of_its_pieces(tmp_path, monkeypatch, argv):
-    # the report's bytes, in runs that each reach the next 64 KiB mark: no
-    # write holds the whole text, no run is joined far past its mark, and
-    # no copy of the whole text is made
+@pytest.mark.parametrize("argv, large", [
+    (["v2", "-k", "2", "-n", "300", "--rc"], True),
+    (["chern", "--space", "{space}", "--bundle", "{bundle}"], True),   # 2**12 terms
+    (["vi", "--config", "{config}", "--witness", "2"], False),
+], ids=["v2", "chern", "vi"])
+def test_a_report_is_written_as_its_pieces(tmp_path, monkeypatch, argv, large):
+    # the report's bytes, handed to the stream piece by piece: no write
+    # joins pieces, and a large report is never copied whole (a small one's
+    # validation alone allocates more than its text)
     space, bundle = write_sphere_lines(tmp_path, 12)
-    text, lengths, peak = emitted_writes(monkeypatch, [arg.format(space=space, bundle=bundle)
-                                                       for arg in argv])
-    assert len(text) > 2 * cli._WRITE_CHUNK
-    runs = lengths[:-1]
-    assert max(runs) < 2 * cli._WRITE_CHUNK
-    ends = list(accumulate(runs))
-    assert all(end // cli._WRITE_CHUNK > before // cli._WRITE_CHUNK
-               for before, end in zip([0, *ends], ends[:-1]))
-    assert peak < len(text) // 2
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    text, longest_piece, longest_write, peak = emitted_writes(
+        monkeypatch, [arg.format(space=space, bundle=bundle, config=config) for arg in argv])
+    assert longest_write <= longest_piece
+    if large:
+        assert peak < len(text) // 2
 
 
 # the input documents each subcommand echoes
@@ -373,6 +374,17 @@ def test_cfp_invalid_override_is_usage_error(capsys):
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "--override-l" in captured.err and "'x'" in captured.err
+
+
+@pytest.mark.parametrize("override", [",4,5", "4,,5", "4,5,", ",4,,5,", "4, ,5"])
+def test_cfp_empty_override_entry_is_usage_error(capsys, override):
+    # an empty entry is not skipped: the report would echo the raw text
+    # beside a witness read from the other entries
+    code = main(["cfp", "--terms", "2", "--override-l", override])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: --override-l entry must be an integer or a "
+                            "decimal string, not ''\n")
 
 
 def test_cfp_override_below_stage_one_is_named(capsys):
@@ -731,6 +743,25 @@ def test_vi_huge_witness_is_refused_by_its_exponent(witness, tmp_path):
     assert refused[0]["certificate"] == {"required_log2": gens, "budget": "100000"}
     assert refused[0]["message"].startswith(
         f"top Chern witness expansion over {gens} generators needs at least 2^{gens} terms")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_is_one_error_line(unbuffered):
+    # the reader closes after 20 bytes of a report larger than the pipe: what
+    # a buffered stdout still holds must not fail again when the interpreter
+    # flushes it at exit, which prints "Exception ignored" and exits 120
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "villadsen.cli", "cfp", "--terms", "8"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          bufsize=0) as proc:
+        assert os.read(proc.stdout.fileno(), 20) == b'{"checks":[{"certifi'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_chern_huge_cost_is_refused_by_its_exponent(tmp_path):

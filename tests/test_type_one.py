@@ -194,15 +194,20 @@ def test_top_chern_witness_budget(monkeypatch):
 def test_top_chern_witness_disagreement(monkeypatch):
     # no top term, a top term off the full monomial, a top coefficient off
     # by one, the right top term with another beside it, and the component
-    # of the degree below the top
-    for kernel, expanded in ((component_dropping_top_term, 0),
-                             (component_zeroing_a_top_exponent, 0),
-                             (component_raising_the_top_coefficient, 10),
-                             (component_adding_a_term, 9),
-                             (component_of_the_degree_below, 0)):
+    # of the degree below the top; the count of stray terms, and the first
+    # of them, tell the added term from an agreement
+    for kernel, found in (
+            (component_dropping_top_term, "expanded 0, stray terms 0"),
+            (component_zeroing_a_top_exponent,
+             "expanded 0, stray terms 1, first at exponents [0, 1, 1, 1]"),
+            (component_raising_the_top_coefficient, "expanded 10, stray terms 0"),
+            (component_adding_a_term, "expanded 9, stray terms 1, first at exponents [0, 0, 0, 0]"),
+            (component_of_the_degree_below,
+             "expanded 0, stray terms 4, first at exponents [1, 1, 1, 0]")):
         monkeypatch.setattr("villadsen.type_one.chern_component", kernel)
-        with pytest.raises(CrossCheckDisagreement, match=f"closed 9, expanded {expanded}$"):
+        with pytest.raises(CrossCheckDisagreement) as exc:
             top_chern_witness(2, [1, 3])
+        assert str(exc.value) == f"top Chern coefficient mismatch: closed 9, {found}"
 
 
 def test_vi_witness_expands_only_its_top_degree(monkeypatch):
