@@ -10,11 +10,12 @@ is stored as a sparse map from exponent vectors to arbitrary-precision
 integers; any term whose exponent reaches its cap is identically zero and
 is dropped on sight.
 
-A class is written out as canonical JSON text straight from its sorted
-terms (`GradedClass.json_text`), one formatted row per term, with no
-per-term object built for an encoder to walk.  `line_series_texts` writes
-a product of line series the same way, degree by degree, with no class at
-all: each row joins a term of a prefix block of the factors with a term of
+`line_series_texts` writes a product of line series as canonical JSON
+text, degree by degree, with no class and no per-term object built for an
+encoder to walk: each degree's class document `{"terms":[...]}` has one
+`{"coefficient":"<decimal>","exponents":[...]}` row per term, in exponent
+order, keys sorted and no whitespace, as `reports.canonical_json` writes
+it.  Each row joins a term of a prefix block of the factors with a term of
 the suffix block, and no Python loop runs per term.  A run, the rows of one
 prefix term with one suffix power sum, is one list of slots filled by two
 slice assignments and joined once, and the cut between the blocks is where
@@ -32,8 +33,6 @@ from math import prod
 from .reports import Encoded
 from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_fields, json_list, read_int
 
-# one term of a class as canonical JSON, from its coefficient and exponent text
-_ROW = '{"coefficient":"%d","exponents":[%s]}'
 # what ends one row's exponent text and starts the next row, up to its coefficient
 _NEXT_ROW = ']},{"coefficient":"'
 
@@ -102,17 +101,6 @@ class GradedClass:
             parts.append(mono)
         return "GradedClass(" + " + ".join(parts) + ")"
 
-    # -- serialization -------------------------------------------------------
-
-    def json_text(self) -> str:
-        """The class as canonical JSON text: `{"terms":[...]}` with one
-        `{"coefficient":"<decimal>","exponents":[...]}` row per term, in
-        exponent order, keys sorted and no whitespace, as
-        `reports.canonical_json` writes a dict.  Like `str`, `%d` refuses a
-        coefficient past the interpreter's int->str digit limit."""
-        return '{"terms":[' + ",".join([_ROW % (c, ",".join(map(str, e)))
-                                        for e, c in sorted(self.terms.items())]) + "]}"
-
     @staticmethod
     def from_json(space: SpaceDescriptor, doc: dict) -> "GradedClass":
         """The class of a `{"terms": [...]}` document, adding the coefficients
@@ -159,8 +147,8 @@ def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
 def line_series_texts(space: SpaceDescriptor,
                       factors: list[tuple[int, list[int]]]) -> dict[int, Encoded]:
     """Product of one-generator polynomials on pairwise distinct positions,
-    each degree's component as the `Encoded` pieces of the text `json_text`
-    writes, with no class built.
+    each degree's component as the `Encoded` pieces of its class
+    document's canonical text, with no class built.
 
     Each factor is (position, [c0, c1, ...]), the sum of c_i * g^i in the
     generator g at that position.  With distinct positions, at most cap

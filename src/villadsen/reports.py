@@ -9,27 +9,28 @@ and `sphere_power`; and the exponents of a class term.  Every other number
 is a decimal string, and every rational a {"num", "den"} pair of decimal
 strings in lowest terms with a positive denominator, whose text
 `fraction_json` writes, so reports are exact and independent of platform
-float behaviour.  Echoed input documents keep the numbers as they were
+float behaviour.  The input documents a report echoes under `inputs` are
+the values `json.load` read, so they keep the numbers as they were
 written.  Reports are deterministic given identical inputs and engine
 version once the volatile wall-time field is dropped, which is what
 `normalize_report` is for.
 
 A value the engine has already written as canonical JSON text goes into a
-report as an `Encoded` fragment: a class (`GradedClass.json_text`), a Chern
-component (`line_series_texts`), a rational (`fraction_json`), each record
-list that grows with a stage or term count, which the engine writes row by
-row as it computes the records, one row template per record kind with its
-keys in canonical order, and each echoed input document (`echo`, one call
-of json's C encoder where the document is read).  A list's fragment is its
-rows and the brackets and commas between them (`encoded_rows`), so no row
-is copied into a list text before the report is joined.
-`canonical_pieces` is the one report writer: a walk over the report that
-appends each value's text where it sits, each fragment's pieces wherever
-it is, builds no JSON encoder and splices nothing afterwards.  So the
-report's bytes are those of the same report held as plain JSON, and no
-record, term or input document is built as a dict or encoded again.  The
-CLI hands the pieces to stdout's `writelines` and never joins them into
-one text; `canonical_json` is their join.
+report as an `Encoded` fragment: a Chern component (`line_series_texts`),
+a rational (`fraction_json`) and each record list that grows with a stage
+or term count, which the engine writes row by row as it computes the
+records, one row template per record kind with its keys in canonical
+order.  A list's fragment is its rows and the brackets and commas between
+them (`encoded_rows`), so no row is copied into a list text before the
+report is joined.  Every other value, the echoed input documents and the
+Euler class included, is plain JSON.  `canonical_pieces` is the one
+report writer: a walk over the report that appends each value's text
+where it sits, each fragment's pieces wherever it is, builds no JSON
+encoder and splices nothing afterwards.  So the report's bytes are those
+of the same report held as plain JSON, and no record or Chern term is
+built as a dict or encoded again.  The CLI hands the pieces to stdout's
+`writelines` and never joins them into one text; `canonical_json` is
+their join.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
@@ -126,16 +127,6 @@ def encoded_rows(rows: list[str]) -> Encoded:
     return Encoded(*pieces)
 
 
-def echo(document) -> Encoded:
-    """An input document as a report echoes it under `inputs`: the fragment
-    of its canonical text, written by one call of json's C encoder where the
-    document is read, so the report writer never walks a document of any
-    size.  A `json.load` result holds no cycle, so the encoder keeps no
-    record of one; RecursionError for a document too deep to encode."""
-    return Encoded(json.dumps(document, sort_keys=True, separators=(",", ":"),
-                              check_circular=False))
-
-
 def canonical_pieces(report) -> list[str]:
     """The report as one line of JSON with sorted keys and no whitespace,
     in the pieces whose concatenation it is.
@@ -146,8 +137,9 @@ def canonical_pieces(report) -> list[str]:
     afterwards.  Every piece is written before this returns, so an error
     comes before any of them is used.  A value that is not JSON raises
     TypeError: a float, a subclass of a JSON type, a non-string key or any
-    other type.  A value that holds itself ends, as a too-deep one does, in
-    RecursionError."""
+    other type.  A value nested deeper than the interpreter's stack allows,
+    such as an input document `json.load` read near its own limit, ends in
+    RecursionError, and so does a value that holds itself."""
     out: list[str] = []
     _write(report, out)
     return out

@@ -93,6 +93,8 @@ class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
             raise ValueError("projective space needs complex dimension >= 1")
         if kind == SPHERE2 and size != 1:
             raise ValueError("a 2-sphere atom has no size parameter")
+        if not isinstance(label, str):  # hashed with the atom, so a JSON list would not do
+            raise ValueError(f"an atom label must be a string, not {label!r}")
         return tuple.__new__(cls, (kind, size, label))
 
     @property

@@ -33,6 +33,7 @@ from conftest import (
     class_document,
     component_dropping_top_term,
     cup,
+    dict_form_text,
     direct_sum,
     graded_components,
     homogeneous_component,
@@ -59,7 +60,7 @@ def bundle_document(trivial: int, lines: list[tuple[GradedClass, int]]) -> dict:
     """The `chern --bundle` document of a trivial rank and (line class, mult) pairs."""
     return json.loads(json.dumps({
         "trivial": str(trivial),
-        "summands": [{"line": json.loads(line.json_text()), "mult": str(m)} for line, m in lines]}))
+        "summands": [{"line": class_document(line), "mult": str(m)} for line, m in lines]}))
 
 
 def random_bundle(rng: random.Random, space: SpaceDescriptor,
@@ -492,7 +493,7 @@ def test_chern_texts_are_the_class_components_written_out(b):
     with unlimited_int_digits():
         texts = series_texts(b.base, chern_series(b))
         parts = graded_components(series_product(b.base, chern_series(b)))
-        expected = {degree: part.json_text() for degree, part in parts.items()}
+        expected = {degree: dict_form_text(part) for degree, part in parts.items()}
         assert texts == expected
         assert {degree: json.loads(text) for degree, text in texts.items()} == \
             {degree: class_document(part) for degree, part in parts.items()}

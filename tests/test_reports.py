@@ -18,7 +18,6 @@ from villadsen.reports import (
     Encoded,
     canonical_json,
     canonical_pieces,
-    echo,
     fraction_json,
     load_schema,
     validate_report,
@@ -257,19 +256,44 @@ def test_fragments_are_spliced_where_their_values_sit(monkeypatch):
 
 
 def test_a_fragment_is_written_wherever_it_sits():
-    # an echoed input document is a fragment under `inputs`, and a fragment
+    # an echoed input document is plain JSON under `inputs`, and a fragment
     # may sit at the root, in a list or in a tuple
     inputs = {"space": {"factors": [{"kind": "s2"}] * 3}, "bundle": {"trivial": "1"}}
     plain = {"command": "chern", "inputs": inputs, "checks": [[]], "ok": True}
-    doc = {**plain, "inputs": {key: echo(value) for key, value in inputs.items()},
-           "checks": (Encoded("[]"),)}
+    doc = {**plain, "checks": (Encoded("[]"),)}
     assert "".join(canonical_pieces(doc)) == canonical_dumps(plain)
     for value in (Encoded("{}"), [Encoded("1"), ("x", None)], (Encoded("1"), True)):
         assert canonical_json(value) == canonical_dumps(json.loads(canonical_json(value)))
     assert canonical_json((1, [Encoded("2")], ())) == "[1,[2],[]]"
-    # the echo is the document's canonical text, keys sorted and non-ASCII escaped
+    # an input document's canonical text, keys sorted and non-ASCII escaped
     document = {"b": ["\u00e9", -3, None, {}], "a": {"y": True, "x": "q\"uote"}}
-    assert echo(document).text == canonical_dumps(document)
+    assert canonical_json(document) == canonical_dumps(document)
+
+
+# the strings of an input document: JSON escapes, control characters,
+# non-ASCII and astral characters, and lone surrogates, which JSON text may
+# hold as escapes
+DOCUMENT_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["\ud800", "\udfff\ud800", "\x00\x1f\x7f", "\t\n\r\b\f/", '"\\', "\u00e9\u2028",
+     "\U0001d11e"])
+# integers up to Python's int<->str digit limit, under which `json.load`
+# reads (an interpreter without the limit reads any, so 4300 digits there)
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.integers() | DOCUMENT_TEXT
+    | st.integers(-(10 ** DIGITS - 1), 10 ** DIGITS - 1)
+    | st.sampled_from([10 ** DIGITS - 1, -(10 ** DIGITS - 1), [], {}, [[]], {"": {}}]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(DOCUMENT_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(DOCUMENT, st.booleans())
+@example({"\ud800": ["\udfff", 10 ** DIGITS - 1, {}, [[]]], "": None}, False)
+def test_an_input_document_is_written_as_json_dumps_writes_it(value, ascii_only):
+    # the report writer echoes what `json.load` read, with the bytes json's
+    # own encoder would write for it
+    document = json.loads(json.dumps(value, ensure_ascii=ascii_only))
+    assert canonical_json(document) == canonical_dumps(document)
 
 
 # text with quotes, backslashes, non-ASCII characters and JSON-looking pieces

@@ -394,22 +394,23 @@ def test_chern_writes_one_fragment_per_class(monkeypatch, capsys, tmp_path):
     for module in (bundles, cli, cohomology):
         monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
     assert main(["chern", "--space", str(space), "--bundle", str(bundle)]) == 0
-    components = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]["components"]
+    report = json.loads(capsys.readouterr().out)
+    components = report["checks"][0]["certificate"]["components"]
     assert len(components) == generators + 1
     assert sum(len(part["terms"]) for part in components.values()) == 2 ** generators
-    # a fragment per component and the Euler class, and the two echoed
-    # input documents, each written once where it is read
-    assert len(fragments) == len(components) + 1 + 2
-    assert [json.loads(text) for text, in fragments[:2]] == [
-        json.loads(space.read_text()), json.loads(bundle.read_text())]
+    # a fragment per component and nothing else: the Euler class and the
+    # echoed input documents are plain values the report writer walks
+    assert len(fragments) == len(components)
+    assert report["inputs"] == {"space": json.loads(space.read_text()),
+                                "bundle": json.loads(bundle.read_text())}
     # the summands' line classes, as the bundle document is read, then the
     # Euler class, x_0 * ... * x_11, three times: factorized and as its
-    # Chern component for the cross-check, and factorized for its text;
+    # Chern component for the cross-check, and factorized for its terms;
     # nothing else
     lines = [{tuple(int(i == p) for i in range(generators)): 1} for p in range(generators)]
     assert [c.terms for c in built] == lines + [{(1,) * generators: 1}] * 3
     # what is sorted is the 12 summand positions and the Euler class's one
-    # term (in its json_text), never the 2**12 terms of the Chern class
+    # term (for its certificate), never the 2**12 terms of the Chern class
     assert sorts == [generators, 1]
     assert not hasattr(cohomology, "graded_components")
     assert not hasattr(GradedClass, "to_json")

@@ -70,6 +70,19 @@ def test_atom_validation():
         SpaceAtom("weird", 1)
 
 
+@pytest.mark.parametrize("label", [[1, {"a": 2}], {"a": 1}, 7, None, True])
+def test_an_atom_label_is_a_string(label):
+    # a list label made an atom, and a space of it, that could not be hashed
+    with pytest.raises(ValueError, match="atom label must be a string"):
+        SpaceAtom("s2", 1, label)
+    with pytest.raises(ValueError, match="atom label must be a string"):
+        disk(2, label=label)
+    with pytest.raises(ValueError, match="atom label must be a string"):
+        SpaceDescriptor.from_json({"factors": [{"kind": "cp", "n": 2, "label": label}]})
+    with pytest.raises(ValueError, match="atom label must be a string"):
+        sphere2()._replace(label=label)
+
+
 def test_descriptor_from_json():
     doc = {"factors": [{"kind": "disk", "d": 2, "label": "d0"}, {"kind": "cp", "n": "4"},
                        {"kind": "s2", "label": "s"}]}
