@@ -7,8 +7,9 @@ comparison, and `cfp` the witness-sequence construction and both halves of
 its verification.  Machine-readable JSON goes to stdout; human diagnostics
 go to stderr.  Exit code 0 means every requested verification succeeded,
 2 means a verification failed or was refused (including an internal
-cross-check whose two routes disagree, and a report that fails its own
-schema), 1 means a usage or parse error.
+cross-check whose two routes disagree, a report that fails its schema or
+is cut after its first byte, and a call out of memory), 1 means a usage
+or parse error.
 
 One option table, `_COMMANDS`, gives each subcommand's runner, help line
 and options, and drives argv parsing (`_parse`), the usage line and
@@ -21,7 +22,8 @@ Every report is checked against the packaged report schema
 one that fails is not printed, and one `error:` line names the JSON path
 and the offending value.  All of a report's text, the input documents it
 echoes included, is written, as pieces, by `reports.canonical_pieces`
-before its first byte is printed.
+before its first byte is printed, but for its Chern components, whose runs
+are made as they are printed, and its `wall_time_ms`, read after them.
 """
 
 from __future__ import annotations
@@ -108,14 +110,13 @@ _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def _emit(report: dict) -> int:
-    """Validate and print `report`, which only this call holds.  Every
-    piece of its text is written first, by `reports.canonical_pieces`,
-    which builds no JSON encoder, so an error prints no part of it: an
-    input document that `json.load` read but that nests, under the report,
-    deeper than the writer's stack allows is one ConfigError.  Then the
-    report is freed, and the pieces are handed to stdout by one
-    `writelines`: the stream does all the buffering, and the whole text is
-    never joined."""
+    """Validate and print `report`, which only this call holds.  Its text
+    is walked first, by `reports.canonical_pieces`, so an error there prints
+    no part of it: an input document that `json.load` read but that nests,
+    under the report, deeper than the writer's stack allows is one
+    ConfigError.  Then the report is freed, and one `writelines` prints the
+    pieces, making each lazy fragment's as it goes; an error there cuts the
+    report: its line is ended, and one `error:` line follows (exit 2)."""
     try:
         reports.validate_report(report)
     except ValueError as exc:
@@ -131,7 +132,13 @@ def _emit(report: dict) -> int:
                           "document too deep, or a value that holds itself") from None
     ok = report["ok"]
     del report
-    sys.stdout.writelines(pieces)
+    try:
+        sys.stdout.writelines(pieces)
+    except OSError:
+        raise
+    except Exception as exc:  # the report is cut: its line still ends
+        print(f"error: the report was cut short by {exc!r}", file=sys.stderr)
+        ok = False
     sys.stdout.write("\n")
     return 0 if ok else 2
 
@@ -439,12 +446,14 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else None
     try:
         return _emit(_report(args, started))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         if isinstance(exc, BrokenPipeError):
             # what stdout still buffers would fail again, and be reported, at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        # a call too large for this process is sound, and refused as a budget refuses
+        return 2 if isinstance(exc, MemoryError) else 1
     finally:
         if _DIGIT_LIMIT:
             sys.set_int_max_str_digits(limit)

@@ -15,14 +15,9 @@ text, degree by degree, with no class and no per-term object built for an
 encoder to walk: each degree's class document `{"terms":[...]}` has one
 `{"coefficient":"<decimal>","exponents":[...]}` row per term, in exponent
 order, keys sorted and no whitespace, as `reports.canonical_json` writes
-it.  Each row joins a term of a prefix block of the factors with a term of
-the suffix block, and no Python loop runs per term.  A run, the rows of one
-prefix term with one suffix power sum, is one list of slots filled by two
-slice assignments and joined once, and the cut between the blocks is where
-the runs plus the suffix terms are fewest.  Each degree's component is a
-`reports.Encoded` fragment whose pieces are its runs, never joined again
-into a component text.  It is the engine's one all-degrees expansion of a
-product of line series, which `chern` prints; one degree alone is
+it, in runs of rows made as they are written, with no Python loop per
+term.  It is the engine's one all-degrees expansion of a product of line
+series, which `chern` prints; one degree alone is
 `bundles.chern_component`'s job.
 """
 
@@ -35,6 +30,28 @@ from .spaces import PROJECTION, SpaceDescriptor, SpaceMap, json_fields, json_lis
 
 # what ends one row's exponent text and starts the next row, up to its coefficient
 _NEXT_ROW = ']},{"coefficient":"'
+
+
+class _Runs:
+    """A component's pieces, made anew by each iteration: its opening text,
+    then each of its `runs` (`line_series_texts`) as it is reached, as 3
+    slots per row preset to the prefix's exponent text, filled by two slice
+    assignments and joined once, so no bytecode runs per term."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list):
+        self.runs = runs
+
+    def __iter__(self):
+        yield '{"terms":[{"coefficient":"'
+        for left, (middle, times, (coeffs, tails)) in enumerate(self.runs, 1 - len(self.runs)):
+            row = [middle] * (3 * len(coeffs))
+            row[0::3] = map(str, map(times, coeffs))
+            row[2::3] = tails
+            if not left:  # `left` is 0 at the last run, whose last row closes the class
+                row[-1] = tails[-1][:-len(_NEXT_ROW)] + "]}]}"
+            yield "".join(row)
 
 
 class GradedClass:
@@ -147,8 +164,8 @@ def _expand(text: str, levels: list) -> list[tuple[str, int, int]]:
 def line_series_texts(space: SpaceDescriptor,
                       factors: list[tuple[int, list[int]]]) -> dict[int, Encoded]:
     """Product of one-generator polynomials on pairwise distinct positions,
-    each degree's component as the `Encoded` pieces of its class
-    document's canonical text, with no class built.
+    each degree's component as the lazy `Encoded` fragment of its
+    class document's canonical text, with no class built.
 
     Each factor is (position, [c0, c1, ...]), the sum of c_i * g^i in the
     generator g at that position.  With distinct positions, at most cap
@@ -159,18 +176,14 @@ def line_series_texts(space: SpaceDescriptor,
 
     The factors, in position order, are cut into a prefix block and a suffix
     block, and each block is expanded alone (`_expand`).  The suffix terms
-    are grouped by power sum; each prefix then writes its rows with each
-    group as one run.  A run of k rows is one list of 3k slots,
-    each preset to the prefix's exponent text; two slice assignments put
-    the coefficients (the prefix's times the group's, by `map`) and the
-    group's closing texts in the others, and it is joined once.  So no
-    Python bytecode runs per term, no per-term tuple is built, and each
-    run's per-term strings are freed as it is joined.  The cut minimises
-    the runs plus the suffix terms, P * G + S for P prefix terms, G suffix
-    power sums and S suffix terms, and on a tie the terms held, P + S.  A
-    component's pieces are its opening text and its runs: no component text
-    is joined.  Terms come out in exponent order, so each degree's rows are
-    already sorted, and every power sum up to the top one is reached."""
+    are grouped by power sum, and each prefix writes its rows with each
+    group as one run, listed as (prefix exponent text, coefficient
+    multiplier, group) before this returns and made as it is written
+    (`_Runs`): a coefficient past the digit limit is a ValueError there.
+    The cut minimises the runs plus the suffix terms, P * G + S for P prefix
+    terms, G suffix power sums and S suffix terms, and on a tie the terms
+    held, P + S.  Terms come out in exponent order, so each degree's rows
+    are already sorted, and every power sum up to the top one is reached."""
     series = _series_by_position(space, factors)
     order, n = sorted(series), len(space.caps)
     head = ",".join(["0"] * (order[0] if order else n))  # the exponents before the first factor
@@ -204,18 +217,12 @@ def line_series_texts(space: SpaceDescriptor,
         coeffs.append(coeff)
         tails.append(text + _NEXT_ROW)
     prefixes = _expand(head, levels[:cut])
-    runs: list[list[str]] = [['{"terms":[{"coefficient":"']
-                             for _ in range(prefixes[-1][1] + sums)]
+    runs: list[list] = [[] for _ in range(prefixes[-1][1] + sums)]
     for text, total, coeff in prefixes:
         middle, times = '","exponents":[' + text, coeff.__mul__
-        for t, (coeffs, tails) in enumerate(groups, total):
-            row = [middle] * (3 * len(coeffs))
-            row[0::3] = map(str, map(times, coeffs))
-            row[2::3] = tails
-            runs[t].append("".join(row))
-    for part in runs:  # the last row closes the class instead of opening a row
-        part[-1] = part[-1][:-len(_NEXT_ROW)] + "]}]}"
-    return {2 * t: Encoded(*part) for t, part in enumerate(runs)}
+        for t, group in enumerate(groups, total):
+            runs[t].append((middle, times, group))
+    return {2 * t: Encoded.lazy(_Runs(part)) for t, part in enumerate(runs)}
 
 
 def pullback_positions(f: SpaceMap) -> tuple[int, ...]:

@@ -16,21 +16,15 @@ version once the volatile wall-time field is dropped, which is what
 `normalize_report` is for.
 
 A value the engine has already written as canonical JSON text goes into a
-report as an `Encoded` fragment: a Chern component (`line_series_texts`),
-a rational (`fraction_json`) and each record list that grows with a stage
-or term count, which the engine writes row by row as it computes the
-records, one row template per record kind with its keys in canonical
-order.  A list's fragment is its rows and the brackets and commas between
-them (`encoded_rows`), so no row is copied into a list text before the
-report is joined.  Every other value, the echoed input documents and the
-Euler class included, is plain JSON.  `canonical_pieces` is the one
-report writer: a walk over the report that appends each value's text
-where it sits, each fragment's pieces wherever it is, builds no JSON
-encoder and splices nothing afterwards.  So the report's bytes are those
-of the same report held as plain JSON, and no record or Chern term is
-built as a dict or encoded again.  The CLI hands the pieces to stdout's
-`writelines` and never joins them into one text; `canonical_json` is
-their join.
+report as an `Encoded` fragment: a rational (`fraction_json`), each record
+list that grows with a stage or term count, written row by row as the
+records are computed (`encoded_rows`), and a Chern component
+(`line_series_texts`), a lazy fragment whose pieces are made as they are
+written.  Every other value, the echoed input documents and the Euler
+class included, is plain JSON.  `canonical_pieces` is the one report
+writer, which puts each fragment's pieces where it sits, so the report's
+bytes are those of the same report held as plain JSON, and no record or
+Chern term is built as a dict or encoded again.
 
 `validate_report` checks a report against the packaged
 `schemas/report.schema.json`, which states the envelope and each check's
@@ -50,6 +44,7 @@ import re
 import time
 # a string's JSON text, by the C escaper `json.dumps` uses for ASCII output
 from json.encoder import encode_basestring_ascii as _string
+from itertools import chain
 from math import gcd
 
 from .version import ENGINE_VERSION
@@ -74,15 +69,19 @@ def refused(name: str, message: str, certificate: dict | None = None) -> dict:
 
 def assemble(command: str, inputs: dict, checks: list[dict],
              started: float) -> dict:
-    elapsed_ms = max(0, int((time.perf_counter() - started) * 1000))
-    return {
-        "command": command,
-        "inputs": inputs,
-        "checks": checks,
-        "ok": all(c["outcome"] == "pass" for c in checks),
-        "engine_version": ENGINE_VERSION,
-        "wall_time_ms": str(elapsed_ms),
-    }
+    return {"command": command, "inputs": inputs, "checks": checks,
+            "ok": all(c["outcome"] == "pass" for c in checks),
+            "engine_version": ENGINE_VERSION, "wall_time_ms": Elapsed(started)}
+
+
+class Elapsed(float):
+    """A report's `wall_time_ms`: the milliseconds since this perf_counter
+    value, a decimal string stamped where the writer reaches it."""
+
+    def __iter__(self):  # its text, stamped now: a clock deferred past a lazy fragment
+        out: list[str] = []
+        _write(self, out, [])
+        return iter(out)
 
 
 class Encoded:
@@ -94,6 +93,13 @@ class Encoded:
 
     def __init__(self, *pieces: str):
         self.pieces = pieces
+
+    @classmethod
+    def lazy(cls, pieces) -> "Encoded":
+        """The fragment whose pieces each iteration of `pieces` makes anew."""
+        fragment = cls()
+        fragment.pieces = pieces
+        return fragment
 
     @property
     def text(self) -> str:
@@ -127,35 +133,35 @@ def encoded_rows(rows: list[str]) -> Encoded:
     return Encoded(*pieces)
 
 
-def canonical_pieces(report) -> list[str]:
+def canonical_pieces(report):
     """The report as one line of JSON with sorted keys and no whitespace,
     in the pieces whose concatenation it is.
 
-    One walk (`_write`) writes every value where it sits: each `Encoded`
-    fragment as its own pieces, wherever it is, and every other value
-    member by member, so no JSON encoder is built and nothing is spliced
-    afterwards.  Every piece is written before this returns, so an error
-    comes before any of them is used.  A value that is not JSON raises
-    TypeError: a float, a subclass of a JSON type, a non-string key or any
-    other type.  A value nested deeper than the interpreter's stack allows,
-    such as an input document `json.load` read near its own limit, ends in
-    RecursionError, and so does a value that holds itself."""
-    out: list[str] = []
-    _write(report, out)
-    return out
+    One walk (`_write`) writes every value where it sits, each `Encoded`
+    fragment as its own pieces, builds no JSON encoder and splices nothing
+    afterwards.  It ends before this returns, so an error in it comes
+    before any piece is used: TypeError for a value that is not JSON (a
+    float, a subclass of a JSON type, a non-string key or any other type),
+    RecursionError for one nested deeper than the interpreter's stack
+    allows or that holds itself.  They are a list, or, with a lazy fragment,
+    an iterator that makes its pieces, and an `Elapsed` after it, as it
+    reaches them."""
+    out, lazy = [], []
+    _write(report, out, lazy)
+    return chain.from_iterable(lazy + [out]) if lazy else out
 
 
 def canonical_json(value) -> str:
-    """Any value as one line of JSON with sorted keys and no whitespace,
-    each `Encoded` fragment's text where it sits: a certificate as a report
-    writes it.  A report's text is this, and the join of its
-    `canonical_pieces`."""
+    """Any value as one line of JSON with sorted keys and no whitespace, each
+    `Encoded` fragment's text where it sits: a certificate as a report
+    writes it, and a report's text, the join of its `canonical_pieces`."""
     return "".join(canonical_pieces(value))
 
 
-def _write(value, out: list[str]) -> None:
-    """Append the canonical text of `value` to `out`, as pieces.  A value is
-    read by its exact type, as `json.load` and the engine build them, so a
+def _write(value, out: list[str], lazy: list) -> None:
+    """Append the canonical text of `value` to `out`, as pieces, but move
+    `out`'s pieces and then a lazy fragment's to `lazy`.  A value is read
+    by its exact type, as `json.load` and the engine build them, so a
     subclass, a float (`cli._load_json` reads none, and the engine writes
     every other number as an int or a decimal string) and a dict key that
     is not a str are TypeErrors."""
@@ -171,7 +177,7 @@ def _write(value, out: list[str]) -> None:
             if type(key) is not str:
                 raise TypeError(f"a report key must be a str, not {key!r}")
             out.append(head + _string(key) + ":")
-            _write(value[key], out)
+            _write(value[key], out, lazy)
             head = ","
         out.append("}")
     elif kind is list or kind is tuple:
@@ -181,10 +187,10 @@ def _write(value, out: list[str]) -> None:
         head = "["
         for item in value:
             out.append(head)
-            _write(item, out)
+            _write(item, out, lazy)
             head = ","
         out.append("]")
-    elif kind is Encoded:
+    elif kind is Encoded and type(value.pieces) is tuple:
         out += value.pieces
     elif value is None:
         out.append("null")
@@ -192,6 +198,11 @@ def _write(value, out: list[str]) -> None:
         out.append(JSON_BOOL[value])
     elif kind is int:
         out.append(int.__repr__(value))
+    elif kind is Encoded or kind is Elapsed and lazy:  # made as the report is written
+        lazy += (out[:], value if kind is Elapsed else value.pieces)
+        del out[:]
+    elif kind is Elapsed:  # inline: a forked call pays page faults for each new function
+        out.append(_string(str(max(0, int((time.perf_counter() - value) * 1000)))))
     else:
         raise TypeError(f"a {kind.__name__} is not a report value")
 
@@ -222,8 +233,9 @@ def _patterns(schema: dict):
 # the schema's patterns, compiled once
 _PATTERNS = {pattern: re.compile(pattern) for pattern in _patterns(_SCHEMA)}
 
-# the draft-07 types the schema names, as Python types
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+# the draft-07 types the schema names, as Python types; a clock is a string
+# of digits the writer stamps
+_TYPES = {"object": dict, "array": list, "string": (str, Elapsed), "boolean": bool}
 
 
 def load_schema() -> dict:

@@ -16,6 +16,7 @@ the command line, and `json_fields` refuses unknown keys in a document.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from collections import namedtuple
 
@@ -31,6 +32,16 @@ _ATOM_KEYS = {DISK: {"kind", "label", "d"}, CPROJ: {"kind", "label", "n"},
               SPHERE2: {"kind", "label"}}
 
 
+def shown(value) -> str:
+    """`value` in an error line: `reprlib`'s short repr, or, if that is cut,
+    the value's type and length and at most 80 characters of the repr."""
+    text = reprlib.repr(value)
+    if "..." not in text and len(text) <= 80:
+        return text
+    size = f" of length {len(value)}" if isinstance(value, (str, list, dict)) else ""
+    return f"a {type(value).__name__}{size}, {text[:80]}"
+
+
 def read_int(value, what: str) -> int:
     """An integer slot of an input document, option or environment variable:
     a JSON integer that is not a boolean, or a string of ASCII decimal
@@ -43,14 +54,14 @@ def read_int(value, what: str) -> int:
         except ValueError:  # past the interpreter's int<->str digit limit
             raise ValueError(f"{what} has {len(value.lstrip('-'))} digits, past the "
                              f"limit of {sys.get_int_max_str_digits()}") from None
-    raise ValueError(f"{what} must be an integer or a decimal string, not {value!r}")
+    raise ValueError(f"{what} must be an integer or a decimal string, not {shown(value)}")
 
 
 def json_list(value, what: str) -> list:
     """A list slot of an input document: a string or an object there would be
     read by its characters or keys, so anything but a JSON list is a ValueError."""
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+        raise ValueError(f"{what} must be a JSON list, not {shown(value)}")
     return value
 
 
@@ -58,7 +69,7 @@ def json_object(value, what: str) -> dict:
     """An object slot of an input document: anything but a JSON object is a
     ValueError, not a list or string read by its items."""
     if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+        raise ValueError(f"{what} must be a JSON object, not {shown(value)}")
     return value
 
 
@@ -68,7 +79,7 @@ def json_fields(value, what: str, keys) -> dict:
     it is a ConfigError."""
     unknown = json_object(value, what).keys() - keys
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {shown(sorted(unknown))}")
     return value
 
 
@@ -86,7 +97,7 @@ class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
 
     def __new__(cls, kind: str, size: int, label: str = ""):
         if kind not in (DISK, SPHERE2, CPROJ):
-            raise ValueError(f"unknown atom kind {kind!r}")
+            raise ValueError(f"unknown atom kind {shown(kind)}")
         if kind == DISK and size < 0:
             raise ValueError("disk power must be >= 0")
         if kind == CPROJ and size < 1:
@@ -94,7 +105,7 @@ class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
         if kind == SPHERE2 and size != 1:
             raise ValueError("a 2-sphere atom has no size parameter")
         if not isinstance(label, str):  # hashed with the atom, so a JSON list would not do
-            raise ValueError(f"an atom label must be a string, not {label!r}")
+            raise ValueError(f"an atom label must be a string, not {shown(label)}")
         return tuple.__new__(cls, (kind, size, label))
 
     @property
@@ -114,7 +125,7 @@ class SpaceAtom(namedtuple("SpaceAtom", "kind size label")):
     def from_json(doc: dict) -> "SpaceAtom":
         kind = json_object(doc, "atom")["kind"]
         if kind not in (DISK, CPROJ, SPHERE2):  # compared, so an unhashable kind is named too
-            raise ValueError(f"unknown atom kind {kind!r}")
+            raise ValueError(f"unknown atom kind {shown(kind)}")
         label = json_fields(doc, "atom", _ATOM_KEYS[kind]).get("label", "")
         if kind == DISK:
             return SpaceAtom(DISK, read_int(doc["d"], "disk power d"), label)
@@ -261,7 +272,7 @@ class SpaceMap(namedtuple("SpaceMap", "source target kind indices point")):
             if not point:
                 raise ValueError("constant map needs a point label")
         else:
-            raise ValueError(f"unknown map kind {kind!r}")
+            raise ValueError(f"unknown map kind {shown(kind)}")
         return tuple.__new__(cls, (source, target, kind, indices, point))
 
 

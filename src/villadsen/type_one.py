@@ -26,7 +26,7 @@ from math import prod
 from .bundles import BundleExpr, chern_component, expansion_budget
 from .errors import ConfigError, CrossCheckDisagreement, GeneratorBudgetExceeded
 from .reports import Encoded, fraction_json
-from .spaces import json_fields, json_list, json_object, read_int, spheres
+from .spaces import json_fields, json_list, json_object, read_int, shown, spheres
 
 
 class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluations")):
@@ -43,7 +43,7 @@ class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluatio
             raise ConfigError("duplicate projection id in step")
         for pid, m in projection_multiplicities:
             if m < 1:
-                raise ConfigError(f"projection {pid!r} needs multiplicity >= 1")
+                raise ConfigError(f"projection {shown(pid)} needs multiplicity >= 1")
         if point_evaluations < 0:
             raise ConfigError("point evaluation count must be >= 0")
         if self.total_multiplicity < 1:
@@ -62,7 +62,8 @@ class StepSpec(namedtuple("StepSpec", "projection_multiplicities point_evaluatio
     @staticmethod
     def from_json(doc: dict) -> "StepSpec":
         json_fields(doc, "step", {"proj_mults", "point_evals"})
-        mults = tuple(sorted((str(k), read_int(v, f"multiplicity of {k!r}"))
+        # each key's label is built even when it is not used, so it is cut, not `shown`
+        mults = tuple(sorted((str(k), read_int(v, f"multiplicity of {k[:80]!r}"))
                              for k, v in json_object(doc.get("proj_mults", {}),
                                                      "proj_mults").items()))
         return StepSpec(mults, read_int(doc.get("point_evals", 0), "point_evals"))

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import villadsen
-from villadsen import cli, reports, type_two
+from villadsen import cli, cohomology, reports, type_two
 from villadsen.bundles import BundleExpr, chern_series
 from villadsen.cli import main
 from villadsen.errors import GeneratorBudgetExceeded
@@ -102,6 +103,7 @@ def emitted_writes(monkeypatch, argv) -> tuple[str, int, int, int]:
     # `_report` lifts the digit limit, which `main` restores after `_emit`
     with unlimited_int_digits():
         report = cli._report(cli._parse(argv), 0.0)
+        report["wall_time_ms"] = "0"  # the clock is read anew by each write
         text = canonical_json(report)
         longest_piece = max(map(len, reports.canonical_pieces(report)))
         stream = WriteLog(text + "\n")
@@ -145,6 +147,119 @@ def test_a_report_is_written_as_its_pieces(tmp_path, monkeypatch, argv, large):
     assert longest_write <= longest_piece
     if large:
         assert peak < len(text) // 2
+
+
+@pytest.mark.parametrize("argv, lazy", [
+    (["chern", "--space", "{space}", "--bundle", "{bundle}"], True),
+    (["v2", "-k", "2", "-n", "5", "--rc", "--trace"], False),
+    (["cfp", "--terms", "3"], False),
+    (["vi", "--config", "{config}", "--witness", "2"], False),
+], ids=["chern", "v2", "cfp", "vi"])
+def test_a_lazy_fragment_gives_the_same_bytes_on_every_write(tmp_path, capsys, argv, lazy):
+    # each iteration of a Chern component makes its runs anew: two joins,
+    # each fragment's text and the printed report agree; and a report with
+    # no lazy fragment is one list of pieces, handed to one `writelines`
+    space, bundle = write_sphere_lines(tmp_path, 6)
+    config = write_vi_config(tmp_path, [{"proj_mults": {"p1": 1, "p2": 3}, "point_evals": 1}])
+    argv = [arg.format(space=space, bundle=bundle, config=config) for arg in argv]
+    with unlimited_int_digits():
+        report = cli._report(cli._parse(argv), 0.0)
+    report["wall_time_ms"] = "0"  # the clock is read anew by each write
+    text = canonical_json(report)
+    assert canonical_json(report) == text
+    assert (type(reports.canonical_pieces(report)) is list) is not lazy
+    if lazy:
+        components = report["checks"][0]["certificate"]["components"]
+        assert all(type(part.pieces) is not tuple for part in components.values())
+        assert json.loads(text)["checks"][0]["certificate"]["components"] == \
+            {degree: json.loads(part.text) for degree, part in components.items()}
+    assert cli._emit(report) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert canonical_json(report) == text
+
+
+class Sink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+def test_a_chern_call_holds_no_component_text(tmp_path, monkeypatch):
+    # a 2**16-term class: its report is 4.3 MB, and the call's traced peak
+    # was 1.07 times that while every run was joined before the first byte;
+    # each run's text is now made as it is written (0.073 times)
+    space, bundle = write_sphere_lines(tmp_path, 16)
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["chern", "--space", space, "--bundle", bundle])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written > 4_000_000
+    assert peak < sink.written // 8
+
+
+def test_wall_time_covers_the_write_of_the_chern_components(tmp_path, capsys, monkeypatch):
+    # the clock is read after the components are written, so it covers
+    # their runs, here each component's 50 ms pause
+    space, bundle = write_sphere_lines(tmp_path, 4)
+    make = cohomology._Runs.__iter__
+
+    def slow_runs(runs):
+        time.sleep(0.05)
+        yield from make(runs)
+
+    monkeypatch.setattr(cohomology._Runs, "__iter__", slow_runs)
+    code, out = run_cli(capsys, "chern", "--space", space, "--bundle", bundle)
+    doc = json.loads(out)
+    validate_report(doc)
+    components = doc["checks"][0]["certificate"]["components"]
+    assert code == 0 and int(doc["wall_time_ms"]) >= 50 * len(components)
+
+
+def test_a_report_cut_after_its_first_byte_ends_its_line(tmp_path, capsys, monkeypatch):
+    # a run writer that fails after its first run: what was printed is one
+    # line that is not JSON, and one error line says the report was cut
+    space, bundle = write_sphere_lines(tmp_path, 8)
+    make = cohomology._Runs.__iter__
+
+    def failing_runs(runs):
+        pieces = make(runs)
+        yield next(pieces)
+        yield next(pieces)
+        raise MemoryError
+
+    monkeypatch.setattr(cohomology._Runs, "__iter__", failing_runs)
+    code = main(["chern", "--space", space, "--bundle", bundle])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
+    assert captured.out.startswith('{"checks":[{"certificate":{"components":{"0":{"terms":[{')
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(captured.out)
+    assert captured.err == "error: the report was cut short by MemoryError()\n"
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # `cfp --terms 20` under a 1 GiB address space, set in the child only,
+    # ended in a MemoryError traceback: the call is sound but cannot be
+    # done here, so it is refused (exit 2)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(villadsen.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "villadsen.cli", "cfp", "--terms", "20"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -652,18 +767,38 @@ def test_chern_factors_and_summands_must_be_lists(tmp_path, capsys, space_doc, b
     assert_one_error_line(capsys, code, paths[bad])
 
 
+# a value a million characters long: the whole repr was printed, so such a
+# `steps` string gave a 1 000 070-byte error line
+HUGE = "x" * 1_000_000
+
+
 @pytest.mark.parametrize("steps, message", [
     ({}, "steps must be a JSON list"),
     ("", "steps must be a JSON list"),
     (["ab"], "step 0 must be a JSON object"),
     ([{"proj_mults": {"p": 1}}, 3], "step 1 must be a JSON object"),
     ([{"proj_mults": [["p", 1]]}], "proj_mults must be a JSON object"),
-], ids=["steps-object", "steps-string", "step-string", "step-int", "proj-mults-list"])
+    (HUGE, f"steps must be a JSON list, not a str of length 1000000, '{'x' * 12}...{'x' * 13}'"),
+    ([HUGE], "step 0 must be a JSON object, not a str of length 1000000, "),
+    ([{"proj_mults": {"p": [HUGE[:1000]] * 1000}}],
+     "multiplicity of 'p' must be an integer or a decimal string, not a list of length 1000, "),
+    ([{"proj_mults": {HUGE: []}}], f"multiplicity of '{'x' * 80}' must be an integer "),
+    ([{"proj_mults": {HUGE: 0}}], "projection a str of length 1000000, "),
+    ([{"proj_mults": {}, **{HUGE + str(i): 1 for i in range(10)}}],
+     "unknown step keys: a list of length 10, "),
+    ([[[[[[[[[HUGE]]]]]]]]],
+     "step 0 must be a JSON object, not a list of length 1, [[[[[[[...]]]]]]]"),
+], ids=["steps-object", "steps-string", "step-string", "step-int", "proj-mults-list",
+        "huge-steps", "huge-step", "huge-multiplicity", "huge-key", "huge-projection",
+        "huge-keys", "deep-step"])
 def test_vi_config_steps_and_proj_mults_are_checked(steps, message, tmp_path, capsys):
-    # an empty object or string would be read as no steps, a verified empty system
+    # an empty object or string would be read as no steps, a verified empty
+    # system; and an error line names a huge value in a few characters
     config = write_vi_config(tmp_path, steps)
     code = main(["vi", "--config", config, "--witness", "2"])
-    assert message in assert_one_error_line(capsys, code, config)
+    error = assert_one_error_line(capsys, code, config)
+    assert message in error
+    assert len(error.encode()) < 300 + len(config)
 
 
 def test_vi_config_without_steps_is_valid(tmp_path, capsys):
@@ -1095,10 +1230,11 @@ def test_a_document_too_deep_to_echo_is_usage_error(tmp_path, capsys, monkeypatc
 NESTED_DEPTHS = range(980, 1001)
 
 # One interpreter per slot calls `main` from its top level, as the console
-# script does, at every depth: json.load reads a document a few levels
-# deeper than the report can echo, and where that window falls depends on
-# how deep the caller's stack already is, so under pytest's own stack it
-# would fall elsewhere.
+# script does, at every depth: where json.load stops reading depends on how
+# deep the caller's stack already is, so under pytest's own stack it would
+# fall elsewhere.  The deep value sits where its document's parser refuses
+# it (an unknown space key, a step that is not an object), since no parser
+# accepts a deep document.
 NESTED_RUNS = """
 import contextlib, io, json, sys, traceback
 from villadsen.cli import main
@@ -1149,22 +1285,18 @@ def nested_runs(tmp_path_factory):
 @pytest.mark.parametrize("slot", ["space", "config"])
 def test_nesting_near_the_recursion_limit_is_a_report_or_one_error_line(
         slot, depth, nested_runs):
-    # a depth json.load reads but the report cannot echo was a traceback
+    # a depth json.load reads but the report could not echo was a
+    # traceback.  No parser accepts a deep document, so every depth ends
+    # before any report, in one of two parse errors: the document's own,
+    # where json.load read it, or the reader's past its depth.  The report
+    # writer's own error is `test_a_document_too_deep_to_echo_is_usage_error`'s
     code, out, err = nested_runs(slot)[depth]
-    assert "Traceback" not in err
-    if code == 0:
-        # the echoed document is as deep as the decoder's stack allows, and
-        # pytest's frames sit below this one
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + 1000)
-        try:
-            doc = json.loads(out)
-        finally:
-            sys.setrecursionlimit(limit)
-        validate_report(doc)
-    else:
-        assert code == 1 and out == ""
-        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert code == 1 and out == ""
+    path = r"\S+/" + ("space.json" if slot == "space" else "vi.json")
+    refused = re.escape("unknown space keys: ['unused']" if slot == "space" else
+                        "step 0 must be a JSON object, not a list of length 1, [[[[[[[...]]]]]]]")
+    assert re.fullmatch(f"error: ({slot} document {path}: {refused}"
+                        f"|{path} nests too deeply to be read)\n", err), err
 
 
 BOOLEAN_SLOT_DOCUMENTS = {

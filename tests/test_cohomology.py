@@ -331,7 +331,7 @@ def test_line_series_texts_of_a_mixed_document_in_few_runs():
     assert {degree: part.text for degree, part in components.items()} == \
         texts_of_product(space, factors)
     # a component's pieces are its opening text and its runs
-    assert sum(len(part.pieces) - 1 for part in components.values()) <= 280
+    assert sum(len(part.pieces.runs) for part in components.values()) <= 280
 
 
 def test_line_series_product_checks_each_factor():

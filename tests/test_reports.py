@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import zipfile
 from collections import namedtuple
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import example, given, strategies as st
 
 import villadsen
 from villadsen.reports import (
+    Elapsed,
     Encoded,
     canonical_json,
     canonical_pieces,
@@ -268,6 +270,47 @@ def test_a_fragment_is_written_wherever_it_sits():
     # an input document's canonical text, keys sorted and non-ASCII escaped
     document = {"b": ["\u00e9", -3, None, {}], "a": {"y": True, "x": "q\"uote"}}
     assert canonical_json(document) == canonical_dumps(document)
+
+
+class Made:
+    """The pieces of a lazy fragment, counting how often they are made, and
+    sleeping `pause` seconds before the first."""
+
+    def __init__(self, *pieces, pause=0.0):
+        self.pieces, self.pause, self.made = pieces, pause, 0
+
+    def __iter__(self):
+        time.sleep(self.pause)
+        self.made += 1
+        yield from self.pieces
+
+
+def test_a_lazy_fragment_is_made_anew_as_it_is_written():
+    made = Made("[1", ",2", "]")
+    doc = {"a": Encoded.lazy(made), "b": [Encoded("3"), "x"]}
+    pieces = canonical_pieces(doc)
+    assert made.made == 0  # the walk lists the fragment, and makes none of it
+    assert "".join(pieces) == '{"a":[1,2],"b":[3,"x"]}' and made.made == 1
+    assert canonical_json(doc) == '{"a":[1,2],"b":[3,"x"]}' and made.made == 2
+    assert doc["a"].text == "[1,2]" and made.made == 3
+    # with no lazy fragment, the pieces are one list
+    assert type(canonical_pieces({"b": [Encoded("3")]})) is list
+
+
+def test_the_clock_is_read_where_the_writer_reaches_it():
+    # after a lazy fragment, as the report is written; else in the walk
+    clock = Elapsed(time.perf_counter())
+    validate_report({**VALID_REPORT, "wall_time_ms": clock})
+    report = {**VALID_REPORT, "checks": Encoded.lazy(Made("[]", pause=0.05)),
+              "wall_time_ms": clock}
+    doc = json.loads("".join(canonical_pieces(report)))
+    validate_report(doc)  # a string of digits
+    assert int(doc["wall_time_ms"]) >= 50
+    report["checks"] = []
+    pieces = canonical_pieces(report)
+    time.sleep(0.01)
+    assert type(pieces) is list
+    assert int(json.loads("".join(pieces))["wall_time_ms"]) < int(json.loads("".join(clock)))
 
 
 # the strings of an input document: JSON escapes, control characters,
